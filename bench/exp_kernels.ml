@@ -37,6 +37,12 @@ let textish n tag =
 
 let text_32k = textish 32768 12345678
 
+(* the mix perfbench's ingest and rand-rw prefill write *)
+let mix_3to1_32k =
+  Purity_workload.Datagen.compressible
+    (Purity_workload.Datagen.create ~seed:0xCAFEL)
+    32768 ~target_ratio:3.0
+
 (* Processor time is plenty at these op counts (same harness as the
    metadata hot-path experiment). *)
 let time_ops ?warmup ?batch f = Bclock.time_ops ?warmup ?batch f
@@ -142,8 +148,11 @@ let check_equiv () =
   let shards = Array.init fill_k (fun _ -> Rng.bytes rng 32768) in
   if Rs.encode fill_rs shards <> Rs.encode_ref fill_rs shards then
     failwith "kernels: rs encode fast diverges from ref";
-  if Lz.compress text_32k <> Lz.compress_ref text_32k then
-    failwith "kernels: lz compress fast diverges from ref";
+  List.iter
+    (fun s ->
+      if Lz.compress s <> Lz.compress_ref s then
+        failwith "kernels: lz compress fast diverges from ref")
+    [ text_32k; Bytes.to_string random_32k; mix_3to1_32k ];
   let c = Lz.compress_ref text_32k in
   if Lz.decompress c ~expected_len:32768 <> Lz.decompress_ref c ~expected_len:32768 then
     failwith "kernels: lz decompress fast diverges from ref";
@@ -394,6 +403,12 @@ let run_in_section () =
     time_ops ~batch:10 (fun () ->
         ignore (Lz.decompress (Lz.compress text_32k) ~expected_len:32768 : string))
   in
+  (* compression alone, on the write path's reused scratch: random input
+     is the incompressible run the skip trigger strides through *)
+  let lz_scratch = Lz.create_scratch () in
+  let random_32k_s = Bytes.to_string random_32k in
+  let lzc_random = time_ops (fun () -> ignore (Lz.compress_into lz_scratch random_32k_s : int)) in
+  let lzc_mix = time_ops (fun () -> ignore (Lz.compress_into lz_scratch mix_3to1_32k : int)) in
   let unz_ref =
     time_ops (fun () -> ignore (Lz.decompress_ref lz_c ~expected_len:32768 : string))
   in
@@ -421,6 +436,8 @@ let run_in_section () =
   ignore (emit "rs-7+2-encode-32k-fast" ~bytes:(fill_k * 32768) rs_fast : float);
   ignore (emit "lz-roundtrip-32k-text-ref" ~bytes:32768 lz_ref : float);
   ignore (emit "lz-roundtrip-32k-text-fast" ~bytes:32768 lz_fast : float);
+  ignore (emit "lz-compress-32k-random" ~bytes:32768 lzc_random : float);
+  ignore (emit "lz-compress-32k-3to1" ~bytes:32768 lzc_mix : float);
   ignore (emit "lz-decompress-32k-ref" ~bytes:32768 unz_ref : float);
   ignore (emit "lz-decompress-32k-fast" ~bytes:32768 unz_fast : float);
   ignore (emit "fingerprint-32k-ref" ~bytes:32768 fp_ref : float);
@@ -435,6 +452,8 @@ let run_in_section () =
   let unz_sp = sp unz_fast unz_ref in
   let fp_sp = sp fp_fast fp_ref in
   let fill_sp = sp fill_fast_t fill_ref_t in
+  (* same input size, so the ns/op ratio is the per-byte cost ratio *)
+  let skip_sp = snd lzc_mix /. snd lzc_random in
   Bench_util.emit_row ~kind:"bench_kernels"
     [
       ("crc_speedup", Json.Float crc_sp);
@@ -444,16 +463,19 @@ let run_in_section () =
       ("lz_decompress_speedup", Json.Float unz_sp);
       ("fingerprint_speedup", Json.Float fp_sp);
       ("segment_fill_speedup", Json.Float fill_sp);
+      ("lz_random_vs_3to1_cost", Json.Float skip_sp);
     ];
   Printf.printf
     "\n  speedups: crc %.1fx, gf %.1fx, rs-encode %.1fx, lz roundtrip %.1fx,\n\
-    \  lz decompress %.1fx, fingerprint %.1fx, segment fill %.1fx\n"
-    crc_sp gf_sp rs_sp lz_sp unz_sp fp_sp fill_sp;
+    \  lz decompress %.1fx, fingerprint %.1fx, segment fill %.1fx,\n\
+    \  lz compress random input %.1fx cheaper per byte than 3:1\n"
+    crc_sp gf_sp rs_sp lz_sp unz_sp fp_sp fill_sp skip_sp;
   shape "crc32c fast >= 3x ref, results identical" (crc_sp >= 3.0);
   shape "gf256/rs-encode fast >= 3x ref, results identical" (gf_sp >= 3.0 && rs_sp >= 3.0);
   shape "lz compress+decompress fast >= 3x ref, bytes identical" (lz_sp >= 3.0);
   shape "fingerprint fast >= 3x ref, results identical" (fp_sp >= 3.0);
   shape "segment fill fast >= 1.5x ref, bytes identical" (fill_sp >= 1.5);
+  shape "lz compress of random input >= 2x cheaper per byte than 3:1" (skip_sp >= 2.0);
   run_scaling ()
 
 let run () =

@@ -17,6 +17,12 @@ let window = 65535
 let hash_bits = 14
 let hash_size = 1 lsl hash_bits
 
+(* LZ4's skip trigger: a failed probe advances the scan
+   [1 + (misses lsr skip_trigger)] bytes, [misses] counting failures since
+   the last match — a step of 1 until a whole 512-byte sector has missed.
+   A constant: it fixes the output bytes that [compress_ref] pins. *)
+let skip_trigger = 9
+
 (* Multiplicative hash of a 4-byte little-endian value. *)
 let hmul v = (v * 2654435761) lsr (32 - hash_bits) land (hash_size - 1)
 
@@ -113,8 +119,8 @@ let put_sequence out op src lit_start lit_len match_off match_len =
    match extension runs 8 bytes per compare (the byte loop afterwards
    pins down the exact mismatch), sequences are written straight into the
    scratch buffer. Emits byte-identical output to [compress_ref] — same
-   hash, same candidate policy, same in-match index seeding — which the
-   property suite checks. *)
+   hash, same candidate policy, same miss-streak step, same in-match
+   index seeding — which the property suite checks. *)
 let[@purity.lint.hotpath] compress_into sc s =
   let n = String.length s in
   ensure_out sc n;
@@ -130,6 +136,7 @@ let[@purity.lint.hotpath] compress_into sc s =
     let b = Bytes.unsafe_of_string s in
     let anchor = ref 0 in
     let i = ref 0 in
+    let misses = ref 0 in
     let limit = n - min_match in
     while !i <= limit do
       let h = hash4w b !i in
@@ -172,9 +179,13 @@ let[@purity.lint.hotpath] compress_into sc s =
           j := !j + 2
         done;
         i := !i + !len;
-        anchor := !i
+        anchor := !i;
+        misses := 0
       end
-      else incr i
+      else begin
+        i := !i + 1 + (!misses lsr skip_trigger);
+        incr misses
+      end
     done;
     put_sequence out op s !anchor (n - !anchor) 0 0
   end;
@@ -303,6 +314,7 @@ let compress_ref s =
     let table = Array.make hash_size (-1) in
     let anchor = ref 0 in
     let i = ref 0 in
+    let misses = ref 0 in
     let limit = n - min_match in
     while !i <= limit do
       let h = hash4 s !i in
@@ -331,9 +343,13 @@ let compress_ref s =
           j := !j + 2
         done;
         i := !i + !len;
-        anchor := !i
+        anchor := !i;
+        misses := 0
       end
-      else incr i
+      else begin
+        i := !i + 1 + (!misses lsr skip_trigger);
+        incr misses
+      end
     done;
     emit out s !anchor (n - !anchor) 0 0;
     Buffer.contents out

@@ -13,6 +13,16 @@
     little-endian match offset. The final sequence carries literals only
     (offset 0 terminator).
 
+    Like LZ4 (its [LZ4_skipTrigger]), the scan strides through runs that
+    do not match: after [misses] failed probes since the last match it
+    advances [1 + (misses lsr 9)] bytes, so the step starts growing only
+    once a whole 512-byte sector has produced no match. Data that matches
+    at least once per sector compresses exactly as with a step of 1;
+    incompressible runs, which {!Cblock} stores Raw anyway, cost a
+    fraction of the probes. The trigger is a constant, not a config
+    field: it decides which positions are probed, and so the output
+    bytes. The decoder and the format do not depend on it.
+
     The production compressor works a word at a time — 32-bit candidate
     probes, 8-byte match extension, sequences written into a reusable
     {!scratch} buffer through an epoch-stamped hash table, so steady-state
@@ -54,8 +64,8 @@ val ratio : string -> float
 (** {2 Reference kernels} *)
 
 val compress_ref : string -> string
-(** The original Buffer-based byte-at-a-time compressor. {!compress}
-    produces byte-identical output. *)
+(** The original Buffer-based byte-at-a-time compressor, with the same
+    skip trigger. {!compress} produces byte-identical output. *)
 
 val decompress_ref : string -> expected_len:int -> string
 (** The original byte-at-a-time decompressor; same results and same

@@ -422,8 +422,8 @@ let stash_fact t tag fact =
     Buffer.add_char buf 'F';
     Buffer.add_char buf tag;
     Fact.encode buf fact;
-    Nvram.commit (nvram t)
-      { Nvram.seq = fact.Fact.seq; payload = Buffer.contents buf }
+    Nvram.commit (nvram t) ~seq:fact.Fact.seq ~len:(Buffer.length buf)
+      (fun () -> Buffer.contents buf)
       (fun _ -> ())
   end
 let online_drive t d = Drive.is_online (Shelf.drive t.shelf d)
@@ -682,7 +682,9 @@ let stash_elide t tag ~seq ~lo ~hi =
     Varint.write_i64 buf seq;
     Varint.write buf lo;
     Varint.write buf hi;
-    Nvram.commit (nvram t) { Nvram.seq = seq; payload = Buffer.contents buf } (fun _ -> ())
+    Nvram.commit (nvram t) ~seq ~len:(Buffer.length buf)
+      (fun () -> Buffer.contents buf)
+      (fun _ -> ())
   end
 
 (* Mapping-cache invalidation. Every mutation of the block pyramid flows

@@ -21,14 +21,19 @@ type error =
   | `No_space
   | `Offline ]
 
+let intent_size ~medium ~block len =
+  1 + Varint.size medium + Varint.size block + Varint.size len + len
+
+(* One exact-size buffer: header varints, then the payload blitted once. *)
 let encode_intent ~medium ~block data =
-  let buf = Buffer.create (String.length data + 16) in
-  Buffer.add_char buf 'W';
-  Varint.write buf medium;
-  Varint.write buf block;
-  Varint.write buf (String.length data);
-  Buffer.add_string buf data;
-  Buffer.contents buf
+  let len = String.length data in
+  let buf = Bytes.create (intent_size ~medium ~block len) in
+  Bytes.set buf 0 'W';
+  let p = Varint.put buf ~pos:1 medium in
+  let p = Varint.put buf ~pos:p block in
+  let p = Varint.put buf ~pos:p len in
+  Bytes.blit_string data 0 buf p len;
+  Bytes.unsafe_to_string buf
 
 let decode_intent s =
   let buf = Bytes.unsafe_of_string s in
@@ -39,6 +44,10 @@ let decode_intent s =
   let len, p = Varint.read buf ~pos:p in
   if p + len > Bytes.length buf then invalid_arg "decode_intent: truncated";
   (medium, block, Bytes.sub_string buf p len)
+
+(* [s] itself when the slice is the whole string: strings are immutable,
+   so sharing is indistinguishable from a copy. *)
+let slice s off n = if off = 0 && n = String.length s then s else String.sub s off n
 
 (* Record one block-index fact (and its log record). *)
 let put_block t ~medium ~block (r : Blockref.t) =
@@ -95,7 +104,7 @@ let[@purity.lint.allow
     Some
       (Purity_par.Pool.map pool ~tasks:nruns (fun ~lane r ->
            let start, run_blocks = runs.(r) in
-           let run = String.sub data (start * block_size) (run_blocks * block_size) in
+           let run = slice data (start * block_size) (run_blocks * block_size) in
            let arena = arenas.(lane) in
            let frame = arena.Arena.frame in
            Buffer.clear frame;
@@ -154,7 +163,7 @@ let apply_chunk t ~medium ~first_block data =
   let frames = compress_runs_par t data runs in
   Array.iteri
     (fun r (start, run_blocks) ->
-      let run = String.sub data (start * block_size) (run_blocks * block_size) in
+      let run = slice data (start * block_size) (run_blocks * block_size) in
       let base =
         match frames with
         | Some fr ->
@@ -182,7 +191,7 @@ let apply_write ?(io_blocks = Cblock.max_logical / block_size) t ~medium ~block 
   while !off < len do
     let n = min chunk (len - !off) in
     apply_chunk t ~medium ~first_block:(block + (!off / block_size))
-      (String.sub data !off n);
+      (slice data !off n);
     off := !off + n
   done
 
@@ -206,7 +215,6 @@ let write t ~volume ~block data k =
         | Error `Read_only -> fail `Read_only
         | Error (`Out_of_range | `No_such_medium) -> fail `Out_of_range
         | Ok medium ->
-          let intent = encode_intent ~medium ~block data in
           (* trace the multi-hop write: the NVRAM commit and memtable apply
              are children of one [write] span (segio flush/program spans
              hang off the asynchronous pump instead) *)
@@ -220,7 +228,12 @@ let write t ~volume ~block data k =
              commit callbacks fire in seq order, so the applied watermark
              is monotone *)
           let intent_seq = Purity_pyramid.Seqno.next t.seqno in
-          Nvram.commit (nvram t) { Nvram.seq = intent_seq; payload = intent } (function
+          (* the intent is encoded only if NVRAM admits it: a refused
+             attempt under backpressure copies none of the payload *)
+          Nvram.commit (nvram t) ~seq:intent_seq
+            ~len:(intent_size ~medium ~block len)
+            (fun () -> encode_intent ~medium ~block data)
+            (function
             | Error `Full ->
               Span.finish ~tags:[ ("error", "backpressure") ] commit_span;
               Span.finish wspan;

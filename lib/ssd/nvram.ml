@@ -25,13 +25,18 @@ let create ?(latency_us = 15.0) ?(mb_s = 700.0) ?(capacity = 16 * 1024 * 1024) ~
     losses = 0;
   }
 
-let record_size r = String.length r.payload + 16
+let record_overhead = 16
+let record_size r = String.length r.payload + record_overhead
 
-let commit t r k =
-  let size = record_size r in
+(* Admission is decided on the declared length alone, so a refused
+   commit never pays for building its payload. *)
+let commit t ~seq ~len build k =
+  let size = len + record_overhead in
   if t.used + size > t.cap then Clock.schedule t.clock ~delay:1.0 (fun () -> k (Error `Full))
   else begin
-    Queue.add r t.log;
+    let payload = build () in
+    if String.length payload <> len then invalid_arg "Nvram.commit: payload length mismatch";
+    Queue.add { seq; payload } t.log;
     t.used <- t.used + size;
     let transfer = float_of_int size /. (t.mb_s *. 1024.0 *. 1024.0 /. 1e6) in
     let start = Float.max (Clock.now t.clock) t.free_at in

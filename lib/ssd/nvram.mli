@@ -22,10 +22,21 @@ val create :
   t
 (** Defaults: 15 us commit latency, 700 MB/s, 16 MiB capacity. *)
 
-val commit : t -> record -> ((unit, [ `Full ]) result -> unit) -> unit
-(** Durably append a record; the callback fires at simulated completion.
-    [`Full] means the segment writer has fallen behind and the caller must
-    stall (back-pressure, as in the real system). *)
+val commit :
+  t ->
+  seq:int64 ->
+  len:int ->
+  (unit -> string) ->
+  ((unit, [ `Full ]) result -> unit) ->
+  unit
+(** [commit t ~seq ~len build k] durably appends the record
+    [{seq; payload = build ()}]; [k] fires at simulated completion.
+    Admission is decided on [len] before the payload exists: [build] is
+    called only once the record is admitted, so a refused commit costs
+    no encoding. [`Full] (reported 1 us later, with [build] never
+    called) means the segment writer has fallen behind and the caller
+    must stall (back-pressure, as in the real system).
+    @raise Invalid_argument if [build] returns other than [len] bytes. *)
 
 val trim_upto : t -> int64 -> unit
 (** Drop records with [seq] <= the given sequence number: they are now

@@ -15,6 +15,18 @@ let write buf v =
   if v < 0 then invalid_arg "Varint.write: negative";
   write_i64 buf (Int64.of_int v)
 
+let put buf ~pos v =
+  if v < 0 then invalid_arg "Varint.put: negative";
+  let v = ref v in
+  let p = ref pos in
+  while !v >= 0x80 do
+    Bytes.set buf !p (Char.chr ((!v land 0x7F) lor 0x80));
+    v := !v lsr 7;
+    incr p
+  done;
+  Bytes.set buf !p (Char.chr !v);
+  !p + 1
+
 let read_i64 buf ~pos =
   let v = ref 0L in
   let shift = ref 0 in

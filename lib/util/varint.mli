@@ -6,6 +6,11 @@
 val write : Buffer.t -> int -> unit
 (** Append the unsigned LEB128 encoding of a non-negative int. *)
 
+val put : bytes -> pos:int -> int -> int
+(** [put buf ~pos v] writes the same bytes as {!write} at [pos] and
+    returns the position just past them ({!size}[ v] bytes on).
+    @raise Invalid_argument if they do not fit. *)
+
 val read : bytes -> pos:int -> int * int
 (** [read buf ~pos] returns [(value, next_pos)].
     @raise Invalid_argument on truncated or oversized input. *)

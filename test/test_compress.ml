@@ -94,12 +94,14 @@ let prop_lz_fast_equals_ref_low_entropy =
     QCheck.(string_gen_of_size Gen.(0 -- 3000) (Gen.oneofl [ 'a'; 'b' ]))
     fast_equals_ref
 
+let texty =
+  String.concat ""
+    (List.init 40 (fun i ->
+         Printf.sprintf "row|id=%08d|st=ACTIVE |bal=000042|name=customer_%04d|" i (i mod 7919)))
+
+let random_bytes rng n = Bytes.to_string (Purity_util.Rng.bytes rng n)
+
 let test_lz_fast_equals_ref_shapes () =
-  let texty =
-    String.concat ""
-      (List.init 40 (fun i ->
-           Printf.sprintf "row|id=%08d|st=ACTIVE |bal=000042|name=customer_%04d|" i (i mod 7919)))
-  in
   let rng = Purity_util.Rng.create ~seed:77L in
   List.iter
     (fun s -> check bool "identical output" true (fast_equals_ref s))
@@ -109,8 +111,34 @@ let test_lz_fast_equals_ref_shapes () =
       String.sub texty 0 63;
       String.sub texty 3 129;
       texty;
-      Bytes.to_string (Purity_util.Rng.bytes rng 4097);
+      random_bytes rng 4097;
+      (* a whole cblock with no match: the step grows every 512 misses *)
+      random_bytes rng (32 * 1024);
+      (* the first match comes after a miss streak longer than a sector *)
+      random_bytes rng 600 ^ texty;
+      (* a sector-sized incompressible block between compressible ones *)
+      texty ^ random_bytes rng 512 ^ texty;
     ]
+
+(* After a long miss streak the scan strides, but the text that follows
+   is still found: the random prefix costs little more than its own
+   bytes and everything after it compresses. *)
+let test_lz_skip_resumes_matching () =
+  let rng = Purity_util.Rng.create ~seed:78L in
+  let text = String.concat "" (List.init 8 (fun _ -> texty)) in
+  let s = random_bytes rng 2048 ^ text in
+  let c = Lz.compress s in
+  check str "roundtrip" s (Lz.decompress c ~expected_len:(String.length s));
+  check bool "text after the streak compresses" true
+    (String.length c < 2048 + (String.length text / 4))
+
+let prop_lz_random_prefix_then_text =
+  QCheck.Test.make ~name:"lz random prefix then repeated text: roundtrip, fast = ref"
+    ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 2048)) (int_range 1 6))
+    (fun (prefix, reps) ->
+      let s = prefix ^ String.concat "" (List.init reps (fun _ -> texty)) in
+      roundtrip s = s && fast_equals_ref s)
 
 let test_lz_scratch_reuse_deterministic () =
   (* Reusing one scratch across many inputs must not leak state between
@@ -139,6 +167,19 @@ let test_cblock_raw_fallback () =
   let data = Bytes.to_string (Purity_util.Rng.bytes rng 512) in
   let cb = Cblock.of_data data in
   check bool "fell back to raw" true (cb.Cblock.encoding = Cblock.Raw);
+  check str "data back" data (Cblock.data cb)
+
+(* The write path's framing of an incompressible 32 KiB run: the
+   compressor strides through it, and the frame still falls back to Raw. *)
+let test_cblock_add_frame_into_random_is_raw () =
+  let rng = Purity_util.Rng.create ~seed:79L in
+  let data = Bytes.to_string (Purity_util.Rng.bytes rng Cblock.max_logical) in
+  let buf = Buffer.create (Cblock.max_logical + 16) in
+  let scratch = Lz.create_scratch () in
+  let size = Cblock.add_frame_into ~scratch ~compress:true buf data in
+  let cb, next = Cblock.decode (Buffer.to_bytes buf) ~pos:0 in
+  check int "frame size" size next;
+  check bool "raw frame" true (cb.Cblock.encoding = Cblock.Raw);
   check str "data back" data (Cblock.data cb)
 
 let test_cblock_frame_roundtrip () =
@@ -227,6 +268,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_lz_roundtrip_random;
           QCheck_alcotest.to_alcotest prop_lz_roundtrip_structured;
           Alcotest.test_case "fast equals ref shapes" `Quick test_lz_fast_equals_ref_shapes;
+          Alcotest.test_case "skip resumes matching" `Quick test_lz_skip_resumes_matching;
+          QCheck_alcotest.to_alcotest prop_lz_random_prefix_then_text;
           Alcotest.test_case "scratch reuse deterministic" `Quick test_lz_scratch_reuse_deterministic;
           QCheck_alcotest.to_alcotest prop_lz_fast_equals_ref_random;
           QCheck_alcotest.to_alcotest prop_lz_fast_equals_ref_low_entropy;
@@ -235,6 +278,8 @@ let () =
         [
           Alcotest.test_case "roundtrip compressible" `Quick test_cblock_roundtrip_compressible;
           Alcotest.test_case "raw fallback" `Quick test_cblock_raw_fallback;
+          Alcotest.test_case "add_frame_into random is raw" `Quick
+            test_cblock_add_frame_into_random_is_raw;
           Alcotest.test_case "frame stream" `Quick test_cblock_frame_roundtrip;
           Alcotest.test_case "crc detects corruption" `Quick test_cblock_crc_detects_corruption;
           Alcotest.test_case "max size enforced" `Quick test_cblock_max_size_enforced;

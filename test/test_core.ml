@@ -92,6 +92,49 @@ let test_unwritten_blocks_read_zero () =
   let got = read_ok clock a ~volume:"v" ~block:0 ~nblocks:8 in
   check bool "zeros" true (got = String.make (8 * bs) '\000')
 
+(* A write NVRAM refuses returns [`Backpressure] without encoding its
+   intent: the shelf never sees it, the attempt still consumes its
+   sequence number, and the call's major-heap allocation stays far below
+   one 32 KiB payload (4096 words), which building the intent would have
+   copied straight into the major heap. The refusal still pushes the open
+   segio out (it holds the 'S' fact logged at the set-up flush's
+   completion), whose own commit record takes the next number. *)
+let test_backpressure_write_skips_intent () =
+  let module Nvram = Purity_ssd.Nvram in
+  let module Seqno = Purity_pyramid.Seqno in
+  let config = { test_config with Fa.nvram_capacity = 16 * 1024 } in
+  let clock, a = make_array ~config () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  await clock (Fa.flush a);
+  let nv = Purity_ssd.Shelf.nvram (Fa.shelf a) in
+  let seqno = (Fa.state a).Purity_core.State.seqno in
+  let seq0 = Seqno.current seqno in
+  let used = Nvram.used_bytes nv in
+  let records = Nvram.records nv in
+  let data = random_data 64 in
+  let result = ref None in
+  (* this domain's live counters: OCaml 5's [Gc.quick_stat] folds direct
+     major allocations in only at minor collections, and sums every
+     domain's last sample, so pool lanes' earlier work would leak in *)
+  let _, _, major0 = Gc.counters () in
+  Fa.write a ~volume:"v" ~block:0 data (fun r -> result := Some r);
+  let _, _, major1 = Gc.counters () in
+  let major_words = major1 -. major0 in
+  check int "NVRAM bytes untouched" used (Nvram.used_bytes nv);
+  check bool "NVRAM records untouched" true (Nvram.records nv = records);
+  check Alcotest.int64 "intent seqno taken" (Int64.add seq0 1L) (Seqno.current seqno);
+  Clock.run clock;
+  check bool "backpressure" true (!result = Some (Error `Backpressure));
+  check bool "intent never committed" true
+    (List.for_all
+       (fun (r : Nvram.record) -> r.Nvram.seq <> Int64.add seq0 1L)
+       (Nvram.records nv));
+  check Alcotest.int64 "then the sealed segio's commit record" (Int64.add seq0 2L)
+    (Seqno.current seqno);
+  check bool
+    (Printf.sprintf "major words %.0f << 4096" major_words)
+    true (major_words < 512.0)
+
 let test_overwrite_latest_wins () =
   let clock, a = make_array () in
   ok (Fa.create_volume a "v" ~blocks:64);
@@ -789,6 +832,8 @@ let () =
           Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
           Alcotest.test_case "unwritten reads zero" `Quick test_unwritten_blocks_read_zero;
           Alcotest.test_case "overwrite" `Quick test_overwrite_latest_wins;
+          Alcotest.test_case "backpressure skips intent" `Quick
+            test_backpressure_write_skips_intent;
           Alcotest.test_case "partial overwrite" `Quick test_partial_overwrite;
           Alcotest.test_case "large write" `Quick test_large_write_spans_segments;
           Alcotest.test_case "error surface" `Quick test_write_errors;

@@ -182,12 +182,15 @@ let test_vertical_parity_repairs_single_page_losses () =
 
 (* ---------- NVRAM ---------- *)
 
+let commit nv ~seq payload k =
+  Nvram.commit nv ~seq ~len:(String.length payload) (fun () -> payload) k
+
 let test_nvram_commit_replay () =
   let clock = Clock.create () in
   let nv = Nvram.create ~clock () in
   let committed = ref 0 in
   for i = 1 to 10 do
-    Nvram.commit nv { Nvram.seq = Int64.of_int i; payload = Printf.sprintf "record-%d" i }
+    commit nv ~seq:(Int64.of_int i) (Printf.sprintf "record-%d" i)
       (function Ok () -> incr committed | Error `Full -> Alcotest.fail "full")
   done;
   Clock.run clock;
@@ -198,7 +201,7 @@ let test_nvram_trim () =
   let clock = Clock.create () in
   let nv = Nvram.create ~clock () in
   for i = 1 to 10 do
-    Nvram.commit nv { Nvram.seq = Int64.of_int i; payload = "x" } ignore
+    commit nv ~seq:(Int64.of_int i) "x" ignore
   done;
   Clock.run clock;
   Nvram.trim_upto nv 7L;
@@ -210,18 +213,62 @@ let test_nvram_full_backpressure () =
   let clock = Clock.create () in
   let nv = Nvram.create ~capacity:100 ~clock () in
   let full = ref false in
-  Nvram.commit nv { Nvram.seq = 1L; payload = String.make 80 'a' } ignore;
-  Nvram.commit nv { Nvram.seq = 2L; payload = String.make 80 'b' }
+  commit nv ~seq:1L (String.make 80 'a') ignore;
+  commit nv ~seq:2L (String.make 80 'b')
     (function Error `Full -> full := true | Ok () -> ());
   Clock.run clock;
   check bool "backpressure" true !full
+
+(* Admission is decided before the payload exists: a refused commit
+   never builds it, leaves the log as it was, and reports [`Full] 1 us
+   later; an admitted one builds it exactly once. *)
+let test_nvram_refusal_skips_builder () =
+  let clock = Clock.create () in
+  let nv = Nvram.create ~capacity:100 ~clock () in
+  let built = ref 0 in
+  let build payload () =
+    incr built;
+    payload
+  in
+  Nvram.commit nv ~seq:1L ~len:80 (build (String.make 80 'a')) ignore;
+  check int "admitted record built once" 1 !built;
+  Clock.run clock;
+  let used = Nvram.used_bytes nv in
+  let records = Nvram.records nv in
+  (* 96 of 100 bytes used: even a 4-byte payload (+16) does not fit *)
+  let t0 = Clock.now clock in
+  let refused_at = ref nan in
+  Nvram.commit nv ~seq:2L ~len:4
+    (fun () -> Alcotest.fail "refused commit built its payload")
+    (function
+      | Error `Full -> refused_at := Clock.now clock
+      | Ok () -> Alcotest.fail "over-capacity commit admitted");
+  check int "used bytes unchanged" used (Nvram.used_bytes nv);
+  Clock.run clock;
+  check (Alcotest.float 1e-9) "refused 1 us later" (t0 +. 1.0) !refused_at;
+  check int "used bytes unchanged after refusal" used (Nvram.used_bytes nv);
+  check bool "records unchanged" true (Nvram.records nv = records);
+  check int "builder not called again" 1 !built;
+  (* a record that exactly fills the device is still admitted *)
+  Nvram.trim_upto nv 1L;
+  Nvram.commit nv ~seq:3L ~len:84 (build (String.make 84 'c')) ignore;
+  check int "exact fit admitted" 100 (Nvram.used_bytes nv);
+  check int "exact fit built" 2 !built
+
+let test_nvram_builder_length_checked () =
+  let clock = Clock.create () in
+  let nv = Nvram.create ~clock () in
+  Alcotest.check_raises "declared length must match"
+    (Invalid_argument "Nvram.commit: payload length mismatch") (fun () ->
+      Nvram.commit nv ~seq:1L ~len:3 (fun () -> "four") ignore);
+  check int "nothing appended" 0 (List.length (Nvram.records nv))
 
 let test_nvram_bounded_latency () =
   let clock = Clock.create () in
   let nv = Nvram.create ~latency_us:15.0 ~clock () in
   let t0 = Clock.now clock in
   let done_at = ref 0.0 in
-  Nvram.commit nv { Nvram.seq = 1L; payload = String.make 512 'p' }
+  commit nv ~seq:1L (String.make 512 'p')
     (fun _ -> done_at := Clock.now clock);
   Clock.run clock;
   let latency = !done_at -. t0 in
@@ -329,6 +376,10 @@ let () =
           Alcotest.test_case "commit & replay" `Quick test_nvram_commit_replay;
           Alcotest.test_case "trim" `Quick test_nvram_trim;
           Alcotest.test_case "full backpressure" `Quick test_nvram_full_backpressure;
+          Alcotest.test_case "refusal skips builder" `Quick
+            test_nvram_refusal_skips_builder;
+          Alcotest.test_case "builder length checked" `Quick
+            test_nvram_builder_length_checked;
           Alcotest.test_case "bounded latency" `Quick test_nvram_bounded_latency;
         ] );
       ( "ftl",

@@ -268,7 +268,13 @@ let test_varint_edge_values () =
     Varint.write b v;
     let got, next = Varint.read (Buffer.to_bytes b) ~pos:0 in
     check int "value" v got;
-    check int "consumed" (Buffer.length b) next
+    check int "consumed" (Buffer.length b) next;
+    (* [put] writes the same bytes in place, at any offset *)
+    let placed = Bytes.make (Buffer.length b + 3) '-' in
+    check int "put returns end" (Buffer.length b + 2) (Varint.put placed ~pos:2 v);
+    check Alcotest.string "put bytes = write bytes"
+      ("--" ^ Buffer.contents b ^ "-")
+      (Bytes.to_string placed)
   in
   List.iter roundtrip [ 0; 1; 127; 128; 300; 16383; 16384; max_int ]
 
