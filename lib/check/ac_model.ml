@@ -23,41 +23,25 @@
    While diverged, each side collapses independently; [settled] (a
    completed failback) declares the survivor's view global again.
 
-   Payload rendering is delegated to an embedded {!Model.t}: the same
-   seeded, self-identifying block bytes, so failure reports can name the
-   exact write a wrong byte came from. *)
+   Payloads are the seeded, self-identifying blocks of {!Payload}, so
+   failure reports can name the exact write a wrong byte came from. *)
 
 type side = Purity_activecluster.Mediator.side = A | B
 
-let side_name = Purity_activecluster.Mediator.side_name
-
 type cell = {
-  mutable cands : Model.token list;  (* values the history permits *)
-  mutable obs_a : Model.token option;  (* what array A was seen to hold *)
-  mutable obs_b : Model.token option;
+  mutable cands : Payload.token list;  (* values the history permits *)
+  mutable obs_a : Payload.token option;  (* what array A was seen to hold *)
+  mutable obs_b : Payload.token option;
   mutable converged : bool;  (* both arrays guaranteed identical *)
 }
 
-type t = {
-  oracle : Model.t;  (* payload render/describe only; no cells of its own *)
-  views : (string, cell array) Hashtbl.t;
-  block_size : int;
-}
+type t = { payloads : Payload.t; views : (string, cell array) Hashtbl.t }
 
-let create ~seed ~block_size () =
-  {
-    oracle = Model.create ~seed ~block_size ();
-    views = Hashtbl.create 8;
-    block_size;
-  }
-
-let payload t ~wid ~nblocks = Model.payload t.oracle ~wid ~nblocks
+let create payloads = { payloads; views = Hashtbl.create 8 }
 
 let create_volume t name ~blocks =
-  let mk _ = { cands = [ Model.Zero ]; obs_a = None; obs_b = None; converged = true } in
+  let mk _ = { cands = [ Payload.Zero ]; obs_a = None; obs_b = None; converged = true } in
   Hashtbl.replace t.views name (Array.init blocks mk)
-
-let blocks t name = Option.map Array.length (Hashtbl.find_opt t.views name)
 
 let cells_of t view block nblocks =
   match Hashtbl.find_opt t.views view with
@@ -65,6 +49,14 @@ let cells_of t view block nblocks =
   | Some cells ->
     if block < 0 || block + nblocks > Array.length cells then None
     else Some cells
+
+(* Every value a cell may still hold: its candidates plus whatever either
+   array was last seen to hold. *)
+let olds c =
+  List.sort_uniq compare
+    (c.cands
+    @ (match c.obs_a with Some o -> [ o ] | None -> [])
+    @ (match c.obs_b with Some o -> [ o ] | None -> []))
 
 (* An acked in-sync write: one value, both arrays, irrevocable. An acked
    solo write: one value, not yet on the peer. An unacked write: the new
@@ -75,22 +67,11 @@ let write_result t ~view ~block ~nblocks ~wid ~acked ~in_sync =
   | None -> ()
   | Some cells ->
     for j = 0 to nblocks - 1 do
-      let tok = Model.Data { wid; idx = j } in
+      let tok = Payload.Data { wid; idx = j } in
       let c = cells.(block + j) in
-      if acked then
-        cells.(block + j) <-
-          { cands = [ tok ]; obs_a = None; obs_b = None; converged = in_sync }
-      else begin
-        (* the old observations stay valid candidates; fold them in *)
-        let olds =
-          List.sort_uniq compare
-            (c.cands
-            @ (match c.obs_a with Some o -> [ o ] | None -> [])
-            @ (match c.obs_b with Some o -> [ o ] | None -> []))
-        in
-        cells.(block + j) <-
-          { cands = tok :: olds; obs_a = None; obs_b = None; converged = false }
-      end
+      cells.(block + j) <-
+        (if acked then { cands = [ tok ]; obs_a = None; obs_b = None; converged = in_sync }
+         else { cands = tok :: olds c; obs_a = None; obs_b = None; converged = false })
     done
 
 (* Two racing writes to the same range, one from each side. Last-writer-
@@ -103,20 +84,12 @@ let write_racing_result t ~view ~block ~nblocks ~wid_a ~wid_b ~acked_a ~acked_b 
   | None -> ()
   | Some cells ->
     for j = 0 to nblocks - 1 do
-      let ta = Model.Data { wid = wid_a; idx = j } in
-      let tb = Model.Data { wid = wid_b; idx = j } in
+      let ta = Payload.Data { wid = wid_a; idx = j } in
+      let tb = Payload.Data { wid = wid_b; idx = j } in
       let c = cells.(block + j) in
-      let olds =
-        if acked_a || acked_b then []
-        else
-          List.sort_uniq compare
-            (c.cands
-            @ (match c.obs_a with Some o -> [ o ] | None -> [])
-            @ (match c.obs_b with Some o -> [ o ] | None -> []))
-      in
       cells.(block + j) <-
         {
-          cands = ta :: tb :: olds;
+          cands = ta :: tb :: (if acked_a || acked_b then [] else olds c);
           obs_a = None;
           obs_b = None;
           converged = acked_a && acked_b && in_sync;
@@ -134,46 +107,34 @@ let set_obs c side tok =
    array disagreeing) and lost acks (the acked value being the only
    candidate). A diverged cell collapses per side. *)
 let check_read t ~side ~view ~block ~nblocks data =
+  let last = block + nblocks - 1 in
   match cells_of t view block nblocks with
-  | None -> Error (Printf.sprintf "read of unknown range %s[%d..%d]" view block (block + nblocks - 1))
+  | None -> Error (Printf.sprintf "read of unknown range %s[%d..%d]" view block last)
   | Some cells ->
-    if String.length data <> nblocks * t.block_size then
-      Error
-        (Printf.sprintf "read %s[%d..%d] on %s: got %d bytes, wanted %d" view block
-           (block + nblocks - 1) (side_name side) (String.length data)
-           (nblocks * t.block_size))
-    else begin
-      let violation = ref None in
-      (try
-         for j = 0 to nblocks - 1 do
-           let got = String.sub data (j * t.block_size) t.block_size in
-           let c = cells.(block + j) in
-           let fail expected =
-             violation :=
-               Some
-                 (Printf.sprintf "%s[%d] on array %s: expected %s, got %s" view (block + j)
-                    (side_name side) expected
-                    (Model.describe_bytes t.oracle got));
-             raise Exit
-           in
-           match obs c side with
-           | Some tok ->
-             if Model.render t.oracle tok <> got then fail (Model.describe_token tok)
-           | None -> (
-             match List.find_opt (fun tok -> Model.render t.oracle tok = got) c.cands with
-             | Some tok ->
-               if c.converged then begin
-                 c.cands <- [ tok ];
-                 c.obs_a <- Some tok;
-                 c.obs_b <- Some tok
-               end
-               else set_obs c side tok
-             | None ->
-               fail (String.concat " or " (List.map Model.describe_token c.cands)))
-         done
-       with Exit -> ());
-      match !violation with Some msg -> Error msg | None -> Ok ()
-    end
+    let side_name = Purity_activecluster.Mediator.side_name side in
+    let label = Printf.sprintf "%s[%d..%d] on %s" view block last side_name in
+    Payload.check_blocks t.payloads ~label ~nblocks data (fun j got ->
+        let c = cells.(block + j) in
+        let fail expected =
+          Error
+            (Printf.sprintf "%s[%d] on array %s: expected %s, got %s" view (block + j)
+               side_name expected
+               (Payload.describe_bytes t.payloads got))
+        in
+        let holds tok = Payload.render t.payloads tok = got in
+        match obs c side with
+        | Some tok -> if holds tok then Ok () else fail (Payload.describe_token tok)
+        | None -> (
+          match List.find_opt holds c.cands with
+          | Some tok ->
+            if c.converged then begin
+              c.cands <- [ tok ];
+              c.obs_a <- Some tok;
+              c.obs_b <- Some tok
+            end
+            else set_obs c side tok;
+            Ok ()
+          | None -> fail (String.concat " or " (List.map Payload.describe_token c.cands))))
 
 (* A failback completed with [survivor]'s content authoritative: every
    diverged cell becomes converged, pinned to whatever the survivor was
@@ -191,7 +152,3 @@ let settled t ~survivor =
           end)
         cells)
     t.views
-
-let volumes t =
-  Hashtbl.fold (fun name cells acc -> (name, Array.length cells) :: acc) t.views []
-  |> List.sort compare

@@ -15,10 +15,9 @@
    audit can reach. *)
 
 module Rng = Purity_util.Rng
+module Mediator = Purity_activecluster.Mediator
 
-type side = Purity_activecluster.Mediator.side = A | B
-
-let side_name = Purity_activecluster.Mediator.side_name
+type side = Mediator.side = A | B
 
 type fault =
   | Cut_link
@@ -37,12 +36,7 @@ type op =
   | Settle  (* drive the pod toward the healthiest reachable status *)
   | Recover of side
 
-type event =
-  | Op of op
-  | Fault of fault
-  | Timed of { delay_us : float; fault : fault }
-      (* armed on the clock when reached: fires mid-way through whatever
-         runs next — the straddling-write scenarios *)
+type event = (op, fault) Suite.event
 
 type t = {
   seed : int64;
@@ -57,34 +51,28 @@ let pp_fault ppf = function
   | Heal_link -> Format.fprintf ppf "heal replication link"
   | Lose_mediator -> Format.fprintf ppf "lose mediator"
   | Restore_mediator -> Format.fprintf ppf "restore mediator"
-  | Crash s -> Format.fprintf ppf "crash array %s" (side_name s)
+  | Crash s -> Format.fprintf ppf "crash array %s" (Mediator.side_name s)
   | Crash_both -> Format.fprintf ppf "crash both arrays"
 
 let pp_op ppf = function
   | Write { side; view; block; nblocks; wid } ->
     Format.fprintf ppf "write#%d %s[%d..%d] via %s" wid view block
-      (block + nblocks - 1) (side_name side)
+      (block + nblocks - 1) (Mediator.side_name side)
   | Write_racing { view; block; nblocks; wid_a; wid_b } ->
     Format.fprintf ppf "race write#%d(A) vs write#%d(B) on %s[%d..%d]" wid_a wid_b view
       block (block + nblocks - 1)
   | Read { side; view; block; nblocks } ->
     Format.fprintf ppf "read %s[%d..%d] via %s" view block (block + nblocks - 1)
-      (side_name side)
+      (Mediator.side_name side)
   | Settle -> Format.fprintf ppf "settle"
-  | Recover s -> Format.fprintf ppf "recover array %s" (side_name s)
-
-let pp_event ppf = function
-  | Op op -> pp_op ppf op
-  | Fault f -> Format.fprintf ppf "! %a" pp_fault f
-  | Timed { delay_us; fault } ->
-    Format.fprintf ppf "! after %.0fus: %a" delay_us pp_fault fault
+  | Recover s -> Format.fprintf ppf "recover array %s" (Mediator.side_name s)
 
 let pp ppf { seed; vols; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, vols [%s], %d events:@," seed
+  Format.fprintf ppf "@[<v>seed %Ld, vols [%s], %d events:@,%a@]" seed
     (String.concat "; " (List.map (fun (n, b) -> Printf.sprintf "%s:%d" n b) vols))
-    (List.length events);
-  List.iteri (fun i e -> Format.fprintf ppf "%3d. %a@," i pp_event e) events;
-  Format.fprintf ppf "@]"
+    (List.length events)
+    (Suite.pp_events pp_op pp_fault)
+    events
 
 (* ---------- generation ---------- *)
 
@@ -120,11 +108,11 @@ let generate ?(cfg = default_gen) seed =
   let write_somewhere ?side () =
     let view, block, nblocks = range () in
     let side = match side with Some s -> s | None -> any_side () in
-    emit (Op (Write { side; view; block; nblocks; wid = fresh_wid () }))
+    emit (Suite.Op (Write { side; view; block; nblocks; wid = fresh_wid () }))
   in
   let read_somewhere () =
     let view, block, nblocks = range () in
-    emit (Op (Read { side = any_side (); view; block; nblocks }))
+    emit (Suite.Op (Read { side = any_side (); view; block; nblocks }))
   in
   let race_somewhere () =
     let view, block, nblocks = range () in
@@ -145,58 +133,58 @@ let generate ?(cfg = default_gen) seed =
     | n when n < 60 ->
       (* partition recipe: cut, traffic on one or both sides (the mirror
          timeout drives mediation), optional racing pair, heal, failback *)
-      emit (Fault Cut_link);
+      emit (Suite.Fault Cut_link);
       let writer = any_side () in
       for _ = 1 to 1 + Rng.int rng 2 do
         write_somewhere ~side:writer ()
       done;
       if Rng.int rng 3 = 0 then race_somewhere ();
       if Rng.bool rng then read_somewhere ();
-      emit (Fault Heal_link);
-      emit (Op Settle)
+      emit (Suite.Fault Heal_link);
+      emit (Suite.Op Settle)
     | n when n < 68 ->
       (* straddling write: the cut lands mid-flight, inside the mirror
          round trip, so the write must fail over transparently *)
-      emit (Timed { delay_us = 50.0 +. Rng.float rng 2_000.0; fault = Cut_link });
+      emit (Suite.Timed { delay_us = 50.0 +. Rng.float rng 2_000.0; fault = Cut_link });
       write_somewhere ();
       write_somewhere ();
-      emit (Fault Heal_link);
-      emit (Op Settle)
+      emit (Suite.Fault Heal_link);
+      emit (Suite.Op Settle)
     | n when n < 76 ->
       (* mediator loss during a partition: nobody can win, the pod must
          freeze (reject I/O) rather than risk split brain *)
-      emit (Fault Lose_mediator);
-      emit (Fault Cut_link);
+      emit (Suite.Fault Lose_mediator);
+      emit (Suite.Fault Cut_link);
       write_somewhere ();
       read_somewhere ();
-      emit (Fault Restore_mediator);
-      emit (Fault Heal_link);
-      emit (Op Settle)
+      emit (Suite.Fault Restore_mediator);
+      emit (Suite.Fault Heal_link);
+      emit (Suite.Op Settle)
     | n when n < 86 ->
       (* array crash: traffic continues on the survivor via mediation,
          then the dead side returns and the pod fails back *)
       let victim = any_side () in
-      emit (Fault (Crash victim));
+      emit (Suite.Fault (Crash victim));
       for _ = 1 to 1 + Rng.int rng 2 do
         write_somewhere ()
       done;
       if Rng.bool rng then read_somewhere ();
-      emit (Op (Recover victim));
-      emit (Op Settle)
+      emit (Suite.Op (Recover victim));
+      emit (Suite.Op Settle)
     | n when n < 91 ->
       (* simultaneous crash: everything volatile dies; both recover and
          the pod reconciles from the pod holder's content *)
-      emit (Fault Crash_both);
-      emit (Op (Recover A));
-      emit (Op (Recover B));
-      emit (Op Settle)
-    | n when n < 96 -> emit (Op Settle)
+      emit (Suite.Fault Crash_both);
+      emit (Suite.Op (Recover A));
+      emit (Suite.Op (Recover B));
+      emit (Suite.Op Settle)
+    | n when n < 96 -> emit (Suite.Op Settle)
     | _ -> read_somewhere ()
   done;
   (* compensating tail: end every scenario in a reachable-audit state *)
-  emit (Fault Heal_link);
-  emit (Fault Restore_mediator);
-  emit (Op (Recover A));
-  emit (Op (Recover B));
-  emit (Op Settle);
+  emit (Suite.Fault Heal_link);
+  emit (Suite.Fault Restore_mediator);
+  emit (Suite.Op (Recover A));
+  emit (Suite.Op (Recover B));
+  emit (Suite.Op Settle);
   { seed; vols; events = List.rev !rev_events }

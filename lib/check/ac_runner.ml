@@ -1,16 +1,10 @@
-(* Scenario runner for the ActiveCluster torture suite.
+(* The stretched-pod (ActiveCluster) suite.
 
    Executes an {!Ac_plan} against a real stretched pod — two full
    simulated arrays, the lossy interconnect, the mediator — while
-   {!Ac_model} shadows every write's outcome. On a violation the trace
-   is shrunk with the same greedy delta-debugging as the single-array
-   runner.
-
-   Determinism is itself an audited property: [check_seed] executes each
-   passing plan twice and compares execution digests (a fold over final
-   content, counters and the simulated clock), so a nondeterministic
-   replay fails the sweep even when no byte is wrong. That is what makes
-   "reproduce with this seed" a real promise for distributed scenarios.
+   {!Ac_model} shadows every write's outcome. The run loop, shrinking,
+   replay and reports are {!Suite}'s; the execution digest is a fold over
+   final content, counters and the simulated clock.
 
    The final audit heals every fault, drives a failback, then reads
    every block of every stretched volume from BOTH arrays directly
@@ -26,24 +20,19 @@ module Link = Purity_activecluster.Link
 module Mediator = Purity_activecluster.Mediator
 module Acm = Ac_model
 
-exception Violation = Runner.Violation
+exception Violation = Suite.Violation
 
 type ctx = {
   clock : Clock.t;
   ac : Ac.t;
+  payloads : Payload.t;
   model : Acm.t;
-  mutable step : int;
+  vols : (string * int) list;
   mutable crashed : Ac.side list;
   mutable digest : int;
 }
 
-let mix ctx v = ctx.digest <- (ctx.digest * 31) + (Hashtbl.hash v land 0xFFFFFF)
-
-let await ctx f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run ctx.clock;
-  !r
+let mix ctx v = ctx.digest <- Suite.mix ctx.digest v
 
 (* No outstanding fault and the pod in sync: I/O has no excuse to fail. *)
 let healthy ctx =
@@ -71,8 +60,10 @@ let apply_fault ctx (fault : Ac_plan.fault) =
 let exec_op ctx (op : Ac_plan.op) =
   match op with
   | Ac_plan.Write { side; view; block; nblocks; wid } -> (
-    let data = Acm.payload ctx.model ~wid ~nblocks in
-    match await ctx (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k) with
+    let data = Payload.of_write ctx.payloads ~wid ~nblocks in
+    match
+      Suite.await ctx.clock (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k)
+    with
     | None ->
       (* never completed (e.g. the origin died under it): not acked *)
       Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:false ~in_sync:false
@@ -89,8 +80,8 @@ let exec_op ctx (op : Ac_plan.op) =
   | Ac_plan.Write_racing { view; block; nblocks; wid_a; wid_b } ->
     (* both writes enter before the clock runs: their mirrors genuinely
        cross on the link *)
-    let da = Acm.payload ctx.model ~wid:wid_a ~nblocks in
-    let db = Acm.payload ctx.model ~wid:wid_b ~nblocks in
+    let da = Payload.of_write ctx.payloads ~wid:wid_a ~nblocks in
+    let db = Payload.of_write ctx.payloads ~wid:wid_b ~nblocks in
     let ra = ref None and rb = ref None in
     Ac.write ctx.ac ~prefer:A ~volume:view ~block da (fun r -> ra := Some r);
     Ac.write ctx.ac ~prefer:B ~volume:view ~block db (fun r -> rb := Some r);
@@ -99,7 +90,10 @@ let exec_op ctx (op : Ac_plan.op) =
     Acm.write_racing_result ctx.model ~view ~block ~nblocks ~wid_a ~wid_b
       ~acked_a:(acked ra) ~acked_b:(acked rb) ~in_sync:(in_sync ctx)
   | Ac_plan.Read { side; view; block; nblocks } -> (
-    match await ctx (fun k -> Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k) with
+    match
+      Suite.await ctx.clock (fun k ->
+          Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
+    with
     | None -> ()
     | Some (Ok (data, served)) -> (
       match Acm.check_read ctx.model ~side:served ~view ~block ~nblocks data with
@@ -110,20 +104,13 @@ let exec_op ctx (op : Ac_plan.op) =
     | Some (Error _) ->
       raise (Violation (Printf.sprintf "spurious error reading %s[%d]" view block)))
   | Ac_plan.Settle -> (
-    match await ctx (fun k -> Ac.settle ctx.ac k) with
+    match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, Some s) -> Acm.settled ctx.model ~survivor:s
     | Some (_, _) | None -> ())
   | Ac_plan.Recover s -> (
-    match await ctx (fun k -> Ac.recover_side ctx.ac s k) with
+    match Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k) with
     | Some () -> ctx.crashed <- List.filter (( <> ) s) ctx.crashed
     | None -> raise (Violation ("recovery of array " ^ Ac.side_name s ^ " never completed")))
-
-let exec_event ctx (ev : Ac_plan.event) =
-  match ev with
-  | Ac_plan.Op op -> exec_op ctx op
-  | Ac_plan.Fault f -> apply_fault ctx f
-  | Ac_plan.Timed { delay_us; fault } ->
-    Clock.schedule ctx.clock ~delay:delay_us (fun () -> apply_fault ctx fault)
 
 (* ---------- final audit ---------- *)
 
@@ -132,35 +119,29 @@ let exec_event ctx (ev : Ac_plan.event) =
    converged, so A's observation pins the value B must reproduce. *)
 let audit_array ctx side name blocks =
   let arr = Ac.array ctx.ac side in
-  let chunk = 16 in
-  let block = ref 0 in
-  while !block < blocks do
-    let nblocks = min chunk (blocks - !block) in
-    (match await ctx (fun k -> Fa.read arr ~volume:name ~block:!block ~nblocks k) with
-    | Some (Ok data) -> (
-      mix ctx data;
-      match Acm.check_read ctx.model ~side ~view:name ~block:!block ~nblocks data with
-      | Ok () -> ()
-      | Error msg -> raise (Violation msg))
-    | Some (Error _) | None ->
-      raise
-        (Violation
-           (Printf.sprintf "final audit: array %s failed reading %s[%d]" (Ac.side_name side)
-              name !block)));
-    block := !block + nblocks
-  done
+  Suite.iter_chunks blocks (fun block nblocks ->
+      match Suite.await ctx.clock (fun k -> Fa.read arr ~volume:name ~block ~nblocks k) with
+      | Some (Ok data) -> (
+        mix ctx data;
+        match Acm.check_read ctx.model ~side ~view:name ~block ~nblocks data with
+        | Ok () -> ()
+        | Error msg -> raise (Violation msg))
+      | Some (Error _) | None ->
+        raise
+          (Violation
+             (Printf.sprintf "final audit: array %s failed reading %s[%d]"
+                (Ac.side_name side) name block)))
 
-let finalize ctx (plan : Ac_plan.t) =
-  Clock.run ctx.clock;
+let finalize ctx =
   (* heal the world, then fail back *)
   Ac.heal_link ctx.ac;
   Ac.restore_mediator ctx.ac;
   List.iter
-    (fun s -> ignore (await ctx (fun k -> Ac.recover_side ctx.ac s k)))
+    (fun s -> ignore (Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k)))
     [ Ac.A; Ac.B ];
   ctx.crashed <- [];
   let rec drive attempts =
-    match await ctx (fun k -> Ac.settle ctx.ac k) with
+    match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, sv) -> (
       match sv with Some s -> Acm.settled ctx.model ~survivor:s | None -> ())
     | (Some _ | None) when attempts > 0 -> drive (attempts - 1)
@@ -182,7 +163,7 @@ let finalize ctx (plan : Ac_plan.t) =
     (fun (name, blocks) ->
       audit_array ctx A name blocks;
       audit_array ctx B name blocks)
-    plan.Ac_plan.vols;
+    ctx.vols;
   (* fold the pod's externally visible end state into the replay digest *)
   let c = Ac.counters ctx.ac in
   mix ctx
@@ -192,103 +173,37 @@ let finalize ctx (plan : Ac_plan.t) =
   let ls = Link.stats (Ac.link ctx.ac) in
   mix ctx (ls.Link.sent, ls.Link.delivered, ls.Link.dropped_loss, ls.Link.dropped_cut);
   mix ctx (List.length (Mediator.events (Ac.mediator ctx.ac)));
-  mix ctx (int_of_float (Clock.now ctx.clock))
+  mix ctx (int_of_float (Clock.now ctx.clock));
+  ctx.digest
 
 (* ---------- plan execution ---------- *)
 
-let run_plan ?(config = Runner.default_config) (plan : Ac_plan.t) =
-  let clock = Clock.create () in
-  let a = Fa.create ~config ~clock () in
-  let b = Fa.create ~config ~clock () in
+let start clock (plan : Ac_plan.t) =
+  let a = Fa.create ~config:Suite.config ~clock () in
+  let b = Fa.create ~config:Suite.config ~clock () in
   let ac = Ac.create ~a ~b ~pod:"pod0" () in
-  let model = Acm.create ~seed:plan.Ac_plan.seed ~block_size:Fa.block_size () in
-  let ctx = { clock; ac; model; step = 0; crashed = []; digest = 0 } in
-  try
-    List.iter
-      (fun (name, blocks) ->
-        match Ac.create_stretched ac name ~blocks with
-        | Ok () -> Acm.create_volume model name ~blocks
-        | Error _ -> raise (Violation ("failed to create stretched volume " ^ name)))
-      plan.Ac_plan.vols;
-    List.iteri
-      (fun i ev ->
-        ctx.step <- i;
-        exec_event ctx ev)
-      plan.Ac_plan.events;
-    ctx.step <- List.length plan.Ac_plan.events;
-    finalize ctx plan;
-    Ok ctx.digest
-  with
-  | Violation msg -> Error (ctx.step, msg)
-  | exn -> Error (ctx.step, "exception: " ^ Printexc.to_string exn)
+  let payloads = Payload.create ~seed:plan.Ac_plan.seed ~block_size:Fa.block_size in
+  let model = Acm.create payloads in
+  List.iter
+    (fun (name, blocks) ->
+      match Ac.create_stretched ac name ~blocks with
+      | Ok () -> Acm.create_volume model name ~blocks
+      | Error _ -> raise (Violation ("failed to create stretched volume " ^ name)))
+    plan.Ac_plan.vols;
+  { clock; ac; payloads; model; vols = plan.Ac_plan.vols; crashed = []; digest = 0 }
 
-(* ---------- reports ---------- *)
+include Suite.Make (struct
+  include Ac_plan
 
-type report = {
-  seed : int64;
-  step : int;  (** event index the (shrunk) run failed at *)
-  violation : string;
-  vols : (string * int) list;
-  trace : Ac_plan.event list;  (** shrunk reproduction *)
-  original_events : int;
-}
+  type nonrec ctx = ctx
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>activecluster violation at seed %Ld (step %d):@,  %s@,%a@,reproduce with: Ac_runner.run_plan { seed = %LdL; vols; events }  (or re-run this seed)@]"
-    r.seed r.step r.violation Ac_plan.pp
-    { Ac_plan.seed = r.seed; vols = r.vols; events = r.trace }
-    r.seed
-
-let report_to_string r = Format.asprintf "%a" pp_report r
-
-let check_seed ?(gen = Ac_plan.default_gen) ?(config = Runner.default_config)
-    ?(shrink_budget = 200) seed =
-  let plan = Ac_plan.generate ~cfg:gen seed in
-  let shrunk failure =
-    let fails evs =
-      match run_plan ~config { plan with Ac_plan.events = evs } with
-      | Ok _ -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) =
-      Runner.shrink ~budget:shrink_budget ~fails plan.Ac_plan.events failure
-    in
-    {
-      seed;
-      step;
-      violation;
-      vols = plan.Ac_plan.vols;
-      trace;
-      original_events = List.length plan.Ac_plan.events;
-    }
-  in
-  match run_plan ~config plan with
-  | Error failure -> Error (shrunk failure)
-  | Ok d1 -> (
-    (* replay determinism is part of the contract: same plan, same world *)
-    match run_plan ~config plan with
-    | Ok d2 when d2 = d1 -> Ok ()
-    | Ok _ ->
-      Error
-        {
-          seed;
-          step = List.length plan.Ac_plan.events;
-          violation = "nondeterministic replay: execution digests differ";
-          vols = plan.Ac_plan.vols;
-          trace = plan.Ac_plan.events;
-          original_events = List.length plan.Ac_plan.events;
-        }
-    | Error failure -> Error (shrunk failure))
-
-(* Run seeds [base, base+count); return the first failure, shrunk. *)
-let sweep ?gen ?config ?shrink_budget ~base ~count () =
-  let rec go i =
-    if i >= count then None
-    else
-      let seed = Int64.add base (Int64.of_int i) in
-      match check_seed ?gen ?config ?shrink_budget seed with
-      | Ok () -> go (i + 1)
-      | Error report -> Some report
-  in
-  go 0
+  let name = "activecluster"
+  let seed p = p.seed
+  let events p = p.events
+  let with_events p events = { p with events }
+  let start = start
+  let exec_op = exec_op
+  let apply_fault = apply_fault
+  let after_event (_ : ctx) = ()
+  let finalize = finalize
+end)

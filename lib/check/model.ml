@@ -25,17 +25,15 @@
    — which is also what makes "snapshots stay frozen" checkable: once a
    snapshot block collapses, any later disagreement is a violation. *)
 
-type token = Zero | Data of { wid : int; idx : int }
-
 type cell = {
-  mutable v : token;
+  mutable v : Payload.token;
   mutable durable : bool;
   mutable fragile : bool;
   mutable maybe : bool;
   mutable parent : cell option;
 }
 
-type kind = Volume | Snapshot
+type kind = [ `Volume | `Snapshot ]
 
 type view = {
   kind : kind;
@@ -53,110 +51,43 @@ type tombstone = {
 }
 
 type t = {
-  seed : int64;
-  block_size : int;
+  payloads : Payload.t;
   views : (string, view) Hashtbl.t;
   tombs : (string, tombstone) Hashtbl.t;
   zero_cell : cell;
-  renders : (token, string) Hashtbl.t;
   mutable acked_writes : int;  (* Ok-acked app writes since last failover *)
-  mutable nvram_losses : int;
 }
 
-let create ?(seed = 0L) ~block_size () =
+let create payloads =
   {
-    seed;
-    block_size;
+    payloads;
     views = Hashtbl.create 16;
     tombs = Hashtbl.create 16;
-    zero_cell = { v = Zero; durable = true; fragile = false; maybe = false; parent = None };
-    renders = Hashtbl.create 256;
+    zero_cell =
+      { v = Payload.Zero; durable = true; fragile = false; maybe = false; parent = None };
     acked_writes = 0;
-    nvram_losses = 0;
   }
-
-(* ---------- payloads ---------- *)
-
-(* The bytes of write [wid], block [idx] are a pure function of the plan
-   seed — not of any execution-time stream — so dropping events during
-   trace shrinking never changes the payloads of the events that remain.
-   The identity is embedded verbatim in the head of the block, making
-   payloads collision-free and letting a failure report name the write a
-   wrong byte actually came from. wid 0 renders as zeros (a deliberate
-   zero-write, indistinguishable from unwritten space — as it should be). *)
-let render t tok =
-  match Hashtbl.find_opt t.renders tok with
-  | Some s -> s
-  | None ->
-    let s =
-      match tok with
-      | Zero | Data { wid = 0; _ } -> String.make t.block_size '\000'
-      | Data { wid; idx } ->
-        let b = Bytes.create t.block_size in
-        let mix =
-          Int64.logxor t.seed (Int64.of_int (((wid + 1) * 0x10003) + idx))
-        in
-        let rng = Purity_util.Rng.create ~seed:mix in
-        Purity_util.Rng.fill_bytes rng b ~pos:0 ~len:t.block_size;
-        Bytes.set_int32_le b 0 (Int32.of_int wid);
-        Bytes.set_int32_le b 4 (Int32.of_int idx);
-        Bytes.unsafe_to_string b
-    in
-    Hashtbl.replace t.renders tok s;
-    s
-
-let payload t ~wid ~nblocks =
-  String.concat ""
-    (List.init nblocks (fun idx -> render t (Data { wid; idx })))
-
-let describe_token = function
-  | Zero -> "zeros"
-  | Data { wid; idx } -> Printf.sprintf "write#%d+%d" wid idx
-
-(* Best-effort naming of bytes the model did not expect, using the
-   embedded identity. *)
-let describe_bytes t s =
-  if s = String.make t.block_size '\000' then "zeros"
-  else if String.length s >= 8 then
-    let wid = Int32.to_int (String.get_int32_le s 0) in
-    let idx = Int32.to_int (String.get_int32_le s 4) in
-    if wid > 0 && wid < 1_000_000 && idx >= 0 && idx < 65536
-       && s = render t (Data { wid; idx })
-    then Printf.sprintf "bytes of write#%d+%d" wid idx
-    else "unrecognised bytes"
-  else "unrecognised bytes"
 
 (* ---------- namespace ---------- *)
 
 let find t name = Hashtbl.find_opt t.views name
 let exists t name = Hashtbl.mem t.views name
 
-let kind t name =
-  match find t name with
-  | Some v -> Some (match v.kind with Volume -> `Volume | Snapshot -> `Snapshot)
-  | None -> None
+let kind t name = Option.map (fun v -> v.kind) (find t name)
 
 let blocks t name = Option.map (fun v -> Array.length v.cells) (find t name)
 
 let listing t =
   Hashtbl.fold
-    (fun name v acc ->
-      ( name,
-        (match v.kind with Volume -> `Volume | Snapshot -> `Snapshot),
-        Array.length v.cells )
-      :: acc)
+    (fun name v acc -> (name, v.kind, Array.length v.cells) :: acc)
     t.views []
   |> List.sort compare
 
-let create_volume t name ~blocks =
+let add_view t name kind cells =
   Hashtbl.replace t.views name
-    {
-      kind = Volume;
-      cells = Array.make blocks t.zero_cell;
-      ns_fragile = false;
-      ns_durable = false;
-      size_floor = blocks;
-    }
+    { kind; cells; ns_fragile = false; ns_durable = false; size_floor = Array.length cells }
+
+let create_volume t name ~blocks = add_view t name `Volume (Array.make blocks t.zero_cell)
 
 let delete t name =
   match Hashtbl.find_opt t.views name with
@@ -177,30 +108,10 @@ let resize_volume t name ~blocks =
     end
 
 let snapshot t ~volume ~snap =
-  match find t volume with
-  | None -> ()
-  | Some v ->
-    Hashtbl.replace t.views snap
-      {
-        kind = Snapshot;
-        cells = Array.copy v.cells;
-        ns_fragile = false;
-        ns_durable = false;
-        size_floor = Array.length v.cells;
-      }
+  Option.iter (fun v -> add_view t snap `Snapshot (Array.copy v.cells)) (find t volume)
 
 let clone t ~snapshot ~volume =
-  match find t snapshot with
-  | None -> ()
-  | Some s ->
-    Hashtbl.replace t.views volume
-      {
-        kind = Volume;
-        cells = Array.copy s.cells;
-        ns_fragile = false;
-        ns_durable = false;
-        size_floor = Array.length s.cells;
-      }
+  Option.iter (fun s -> add_view t volume `Volume (Array.copy s.cells)) (find t snapshot)
 
 (* ---------- data ---------- *)
 
@@ -213,7 +124,7 @@ let write t ~view ~block ~wid ~nblocks ~acked =
       let old = v.cells.(block + j) in
       v.cells.(block + j) <-
         {
-          v = Data { wid; idx = j };
+          v = Payload.Data { wid; idx = j };
           durable = false;
           fragile = false;
           (* an unacked outcome (controller died mid-write, or the write
@@ -229,7 +140,7 @@ let candidates cell =
     if c.maybe then
       match c.parent with
       | Some p -> go p acc
-      | None -> Zero :: acc (* defensive: accept the empty history *)
+      | None -> Payload.Zero :: acc (* defensive: accept the empty history *)
     else acc
   in
   List.rev (go cell [])
@@ -238,34 +149,22 @@ let check_read t ~view ~block ~nblocks data =
   match find t view with
   | None -> Error (Printf.sprintf "read of unknown view %s returned data" view)
   | Some v ->
-    if String.length data <> nblocks * t.block_size then
-      Error
-        (Printf.sprintf "read %s[%d..%d]: got %d bytes, wanted %d" view block
-           (block + nblocks - 1) (String.length data) (nblocks * t.block_size))
-    else begin
-      let violation = ref None in
-      (try
-         for j = 0 to nblocks - 1 do
-           let got = String.sub data (j * t.block_size) t.block_size in
-           let cell = v.cells.(block + j) in
-           let cands = candidates cell in
-           match List.find_opt (fun c -> render t c = got) cands with
-           | Some c ->
-             (* observation collapses the ambiguity — for every view
-                sharing this cell, including frozen snapshots *)
-             cell.v <- c;
-             cell.maybe <- false
-           | None ->
-             violation :=
-               Some
-                 (Printf.sprintf "%s[%d]: expected %s, got %s" view (block + j)
-                    (String.concat " or " (List.map describe_token cands))
-                    (describe_bytes t got));
-             raise Exit
-         done
-       with Exit -> ());
-      match !violation with Some msg -> Error msg | None -> Ok ()
-    end
+    let label = Printf.sprintf "%s[%d..%d]" view block (block + nblocks - 1) in
+    Payload.check_blocks t.payloads ~label ~nblocks data (fun j got ->
+        let cell = v.cells.(block + j) in
+        let cands = candidates cell in
+        match List.find_opt (fun c -> Payload.render t.payloads c = got) cands with
+        | Some c ->
+          (* observation collapses the ambiguity — for every view
+             sharing this cell, including frozen snapshots *)
+          cell.v <- c;
+          cell.maybe <- false;
+          Ok ()
+        | None ->
+          Error
+            (Printf.sprintf "%s[%d]: expected %s, got %s" view (block + j)
+               (String.concat " or " (List.map Payload.describe_token cands))
+               (Payload.describe_bytes t.payloads got)))
 
 (* ---------- fault transitions ---------- *)
 
@@ -275,7 +174,6 @@ let iter_cells t f =
   Hashtbl.iter (fun _ tb -> seen_view tb.t_view) t.tombs
 
 let nvram_lost t =
-  t.nvram_losses <- t.nvram_losses + 1;
   iter_cells t (fun c -> if not c.durable then c.fragile <- true);
   Hashtbl.iter
     (fun _ v -> if not v.ns_durable then v.ns_fragile <- true)
@@ -323,8 +221,7 @@ let reconcile t arr_listing =
       Hashtbl.replace seen name ();
       match Hashtbl.find_opt t.views name with
       | Some v ->
-        let mkind = match v.kind with Volume -> `Volume | Snapshot -> `Snapshot in
-        if mkind <> akind then
+        if v.kind <> akind then
           fail (Printf.sprintf "%s changed kind across failover" name)
         else begin
           let len = Array.length v.cells in
@@ -365,4 +262,3 @@ let reconcile t arr_listing =
   match !err with Some msg -> Error msg | None -> Ok ()
 
 let acked_writes t = t.acked_writes
-let nvram_losses t = t.nvram_losses

@@ -28,12 +28,7 @@ type op =
   | Scrub
   | Rebuild of int
 
-type event =
-  | Op of op
-  | Fault of fault
-  | Timed of { delay_us : float; fault : fault }
-      (* armed on the simulation clock when reached, so the fault fires in
-         the middle of whatever runs next (a rebuild, a GC pass, ...) *)
+type event = (op, fault) Suite.event
 
 type t = { seed : int64; events : event list }
 
@@ -69,16 +64,9 @@ let pp_op ppf = function
   | Scrub -> Format.fprintf ppf "scrub"
   | Rebuild d -> Format.fprintf ppf "rebuild drive %d" d
 
-let pp_event ppf = function
-  | Op op -> pp_op ppf op
-  | Fault f -> Format.fprintf ppf "! %a" pp_fault f
-  | Timed { delay_us; fault } ->
-    Format.fprintf ppf "! after %.0fus: %a" delay_us pp_fault fault
-
 let pp ppf { seed; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, %d events:@," seed (List.length events);
-  List.iteri (fun i e -> Format.fprintf ppf "%3d. %a@," i pp_event e) events;
-  Format.fprintf ppf "@]"
+  Format.fprintf ppf "@[<v>seed %Ld, %d events:@,%a@]" seed (List.length events)
+    (Suite.pp_events pp_op pp_fault) events
 
 (* ---------- generation ---------- *)
 
@@ -140,7 +128,7 @@ let generate ?(cfg = default_gen) seed =
     incr vol_ctr;
     let blocks = cfg.vol_blocks / 2 * (1 + Rng.int rng 2) in
     volumes := (name, ref blocks) :: !volumes;
-    emit (Op (Create_volume { name; blocks }))
+    emit (Suite.Op (Create_volume { name; blocks }))
   in
   let write_somewhere () =
     let name, blocks = pick !volumes in
@@ -152,14 +140,14 @@ let generate ?(cfg = default_gen) seed =
     in
     let nblocks = min nblocks !blocks in
     let block = Rng.int rng (!blocks - nblocks + 1) in
-    emit (Op (Write { view = name; block; nblocks; wid = fresh_wid () }))
+    emit (Suite.Op (Write { view = name; block; nblocks; wid = fresh_wid () }))
   in
   let read_somewhere () =
     let all = List.map (fun (n, b) -> (n, !b)) !volumes @ !snaps in
     let name, blocks = pick all in
     let nblocks = min cfg.io_blocks blocks in
     let block = Rng.int rng (blocks - nblocks + 1) in
-    emit (Op (Read { view = name; block; nblocks }))
+    emit (Suite.Op (Read { view = name; block; nblocks }))
   in
   new_volume ();
   for _ = 1 to 4 do
@@ -174,8 +162,8 @@ let generate ?(cfg = default_gen) seed =
          case a flush bounds the exposure to the recipe's own writes *)
       let lose = cfg.allow_nvram_loss && Rng.int rng 3 = 0 in
       if lose then begin
-        emit (Op Flush);
-        emit (Fault Lose_nvram)
+        emit (Suite.Op Flush);
+        emit (Suite.Fault Lose_nvram)
       end;
       for _ = 1 to Rng.int rng 4 do
         write_somewhere ()
@@ -183,19 +171,21 @@ let generate ?(cfg = default_gen) seed =
       match Rng.int rng 4 with
       | 0 ->
         (* mid-maintenance crash: armed just before a GC or checkpoint *)
-        emit (Timed { delay_us = 200.0 +. Rng.float rng 3000.0; fault = Crash (any_mode ()) });
-        emit (Op (if Rng.bool rng then Gc else Checkpoint))
-      | _ -> emit (Fault (Crash (any_mode ()))))
+        emit
+          (Suite.Timed
+             { delay_us = 200.0 +. Rng.float rng 3000.0; fault = Crash (any_mode ()) });
+        emit (Suite.Op (if Rng.bool rng then Gc else Checkpoint))
+      | _ -> emit (Suite.Fault (Crash (any_mode ()))))
     | n when n < 68 -> (
       (* drive pull / reinsert *)
       match !pulled with
       | d :: rest when List.length !pulled >= 2 || Rng.bool rng ->
-        emit (Fault (Reinsert_drive d));
+        emit (Suite.Fault (Reinsert_drive d));
         pulled := rest
       | _ when budget_left () > 0 -> (
         match free_drive () with
         | Some d ->
-          emit (Fault (Pull_drive d));
+          emit (Suite.Fault (Pull_drive d));
           pulled := d :: !pulled
         | None -> read_somewhere ())
       | _ -> read_somewhere ())
@@ -204,7 +194,7 @@ let generate ?(cfg = default_gen) seed =
       match free_drive () with
       | None -> read_somewhere ()
       | Some d ->
-        emit (Fault (Replace_drive d));
+        emit (Suite.Fault (Replace_drive d));
         unrebuilt := d :: !unrebuilt;
         for _ = 1 to Rng.int rng 3 do
           write_somewhere ()
@@ -214,15 +204,19 @@ let generate ?(cfg = default_gen) seed =
           (* a second drive drops out in the middle of the rebuild *)
           match free_drive () with
           | Some d2 ->
-            emit (Timed { delay_us = 500.0 +. Rng.float rng 5000.0; fault = Pull_drive d2 });
+            emit
+              (Suite.Timed
+                 { delay_us = 500.0 +. Rng.float rng 5000.0; fault = Pull_drive d2 });
             pulled := d2 :: !pulled
           | None -> ())
         | 1 ->
           (* controller dies mid-rebuild; the runner finishes the rebuild
              after failover before anything is audited *)
-          emit (Timed { delay_us = 500.0 +. Rng.float rng 5000.0; fault = Crash (any_mode ()) })
+          emit
+            (Suite.Timed
+               { delay_us = 500.0 +. Rng.float rng 5000.0; fault = Crash (any_mode ()) })
         | _ -> ());
-        emit (Op (Rebuild d));
+        emit (Suite.Op (Rebuild d));
         unrebuilt := List.filter (( <> ) d) !unrebuilt)
     | n when n < 79 && budget_left () > 0 ->
       (* latent corruption, read back degraded, then scrubbed away *)
@@ -241,7 +235,7 @@ let generate ?(cfg = default_gen) seed =
       for _ = 1 to 2 do
         read_somewhere ()
       done;
-      emit (Op Scrub);
+      emit (Suite.Op Scrub);
       corrupts := 0
     | n when n < 85 ->
       (* namespace churn *)
@@ -253,36 +247,36 @@ let generate ?(cfg = default_gen) seed =
           let snap = Printf.sprintf "s%d" !snap_ctr in
           incr snap_ctr;
           snaps := (snap, !blocks) :: !snaps;
-          emit (Op (Snapshot { volume; snap }))
+          emit (Suite.Op (Snapshot { volume; snap }))
         | 2 when !snaps <> [] ->
           let snapshot, blocks = pick !snaps in
           let volume = Printf.sprintf "v%d" !vol_ctr in
           incr vol_ctr;
           volumes := (volume, ref blocks) :: !volumes;
-          emit (Op (Clone { snapshot; volume }))
+          emit (Suite.Op (Clone { snapshot; volume }))
         | _ ->
           let name, blocks = pick !volumes in
           let blocks' = !blocks + (cfg.io_blocks * (1 + Rng.int rng 4)) in
           blocks := blocks';
-          emit (Op (Resize_volume { name; blocks = blocks' }))
+          emit (Suite.Op (Resize_volume { name; blocks = blocks' }))
       end
       else begin
         (* prune: delete a snapshot or a surplus volume *)
         match (!snaps, !volumes) with
         | (s, _) :: rest, _ when Rng.bool rng ->
           snaps := rest;
-          emit (Op (Delete_snapshot s))
+          emit (Suite.Op (Delete_snapshot s))
         | _, (v, _) :: rest when List.length !volumes > 1 ->
           volumes := rest;
-          emit (Op (Delete_volume v))
+          emit (Suite.Op (Delete_volume v))
         | _ -> read_somewhere ()
       end
-    | n when n < 91 -> emit (Op Gc)
-    | n when n < 95 -> emit (Op Checkpoint)
-    | n when n < 98 -> emit (Op Flush)
-    | _ -> emit (Op Scrub)
+    | n when n < 91 -> emit (Suite.Op Gc)
+    | n when n < 95 -> emit (Suite.Op Checkpoint)
+    | n when n < 98 -> emit (Suite.Op Flush)
+    | _ -> emit (Suite.Op Scrub)
   done;
   (* close out: reinsert surviving pulls so the final audit runs at full
      redundancy headroom (the runner independently finishes rebuilds) *)
-  List.iter (fun d -> emit (Fault (Reinsert_drive d))) !pulled;
+  List.iter (fun d -> emit (Suite.Fault (Reinsert_drive d))) !pulled;
   { seed; events = List.rev !rev_events }

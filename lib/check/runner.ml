@@ -1,11 +1,6 @@
-(* Scenario runner: executes a fault plan against a real array while the
-   reference model shadows it, audits the durability contract, and on
-   failure shrinks the event trace to a minimal reproduction.
-
-   Everything is deterministic per plan: payloads derive from the plan
-   seed, faults resolve from execution state, and the runner adds no
-   randomness of its own — so re-running a (possibly shrunk) event list
-   reproduces the failure bit-for-bit. *)
+(* The single-array suite: executes a {!Plan} against a real array
+   while the reference {!Model} shadows it, and audits the durability
+   contract. The run loop, shrinking, replay and reports are {!Suite}'s. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -15,46 +10,21 @@ module Shelf = Purity_ssd.Shelf
 module Drive = Purity_ssd.Drive
 module Nvram = Purity_ssd.Nvram
 
-exception Violation of string
-
-(* The laptop-scale geometry the crash tests have always used: 7 drives,
-   3+2 Reed-Solomon, small AUs so GC and rebuild have real work. *)
-let default_config =
-  {
-    Fa.default_config with
-    Fa.drives = 7;
-    k = 3;
-    m = 2;
-    write_unit = 8 * 1024;
-    drive_config =
-      {
-        Drive.default_config with
-        Drive.au_size = 4096 + (8 * 8192);
-        num_aus = 512;
-        dies = 4;
-      };
-    memtable_flush = 1_000_000;
-  }
+exception Violation = Suite.Violation
 
 type ctx = {
   clock : Clock.t;
   arr : Fa.t;
+  payloads : Payload.t;
   model : Model.t;
-  cfg : Fa.config;
-  mutable step : int;
   mutable pulled : int list;
   mutable unrebuilt : int list;  (* replaced, rebuild not yet completed *)
   mutable corrupt_units : int;
   mutable pending_crash_mode : Plan.mode option;
   mutable reads_issued : int;
   mutable losses : int;
+  mutable digest : int;
 }
-
-let await ctx f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run ctx.clock;
-  !r
 
 (* Live fault budget: the same ceiling the generator respects, re-checked
    at execution time because shrinking can remove the event that would
@@ -65,7 +35,7 @@ let units ctx =
 
 let residual_corrupt_units ctx =
   let n = ref 0 in
-  for d = 0 to ctx.cfg.Fa.drives - 1 do
+  for d = 0 to Suite.config.Fa.drives - 1 do
     if Drive.injected_corrupt_pages (Shelf.drive (Fa.shelf ctx.arr) d) > 0 then incr n
   done;
   !n
@@ -84,7 +54,7 @@ let apply_fault ctx (fault : Plan.fault) =
   | Plan.Pull_drive d ->
     if (not (List.mem d ctx.pulled))
        && (not (List.mem d ctx.unrebuilt))
-       && units ctx < ctx.cfg.Fa.m
+       && units ctx < Suite.config.Fa.m
     then begin
       Fa.pull_drive ctx.arr d;
       ctx.pulled <- d :: ctx.pulled
@@ -96,7 +66,7 @@ let apply_fault ctx (fault : Plan.fault) =
     end
   | Plan.Replace_drive d ->
     let freed = if List.mem d ctx.pulled then 1 else 0 in
-    if (not (List.mem d ctx.unrebuilt)) && units ctx - freed < ctx.cfg.Fa.m
+    if (not (List.mem d ctx.unrebuilt)) && units ctx - freed < Suite.config.Fa.m
     then begin
       Fa.replace_drive ctx.arr d;
       ctx.pulled <- List.filter (( <> ) d) ctx.pulled;
@@ -105,10 +75,10 @@ let apply_fault ctx (fault : Plan.fault) =
   | Plan.Corrupt_page { drive; au_rank; page_rank } ->
     if (not (List.mem drive ctx.pulled))
        && (not (List.mem drive ctx.unrebuilt))
-       && units ctx < ctx.cfg.Fa.m
+       && units ctx < Suite.config.Fa.m
     then begin
       let dr = Shelf.drive (Fa.shelf ctx.arr) drive in
-      let dcfg = ctx.cfg.Fa.drive_config in
+      let dcfg = Suite.config.Fa.drive_config in
       let filled = ref [] in
       for au = dcfg.Drive.num_aus - 1 downto 0 do
         if Drive.au_fill dr ~au > 0 then filled := au :: !filled
@@ -130,7 +100,7 @@ let handle_offline ctx =
     | _ -> Recovery.Frontier_scan
   in
   ctx.pending_crash_mode <- None;
-  match await ctx (fun k -> Fa.failover ~mode ctx.arr k) with
+  match Suite.await ctx.clock (fun k -> Fa.failover ~mode ctx.arr k) with
   | None -> raise (Violation "failover never completed")
   | Some (_ : Recovery.report) -> (
     match Model.reconcile ctx.model (Fa.list_volumes ctx.arr) with
@@ -182,9 +152,10 @@ let do_read ctx ~view ~block ~nblocks =
     | Some b when block + nblocks > b -> `Out_of_range
     | Some _ -> `Data
   in
-  match await ctx (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
+  match Suite.await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
   | None -> ()  (* interrupted by a crash; nothing was promised *)
   | Some (Ok data) -> (
+    ctx.digest <- Suite.mix ctx.digest data;
     if expect <> `Data then
       raise
         (Violation
@@ -254,8 +225,8 @@ let exec_op ctx (op : Plan.op) =
       | Some `Volume ->
         if block + nblocks > Option.get (Model.blocks m view) then `Out_of_range else `Ok
     in
-    let data = Model.payload m ~wid ~nblocks in
-    match await ctx (Fa.write ctx.arr ~volume:view ~block data) with
+    let data = Payload.of_write ctx.payloads ~wid ~nblocks in
+    match Suite.await ctx.clock (Fa.write ctx.arr ~volume:view ~block data) with
     | None ->
       (* controller died mid-write: not acked, outcome ambiguous *)
       if expect = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
@@ -279,34 +250,28 @@ let exec_op ctx (op : Plan.op) =
     | Some (Error `Fenced) -> raise (Violation ("spurious Fenced writing " ^ view)))
   | Plan.Read { view; block; nblocks } -> do_read ctx ~view ~block ~nblocks
   | Plan.Flush -> (
-    match await ctx (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
+    match Suite.await ctx.clock (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
     | Some () when Fa.is_online ctx.arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Checkpoint -> (
-    match await ctx (fun k -> Fa.checkpoint ctx.arr k) with
+    match Suite.await ctx.clock (fun k -> Fa.checkpoint ctx.arr k) with
     | Some _ when Fa.is_online ctx.arr -> Model.stabilized ctx.model
     | _ -> ())
-  | Plan.Gc -> ignore (await ctx (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 ctx.arr k))
+  | Plan.Gc ->
+    ignore
+      (Suite.await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 ctx.arr k))
   | Plan.Scrub -> (
-    match await ctx (fun k -> Fa.scrub ctx.arr k) with
+    match Suite.await ctx.clock (fun k -> Fa.scrub ctx.arr k) with
     | Some _ when Fa.is_online ctx.arr ->
       (* scrub relocated what it found; re-derive the live corruption
          budget from the marks actually left on the drives *)
       ctx.corrupt_units <- residual_corrupt_units ctx
     | _ -> ())
   | Plan.Rebuild d -> (
-    match await ctx (fun k -> Fa.rebuild_drive ctx.arr d k) with
+    match Suite.await ctx.clock (fun k -> Fa.rebuild_drive ctx.arr d k) with
     | Some (_ : int) when Fa.is_online ctx.arr ->
       ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
     | _ -> () (* interrupted: still missing shards; finalize retries *))
-
-let exec_event ctx (ev : Plan.event) =
-  (match ev with
-  | Plan.Op op -> exec_op ctx op
-  | Plan.Fault f -> apply_fault ctx f
-  | Plan.Timed { delay_us; fault } ->
-    Clock.schedule ctx.clock ~delay:delay_us (fun () -> apply_fault ctx fault));
-  if not (Fa.is_online ctx.arr) then settle ctx
 
 (* ---------- audits ---------- *)
 
@@ -320,15 +285,9 @@ let audit_namespace ctx =
             mod_l))
 
 let audit_data ctx =
-  let chunk = 16 in
   List.iter
-    (fun (name, _, blocks) ->
-      let block = ref 0 in
-      while !block < blocks do
-        let nblocks = min chunk (blocks - !block) in
-        do_read ctx ~view:name ~block:!block ~nblocks;
-        block := !block + nblocks
-      done)
+    (fun (view, _, blocks) ->
+      Suite.iter_chunks blocks (fun block nblocks -> do_read ctx ~view ~block ~nblocks))
     (Model.listing ctx.model)
 
 (* The mapping cache and batched range resolution are pure performance
@@ -388,7 +347,6 @@ let audit_counters ctx =
     raise (Violation "physical_bytes_used exceeds capacity")
 
 let finalize ctx =
-  Clock.run ctx.clock;
   settle ctx;
   (* finish interrupted rebuilds so the audit runs at full redundancy *)
   let guard = ref 10 in
@@ -396,7 +354,7 @@ let finalize ctx =
     decr guard;
     if !guard < 0 then raise (Violation "rebuild never completes");
     let d = List.hd ctx.unrebuilt in
-    (match await ctx (fun k -> Fa.rebuild_drive ctx.arr d k) with
+    (match Suite.await ctx.clock (fun k -> Fa.rebuild_drive ctx.arr d k) with
     | Some (_ : int) when Fa.is_online ctx.arr ->
       ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
     | _ -> ());
@@ -412,115 +370,44 @@ let finalize ctx =
   audit_namespace ctx;
   audit_data ctx;
   audit_mapping_cache ctx;
-  audit_counters ctx
+  audit_counters ctx;
+  let s = Fa.stats ctx.arr in
+  Suite.mix
+    (Suite.mix ctx.digest
+       Fa.(s.app_writes, s.app_reads, s.stored_bytes_written, s.physical_bytes_used,
+           s.dedup_blocks, s.gc_dedup_blocks, s.segments_live, s.cache_hits, s.cache_misses))
+    (int_of_float (Clock.now ctx.clock))
 
 (* ---------- plan execution ---------- *)
 
-let run_plan ?(config = default_config) (plan : Plan.t) =
-  let model_seed = plan.Plan.seed in
-  let clock = Clock.create () in
-  let arr = Fa.create ~config ~clock () in
-  let ctx =
-    {
-      clock;
-      arr;
-      model = Model.create ~seed:model_seed ~block_size:Fa.block_size ();
-      cfg = config;
-      step = 0;
-      pulled = [];
-      unrebuilt = [];
-      corrupt_units = 0;
-      pending_crash_mode = None;
-      reads_issued = 0;
-      losses = 0;
-    }
-  in
-  try
-    List.iteri
-      (fun i ev ->
-        ctx.step <- i;
-        exec_event ctx ev)
-      plan.Plan.events;
-    ctx.step <- List.length plan.Plan.events;
-    finalize ctx;
-    Ok ()
-  with
-  | Violation msg -> Error (ctx.step, msg)
-  | exn -> Error (ctx.step, "exception: " ^ Printexc.to_string exn)
+let start clock (plan : Plan.t) =
+  let payloads = Payload.create ~seed:plan.Plan.seed ~block_size:Fa.block_size in
+  {
+    clock;
+    arr = Fa.create ~config:Suite.config ~clock ();
+    payloads;
+    model = Model.create payloads;
+    pulled = [];
+    unrebuilt = [];
+    corrupt_units = 0;
+    pending_crash_mode = None;
+    reads_issued = 0;
+    losses = 0;
+    digest = 0;
+  }
 
-(* ---------- shrinking ---------- *)
+include Suite.Make (struct
+  include Plan
 
-let remove_slice l i n = List.filteri (fun j _ -> j < i || j >= i + n) l
+  type nonrec ctx = ctx
 
-(* Greedy delta-debugging: try dropping ever-smaller slices, keeping any
-   removal after which the scenario still fails. [fails] must be a pure
-   function of the event list — which it is, because events are
-   self-contained (payload ids, ranks) rather than positions in a shared
-   random stream. *)
-let shrink ?(budget = 250) ~fails events failure =
-  let evs = ref events and last = ref failure and left = ref budget in
-  let changed = ref true in
-  while !changed && !left > 0 do
-    changed := false;
-    let size = ref (max 1 (List.length !evs / 2)) in
-    while !size >= 1 && !left > 0 do
-      let i = ref 0 in
-      while !i + !size <= List.length !evs && !left > 0 do
-        decr left;
-        let cand = remove_slice !evs !i !size in
-        match fails cand with
-        | Some failure ->
-          evs := cand;
-          last := failure;
-          changed := true
-        | None -> i := !i + !size
-      done;
-      size := !size / 2
-    done
-  done;
-  (!evs, !last)
-
-(* ---------- reports ---------- *)
-
-type report = {
-  seed : int64;
-  step : int;  (** event index the (shrunk) run failed at *)
-  violation : string;
-  trace : Plan.event list;  (** shrunk reproduction *)
-  original_events : int;
-}
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>durability violation at seed %Ld (step %d):@,  %s@,%a@,reproduce with: Runner.run_plan { seed = %LdL; events }  (or re-run this seed)@]"
-    r.seed r.step r.violation Plan.pp
-    { Plan.seed = r.seed; events = r.trace }
-    r.seed
-
-let report_to_string r = Format.asprintf "%a" pp_report r
-
-let check_seed ?(gen = Plan.default_gen) ?(config = default_config) ?(shrink_budget = 250)
-    seed =
-  let plan = Plan.generate ~cfg:gen seed in
-  match run_plan ~config plan with
-  | Ok () -> Ok ()
-  | Error failure ->
-    let fails evs =
-      match run_plan ~config { plan with Plan.events = evs } with
-      | Ok () -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) = shrink ~budget:shrink_budget ~fails plan.Plan.events failure in
-    Error { seed; step; violation; trace; original_events = List.length plan.Plan.events }
-
-(* Run seeds [base, base+count); return the first failure, shrunk. *)
-let sweep ?gen ?config ?shrink_budget ~base ~count () =
-  let rec go i =
-    if i >= count then None
-    else
-      let seed = Int64.add base (Int64.of_int i) in
-      match check_seed ?gen ?config ?shrink_budget seed with
-      | Ok () -> go (i + 1)
-      | Error report -> Some report
-  in
-  go 0
+  let name = "durability"
+  let seed p = p.seed
+  let events p = p.events
+  let with_events p events = { p with events }
+  let start = start
+  let exec_op = exec_op
+  let apply_fault = apply_fault
+  let after_event ctx = if not (Fa.is_online ctx.arr) then settle ctx
+  let finalize = finalize
+end)

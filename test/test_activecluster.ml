@@ -154,7 +154,7 @@ let test_mediator_stale_claim () =
 
 let pod_fixture () =
   let clock = Clock.create () in
-  let config = Purity_check.Runner.default_config in
+  let config = Purity_check.Suite.config in
   let a = Fa.create ~config ~clock () in
   let b = Fa.create ~config ~clock () in
   let ac = Ac.create ~a ~b ~pod:"pod0" () in
@@ -163,11 +163,7 @@ let pod_fixture () =
   | Error _ -> Alcotest.fail "create_stretched failed");
   (clock, ac)
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  !r
+let await = Purity_check.Suite.await
 
 let wdata n = String.init (n * 512) (fun i -> Char.chr (((i / 512) + (i mod 7)) mod 256))
 

@@ -15,35 +15,19 @@
 module Fa = Purity_core.Flash_array
 module Clock = Purity_sim.Clock
 module Rng = Purity_util.Rng
+module Suite = Purity_check.Suite
 module Plan = Purity_check.Plan
 module Runner = Purity_check.Runner
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 
-(* Run a hand-built plan; on violation, shrink and fail with the full
-   report so the trace lands in the test output. *)
-let expect_clean ?config (plan : Plan.t) =
-  match Runner.run_plan ?config plan with
-  | Ok () -> ()
-  | Error failure ->
-    let fails evs =
-      match Runner.run_plan ?config { plan with Plan.events = evs } with
-      | Ok () -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) =
-      Runner.shrink ~fails plan.Plan.events failure
-    in
-    Alcotest.failf "%s"
-      (Runner.report_to_string
-         {
-           Runner.seed = plan.Plan.seed;
-           step;
-           violation;
-           trace;
-           original_events = List.length plan.Plan.events;
-         })
+(* Run a hand-built plan; on violation, fail with the shrunk report so
+   the trace lands in the test output. *)
+let expect_clean (plan : Plan.t) =
+  match Runner.check_plan plan with
+  | Ok (_ : int) -> ()
+  | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
 let run_seed ?gen seed () =
   match Runner.check_seed ?gen seed with
@@ -52,9 +36,9 @@ let run_seed ?gen seed () =
 
 (* ---------- directed multi-fault orderings ---------- *)
 
-let v name blocks = Plan.Op (Plan.Create_volume { name; blocks })
-let w ?(view = "v0") ~wid block nblocks = Plan.Op (Plan.Write { view; block; nblocks; wid })
-let r ?(view = "v0") block nblocks = Plan.Op (Plan.Read { view; block; nblocks })
+let v name blocks = Suite.Op (Plan.Create_volume { name; blocks })
+let w ?(view = "v0") ~wid block nblocks = Suite.Op (Plan.Write { view; block; nblocks; wid })
+let r ?(view = "v0") block nblocks = Suite.Op (Plan.Read { view; block; nblocks })
 
 (* Crash arriving in the middle of a GC pass: relocation half done, the
    covering checkpoint possibly unfinished — no victim may have been
@@ -71,14 +55,14 @@ let test_crash_during_gc () =
       events =
         [ v "v0" 512 ]
         @ overwrite_rounds 1
-        @ [ Plan.Op Plan.Flush ]
+        @ [ Suite.Op Plan.Flush ]
         @ overwrite_rounds 20
         @ [
-            Plan.Timed { delay_us = 500.0; fault = Plan.Crash Plan.Fast };
-            Plan.Op Plan.Gc;
+            Suite.Timed { delay_us = 500.0; fault = Plan.Crash Plan.Fast };
+            Suite.Op Plan.Gc;
             w ~wid:90 64 16;
-            Plan.Timed { delay_us = 900.0; fault = Plan.Crash Plan.Full };
-            Plan.Op Plan.Gc;
+            Suite.Timed { delay_us = 900.0; fault = Plan.Crash Plan.Full };
+            Suite.Op Plan.Gc;
             r 0 16;
           ];
     }
@@ -93,14 +77,14 @@ let test_pull_during_rebuild () =
         [ v "v0" 512 ]
         @ List.init 8 (fun i -> w ~wid:(i + 1) (i * 32) 32)
         @ [
-            Plan.Op Plan.Flush;
-            Plan.Fault (Plan.Replace_drive 2);
-            Plan.Timed { delay_us = 800.0; fault = Plan.Pull_drive 5 };
-            Plan.Op (Plan.Rebuild 2);
+            Suite.Op Plan.Flush;
+            Suite.Fault (Plan.Replace_drive 2);
+            Suite.Timed { delay_us = 800.0; fault = Plan.Pull_drive 5 };
+            Suite.Op (Plan.Rebuild 2);
             r 0 16;
             r 240 16;
-            Plan.Fault (Plan.Reinsert_drive 5);
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Fault (Plan.Reinsert_drive 5);
+            Suite.Fault (Plan.Crash Plan.Fast);
           ];
     }
 
@@ -115,13 +99,13 @@ let test_nvram_loss_before_checkpoint () =
         [ v "v0" 512 ]
         @ List.init 6 (fun i -> w ~wid:(i + 1) (i * 16) 16)
         @ [
-            Plan.Fault Plan.Lose_nvram;
+            Suite.Fault Plan.Lose_nvram;
             w ~wid:10 0 16;
             w ~wid:11 256 16;
             (* barrier: everything above survives the crash below *)
-            Plan.Op Plan.Checkpoint;
+            Suite.Op Plan.Checkpoint;
             w ~wid:12 128 16;
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Fault (Plan.Crash Plan.Fast);
             r 0 16;
             r 256 16;
           ];
@@ -137,14 +121,14 @@ let test_nvram_loss_without_barrier () =
         [ v "v0" 512 ]
         @ List.init 6 (fun i -> w ~wid:(i + 1) (i * 16) 16)
         @ [
-            Plan.Op Plan.Flush;
-            Plan.Fault Plan.Lose_nvram;
+            Suite.Op Plan.Flush;
+            Suite.Fault Plan.Lose_nvram;
             w ~wid:10 0 16;
             w ~wid:11 256 16;
-            Plan.Fault (Plan.Crash Plan.Full);
+            Suite.Fault (Plan.Crash Plan.Full);
             r 0 16;
             r 256 16;
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Fault (Plan.Crash Plan.Fast);
             r 0 16;
           ];
     }
@@ -160,15 +144,15 @@ let test_corruption_during_degraded_read () =
         [ v "v0" 512 ]
         @ List.init 8 (fun i -> w ~wid:(i + 1) (i * 32) 32)
         @ [
-            Plan.Op Plan.Flush;
-            Plan.Fault (Plan.Pull_drive 1);
-            Plan.Fault (Plan.Corrupt_page { drive = 4; au_rank = 3; page_rank = 7 });
+            Suite.Op Plan.Flush;
+            Suite.Fault (Plan.Pull_drive 1);
+            Suite.Fault (Plan.Corrupt_page { drive = 4; au_rank = 3; page_rank = 7 });
             r 0 16;
             r 96 16;
             r 224 16;
-            Plan.Op Plan.Scrub;
-            Plan.Fault (Plan.Reinsert_drive 1);
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Op Plan.Scrub;
+            Suite.Fault (Plan.Reinsert_drive 1);
+            Suite.Fault (Plan.Crash Plan.Fast);
             r 0 16;
           ];
     }
@@ -186,18 +170,18 @@ let test_snapshot_clone_lineage_under_crash () =
         [ v "v0" 256 ]
         @ List.init 4 (fun i -> w ~wid:(i + 1) (i * 64) 64)
         @ [
-            Plan.Op (Plan.Snapshot { volume = "v0"; snap = "s0" });
+            Suite.Op (Plan.Snapshot { volume = "v0"; snap = "s0" });
             w ~wid:10 0 64;
             (* clone sees the snapshot image, not the new write *)
-            Plan.Op (Plan.Clone { snapshot = "s0"; volume = "v1" });
+            Suite.Op (Plan.Clone { snapshot = "s0"; volume = "v1" });
             w ~view:"v1" ~wid:11 64 64;
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Fault (Plan.Crash Plan.Fast);
             r ~view:"s0" 0 16;
             r ~view:"v0" 0 16;
             r ~view:"v1" 64 16;
-            Plan.Op Plan.Checkpoint;
-            Plan.Fault Plan.Lose_nvram;
-            Plan.Fault (Plan.Crash Plan.Full);
+            Suite.Op Plan.Checkpoint;
+            Suite.Fault Plan.Lose_nvram;
+            Suite.Fault (Plan.Crash Plan.Full);
             r ~view:"s0" 0 16;
             r ~view:"v1" 0 16;
           ];
@@ -214,14 +198,14 @@ let test_resize_racing_checkpoint () =
         [ v "v0" 256 ]
         @ List.init 4 (fun i -> w ~wid:(i + 1) (i * 64) 64)
         @ [
-            Plan.Op Plan.Checkpoint;
-            Plan.Op (Plan.Resize_volume { name = "v0"; blocks = 384 });
+            Suite.Op Plan.Checkpoint;
+            Suite.Op (Plan.Resize_volume { name = "v0"; blocks = 384 });
             w ~wid:10 256 64;
             w ~wid:11 320 64;
-            Plan.Timed { delay_us = 600.0; fault = Plan.Crash Plan.Full };
-            Plan.Op Plan.Checkpoint;
+            Suite.Timed { delay_us = 600.0; fault = Plan.Crash Plan.Full };
+            Suite.Op Plan.Checkpoint;
             w ~wid:12 256 64;
-            Plan.Fault (Plan.Crash Plan.Fast);
+            Suite.Fault (Plan.Crash Plan.Fast);
             r 256 16;
             r 320 16;
           ];
@@ -243,7 +227,7 @@ let lineage_plan seed =
     let name, blocks = pick !vols in
     incr wid;
     let block = Rng.int rng (!blocks - 16 + 1) in
-    emit (Plan.Op (Plan.Write { view = name; block; nblocks = 16; wid = !wid }))
+    emit (Suite.Op (Plan.Write { view = name; block; nblocks = 16; wid = !wid }))
   in
   emit (v "v0" 256);
   write ();
@@ -255,46 +239,46 @@ let lineage_plan seed =
       let all = List.map (fun (n, b) -> (n, !b)) !vols @ !snaps in
       let name, blocks = pick all in
       emit
-        (Plan.Op
+        (Suite.Op
            (Plan.Read { view = name; block = Rng.int rng (blocks - 16 + 1); nblocks = 16 }))
     | n when n < 54 && List.length !vols + List.length !snaps < 6 ->
       let volume, blocks = pick !vols in
       let snap = Printf.sprintf "s%d" !snap_ctr in
       incr snap_ctr;
       snaps := (snap, !blocks) :: !snaps;
-      emit (Plan.Op (Plan.Snapshot { volume; snap }))
+      emit (Suite.Op (Plan.Snapshot { volume; snap }))
     | n when n < 62 && !snaps <> [] && List.length !vols + List.length !snaps < 6 ->
       let snapshot, blocks = pick !snaps in
       let volume = Printf.sprintf "v%d" !vol_ctr in
       incr vol_ctr;
       vols := (volume, ref blocks) :: !vols;
-      emit (Plan.Op (Plan.Clone { snapshot; volume }))
+      emit (Suite.Op (Plan.Clone { snapshot; volume }))
     | n when n < 72 ->
       let name, blocks = pick !vols in
       blocks := !blocks + 64;
-      emit (Plan.Op (Plan.Resize_volume { name; blocks = !blocks }))
+      emit (Suite.Op (Plan.Resize_volume { name; blocks = !blocks }))
     | n when n < 78 && !snaps <> [] ->
       let s, _ = List.hd !snaps in
       snaps := List.tl !snaps;
-      emit (Plan.Op (Plan.Delete_snapshot s))
+      emit (Suite.Op (Plan.Delete_snapshot s))
     | n when n < 86 -> (
       match Rng.int rng 3 with
       | 0 ->
         (* resize-vs-checkpoint race under a timed crash *)
         let name, blocks = pick !vols in
         blocks := !blocks + 64;
-        emit (Plan.Op (Plan.Resize_volume { name; blocks = !blocks }));
+        emit (Suite.Op (Plan.Resize_volume { name; blocks = !blocks }));
         emit
-          (Plan.Timed
+          (Suite.Timed
              { delay_us = 200.0 +. Rng.float rng 2000.0; fault = Plan.Crash Plan.Full });
-        emit (Plan.Op Plan.Checkpoint)
-      | 1 -> emit (Plan.Fault (Plan.Crash Plan.Fast))
-      | _ -> emit (Plan.Fault (Plan.Crash Plan.Full)))
-    | n when n < 92 -> emit (Plan.Op Plan.Checkpoint)
-    | n when n < 96 -> emit (Plan.Op Plan.Flush)
+        emit (Suite.Op Plan.Checkpoint)
+      | 1 -> emit (Suite.Fault (Plan.Crash Plan.Fast))
+      | _ -> emit (Suite.Fault (Plan.Crash Plan.Full)))
+    | n when n < 92 -> emit (Suite.Op Plan.Checkpoint)
+    | n when n < 96 -> emit (Suite.Op Plan.Flush)
     | _ ->
-      emit (Plan.Op Plan.Flush);
-      emit (Plan.Fault Plan.Lose_nvram)
+      emit (Suite.Op Plan.Flush);
+      emit (Suite.Fault Plan.Lose_nvram)
   done;
   { Plan.seed; events = List.rev !rev }
 
@@ -313,31 +297,15 @@ module Ac_plan = Purity_check.Ac_plan
 module Ac_runner = Purity_check.Ac_runner
 
 let expect_ac_clean (plan : Ac_plan.t) =
-  match Ac_runner.run_plan plan with
-  | Ok _ -> ()
-  | Error failure ->
-    let fails evs =
-      match Ac_runner.run_plan { plan with Ac_plan.events = evs } with
-      | Ok _ -> None
-      | Error f -> Some f
-    in
-    let trace, (step, violation) = Runner.shrink ~fails plan.Ac_plan.events failure in
-    Alcotest.failf "%s"
-      (Ac_runner.report_to_string
-         {
-           Ac_runner.seed = plan.Ac_plan.seed;
-           step;
-           violation;
-           vols = plan.Ac_plan.vols;
-           trace;
-           original_events = List.length plan.Ac_plan.events;
-         })
+  match Ac_runner.check_plan plan with
+  | Ok (_ : int) -> ()
+  | Error r -> Alcotest.failf "%s" (Ac_runner.report_to_string r)
 
 let aw ~side ~wid block nblocks =
-  Ac_plan.Op (Ac_plan.Write { side; view = "p0"; block; nblocks; wid })
+  Suite.Op (Ac_plan.Write { side; view = "p0"; block; nblocks; wid })
 
 let ar ~side block nblocks =
-  Ac_plan.Op (Ac_plan.Read { side; view = "p0"; block; nblocks })
+  Suite.Op (Ac_plan.Read { side; view = "p0"; block; nblocks })
 
 (* A write acked while one side serves solo behind a partition is a
    durability promise: it must still be there — on BOTH arrays — after
@@ -350,14 +318,14 @@ let test_ac_ack_after_partition () =
       events =
         [
           aw ~side:Ac_plan.A ~wid:1 0 8;
-          Ac_plan.Fault Ac_plan.Cut_link;
+          Suite.Fault Ac_plan.Cut_link;
           (* mirror times out, A wins mediation, the ack is solo-era *)
           aw ~side:Ac_plan.A ~wid:2 16 8;
           ar ~side:Ac_plan.A 16 8;
           (* I/O aimed at the fenced side must redirect, not fail *)
           aw ~side:Ac_plan.B ~wid:3 32 8;
-          Ac_plan.Fault Ac_plan.Heal_link;
-          Ac_plan.Op Ac_plan.Settle;
+          Suite.Fault Ac_plan.Heal_link;
+          Suite.Op Ac_plan.Settle;
           (* after resync the loser serves the solo-era writes itself *)
           ar ~side:Ac_plan.B 16 8;
           ar ~side:Ac_plan.B 32 8;
@@ -375,11 +343,11 @@ let test_ac_write_straddling_failover () =
       events =
         [
           aw ~side:Ac_plan.A ~wid:1 0 8;
-          Ac_plan.Timed { delay_us = 250.0; fault = Ac_plan.Cut_link };
+          Suite.Timed { delay_us = 250.0; fault = Ac_plan.Cut_link };
           aw ~side:Ac_plan.A ~wid:2 32 8;
           aw ~side:Ac_plan.B ~wid:3 64 8;
-          Ac_plan.Fault Ac_plan.Heal_link;
-          Ac_plan.Op Ac_plan.Settle;
+          Suite.Fault Ac_plan.Heal_link;
+          Suite.Op Ac_plan.Settle;
           ar ~side:Ac_plan.A 32 8;
           ar ~side:Ac_plan.B 64 8;
         ];
@@ -397,12 +365,12 @@ let test_ac_failback_resync () =
         [
           aw ~side:Ac_plan.A ~wid:1 0 16;
           aw ~side:Ac_plan.B ~wid:2 40 16;
-          Ac_plan.Fault Ac_plan.Cut_link;
+          Suite.Fault Ac_plan.Cut_link;
           aw ~side:Ac_plan.B ~wid:3 80 16;
           aw ~side:Ac_plan.B ~wid:4 0 16;
-          Ac_plan.Fault Ac_plan.Heal_link;
-          Ac_plan.Op Ac_plan.Settle;
-          Ac_plan.Op
+          Suite.Fault Ac_plan.Heal_link;
+          Suite.Op Ac_plan.Settle;
+          Suite.Op
             (Ac_plan.Write_racing
                { view = "p0"; block = 8; nblocks = 8; wid_a = 5; wid_b = 6 });
           ar ~side:Ac_plan.A 0 16;
@@ -420,7 +388,7 @@ let test_long_haul () = run_seed ~gen:{ Plan.default_gen with Plan.steps = 220 }
 
 let test_no_crash_heavy_gc () =
   (* overwrite churn with frequent GC: space must keep being reclaimed *)
-  let config = Runner.default_config in
+  let config = Suite.config in
   let vol_blocks = 2048 in
   let io_blocks = 16 in
   let clock = Clock.create () in
@@ -429,12 +397,7 @@ let test_no_crash_heavy_gc () =
       (match Fa.create_volume a "v" ~blocks:vol_blocks with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "create");
-      let await f =
-        let r = ref None in
-        f (fun x -> r := Some x);
-        Clock.run clock;
-        Option.get !r
-      in
+      let await f = Option.get (Suite.await clock f) in
       for round = 1 to 12 do
         for _ = 1 to 32 do
           let slot = Rng.int rng (vol_blocks / io_blocks) in

@@ -8,7 +8,9 @@
    - [ac]: stretched-pod ActiveCluster plans — partitions, mediator
      loss, straddling writes, simultaneous crashes — audited by the
      two-array model (Ac_runner/Ac_plan). `dune build @torture-ac` runs
-     the fixed seed range 1..200 that CI gates on. *)
+     the fixed seed range 1..200 that CI gates on.
+   Both run through the same harness, which replays every passing seed
+   and compares execution digests. *)
 
 module Runner = Purity_check.Runner
 module Plan = Purity_check.Plan
@@ -31,51 +33,51 @@ let () =
     ]
   in
   Arg.parse spec (fun _ -> ()) "torture [-suite array|ac|all] [-base N] [-count N] [-steps N]";
-  let failed = ref false in
-  let sweep name ~check =
+  let array_gen =
+    if !steps = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = !steps }
+  in
+  let ac_gen =
+    if !steps = 0 then Ac_plan.default_gen
+    else { Ac_plan.default_gen with Ac_plan.steps = !steps }
+  in
+  (* each suite's harness sweep over [base, base+count), reports rendered *)
+  let suites =
+    [
+      ( "array",
+        fun ~base ~count ->
+          Runner.sweep ~gen:array_gen ~base ~count ()
+          |> Option.map Runner.report_to_string );
+      ( "ac",
+        fun ~base ~count ->
+          Ac_runner.sweep ~gen:ac_gen ~base ~count ()
+          |> Option.map Ac_runner.report_to_string );
+    ]
+  in
+  (* one harness sweep per 100 seeds, so progress prints between them *)
+  let sweep (name, run) =
     let t0 = Unix.gettimeofday () in
-    (try
-       for i = 0 to !count - 1 do
-         let seed = Int64.add !base (Int64.of_int i) in
-         (match check seed with
-         | Ok () -> ()
-         | Error report_text ->
-           print_string report_text;
-           print_newline ();
-           failed := true;
-           raise Exit);
-         if (i + 1) mod 100 = 0 then
-           Format.printf "%s: %d/%d scenarios clean (%.1fs)@." name (i + 1) !count
-             (Unix.gettimeofday () -. t0)
-       done
-     with Exit -> ());
-    if not !failed then
-      Format.printf "torture[%s]: %d scenarios clean in %.1fs@." name !count
-        (Unix.gettimeofday () -. t0)
-  in
-  let array_sweep () =
-    let gen =
-      if !steps = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = !steps }
+    let rec go done_ =
+      if done_ >= !count then begin
+        Format.printf "torture[%s]: %d scenarios clean in %.1fs@." name !count
+          (Unix.gettimeofday () -. t0);
+        true
+      end
+      else
+        let n = min 100 (!count - done_) in
+        match run ~base:(Int64.add !base (Int64.of_int done_)) ~count:n with
+        | Some report ->
+          print_string report;
+          print_newline ();
+          false
+        | None ->
+          if n = 100 then
+            Format.printf "%s: %d/%d scenarios clean (%.1fs)@." name (done_ + n) !count
+              (Unix.gettimeofday () -. t0);
+          go (done_ + n)
     in
-    sweep "array" ~check:(fun seed ->
-        match Runner.check_seed ~gen seed with
-        | Ok () -> Ok ()
-        | Error report -> Error (Format.asprintf "%a" Runner.pp_report report))
+    go 0
   in
-  let ac_sweep () =
-    let gen =
-      if !steps = 0 then Ac_plan.default_gen
-      else { Ac_plan.default_gen with Ac_plan.steps = !steps }
-    in
-    sweep "ac" ~check:(fun seed ->
-        match Ac_runner.check_seed ~gen seed with
-        | Ok () -> Ok ()
-        | Error report -> Error (Ac_runner.report_to_string report))
+  let selected =
+    if !suite = "all" then suites else [ (!suite, List.assoc !suite suites) ]
   in
-  (match !suite with
-  | "ac" -> ac_sweep ()
-  | "all" ->
-    array_sweep ();
-    if not !failed then ac_sweep ()
-  | _ -> array_sweep ());
-  if !failed then exit 1
+  if not (List.for_all sweep selected) then exit 1
