@@ -39,7 +39,7 @@ let run t k =
          the new directory is, so a crash mid-checkpoint leaves the old
          (dir, watermark) pair intact. *)
       let cut_seq = Seqno.current t.seqno in
-      let pyramids = [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ] in
+      let pyramids = List.map (pyramid t) Meta_log.tables in
       let total_bytes = ref 0 in
       let dir =
         List.map
@@ -114,7 +114,7 @@ let run t k =
                   | None -> ()
                   | Some meta ->
                     Hashtbl.remove t.segment_metas seg_id;
-                    ignore (put_delete t t.segments_pyr ~key:(Keys.segment_key seg_id));
+                    put_delete t Segments ~key:(Keys.segment_key seg_id);
                     Array.iter
                       (fun (m : Segment.member) ->
                         let d = Shelf.drive t.shelf m.Segment.drive in

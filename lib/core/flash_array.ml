@@ -35,36 +35,43 @@ type t = {
   created_at : float;
 }
 
-(* Array-level derived metrics. Registered against the *current*
-   controller's registry — re-run after every failover, since the spare
-   boots with a fresh namespace (path counters reset, exactly as before
-   telemetry existed) while these array-lifetime levels persist. *)
+(* Array-level figures, each defined once: the registry derives them and
+   [stats] reads them through the same definitions. *)
+let physical_bytes_used st =
+  Allocator.used_au_count st.alloc * st.cfg.drive_config.Drive.au_size
+
+let live_logical_bytes st = Pyramid.live_key_count st.blocks * block_size
+
+let provisioned_bytes st =
+  State.Stbl.fold (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size)) st.volumes 0
+
+let data_reduction st =
+  let used = physical_bytes_used st in
+  if used = 0 then 1.0 else float_of_int (live_logical_bytes st) /. float_of_int used
+
+let availability t =
+  let elapsed = Clock.now t.clk -. t.created_at in
+  let down =
+    t.total_downtime +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
+  in
+  if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed
+
+(* Registered against the *current* controller's registry — re-run after
+   every failover, since the spare boots with a fresh namespace (path
+   counters reset, exactly as before telemetry existed) while these
+   array-lifetime levels persist. *)
 let register_array_telemetry t =
   let reg = t.st.tel in
   Registry.derive_int reg "array/app_reads" (fun () -> t.app_reads);
   Registry.derive_int reg "array/boot_region_writes" (fun () ->
       Boot_region.writes t.st.boot);
-  Registry.derive_int reg "array/physical_bytes_used" (fun () ->
-      Allocator.used_au_count t.st.alloc * t.st.cfg.drive_config.Drive.au_size);
+  Registry.derive_int reg "array/physical_bytes_used" (fun () -> physical_bytes_used t.st);
   Registry.derive_int reg "array/physical_capacity" (fun () ->
       Shelf.physical_bytes t.st.shelf);
-  Registry.derive_int reg "array/live_logical_bytes" (fun () ->
-      Pyramid.live_key_count t.st.blocks * block_size);
-  Registry.derive_int reg "array/provisioned_bytes" (fun () ->
-      State.Stbl.fold
-        (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size))
-        t.st.volumes 0);
-  Registry.derive_float reg "array/data_reduction" (fun () ->
-      let used = Allocator.used_au_count t.st.alloc * t.st.cfg.drive_config.Drive.au_size in
-      if used = 0 then 1.0
-      else float_of_int (Pyramid.live_key_count t.st.blocks * block_size) /. float_of_int used);
-  Registry.derive_float reg "array/availability" (fun () ->
-      let elapsed = Clock.now t.clk -. t.created_at in
-      let down =
-        t.total_downtime
-        +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
-      in
-      if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed)
+  Registry.derive_int reg "array/live_logical_bytes" (fun () -> live_logical_bytes t.st);
+  Registry.derive_int reg "array/provisioned_bytes" (fun () -> provisioned_bytes t.st);
+  Registry.derive_float reg "array/data_reduction" (fun () -> data_reduction t.st);
+  Registry.derive_float reg "array/availability" (fun () -> availability t)
 
 let create ?(config = default_config) ~clock () =
   let t =
@@ -98,31 +105,86 @@ let is_fenced t = t.fenced
 
 (* ---------- volumes ---------- *)
 
+(* A namespace op's metadata writes, in the order it makes them. *)
+type ns_write =
+  | Persist_medium of int  (* the medium's current extent rows *)
+  | Bind of string * volume  (* a name now denotes this volume or snapshot *)
+  | Unbind of string
+  | Drop_medium of int  (* elide a dropped medium's rows and blocks *)
+
+(* The NVRAM stash a write makes, priced before its sequence number is
+   drawn: at the widest one, so pricing can only err towards [`Busy].
+   Every namespace table is NVRAM-backed; the blocks elide of a dropped
+   medium is not stashed. *)
+let ns_stash st w =
+  let seq = Int64.max_int in
+  Meta_log.encode_nvram
+    (Stash
+       (match w with
+       | Persist_medium m ->
+         Fact (Mediums, Fact.make ~key:(Keys.medium_key m) ~value:(medium_value st m) ~seq)
+       | Bind (name, v) -> Fact (Volumes, Fact.make ~key:name ~value:(encode_volume_value v) ~seq)
+       | Unbind name -> Fact (Volumes, Fact.tombstone ~key:name ~seq)
+       | Drop_medium m -> Elide (Mediums, { seq; lo = m; hi = m })))
+
+let ns_apply st = function
+  | Persist_medium m -> persist_medium st m
+  | Bind (name, v) ->
+    State.Stbl.replace st.volumes name v;
+    persist_volume st name v
+  | Unbind name ->
+    State.Stbl.remove st.volumes name;
+    put_delete st Volumes ~key:name
+  | Drop_medium m ->
+    put_elide st Mediums ~lo:m ~hi:m;
+    put_elide st Blocks ~lo:m ~hi:m
+
+(* Namespace ops are acknowledged when they return, and until their segio
+   log records reach the drives, their NVRAM stashes are what makes them
+   durable. So an op NVRAM cannot take in full is [`Busy] and changes
+   nothing. [plan] may mutate only the medium table (restored on
+   [`Busy]) and returns the op's writes. *)
+let ns_op st plan =
+  let saved = Medium.copy st.medium_table in
+  let writes = plan () in
+  if Nvram.admits (nvram st) (List.map (fun w -> String.length (ns_stash st w)) writes) then begin
+    st.medium_next_id <- max st.medium_next_id (Medium.peek_next_id st.medium_table);
+    List.iter (ns_apply st) writes;
+    Ok ()
+  end
+  else begin
+    st.medium_table <- saved;
+    Error `Busy
+  end
+
 let create_volume t name ~blocks =
   let st = t.st in
   if State.Stbl.mem st.volumes name then Error `Exists
   else if blocks <= 0 then invalid_arg "create_volume: blocks must be positive"
   else begin
-    let medium = Medium.create_base st.medium_table ~blocks in
-    st.medium_next_id <- Medium.peek_next_id st.medium_table;
-    let v = { medium; blocks; kind = Volume; observer = fresh_observer () } in
-    State.Stbl.replace st.volumes name v;
-    persist_medium st medium;
-    persist_volume st name v;
-    maybe_persist_boot st;
-    Ok ()
+    let r =
+      ns_op st (fun () ->
+          let medium = Medium.create_base st.medium_table ~blocks in
+          let v = { medium; blocks; kind = Volume; observer = fresh_observer () } in
+          [ Persist_medium medium; Bind (name, v) ])
+    in
+    if Result.is_ok r then maybe_persist_boot st;
+    r
   end
 
-(* Is a medium the current medium of any volume or snapshot? *)
-let medium_in_use st medium =
-  State.Stbl.fold (fun _ v acc -> acc || v.medium = medium) st.volumes false
+(* Is a medium the current medium of any volume or snapshot but [except]? *)
+let medium_in_use st ~except medium =
+  State.Stbl.fold
+    (fun name v acc -> acc || (v.medium = medium && not (String.equal name except)))
+    st.volumes false
 
-(* Drop a medium and cascade into ancestors that become unreferenced.
-   Each drop is one elide insert per table — the paper's point. *)
-let rec drop_medium_cascade st medium =
+(* Drop a medium and cascade into ancestors that become unreferenced,
+   returning the dropped ids in drop order. Each drop is one elide insert
+   per table — the paper's point. *)
+let rec drop_medium_cascade st ~except medium =
   if
     Medium.exists st.medium_table medium
-    && (not (medium_in_use st medium))
+    && (not (medium_in_use st ~except medium))
     && (match Medium.referenced_by st.medium_table medium with [] -> true | _ :: _ -> false)
   then begin
     let targets =
@@ -134,21 +196,21 @@ let rec drop_medium_cascade st medium =
       |> List.sort_uniq Int.compare
     in
     Medium.drop st.medium_table medium;
-    ignore (put_elide st st.mediums_pyr ~lo:medium ~hi:medium);
-    ignore (put_elide st st.blocks ~lo:medium ~hi:medium);
-    List.iter (drop_medium_cascade st) targets
+    medium :: List.concat_map (drop_medium_cascade st ~except) targets
   end
+  else []
+
+(* Retract a name and drop the mediums only it kept alive. *)
+let unbind st name (v : volume) =
+  ns_op st (fun () ->
+      Unbind name
+      :: List.map (fun m -> Drop_medium m) (drop_medium_cascade st ~except:name v.medium))
 
 let delete_volume t name =
-  let st = t.st in
-  match State.Stbl.find_opt st.volumes name with
+  match State.Stbl.find_opt t.st.volumes name with
   | None -> Error `No_such_volume
   | Some { kind = Snapshot; _ } -> Error `Is_snapshot
-  | Some v ->
-    State.Stbl.remove st.volumes name;
-    ignore (put_delete st st.volumes_pyr ~key:name);
-    drop_medium_cascade st v.medium;
-    Ok ()
+  | Some v -> unbind t.st name v
 
 let resize_volume t name ~blocks =
   let st = t.st in
@@ -157,15 +219,11 @@ let resize_volume t name ~blocks =
   | Some { kind = Snapshot; _ } -> Error `Is_snapshot
   | Some v ->
     if blocks < v.blocks then Error `Shrink
-    else begin
-      if blocks > v.blocks then begin
-        Medium.extend st.medium_table v.medium ~blocks:(blocks - v.blocks);
-        v.blocks <- blocks;
-        persist_medium st v.medium;
-        persist_volume st name v
-      end;
-      Ok ()
-    end
+    else if blocks = v.blocks then Ok ()
+    else
+      ns_op st (fun () ->
+          Medium.extend st.medium_table v.medium ~blocks:(blocks - v.blocks);
+          [ Persist_medium v.medium; Bind (name, { v with blocks }) ])
 
 let snapshot t ~volume ~snap =
   let st = t.st in
@@ -174,20 +232,20 @@ let snapshot t ~volume ~snap =
   | Some { kind = Snapshot; _ } -> Error `Is_snapshot
   | Some v ->
     if State.Stbl.mem st.volumes snap then Error `Exists
-    else begin
-      let frozen = v.medium in
-      let snap_medium, successor = Medium.take_snapshot st.medium_table frozen in
-      st.medium_next_id <- Medium.peek_next_id st.medium_table;
-      v.medium <- successor;
-      let s = { medium = snap_medium; blocks = v.blocks; kind = Snapshot; observer = fresh_observer () } in
-      State.Stbl.replace st.volumes snap s;
-      persist_medium st frozen;
-      persist_medium st snap_medium;
-      persist_medium st successor;
-      persist_volume st volume v;
-      persist_volume st snap s;
-      Ok ()
-    end
+    else
+      ns_op st (fun () ->
+          let frozen = v.medium in
+          let snap_medium, successor = Medium.take_snapshot st.medium_table frozen in
+          let s =
+            { medium = snap_medium; blocks = v.blocks; kind = Snapshot; observer = fresh_observer () }
+          in
+          [
+            Persist_medium frozen;
+            Persist_medium snap_medium;
+            Persist_medium successor;
+            Bind (volume, { v with medium = successor });
+            Bind (snap, s);
+          ])
 
 let clone t ~snapshot:snap_name ~volume =
   let st = t.st in
@@ -196,33 +254,24 @@ let clone t ~snapshot:snap_name ~volume =
   | Some { kind = Volume; _ } -> Error `Is_volume
   | Some s ->
     if State.Stbl.mem st.volumes volume then Error `Exists
-    else begin
-      (* clone the medium the snapshot references (its frozen parent): the
-         snapshot handle itself is an empty pass-through layer *)
-      let parent =
-        match Medium.extents st.medium_table s.medium with
-        | [ { Medium.target = Medium.Underlying { medium; _ }; _ } ] -> medium
-        | _ -> s.medium
-      in
-      let medium = Medium.clone st.medium_table parent () in
-      st.medium_next_id <- Medium.peek_next_id st.medium_table;
-      let v = { medium; blocks = s.blocks; kind = Volume; observer = fresh_observer () } in
-      State.Stbl.replace st.volumes volume v;
-      persist_medium st medium;
-      persist_volume st volume v;
-      Ok ()
-    end
+    else
+      ns_op st (fun () ->
+          (* clone the medium the snapshot references (its frozen parent):
+             the snapshot handle itself is an empty pass-through layer *)
+          let parent =
+            match Medium.extents st.medium_table s.medium with
+            | [ { Medium.target = Medium.Underlying { medium; _ }; _ } ] -> medium
+            | _ -> s.medium
+          in
+          let medium = Medium.clone st.medium_table parent () in
+          let v = { medium; blocks = s.blocks; kind = Volume; observer = fresh_observer () } in
+          [ Persist_medium medium; Bind (volume, v) ])
 
 let delete_snapshot t name =
-  let st = t.st in
-  match State.Stbl.find_opt st.volumes name with
+  match State.Stbl.find_opt t.st.volumes name with
   | None -> Error `No_such_volume
   | Some { kind = Volume; _ } -> Error `Is_volume
-  | Some v ->
-    State.Stbl.remove st.volumes name;
-    ignore (put_delete st st.volumes_pyr ~key:name);
-    drop_medium_cascade st v.medium;
-    Ok ()
+  | Some v -> unbind t.st name v
 
 let list_volumes t =
   State.Stbl.fold
@@ -284,42 +333,30 @@ let set_read_fault t f = Io.set_fault t.st.io f
 
 let rebuild_drive t drive k =
   let st = t.st in
+  let settle k =
+    (try seal_current st with Out_of_space -> ());
+    when_flushed st k
+  in
   (* flush the open segio first so every segment touching the drive is a
      sealed, relocatable victim *)
-  (try seal_current st with Out_of_space -> ());
-  when_flushed st (fun () ->
-  let victims =
-    Hashtbl.fold
-      (fun id (meta : Segment.t) acc ->
-        let touches =
-          Array.exists (fun (m : Segment.member) -> m.Segment.drive = drive) meta.Segment.members
-        in
-        if touches then id :: acc else acc)
-      st.segment_metas []
-  in
-  let live = Gc.liveness st in
-  let content_cache = Purity_util.Keytbl.I64.create 16 in
-  let counters = (ref 0, ref 0, ref 0) in
-  let released = ref [] in
-  let rec go = function
-    | [] ->
-      (try seal_current st with Out_of_space -> ());
-      when_flushed st (fun () ->
-          match !released with
-          | [] -> k 0
-          | _ :: _ ->
-            (* as in GC and scrub: a checkpoint must cover the victims'
-               log records before their headers are destroyed *)
-            Checkpoint.run st (fun _ckpt ->
-                List.iter (Gc.release_segment st) !released;
-                maybe_persist_boot st;
-                k (List.length !released)))
-    | seg :: rest ->
-      Gc.relocate_segment st ~live ~content_cache ~counters seg (fun ok ->
-          if ok then released := seg :: !released;
-          go rest)
-  in
-  go victims)
+  settle (fun () ->
+      let victims =
+        Hashtbl.fold
+          (fun id (meta : Segment.t) acc ->
+            let touches =
+              Array.exists
+                (fun (m : Segment.member) -> m.Segment.drive = drive)
+                meta.Segment.members
+            in
+            if touches then id :: acc else acc)
+          st.segment_metas []
+      in
+      match victims with
+      | [] -> settle (fun () -> k 0)
+      | _ :: _ ->
+        Gc.evacuate st ~live:(Gc.liveness st) ~content_cache:(Purity_util.Keytbl.I64.create 16)
+          ~counters:(ref 0, ref 0, ref 0) ~settle victims (fun released _ ->
+            k (List.length released)))
 
 let crash t =
   t.st.online <- false;
@@ -371,34 +408,18 @@ type stats = {
 
 let stats t =
   let st = t.st in
-  let au = st.cfg.drive_config.Drive.au_size in
-  let live_logical = Pyramid.live_key_count st.blocks * block_size in
-  let physical_used = Allocator.used_au_count st.alloc * au in
-  let capacity = Shelf.physical_bytes st.shelf in
-  let provisioned =
-    State.Stbl.fold
-      (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size))
-      st.volumes 0
-  in
-  let elapsed = Clock.now t.clk -. t.created_at in
-  let down =
-    t.total_downtime
-    +. (match t.crash_time with Some at -> Clock.now t.clk -. at | None -> 0.0)
-  in
-  (* the path counters live in the telemetry registry now; [stats] reads
+  (* the path counters live in the telemetry registry; [stats] reads
      them back through their handles, so both views always agree *)
   {
     app_writes = Registry.value st.ws.app_writes;
     app_reads = t.app_reads;
     logical_bytes_written = Registry.value st.ws.logical_bytes;
     stored_bytes_written = Registry.value st.ws.stored_bytes;
-    live_logical_bytes = live_logical;
-    physical_bytes_used = physical_used;
-    physical_capacity = capacity;
-    data_reduction =
-      (if physical_used = 0 then 1.0
-       else float_of_int live_logical /. float_of_int physical_used);
-    provisioned_virtual_bytes = provisioned;
+    live_logical_bytes = live_logical_bytes st;
+    physical_bytes_used = physical_bytes_used st;
+    physical_capacity = Shelf.physical_bytes st.shelf;
+    data_reduction = data_reduction st;
+    provisioned_virtual_bytes = provisioned_bytes st;
     dedup_blocks = Registry.value st.ws.dedup_blocks;
     gc_dedup_blocks = Registry.value st.ws.gc_dedup_blocks;
     write_latency = st.write_lat;
@@ -406,7 +427,7 @@ let stats t =
     io = Io.stats st.io;
     boot_region_writes = Boot_region.writes st.boot;
     segments_live = Hashtbl.length st.segment_metas;
-    availability = (if elapsed <= 0.0 then 1.0 else (elapsed -. down) /. elapsed);
+    availability = availability t;
     cache_hits = Registry.value st.ws.cache_hits;
     cache_misses = Registry.value st.ws.cache_misses;
   }

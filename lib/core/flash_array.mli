@@ -65,6 +65,8 @@ val block_size : int
     All sizes and addresses are in 512-byte blocks. *)
 
 type vol_error = [ `Exists | `No_such_volume | `Busy | `Is_snapshot | `Is_volume ]
+(** [`Busy]: NVRAM cannot take the op's metadata stashes right now. The
+    op changed nothing; retry once segio flushes have drained NVRAM. *)
 
 val create_volume : t -> string -> blocks:int -> (unit, vol_error) result
 val delete_volume : t -> string -> (unit, vol_error) result

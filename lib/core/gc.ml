@@ -111,22 +111,21 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
                 in
                 List.iter
                   (fun (medium, block, index) ->
-                    ignore
-                      (put t t.blocks
-                         ~key:(Keys.block_key ~medium ~block)
-                         ~value:(Blockref.encode { base with Blockref.index })))
+                    put t Blocks ~key:(Keys.block_key ~medium ~block)
+                      ~value:(Blockref.encode { base with Blockref.index }))
                   !refs
               with Out_of_space -> all_ok := false));
             go rest)
     in
     go entries
 
+(* Destroy a relocated segment; returns the bytes of AUs it gave back. *)
 let release_segment t seg_id =
   match Hashtbl.find_opt t.segment_metas seg_id with
-  | None -> ()
+  | None -> 0
   | Some meta ->
     Hashtbl.remove t.segment_metas seg_id;
-    ignore (put_delete t t.segments_pyr ~key:(Keys.segment_key seg_id));
+    put_delete t Segments ~key:(Keys.segment_key seg_id);
     Array.iter
       (fun (m : Segment.member) ->
         let d = Shelf.drive t.shelf m.Segment.drive in
@@ -143,7 +142,36 @@ let release_segment t seg_id =
       (fun wid ->
         Hashtbl.remove t.dedup_locs wid;
         Dedup.forget t.dedup ~write_id:wid)
-      stale
+      stale;
+    Array.length meta.Segment.members * t.cfg.drive_config.Drive.au_size
+
+(* Evacuate [victims]: relocate each one's live cblocks, run [settle]
+   (the caller's step between relocation and checkpoint), checkpoint, then
+   destroy the victims whose every live cblock moved. [k] gets those, in
+   victim order, and the bytes their release reclaimed. Destroying a
+   victim also destroys its header log records, which may hold the only
+   durable copy of metadata facts whose NVRAM stashes were already
+   trimmed: a checkpoint must cover them first, so the release waits for
+   one. A crash mid-pass abandons it, and [k] never runs. *)
+let evacuate t ~live ~content_cache ~counters ~settle victims k =
+  let released = ref [] in
+  let rec go = function
+    | [] ->
+      if t.online then
+        settle (fun () ->
+            Checkpoint.run t (fun _ckpt ->
+                let released = List.rev !released in
+                let reclaimed =
+                  List.fold_left (fun acc id -> acc + release_segment t id) 0 released
+                in
+                maybe_persist_boot t;
+                k released reclaimed))
+    | seg_id :: rest ->
+      relocate_segment t ~live ~content_cache ~counters seg_id (fun ok ->
+          if ok then released := seg_id :: !released;
+          go rest)
+  in
+  go victims
 
 let flatten_mediums t =
   Medium.shortcut t.medium_table ~has_blocks:(fun ~medium ~lo ~hi ->
@@ -191,65 +219,35 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
   let content_cache = I64tbl.create 64 in
   let relocated = ref 0 and rel_bytes = ref 0 and dedup_hits = ref 0 in
   let counters = (relocated, rel_bytes, dedup_hits) in
-  let releasable = ref [] in
   (* 4.7 segregation: relocate multiply-referenced cblocks in their own
      phase, sealing the segio in between, so deduplicated data clusters in
      dedicated segments *)
   let shared_count = ref 0 in
-  let rec relocate_all = function
-    | [] ->
-      (* flatten medium trees, then checkpoint: the checkpoint both
-         persists the relocation facts and makes every victim's log
-         records redundant (they are covered by the new patches), so the
-         victims can be destroyed without losing recovery information *)
-      if not t.online then ()
-        (* crash landed between relocation steps; abandon the pass *)
-      else begin
-      flatten_mediums t;
-      Checkpoint.run t (fun _ckpt ->
-          let releasable = List.rev !releasable in
-          let reclaimed =
-            List.fold_left
-              (fun acc seg_id ->
-                match Hashtbl.find_opt t.segment_metas seg_id with
-                | Some meta ->
-                  acc
-                  + (Array.length meta.Segment.members
-                    * t.cfg.drive_config.Drive.au_size)
-                | None -> acc)
-              0 releasable
-          in
-          List.iter (release_segment t) releasable;
-          maybe_persist_boot t;
-          let duration_us = Clock.now t.clock -. start in
-          Registry.incr c_passes;
-          Registry.add c_victims (List.length releasable);
-          Registry.add c_relocated !relocated;
-          Registry.add c_rel_bytes !rel_bytes;
-          Registry.add c_reclaimed reclaimed;
-          Histogram.record h_pass_us duration_us;
-          Span.finish
-            ~tags:
-              [
-                ("victims", string_of_int (List.length releasable));
-                ("relocated", string_of_int !relocated);
-              ]
-            gc_span;
-          k
-            {
-              victims = releasable;
-              relocated_cblocks = !relocated;
-              relocated_bytes = !rel_bytes;
-              reclaimed_bytes = reclaimed;
-              gc_dedup_hits = !dedup_hits;
-              shared_cblocks = !shared_count;
-              duration_us;
-            })
-      end
-    | seg_id :: rest ->
-      relocate_segment t ~live ~content_cache ~counters seg_id (fun ok ->
-          if ok then releasable := seg_id :: !releasable;
-          relocate_all rest)
+  let finish releasable reclaimed =
+    let duration_us = Clock.now t.clock -. start in
+    Registry.incr c_passes;
+    Registry.add c_victims (List.length releasable);
+    Registry.add c_relocated !relocated;
+    Registry.add c_rel_bytes !rel_bytes;
+    Registry.add c_reclaimed reclaimed;
+    Histogram.record h_pass_us duration_us;
+    Span.finish
+      ~tags:
+        [
+          ("victims", string_of_int (List.length releasable));
+          ("relocated", string_of_int !relocated);
+        ]
+      gc_span;
+    k
+      {
+        victims = releasable;
+        relocated_cblocks = !relocated;
+        relocated_bytes = !rel_bytes;
+        reclaimed_bytes = reclaimed;
+        gc_dedup_hits = !dedup_hits;
+        shared_cblocks = !shared_count;
+        duration_us;
+      }
   in
   (* count the shared cblocks for the report (segregation happens inside
      relocate_segment's two-phase ordering) *)
@@ -263,4 +261,10 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
             if List.length !refs > max 1 (stored_len / 512) then incr shared_count)
           per_seg)
     victims;
-  relocate_all victims
+  (* flatten medium trees before the checkpoint, which then persists the
+     relocation and flatten facts along with covering the victims *)
+  evacuate t ~live ~content_cache ~counters
+    ~settle:(fun k ->
+      flatten_mediums t;
+      k ())
+    victims finish

@@ -36,49 +36,12 @@ type chaos = { mutable skip_nvram_replay : bool }
 
 let chaos = { skip_nvram_replay = false }
 
-let replay_log_record t record =
-  let buf = Bytes.unsafe_of_string record in
-  if Bytes.length buf = 0 then 0
-  else begin
-    let route tag =
-      match tag with
-      | 'B' -> Some t.blocks
-      | 'M' -> Some t.mediums_pyr
-      | 'S' -> Some t.segments_pyr
-      | 'V' -> Some t.volumes_pyr
-      | _ -> None
-    in
-    match Bytes.get buf 0 with
-    | 'e' ->
-      (* elide record: 'e' tag seq lo hi *)
-      if Bytes.length buf < 2 then 0
-      else begin
-        match route (Bytes.get buf 1) with
-        | None -> 0
-        | Some pyr -> (
-          (* the varint reads sit inside the match scrutinee: a record
-             truncated mid-field skips, like any other corrupt record *)
-          match
-            let seq, p = Varint.read_i64 buf ~pos:2 in
-            let lo, p = Varint.read buf ~pos:p in
-            let hi, _ = Varint.read buf ~pos:p in
-            (seq, lo, hi)
-          with
-          | exception Invalid_argument _ -> 0
-          | seq, lo, hi ->
-            (try Pyramid.elide_range pyr ~seq ~lo ~hi with Invalid_argument _ -> ());
-            1)
-      end
-    | tag -> (
-      match route tag with
-      | None -> 0
-      | Some pyr -> (
-        match Fact.decode buf ~pos:1 with
-        | fact, _ ->
-          Pyramid.insert_fact pyr fact;
-          1
-        | exception Invalid_argument _ -> 0))
-  end
+(* Insert one decoded fact or elide into its table. An elide a table's
+   policy refuses (or with [lo > hi]) is skipped like any corrupt record. *)
+let replay_meta t : Meta_log.meta -> unit = function
+  | Fact (table, fact) -> Pyramid.insert_fact (pyramid t table) fact
+  | Elide (table, { seq; lo; hi }) -> (
+    try Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi with Invalid_argument _ -> ())
 
 (* Rebuild volatile state from the recovered pyramids. *)
 let rebuild_derived t ~medium_next_hint =
@@ -147,7 +110,7 @@ let rebuild_derived t ~medium_next_hint =
   (* the sequence counter must move past everything rediscovered *)
   List.iter
     (fun pyr -> Seqno.restore_at_least t.seqno (Pyramid.max_seq pyr))
-    [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ]
+    (List.map (pyramid t) Meta_log.tables)
 
 (* Fallback commit evidence for a scanned segment: every member AU on a
    reachable drive holds the complete shard (header plus every data row
@@ -271,11 +234,6 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
       in
       (* load checkpoint patches *)
       let ckpt_bytes = ref 0 in
-      let pyr_of_name name =
-        List.find_opt
-          (fun p -> String.equal (Pyramid.name p) name)
-          [ t.blocks; t.mediums_pyr; t.segments_pyr; t.volumes_pyr ]
-      in
       let ckpt_segments = ref [] in
       let load_chunks chunks k =
         let parts = Array.make (List.length chunks) "" in
@@ -310,9 +268,10 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
         match dir with
         | [] -> k ()
         | (name, ranges, chunks) :: rest -> (
-          match pyr_of_name name with
+          match Meta_log.table_of_name name with
           | None -> load_dir rest k
-          | Some pyr ->
+          | Some table ->
+            let pyr = pyramid t table in
             load_chunks chunks (fun blob ->
                 ckpt_bytes := !ckpt_bytes + String.length blob;
                 (if String.length blob > 0 then
@@ -380,23 +339,15 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
               let nvram_commits = Hashtbl.create 16 in
               List.iter
                 (fun (r : Nvram.record) ->
-                  let p = r.Nvram.payload in
                   (* stashes at or below the checkpoint watermark carry no
                      information the patches don't: in particular a released
                      segment's stale 'S' stash must not count as commit
                      proof *)
-                  if
-                    Int64.compare r.Nvram.seq t.checkpoint_seq > 0
-                    && String.length p >= 2
-                    && p.[0] = 'F'
-                    && p.[1] = 'S'
-                  then
-                    match Fact.decode (Bytes.unsafe_of_string p) ~pos:2 with
-                    | fact, _ ->
-                      if Option.is_some fact.Fact.value then
-                        Hashtbl.replace nvram_commits
-                          (Keys.segment_key_id fact.Fact.key) ()
-                    | exception Invalid_argument _ -> ())
+                  if Int64.compare r.Nvram.seq t.checkpoint_seq > 0 then
+                    match Meta_log.decode_stash r.Nvram.payload with
+                    | Some (Fact (Segments, { key; value = Some _; _ })) ->
+                      Hashtbl.replace nvram_commits (Keys.segment_key_id key) ()
+                    | Some _ | None -> ())
                 (Nvram.records (nvram t));
               let committed (seg : Segment.t) =
                 Hashtbl.mem t.segment_metas seg.Segment.id
@@ -440,7 +391,11 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                                  re-release would trim AUs reused by live
                                  segments) *)
                               if Int64.compare seq t.checkpoint_seq > 0 then
-                                log_records := !log_records + replay_log_record t record)
+                                match Meta_log.decode_log record with
+                                | Some m ->
+                                  replay_meta t m;
+                                  incr log_records
+                                | None -> ())
                             rs
                         | Error `Unrecoverable -> ());
                         replay_logs rest k)
@@ -470,7 +425,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                       Option.is_none (Pyramid.find t.segments_pyr key)
                       && Option.is_none (Pyramid.find_ignoring_retractions t.segments_pyr key)
                     then
-                      try ignore (put t t.segments_pyr ~key ~value:(Segment.encode_compact seg))
+                      try put t Segments ~key ~value:(Segment.encode_compact seg)
                       with Out_of_space -> ())
                   !trusted;
                 (* NVRAM intents: writes acked but possibly not in any
@@ -479,79 +434,31 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                   if chaos.skip_nvram_replay then [] else Nvram.records (nvram t)
                 in
                 let n = List.length records in
-                let route tag =
-                  match tag with
-                  | 'M' -> Some t.mediums_pyr
-                  | 'V' -> Some t.volumes_pyr
-                  | 'S' -> Some t.segments_pyr
-                  | _ -> None
-                in
                 (* Replayed metadata must become durable again: its NVRAM
                    record will be trimmed at the next segio flush, and the
                    bare replay would leave the fact memtable-only.  It is
                    re-inserted, re-logged and re-stashed under its ORIGINAL
                    sequence number — re-putting with a fresh one would let
                    a stale stash outrank newer facts recovered from the
-                   patches or the segment logs. *)
-                let replay_meta payload =
-                  let buf = Bytes.unsafe_of_string payload in
-                  if Bytes.length buf >= 2 then
-                    match route (Bytes.get buf 1) with
-                    | None -> ()
-                    | Some pyr -> (
-                      match Fact.decode buf ~pos:2 with
-                      | fact, _ ->
-                        Pyramid.insert_fact pyr fact;
-                        let tag = Bytes.get buf 1 in
-                        (try
-                           log_fact t tag fact;
-                           stash_fact t tag fact
-                         with Out_of_space -> ())
-                      | exception Invalid_argument _ -> ())
-                in
-                let replay_elide payload =
-                  let buf = Bytes.unsafe_of_string payload in
-                  if Bytes.length buf >= 2 then
-                    match route (Bytes.get buf 1) with
-                    | None -> ()
-                    | Some pyr -> (
-                      match
-                        let seq, p = Varint.read_i64 buf ~pos:2 in
-                        let lo, p = Varint.read buf ~pos:p in
-                        let hi, _ = Varint.read buf ~pos:p in
-                        (seq, lo, hi)
-                      with
-                      | seq, lo, hi ->
-                        (try Pyramid.elide_range pyr ~seq ~lo ~hi
-                         with Invalid_argument _ -> ());
-                        let tag = Bytes.get buf 1 in
-                        (try
-                           log_elide t tag ~seq ~lo ~hi;
-                           stash_elide t tag ~seq ~lo ~hi
-                         with Out_of_space -> ())
-                      | exception Invalid_argument _ -> ())
-                in
+                   patches or the segment logs.  Metadata stashes at or
+                   below the checkpoint watermark are already in the
+                   patches (or deliberately compacted away) and are not
+                   replayed. *)
                 List.iter
                   (fun (r : Nvram.record) ->
-                    let payload = r.Nvram.payload in
-                    if String.length payload > 0 then
-                      match payload.[0] with
-                      | 'W' -> (
-                        match Write_path.decode_intent payload with
-                        | medium, block, data ->
-                          (try Write_path.apply_write t ~medium ~block data
-                           with Out_of_space -> ());
-                          t.last_applied_intent <- r.Nvram.seq
-                        | exception Invalid_argument _ -> ())
-                      (* metadata stashes below the checkpoint watermark are
-                         already in the patches (or deliberately compacted
-                         away); re-putting them with a fresh seq would shadow
-                         newer state *)
-                      | 'F' when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 ->
-                        replay_meta payload
-                      | 'E' when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 ->
-                        replay_elide payload
-                      | _ -> ())
+                    match Meta_log.decode_nvram r.Nvram.payload with
+                    | Some (Intent { medium; block; data }) ->
+                      (try Write_path.apply_write t ~medium ~block data
+                       with Out_of_space -> ());
+                      t.last_applied_intent <- r.Nvram.seq
+                    | Some (Stash m) when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 -> (
+                      replay_meta t m;
+                      try
+                        match m with
+                        | Fact (table, fact) -> record_fact t table fact
+                        | Elide (table, { seq; lo; hi }) -> record_elide t table ~seq ~lo ~hi
+                      with Out_of_space -> ())
+                    | Some (Stash _) | None -> ())
                   records;
                 (* derived state again: replayed intents may have grown things *)
                 rebuild_derived t ~medium_next_hint;

@@ -56,7 +56,6 @@ let run t k =
   let targets =
     Hashtbl.fold (fun id m acc -> if id = open_id then acc else (id, m) :: acc) t.segment_metas []
   in
-  let live = lazy (Gc.liveness t) in
   let checked = ref 0 and members = ref 0 and corrupt = ref 0 in
   let to_relocate = ref [] in
   let rec scan = function
@@ -71,59 +70,35 @@ let run t k =
           end;
           scan rest)
   and relocate () =
-    let content_cache = Gc.I64tbl.create 16 in
-    let counters = (ref 0, ref 0, ref 0) in
-    let released = ref [] in
-    let rec go = function
-      | [] ->
-        if not t.online then ()
-          (* crash landed between relocation steps; abandon the pass *)
-        else begin
-        seal_current t;
-        when_flushed t (fun () ->
-            (* Destroying a victim also destroys its header log records,
-               which may hold the only durable copy of metadata facts
-               whose NVRAM records were already trimmed. As in GC, a
-               checkpoint must cover them before the segment goes away. *)
-            let release k =
-              match !released with
-              | [] -> k ()
-              | _ :: _ ->
-                Checkpoint.run t (fun _ckpt ->
-                    List.iter (Gc.release_segment t) !released;
-                    maybe_persist_boot t;
-                    k ())
-            in
-            release (fun () ->
-            let duration_us = Clock.now t.clock -. start in
-            Registry.incr c_passes;
-            Registry.add c_checked !checked;
-            Registry.add c_members !members;
-            Registry.add c_corrupt !corrupt;
-            Registry.add c_relocated (List.length !released);
-            Histogram.record h_pass_us duration_us;
-            Span.finish
-              ~tags:
-                [
-                  ("checked", string_of_int !checked);
-                  ("corrupt", string_of_int !corrupt);
-                ]
-              scrub_span;
-            k
-              {
-                segments_checked = !checked;
-                members_read = !members;
-                corrupt_members = !corrupt;
-                segments_relocated = List.length !released;
-                duration_us;
-              }))
-        end
-      | seg_id :: rest ->
-        Gc.relocate_segment t ~live:(Lazy.force live) ~content_cache ~counters seg_id
-          (fun ok ->
-            if ok then released := seg_id :: !released;
-            go rest)
+    let settle k =
+      seal_current t;
+      when_flushed t k
     in
-    go !to_relocate
+    let finish relocated =
+      let duration_us = Clock.now t.clock -. start in
+      Registry.incr c_passes;
+      Registry.add c_checked !checked;
+      Registry.add c_members !members;
+      Registry.add c_corrupt !corrupt;
+      Registry.add c_relocated relocated;
+      Histogram.record h_pass_us duration_us;
+      Span.finish
+        ~tags:[ ("checked", string_of_int !checked); ("corrupt", string_of_int !corrupt) ]
+        scrub_span;
+      k
+        {
+          segments_checked = !checked;
+          members_read = !members;
+          corrupt_members = !corrupt;
+          segments_relocated = relocated;
+          duration_us;
+        }
+    in
+    match !to_relocate with
+    | [] -> if t.online then settle (fun () -> finish 0)
+    | victims ->
+      Gc.evacuate t ~live:(Gc.liveness t) ~content_cache:(Gc.I64tbl.create 16)
+        ~counters:(ref 0, ref 0, ref 0) ~settle victims (fun released _ ->
+          finish (List.length released))
   in
   scan targets

@@ -106,8 +106,8 @@ type io_observer = {
 }
 
 type volume = {
-  mutable medium : int;
-  mutable blocks : int;
+  medium : int;
+  blocks : int;
   kind : volume_kind;
   observer : io_observer;
 }
@@ -236,11 +236,14 @@ let blocks_policy = Pyramid.Elide (fun f -> Keys.block_key_medium f.Fact.key)
 let mediums_policy = Pyramid.Elide (fun f -> Keys.medium_key_id f.Fact.key)
 
 let fresh_volatile cfg clock =
-  let memtable_flush_count = cfg.memtable_flush in
-  ( Pyramid.create ~memtable_flush_count ~policy:blocks_policy ~name:"blocks" (),
-    Pyramid.create ~memtable_flush_count ~policy:mediums_policy ~name:"mediums" (),
-    Pyramid.create ~memtable_flush_count ~policy:Pyramid.Tombstones ~name:"segments" (),
-    Pyramid.create ~memtable_flush_count ~policy:Pyramid.Tombstones ~name:"volumes" (),
+  let create policy table =
+    Pyramid.create ~memtable_flush_count:cfg.memtable_flush ~policy
+      ~name:(Meta_log.name table) ()
+  in
+  ( create blocks_policy Blocks,
+    create mediums_policy Mediums,
+    create Pyramid.Tombstones Segments,
+    create Pyramid.Tombstones Volumes,
     ignore clock )
 
 (* Derived metrics over controller state: sampled at snapshot time, so
@@ -382,6 +385,12 @@ let create ?(config = default_config) ~clock () =
 
 let nvram t = Shelf.nvram t.shelf
 
+let pyramid t : Meta_log.table -> Pyramid.t = function
+  | Blocks -> t.blocks
+  | Mediums -> t.mediums_pyr
+  | Segments -> t.segments_pyr
+  | Volumes -> t.volumes_pyr
+
 (* Re-publish the flush-pipeline snapshot; call after any mutation of
    next_segment_id / unflushed / pending_flush_count. Main domain only
    (the Epoch cell is single-writer). *)
@@ -405,39 +414,19 @@ let lane_arenas t ~lanes =
   end;
   t.arenas
 
-(* Metadata of the volume/medium tables is additionally committed to
-   NVRAM (fire-and-forget: the model's log state mutates at call time), so
-   namespace operations survive a crash even when their segio log records
-   were still in RAM. Block facts don't need this: the write intent that
-   produced them is already in NVRAM. Segment-table facts are backed too,
-   but for a different reason — the 'S' fact written at flush completion
-   is the segment's commit record, and recovery refuses to replay log
-   records out of a segment with no surviving proof of commit (a torn
-   flush can leave the log region readable while data rows are gone). *)
-let nvram_backed tag = tag = 'M' || tag = 'V' || tag = 'S'
+(* Stash one metadata record in NVRAM (see {!Meta_log.nvram_backed}).
+   Fire-and-forget: the record is durable once admitted, at call time. A
+   refusal is dropped here, so a caller that acknowledges on the strength
+   of its stashes prices them first, as namespace ops do; the other
+   stashers (the flush's commit record, GC and checkpoint bookkeeping)
+   have their log copies and the next checkpoint behind them. *)
+let stash t ~seq record =
+  Nvram.commit (nvram t) ~seq ~len:(String.length record) (fun () -> record) (fun _ -> ())
 
-let stash_fact t tag fact =
-  if nvram_backed tag then begin
-    let buf = Buffer.create 64 in
-    Buffer.add_char buf 'F';
-    Buffer.add_char buf tag;
-    Fact.encode buf fact;
-    Nvram.commit (nvram t) ~seq:fact.Fact.seq ~len:(Buffer.length buf)
-      (fun () -> Buffer.contents buf)
-      (fun _ -> ())
-  end
 let online_drive t d = Drive.is_online (Shelf.drive t.shelf d)
 
 (* ---------- fact logging: every metadata mutation is also a log record
    in the current segio, so recovery can rediscover it (Figure 4). ---- *)
-
-let table_tag pyr_name =
-  match pyr_name with
-  | "blocks" -> 'B'
-  | "mediums" -> 'M'
-  | "segments" -> 'S'
-  | "volumes" -> 'V'
-  | _ -> invalid_arg "unknown table"
 
 exception Out_of_space
 
@@ -591,8 +580,7 @@ and pump_flush t =
         in
         Pyramid.insert t.segments_pyr ~seq ~key:(Keys.segment_key seg.Segment.id)
           ~value:(Segment.encode_compact seg);
-        log_fact t 'S' fact;
-        stash_fact t 'S' fact;
+        record_fact t Meta_log.Segments fact;
         (* in-order NVRAM trim *)
         Hashtbl.replace t.flushed seg.Segment.id ();
         let continue = ref true in
@@ -626,11 +614,11 @@ and append_log_record t ~seq record =
     if not (Writer.append_log w ~seq record) then raise Out_of_space
   end
 
-and log_fact t tag fact =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf tag;
-  Fact.encode buf fact;
-  append_log_record t ~seq:fact.Fact.seq (Buffer.contents buf)
+(* Log a fact in the current segio, and stash it in NVRAM if its table
+   is backed. *)
+and record_fact t table fact =
+  append_log_record t ~seq:fact.Fact.seq (Meta_log.log_fact table fact);
+  if Meta_log.nvram_backed table then stash t ~seq:fact.Fact.seq (Meta_log.stash_fact table fact)
 
 (* Store a data blob (cblock frame or patch chunk) in the current segio.
    Returns (segment id, payload offset). *)
@@ -665,27 +653,9 @@ let[@purity.lint.allow
     | Some off -> (Writer.id w, off)
     | None -> raise Out_of_space)
 
-let log_elide t tag ~seq ~lo ~hi =
-  let buf = Buffer.create 16 in
-  Buffer.add_char buf 'e';
-  Buffer.add_char buf tag;
-  Varint.write_i64 buf seq;
-  Varint.write buf lo;
-  Varint.write buf hi;
-  append_log_record t ~seq (Buffer.contents buf)
-
-let stash_elide t tag ~seq ~lo ~hi =
-  if nvram_backed tag then begin
-    let buf = Buffer.create 24 in
-    Buffer.add_char buf 'E';
-    Buffer.add_char buf tag;
-    Varint.write_i64 buf seq;
-    Varint.write buf lo;
-    Varint.write buf hi;
-    Nvram.commit (nvram t) ~seq ~len:(Buffer.length buf)
-      (fun () -> Buffer.contents buf)
-      (fun _ -> ())
-  end
+let record_elide t table ~seq ~lo ~hi =
+  append_log_record t ~seq (Meta_log.log_elide table ~seq ~lo ~hi);
+  if Meta_log.nvram_backed table then stash t ~seq (Meta_log.stash_elide table ~seq ~lo ~hi)
 
 (* Mapping-cache invalidation. Every mutation of the block pyramid flows
    through put/put_delete/put_elide below (the write path's overwrites,
@@ -709,39 +679,27 @@ let invalidate_medium_mappings t ~lo ~hi =
   List.iter (Purity_util.Lru.remove t.map_cache) victims
 
 (* Insert + log helpers used by all mutation paths. *)
-let put t pyr ~key ~value =
-  if pyr == t.blocks then invalidate_block_mapping t key;
-  let seq = Seqno.next t.seqno in
-  let fact = Fact.make ~key ~value ~seq in
-  Pyramid.insert_fact pyr fact;
-  let tag = table_tag (Pyramid.name pyr) in
-  log_fact t tag fact;
-  stash_fact t tag fact;
-  seq
+let put_fact t (table : Meta_log.table) fact =
+  (match table with
+  | Blocks -> invalidate_block_mapping t fact.Fact.key
+  | Mediums | Segments | Volumes -> ());
+  Pyramid.insert_fact (pyramid t table) fact;
+  record_fact t table fact
 
-let put_delete t pyr ~key =
-  if pyr == t.blocks then invalidate_block_mapping t key;
-  let seq = Seqno.next t.seqno in
-  let fact = Fact.tombstone ~key ~seq in
-  Pyramid.insert_fact pyr fact;
-  let tag = table_tag (Pyramid.name pyr) in
-  log_fact t tag fact;
-  stash_fact t tag fact;
-  seq
+let put t table ~key ~value = put_fact t table (Fact.make ~key ~value ~seq:(Seqno.next t.seqno))
+let put_delete t table ~key = put_fact t table (Fact.tombstone ~key ~seq:(Seqno.next t.seqno))
 
-let put_elide t pyr ~lo ~hi =
-  if pyr == t.blocks then invalidate_medium_mappings t ~lo ~hi;
+let put_elide t (table : Meta_log.table) ~lo ~hi =
+  (match table with
+  | Blocks -> invalidate_medium_mappings t ~lo ~hi
+  | Mediums | Segments | Volumes -> ());
   let seq = Seqno.next t.seqno in
-  Pyramid.elide_range pyr ~seq ~lo ~hi;
-  let tag = table_tag (Pyramid.name pyr) in
-  log_elide t tag ~seq ~lo ~hi;
-  stash_elide t tag ~seq ~lo ~hi;
-  seq
+  Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi;
+  record_elide t table ~seq ~lo ~hi
 
 (* Persist the current extent rows of a medium as a fact. *)
-let persist_medium t id =
-  let extents = Medium.extents t.medium_table id in
-  ignore (put t t.mediums_pyr ~key:(Keys.medium_key id) ~value:(Medium.encode_extents extents))
+let medium_value t id = Medium.encode_extents (Medium.extents t.medium_table id)
+let persist_medium t id = put t Mediums ~key:(Keys.medium_key id) ~value:(medium_value t id)
 
 let encode_volume_value v =
   let buf = Buffer.create 8 in
@@ -757,8 +715,7 @@ let decode_volume_value s =
   let blocks, _ = Varint.read buf ~pos:p in
   { medium; blocks; kind; observer = fresh_observer () }
 
-let persist_volume t name v =
-  ignore (put t t.volumes_pyr ~key:name ~value:(encode_volume_value v))
+let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
 let lookup_blockref_uncached t ~medium ~block =
   match Pyramid.find t.blocks (Keys.block_key ~medium ~block) with

@@ -21,37 +21,13 @@ type error =
   | `No_space
   | `Offline ]
 
-let intent_size ~medium ~block len =
-  1 + Varint.size medium + Varint.size block + Varint.size len + len
-
-(* One exact-size buffer: header varints, then the payload blitted once. *)
-let encode_intent ~medium ~block data =
-  let len = String.length data in
-  let buf = Bytes.create (intent_size ~medium ~block len) in
-  Bytes.set buf 0 'W';
-  let p = Varint.put buf ~pos:1 medium in
-  let p = Varint.put buf ~pos:p block in
-  let p = Varint.put buf ~pos:p len in
-  Bytes.blit_string data 0 buf p len;
-  Bytes.unsafe_to_string buf
-
-let decode_intent s =
-  let buf = Bytes.unsafe_of_string s in
-  if Bytes.length buf = 0 || Bytes.get buf 0 <> 'W' then
-    invalid_arg "decode_intent: not a write intent";
-  let medium, p = Varint.read buf ~pos:1 in
-  let block, p = Varint.read buf ~pos:p in
-  let len, p = Varint.read buf ~pos:p in
-  if p + len > Bytes.length buf then invalid_arg "decode_intent: truncated";
-  (medium, block, Bytes.sub_string buf p len)
-
 (* [s] itself when the slice is the whole string: strings are immutable,
    so sharing is indistinguishable from a copy. *)
 let slice s off n = if off = 0 && n = String.length s then s else String.sub s off n
 
 (* Record one block-index fact (and its log record). *)
 let put_block t ~medium ~block (r : Blockref.t) =
-  ignore (put t t.blocks ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r))
+  put t Blocks ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r)
 
 (* Store one fresh run of blocks as a cblock; returns its home. The
    frame is built in the controller's arena — compression runs in the
@@ -231,8 +207,8 @@ let write t ~volume ~block data k =
           (* the intent is encoded only if NVRAM admits it: a refused
              attempt under backpressure copies none of the payload *)
           Nvram.commit (nvram t) ~seq:intent_seq
-            ~len:(intent_size ~medium ~block len)
-            (fun () -> encode_intent ~medium ~block data)
+            ~len:(Meta_log.intent_size ~medium ~block len)
+            (fun () -> Meta_log.encode_intent ~medium ~block data)
             (function
             | Error `Full ->
               Span.finish ~tags:[ ("error", "backpressure") ] commit_span;

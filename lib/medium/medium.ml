@@ -16,6 +16,7 @@ type t = {
 }
 
 let create ?(first_id = 1) () = { next_id = first_id; table = Hashtbl.create 64 }
+let copy t = { next_id = t.next_id; table = Hashtbl.copy t.table }
 
 let fresh_id t =
   let id = t.next_id in

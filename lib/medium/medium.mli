@@ -42,6 +42,9 @@ val create : ?first_id:int -> unit -> t
 (** Medium ids count up from [first_id] (default 1) and are never
     reused. *)
 
+val copy : t -> t
+(** An independent table with the same mediums and id counter. *)
+
 val create_base : t -> blocks:int -> int
 (** A fresh RW medium of [blocks] blocks over nothing (a new volume). *)
 

@@ -45,6 +45,9 @@ let commit t ~seq ~len build k =
     Clock.schedule_at t.clock ~at:finish (fun () -> k (Ok ()))
   end
 
+let admits t lens =
+  List.fold_left (fun used len -> used + len + record_overhead) t.used lens <= t.cap
+
 let trim_upto t seq =
   let continue = ref true in
   while !continue do

@@ -38,6 +38,10 @@ val commit :
     must stall (back-pressure, as in the real system).
     @raise Invalid_argument if [build] returns other than [len] bytes. *)
 
+val admits : t -> int list -> bool
+(** Whether {!commit} would admit records of these payload lengths,
+    committed back to back from now on. *)
+
 val trim_upto : t -> int64 -> unit
 (** Drop records with [seq] <= the given sequence number: they are now
     persisted in segments. *)

@@ -27,24 +27,32 @@ let put buf ~pos v =
   Bytes.set buf !p (Char.chr !v);
   !p + 1
 
+(* Only the shortest spelling is accepted — the one [write_i64] produces
+   — so a decoded value re-encodes to exactly the bytes it came from. *)
 let read_i64 buf ~pos =
   let v = ref 0L in
   let shift = ref 0 in
   let p = ref pos in
-  let result = ref None in
-  while !result = None do
+  let fin = ref false in
+  while not !fin do
     if !p >= Bytes.length buf then invalid_arg "Varint.read: truncated";
-    if !shift > 63 then invalid_arg "Varint.read: overflow";
     let b = Bytes.get_uint8 buf !p in
     incr p;
+    (* the tenth byte carries bit 63 alone *)
+    if !shift = 63 && b > 1 then invalid_arg "Varint.read: overflow";
     v := Int64.logor !v (Int64.shift_left (Int64.of_int (b land 0x7F)) !shift);
     shift := !shift + 7;
-    if b land 0x80 = 0 then result := Some (!v, !p)
+    if b land 0x80 = 0 then begin
+      if b = 0 && !shift > 7 then invalid_arg "Varint.read: non-canonical";
+      fin := true
+    end
   done;
-  Option.get !result
+  (!v, !p)
 
 let read buf ~pos =
   let v, next = read_i64 buf ~pos in
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+    invalid_arg "Varint.read: out of range";
   (Int64.to_int v, next)
 
 let size v =

@@ -135,6 +135,53 @@ let test_backpressure_write_skips_intent () =
     (Printf.sprintf "major words %.0f << 4096" major_words)
     true (major_words < 512.0)
 
+(* A namespace op is acknowledged when it returns, and its NVRAM stashes
+   are what makes it durable until its segio log records reach the
+   drives. With NVRAM filled by writes (the clock never runs, so nothing
+   drains), every create either survives a crash and failover or is
+   refused [`Busy] without a trace. *)
+let test_namespace_op_durable_or_busy () =
+  let module Nvram = Purity_ssd.Nvram in
+  let module Seqno = Purity_pyramid.Seqno in
+  let config = { test_config with Fa.nvram_capacity = 64 * 1024 } in
+  let clock, a = make_array ~config () in
+  ok (Fa.create_volume a "v" ~blocks:4096);
+  await clock (Fa.flush a);
+  let nv = Purity_ssd.Shelf.nvram (Fa.shelf a) in
+  let block = ref 0 and last = ref (-1) in
+  while Nvram.used_bytes nv > !last do
+    last := Nvram.used_bytes nv;
+    Fa.write a ~volume:"v" ~block:!block (random_data 1) (fun _ -> ());
+    incr block
+  done;
+  let seqno = (Fa.state a).Purity_core.State.seqno in
+  let results =
+    List.init 10 (fun i ->
+        let name = Printf.sprintf "n%d" i in
+        let seq0 = Seqno.current seqno and used0 = Nvram.used_bytes nv in
+        let listed0 = Fa.list_volumes a in
+        let r = Fa.create_volume a name ~blocks:64 in
+        (match r with
+        | Error `Busy ->
+          check Alcotest.int64 "Busy draws no seq" seq0 (Seqno.current seqno);
+          check int "Busy stashes nothing" used0 (Nvram.used_bytes nv);
+          check bool "Busy lists nothing new" true (Fa.list_volumes a = listed0)
+        | _ -> ());
+        (name, r))
+  in
+  Fa.crash a;
+  ignore (await clock (Fa.failover a));
+  List.iter
+    (fun (name, r) ->
+      match r with
+      | Ok () -> check bool (name ^ " acknowledged, so it survives") true (Fa.volume_exists a name)
+      | Error _ -> check bool (name ^ " refused, so it is absent") false (Fa.volume_exists a name))
+    results;
+  check bool "some create fit in what the writes left" true
+    (List.exists (fun (_, r) -> r = Ok ()) results);
+  check bool "NVRAM filled up, so some create was refused" true
+    (List.exists (fun (_, r) -> r = Error `Busy) results)
+
 let test_overwrite_latest_wins () =
   let clock, a = make_array () in
   ok (Fa.create_volume a "v" ~blocks:64);
@@ -834,6 +881,8 @@ let () =
           Alcotest.test_case "overwrite" `Quick test_overwrite_latest_wins;
           Alcotest.test_case "backpressure skips intent" `Quick
             test_backpressure_write_skips_intent;
+          Alcotest.test_case "namespace op durable or busy" `Quick
+            test_namespace_op_durable_or_busy;
           Alcotest.test_case "partial overwrite" `Quick test_partial_overwrite;
           Alcotest.test_case "large write" `Quick test_large_write_spans_segments;
           Alcotest.test_case "error surface" `Quick test_write_errors;

@@ -291,6 +291,24 @@ let test_varint_truncated () =
   Alcotest.check_raises "truncated raises" (Invalid_argument "Varint.read: truncated")
     (fun () -> ignore (Varint.read (Bytes.of_string "\x80") ~pos:0))
 
+(* Readers accept only what the writers produce, so a decoded value
+   re-encodes to exactly the bytes it came from. *)
+let test_varint_shortest_only () =
+  let rejects name s read =
+    match read (Bytes.of_string s) ~pos:0 with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let read b ~pos = ignore (Varint.read b ~pos) in
+  let read_i64 b ~pos = ignore (Varint.read_i64 b ~pos) in
+  rejects "zero spelled in two bytes" "\x80\x00" read;
+  rejects "5 spelled in three bytes" "\x85\x80\x00" read_i64;
+  rejects "a tenth byte above bit 63" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02" read_i64;
+  rejects "int64 -1 as an int" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" read;
+  rejects "2^62 as an int" "\x80\x80\x80\x80\x80\x80\x80\x80\x40" read;
+  check Alcotest.int64 "bit 63 is fine as an int64" Int64.min_int
+    (fst (Varint.read_i64 (Bytes.of_string "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01") ~pos:0))
+
 let test_varint_size () =
   List.iter
     (fun v ->
@@ -564,6 +582,7 @@ let () =
           Alcotest.test_case "edge values" `Quick test_varint_edge_values;
           Alcotest.test_case "int64" `Quick test_varint_i64;
           Alcotest.test_case "truncated" `Quick test_varint_truncated;
+          Alcotest.test_case "shortest encoding only" `Quick test_varint_shortest_only;
           Alcotest.test_case "size" `Quick test_varint_size;
         ] );
       ( "heap",
