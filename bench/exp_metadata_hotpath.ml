@@ -3,15 +3,15 @@
    Runs inside the Micro section so its rows land in BENCH_Micro.json
    next to the other host-CPU numbers.
 
-   The pyramid is shaped like a real block index after a sequence of
+   The pyramid is the array's block index itself (Block_index, with the
+   production elide-by-medium policy), shaped as after a sequence of
    checkpoint epochs: each epoch flushed one patch over its own block
    band (so fences are selective), within a band only even blocks were
    written (so blooms see absent-but-in-range keys), and patch sizes
    grow with age just under the tiering threshold so the stack stays
    deep instead of collapsing into one patch. *)
 
-module Pyramid = Purity_pyramid.Pyramid
-module Keys = Purity_core.Keys
+module Pyramid = Purity_core.Block_index
 module Rng = Purity_util.Rng
 module Json = Purity_telemetry.Json
 
@@ -37,7 +37,7 @@ let band_base =
 
 let build () =
   let p =
-    Pyramid.create ~memtable_flush_count:1_000_000 ~policy:Pyramid.Tombstones
+    Pyramid.create ~memtable_flush_count:1_000_000 ~policy:Purity_core.State.blocks_policy
       ~name:"blocks" ()
   in
   let seq = ref 0L in
@@ -45,9 +45,8 @@ let build () =
     for i = 0 to epoch_writes e - 1 do
       seq := Int64.add !seq 1L;
       let block = band_base.(e) + (2 * i) in
-      Pyramid.insert p ~seq:!seq
-        ~key:(Keys.block_key ~medium ~block)
-        ~value:(string_of_int block)
+      Pyramid.insert p ~seq:!seq ~key:(medium, block)
+        ~value:{ Purity_core.Blockref.segment = e; off = block; stored_len = 512; index = 0 }
     done;
     Pyramid.flush p
   done;
@@ -79,11 +78,11 @@ let run_in_section () =
     sample 512 (fun () ->
         let e = Rng.int rng epochs in
         let block = band_base.(e) + (2 * Rng.int rng (epoch_writes e)) in
-        Keys.block_key ~medium ~block)
+        (medium, block))
   in
   let absent =
     sample 512 (fun () ->
-        Keys.block_key ~medium ~block:((2 * Rng.int rng (total_blocks / 2)) + 1))
+        (medium, (2 * Rng.int rng (total_blocks / 2)) + 1))
   in
   (* the optimised paths must be bit-identical to the scans they replace *)
   Array.iter
@@ -95,13 +94,13 @@ let run_in_section () =
   let run_base = band_base.(epochs - 1) in
   let run =
     Pyramid.find_run p ~n:run_n
-      ~key_of:(fun i -> Keys.block_key ~medium ~block:(run_base + i))
-      ~index:(fun key -> Keys.block_key_block key - run_base)
+      ~key_of:(fun i -> (medium, run_base + i))
+      ~index:(fun (_, block) -> block - run_base)
   in
   for i = 0 to run_n - 1 do
     if
       Pyramid.resolve_fact p run.(i)
-      <> Pyramid.find p (Keys.block_key ~medium ~block:(run_base + i))
+      <> Pyramid.find p (medium, run_base + i)
     then failwith "metadata hot path: find_run diverges from point lookups"
   done;
   let cursor = ref 0 in
@@ -116,15 +115,15 @@ let run_in_section () =
   let run_point =
     time_ops (fun () ->
         for i = 0 to run_n - 1 do
-          ignore (Pyramid.find p (Keys.block_key ~medium ~block:(run_base + i)))
+          ignore (Pyramid.find p (medium, run_base + i))
         done)
   in
   let run_batched =
     time_ops (fun () ->
         ignore
           (Pyramid.find_run p ~n:run_n
-             ~key_of:(fun i -> Keys.block_key ~medium ~block:(run_base + i))
-             ~index:(fun key -> Keys.block_key_block key - run_base)))
+             ~key_of:(fun i -> (medium, run_base + i))
+             ~index:(fun (_, block) -> block - run_base)))
   in
   (* a representative metadata op mix: resolve one small run (the read
      path) plus a present and an absent point probe (overwrite
@@ -138,7 +137,7 @@ let run_in_section () =
     time_ops
       (mix Pyramid.find_naive (fun () ->
            for i = 0 to 7 do
-             ignore (Pyramid.find_naive p (Keys.block_key ~medium ~block:(run_base + i)))
+             ignore (Pyramid.find_naive p (medium, run_base + i))
            done))
   in
   let mixed_fast =
@@ -146,8 +145,8 @@ let run_in_section () =
       (mix Pyramid.find (fun () ->
            ignore
              (Pyramid.find_run p ~n:8
-                ~key_of:(fun i -> Keys.block_key ~medium ~block:(run_base + i))
-                ~index:(fun key -> Keys.block_key_block key - run_base))))
+                ~key_of:(fun i -> (medium, run_base + i))
+                ~index:(fun (_, block) -> block - run_base))))
   in
   Printf.printf "\n  Metadata hot path (%d-patch block index, %d mapped blocks):\n" epochs
     (total_blocks / 2);

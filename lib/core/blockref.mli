@@ -6,7 +6,11 @@
     which 512 B slice of the cblock's logical data is this block.
     Deduplicated blocks simply carry a reference into someone else's
     cblock (§4.7: "a mapping from the new logical address to the
-    (segment, offset) of the existing data"). *)
+    (segment, offset) of the existing data").
+
+    The block index holds these records as they are; on media a reference
+    is its four fields as LEB128 varints, and this module's codec is the
+    only one that reads or writes that form. *)
 
 type t = {
   segment : int;
@@ -15,11 +19,14 @@ type t = {
   index : int;  (** 512 B block position within the cblock's logical data *)
 }
 
+include Purity_pyramid.Fact.VALUE with type t := t
+(** The on-media codec. A reference is never retracted: the block index
+    elides whole mediums instead. *)
+
 val encode : t -> string
-val decode : string -> t
-(** @raise Invalid_argument on malformed input. *)
+
+val decode : string -> t option
+(** [None] unless the string is exactly some reference's {!encode}. *)
 
 val same_cblock : t -> t -> bool
 (** Do two references point into the same physical cblock? *)
-
-val pp : t Fmt.t

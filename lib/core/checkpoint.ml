@@ -39,20 +39,18 @@ let run t k =
          the new directory is, so a crash mid-checkpoint leaves the old
          (dir, watermark) pair intact. *)
       let cut_seq = Seqno.current t.seqno in
-      let pyramids = List.map (pyramid t) Meta_log.tables in
       let total_bytes = ref 0 in
       let dir =
         List.map
-          (fun pyr ->
-            Pyramid.flatten pyr;
-            let patch =
-              match Pyramid.patches pyr with [] -> Patch.empty | p :: _ -> p
-            in
-            let blob = Patch.serialize patch in
+          (fun table ->
+            let (Any ((module P), pyr)) = any_pyramid t table in
+            P.flatten pyr;
+            let patch = match P.patches pyr with [] -> P.Patch.empty | p :: _ -> p in
+            let blob = P.Patch.serialize patch in
             total_bytes := !total_bytes + String.length blob;
             let ranges =
-              if Pyramid.policy_is_elision pyr then
-                Purity_encoding.Ranges.encode (Pyramid.elide_table pyr)
+              if P.policy_is_elision pyr then
+                Purity_encoding.Ranges.encode (P.elide_table pyr)
               else ""
             in
             let chunks = ref [] in
@@ -64,8 +62,8 @@ let run t k =
               chunks := (seg, seg_off, len) :: !chunks;
               off := !off + len
             done;
-            (Pyramid.name pyr, ranges, List.rev !chunks))
-          pyramids
+            (P.name pyr, ranges, List.rev !chunks))
+          Meta_log.tables
       in
       (* Flush the checkpoint segments, then write the boot region. *)
       seal_current t;

@@ -40,7 +40,7 @@ type t = {
 let physical_bytes_used st =
   Allocator.used_au_count st.alloc * st.cfg.drive_config.Drive.au_size
 
-let live_logical_bytes st = Pyramid.live_key_count st.blocks * block_size
+let live_logical_bytes st = Block_index.live_key_count st.blocks * block_size
 
 let provisioned_bytes st =
   State.Stbl.fold (fun _ (v : State.volume) acc -> acc + (v.State.blocks * block_size)) st.volumes 0

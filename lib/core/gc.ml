@@ -36,9 +36,7 @@ let liveness t =
   let table : (int, (int, int * (int * int * int) list ref) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  Pyramid.iter_live t.blocks (fun ~key ~value ->
-      let r = Blockref.decode value in
-      let medium = Keys.block_key_medium key and block = Keys.block_key_block key in
+  Block_index.iter_live t.blocks (fun ~key:(medium, block) ~value:r ->
       let per_seg =
         match Hashtbl.find_opt table r.Blockref.segment with
         | Some h -> h
@@ -111,8 +109,7 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
                 in
                 List.iter
                   (fun (medium, block, index) ->
-                    put t Blocks ~key:(Keys.block_key ~medium ~block)
-                      ~value:(Blockref.encode { base with Blockref.index }))
+                    put_block t ~medium ~block { base with Blockref.index })
                   !refs
               with Out_of_space -> all_ok := false));
             go rest)

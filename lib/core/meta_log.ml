@@ -18,21 +18,22 @@ let table_of_name n = List.find_opt (fun t -> String.equal (name t) n) tables
 let nvram_backed = function Blocks -> false | Mediums | Segments | Volumes -> true
 
 type elide = { seq : int64; lo : int; hi : int }
-type meta = Fact of table * Fact.t | Elide of table * elide
+type meta = Fact of table * Fact.t | Block of Block_index.Fact.t | Elide of table * elide
 type intent = { medium : int; block : int; data : string }
 type nvram = Stash of meta | Intent of intent
 
 (* ---------- encoders ---------- *)
 
-let fact_record lead table fact =
+let fact_record lead table encode fact =
   let buf = Buffer.create 64 in
   Buffer.add_string buf lead;
   Buffer.add_char buf (tag table);
-  Fact.encode buf fact;
+  encode buf fact;
   Buffer.contents buf
 
-let log_fact table fact = fact_record "" table fact
-let stash_fact table fact = fact_record "F" table fact
+let log_fact table fact = fact_record "" table Fact.encode fact
+let log_block fact = fact_record "" Blocks Block_index.Fact.encode fact
+let stash_fact table fact = fact_record "F" table Fact.encode fact
 
 let elide_record lead table ~seq ~lo ~hi =
   let buf = Buffer.create 24 in
@@ -64,10 +65,12 @@ let[@purity.lint.allow
 
 let encode_log = function
   | Fact (table, fact) -> log_fact table fact
+  | Block fact -> log_block fact
   | Elide (table, { seq; lo; hi }) -> log_elide table ~seq ~lo ~hi
 
 let encode_nvram = function
   | Stash (Fact (table, fact)) -> stash_fact table fact
+  | Stash (Block fact) -> fact_record "F" Blocks Block_index.Fact.encode fact
   | Stash (Elide (table, { seq; lo; hi })) -> stash_elide table ~seq ~lo ~hi
   | Intent { medium; block; data } -> encode_intent ~medium ~block data
 
@@ -79,8 +82,13 @@ let encode_nvram = function
    malformed. *)
 
 let fact_body table buf pos =
-  let fact, p = Fact.decode buf ~pos in
-  (Fact (table, fact), p)
+  match table with
+  | Blocks ->
+    let fact, p = Block_index.Fact.decode buf ~pos in
+    (Block fact, p)
+  | Mediums | Segments | Volumes ->
+    let fact, p = Fact.decode buf ~pos in
+    (Fact (table, fact), p)
 
 let elide_body table buf pos =
   let seq, p = Varint.read_i64 buf ~pos in

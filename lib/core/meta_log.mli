@@ -13,10 +13,16 @@
     v}
 
     [tag] is one byte naming the table (['B'], ['M'], ['S'] or ['V']); [fact] is
-    {!Purity_pyramid.Fact.encode}; [seq], [lo], [hi], [medium], [block]
-    and [len] are LEB128 varints. This module is the only one that
+    the table's {!Purity_pyramid.Fact.S.encode}; [seq], [lo], [hi], [medium],
+    [block] and [len] are LEB128 varints. A block-index fact is the
+    16-byte {!Keys.block_key} and the varint {!Blockref} in the same
+    framing as a string fact, so its bytes do not depend on the typed form
+    the block index holds in memory. This module is the only one that
     encodes or decodes these records. Its decoders are total: a string
-    that is not exactly some record's encoding decodes to [None]. *)
+    that is not exactly some record's encoding decodes to [None]. That
+    includes a block fact whose key is not 16 bytes, whose value is not a
+    shortest-encoding reference, or that is a tombstone (the block index
+    elides; it never retracts a key). *)
 
 type table = Blocks | Mediums | Segments | Volumes
 
@@ -35,7 +41,13 @@ val nvram_backed : table -> bool
     not: the write intent that produced them is already in NVRAM. *)
 
 type elide = { seq : int64; lo : int; hi : int }
-type meta = Fact of table * Purity_pyramid.Fact.t | Elide of table * elide
+type meta =
+  | Fact of table * Purity_pyramid.Fact.t
+      (** A fact of a string-keyed table. Never [Blocks]: the decoders
+          give those records as [Block]. *)
+  | Block of Block_index.Fact.t  (** A fact of the block index. *)
+  | Elide of table * elide
+
 type intent = { medium : int; block : int; data : string }
 type nvram = Stash of meta | Intent of intent
 
@@ -46,6 +58,7 @@ type nvram = Stash of meta | Intent of intent
     bytes. *)
 
 val log_fact : table -> Purity_pyramid.Fact.t -> string
+val log_block : Block_index.Fact.t -> string
 val log_elide : table -> seq:int64 -> lo:int -> hi:int -> string
 val stash_fact : table -> Purity_pyramid.Fact.t -> string
 val stash_elide : table -> seq:int64 -> lo:int -> hi:int -> string

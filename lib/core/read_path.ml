@@ -124,7 +124,7 @@ let read t ~volume ~block ~nblocks k =
                 in
                 match
                   if t.cfg.read_cache_entries > 0 then
-                    Purity_util.Lru.find t.read_cache cache_key
+                    Lru.Ipair.find t.read_cache cache_key
                   else None
                 with
                 | Some frame ->
@@ -148,7 +148,7 @@ let read t ~volume ~block ~nblocks k =
                         | Error `Unrecoverable -> failed := true
                         | Ok frame ->
                           if t.cfg.read_cache_entries > 0 then
-                            Purity_util.Lru.add t.read_cache cache_key
+                            Lru.Ipair.add t.read_cache cache_key
                               (Bytes.to_string frame);
                           deliver_frame frame);
                         decr pending;

@@ -37,11 +37,16 @@ type chaos = { mutable skip_nvram_replay : bool }
 let chaos = { skip_nvram_replay = false }
 
 (* Insert one decoded fact or elide into its table. An elide a table's
-   policy refuses (or with [lo > hi]) is skipped like any corrupt record. *)
+   policy refuses (or with [lo > hi]) is skipped like any corrupt record,
+   as is a string fact for the block index (the decoders give block
+   facts as [Block], so none arrives). *)
 let replay_meta t : Meta_log.meta -> unit = function
-  | Fact (table, fact) -> Pyramid.insert_fact (pyramid t table) fact
+  | Fact (table, fact) -> (
+    try Pyramid.insert_fact (pyramid t table) fact with Invalid_argument _ -> ())
+  | Block fact -> Block_index.insert_fact t.blocks fact
   | Elide (table, { seq; lo; hi }) -> (
-    try Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi with Invalid_argument _ -> ())
+    let (Any ((module P), pyr)) = any_pyramid t table in
+    try P.elide_range pyr ~seq ~lo ~hi with Invalid_argument _ -> ())
 
 (* Rebuild volatile state from the recovered pyramids. *)
 let rebuild_derived t ~medium_next_hint =
@@ -109,8 +114,10 @@ let rebuild_derived t ~medium_next_hint =
       | exception Invalid_argument _ -> ());
   (* the sequence counter must move past everything rediscovered *)
   List.iter
-    (fun pyr -> Seqno.restore_at_least t.seqno (Pyramid.max_seq pyr))
-    (List.map (pyramid t) Meta_log.tables)
+    (fun table ->
+      let (Any ((module P), pyr)) = any_pyramid t table in
+      Seqno.restore_at_least t.seqno (P.max_seq pyr))
+    Meta_log.tables
 
 (* Fallback commit evidence for a scanned segment: every member AU on a
    reachable drive holds the complete shard (header plus every data row
@@ -271,14 +278,14 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
           match Meta_log.table_of_name name with
           | None -> load_dir rest k
           | Some table ->
-            let pyr = pyramid t table in
+            let (Any ((module P), pyr)) = any_pyramid t table in
             load_chunks chunks (fun blob ->
                 ckpt_bytes := !ckpt_bytes + String.length blob;
                 (if String.length blob > 0 then
-                   match Patch.deserialize blob with
-                   | patch -> Pyramid.replace_patches pyr [ patch ]
+                   match P.Patch.deserialize blob with
+                   | patch -> P.replace_patches pyr [ patch ]
                    | exception Invalid_argument _ -> ());
-                (if String.length ranges > 0 && Pyramid.policy_is_elision pyr then
+                (if String.length ranges > 0 && P.policy_is_elision pyr then
                    match Purity_encoding.Ranges.decode ranges with
                    | r -> (
                      (* a match-exception case only catches the
@@ -286,7 +293,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                         guard, or a corrupt range set (or a policy
                         mismatch) crashes the failover instead of
                         degrading to fewer elisions *)
-                     try Pyramid.restore_elides pyr r
+                     try P.restore_elides pyr r
                      with Invalid_argument _ -> ())
                    | exception Invalid_argument _ -> ());
                 load_dir rest k))
@@ -456,6 +463,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                       try
                         match m with
                         | Fact (table, fact) -> record_fact t table fact
+                        | Block fact -> record_block t fact
                         | Elide (table, { seq; lo; hi }) -> record_elide t table ~seq ~lo ~hi
                       with Out_of_space -> ())
                     | Some (Stash _) | None -> ())

@@ -7,6 +7,7 @@ module Clock = Purity_sim.Clock
 module Stbl = Purity_util.Keytbl.Str
 module Rng = Purity_util.Rng
 module Histogram = Purity_util.Histogram
+module Lru = Purity_util.Lru
 module Varint = Purity_util.Varint
 module Shelf = Purity_ssd.Shelf
 module Drive = Purity_ssd.Drive
@@ -166,7 +167,7 @@ type t = {
   boot : Boot_region.t;
   seqno : Seqno.t;
   (* relations *)
-  blocks : Pyramid.t; (* (medium, block) -> Blockref; elide by medium *)
+  blocks : Block_index.t; (* (medium, block) -> Blockref; elide by medium *)
   mediums_pyr : Pyramid.t; (* medium -> extents; elide by medium *)
   segments_pyr : Pyramid.t; (* segment -> compact meta; tombstones *)
   volumes_pyr : Pyramid.t; (* name -> (kind, medium, blocks); tombstones *)
@@ -215,8 +216,8 @@ type t = {
   control_view : control_view Purity_par.Epoch.t;
       (* single-writer epoch snapshot of the flush pipeline, republished
          at every mutation of the fields it mirrors *)
-  read_cache : (int * int, string) Purity_util.Lru.t; (* (segment, off) -> frame *)
-  map_cache : (int * int, Blockref.t option) Purity_util.Lru.t;
+  read_cache : string Lru.Ipair.t; (* (segment, off) -> frame *)
+  map_cache : Blockref.t option Lru.Ipair.t;
       (* (medium, block) -> memoized block-pyramid lookup, negative
          results included (thin-provisioned upper levels miss constantly).
          Each entry mirrors exactly one pyramid key, so invalidation is
@@ -232,7 +233,7 @@ type t = {
   mutable boot_time : float;
 }
 
-let blocks_policy = Pyramid.Elide (fun f -> Keys.block_key_medium f.Fact.key)
+let blocks_policy = Block_index.Elide (fun f -> fst f.Block_index.Fact.key)
 let mediums_policy = Pyramid.Elide (fun f -> Keys.medium_key_id f.Fact.key)
 
 let fresh_volatile cfg clock =
@@ -240,7 +241,8 @@ let fresh_volatile cfg clock =
     Pyramid.create ~memtable_flush_count:cfg.memtable_flush ~policy
       ~name:(Meta_log.name table) ()
   in
-  ( create blocks_policy Blocks,
+  ( Block_index.create ~memtable_flush_count:cfg.memtable_flush ~policy:blocks_policy
+      ~name:(Meta_log.name Blocks) (),
     create mediums_policy Mediums,
     create Pyramid.Tombstones Segments,
     create Pyramid.Tombstones Volumes,
@@ -260,19 +262,19 @@ let register_derived_telemetry t =
   Registry.derive_int reg "segments/next_id" (fun () ->
       (Purity_par.Epoch.read t.control_view).cv_next_segment);
   Registry.derive_int reg "volumes/count" (fun () -> Stbl.length t.volumes);
-  Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Pyramid.fact_count t.blocks);
-  Registry.derive_int reg "pyramid/blocks_patches" (fun () -> Pyramid.patch_count t.blocks);
+  Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Block_index.fact_count t.blocks);
+  Registry.derive_int reg "pyramid/blocks_patches" (fun () -> Block_index.patch_count t.blocks);
   Registry.derive_int reg "pyramid/blocks_probes" (fun () ->
-      let p, _, _ = Pyramid.probe_stats t.blocks in
+      let p, _, _ = Block_index.probe_stats t.blocks in
       p);
   Registry.derive_int reg "pyramid/blocks_fence_skips" (fun () ->
-      let _, f, _ = Pyramid.probe_stats t.blocks in
+      let _, f, _ = Block_index.probe_stats t.blocks in
       f);
   Registry.derive_int reg "pyramid/blocks_bloom_skips" (fun () ->
-      let _, _, b = Pyramid.probe_stats t.blocks in
+      let _, _, b = Block_index.probe_stats t.blocks in
       b);
   Registry.derive_int reg "read_path/map_cache_entries" (fun () ->
-      Purity_util.Lru.length t.map_cache);
+      Lru.Ipair.length t.map_cache);
   Registry.derive_int reg "trace/dropped_spans" (fun () -> Span.dropped t.tracer);
   (* data-plane kernel throughput: process-wide cells (the kernels sit
      below the telemetry library in the dependency order), re-derived
@@ -348,8 +350,8 @@ let create_over ~config ~clock ~shelf ~boot () =
     control_view =
       Purity_par.Epoch.create
         { cv_next_segment = 1; cv_unflushed = 0; cv_pending_flushes = 0 };
-    read_cache = Purity_util.Lru.create ~capacity:(max 1 config.read_cache_entries);
-    map_cache = Purity_util.Lru.create ~capacity:(max 1 config.map_cache_entries);
+    read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
+    map_cache = Lru.Ipair.create ~capacity:(max 1 config.map_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
     ws =
@@ -385,11 +387,24 @@ let create ?(config = default_config) ~clock () =
 
 let nvram t = Shelf.nvram t.shelf
 
+(* The string-keyed tables' pyramids. The block index is [t.blocks],
+   typed apart; no caller asks for it here. *)
 let pyramid t : Meta_log.table -> Pyramid.t = function
-  | Blocks -> t.blocks
   | Mediums -> t.mediums_pyr
   | Segments -> t.segments_pyr
   | Volumes -> t.volumes_pyr
+  | Blocks -> invalid_arg "State.pyramid: the block index is typed; use t.blocks"
+
+(* Any table's pyramid with its instance, for what checkpoint and
+   recovery do to every table alike. *)
+type any_pyramid =
+  | Any : (module Purity_pyramid.Pyramid.S with type t = 'p) * 'p -> any_pyramid
+
+let any_pyramid t : Meta_log.table -> any_pyramid = function
+  | Blocks -> Any ((module Block_index), t.blocks)
+  | Mediums -> Any ((module Pyramid), t.mediums_pyr)
+  | Segments -> Any ((module Pyramid), t.segments_pyr)
+  | Volumes -> Any ((module Pyramid), t.volumes_pyr)
 
 (* Re-publish the flush-pipeline snapshot; call after any mutation of
    next_segment_id / unflushed / pending_flush_count. Main domain only
@@ -620,6 +635,11 @@ and record_fact t table fact =
   append_log_record t ~seq:fact.Fact.seq (Meta_log.log_fact table fact);
   if Meta_log.nvram_backed table then stash t ~seq:fact.Fact.seq (Meta_log.stash_fact table fact)
 
+(* Log a block-index fact in the current segio (never stashed: the write
+   intent that produced it is already in NVRAM). *)
+let record_block t (fact : Block_index.Fact.t) =
+  append_log_record t ~seq:fact.seq (Meta_log.log_block fact)
+
 (* Store a data blob (cblock frame or patch chunk) in the current segio.
    Returns (segment id, payload offset). *)
 let store_blob t data =
@@ -663,38 +683,42 @@ let record_elide t table ~seq ~lo ~hi =
    brand-new state whose cache is empty, so replayed facts need no
    eviction. An entry caches exactly one pyramid key, making point
    eviction exact. *)
-let invalidate_block_mapping t key =
-  Purity_util.Lru.remove t.map_cache
-    (Keys.block_key_medium key, Keys.block_key_block key)
+let invalidate_block_mapping t key = Lru.Ipair.remove t.map_cache key
 
 (* Medium ids are the blocks pyramid's elide ids: retiring mediums
    [lo..hi] kills every cached mapping they own. Rare (volume/snapshot
    deletion), so a full cache sweep is fine. *)
 let invalidate_medium_mappings t ~lo ~hi =
   let victims =
-    Purity_util.Lru.fold
+    Lru.Ipair.fold
       (fun ((m, _) as k) _ acc -> if m >= lo && m <= hi then k :: acc else acc)
       t.map_cache []
   in
-  List.iter (Purity_util.Lru.remove t.map_cache) victims
+  List.iter (Lru.Ipair.remove t.map_cache) victims
 
 (* Insert + log helpers used by all mutation paths. *)
 let put_fact t (table : Meta_log.table) fact =
-  (match table with
-  | Blocks -> invalidate_block_mapping t fact.Fact.key
-  | Mediums | Segments | Volumes -> ());
   Pyramid.insert_fact (pyramid t table) fact;
   record_fact t table fact
 
 let put t table ~key ~value = put_fact t table (Fact.make ~key ~value ~seq:(Seqno.next t.seqno))
 let put_delete t table ~key = put_fact t table (Fact.tombstone ~key ~seq:(Seqno.next t.seqno))
 
+(* Map one block to its reference: the block index's only put. *)
+let put_block t ~medium ~block (r : Blockref.t) =
+  let key = (medium, block) in
+  let fact = Block_index.Fact.make ~key ~value:r ~seq:(Seqno.next t.seqno) in
+  invalidate_block_mapping t key;
+  Block_index.insert_fact t.blocks fact;
+  record_block t fact
+
 let put_elide t (table : Meta_log.table) ~lo ~hi =
-  (match table with
-  | Blocks -> invalidate_medium_mappings t ~lo ~hi
-  | Mediums | Segments | Volumes -> ());
   let seq = Seqno.next t.seqno in
-  Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi;
+  (match table with
+  | Blocks ->
+    invalidate_medium_mappings t ~lo ~hi;
+    Block_index.elide_range t.blocks ~seq ~lo ~hi
+  | Mediums | Segments | Volumes -> Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi);
   record_elide t table ~seq ~lo ~hi
 
 (* Persist the current extent rows of a medium as a fact. *)
@@ -717,22 +741,19 @@ let decode_volume_value s =
 
 let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
-let lookup_blockref_uncached t ~medium ~block =
-  match Pyramid.find t.blocks (Keys.block_key ~medium ~block) with
-  | Some v -> Some (Blockref.decode v)
-  | None -> None
+let lookup_blockref_uncached t ~medium ~block = Block_index.find t.blocks (medium, block)
 
 let lookup_blockref t ~medium ~block =
   if t.cfg.map_cache_entries = 0 then lookup_blockref_uncached t ~medium ~block
   else
-    match Purity_util.Lru.find t.map_cache (medium, block) with
+    match Lru.Ipair.find t.map_cache (medium, block) with
     | Some cached ->
       Registry.incr t.ws.map_hits;
       cached
     | None ->
       Registry.incr t.ws.map_misses;
       let r = lookup_blockref_uncached t ~medium ~block in
-      Purity_util.Lru.add t.map_cache (medium, block) r;
+      Lru.Ipair.add t.map_cache (medium, block) r;
       r
 
 (* Nearest level of the medium chain holding this block. *)
@@ -765,7 +786,7 @@ let resolve_range t ~medium ~block ~nblocks =
     for i = 0 to len - 1 do
       if not resolved.(off + i) then begin
         let cached =
-          if use_cache then Purity_util.Lru.find t.map_cache (medium, block + i) else None
+          if use_cache then Lru.Ipair.find t.map_cache (medium, block + i) else None
         in
         match cached with
         | Some r ->
@@ -786,17 +807,14 @@ let resolve_range t ~medium ~block ~nblocks =
       let base = block + !first in
       let n = !last - !first + 1 in
       let run =
-        Pyramid.find_run t.blocks ~n
-          ~key_of:(fun i -> Keys.block_key ~medium ~block:(base + i))
-          ~index:(fun key ->
-            if Keys.block_key_medium key = medium then Keys.block_key_block key - base
-            else -1)
+        Block_index.find_run t.blocks ~n
+          ~key_of:(fun i -> (medium, base + i))
+          ~index:(fun (m, b) -> if m = medium then b - base else -1)
       in
       for i = !first to !last do
         if pending.(i) then begin
-          let v = Pyramid.resolve_fact t.blocks run.(i - !first) in
-          let r = Option.map Blockref.decode v in
-          if use_cache then Purity_util.Lru.add t.map_cache (medium, block + i) r;
+          let r = Block_index.resolve_fact t.blocks run.(i - !first) in
+          if use_cache then Lru.Ipair.add t.map_cache (medium, block + i) r;
           match r with
           | Some _ ->
             out.(off + i) <- r;
@@ -806,7 +824,7 @@ let resolve_range t ~medium ~block ~nblocks =
       done
     end
   in
-  let limit = List.length (Medium.live_mediums t.medium_table) + 1 in
+  let limit = Medium.count t.medium_table + 1 in
   let rec go ~medium ~block ~n ~off depth =
     if n > 0 && depth <= limit then
       match Medium.extent_of t.medium_table medium ~block with
@@ -844,9 +862,7 @@ let find_segment t id = Hashtbl.find_opt t.segment_metas id
 (* A medium "has blocks" in [lo..hi] iff the block index holds a live fact
    there — the predicate the GC feeds to Medium.shortcut. *)
 let medium_has_blocks t ~medium ~lo ~hi =
-  Pyramid.exists_live_in_range t.blocks
-    ~lo:(Keys.block_key ~medium ~block:lo)
-    ~hi:(Keys.block_key ~medium ~block:hi)
+  Block_index.exists_live_in_range t.blocks ~lo:(medium, lo) ~hi:(medium, hi)
 
 (* Run [k] once every sealed segio has finished flushing to the drives.
    Prepend (O(1) per registration); pump_flush fires the list as stored,
@@ -965,6 +981,6 @@ let halt_device_activity t =
    the primary's read cache instead of a cold one. *)
 let warm_cache ~from ~into =
   if into.cfg.secondary_warming then
-    Purity_util.Lru.fold
-      (fun key frame () -> Purity_util.Lru.add into.read_cache key frame)
+    Lru.Ipair.fold
+      (fun key frame () -> Lru.Ipair.add into.read_cache key frame)
       from.read_cache ()

@@ -10,7 +10,6 @@
    compressed and stored. *)
 
 open State
-module Fact = Purity_pyramid.Fact
 
 type error =
   [ `No_such_volume
@@ -24,10 +23,6 @@ type error =
 (* [s] itself when the slice is the whole string: strings are immutable,
    so sharing is indistinguishable from a copy. *)
 let slice s off n = if off = 0 && n = String.length s then s else String.sub s off n
-
-(* Record one block-index fact (and its log record). *)
-let put_block t ~medium ~block (r : Blockref.t) =
-  put t Blocks ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r)
 
 (* Store one fresh run of blocks as a cblock; returns its home. The
    frame is built in the controller's arena — compression runs in the

@@ -35,7 +35,7 @@ let zero_stats =
 type t = {
   cfg : config;
   index : source list Itbl.t; (* truncated hash -> recorded anchors *)
-  window : (int, string) Lru.t; (* write_id -> payload, the recency window *)
+  window : string Lru.t; (* write_id -> payload, the recency window *)
   mutable next_write_id : int;
   mutable stats : stats;
 }

@@ -131,6 +131,7 @@ let drop t m =
   Hashtbl.remove t.table m
 
 let live_mediums t = Hashtbl.fold (fun id _ acc -> id :: acc) t.table [] |> List.sort Int.compare
+let count t = Hashtbl.length t.table
 
 let extent_of t m ~block =
   List.find_opt (fun e -> block >= e.start_block && block <= e.end_block) (extents t m)
@@ -138,7 +139,7 @@ let extent_of t m ~block =
 let resolve t m ~block =
   (* Walk the underlying chain; a malformed cyclic table would loop, so
      cap at the number of live mediums. *)
-  let limit = Hashtbl.length t.table + 1 in
+  let limit = count t + 1 in
   let rec go m block depth acc =
     if depth > limit then List.rev acc
     else

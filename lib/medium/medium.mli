@@ -72,6 +72,10 @@ val status : t -> int -> status option
 val exists : t -> int -> bool
 val size_blocks : t -> int -> int
 val live_mediums : t -> int list
+
+val count : t -> int
+(** [List.length (live_mediums t)], without building the list. *)
+
 val referenced_by : t -> int -> int list
 (** Mediums with an extent targeting the given one. *)
 

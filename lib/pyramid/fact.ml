@@ -1,47 +1,78 @@
 module Varint = Purity_util.Varint
 
-type t = { key : string; value : string option; seq : int64 }
+include Fact_intf
 
-let make ~key ~value ~seq = { key; value = Some value; seq }
-let tombstone ~key ~seq = { key; value = None; seq }
-let is_tombstone t = Option.is_none t.value
+module Make (K : KEY) (V : VALUE) = struct
+  type key = K.t
+  type value = V.t
+  type t = { key : key; value : value option; seq : int64 }
 
-let compare_key_seq a b =
-  let c = String.compare a.key b.key in
-  if c <> 0 then c else Int64.compare b.seq a.seq
+  module Key = K
+  module Value = V
 
-let equal a b =
-  String.equal a.key b.key
-  && Option.equal String.equal a.value b.value
-  && Int64.equal a.seq b.seq
+  let make ~key ~value ~seq = { key; value = Some value; seq }
+  let tombstone ~key ~seq = { key; value = None; seq }
+  let is_tombstone t = Option.is_none t.value
 
-let encode buf t =
-  Varint.write_i64 buf t.seq;
-  Varint.write buf (String.length t.key);
-  Buffer.add_string buf t.key;
-  (match t.value with
-  | None -> Buffer.add_char buf '\000'
-  | Some v ->
-    Buffer.add_char buf '\001';
-    Varint.write buf (String.length v);
-    Buffer.add_string buf v)
+  let compare_key_seq a b =
+    let c = K.compare a.key b.key in
+    if c <> 0 then c else Int64.compare b.seq a.seq
 
-let decode buf ~pos =
-  let seq, p = Varint.read_i64 buf ~pos in
-  let klen, p = Varint.read buf ~pos:p in
-  if p + klen > Bytes.length buf then invalid_arg "Fact.decode: truncated key";
-  let key = Bytes.sub_string buf p klen in
-  let p = p + klen in
-  if p >= Bytes.length buf then invalid_arg "Fact.decode: truncated tag";
-  match Bytes.get buf p with
-  | '\000' -> ({ key; value = None; seq }, p + 1)
-  | '\001' ->
-    let vlen, p = Varint.read buf ~pos:(p + 1) in
-    if p + vlen > Bytes.length buf then invalid_arg "Fact.decode: truncated value";
-    ({ key; value = Some (Bytes.sub_string buf p vlen); seq }, p + vlen)
-  | _ -> invalid_arg "Fact.decode: bad tag"
+  let equal a b =
+    K.equal a.key b.key && Option.equal V.equal a.value b.value && Int64.equal a.seq b.seq
 
-let pp ppf t =
-  match t.value with
-  | Some v -> Fmt.pf ppf "@[<h>%S=%S@%Ld@]" t.key v t.seq
-  | None -> Fmt.pf ppf "@[<h>%S=⊥@%Ld@]" t.key t.seq
+  let encode buf t =
+    Varint.write_i64 buf t.seq;
+    Varint.write buf (K.size t.key);
+    K.write buf t.key;
+    match t.value with
+    | None -> Buffer.add_char buf '\000'
+    | Some v ->
+      Buffer.add_char buf '\001';
+      Varint.write buf (V.size v);
+      V.write buf v
+
+  let decode buf ~pos =
+    let seq, p = Varint.read_i64 buf ~pos in
+    let klen, p = Varint.read buf ~pos:p in
+    if klen > Bytes.length buf - p then invalid_arg "Fact.decode: truncated key";
+    let key =
+      match K.read buf ~pos:p ~len:klen with
+      | Some k -> k
+      | None -> invalid_arg "Fact.decode: bad key"
+    in
+    let p = p + klen in
+    if p >= Bytes.length buf then invalid_arg "Fact.decode: truncated tag";
+    match Bytes.get buf p with
+    | '\000' ->
+      if not V.retractable then invalid_arg "Fact.decode: tombstone in a non-retractable table";
+      ({ key; value = None; seq }, p + 1)
+    | '\001' -> (
+      let vlen, p = Varint.read buf ~pos:(p + 1) in
+      if vlen > Bytes.length buf - p then invalid_arg "Fact.decode: truncated value";
+      match V.read buf ~pos:p ~len:vlen with
+      | Some v -> ({ key; value = Some v; seq }, p + vlen)
+      | None -> invalid_arg "Fact.decode: bad value")
+    | _ -> invalid_arg "Fact.decode: bad tag"
+
+  let pp ppf t =
+    match t.value with
+    | Some v -> Fmt.pf ppf "@[<h>%a=%a@%Ld@]" K.pp t.key V.pp v t.seq
+    | None -> Fmt.pf ppf "@[<h>%a=⊥@%Ld@]" K.pp t.key t.seq
+end
+
+module Str = struct
+  type t = string
+
+  let equal = String.equal
+  let size = String.length
+  let write = Buffer.add_string
+  let read buf ~pos ~len = Some (Bytes.sub_string buf pos len)
+  let pp ppf s = Fmt.pf ppf "%S" s
+  let compare = String.compare
+  let hash = String.hash
+  let hash_pair = Purity_util.Bloom.hash_pair
+  let retractable = true
+end
+
+include Make (Str) (Str)

@@ -9,26 +9,19 @@
 
     A fact with [value = None] is a tombstone retraction; pyramids
     configured with elision never produce them (elide tables carry the
-    retractions instead). *)
+    retractions instead).
 
-type t = { key : string; value : string option; seq : int64 }
+    Facts are typed by their table's key and value ({!Make}). In memory a
+    key or value is whatever its type is; on media both are byte strings,
+    and a table's {!CODEC}s are the one place the two forms convert. The
+    top level of this module is the string-keyed, string-valued instance. *)
 
-val make : key:string -> value:string -> seq:int64 -> t
-val tombstone : key:string -> seq:int64 -> t
-val is_tombstone : t -> bool
+module type CODEC = Fact_intf.CODEC
 
-val compare_key_seq : t -> t -> int
-(** Order by key ascending, then sequence number descending — the patch
-    layout order, which puts the newest fact for a key first. *)
+module type KEY = Fact_intf.KEY
+module type VALUE = Fact_intf.VALUE
+module type S = Fact_intf.S
 
-val equal : t -> t -> bool
+module Make (K : KEY) (V : VALUE) : S with type key = K.t and type value = V.t
 
-val encode : Buffer.t -> t -> unit
-(** Append a self-framing binary encoding (used in NVRAM payloads and
-    segment log records). *)
-
-val decode : bytes -> pos:int -> t * int
-(** Parse one encoded fact; returns it and the offset just past it.
-    @raise Invalid_argument on truncated input. *)
-
-val pp : t Fmt.t
+include S with type key = string and type value = string

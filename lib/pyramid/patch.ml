@@ -2,272 +2,306 @@ module Varint = Purity_util.Varint
 module Crc32c = Purity_util.Crc32c
 module Bloom = Purity_util.Bloom
 
-(* A patch is an immutable sorted run of facts plus lookup fences: the
-   key range comes free from the sorted array's ends, and patches big
-   enough to matter carry a bloom filter over their distinct keys so the
-   point-lookup path can skip whole patches without binary-searching
-   them (paper §4.9: consulting metadata pages must stay cheap as the
-   pyramid deepens). *)
-type t = {
-  facts : Fact.t array; (* sorted by (key asc, seq desc), no (key,seq) dups *)
-  bloom : Bloom.t option; (* key filter; None below [bloom_threshold] *)
-  seq_lo : int64; (* min seq over facts; max_int when empty *)
-  seq_hi : int64; (* max seq over facts; min_int when empty *)
-}
+include Patch_intf
 
 (* Below this many facts a binary search is already a handful of
    comparisons; the filter would cost more to build than it saves. *)
 let bloom_threshold = 16
 
-(* [facts] must already be sorted and deduped. *)
-let make facts =
-  let n = Array.length facts in
-  let bloom =
-    if n < bloom_threshold then None
-    else begin
-      let b = Bloom.create ~expected:n () in
-      let prev = ref "" in
-      Array.iteri
-        (fun i f ->
-          if i = 0 || not (String.equal f.Fact.key !prev) then begin
-            Bloom.add b f.Fact.key;
-            prev := f.Fact.key
-          end)
-        facts;
-      Some b
-    end
-  in
-  let seq_lo = ref Int64.max_int and seq_hi = ref Int64.min_int in
-  Array.iter
-    (fun f ->
-      if Int64.compare f.Fact.seq !seq_lo < 0 then seq_lo := f.Fact.seq;
-      if Int64.compare f.Fact.seq !seq_hi > 0 then seq_hi := f.Fact.seq)
-    facts;
-  { facts; bloom; seq_lo = !seq_lo; seq_hi = !seq_hi }
+module Make (F : Fact.S) = struct
+  module Fact = F
+  module K = F.Key
 
-let empty = { facts = [||]; bloom = None; seq_lo = Int64.max_int; seq_hi = Int64.min_int }
-let count t = Array.length t.facts
-let is_empty t = Array.length t.facts = 0
+  (* A patch is an immutable sorted run of facts plus lookup fences: the
+     key range comes free from the sorted array's ends, and patches big
+     enough to matter carry a bloom filter over their distinct keys so the
+     point-lookup path can skip whole patches without binary-searching
+     them (paper §4.9: consulting metadata pages must stay cheap as the
+     pyramid deepens). The filter is built on the first probe that needs
+     it: flushes and merges make patches that the range walks of the block
+     index's I/O path read without one. Building it twice (two domains
+     probing one fresh patch at once) sets the same bits, so the field
+     needs no lock. *)
+  type t = {
+    facts : F.t array; (* sorted by (key asc, seq desc), no (key,seq) dups *)
+    mutable bloom : Bloom.t option;
+        (* key filter once built; stays None below [bloom_threshold] *)
+    seq_lo : int64; (* min seq over facts; max_int when empty *)
+    seq_hi : int64; (* max seq over facts; min_int when empty *)
+  }
 
-let dedup_sorted facts =
-  (* facts sorted by compare_key_seq; drop exact (key, seq) duplicates. *)
-  let out = ref [] in
-  Array.iter
-    (fun f ->
-      match !out with
-      | prev :: _ when String.equal prev.Fact.key f.Fact.key && Int64.equal prev.Fact.seq f.Fact.seq -> ()
-      | _ -> out := f :: !out)
-    facts;
-  Array.of_list (List.rev !out)
+  let same_key_seq (a : F.t) (b : F.t) = K.equal a.key b.key && Int64.equal a.seq b.seq
 
-let of_facts facts =
-  let a = Array.of_list facts in
-  Array.sort Fact.compare_key_seq a;
-  make (dedup_sorted a)
+  (* [facts] must already be sorted and deduped. *)
+  let make facts =
+    let seq_lo = ref Int64.max_int and seq_hi = ref Int64.min_int in
+    Array.iter
+      (fun (f : F.t) ->
+        if Int64.compare f.seq !seq_lo < 0 then seq_lo := f.seq;
+        if Int64.compare f.seq !seq_hi > 0 then seq_hi := f.seq)
+      facts;
+    { facts; bloom = None; seq_lo = !seq_lo; seq_hi = !seq_hi }
 
-let seq_range t = if is_empty t then None else Some (t.seq_lo, t.seq_hi)
-let max_seq t = t.seq_hi
-let min_seq t = t.seq_lo
+  let empty = { facts = [||]; bloom = None; seq_lo = Int64.max_int; seq_hi = Int64.min_int }
+  let count t = Array.length t.facts
+  let is_empty t = Array.length t.facts = 0
+  let has_bloom t = Array.length t.facts >= bloom_threshold
 
-let key_range t =
-  if is_empty t then None
-  else Some ((t.facts.(0)).Fact.key, (t.facts.(Array.length t.facts - 1)).Fact.key)
+  (* The filter over the distinct keys, sized for the fact count: built
+     once per patch, on its first point probe. Only patches with
+     [has_bloom] get one. *)
+  let[@purity.lint.coldpath] build_filter t =
+    let facts = t.facts in
+    let b = Bloom.create ~expected:(Array.length facts) () in
+    Array.iteri
+      (fun i (f : F.t) ->
+        if i = 0 || not (K.equal f.key facts.(i - 1).key) then
+          Bloom.add_hashed b (K.hash_pair f.key))
+      facts;
+    t.bloom <- Some b;
+    b
 
-(* Index of the first fact with key >= [key]. *)
-let lower_bound t key =
-  let a = t.facts in
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if String.compare (a.(mid)).Fact.key key < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  let filter_of t = match t.bloom with Some b -> b | None -> build_filter t
 
-(* Fence checks: cheap rejections before any binary search. *)
-let fence_admits t key =
-  let a = t.facts in
-  let n = Array.length a in
-  n > 0
-  && String.compare (a.(0)).Fact.key key <= 0
-  && String.compare key (a.(n - 1)).Fact.key <= 0
+  (* The first [n] slots of [a] as the patch's run, copying only when
+     something was dropped. *)
+  let of_prefix a n = make (if n = Array.length a then a else Array.sub a 0 n)
 
-let fence_overlaps t ~lo ~hi =
-  let a = t.facts in
-  let n = Array.length a in
-  n > 0
-  && String.compare (a.(0)).Fact.key hi <= 0
-  && String.compare lo (a.(n - 1)).Fact.key <= 0
+  (* Sorted by compare_key_seq: drop exact (key, seq) duplicates in place. *)
+  let dedup_sorted a =
+    let n = ref 0 in
+    Array.iter
+      (fun f ->
+        if !n = 0 || not (same_key_seq a.(!n - 1) f) then begin
+          a.(!n) <- f;
+          incr n
+        end)
+      a;
+    of_prefix a !n
 
-let bloom_admits t key = match t.bloom with None -> true | Some b -> Bloom.mem b key
+  let of_facts facts =
+    let a = Array.of_list facts in
+    Array.sort F.compare_key_seq a;
+    dedup_sorted a
 
-(* One key is tested against every patch on the lookup path: hash once,
-   probe each filter with the digests. *)
-let bloom_admits_hashed t hashes =
-  match t.bloom with None -> true | Some b -> Bloom.mem_hashed b (Lazy.force hashes)
+  let seq_range t = if is_empty t then None else Some (t.seq_lo, t.seq_hi)
+  let max_seq t = t.seq_hi
+  let min_seq t = t.seq_lo
 
-let has_bloom t = Option.is_some t.bloom
+  let key_range t =
+    if is_empty t then None
+    else Some ((t.facts.(0)).F.key, (t.facts.(Array.length t.facts - 1)).F.key)
 
-let find t key =
-  let a = t.facts in
-  let i = ref (lower_bound t key) in
-  let acc = ref [] in
-  while !i < Array.length a && String.equal (a.(!i)).Fact.key key do
-    acc := a.(!i) :: !acc;
-    incr i
-  done;
-  List.rev !acc
+  (* Index of the first fact with key >= [key]. *)
+  let lower_bound t key =
+    let a = t.facts in
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if K.compare (a.(mid)).F.key key < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
-let find_latest t key =
-  let i = lower_bound t key in
-  if i < Array.length t.facts && String.equal (t.facts.(i)).Fact.key key then Some t.facts.(i)
-  else None
+  (* Fence checks: cheap rejections before any binary search. *)
+  let fence_admits t key =
+    let a = t.facts in
+    let n = Array.length a in
+    n > 0 && K.compare (a.(0)).F.key key <= 0 && K.compare key (a.(n - 1)).F.key <= 0
 
-(* Latest fact for [key] with seq <= [snapshot]. A key's facts sit
-   newest-first, so the first admissible one wins; nothing is allocated
-   on the miss path. *)
-let[@purity.lint.allow
-     "hotalloc: [Some fact] is the lookup's result; the miss path \
-      allocates nothing"] find_latest_at t key ~snapshot =
-  let a = t.facts in
-  let n = Array.length a in
-  let i = ref (lower_bound t key) in
-  let best = ref None in
-  (try
-     while !i < n && String.equal (a.(!i)).Fact.key key do
-       if Int64.compare (a.(!i)).Fact.seq snapshot <= 0 then begin
-         best := Some a.(!i);
-         raise Exit
-       end;
-       incr i
-     done
-   with Exit -> ());
-  !best
+  let fence_overlaps t ~lo ~hi =
+    let a = t.facts in
+    let n = Array.length a in
+    n > 0 && K.compare (a.(0)).F.key hi <= 0 && K.compare lo (a.(n - 1)).F.key <= 0
 
-let iter t f = Array.iter f t.facts
-let fold f init t = Array.fold_left f init t.facts
-let to_list t = Array.to_list t.facts
-let get t i = t.facts.(i)
+  let bloom_admits t key = (not (has_bloom t)) || Bloom.mem_hashed (filter_of t) (K.hash_pair key)
 
-let range t ~lo ~hi =
-  let a = t.facts in
-  let i = ref (lower_bound t lo) in
-  let acc = ref [] in
-  while !i < Array.length a && String.compare (a.(!i)).Fact.key hi <= 0 do
-    acc := a.(!i) :: !acc;
-    incr i
-  done;
-  List.rev !acc
+  (* One key is tested against every patch on the lookup path: hash once,
+     probe each filter with the digests. *)
+  let bloom_admits_hashed t hashes =
+    (not (has_bloom t)) || Bloom.mem_hashed (filter_of t) (Lazy.force hashes)
 
-(* One lower_bound, then a sequential walk: the batched-resolution
-   primitive. [f] sees every fact with lo <= key <= hi in order. *)
-let iter_run t ~lo ~hi f =
-  let a = t.facts in
-  let n = Array.length a in
-  let i = ref (lower_bound t lo) in
-  while !i < n && String.compare (a.(!i)).Fact.key hi <= 0 do
-    f a.(!i);
-    incr i
-  done
-
-let exists_in_range t ~lo ~hi =
-  let i = lower_bound t lo in
-  i < Array.length t.facts && String.compare (t.facts.(i)).Fact.key hi <= 0
-
-let merge a b =
-  (* Linear merge of two sorted runs, dropping (key, seq) duplicates. *)
-  let fa = a.facts and fb = b.facts in
-  let na = Array.length fa and nb = Array.length fb in
-  let out = ref [] in
-  let push f =
-    match !out with
-    | prev :: _ when String.equal prev.Fact.key f.Fact.key && Int64.equal prev.Fact.seq f.Fact.seq -> ()
-    | _ -> out := f :: !out
-  in
-  let i = ref 0 and j = ref 0 in
-  while !i < na || !j < nb do
-    if !i >= na then begin
-      push fb.(!j);
-      incr j
-    end
-    else if !j >= nb then begin
-      push fa.(!i);
+  let find t key =
+    let a = t.facts in
+    let i = ref (lower_bound t key) in
+    let acc = ref [] in
+    while !i < Array.length a && K.equal (a.(!i)).F.key key do
+      acc := a.(!i) :: !acc;
       incr i
-    end
-    else if Fact.compare_key_seq fa.(!i) fb.(!j) <= 0 then begin
-      push fa.(!i);
+    done;
+    List.rev !acc
+
+  let find_latest t key =
+    let i = lower_bound t key in
+    if i < Array.length t.facts && K.equal (t.facts.(i)).F.key key then Some t.facts.(i)
+    else None
+
+  (* Latest fact for [key] with seq <= [snapshot]. A key's facts sit
+     newest-first, so the first admissible one wins; nothing is allocated
+     on the miss path. *)
+  let[@purity.lint.allow
+       "hotalloc: [Some fact] is the lookup's result; the miss path \
+        allocates nothing"] find_latest_at t key ~snapshot =
+    let a = t.facts in
+    let n = Array.length a in
+    let i = ref (lower_bound t key) in
+    let best = ref None in
+    (try
+       while !i < n && K.equal (a.(!i)).F.key key do
+         if Int64.compare (a.(!i)).F.seq snapshot <= 0 then begin
+           best := Some a.(!i);
+           raise Exit
+         end;
+         incr i
+       done
+     with Exit -> ());
+    !best
+
+  let iter t f = Array.iter f t.facts
+  let fold f init t = Array.fold_left f init t.facts
+  let to_list t = Array.to_list t.facts
+  let get t i = t.facts.(i)
+
+  let range t ~lo ~hi =
+    let a = t.facts in
+    let i = ref (lower_bound t lo) in
+    let acc = ref [] in
+    while !i < Array.length a && K.compare (a.(!i)).F.key hi <= 0 do
+      acc := a.(!i) :: !acc;
       incr i
-    end
+    done;
+    List.rev !acc
+
+  (* One lower_bound, then a sequential walk: the batched-resolution
+     primitive. [f] sees every fact with lo <= key <= hi in order. *)
+  let iter_run t ~lo ~hi f =
+    let a = t.facts in
+    let n = Array.length a in
+    let i = ref (lower_bound t lo) in
+    while !i < n && K.compare (a.(!i)).F.key hi <= 0 do
+      f a.(!i);
+      incr i
+    done
+
+  let exists_in_range t ~lo ~hi =
+    let i = lower_bound t lo in
+    i < Array.length t.facts && K.compare (t.facts.(i)).F.key hi <= 0
+
+  (* Linear merge of two sorted runs into one array, dropping (key, seq)
+     duplicates and the facts [keep] rejects. *)
+  let merge_keep a b ~keep =
+    let fa = a.facts and fb = b.facts in
+    let na = Array.length fa and nb = Array.length fb in
+    if na + nb = 0 then empty
     else begin
-      push fb.(!j);
-      incr j
-    end
-  done;
-  make (Array.of_list (List.rev !out))
-
-(* Balanced pairwise rounds: each fact takes part in O(log n) merges
-   instead of the O(n) of a left fold that re-merges its accumulator. *)
-let rec merge_many = function
-  | [] -> empty
-  | [ t ] -> t
-  | ts ->
-    let rec pairwise = function
-      | a :: b :: rest -> merge a b :: pairwise rest
-      | rest -> rest
-    in
-    merge_many (pairwise ts)
-
-let filter t pred = make (Array.of_seq (Seq.filter pred (Array.to_seq t.facts)))
-
-let compact_latest t ~drop_tombstones =
-  let out = ref [] in
-  let last_key = ref None in
-  Array.iter
-    (fun f ->
-      let fresh =
-        match !last_key with Some k -> not (String.equal k f.Fact.key) | None -> true
+      let out = Array.make (na + nb) (if na > 0 then fa.(0) else fb.(0)) in
+      let n = ref 0 in
+      (* duplicates collapse before [keep] sees them, as in a merge
+         followed by a filter *)
+      let prev = ref out.(0) and seen = ref false in
+      let push f =
+        if not (!seen && same_key_seq !prev f) then begin
+          seen := true;
+          prev := f;
+          if keep f then begin
+            out.(!n) <- f;
+            incr n
+          end
+        end
       in
-      if fresh then begin
-        last_key := Some f.Fact.key;
-        if not (drop_tombstones && Fact.is_tombstone f) then out := f :: !out
-      end)
-    t.facts;
-  make (Array.of_list (List.rev !out))
+      let i = ref 0 and j = ref 0 in
+      while !i < na || !j < nb do
+        if !j >= nb || (!i < na && F.compare_key_seq fa.(!i) fb.(!j) <= 0) then begin
+          push fa.(!i);
+          incr i
+        end
+        else begin
+          push fb.(!j);
+          incr j
+        end
+      done;
+      of_prefix out !n
+    end
 
-let serialize t =
-  let body = Buffer.create (64 * Array.length t.facts) in
-  Varint.write body (Array.length t.facts);
-  Array.iter (fun f -> Fact.encode body f) t.facts;
-  let payload = Buffer.contents body in
-  let out = Buffer.create (String.length payload + 8) in
-  Varint.write out (String.length payload);
-  let crc = Crc32c.digest_string payload in
-  for shift = 0 to 3 do
-    Buffer.add_char out
-      (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical crc (8 * shift)) 0xFFl)))
-  done;
-  Buffer.add_string out payload;
-  Buffer.contents out
+  let merge a b = merge_keep a b ~keep:(fun _ -> true)
 
-let deserialize s =
-  let buf = Bytes.unsafe_of_string s in
-  let payload_len, p = Varint.read buf ~pos:0 in
-  if p + 4 + payload_len > Bytes.length buf then invalid_arg "Patch.deserialize: truncated";
-  let crc_stored =
-    let b i = Int32.of_int (Bytes.get_uint8 buf (p + i)) in
-    Int32.logor (b 0)
-      (Int32.logor
-         (Int32.shift_left (b 1) 8)
-         (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-  in
-  let payload_pos = p + 4 in
-  if not (Int32.equal (Crc32c.update 0l buf ~pos:payload_pos ~len:payload_len) crc_stored) then
-    invalid_arg "Patch.deserialize: CRC mismatch";
-  let n, pos = Varint.read buf ~pos:payload_pos in
-  let facts = ref [] in
-  let p = ref pos in
-  for _ = 1 to n do
-    let f, next = Fact.decode buf ~pos:!p in
-    facts := f :: !facts;
-    p := next
-  done;
-  of_facts (List.rev !facts)
+  (* Balanced pairwise rounds: each fact takes part in O(log n) merges
+     instead of the O(n) of a left fold that re-merges its accumulator. *)
+  let rec merge_many = function
+    | [] -> empty
+    | [ t ] -> t
+    | ts ->
+      let rec pairwise = function
+        | a :: b :: rest -> merge a b :: pairwise rest
+        | rest -> rest
+      in
+      merge_many (pairwise ts)
+
+  let filter t pred = make (Array.of_seq (Seq.filter pred (Array.to_seq t.facts)))
+
+  let compact_latest t ~drop_tombstones =
+    let out = ref [] in
+    let last_key = ref None in
+    Array.iter
+      (fun (f : F.t) ->
+        let fresh =
+          match !last_key with Some k -> not (K.equal k f.key) | None -> true
+        in
+        if fresh then begin
+          last_key := Some f.key;
+          if not (drop_tombstones && F.is_tombstone f) then out := f :: !out
+        end)
+      t.facts;
+    make (Array.of_list (List.rev !out))
+
+  let serialize t =
+    let body = Buffer.create (64 * Array.length t.facts) in
+    Varint.write body (Array.length t.facts);
+    Array.iter (fun f -> F.encode body f) t.facts;
+    let payload = Buffer.contents body in
+    let out = Buffer.create (String.length payload + 8) in
+    Varint.write out (String.length payload);
+    let crc = Crc32c.digest_string payload in
+    for shift = 0 to 3 do
+      Buffer.add_char out
+        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical crc (8 * shift)) 0xFFl)))
+    done;
+    Buffer.add_string out payload;
+    Buffer.contents out
+
+  let deserialize s =
+    let buf = Bytes.unsafe_of_string s in
+    let payload_len, p = Varint.read buf ~pos:0 in
+    if p + 4 + payload_len > Bytes.length buf then invalid_arg "Patch.deserialize: truncated";
+    let crc_stored =
+      let b i = Int32.of_int (Bytes.get_uint8 buf (p + i)) in
+      Int32.logor (b 0)
+        (Int32.logor
+           (Int32.shift_left (b 1) 8)
+           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
+    in
+    let payload_pos = p + 4 in
+    if not (Int32.equal (Crc32c.update 0l buf ~pos:payload_pos ~len:payload_len) crc_stored) then
+      invalid_arg "Patch.deserialize: CRC mismatch";
+    let payload_end = payload_pos + payload_len in
+    if payload_end <> Bytes.length buf then invalid_arg "Patch.deserialize: trailing bytes";
+    let n, pos = Varint.read buf ~pos:payload_pos in
+    if n > payload_len then invalid_arg "Patch.deserialize: fact count";
+    let p = ref pos in
+    let facts =
+      Array.init n (fun _ ->
+          let f, next = F.decode buf ~pos:!p in
+          p := next;
+          f)
+    in
+    if !p <> payload_end then invalid_arg "Patch.deserialize: payload length";
+    (* a patch is written in layout order, so its bytes are the one
+       encoding of its facts *)
+    for i = 1 to n - 1 do
+      if F.compare_key_seq facts.(i - 1) facts.(i) >= 0 then
+        invalid_arg "Patch.deserialize: facts out of order"
+    done;
+    make facts
+end
+
+module Fact = Fact
+include (Make (Fact) : S with module Fact := Fact)

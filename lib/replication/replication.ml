@@ -1,8 +1,7 @@
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module State = Purity_core.State
-module Keys = Purity_core.Keys
-module Pyramid = Purity_pyramid.Pyramid
+module Block_index = Purity_core.Block_index
 module Medium = Purity_medium.Medium
 module Registry = Purity_telemetry.Registry
 module Span = Purity_telemetry.Span
@@ -111,11 +110,9 @@ module Delta = struct
     let set = ref IS.empty in
     List.iter
       (fun medium ->
-        let lo = Keys.block_key ~medium ~block:0 in
-        let hi = Keys.block_key ~medium ~block:max_int in
         List.iter
-          (fun (key, _) -> set := IS.add (Keys.block_key_block key) !set)
-          (Pyramid.range st.State.blocks ~lo ~hi))
+          (fun ((_, block), _) -> set := IS.add block !set)
+          (Block_index.range st.State.blocks ~lo:(medium, 0) ~hi:(medium, max_int)))
       mediums;
     IS.elements !set
 

@@ -44,8 +44,7 @@ let hash_pair key =
   let h2 = Int64.to_int (Xxhash.hash ~seed:seed2 b ~pos:0 ~len) land max_int in
   (h1, h2)
 
-let add t key =
-  let h1, h2 = hash_pair key in
+let add_hashed t (h1, h2) =
   let m = t.nbits in
   let step = 1 + (h2 mod (m - 1)) in
   let idx = ref (h1 mod m) in
@@ -55,6 +54,8 @@ let add t key =
     if !idx >= m then idx := !idx - m
   done;
   t.entries <- t.entries + 1
+
+let add t key = add_hashed t (hash_pair key)
 
 let mem_hashed t (h1, h2) =
   let m = t.nbits in

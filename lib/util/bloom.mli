@@ -12,6 +12,10 @@ val create : ?fp_rate:float -> expected:int -> unit -> t
     at the target false-positive rate (default 1%). *)
 
 val add : t -> string -> unit
+
+val add_hashed : t -> int * int -> unit
+(** [add] with a precomputed {!hash_pair} of the key. *)
+
 val mem : t -> string -> bool
 (** Allocation-free membership probe: [false] means definitely absent. *)
 

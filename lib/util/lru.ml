@@ -1,85 +1,122 @@
 (* Hash table + intrusive doubly-linked list, head = most recent. *)
 
-type ('k, 'v) node = {
-  key : 'k;
-  mutable value : 'v;
-  mutable prev : ('k, 'v) node option;
-  mutable next : ('k, 'v) node option;
-}
+module type S = sig
+  type key
+  type 'v t
 
-type ('k, 'v) t = {
-  capacity : int;
-  table : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option;
-  mutable tail : ('k, 'v) node option;
-}
+  val create : capacity:int -> 'v t
+  val find : 'v t -> key -> 'v option
+  val mem : 'v t -> key -> bool
+  val add : 'v t -> key -> 'v -> unit
+  val remove : 'v t -> key -> unit
+  val length : 'v t -> int
+  val clear : 'v t -> unit
+  val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+end
 
-let create ~capacity =
-  assert (capacity > 0);
-  { capacity; table = Hashtbl.create (min capacity 4096); head = None; tail = None }
+module Make (H : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (H)
 
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+  type key = H.t
 
-let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+  type 'v node = {
+    key : key;
+    mutable value : 'v;
+    mutable prev : 'v node option;
+    mutable next : 'v node option;
+  }
 
-let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some node ->
-    unlink t node;
-    push_front t node;
-    Some node.value
+  type 'v t = {
+    capacity : int;
+    table : 'v node Tbl.t;
+    mutable head : 'v node option;
+    mutable tail : 'v node option;
+  }
 
-let mem t k = Hashtbl.mem t.table k
+  let create ~capacity =
+    assert (capacity > 0);
+    { capacity; table = Tbl.create (min capacity 4096); head = None; tail = None }
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table k
+  let unlink t node =
+    (match node.prev with
+    | Some p -> p.next <- node.next
+    | None -> t.head <- node.next);
+    (match node.next with
+    | Some n -> n.prev <- node.prev
+    | None -> t.tail <- node.prev);
+    node.prev <- None;
+    node.next <- None
 
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table node.key
+  let push_front t node =
+    node.next <- t.head;
+    node.prev <- None;
+    (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
+    t.head <- Some node
 
-let add t k v =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
-    node.value <- v;
-    unlink t node;
-    push_front t node
-  | None ->
-    if Hashtbl.length t.table >= t.capacity then evict_lru t;
-    let node = { key = k; value = v; prev = None; next = None } in
-    Hashtbl.replace t.table k node;
-    push_front t node
+  let find t k =
+    match Tbl.find_opt t.table k with
+    | None -> None
+    | Some node ->
+      unlink t node;
+      push_front t node;
+      Some node.value
 
-let length t = Hashtbl.length t.table
+  let mem t k = Tbl.mem t.table k
 
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
+  let remove t k =
+    match Tbl.find_opt t.table k with
+    | None -> ()
+    | Some node ->
+      unlink t node;
+      Tbl.remove t.table k
 
-let fold f t init =
-  let rec go acc = function
-    | None -> acc
-    | Some node -> go (f node.key node.value acc) node.next
-  in
-  go init t.head
+  let evict_lru t =
+    match t.tail with
+    | None -> ()
+    | Some node ->
+      unlink t node;
+      Tbl.remove t.table node.key
+
+  let add t k v =
+    match Tbl.find_opt t.table k with
+    | Some node ->
+      node.value <- v;
+      unlink t node;
+      push_front t node
+    | None ->
+      if Tbl.length t.table >= t.capacity then evict_lru t;
+      let node = { key = k; value = v; prev = None; next = None } in
+      Tbl.replace t.table k node;
+      push_front t node
+
+  let length t = Tbl.length t.table
+
+  let clear t =
+    Tbl.reset t.table;
+    t.head <- None;
+    t.tail <- None
+
+  let fold f t init =
+    let rec go acc = function
+      | None -> acc
+      | Some node -> go (f node.key node.value acc) node.next
+    in
+    go init t.head
+end
+
+include Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+module Ipair = Make (struct
+  type t = int * int
+
+  let equal ((a1, b1) : t) (a2, b2) = a1 = a2 && b1 = b2
+
+  let hash (a, b) =
+    let h = (a * 0x9E3779B97F4A7C1) + b in
+    h lxor (h lsr 17)
+end)

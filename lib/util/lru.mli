@@ -1,26 +1,38 @@
 (** Fixed-capacity LRU cache.
 
     Used for the inline-dedup recency window (paper §4.7: "inline
-    deduplication only checks for duplicates of recently written data") and
-    for the secondary controller's warmed read cache. *)
+    deduplication only checks for duplicates of recently written data"),
+    the controller's read cache (and the secondary's warmed copy of it)
+    and the mapping cache. Each instance hashes and compares at its key
+    type ({!Make}); the top level is the int-keyed one. *)
 
-type ('k, 'v) t
+module type S = sig
+  type key
+  type 'v t
 
-val create : capacity:int -> ('k, 'v) t
-(** [capacity] must be positive. *)
+  val create : capacity:int -> 'v t
+  (** [capacity] must be positive. *)
 
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Lookup; promotes the entry to most-recently-used on hit. *)
+  val find : 'v t -> key -> 'v option
+  (** Lookup; promotes the entry to most-recently-used on hit. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test without promotion. *)
+  val mem : 'v t -> key -> bool
+  (** Membership test without promotion. *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** Insert or overwrite; evicts the least-recently-used entry when full. *)
+  val add : 'v t -> key -> 'v -> unit
+  (** Insert or overwrite; evicts the least-recently-used entry when full. *)
 
-val remove : ('k, 'v) t -> 'k -> unit
-val length : ('k, 'v) t -> int
-val clear : ('k, 'v) t -> unit
+  val remove : 'v t -> key -> unit
+  val length : 'v t -> int
+  val clear : 'v t -> unit
 
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Fold over entries in most-recently-used-first order. *)
+  val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+  (** Fold over entries in most-recently-used-first order. No order
+      depends on the key hash. *)
+end
+
+module Make (H : Hashtbl.HashedType) : S with type key = H.t
+
+include S with type key = int
+
+module Ipair : S with type key = int * int

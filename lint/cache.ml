@@ -9,7 +9,7 @@
    cache — it is a pure accelerator, never a source of truth. *)
 
 (* bump when Engine.result / Callgraph types or rule semantics change *)
-let version = 3
+let version = 4
 
 type entry = {
   e_digest : string;  (* Digest.file of the cmt *)

@@ -93,6 +93,38 @@ let module_name_of_source source_file =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename source_file))
 
+(* ---- functors ---- *)
+
+let rec is_functor (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_functor _ -> true
+  | Tmod_constraint (me, _, _, _) -> is_functor me
+  | _ -> false
+
+(* The unit owning a functor parameter's module type: "Patch" for
+   [Patch.S] or [Purity_pyramid.Patch.S]; [None] for a module type of
+   the functor's own unit, whose parameter has no implementation there. *)
+let rec functor_param_owner (mty : Typedtree.module_type) =
+  match mty.mty_desc with
+  | Tmty_ident (p, _) -> (
+    match String.split_on_char '.' (canon_dotted (Path.name p)) with
+    | [ owner; _ ] -> Some owner
+    | _ -> None)
+  | Tmty_with (mty, _) -> functor_param_owner mty
+  | _ -> None
+
+(* The unit whose functor an [include F(X)] applies: "Pyramid" for
+   [Purity_pyramid.Pyramid.Make (P)]. *)
+let rec applied_owner (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_apply (f, _, _) | Tmod_apply_unit f -> applied_owner f
+  | Tmod_constraint (me, _, _, _) -> applied_owner me
+  | Tmod_ident (p, _) -> (
+    match String.split_on_char '.' (canon_dotted (Path.name p)) with
+    | [ owner; _ ] -> Some owner
+    | _ -> None)
+  | _ -> None
+
 (* ---- type inspection (no Env needed: get_desc follows links only) ---- *)
 
 let rec arrow_params ty =
@@ -256,25 +288,48 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
             vbs
         | Tstr_module mb -> collect_top_module modname mb
         | Tstr_recmodule mbs -> List.iter (collect_top_module modname) mbs
+        | Tstr_include incl ->
+          List.iter
+            (function
+              | Types.Sig_value (id, vd, _) ->
+                Hashtbl.replace toplevel (Ident.unique_name id)
+                  (modname ^ "." ^ Ident.name id, vd.Types.val_type)
+              | _ -> ())
+            incl.incl_type
         | _ -> ())
       s.str_items
   and collect_top_module parent (mb : Typedtree.module_binding) =
     let name =
       match mb.mb_name.txt with Some n -> n | None -> parent ^ "._" in
-    let rec body (me : Typedtree.module_expr) =
+    let rec body name (me : Typedtree.module_expr) =
       match me.mod_desc with
       | Tmod_structure s -> collect_top name s
-      | Tmod_constraint (me, _, _, _) -> body me
+      | Tmod_constraint (me, _, _, _) -> body name me
+      | Tmod_functor (param, me) ->
+        (* A functor's body is its unit's one implementation, whatever
+           the instance: its bindings take the enclosing module's names,
+           and a parameter stands for the unit that owns its module type
+           ([P : Patch.S] resolves [P.find] to "Patch.find"). *)
+        (match param with
+        | Named (Some id, _, mty) -> (
+          match functor_param_owner mty with
+          | Some owner -> Hashtbl.replace aliases (Ident.name id) owner
+          | None -> ())
+        | Named (None, _, _) | Unit -> ());
+        body parent me
       | Tmod_ident (p, _) -> (
         (* module alias: [module Rs = Purity_erasure.Reed_solomon] — later
            references go through the alias path, so record the target to
            keep canonical names (and therefore graph edges) unified *)
         match List.rev (String.split_on_char '.' (Path.name p)) with
-        | last :: _ -> Hashtbl.replace aliases name (canon_component last)
+        | last :: _ ->
+          let last = canon_component last in
+          Hashtbl.replace aliases name
+            (Option.value ~default:last (Hashtbl.find_opt aliases last))
         | [] -> ())
       | _ -> ()
     in
-    body mb.mb_expr
+    body name mb.mb_expr
   in
   collect_top unit_module str;
 
@@ -677,11 +732,41 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
           (match !cur with Some d -> defs := d :: !defs | None -> ());
           cur := None)
         vbs
+    | Tstr_module mb when is_functor mb.mb_expr ->
+      (* the body's bindings are the enclosing module's (collect_top) *)
+      default.structure_item sub item
     | Tstr_module mb ->
       let name = match mb.mb_name.txt with Some n -> n | None -> "_" in
       module_stack := name :: !module_stack;
       default.structure_item sub item;
       module_stack := List.tl !module_stack
+    | Tstr_include incl when !cur = None -> (
+      (* [include F (X)] of another unit's functor: each included value is
+         that unit's implementation, so it gets a def forwarding there —
+         a call to [Block_index.find] reaches the body of [Pyramid.find] *)
+      match applied_owner incl.incl_mod with
+      | Some owner when owner <> cur_prefix () ->
+        let line, _ = loc_pos incl.incl_loc in
+        List.iter
+          (function
+            | Types.Sig_value (id, _, _) ->
+              defs :=
+                {
+                  Callgraph.name = cur_prefix () ^ "." ^ Ident.name id;
+                  d_file = source_file;
+                  d_line = line;
+                  is_fun = true;
+                  hot_root = false;
+                  recovery_root = false;
+                  cold = false;
+                  calls = [ { Callgraph.callee = owner ^ "." ^ Ident.name id; guarded = false } ];
+                  sites = [];
+                }
+                :: !defs
+            | _ -> ())
+          incl.incl_type;
+        default.structure_item sub item
+      | _ -> default.structure_item sub item)
     | _ -> default.structure_item sub item
   in
   let iter = { default with expr; value_binding; structure_item } in

@@ -870,6 +870,68 @@ let test_protection_errors () =
   | Error `Already -> Protection.stop p
   | _ -> Alcotest.fail "double protect accepted"
 
+(* ---------- on-media golden ---------- *)
+
+(* Every segio log record and checkpoint blob a fixed workload leaves on
+   the drives, digested: the block index's in-memory form may change, its
+   bytes on media may not. *)
+let media_digest clock a =
+  let module State = Purity_core.State in
+  let module Segment = Purity_segment.Segment in
+  let st = Fa.state a in
+  let read meta ~off ~len =
+    match await clock (Purity_sched.Io.read st.State.io meta ~off ~len) with
+    | Ok b -> b
+    | Error _ -> Alcotest.fail "media read failed"
+  in
+  let buf = Buffer.create 65536 in
+  let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) st.State.segment_metas []) in
+  List.iter
+    (fun id ->
+      let meta = Hashtbl.find st.State.segment_metas id in
+      if meta.Segment.log_len > 0 then
+        List.iter
+          (fun (seq, r) -> Printf.bprintf buf "%Ld:%d:%s" seq (String.length r) r)
+          (Purity_segment.Writer.decode_log_region
+             (read meta ~off:meta.Segment.log_off ~len:meta.Segment.log_len)))
+    ids;
+  List.iter
+    (fun (name, ranges, chunks) ->
+      Printf.bprintf buf "%s:%S:" name ranges;
+      List.iter
+        (fun (m, off, len) ->
+          Buffer.add_bytes buf (read (Segment.decode_compact m) ~off ~len))
+        chunks)
+    st.State.checkpoint_dir;
+  (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_media_golden () =
+  let clock, a = make_array ~config:{ test_config with Fa.memtable_flush = 64 } () in
+  let grng = Rng.create ~seed:0x601DL in
+  let data nblocks = Bytes.to_string (Rng.bytes grng (nblocks * bs)) in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  ok (Fa.create_volume a "w" ~blocks:128);
+  for i = 0 to 15 do
+    write_ok clock a ~volume:"v" ~block:(i * 16) (data 16)
+  done;
+  for i = 0 to 7 do
+    write_ok clock a ~volume:"w" ~block:(i * 16) (textish 16)
+  done;
+  for i = 0 to 3 do
+    write_ok clock a ~volume:"v" ~block:((i * 32) + 8) (data 8)
+  done;
+  ok (Fa.snapshot a ~volume:"v" ~snap:"v@1");
+  ok (Fa.clone a ~snapshot:"v@1" ~volume:"c");
+  write_ok clock a ~volume:"c" ~block:0 (data 16);
+  write_ok clock a ~volume:"v" ~block:64 (data 4);
+  ok (Fa.delete_volume a "w");
+  ignore (await clock (fun k -> Fa.gc ~min_dead_ratio:0.0 ~max_victims:64 a (fun r -> k r)));
+  ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
+  write_ok clock a ~volume:"v" ~block:100 (data 8);
+  await clock (fun k -> Fa.flush a (fun () -> k ()));
+  check (Alcotest.pair int Alcotest.string) "log records and checkpoint blobs"
+    (24068, "9e8fe7a4c389d26fcda2faaa2bb5ad0e") (media_digest clock a)
+
 let () =
   Alcotest.run "core"
     [
@@ -950,6 +1012,7 @@ let () =
             test_inference_sizes_cblocks_for_single_fetch_reads;
           Alcotest.test_case "per volume" `Quick test_inference_per_volume;
         ] );
+      ("media", [ Alcotest.test_case "golden" `Quick test_media_golden ]);
       ( "cache",
         [
           Alcotest.test_case "hits speed up rereads" `Quick test_cache_hits_speed_up_rereads;

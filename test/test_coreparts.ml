@@ -7,6 +7,7 @@ module Keys = Purity_core.Keys
 module Blockref = Purity_core.Blockref
 module Boot = Purity_core.Boot_region
 module Meta_log = Purity_core.Meta_log
+module Block_index = Purity_core.Block_index
 module Fact = Purity_pyramid.Fact
 
 let check = Alcotest.check
@@ -18,8 +19,23 @@ let int = Alcotest.int
 let test_block_key_roundtrip () =
   let k = Keys.block_key ~medium:42 ~block:99999 in
   check int "key width" 16 (String.length k);
-  check int "medium" 42 (Keys.block_key_medium k);
-  check int "block" 99999 (Keys.block_key_block k)
+  check bool "parses back" true (Keys.parse_block_key k = Some (42, 99999));
+  check bool "max_int block" true
+    (Keys.parse_block_key (Keys.block_key ~medium:0 ~block:max_int) = Some (0, max_int))
+
+(* Only a 16-byte string whose halves are sign-extended 63-bit ints is a
+   block key. *)
+let test_block_key_rejects () =
+  let k = Keys.block_key ~medium:42 ~block:99999 in
+  check bool "short" true (Keys.parse_block_key (String.sub k 0 15) = None);
+  check bool "long" true (Keys.parse_block_key (k ^ "\x00") = None);
+  check bool "empty" true (Keys.parse_block_key "" = None);
+  check bool "half beyond 63 bits" true
+    (Keys.parse_block_key ("\x40" ^ String.sub k 1 15) = None);
+  check bool "sign bit without bit 62" true
+    (Keys.parse_block_key ("\x80" ^ String.sub k 1 15) = None);
+  check bool "negative half is an int" true
+    (Keys.parse_block_key (Keys.block_key ~medium:(-1) ~block:7) = Some (-1, 7))
 
 let test_block_key_ordering () =
   (* byte order must equal (medium, block) order for range scans *)
@@ -27,6 +43,18 @@ let test_block_key_ordering () =
   let keys = List.map (fun (m, b) -> Keys.block_key ~medium:m ~block:b) pairs in
   let sorted = List.sort compare keys in
   check bool "lexicographic = numeric" true (keys = sorted)
+
+(* The in-memory order of the block index must be the bytewise order of
+   its encoded keys: serialised patches are sorted. *)
+let prop_block_key_order =
+  let half = QCheck.Gen.(oneof [ return 0; return max_int; return min_int; small_nat; int ]) in
+  QCheck.Test.make ~name:"typed block-key order = bytewise key order" ~count:1000
+    (QCheck.make QCheck.Gen.(pair (pair half half) (pair half half)))
+    (fun (((m1, b1) as a), ((m2, b2) as b)) ->
+      let sign x = compare x 0 in
+      sign (Keys.Block.compare a b)
+      = sign (String.compare (Keys.block_key ~medium:m1 ~block:b1) (Keys.block_key ~medium:m2 ~block:b2))
+      && Keys.Block.equal a b = (Keys.Block.compare a b = 0))
 
 let test_medium_segment_keys () =
   check int "medium id" 77 (Keys.medium_key_id (Keys.medium_key 77));
@@ -44,8 +72,17 @@ let prop_block_key_injective =
 
 let test_blockref_roundtrip () =
   let r = { Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 } in
-  let r2 = Blockref.decode (Blockref.encode r) in
-  check bool "roundtrip" true (r = r2)
+  check bool "roundtrip" true (Blockref.decode (Blockref.encode r) = Some r);
+  check int "size" (String.length (Blockref.encode r)) (Blockref.size r)
+
+(* Anything but exactly four shortest-encoding varints is rejected. *)
+let test_blockref_rejects () =
+  let e = Blockref.encode { Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 } in
+  check bool "empty" true (Blockref.decode "" = None);
+  check bool "truncated" true (Blockref.decode (String.sub e 0 (String.length e - 1)) = None);
+  check bool "trailing byte" true (Blockref.decode (e ^ "\x00") = None);
+  check bool "overlong varint" true (Blockref.decode "\x80\x00\x01\x02\x03" = None);
+  check bool "three fields" true (Blockref.decode "\x01\x02\x03" = None)
 
 let test_blockref_same_cblock () =
   let a = { Blockref.segment = 5; off = 100; stored_len = 900; index = 0 } in
@@ -59,7 +96,7 @@ let prop_blockref_roundtrip =
     QCheck.(quad (int_bound 100000) (int_bound 10_000_000) (int_bound 40000) (int_bound 64))
     (fun (segment, off, stored_len, index) ->
       let r = { Blockref.segment; off; stored_len; index } in
-      Blockref.decode (Blockref.encode r) = r)
+      Blockref.decode (Blockref.encode r) = Some r)
 
 (* ---------- Boot region ---------- *)
 
@@ -97,6 +134,16 @@ let f_volume = Fact.make ~key:"vol-a" ~value:"V\x05\x80\x01" ~seq:300L
 let f_tomb = Fact.tombstone ~key:long_key ~seq:5L
 let f_wide = Fact.make ~key:"\x00\x00\x00\x07" ~value:"" ~seq:0x1_0000_0000L
 
+let f_block =
+  Block_index.Fact.make ~key:(3, 200)
+    ~value:{ Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 }
+    ~seq:70000L
+
+let f_block_edge =
+  Block_index.Fact.make ~key:(0, max_int)
+    ~value:{ Blockref.segment = 0; off = 127; stored_len = 128; index = 0 }
+    ~seq:1L
+
 (* Every record kind against the bytes the encoders wrote before the
    codec was gathered into one module: the formats are on media, so they
    must not drift. *)
@@ -105,7 +152,13 @@ let golden_log =
     [
       ( Fact (Volumes, f_volume),
         "\x56\xac\x02\x05\x76\x6f\x6c\x2d\x61\x01\x04\x56\x05\x80\x01" );
-      (Fact (Blocks, f_tomb), "\x42\x05\x82\x01" ^ long_key ^ "\x00");
+      (Fact (Volumes, f_tomb), "\x56\x05\x82\x01" ^ long_key ^ "\x00");
+      ( Block f_block,
+        "\x42\xf0\xa2\x04\x10\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\xc8\x01\x08\xa9\x46\xc0\xc4\x07\x89\x40\x3f"
+      );
+      ( Block f_block_edge,
+        "\x42\x01\x10\x00\x00\x00\x00\x00\x00\x00\x00\x3f\xff\xff\xff\xff\xff\xff\xff\x01\x05\x00\x7f\x80\x01\x00"
+      );
       (Fact (Segments, f_wide), "\x53\x80\x80\x80\x80\x10\x04\x00\x00\x00\x07\x01\x00");
       (Elide (Mediums, { seq = 301L; lo = 7; hi = 9 }), "\x65\x4d\xad\x02\x07\x09");
       (Elide (Blocks, { seq = 1L; lo = 0; hi = 200 }), "\x65\x42\x01\x00\xc8\x01");
@@ -125,6 +178,21 @@ let golden_nvram =
       (Intent { medium = 130; block = 0; data = "" }, "\x57\x82\x01\x00\x00");
     ]
 
+(* 'B' records that are no block-index fact. The first was a valid
+   record when every table was string-keyed; block facts are never
+   tombstones, and their keys are 16 bytes. *)
+let not_block_records =
+  [
+    ("130-byte-key block tombstone", "\x42\x05\x82\x01" ^ long_key ^ "\x00");
+    ( "16-byte-key block tombstone",
+      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x00" );
+    ("15-byte block key", "\x42\x05\x0f" ^ String.sub (Keys.block_key ~medium:3 ~block:200) 1 15 ^ "\x01\x04\x01\x02\x03\x04");
+    ( "blockref with a trailing byte",
+      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x01\x05\x01\x02\x03\x04\x05" );
+    ( "overlong blockref varint",
+      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x01\x05\x81\x00\x02\x03\x04" );
+  ]
+
 let test_meta_log_golden () =
   List.iter
     (fun (m, bytes) ->
@@ -141,9 +209,29 @@ let test_meta_log_golden () =
       check bool "table name roundtrip" true
         (Meta_log.table_of_name (Meta_log.name t) = Some t))
     Meta_log.tables;
+  List.iter
+    (fun (why, bytes) -> check bool why true (Meta_log.decode_log bytes = None))
+    not_block_records;
   (* each framing is its own: a log record is not an NVRAM record *)
   check bool "log fact is no stash" true (Meta_log.decode_nvram (snd (List.hd golden_log)) = None);
   check bool "stash is no log record" true (Meta_log.decode_log (snd (List.hd golden_nvram)) = None)
+
+(* Block-index fields at 0, max_int (replication's range bound) and on
+   every varint byte boundary. *)
+let gen_edge =
+  QCheck.Gen.(oneof [ map (fun i -> i land max_int) int; oneofl [ 0; 127; 128; 16383; 16384; max_int ] ])
+
+let gen_blockref =
+  QCheck.Gen.(
+    map
+      (fun (segment, off, stored_len, index) -> { Blockref.segment; off; stored_len; index })
+      (quad gen_edge gen_edge gen_edge gen_edge))
+
+let gen_block_fact =
+  QCheck.Gen.(
+    map3
+      (fun key value seq -> Block_index.Fact.make ~key ~value ~seq)
+      (pair gen_edge gen_edge) gen_blockref ui64)
 
 let gen_meta =
   let open QCheck.Gen in
@@ -155,12 +243,14 @@ let gen_meta =
       (fun key value seq -> { Fact.key; value; seq })
       (string_size (int_bound 140)) (opt (string_size (int_bound 200))) ui64
   in
+
   let elide =
     map3 (fun seq lo hi -> { Meta_log.seq; lo; hi }) ui64 (small_or_wide nat) (small_or_wide nat)
   in
   oneof
     [
-      map2 (fun t f -> Meta_log.Fact (t, f)) table fact;
+      map2 (fun t f -> Meta_log.Fact (t, f)) (oneofl Meta_log.[ Mediums; Segments; Volumes ]) fact;
+      map (fun f -> Meta_log.Block f) gen_block_fact;
       map2 (fun t e -> Meta_log.Elide (t, e)) table elide;
     ]
 
@@ -229,12 +319,177 @@ let prop_nvram_mutation =
       | None -> true
       | Some r -> String.equal (Meta_log.encode_nvram r) s)
 
+(* The block-index codecs: each damaged encoding is rejected or re-encodes
+   to exactly itself. *)
+let prop_block_record_mutation =
+  QCheck.Test.make ~name:"block fact records: decoder total on damage" ~count:2000
+    (QCheck.make (gen_mutated gen_block_fact (fun f -> Meta_log.encode_log (Block f))))
+    (fun s ->
+      match Meta_log.decode_log s with
+      | None -> true
+      | Some m -> String.equal (Meta_log.encode_log m) s)
+
+let prop_blockref_mutation =
+  QCheck.Test.make ~name:"Blockref.decode total on damage" ~count:2000
+    (QCheck.make (gen_mutated gen_blockref Blockref.encode))
+    (fun s ->
+      match Blockref.decode s with None -> true | Some r -> String.equal (Blockref.encode r) s)
+
+let prop_block_key_mutation =
+  QCheck.Test.make ~name:"block-key parse total on damage" ~count:2000
+    (QCheck.make
+       (gen_mutated (QCheck.Gen.pair gen_edge gen_edge) (fun (medium, block) ->
+            Keys.block_key ~medium ~block)))
+    (fun s ->
+      match Keys.parse_block_key s with
+      | None -> true
+      | Some (medium, block) -> String.equal (Keys.block_key ~medium ~block) s)
+
+(* A block-index patch blob: damage raises only [Invalid_argument]
+   (which recovery takes as a corrupt chunk), and a blob that does decode
+   re-serialises to itself. *)
+let prop_block_patch_mutation =
+  QCheck.Test.make ~name:"block patch deserialise total on damage" ~count:500
+    (QCheck.make
+       (gen_mutated
+          QCheck.Gen.(list_size (int_bound 40) gen_block_fact)
+          (fun fs -> Block_index.Patch.serialize (Block_index.Patch.of_facts fs))))
+    (fun s ->
+      match Block_index.Patch.deserialize s with
+      | p -> String.equal (Block_index.Patch.serialize p) s
+      | exception Invalid_argument _ -> true)
+
+(* A patch blob carrying a block tombstone is corrupt, CRC or not. *)
+let test_block_patch_rejects_tombstone () =
+  let string_patch =
+    Purity_pyramid.Patch.of_facts
+      [ Fact.tombstone ~key:(Keys.block_key ~medium:3 ~block:200) ~seq:5L ]
+  in
+  match Block_index.Patch.deserialize (Purity_pyramid.Patch.serialize string_patch) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "block patch with a tombstone accepted"
+
+(* ---------- Block index vs the string pyramid ---------- *)
+
+(* The block index is the shared pyramid at typed keys and values. Fed
+   the same facts, elides and maintenance as a string-keyed pyramid whose
+   facts are the on-media encodings, it must answer every read the same
+   way and serialise byte-identical patches. Keys include negative
+   halves, whose unsigned order differs from the signed one. *)
+module Spyr = Purity_pyramid.Pyramid
+
+type op =
+  | Put of (int * int) * Blockref.t
+  | Elide_mediums of int * int
+  | Flush
+  | Merge
+  | Flatten
+
+let gen_half =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0; 1; 127; 128; 16383; 16384; max_int; max_int - 1; -1; min_int ];
+        small_nat;
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map2 (fun k r -> Put (k, r)) (pair (oneofl [ 0; 1; 2; max_int; -1 ]) gen_half) gen_blockref);
+        (1, map2 (fun a b -> Elide_mediums (min a b, max a b)) (oneofl [ 0; 1; 2; max_int ]) (oneofl [ 0; 1; 2; max_int ]));
+        (2, return Flush);
+        (1, return Merge);
+        (1, return Flatten);
+      ])
+
+let block_of_string_key k = Option.get (Keys.parse_block_key k)
+
+let run_both ops =
+  let b =
+    Block_index.create ~memtable_flush_count:8 ~policy:Purity_core.State.blocks_policy ~name:"b" ()
+  in
+  let s =
+    Spyr.create ~memtable_flush_count:8
+      ~policy:(Spyr.Elide (fun f -> fst (block_of_string_key f.Fact.key)))
+      ~name:"s" ()
+  in
+  List.iteri
+    (fun i op ->
+      let seq = Int64.of_int (i + 1) in
+      match op with
+      | Put (((medium, block) as key), r) ->
+        Block_index.insert b ~seq ~key ~value:r;
+        Spyr.insert s ~seq ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r)
+      | Elide_mediums (lo, hi) ->
+        Block_index.elide_range b ~seq ~lo ~hi;
+        Spyr.elide_range s ~seq ~lo ~hi
+      | Flush ->
+        Block_index.flush b;
+        Spyr.flush s
+      | Merge -> ignore (Block_index.merge_step b && Spyr.merge_step s)
+      | Flatten ->
+        Block_index.flatten b;
+        Spyr.flatten s)
+    ops;
+  (b, s)
+
+let same_reads (b, s) ops =
+  let live_b = ref [] and live_s = ref [] in
+  Block_index.iter_live b (fun ~key ~value -> live_b := (key, value) :: !live_b);
+  Spyr.iter_live s (fun ~key ~value ->
+      live_s := (block_of_string_key key, Option.get (Blockref.decode value)) :: !live_s);
+  let runs_agree (medium, block) =
+    let n = 4 in
+    let block = if block >= 0 then min block (max_int - n) else min block (-1 - n) in
+    let run_b =
+      Block_index.find_run b ~n ~key_of:(fun i -> (medium, block + i)) ~index:(fun (m, k) ->
+          if m = medium then k - block else -1)
+    in
+    let run_s =
+      Spyr.find_run s ~n
+        ~key_of:(fun i -> Keys.block_key ~medium ~block:(block + i))
+        ~index:(fun k ->
+          match Keys.parse_block_key k with Some (m, k) when m = medium -> k - block | _ -> -1)
+    in
+    List.for_all
+      (fun i ->
+        Block_index.resolve_fact b run_b.(i)
+        = Option.map (fun v -> Option.get (Blockref.decode v)) (Spyr.resolve_fact s run_s.(i))
+        && Block_index.find b (medium, block + i)
+           = Option.map
+               (fun v -> Option.get (Blockref.decode v))
+               (Spyr.find s (Keys.block_key ~medium ~block:(block + i))))
+      [ 0; 1; 2; 3 ]
+  in
+  !live_b = !live_s
+  && List.for_all (function Put (k, _) -> runs_agree k | _ -> true) ops
+  && List.map Block_index.Patch.serialize (Block_index.patches b)
+     = List.map Spyr.Patch.serialize (Spyr.patches s)
+  && Block_index.fact_count b = Spyr.fact_count s
+
+let prop_block_index_matches_string_pyramid =
+  QCheck.Test.make ~name:"block index = string pyramid over the encoded facts" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 120) gen_op))
+    (fun ops ->
+      let both = run_both ops in
+      same_reads both ops
+      &&
+      (* and once more after everything is flushed into patches *)
+      (Block_index.flush (fst both);
+       Spyr.flush (snd both);
+       same_reads both ops))
+
 let () =
   Alcotest.run "core-parts"
     [
       ( "keys",
         [
           Alcotest.test_case "block key roundtrip" `Quick test_block_key_roundtrip;
+          Alcotest.test_case "block key rejects" `Quick test_block_key_rejects;
+          QCheck_alcotest.to_alcotest prop_block_key_order;
+          QCheck_alcotest.to_alcotest prop_block_key_mutation;
           Alcotest.test_case "ordering" `Quick test_block_key_ordering;
           Alcotest.test_case "medium/segment" `Quick test_medium_segment_keys;
           QCheck_alcotest.to_alcotest prop_block_key_injective;
@@ -242,7 +497,9 @@ let () =
       ( "blockref",
         [
           Alcotest.test_case "roundtrip" `Quick test_blockref_roundtrip;
+          Alcotest.test_case "rejects" `Quick test_blockref_rejects;
           Alcotest.test_case "same cblock" `Quick test_blockref_same_cblock;
+          QCheck_alcotest.to_alcotest prop_blockref_mutation;
           QCheck_alcotest.to_alcotest prop_blockref_roundtrip;
         ] );
       ( "boot_region",
@@ -251,6 +508,7 @@ let () =
           Alcotest.test_case "write then read" `Quick test_boot_write_then_read;
           Alcotest.test_case "latency" `Quick test_boot_latency_charged;
         ] );
+      ("block_index", [ QCheck_alcotest.to_alcotest prop_block_index_matches_string_pyramid ]);
       ( "meta_log",
         [
           Alcotest.test_case "golden bytes" `Quick test_meta_log_golden;
@@ -258,5 +516,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_nvram_roundtrip;
           QCheck_alcotest.to_alcotest prop_log_mutation;
           QCheck_alcotest.to_alcotest prop_nvram_mutation;
+          QCheck_alcotest.to_alcotest prop_block_record_mutation;
+          QCheck_alcotest.to_alcotest prop_block_patch_mutation;
+          Alcotest.test_case "block patch rejects tombstone" `Quick
+            test_block_patch_rejects_tombstone;
         ] );
     ]

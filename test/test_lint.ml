@@ -156,6 +156,17 @@ let test_raises_pass () =
     ]
     (List.map rule_line_chain fs)
 
+let test_raises_through_functor () =
+  let g = graph_of [ "fx_functor"; "fx_instance" ] in
+  let fs = Lint.Raises.run cfg g in
+  Alcotest.check pass_shape
+    "a raise in a functor body is reached through an included instance"
+    [
+      ( ("raises", 5),
+        [ "Fx_instance.recover"; "Fx_instance.check"; "Fx_functor.check" ] );
+    ]
+    (List.map rule_line_chain fs)
+
 let test_handled_exns () =
   let g = graph_of [ "fx_raise" ] in
   let cfg' = { cfg with Lint.Rules.handled_exns = [ "Exit"; "Failure" ] } in
@@ -312,6 +323,7 @@ let () =
           Alcotest.test_case "escape pass" `Quick test_escape_pass;
           Alcotest.test_case "alloc pass" `Quick test_alloc_pass;
           Alcotest.test_case "raises pass" `Quick test_raises_pass;
+          Alcotest.test_case "raises through a functor" `Quick test_raises_through_functor;
           Alcotest.test_case "handled exns" `Quick test_handled_exns;
           test_edges_stable;
         ] );
