@@ -82,22 +82,40 @@ let add_frame ?scratch ?(compress = true) buf data =
     if compress then encode buf (of_data data) else add_raw_frame buf data;
     Buffer.length buf - start
 
-let decode buf ~pos =
-  let logical_len, p = Varint.read buf ~pos in
-  if p >= Bytes.length buf then invalid_arg "Cblock.decode: truncated";
-  let encoding =
-    match Bytes.get buf p with
-    | '\000' -> Raw
-    | '\001' -> Lz
-    | _ -> invalid_arg "Cblock.decode: bad encoding byte"
-  in
-  let payload_len, p = Varint.read buf ~pos:(p + 1) in
-  if p + 4 + payload_len > Bytes.length buf then invalid_arg "Cblock.decode: truncated";
-  let crc_stored = Bytes.get_int32_le buf p in
-  let payload = Bytes.sub_string buf (p + 4) payload_len in
-  if Crc32c.digest_string payload <> crc_stored then
-    invalid_arg "Cblock.decode: CRC mismatch";
-  ({ logical_len; encoding; payload }, p + 4 + payload_len)
+let encoding_of_byte = function '\000' -> Some Raw | '\001' -> Some Lz | _ -> None
+
+(* The lengths [encode] can write: a Raw payload is the data itself and
+   an Lz payload is strictly shorter ([of_data] stores Raw otherwise). *)
+let lengths_fit encoding ~logical_len ~payload_len =
+  logical_len <= max_logical
+  &&
+  match encoding with
+  | Raw -> payload_len = logical_len
+  | Lz -> payload_len < logical_len
+
+(* Total: a frame [encode] could not have written is [None]. The field
+   reads, the CRC and the decompression all sit in the match scrutinee,
+   so their [Invalid_argument] lands in the handler. The CRC is checked
+   on the frame in place, before the payload is copied out. *)
+let[@purity.lint.recovery_root] decode buf ~pos =
+  match
+    let logical_len, p = Varint.read buf ~pos in
+    let encoding = if p < Bytes.length buf then encoding_of_byte (Bytes.get buf p) else None in
+    let payload_len, p = Varint.read buf ~pos:(p + 1) in
+    let start = p + 4 in
+    match encoding with
+    | Some encoding
+      when lengths_fit encoding ~logical_len ~payload_len
+           && payload_len <= Bytes.length buf - start
+           && Int32.equal
+                (Crc32c.digest buf ~pos:start ~len:payload_len)
+                (Bytes.get_int32_le buf p) ->
+      let t = { logical_len; encoding; payload = Bytes.sub_string buf start payload_len } in
+      Some (t, data t, start + payload_len)
+    | _ -> None
+  with
+  | r -> r
+  | exception Invalid_argument _ -> None
 
 let reduction t =
   if stored_size t = 0 then 1.0

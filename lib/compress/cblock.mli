@@ -24,7 +24,10 @@ val of_data : ?scratch:Lz.scratch -> string -> t
     reused). @raise Invalid_argument beyond [max_logical]. *)
 
 val data : t -> string
-(** Recover the application data. *)
+(** Recover the application data of a cblock built by {!of_data}
+    ({!decode} returns it alongside the cblock).
+    @raise Invalid_argument if an Lz payload does not decompress to
+    [logical_len] bytes. *)
 
 val stored_size : t -> int
 (** Bytes the cblock occupies on media, including the frame header. *)
@@ -47,10 +50,16 @@ val add_frame : ?scratch:Lz.scratch -> ?compress:bool -> Buffer.t -> string -> i
     [true]; [false] forces a raw frame (compression disabled in config).
     @raise Invalid_argument beyond [max_logical]. *)
 
-val decode : bytes -> pos:int -> t * int
-(** [decode buf ~pos] parses one frame, returning it and the offset just
-    past it. @raise Invalid_argument on corruption (CRC mismatch) or
-    truncation. *)
+val decode : bytes -> pos:int -> (t * string * int) option
+(** [decode buf ~pos] parses and verifies one frame. It returns the
+    cblock, its application data ([logical_len] bytes, decompressed here,
+    so a caller that keeps the data never decodes the frame again) and
+    the offset just past the frame. Total: [None] for a truncated frame,
+    a bad encoding byte, a non-shortest varint, a CRC mismatch,
+    [logical_len > max_logical], a Raw payload whose length is not
+    [logical_len], an Lz payload not shorter than [logical_len], or one
+    that does not decompress to exactly [logical_len] bytes. A frame it
+    accepts re-encodes ({!encode}) to exactly the bytes it read. *)
 
 val reduction : t -> float
 (** logical/stored ratio for this cblock (>= 1 unless data was

@@ -41,7 +41,7 @@ type config = State.config = {
   dedup_config : Purity_dedup.Dedup.config;
   checkpoint_every_writes : int;  (** 0 = checkpoint manually *)
   read_cache_entries : int;
-      (** cblock frames cached in controller DRAM (0 disables) *)
+      (** decoded cblocks cached in controller DRAM (0 disables) *)
   map_cache_entries : int;
       (** logical->blockref mapping-cache slots (0 disables) *)
   secondary_warming : bool;

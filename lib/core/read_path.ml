@@ -1,7 +1,8 @@
 (* The read path: (volume, block range) -> medium chain resolution
    (paper §4.5) -> block references -> coalesced cblock reads through the
-   scheduler (read-around-write, reconstruction) -> decompress -> copy the
-   requested 512 B slices out.
+   scheduler (read-around-write, reconstruction) -> verify + decompress
+   once -> copy the requested 512 B slices out. The read cache keeps the
+   decoded cblock, so a DRAM hit is a copy.
 
    Blocks with no reference anywhere in the chain read as zeros (thin
    provisioning); the paper's note that small reads "generally retrieve a
@@ -36,6 +37,28 @@ let plan t ~medium ~block ~nblocks =
       | _ -> fetches := { ref_ = r; slices = [ (i, r.Blockref.index) ] } :: !fetches)
   done;
   (List.rev !fetches, !zeros)
+
+(* Copy the requested 512 B slices out of one decoded cblock. *)
+let rec blit_slices data out failed = function
+  | [] -> ()
+  | (out_block, cb_index) :: rest ->
+    let src = cb_index * block_size in
+    if src + block_size <= String.length data then
+      Bytes.blit_string data src out (out_block * block_size) block_size
+    else failed := true;
+    blit_slices data out failed rest
+
+(* Verify and decode a fetched frame once and copy its slices out. The
+   decoded cblock is returned for the read cache; a frame that does not
+   decode fails the read and yields nothing to cache. *)
+let decode_slices frame out failed slices =
+  match Cblock.decode frame ~pos:0 with
+  | Some (_, data, _) ->
+    blit_slices data out failed slices;
+    Some data
+  | None ->
+    failed := true;
+    None
 
 let read t ~volume ~block ~nblocks k =
   let start = Clock.now t.clock in
@@ -72,6 +95,10 @@ let read t ~volume ~block ~nblocks k =
             k (Ok (Bytes.unsafe_to_string out))
           end
         in
+        let settle () =
+          decr pending;
+          if !pending = 0 then finish ()
+        in
         match fetches with
         | [] ->
           (* all-zero read: charge a trivial metadata-only latency *)
@@ -88,70 +115,40 @@ let read t ~volume ~block ~nblocks k =
                 with
                 | None ->
                   failed := true;
-                  decr pending;
-                  if !pending = 0 then finish ()
+                  settle ()
                 | Some frame ->
                   Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      (match Cblock.decode (Bytes.unsafe_of_string frame) ~pos:0 with
-                      | exception Invalid_argument _ -> failed := true
-                      | cb, _ ->
-                        let data = Cblock.data cb in
-                        List.iter
-                          (fun (out_block, cb_index) ->
-                            let src = cb_index * block_size in
-                            if src + block_size <= String.length data then
-                              Bytes.blit_string data src out (out_block * block_size)
-                                block_size
-                            else failed := true)
-                          f.slices);
-                      decr pending;
-                      if !pending = 0 then finish ()))
+                      ignore (decode_slices (Bytes.unsafe_of_string frame) out failed f.slices);
+                      settle ()))
               | None -> (
                 let cache_key = (f.ref_.Blockref.segment, f.ref_.Blockref.off) in
-                let deliver_frame frame =
-                  match Cblock.decode frame ~pos:0 with
-                  | exception Invalid_argument _ -> failed := true
-                  | cb, _ ->
-                    let data = Cblock.data cb in
-                    List.iter
-                      (fun (out_block, cb_index) ->
-                        let src = cb_index * block_size in
-                        if src + block_size <= String.length data then
-                          Bytes.blit_string data src out (out_block * block_size)
-                            block_size
-                        else failed := true)
-                      f.slices
-                in
                 match
                   if t.cfg.read_cache_entries > 0 then
                     Lru.Ipair.find t.read_cache cache_key
                   else None
                 with
-                | Some frame ->
-                  (* controller-DRAM hit *)
+                | Some data ->
+                  (* controller-DRAM hit: the cblock is cached decoded *)
                   Registry.incr t.ws.cache_hits;
                   Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      deliver_frame (Bytes.unsafe_of_string frame);
-                      decr pending;
-                      if !pending = 0 then finish ())
+                      blit_slices data out failed f.slices;
+                      settle ())
                 | None -> (
                   Registry.incr t.ws.cache_misses;
                   match find_segment t f.ref_.Blockref.segment with
                   | None ->
                     failed := true;
-                    decr pending;
-                    if !pending = 0 then finish ()
+                    settle ()
                   | Some seg ->
                     Io.read t.io seg ~off:f.ref_.Blockref.off
                       ~len:f.ref_.Blockref.stored_len (fun result ->
                         (match result with
                         | Error `Unrecoverable -> failed := true
-                        | Ok frame ->
-                          if t.cfg.read_cache_entries > 0 then
-                            Lru.Ipair.add t.read_cache cache_key
-                              (Bytes.to_string frame);
-                          deliver_frame frame);
-                        decr pending;
-                        if !pending = 0 then finish ()))))
+                        | Ok frame -> (
+                          match decode_slices frame out failed f.slices with
+                          | Some data when t.cfg.read_cache_entries > 0 ->
+                            Lru.Ipair.add t.read_cache cache_key data
+                          | _ -> ()));
+                        settle ()))))
             fetches
       end

@@ -47,7 +47,7 @@ type config = {
   compression : bool;
   dedup_config : Dedup.config;
   checkpoint_every_writes : int; (* 0 = manual checkpoints only *)
-  read_cache_entries : int; (* cblock frames cached in controller DRAM; 0 = off *)
+  read_cache_entries : int; (* decoded cblocks cached in controller DRAM; 0 = off *)
   map_cache_entries : int; (* logical->blockref mapping cache slots; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
@@ -216,7 +216,8 @@ type t = {
   control_view : control_view Purity_par.Epoch.t;
       (* single-writer epoch snapshot of the flush pipeline, republished
          at every mutation of the fields it mirrors *)
-  read_cache : string Lru.Ipair.t; (* (segment, off) -> frame *)
+  read_cache : string Lru.Ipair.t;
+      (* (segment, off) -> the cblock's verified, decompressed bytes *)
   map_cache : Blockref.t option Lru.Ipair.t;
       (* (medium, block) -> memoized block-pyramid lookup, negative
          results included (thin-provisioned upper levels miss constantly).
@@ -978,9 +979,10 @@ let halt_device_activity t =
 
 (* Paper 4.3: "the primary controller asynchronously warms the cache of
    the secondary". At failover the spare therefore starts with (most of)
-   the primary's read cache instead of a cold one. *)
+   the primary's read cache instead of a cold one. The entries move as
+   they are, already decoded: the spare's hits are copies too. *)
 let warm_cache ~from ~into =
   if into.cfg.secondary_warming then
     Lru.Ipair.fold
-      (fun key frame () -> Lru.Ipair.add into.read_cache key frame)
+      (fun key data () -> Lru.Ipair.add into.read_cache key data)
       from.read_cache ()

@@ -155,6 +155,16 @@ let test_lz_scratch_reuse_deterministic () =
 
 (* ---------- Cblock ---------- *)
 
+let decode_ok raw ~pos =
+  match Cblock.decode raw ~pos with
+  | Some r -> r
+  | None -> Alcotest.fail "valid frame rejected"
+
+let frame_of data =
+  let buf = Buffer.create 64 in
+  Cblock.encode buf (Cblock.of_data data);
+  Buffer.contents buf
+
 let test_cblock_roundtrip_compressible () =
   let data = String.concat "" (List.init 64 (fun _ -> "0123456789abcdef")) in
   let cb = Cblock.of_data data in
@@ -177,10 +187,10 @@ let test_cblock_add_frame_into_random_is_raw () =
   let buf = Buffer.create (Cblock.max_logical + 16) in
   let scratch = Lz.create_scratch () in
   let size = Cblock.add_frame_into ~scratch ~compress:true buf data in
-  let cb, next = Cblock.decode (Buffer.to_bytes buf) ~pos:0 in
+  let cb, back, next = decode_ok (Buffer.to_bytes buf) ~pos:0 in
   check int "frame size" size next;
   check bool "raw frame" true (cb.Cblock.encoding = Cblock.Raw);
-  check str "data back" data (Cblock.data cb)
+  check str "data back" data back
 
 let test_cblock_frame_roundtrip () =
   let blocks = [ "hello"; String.make 512 'q'; ""; "final block of data" ] in
@@ -190,8 +200,8 @@ let test_cblock_frame_roundtrip () =
   let rec decode_all pos acc =
     if pos >= Bytes.length raw then List.rev acc
     else begin
-      let cb, next = Cblock.decode raw ~pos in
-      decode_all next (Cblock.data cb :: acc)
+      let _, data, next = decode_ok raw ~pos in
+      decode_all next (data :: acc)
     end
   in
   check (Alcotest.list str) "all frames" blocks (decode_all 0 [])
@@ -203,9 +213,40 @@ let test_cblock_crc_detects_corruption () =
   (* flip a payload byte (last byte is always payload for non-empty data) *)
   let n = Bytes.length raw in
   Bytes.set_uint8 raw (n - 1) (Bytes.get_uint8 raw (n - 1) lxor 0xFF);
-  match Cblock.decode raw ~pos:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "corruption not detected"
+  check bool "corruption rejected" true (Cblock.decode raw ~pos:0 = None)
+
+(* Frames whose CRC is right but whose header lies about the data. *)
+let forged_frame ~logical_len encoding payload =
+  let buf = Buffer.create 64 in
+  Purity_util.Varint.write buf logical_len;
+  Buffer.add_char buf encoding;
+  Purity_util.Varint.write buf (String.length payload);
+  Buffer.add_int32_le buf (Purity_util.Crc32c.digest_string payload);
+  Buffer.add_string buf payload;
+  Buffer.to_bytes buf
+
+let test_cblock_decode_rejects_forged_headers () =
+  let rejects name frame = check bool name true (Cblock.decode frame ~pos:0 = None) in
+  (* accepted, this would size LZ's output buffer at 2^50 bytes *)
+  rejects "logical length past 32 KiB" (forged_frame ~logical_len:(1 lsl 50) '\001' "");
+  rejects "raw one byte past 32 KiB"
+    (forged_frame ~logical_len:(Cblock.max_logical + 1) '\000'
+       (String.make (Cblock.max_logical + 1) 'r'));
+  (* accepted, this would yield 3 bytes for a 4096-byte cblock *)
+  rejects "raw payload shorter than logical" (forged_frame ~logical_len:4096 '\000' "abc");
+  rejects "raw payload longer than logical" (forged_frame ~logical_len:2 '\000' "abc");
+  (* a valid LZ stream for "abcd", but not shorter than the data *)
+  let lz = Lz.compress "abcd" in
+  check str "lz stream is valid" "abcd" (Lz.decompress lz ~expected_len:4);
+  rejects "lz payload not shorter" (forged_frame ~logical_len:4 '\001' lz);
+  rejects "lz stream truncated" (forged_frame ~logical_len:64 '\001' "\x0f");
+  rejects "lz decodes short" (forged_frame ~logical_len:64 '\001' "\x30xyz");
+  rejects "bad encoding byte" (forged_frame ~logical_len:3 '\002' "abc");
+  rejects "empty" Bytes.empty;
+  let ok = forged_frame ~logical_len:3 '\000' "abc" in
+  let _, data, next = decode_ok ok ~pos:0 in
+  check str "well-formed raw frame" "abc" data;
+  check int "consumed" (Bytes.length ok) next
 
 let test_cblock_max_size_enforced () =
   Alcotest.check_raises "33 KiB rejected"
@@ -225,8 +266,62 @@ let prop_cblock_roundtrip =
     (fun s ->
       let buf = Buffer.create 64 in
       Cblock.encode buf (Cblock.of_data s);
-      let cb, consumed = Cblock.decode (Buffer.to_bytes buf) ~pos:0 in
-      Cblock.data cb = s && consumed = Buffer.length buf)
+      match Cblock.decode (Buffer.to_bytes buf) ~pos:0 with
+      | Some (cb, data, consumed) ->
+        data = s && Cblock.data cb = s && consumed = Buffer.length buf
+      | None -> false)
+
+(* Raw and Lz frames alike: random bytes, and a short random unit
+   repeated so it compresses. *)
+let gen_frame =
+  let open QCheck.Gen in
+  map frame_of
+    (oneof
+       [
+         string_size (0 -- 2048);
+         map2
+           (fun unit reps -> String.concat "" (List.init reps (fun _ -> unit)))
+           (string_size (1 -- 48)) (1 -- 80);
+       ])
+
+(* Damage a valid frame: cut it short, flip one bit, or splice a piece of
+   another frame into it. *)
+let gen_damaged_frame =
+  let open QCheck.Gen in
+  let* s = gen_frame in
+  let n = String.length s in
+  oneof
+    [
+      map (fun k -> String.sub s 0 (k mod (n + 1))) nat;
+      map2
+        (fun i b ->
+          let bytes = Bytes.of_string s in
+          let i = i mod n in
+          Bytes.set bytes i (Char.chr (Char.code s.[i] lxor (1 lsl (b mod 8))));
+          Bytes.to_string bytes)
+        nat nat;
+      map3
+        (fun other i j ->
+          let i = i mod (n + 1) and j = j mod (String.length other + 1) in
+          String.sub s 0 i ^ String.sub other j (String.length other - j))
+        gen_frame nat nat;
+    ]
+
+(* The decoder never raises on damage: it rejects the frame, or returns a
+   cblock that re-encodes to exactly the bytes it consumed, with data of
+   its logical length. *)
+let prop_cblock_decode_total_on_damage =
+  QCheck.Test.make ~name:"cblock decode total on damaged frames" ~count:2000
+    (QCheck.make ~print:String.escaped gen_damaged_frame)
+    (fun s ->
+      match Cblock.decode (Bytes.of_string s) ~pos:0 with
+      | None -> true
+      | Some (cb, data, next) ->
+        let buf = Buffer.create 64 in
+        Cblock.encode buf cb;
+        Buffer.contents buf = String.sub s 0 next
+        && String.length data = cb.Cblock.logical_len
+        && Cblock.data cb = data)
 
 let prop_cblock_never_expands_much =
   (* Raw fallback bounds expansion to the frame header. *)
@@ -282,10 +377,13 @@ let () =
             test_cblock_add_frame_into_random_is_raw;
           Alcotest.test_case "frame stream" `Quick test_cblock_frame_roundtrip;
           Alcotest.test_case "crc detects corruption" `Quick test_cblock_crc_detects_corruption;
+          Alcotest.test_case "decode rejects forged headers" `Quick
+            test_cblock_decode_rejects_forged_headers;
           Alcotest.test_case "max size enforced" `Quick test_cblock_max_size_enforced;
           Alcotest.test_case "512B granularity" `Quick test_cblock_512b_min_granularity;
           QCheck_alcotest.to_alcotest prop_cblock_roundtrip;
           QCheck_alcotest.to_alcotest prop_cblock_never_expands_much;
           QCheck_alcotest.to_alcotest prop_cblock_add_frame_equals_encode;
+          QCheck_alcotest.to_alcotest prop_cblock_decode_total_on_damage;
         ] );
     ]

@@ -621,6 +621,29 @@ let test_cache_hits_speed_up_rereads () =
   check bool (Printf.sprintf "hit is DRAM speed (%.1f us)" hit_latency) true
     (hit_latency < 50.0)
 
+(* The cache keeps decoded cblocks: a hit copies slices out of one, with
+   no CRC and no decompression. Compressible data, so the cblocks are
+   stored Lz and a decode would show in the LZ counter. *)
+let test_cache_hit_skips_decode () =
+  let module Ks = Purity_util.Kernel_stats in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  let d = textish 64 in
+  write_ok clock a ~volume:"v" ~block:0 d;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let lz0 = Ks.lz_decompress.Ks.bytes in
+  check bool "miss read correct" true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 = d);
+  check bool "miss decompressed" true (Ks.lz_decompress.Ks.bytes > lz0);
+  let lz1 = Ks.lz_decompress.Ks.bytes and crc1 = Ks.crc.Ks.bytes in
+  let s1 = Fa.stats a in
+  let got = read_ok clock a ~volume:"v" ~block:0 ~nblocks:64 in
+  let s2 = Fa.stats a in
+  check bool "hit read correct" true (got = d);
+  check bool "served by hits" true (s2.Fa.cache_hits > s1.Fa.cache_hits);
+  check int "no misses" s1.Fa.cache_misses s2.Fa.cache_misses;
+  check int "no decompression on a hit" lz1 Ks.lz_decompress.Ks.bytes;
+  check int "no CRC on a hit" crc1 Ks.crc.Ks.bytes
+
 let test_cache_disabled () =
   let clock, a = make_array ~config:{ test_config with Fa.read_cache_entries = 0 } () in
   ok (Fa.create_volume a "v" ~blocks:64);
@@ -644,21 +667,26 @@ let test_cache_serves_fresh_data_after_overwrite () =
   check bool "overwrite wins over cache" true (got = fresh)
 
 let test_secondary_warming_preserves_hits () =
+  let module Ks = Purity_util.Kernel_stats in
   let clock, a = make_array () in
   ok (Fa.create_volume a "v" ~blocks:512);
-  let d = random_data 256 in
+  (* Raw and Lz cblocks both reach the spare's cache *)
+  let d = random_data 128 ^ textish 128 in
   write_ok clock a ~volume:"v" ~block:0 d;
   ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
   (* warm the working set *)
   ignore (read_ok clock a ~volume:"v" ~block:0 ~nblocks:256);
   Fa.crash a;
   ignore (await clock (fun k -> Fa.failover a k));
+  let lz0 = Ks.lz_decompress.Ks.bytes in
   let t0 = Clock.now clock in
   let got = read_ok clock a ~volume:"v" ~block:0 ~nblocks:256 in
   let warm_latency = Clock.now clock -. t0 in
   check bool "data intact" true (got = d);
   let s = Fa.stats a in
   check bool "spare took over warm" true (s.Fa.cache_hits > 0);
+  check int "every fetch a warm hit" 0 s.Fa.cache_misses;
+  check int "hits decompress nothing" lz0 Ks.lz_decompress.Ks.bytes;
   check bool (Printf.sprintf "warm post-failover read fast (%.1f us)" warm_latency) true
     (warm_latency < 100.0)
 
@@ -1016,6 +1044,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hits speed up rereads" `Quick test_cache_hits_speed_up_rereads;
+          Alcotest.test_case "hits skip decode" `Quick test_cache_hit_skips_decode;
           Alcotest.test_case "disabled" `Quick test_cache_disabled;
           Alcotest.test_case "overwrite wins" `Quick test_cache_serves_fresh_data_after_overwrite;
           Alcotest.test_case "secondary warming" `Quick test_secondary_warming_preserves_hits;
