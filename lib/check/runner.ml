@@ -292,12 +292,11 @@ let audit_data ctx =
       Suite.iter_chunks blocks (fun block nblocks -> do_read ctx ~view ~block ~nblocks))
     (Model.listing ctx.model)
 
-(* The mapping cache and batched range resolution are pure performance
-   artifacts: for every block of every view they must agree exactly with
-   a from-scratch chain walk, no matter what faults (crashes, GC,
-   elides, medium retirement) the scenario threw at the cache's
-   invalidation hooks. *)
-let audit_mapping_cache ctx =
+(* Batched range resolution is a pure performance artifact: for every
+   block of every view it must agree exactly with the per-block chain
+   walk, no matter what faults (crashes, GC, elides, medium retirement)
+   the scenario threw at the block index. *)
+let audit_resolution ctx =
   let st = Fa.state ctx.arr in
   State.Stbl.iter
     (fun name (v : State.volume) ->
@@ -305,15 +304,7 @@ let audit_mapping_cache ctx =
       if blocks > 0 then begin
         let refs = State.resolve_range st ~medium ~block:0 ~nblocks:blocks in
         for b = 0 to blocks - 1 do
-          let cached = State.resolve_block st ~medium ~block:b in
-          let uncached = State.resolve_block_uncached st ~medium ~block:b in
-          if cached <> uncached then
-            raise
-              (Violation
-                 (Printf.sprintf
-                    "mapping-cache drift: %s block %d cached and uncached resolution disagree"
-                    name b));
-          if refs.(b) <> uncached then
+          if refs.(b) <> State.resolve_block st ~medium ~block:b then
             raise
               (Violation
                  (Printf.sprintf
@@ -364,14 +355,14 @@ let finalize ctx =
   done;
   audit_namespace ctx;
   audit_data ctx;
-  audit_mapping_cache ctx;
+  audit_resolution ctx;
   (* and once more through a clean failover: recovery must reproduce the
      same state from the shelf alone *)
   Fa.crash ctx.arr;
   settle ctx;
   audit_namespace ctx;
   audit_data ctx;
-  audit_mapping_cache ctx;
+  audit_resolution ctx;
   audit_counters ctx;
   let s = Fa.stats ctx.arr in
   Suite.mix

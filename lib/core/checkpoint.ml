@@ -120,7 +120,6 @@ let run t k =
                       meta.Segment.members;
                     Allocator.release t.alloc meta.Segment.members)
                 (List.filter (fun s -> not (List.mem s t.checkpoint_segments)) old_ckpt);
-              t.writes_since_checkpoint <- 0;
               let segments_used = t.next_segment_id - first_ckpt_segment in
               k
                 {

@@ -10,13 +10,10 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  max_segment_writers : int;
   inline_dedup : bool;
   compression : bool;
   dedup_config : Purity_dedup.Dedup.config;
-  checkpoint_every_writes : int;
   read_cache_entries : int;
-  map_cache_entries : int;
   secondary_warming : bool;
   seed : int64;
 }
@@ -294,11 +291,6 @@ let write t ~volume ~block data k =
   else
     Write_path.write t.st ~volume ~block data (fun r ->
         maybe_persist_boot t.st;
-        (match (r, t.st.cfg.checkpoint_every_writes) with
-        | Ok (), n when n > 0 && t.st.writes_since_checkpoint >= n ->
-          t.st.writes_since_checkpoint <- 0;
-          Checkpoint.run t.st (fun _ -> ())
-        | _ -> ());
         k (r :> (unit, write_error) result))
 
 let read t ~volume ~block ~nblocks k =

@@ -35,15 +35,11 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;  (** §4.4 scheduling (E6 ablation switch) *)
   p95_backup : bool;  (** hedged reads at the observed p95 *)
-  max_segment_writers : int;  (** concurrent programming drives per segio *)
   inline_dedup : bool;
   compression : bool;
   dedup_config : Purity_dedup.Dedup.config;
-  checkpoint_every_writes : int;  (** 0 = checkpoint manually *)
   read_cache_entries : int;
       (** decoded cblocks cached in controller DRAM (0 disables) *)
-  map_cache_entries : int;
-      (** logical->blockref mapping-cache slots (0 disables) *)
   secondary_warming : bool;
       (** §4.3: the primary warms the spare's cache, so failover starts
           warm (E14 ablation switch) *)

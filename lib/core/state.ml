@@ -32,6 +32,10 @@ module Span = Purity_telemetry.Span
 let block_size = 512
 let max_cblock_blocks = Cblock.max_logical / block_size
 
+(* Paper 4.4: at most two drives of a write group program at once, so
+   a read can always reconstruct around the writers from the rest. *)
+let segment_writers = 2
+
 type config = {
   drives : int;
   drive_config : Drive.config;
@@ -42,13 +46,10 @@ type config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  max_segment_writers : int;
   inline_dedup : bool;
   compression : bool;
   dedup_config : Dedup.config;
-  checkpoint_every_writes : int; (* 0 = manual checkpoints only *)
   read_cache_entries : int; (* decoded cblocks cached in controller DRAM; 0 = off *)
-  map_cache_entries : int; (* logical->blockref mapping cache slots; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
          a failover starts warm instead of cold *)
@@ -73,13 +74,10 @@ let default_config =
     memtable_flush = 4096;
     read_around_write = true;
     p95_backup = false;
-    max_segment_writers = 2;
     inline_dedup = true;
     compression = true;
     dedup_config = Dedup.default_config;
-    checkpoint_every_writes = 0;
     read_cache_entries = 4096;
-    map_cache_entries = 8192;
     secondary_warming = true;
     seed = 0x5EEDL;
   }
@@ -149,8 +147,6 @@ type write_stats = {
   gc_dedup_blocks : Registry.counter; (* cblocks collapsed by the GC pass *)
   cache_hits : Registry.counter; (* controller-DRAM read cache *)
   cache_misses : Registry.counter;
-  map_hits : Registry.counter; (* logical->blockref mapping cache *)
-  map_misses : Registry.counter;
   nvram_commit_us : Histogram.t; (* write intent -> durability ack *)
 }
 
@@ -183,7 +179,6 @@ type t = {
          reads of their payload are served from RAM *)
   mutable flushes_in_order : (int * int64) Queue.t; (* seg id, seal seq *)
   flushed : (int, unit) Hashtbl.t;
-  mutable writes_since_checkpoint : int;
   mutable last_applied_intent : int64;
       (* highest NVRAM intent fully applied to segios; the safe trim
          watermark when the current segio seals *)
@@ -191,7 +186,7 @@ type t = {
   mutable flush_waiters : (unit -> unit) list;
   flush_queue : Writer.t Queue.t;
       (* sealed segios awaiting flush: flushed one at a time so that at
-         most [max_segment_writers] drives in the whole array are
+         most [segment_writers] drives in the whole array are
          programming simultaneously (the §4.4 discipline that keeps
          read-around-write amplification near the paper's 1.3x) *)
   mutable flush_active : bool;
@@ -218,12 +213,6 @@ type t = {
          at every mutation of the fields it mirrors *)
   read_cache : string Lru.Ipair.t;
       (* (segment, off) -> the cblock's verified, decompressed bytes *)
-  map_cache : Blockref.t option Lru.Ipair.t;
-      (* (medium, block) -> memoized block-pyramid lookup, negative
-         results included (thin-provisioned upper levels miss constantly).
-         Each entry mirrors exactly one pyramid key, so invalidation is
-         exact: any fact or elide landing on the key evicts it. Never
-         consulted for snapshot reads — those carry their own seq bound. *)
   (* accounting *)
   write_lat : Histogram.t;
   read_lat : Histogram.t;
@@ -274,8 +263,6 @@ let register_derived_telemetry t =
   Registry.derive_int reg "pyramid/blocks_bloom_skips" (fun () ->
       let _, _, b = Block_index.probe_stats t.blocks in
       b);
-  Registry.derive_int reg "read_path/map_cache_entries" (fun () ->
-      Lru.Ipair.length t.map_cache);
   Registry.derive_int reg "trace/dropped_spans" (fun () -> Span.dropped t.tracer);
   (* data-plane kernel throughput: process-wide cells (the kernels sit
      below the telemetry library in the dependency order), re-derived
@@ -335,7 +322,6 @@ let create_over ~config ~clock ~shelf ~boot () =
     unflushed = Hashtbl.create 8;
     flushes_in_order = Queue.create ();
     flushed = Hashtbl.create 16;
-    writes_since_checkpoint = 0;
     last_applied_intent = 0L;
     pending_flush_count = 0;
     flush_waiters = [];
@@ -352,7 +338,6 @@ let create_over ~config ~clock ~shelf ~boot () =
       Purity_par.Epoch.create
         { cv_next_segment = 1; cv_unflushed = 0; cv_pending_flushes = 0 };
     read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
-    map_cache = Lru.Ipair.create ~capacity:(max 1 config.map_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
     ws =
@@ -364,8 +349,6 @@ let create_over ~config ~clock ~shelf ~boot () =
         gc_dedup_blocks = Registry.counter tel "dedup/gc_blocks";
         cache_hits = Registry.counter tel "read_path/cache_hits";
         cache_misses = Registry.counter tel "read_path/cache_misses";
-        map_hits = Registry.counter tel "read_path/map_cache_hits";
-        map_misses = Registry.counter tel "read_path/map_cache_misses";
         nvram_commit_us = Registry.histogram tel "write_path/nvram_commit_us";
       };
     online = true;
@@ -580,7 +563,7 @@ and pump_flush t =
           ]
         "segio_flush"
     in
-    Writer.finalize w ~max_writers:t.cfg.max_segment_writers ~remap ~tracer:t.tracer
+    Writer.finalize w ~max_writers:segment_writers ~remap ~tracer:t.tracer
       ~parent:flush_span (fun seg ->
         Span.finish flush_span;
         Hashtbl.replace t.segment_metas seg.Segment.id seg;
@@ -678,25 +661,6 @@ let record_elide t table ~seq ~lo ~hi =
   append_log_record t ~seq (Meta_log.log_elide table ~seq ~lo ~hi);
   if Meta_log.nvram_backed table then stash t ~seq (Meta_log.stash_elide table ~seq ~lo ~hi)
 
-(* Mapping-cache invalidation. Every mutation of the block pyramid flows
-   through put/put_delete/put_elide below (the write path's overwrites,
-   GC relocation, TRIM, medium retirement); recovery replays into a
-   brand-new state whose cache is empty, so replayed facts need no
-   eviction. An entry caches exactly one pyramid key, making point
-   eviction exact. *)
-let invalidate_block_mapping t key = Lru.Ipair.remove t.map_cache key
-
-(* Medium ids are the blocks pyramid's elide ids: retiring mediums
-   [lo..hi] kills every cached mapping they own. Rare (volume/snapshot
-   deletion), so a full cache sweep is fine. *)
-let invalidate_medium_mappings t ~lo ~hi =
-  let victims =
-    Lru.Ipair.fold
-      (fun ((m, _) as k) _ acc -> if m >= lo && m <= hi then k :: acc else acc)
-      t.map_cache []
-  in
-  List.iter (Lru.Ipair.remove t.map_cache) victims
-
 (* Insert + log helpers used by all mutation paths. *)
 let put_fact t (table : Meta_log.table) fact =
   Pyramid.insert_fact (pyramid t table) fact;
@@ -707,18 +671,14 @@ let put_delete t table ~key = put_fact t table (Fact.tombstone ~key ~seq:(Seqno.
 
 (* Map one block to its reference: the block index's only put. *)
 let put_block t ~medium ~block (r : Blockref.t) =
-  let key = (medium, block) in
-  let fact = Block_index.Fact.make ~key ~value:r ~seq:(Seqno.next t.seqno) in
-  invalidate_block_mapping t key;
+  let fact = Block_index.Fact.make ~key:(medium, block) ~value:r ~seq:(Seqno.next t.seqno) in
   Block_index.insert_fact t.blocks fact;
   record_block t fact
 
 let put_elide t (table : Meta_log.table) ~lo ~hi =
   let seq = Seqno.next t.seqno in
   (match table with
-  | Blocks ->
-    invalidate_medium_mappings t ~lo ~hi;
-    Block_index.elide_range t.blocks ~seq ~lo ~hi
+  | Blocks -> Block_index.elide_range t.blocks ~seq ~lo ~hi
   | Mediums | Segments | Volumes -> Pyramid.elide_range (pyramid t table) ~seq ~lo ~hi);
   record_elide t table ~seq ~lo ~hi
 
@@ -742,31 +702,12 @@ let decode_volume_value s =
 
 let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
-let lookup_blockref_uncached t ~medium ~block = Block_index.find t.blocks (medium, block)
-
-let lookup_blockref t ~medium ~block =
-  if t.cfg.map_cache_entries = 0 then lookup_blockref_uncached t ~medium ~block
-  else
-    match Lru.Ipair.find t.map_cache (medium, block) with
-    | Some cached ->
-      Registry.incr t.ws.map_hits;
-      cached
-    | None ->
-      Registry.incr t.ws.map_misses;
-      let r = lookup_blockref_uncached t ~medium ~block in
-      Lru.Ipair.add t.map_cache (medium, block) r;
-      r
-
-(* Nearest level of the medium chain holding this block. *)
+(* Nearest level of the medium chain holding this block, one pyramid
+   probe per level: the per-block reference [resolve_range] is checked
+   against. *)
 let resolve_block t ~medium ~block =
   let chain = Medium.resolve t.medium_table medium ~block in
-  List.find_map (fun (med, blk) -> lookup_blockref t ~medium:med ~block:blk) chain
-
-(* The reference path the correctness sweeps compare against: same chain
-   walk, every pyramid probe done from scratch. *)
-let resolve_block_uncached t ~medium ~block =
-  let chain = Medium.resolve t.medium_table medium ~block in
-  List.find_map (fun (med, blk) -> lookup_blockref_uncached t ~medium:med ~block:blk) chain
+  List.find_map (Block_index.find t.blocks) chain
 
 (* Batched resolution for [nblocks] consecutive logical blocks:
    equivalent to calling [resolve_block] per block, but each medium
@@ -778,52 +719,22 @@ let resolve_block_uncached t ~medium ~block =
 let resolve_range t ~medium ~block ~nblocks =
   let out = Array.make nblocks None in
   let resolved = Array.make nblocks false in
-  let use_cache = t.cfg.map_cache_entries > 0 in
-  (* one level of one extent piece: fill [off .. off+len-1] from the
-     cache, then one batched pyramid run for the misses *)
+  (* one level of one extent piece [off .. off+len-1]: one batched
+     pyramid run. Every slot of a piece is still unresolved, since [go]
+     only descends into runs of unresolved slots. *)
   let lookup_level ~medium ~block ~len ~off =
-    let pending = Array.make len false in
-    let first = ref len and last = ref (-1) in
+    let run =
+      Block_index.find_run t.blocks ~n:len
+        ~key_of:(fun i -> (medium, block + i))
+        ~index:(fun (m, b) -> if m = medium then b - block else -1)
+    in
     for i = 0 to len - 1 do
-      if not resolved.(off + i) then begin
-        let cached =
-          if use_cache then Lru.Ipair.find t.map_cache (medium, block + i) else None
-        in
-        match cached with
-        | Some r ->
-          Registry.incr t.ws.map_hits;
-          (match r with
-          | Some _ ->
-            out.(off + i) <- r;
-            resolved.(off + i) <- true
-          | None -> () (* this level known empty; deeper levels may serve *))
-        | None ->
-          if use_cache then Registry.incr t.ws.map_misses;
-          pending.(i) <- true;
-          if i < !first then first := i;
-          last := i
-      end
-    done;
-    if !last >= !first then begin
-      let base = block + !first in
-      let n = !last - !first + 1 in
-      let run =
-        Block_index.find_run t.blocks ~n
-          ~key_of:(fun i -> (medium, base + i))
-          ~index:(fun (m, b) -> if m = medium then b - base else -1)
-      in
-      for i = !first to !last do
-        if pending.(i) then begin
-          let r = Block_index.resolve_fact t.blocks run.(i - !first) in
-          if use_cache then Lru.Ipair.add t.map_cache (medium, block + i) r;
-          match r with
-          | Some _ ->
-            out.(off + i) <- r;
-            resolved.(off + i) <- true
-          | None -> ()
-        end
-      done
-    end
+      match Block_index.resolve_fact t.blocks run.(i) with
+      | Some _ as r ->
+        out.(off + i) <- r;
+        resolved.(off + i) <- true
+      | None -> () (* this level holds nothing; deeper levels may serve *)
+    done
   in
   let limit = Medium.count t.medium_table + 1 in
   let rec go ~medium ~block ~n ~off depth =

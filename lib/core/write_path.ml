@@ -231,7 +231,6 @@ let write t ~volume ~block data k =
                 t.last_applied_intent <- intent_seq;
                 Registry.incr t.ws.app_writes;
                 Registry.add t.ws.logical_bytes len;
-                t.writes_since_checkpoint <- t.writes_since_checkpoint + 1;
                 Histogram.record t.write_lat (Clock.now t.clock -. start);
                 k (Ok ())
               | exception Out_of_space ->

@@ -829,6 +829,80 @@ let prop_array_matches_model =
       done;
       !okay)
 
+(* Batched range resolution must equal the per-block chain walk on any
+   sub-range [b, b+n) of any view, whatever mix of writes, snapshots,
+   clones, deletes, GC, checkpoints and failovers built the medium
+   chains and the block index underneath. *)
+let prop_resolve_range_matches_per_block =
+  let module State = Purity_core.State in
+  QCheck.Test.make ~name:"resolve_range = per-block resolve_block on random sub-ranges"
+    ~count:25 QCheck.(int_bound 10_000)
+    (fun seed ->
+      let clock, a = make_array () in
+      Rng.with_seed_report ~seed:(Int64.of_int (seed + 191)) @@ fun rng ->
+      ok (Fa.create_volume a "v0" ~blocks:384);
+      let next_name = ref 0 in
+      let fresh () =
+        incr next_name;
+        Printf.sprintf "n%d" !next_name
+      in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let views kind = List.filter (fun (_, k, _) -> k = kind) (Fa.list_volumes a) in
+      let sub_range_agrees st ~medium ~blocks =
+        let block = Rng.int rng blocks in
+        let nblocks = 1 + Rng.int rng (blocks - block) in
+        let batched = State.resolve_range st ~medium ~block ~nblocks in
+        Array.for_all Fun.id
+          (Array.mapi (fun i r -> r = State.resolve_block st ~medium ~block:(block + i)) batched)
+      in
+      (* three random sub-ranges of every view *)
+      let agrees () =
+        let st = Fa.state a in
+        List.for_all
+          (fun (name, _, blocks) ->
+            let medium = (State.Stbl.find st.State.volumes name).State.medium in
+            List.for_all (fun _ -> sub_range_agrees st ~medium ~blocks) [ 1; 2; 3 ])
+          (Fa.list_volumes a)
+      in
+      let okay = ref true in
+      for _ = 1 to 40 do
+        (match views `Volume with
+        | [] -> ok (Fa.create_volume a (fresh ()) ~blocks:(64 + Rng.int rng 320))
+        | vols -> (
+          let name, _, blocks = pick vols in
+          match Rng.int rng 100 with
+          | r when r < 50 ->
+            let block = Rng.int rng blocks in
+            let nblocks = 1 + Rng.int rng (min 64 (blocks - block)) in
+            (* half incompressible, half a repeated pattern that dedups *)
+            let data =
+              if Rng.int rng 2 = 0 then Bytes.to_string (Rng.bytes rng (nblocks * bs))
+              else String.make (nblocks * bs) (Char.chr (Rng.int rng 4))
+            in
+            ignore (await clock (Fa.write a ~volume:name ~block data))
+          | r when r < 60 -> ignore (Fa.snapshot a ~volume:name ~snap:(fresh ()))
+          | r when r < 68 -> (
+            match views `Snapshot with
+            | [] -> ()
+            | snaps ->
+              let snap, _, _ = pick snaps in
+              ignore (Fa.clone a ~snapshot:snap ~volume:(fresh ())))
+          | r when r < 72 -> ignore (Fa.resize_volume a name ~blocks:(blocks + Rng.int rng 64))
+          | r when r < 78 -> (
+            match pick (Fa.list_volumes a) with
+            | victim, `Volume, _ -> ignore (Fa.delete_volume a victim)
+            | victim, `Snapshot, _ -> ignore (Fa.delete_snapshot a victim))
+          | r when r < 86 ->
+            ignore
+              (await clock (fun k -> Fa.gc ~min_dead_ratio:0.1 ~max_victims:16 a (fun r -> k r)))
+          | r when r < 92 -> ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)))
+          | _ ->
+            Fa.crash a;
+            ignore (await clock (fun k -> Fa.failover a k))));
+        if not (agrees ()) then okay := false
+      done;
+      !okay)
+
 (* ---------- protection policies (automatic snapshots) ---------- *)
 
 module Protection = Purity_core.Protection
@@ -1025,7 +1099,11 @@ let () =
         ] );
       ( "sched",
         [ Alcotest.test_case "p95 hedged reads" `Quick test_p95_backup_reads ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_array_matches_model ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_array_matches_model;
+          QCheck_alcotest.to_alcotest prop_resolve_range_matches_per_block;
+        ] );
       ( "protection",
         [
           Alcotest.test_case "cadence and retention" `Quick test_protection_cadence_and_retention;

@@ -248,16 +248,12 @@ let test_baseline_rejects_unwaivable () =
   Alcotest.(check int) "waiver rule cannot be baselined" 0 (List.length entries);
   Alcotest.(check int) "malformed entry reported" 1 (List.length errors)
 
-let test_baseline_legacy_domain_alias () =
+let test_baseline_rejects_domain () =
   let entries, errors =
     Lint.Baseline.parse ~path:"baseline.txt" [ "domain lib/foo.ml -- legacy" ]
   in
-  Alcotest.(check int) "domain parses as escape" 0 (List.length errors);
-  match entries with
-  | [ e ] ->
-    Alcotest.(check string) "aliased to escape" "escape"
-      (Lint.Finding.rule_name e.Lint.Baseline.b_rule)
-  | _ -> Alcotest.fail "expected one entry"
+  Alcotest.(check int) "retired domain rule is not an entry" 0 (List.length entries);
+  Alcotest.(check int) "domain row is a parse error" 1 (List.length errors)
 
 (* ---- stale-baseline hardening + driver-level runs ---- *)
 
@@ -336,7 +332,7 @@ let () =
         [
           Alcotest.test_case "apply + stale" `Quick test_baseline_apply;
           Alcotest.test_case "unwaivable rules rejected" `Quick test_baseline_rejects_unwaivable;
-          Alcotest.test_case "legacy domain alias" `Quick test_baseline_legacy_domain_alias;
+          Alcotest.test_case "retired domain rule rejected" `Quick test_baseline_rejects_domain;
           Alcotest.test_case "stale-baseline flag" `Quick test_stale_baseline_flag;
           Alcotest.test_case "digest cache" `Quick test_cache;
         ] );
