@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint torture torture-ac bench bench-micro bench-kernels clean
+.PHONY: all check test lint torture torture-ac bench bench-micro bench-kernels perf-diff clean
 
 all:
 	dune build
@@ -42,6 +42,16 @@ bench-micro:
 # BENCH_Kernels.json.
 bench-kernels:
 	dune exec bench/main.exe -- kernels
+
+# perfbench's three workloads, untraced at seed 1, compared with the
+# newest perf/trajectory.jsonl rows: the simulated metrics must match
+# exactly; wall-clock, allocation and heap deltas print for information.
+perf-diff:
+	mkdir -p _build
+	for w in rand-rw ingest vdi; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done > _build/perf-diff.out
+	python3 perf/diff.py _build/perf-diff.out
 
 clean:
 	dune clean

@@ -12,7 +12,6 @@ type config = State.config = {
   p95_backup : bool;
   inline_dedup : bool;
   compression : bool;
-  dedup_config : Purity_dedup.Dedup.config;
   read_cache_entries : int;
   secondary_warming : bool;
   seed : int64;

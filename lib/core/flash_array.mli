@@ -37,7 +37,6 @@ type config = State.config = {
   p95_backup : bool;  (** hedged reads at the observed p95 *)
   inline_dedup : bool;
   compression : bool;
-  dedup_config : Purity_dedup.Dedup.config;
   read_cache_entries : int;
       (** decoded cblocks cached in controller DRAM (0 disables) *)
   secondary_warming : bool;

@@ -159,9 +159,6 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
   let finish ~cold ~headers ~segments ~log_records ~nvram_records ~ckpt_bytes =
     t.online <- true;
     t.boot_time <- Clock.now t.clock;
-    (* recovery rewrote next_segment_id/unflushed wholesale: republish the
-       flush-pipeline snapshot before anyone reads it *)
-    publish_control_view t;
     let duration_us = Clock.now t.clock -. start in
     Registry.incr c_runs;
     Registry.add c_headers headers;

@@ -48,7 +48,6 @@ type config = {
   p95_backup : bool;
   inline_dedup : bool;
   compression : bool;
-  dedup_config : Dedup.config;
   read_cache_entries : int; (* decoded cblocks cached in controller DRAM; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
@@ -76,24 +75,12 @@ let default_config =
     p95_backup = false;
     inline_dedup = true;
     compression = true;
-    dedup_config = Dedup.default_config;
     read_cache_entries = 4096;
     secondary_warming = true;
     seed = 0x5EEDL;
   }
 
 type volume_kind = Volume | Snapshot
-
-(* Flush-pipeline control state, epoch-published for cross-domain readers.
-   The metadata plane is single-writer (the simulated clock serialises the
-   controller), but derived telemetry and future off-main observers read
-   these fields; publishing an immutable snapshot through
-   [Purity_par.Epoch] keeps those reads wait-free and tear-free. *)
-type control_view = {
-  cv_next_segment : int;
-  cv_unflushed : int;
-  cv_pending_flushes : int;
-}
 
 (* Paper 4.6: instead of per-volume block-size tuning knobs, the array
    observes each volume's write sizes and sizes cblocks to match, so
@@ -177,19 +164,18 @@ type t = {
   unflushed : (int, Writer.t) Hashtbl.t;
       (* segios (open or sealed) whose bytes are not yet on the drives;
          reads of their payload are served from RAM *)
-  mutable flushes_in_order : (int * int64) Queue.t; (* seg id, seal seq *)
-  flushed : (int, unit) Hashtbl.t;
+  sealed : (Writer.t * int64) Queue.t;
+      (* sealed segios in seal order, each with the NVRAM watermark its
+         flush may trim to. Flushed one at a time, head first, so that at
+         most [segment_writers] drives in the whole array are programming
+         simultaneously (the §4.4 discipline that keeps read-around-write
+         amplification near the paper's 1.3x) and flushes complete in
+         seal order *)
+  mutable flush_active : bool; (* the head of [sealed] is flushing *)
   mutable last_applied_intent : int64;
       (* highest NVRAM intent fully applied to segios; the safe trim
          watermark when the current segio seals *)
-  mutable pending_flush_count : int;
   mutable flush_waiters : (unit -> unit) list;
-  flush_queue : Writer.t Queue.t;
-      (* sealed segios awaiting flush: flushed one at a time so that at
-         most [segment_writers] drives in the whole array are
-         programming simultaneously (the §4.4 discipline that keeps
-         read-around-write amplification near the paper's 1.3x) *)
-  mutable flush_active : bool;
   mutable checkpoint_dir : (string * string * (string * int * int) list) list;
       (* last checkpoint's patch directory: pyramid name, encoded elide
          ranges (empty for tombstone tables), chunks as (compact segment
@@ -208,9 +194,6 @@ type t = {
       (* per-lane compress/frame scratch for the fill loop: index 0 is the
          controller's own (serial) arena; grown to the pool's lane count
          on first parallel fill (lane_arenas) *)
-  control_view : control_view Purity_par.Epoch.t;
-      (* single-writer epoch snapshot of the flush pipeline, republished
-         at every mutation of the fields it mirrors *)
   read_cache : string Lru.Ipair.t;
       (* (segment, off) -> the cblock's verified, decompressed bytes *)
   (* accounting *)
@@ -243,14 +226,9 @@ let fresh_volatile cfg clock =
 let register_derived_telemetry t =
   let reg = t.tel in
   Registry.derive_int reg "segments/live" (fun () -> Hashtbl.length t.segment_metas);
-  (* flush-pipeline metrics read the epoch snapshot, not the live record:
-     a snapshot read is wait-free and safe from any domain *)
-  Registry.derive_int reg "segments/unflushed" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_unflushed);
-  Registry.derive_int reg "segments/pending_flushes" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_pending_flushes);
-  Registry.derive_int reg "segments/next_id" (fun () ->
-      (Purity_par.Epoch.read t.control_view).cv_next_segment);
+  Registry.derive_int reg "segments/unflushed" (fun () -> Hashtbl.length t.unflushed);
+  Registry.derive_int reg "segments/pending_flushes" (fun () -> Queue.length t.sealed);
+  Registry.derive_int reg "segments/next_id" (fun () -> t.next_segment_id);
   Registry.derive_int reg "volumes/count" (fun () -> Stbl.length t.volumes);
   Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Block_index.fact_count t.blocks);
   Registry.derive_int reg "pyramid/blocks_patches" (fun () -> Block_index.patch_count t.blocks);
@@ -320,23 +298,17 @@ let create_over ~config ~clock ~shelf ~boot () =
     next_segment_id = 1;
     open_writer = None;
     unflushed = Hashtbl.create 8;
-    flushes_in_order = Queue.create ();
-    flushed = Hashtbl.create 16;
-    last_applied_intent = 0L;
-    pending_flush_count = 0;
-    flush_waiters = [];
-    flush_queue = Queue.create ();
+    sealed = Queue.create ();
     flush_active = false;
+    last_applied_intent = 0L;
+    flush_waiters = [];
     checkpoint_dir = [];
     checkpoint_seq = 0L;
     medium_next_id = 1;
     boot_generation_written = 0;
-    dedup = Dedup.create ~config:config.dedup_config ();
+    dedup = Dedup.create ();
     dedup_locs = Hashtbl.create 1024;
     arenas = [| Arena.create () |];
-    control_view =
-      Purity_par.Epoch.create
-        { cv_next_segment = 1; cv_unflushed = 0; cv_pending_flushes = 0 };
     read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
@@ -389,17 +361,6 @@ let any_pyramid t : Meta_log.table -> any_pyramid = function
   | Mediums -> Any ((module Pyramid), t.mediums_pyr)
   | Segments -> Any ((module Pyramid), t.segments_pyr)
   | Volumes -> Any ((module Pyramid), t.volumes_pyr)
-
-(* Re-publish the flush-pipeline snapshot; call after any mutation of
-   next_segment_id / unflushed / pending_flush_count. Main domain only
-   (the Epoch cell is single-writer). *)
-let publish_control_view t =
-  Purity_par.Epoch.publish t.control_view
-    {
-      cv_next_segment = t.next_segment_id;
-      cv_unflushed = Hashtbl.length t.unflushed;
-      cv_pending_flushes = t.pending_flush_count;
-    }
 
 (* The per-lane scratch arenas for a parallel segment fill, grown (on the
    main domain, before any fan-out) to at least the pool's lane count.
@@ -469,7 +430,6 @@ let[@purity.lint.coldpath] open_fresh_writer t =
     let w = Writer.create ~layout:t.layout ~shelf:t.shelf ~rs:t.rs ~members ~id in
     t.open_writer <- Some w;
     Hashtbl.replace t.unflushed id w;
-    publish_control_view t;
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
     !boot_persist_hook t;
@@ -514,8 +474,7 @@ and[@purity.lint.coldpath] seal_current t =
     if Writer.is_empty w then begin
       (* never written: hand the AUs back *)
       Hashtbl.remove t.unflushed (Writer.id w);
-      Allocator.release t.alloc (Writer.members w);
-      publish_control_view t
+      Allocator.release t.alloc (Writer.members w)
     end
     else begin
       (* Members whose drive failed since allocation are remapped to fresh
@@ -539,19 +498,16 @@ and[@purity.lint.coldpath] seal_current t =
       (* Only intents fully applied before this seal are guaranteed to be
          inside this (or an earlier) segio; later intents must stay in
          NVRAM until their own segio flushes. *)
-      let seal_seq = t.last_applied_intent in
-      Queue.add (Writer.id w, seal_seq) t.flushes_in_order;
-      t.pending_flush_count <- t.pending_flush_count + 1;
-      publish_control_view t;
-      Queue.add w t.flush_queue;
+      Queue.add (w, t.last_applied_intent) t.sealed;
       pump_flush t
     end
 
-(* Flush sealed segios one at a time (array-wide write staggering). *)
+(* Flush the head of [sealed] (array-wide write staggering: one segio at
+   a time, so flushes complete in seal order). *)
 and pump_flush t =
-  if t.online && (not t.flush_active) && not (Queue.is_empty t.flush_queue) then begin
+  match Queue.peek_opt t.sealed with
+  | Some (w, upto) when t.online && not t.flush_active ->
     t.flush_active <- true;
-    let w = Queue.pop t.flush_queue in
     let remap ~exclude = allocate_replacement t ~exclude in
     let flush_span =
       Span.start t.tracer
@@ -580,38 +536,24 @@ and pump_flush t =
         Pyramid.insert t.segments_pyr ~seq ~key:(Keys.segment_key seg.Segment.id)
           ~value:(Segment.encode_compact seg);
         record_fact t Meta_log.Segments fact;
-        (* in-order NVRAM trim *)
-        Hashtbl.replace t.flushed seg.Segment.id ();
-        let continue = ref true in
-        while !continue do
-          match Queue.peek_opt t.flushes_in_order with
-          | Some (id, upto) when Hashtbl.mem t.flushed id ->
-            ignore (Queue.pop t.flushes_in_order);
-            Hashtbl.remove t.flushed id;
-            Nvram.trim_upto (nvram t) upto
-          | _ -> continue := false
-        done;
-        t.pending_flush_count <- t.pending_flush_count - 1;
-        publish_control_view t;
+        (* §4.3: every intent at or below [upto] is on the drives now (a
+           segio sealed by the log record above queues behind this one) *)
+        ignore (Queue.pop t.sealed);
+        Nvram.trim_upto (nvram t) upto;
         t.flush_active <- false;
         pump_flush t;
-        if t.pending_flush_count = 0 then begin
+        if Queue.is_empty t.sealed then begin
           (* stored newest-first; fired as stored (see when_flushed) *)
           let waiters = t.flush_waiters in
           t.flush_waiters <- [];
           List.iter (fun f -> f ()) waiters
         end)
-  end
+  | _ -> ()
 
-(* Append one framed log record, rolling segments as needed. *)
+(* Append one framed log record, rolling segments as needed (16 bytes
+   cover the frame's two varints). *)
 and append_log_record t ~seq record =
-  let need = String.length record + 16 in
-  let w = writer_with_room t ~need in
-  if not (Writer.append_log w ~seq record) then begin
-    seal_current t;
-    let w = writer_with_room t ~need in
-    if not (Writer.append_log w ~seq record) then raise Out_of_space
-  end
+  Writer.append_log (writer_with_room t ~need:(String.length record + 16)) ~seq record
 
 (* Log a fact in the current segio, and stash it in NVRAM if its table
    is backed. *)
@@ -627,17 +569,8 @@ let record_block t (fact : Block_index.Fact.t) =
 (* Store a data blob (cblock frame or patch chunk) in the current segio.
    Returns (segment id, payload offset). *)
 let store_blob t data =
-  let need = String.length data + 16 in
-  if need > Layout.payload_capacity t.layout then invalid_arg "store_blob: blob too large";
-  let w = writer_with_room t ~need in
-  match Writer.append_data w data with
-  | Some off -> (Writer.id w, off)
-  | None -> (
-    seal_current t;
-    let w = writer_with_room t ~need in
-    match Writer.append_data w data with
-    | Some off -> (Writer.id w, off)
-    | None -> raise Out_of_space)
+  let w = writer_with_room t ~need:(String.length data + 16) in
+  (Writer.id w, Writer.append_data w data)
 
 (* [store_blob] for a frame accumulated in a reusable Buffer (the write
    path's arena): the bytes blit straight into the segio. *)
@@ -645,17 +578,8 @@ let[@purity.lint.allow
      "hotalloc: the (segment, offset) pair is the stored frame's \
       address — the function's result, two words per frame"] store_frame
     t frame =
-  let need = Buffer.length frame + 16 in
-  if need > Layout.payload_capacity t.layout then invalid_arg "store_frame: blob too large";
-  let w = writer_with_room t ~need in
-  match Writer.append_buffer w frame with
-  | Some off -> (Writer.id w, off)
-  | None -> (
-    seal_current t;
-    let w = writer_with_room t ~need in
-    match Writer.append_buffer w frame with
-    | Some off -> (Writer.id w, off)
-    | None -> raise Out_of_space)
+  let w = writer_with_room t ~need:(Buffer.length frame + 16) in
+  (Writer.id w, Writer.append_buffer w frame)
 
 let record_elide t table ~seq ~lo ~hi =
   append_log_record t ~seq (Meta_log.log_elide table ~seq ~lo ~hi);
@@ -780,7 +704,7 @@ let medium_has_blocks t ~medium ~lo ~hi =
    Prepend (O(1) per registration); pump_flush fires the list as stored,
    preserving the firing order of the old append+rev pairing. *)
 let when_flushed t k =
-  if t.pending_flush_count = 0 then Clock.schedule t.clock ~delay:0.0 k
+  if Queue.is_empty t.sealed then Clock.schedule t.clock ~delay:0.0 k
   else t.flush_waiters <- k :: t.flush_waiters
 
 (* ---------- boot-region blob ---------- *)
@@ -881,12 +805,9 @@ let maybe_persist_boot t =
 let () = boot_persist_hook := maybe_persist_boot
 
 (* Controller death: stop every in-flight flush and queued segio. Called
-   by Flash_array.crash after clearing [online]. *)
-let halt_device_activity t =
-  Hashtbl.iter (fun _ w -> Writer.abort w) t.unflushed;
-  Queue.clear t.flush_queue;
-  t.flush_active <- false;
-  publish_control_view t
+   by Flash_array.crash after clearing [online]. [sealed] keeps its
+   segios, so the dead controller's [when_flushed] waiters never fire. *)
+let halt_device_activity t = Hashtbl.iter (fun _ w -> Writer.abort w) t.unflushed
 
 (* Paper 4.3: "the primary controller asynchronously warms the cache of
    the secondary". At failover the spare therefore starts with (most of)

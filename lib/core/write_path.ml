@@ -210,7 +210,7 @@ let write t ~volume ~block data k =
               Span.finish wspan;
               (* NVRAM drains when segios flush; push the current one out
                  if nothing is already flushing, then report backpressure *)
-              if t.pending_flush_count = 0 then (try seal_current t with Out_of_space -> ());
+              if Queue.is_empty t.sealed then (try seal_current t with Out_of_space -> ());
               k (Error `Backpressure)
             | Ok () when not t.online ->
               Span.finish ~tags:[ ("error", "offline") ] commit_span;

@@ -54,30 +54,23 @@ let is_empty t = t.data_len = 0 && Buffer.length t.log = 0
 let append_data t s =
   if t.sealed then invalid_arg "Writer.append_data: sealed";
   let n = String.length s in
-  if n > remaining t then None
-  else begin
-    let off = t.data_len in
-    Bytes.blit_string s 0 t.buffer off n;
-    t.data_len <- off + n;
-    Some off
-  end
+  if n > remaining t then invalid_arg "Writer.append_data: no room";
+  let off = t.data_len in
+  Bytes.blit_string s 0 t.buffer off n;
+  t.data_len <- off + n;
+  off
 
 (* Same as [append_data], but blitting straight out of a caller's frame
    buffer — the write path reuses one Buffer per controller and lands
    frames here without an intermediate string. *)
-let[@purity.lint.allow
-     "hotalloc: [Some off] is the success result — the miss path (no \
-      room, caller rolls the segment) returns the immediate [None]"] append_buffer
-    t frame =
+let append_buffer t frame =
   if t.sealed then invalid_arg "Writer.append_buffer: sealed";
   let n = Buffer.length frame in
-  if n > remaining t then None
-  else begin
-    let off = t.data_len in
-    Buffer.blit frame 0 t.buffer off n;
-    t.data_len <- off + n;
-    Some off
-  end
+  if n > remaining t then invalid_arg "Writer.append_buffer: no room";
+  let off = t.data_len in
+  Buffer.blit frame 0 t.buffer off n;
+  t.data_len <- off + n;
+  off
 
 let append_log t ~seq record =
   if t.sealed then invalid_arg "Writer.append_log: sealed";
@@ -85,13 +78,10 @@ let append_log t ~seq record =
   Varint.write_i64 frame seq;
   Varint.write frame (String.length record);
   Buffer.add_string frame record;
-  if Buffer.length frame > remaining t then false
-  else begin
-    Buffer.add_buffer t.log frame;
-    if Int64.equal t.seq_lo 0L || Int64.compare seq t.seq_lo < 0 then t.seq_lo <- seq;
-    if Int64.compare seq t.seq_hi > 0 then t.seq_hi <- seq;
-    true
-  end
+  if Buffer.length frame > remaining t then invalid_arg "Writer.append_log: no room";
+  Buffer.add_buffer t.log frame;
+  if Int64.equal t.seq_lo 0L || Int64.compare seq t.seq_lo < 0 then t.seq_lo <- seq;
+  if Int64.compare seq t.seq_hi > 0 then t.seq_hi <- seq
 
 (* Serve a read from the in-memory buffer: Purity answers reads of
    not-yet-flushed segios from RAM. Valid for the data region only. *)

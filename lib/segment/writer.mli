@@ -36,19 +36,22 @@ val remaining : t -> int
 
 val is_empty : t -> bool
 
-val append_data : t -> string -> int option
-(** Append payload bytes; returns the payload offset they will occupy, or
-    [None] if the segio cannot fit them (caller seals and opens a new
-    segment). *)
+val append_data : t -> string -> int
+(** Append payload bytes; returns the payload offset they will occupy.
+    The caller checks {!remaining} first (sealing and opening a new
+    segment when it is short).
+    @raise Invalid_argument if the bytes do not fit, or once sealed. *)
 
-val append_buffer : t -> Buffer.t -> int option
+val append_buffer : t -> Buffer.t -> int
 (** {!append_data} for a frame accumulated in a [Buffer.t]: the bytes
     blit straight from the buffer into the segio, so a caller reusing one
     frame buffer appends without building a string. *)
 
-val append_log : t -> seq:int64 -> string -> bool
-(** Append one log record from the back; false when it does not fit. The
-    record is length-framed so recovery can reparse the log region. *)
+val append_log : t -> seq:int64 -> string -> unit
+(** Append one log record from the back. The record is length-framed so
+    recovery can reparse the log region; the frame adds at most 16 bytes
+    (two varints), so [String.length record + 16 <= remaining t] always
+    fits. @raise Invalid_argument if it does not fit, or once sealed. *)
 
 val finalize :
   t ->

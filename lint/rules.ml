@@ -12,8 +12,8 @@ type config = {
       (* basenames allowed to use unchecked accessors *)
   audited_domains : string list;
       (* basenames allowed to touch Domain/Atomic/Mutex/Condition — the
-         deterministic pool, the epoch cell, and the counters they
-         aggregate. The escape pass also stops at these modules: their
+         deterministic pool and the counters it aggregates into. The
+         escape pass also stops at these modules: their
          cross-domain mutable state is the audited implementation, not an
          escape. *)
   exclude : string list;
@@ -43,7 +43,7 @@ let default =
       ];
     audited_unsafe =
       [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "bloom.ml" ];
-    audited_domains = [ "pool.ml"; "epoch.ml"; "kernel_stats.ml"; "registry.ml" ];
+    audited_domains = [ "pool.ml"; "kernel_stats.ml"; "registry.ml" ];
     exclude = [ "lint_fixtures" ];
     mutable_types =
       [

@@ -972,6 +972,78 @@ let test_protection_errors () =
   | Error `Already -> Protection.stop p
   | _ -> Alcotest.fail "double protect accepted"
 
+(* ---------- flush pipeline ---------- *)
+
+let pending_flushes a =
+  let module Registry = Purity_telemetry.Registry in
+  match Registry.find (Registry.snapshot (Fa.telemetry a)) "segments/pending_flushes" with
+  | Some (Registry.Int n) -> n
+  | _ -> Alcotest.fail "segments/pending_flushes not registered"
+
+(* Step the clock until [cond] holds (one event at a time, so the
+   caller sees the state the event that made it true left behind). *)
+let step_until clock cond =
+  while not (cond ()) do
+    if not (Clock.step clock) then Alcotest.fail "clock drained first"
+  done
+
+(* Paper 4.3/4.4: sealed segios flush one at a time in seal order, and
+   each flush trims NVRAM up to the intents its segio holds. Three
+   segios, each holding one acked write, are sealed while the first is
+   still flushing: the pipeline reports all three pending, the first
+   flush trims only its own intent, and the drained pipeline leaves no
+   intent at or below the last seal's watermark. *)
+let test_sealed_segios_flush_in_seal_order () =
+  let module State = Purity_core.State in
+  let module Nvram = Purity_ssd.Nvram in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:1024);
+  await clock (Fa.flush a);
+  let st = Fa.state a in
+  let nv = Purity_ssd.Shelf.nvram (Fa.shelf a) in
+  let holds seq = List.exists (fun (r : Nvram.record) -> r.Nvram.seq = seq) (Nvram.records nv) in
+  let none_upto seq =
+    List.for_all (fun (r : Nvram.record) -> r.Nvram.seq > seq) (Nvram.records nv)
+  in
+  (* one acked write, then seal its segio; returns the seal's watermark *)
+  let write_and_seal block =
+    let acked = ref false in
+    Fa.write a ~volume:"v" ~block (random_data 64) (fun r ->
+        ignore (ok r);
+        acked := true);
+    step_until clock (fun () -> !acked);
+    let mark = st.State.last_applied_intent in
+    State.seal_current st;
+    mark
+  in
+  let w1 = write_and_seal 0 in
+  let w2 = write_and_seal 64 in
+  let w3 = write_and_seal 128 in
+  check int "three sealed segios pending" 3 (pending_flushes a);
+  check bool "every intent still in NVRAM" true (holds w1 && holds w2 && holds w3);
+  step_until clock (fun () -> pending_flushes a < 3);
+  check int "the first flush completes first" 2 (pending_flushes a);
+  check bool "it trims only its own intents" true (none_upto w1 && holds w2 && holds w3);
+  Clock.run clock;
+  check int "pipeline drained" 0 (pending_flushes a);
+  check bool "no intent at or below the last watermark" true (none_upto w3)
+
+(* A controller that dies with a segio in flight never finishes flushing
+   it, so a flush registered on it afterwards must never report done:
+   that acknowledgement would claim durability the drives never got. *)
+let test_flush_never_completes_after_crash () =
+  let module State = Purity_core.State in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 64);
+  State.seal_current (Fa.state a);
+  check int "one segio in flight" 1 (pending_flushes a);
+  Fa.crash a;
+  let fired = ref false in
+  Fa.flush a (fun () -> fired := true);
+  Clock.run clock;
+  check bool "the dead controller's flush never completes" false !fired
+
 (* ---------- on-media golden ---------- *)
 
 (* Every segio log record and checkpoint blob a fixed workload leaves on
@@ -1117,6 +1189,13 @@ let () =
           Alcotest.test_case "single-fetch reads" `Quick
             test_inference_sizes_cblocks_for_single_fetch_reads;
           Alcotest.test_case "per volume" `Quick test_inference_per_volume;
+        ] );
+      ( "flushing",
+        [
+          Alcotest.test_case "seal order and NVRAM trim" `Quick
+            test_sealed_segios_flush_in_seal_order;
+          Alcotest.test_case "crash strands waiters" `Quick
+            test_flush_never_completes_after_crash;
         ] );
       ("media", [ Alcotest.test_case "golden" `Quick test_media_golden ]);
       ( "cache",

@@ -1,11 +1,10 @@
-(* purity.par: the deterministic domain pool, epoch snapshots, and the
-   parallel data plane built on them. The load-bearing property everywhere
+(* purity.par: the deterministic domain pool and the parallel data plane
+   built on it. The load-bearing property everywhere
    is byte-identity: a parallel run must produce exactly the bytes a
    serial run produces, at every domain count, so per-seed replay and
    purity.check's digest-compared double execution survive sharding. *)
 
 module Pool = Purity_par.Pool
-module Epoch = Purity_par.Epoch
 module Rs = Purity_erasure.Reed_solomon
 module Clock = Purity_sim.Clock
 module Drive = Purity_ssd.Drive
@@ -114,41 +113,6 @@ let test_lane_seeds () =
           check bool "lane seeds are a pure function of (seed, lane)" true
             (List.init 4 (Pool.lane_seed q) = seeds)))
 
-(* ---------- epoch snapshots ---------- *)
-
-let test_epoch_basics () =
-  let e = Epoch.create 10 in
-  check int "initial value" 10 (Epoch.read e);
-  check int "initial epoch" 0 (Epoch.epoch e);
-  Epoch.publish e 11;
-  Epoch.publish e 12;
-  check int "latest value" 12 (Epoch.read e);
-  check int "epoch counts publishes" 2 (Epoch.epoch e);
-  check bool "tagged read is consistent" true (Epoch.read_tagged e = (12, 2))
-
-(* Lane 0 publishes value = epoch while the other lanes hammer
-   [read_tagged]: every snapshot a reader observes must be internally
-   consistent (value and tag from the same publish). *)
-let[@purity.lint.allow
-     "escape: [torn] is indexed by lane (disjoint writes) and read after \
-      join; deliberately cross-domain — the test exists to hammer Epoch"] test_epoch_cross_domain_consistency () =
-  with_pool ~domains:4 (fun p ->
-      let e = Epoch.create 0 in
-      let rounds = 20_000 in
-      let torn = Array.make 4 0 in
-      Pool.run p ~tasks:4 (fun ~lane ~lo:_ ~len:_ ->
-          if lane = 0 then
-            for i = 1 to rounds do
-              Epoch.publish e i
-            done
-          else
-            for _ = 1 to rounds do
-              let v, tag = Epoch.read_tagged e in
-              if v <> tag then torn.(lane) <- torn.(lane) + 1
-            done);
-      check int "no torn snapshot observed" 0 (Array.fold_left ( + ) 0 torn);
-      check int "all publishes landed" rounds (Epoch.read e))
-
 (* ---------- RS encode: parallel == serial, byte for byte ---------- *)
 
 let prop_encode_par_matches_serial =
@@ -203,9 +167,13 @@ let flush_and_dump ~pool =
   let full = ref false in
   while not !full do
     let s = Bytes.to_string (Rng.bytes rng (1024 + (!n * 131 mod 3000))) in
-    (match Writer.append_data w s with Some _ -> incr n | None -> full := true);
-    if !n mod 3 = 0 then
-      ignore (Writer.append_log w ~seq:(Int64.of_int !n) (string_of_int !n))
+    (* keep 16 bytes spare, room for the short log record below *)
+    if String.length s + 16 > Writer.remaining w then full := true
+    else begin
+      ignore (Writer.append_data w s);
+      incr n;
+      if !n mod 3 = 0 then Writer.append_log w ~seq:(Int64.of_int !n) (string_of_int !n)
+    end
   done;
   let seg = await env (fun cb -> Writer.finalize w ~pool cb) in
   let dump =
@@ -250,7 +218,7 @@ let test_config =
 
 (* Run a fixed multi-block workload through a full array with the global
    pool at [domains], and fold everything externally observable — every
-   read-back byte plus the epoch-published control plane — into a digest. *)
+   read-back byte plus the flush pipeline's control state — into a digest. *)
 let workload_digest domains =
   Pool.set_global_domains domains;
   let clock = Clock.create () in
@@ -296,10 +264,10 @@ let workload_digest domains =
     | Ok data -> mix data
     | Error _ -> Alcotest.fail "read failed"
   done;
-  let cv = Epoch.read (Fa.state a).State.control_view in
-  mix cv.State.cv_next_segment;
-  mix cv.State.cv_unflushed;
-  mix cv.State.cv_pending_flushes;
+  let st = Fa.state a in
+  mix st.State.next_segment_id;
+  mix (Hashtbl.length st.State.unflushed);
+  mix (Queue.length st.State.sealed);
   !digest
 
 let test_array_digest_stable_across_domains () =
@@ -324,12 +292,6 @@ let () =
           Alcotest.test_case "run covers all tasks" `Quick test_run_covers_all_tasks;
           Alcotest.test_case "lowest-lane exception" `Quick test_run_reraises_lowest_lane;
           Alcotest.test_case "lane seeds" `Quick test_lane_seeds;
-        ] );
-      ( "epoch",
-        [
-          Alcotest.test_case "basics" `Quick test_epoch_basics;
-          Alcotest.test_case "cross-domain consistency" `Quick
-            test_epoch_cross_domain_consistency;
         ] );
       ( "byte-identity",
         [

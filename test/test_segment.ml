@@ -53,7 +53,7 @@ let write_segment env ~id payload logs =
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
   let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id in
   List.iter (fun s -> ignore (Writer.append_data w s)) payload;
-  List.iter (fun (seq, r) -> ignore (Writer.append_log w ~seq r)) logs;
+  List.iter (fun (seq, r) -> Writer.append_log w ~seq r) logs;
   await env (Writer.finalize w)
 
 (* ---------- Layout ---------- *)
@@ -285,10 +285,21 @@ let test_writer_capacity_respected () =
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
   let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:6 in
   let cap = Layout.payload_capacity layout in
-  check bool "fits" true (Writer.append_data w (String.make (cap - 100) 'x') <> None);
-  check bool "overflow rejected" true (Writer.append_data w (String.make 200 'y') = None);
-  check bool "log overflow rejected" false (Writer.append_log w ~seq:1L (String.make 200 'z'));
-  check bool "small log fits" true (Writer.append_log w ~seq:1L (String.make 50 'z'))
+  check int "fits" 0 (Writer.append_data w (String.make (cap - 100) 'x'));
+  (* room is the caller's precondition: an append past it raises *)
+  Alcotest.check_raises "overflow rejected" (Invalid_argument "Writer.append_data: no room")
+    (fun () -> ignore (Writer.append_data w (String.make 200 'y')));
+  let frame = Buffer.create 200 in
+  Buffer.add_string frame (String.make 200 'f');
+  Alcotest.check_raises "frame overflow rejected"
+    (Invalid_argument "Writer.append_buffer: no room") (fun () ->
+      ignore (Writer.append_buffer w frame));
+  Alcotest.check_raises "log overflow rejected" (Invalid_argument "Writer.append_log: no room")
+    (fun () -> Writer.append_log w ~seq:1L (String.make 200 'z'));
+  check int "rejected appends change nothing" 100 (Writer.remaining w);
+  (* a 50-byte record frames as one seq byte + one length byte + 50 *)
+  Writer.append_log w ~seq:1L (String.make 50 'z');
+  check int "small log fits" 48 (Writer.remaining w)
 
 let test_writer_data_and_logs_meet () =
   (* data from the front, logs from the back; they share the capacity *)
@@ -297,7 +308,7 @@ let test_writer_data_and_logs_meet () =
   let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:7 in
   let cap = Layout.payload_capacity layout in
   ignore (Writer.append_data w (String.make (cap / 2) 'd'));
-  check bool "half log fits" true (Writer.append_log w ~seq:1L (String.make ((cap / 2) - 64) 'l'));
+  Writer.append_log w ~seq:1L (String.make ((cap / 2) - 64) 'l');
   check int "remaining tiny" 0 (max 0 (Writer.remaining w - 64))
 
 let test_finalize_remaps_failed_member () =
