@@ -7,12 +7,39 @@
 
     Modelled as a small mirrored blob with page-write latencies charged
     to the shared clock; its contents survive controller failover (they
-    live in the shelf, not the controller). *)
+    live in the shelf, not the controller). This module also owns the
+    blob's format: {!encode} and {!decode} are its only codec. *)
+
+(** {1 Contents} *)
+
+type dir = (string * string * (Purity_segment.Segment.t * int * int) list) list
+(** A checkpoint directory: per table, its pyramid name, its encoded
+    elide ranges (empty for tombstone tables) and its patch chunks as
+    (segment meta, payload offset, length). *)
+
+type contents = {
+  frontier : Purity_segment.Segment.member list;
+      (** the allocator's persisted frontier ∪ speculative sets *)
+  next_segment : int;
+  next_medium : int;
+  seq : int64;  (** the sequence counter when written *)
+  checkpoint_seq : int64;  (** the last checkpoint's seq watermark *)
+  dir : dir;  (** the last checkpoint's directory *)
+}
+
+val encode : contents -> string
+
+val decode : string -> contents option
+(** Total: [None] on a wrong version, trailing bytes, or any count or
+    length the blob cannot hold. A decoded value re-encodes to the same
+    bytes. *)
+
+(** {1 Device} *)
 
 type t
 
-val create : ?write_us:float -> ?read_us:float -> clock:Purity_sim.Clock.t -> unit -> t
-(** Defaults: 600 us per write (a few pages mirrored to two drives),
+val create : ?write_us:float -> clock:Purity_sim.Clock.t -> unit -> t
+(** Defaults: 600 us per write (a few pages mirrored to two drives);
     250 us per read. *)
 
 val write : t -> string -> (unit -> unit) -> unit

@@ -74,7 +74,7 @@ let run t k =
             List.map
               (fun (seg_id, off, len) ->
                 match Hashtbl.find_opt t.segment_metas seg_id with
-                | Some meta -> (Segment.encode_compact meta, off, len)
+                | Some meta -> (meta, off, len)
                 | None -> invalid_arg "checkpoint: segment meta missing")
               chunks
           in
@@ -97,9 +97,7 @@ let run t k =
             | None -> []
           in
           Allocator.checkpoint_mark t.alloc ~keep ~extra;
-          t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
-          t.boot_generation_written <- Allocator.persist_generation t.alloc;
-          Boot_region.write t.boot (encode_boot t) (fun () ->
+          persist_boot t (fun () ->
               if not t.online then ()
                 (* crash landed while the boot region was in flight: the
                    dead controller must neither mutate metadata nor let the

@@ -319,8 +319,6 @@ let replace_drive t i = Shelf.replace_drive t.st.shelf i
 let inject_page_corruption t ~drive ~au ~page =
   Drive.inject_page_corruption (Shelf.drive t.st.shelf drive) ~au ~page
 
-let lose_nvram t = Nvram.lose (Shelf.nvram t.st.shelf)
-let set_read_fault t f = Io.set_fault t.st.io f
 
 let rebuild_drive t drive k =
   let st = t.st in

@@ -148,16 +148,6 @@ val inject_page_corruption : t -> drive:int -> au:int -> page:int -> unit
     hook behind [purity.check]'s corruption faults; scrub and degraded
     reads must repair around it. *)
 
-val lose_nvram : t -> unit
-(** Fault injection: the NVRAM device drops every pending record. Writes
-    acked but not yet durable in flushed segments are the exposure — the
-    reference model treats them as legitimately lost at the next crash. *)
-
-val set_read_fault : t -> (drive:int -> bool) option -> unit
-(** Install (or clear) a read-fault predicate on the segment scheduler:
-    matching drives serve no shards, forcing degraded reads. Installed on
-    the *current* controller — a failover boots the spare with no fault
-    predicate, so re-install after {!failover} if still wanted. *)
 
 val crash : t -> unit
 (** Simulate controller loss: all volatile state is gone; the shelf

@@ -54,12 +54,12 @@ let rebuild_derived t ~medium_next_hint =
   Pyramid.iter_live t.segments_pyr (fun ~key ~value ->
       let id = Keys.segment_key_id key in
       match Segment.decode_compact value with
-      | meta ->
+      | Some meta ->
         (* the segment-table fact is written at flush completion with the
            final member list (mid-flush remaps included), so it overrides
            any stale header copy the scan decoded *)
         Hashtbl.replace t.segment_metas id meta
-      | exception Invalid_argument _ -> ());
+      | None -> ());
   (* A checkpoint can list a segment that was released right after it: GC
      releases victims only once the covering checkpoint completes, so the
      release tombstone always postdates the patches and arrives via log or
@@ -193,31 +193,20 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
          can be trusted, so recovery degrades to a full header scan with
          no checkpoint — slower, but every durably flushed segment is
          rediscovered and the logs replay as usual. *)
-      let bb =
-        match
-          let bb = decode_boot blob in
-          (* the frontier string decodes here too: [restore_persisted]
-             parses completely before touching the allocator, so a raise
-             leaves it untouched and the fallback below sees a clean
-             slate *)
-          Allocator.restore_persisted t.alloc bb.bb_frontier;
-          bb
-        with
-        | bb -> Some bb
-        | exception Invalid_argument _ -> None
-      in
+      let bb = Boot_region.decode blob in
       let mode = match bb with None -> Full_scan | Some _ -> mode in
       (match bb with
       | None -> ()
       | Some bb ->
-        t.next_segment_id <- bb.bb_next_segment;
+        Allocator.restore_persisted t.alloc bb.frontier;
+        t.next_segment_id <- bb.next_segment;
         (* ids are never reused: pin the medium counter before anything can
            allocate and rewrite the boot region *)
-        t.medium_next_id <- bb.bb_medium_next;
-        t.medium_table <- Medium.restore ~rows:[] ~next_id:bb.bb_medium_next;
-        Seqno.restore_at_least t.seqno bb.bb_seq;
-        t.checkpoint_dir <- bb.bb_dir;
-        t.checkpoint_seq <- bb.bb_ckpt_seq);
+        t.medium_next_id <- bb.next_medium;
+        t.medium_table <- Medium.restore ~rows:[] ~next_id:bb.next_medium;
+        Seqno.restore_at_least t.seqno bb.seq;
+        t.checkpoint_dir <- bb.dir;
+        t.checkpoint_seq <- bb.checkpoint_seq);
       (* The boot counter can be stale, and the newest surviving facts can
          undercount the dead generation's allocations when they rode a torn
          segment.  NVRAM outlives the crash, so the counter must also clear
@@ -233,7 +222,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
          own maximum ([rebuild_derived] takes the max of the two) *)
       let ckpt_dir, medium_next_hint =
         match bb with
-        | Some bb -> (bb.bb_dir, bb.bb_medium_next)
+        | Some bb -> (bb.dir, bb.next_medium)
         | None -> ([], 0)
       in
       (* load checkpoint patches *)
@@ -245,27 +234,18 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
         if !pending = 0 then k ""
         else
           List.iteri
-            (fun i (meta_enc, off, len) ->
-              match Segment.decode_compact meta_enc with
-              | exception Invalid_argument _ ->
-                (* corrupt chunk meta in the checkpoint directory: the
-                   part stays empty, and [Patch.deserialize] rejects the
-                   assembled blob downstream — recovery proceeds on logs
-                   and NVRAM instead of crashing *)
-                decr pending;
-                if !pending = 0 then k (String.concat "" (Array.to_list parts))
-              | meta ->
-                if not (Hashtbl.mem t.segment_metas meta.Segment.id) then begin
-                  Hashtbl.replace t.segment_metas meta.Segment.id meta;
-                  Allocator.mark_used t.alloc meta.Segment.members;
-                  ckpt_segments := meta.Segment.id :: !ckpt_segments
-                end;
-                Io.read t.io meta ~off ~len (fun result ->
-                    (match result with
-                    | Ok data -> parts.(i) <- Bytes.to_string data
-                    | Error `Unrecoverable -> ());
-                    decr pending;
-                    if !pending = 0 then k (String.concat "" (Array.to_list parts))))
+            (fun i ((meta : Segment.t), off, len) ->
+              if not (Hashtbl.mem t.segment_metas meta.Segment.id) then begin
+                Hashtbl.replace t.segment_metas meta.Segment.id meta;
+                Allocator.mark_used t.alloc meta.Segment.members;
+                ckpt_segments := meta.Segment.id :: !ckpt_segments
+              end;
+              Io.read t.io meta ~off ~len (fun result ->
+                  (match result with
+                  | Ok data -> parts.(i) <- Bytes.to_string data
+                  | Error `Unrecoverable -> ());
+                  decr pending;
+                  if !pending = 0 then k (String.concat "" (Array.to_list parts))))
             chunks
       in
       let rec load_dir dir k =
@@ -417,7 +397,8 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                    'S' fact was in an unflushed segio at the crash) must be
                    re-persisted, or the next checkpoint would drop their
                    AUs from the scan set and a later failover would lose
-                   them entirely. *)
+                   them entirely. One with an 'S' stash is left to the
+                   NVRAM replay below, which re-logs that fact. *)
                 List.iter
                   (fun (seg : Segment.t) ->
                     let key = Keys.segment_key seg.Segment.id in
@@ -426,7 +407,8 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                        its fact would resurrect a dead segment over its own
                        tombstone *)
                     if
-                      Option.is_none (Pyramid.find t.segments_pyr key)
+                      (not (Hashtbl.mem nvram_commits seg.Segment.id))
+                      && Option.is_none (Pyramid.find t.segments_pyr key)
                       && Option.is_none (Pyramid.find_ignoring_retractions t.segments_pyr key)
                     then
                       try put t Segments ~key ~value:(Segment.encode_compact seg)
@@ -441,13 +423,16 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                 (* Replayed metadata must become durable again: its NVRAM
                    record will be trimmed at the next segio flush, and the
                    bare replay would leave the fact memtable-only.  It is
-                   re-inserted, re-logged and re-stashed under its ORIGINAL
-                   sequence number — re-putting with a fresh one would let
-                   a stale stash outrank newer facts recovered from the
-                   patches or the segment logs.  Metadata stashes at or
-                   below the checkpoint watermark are already in the
-                   patches (or deliberately compacted away) and are not
-                   replayed. *)
+                   re-inserted and re-logged under its ORIGINAL sequence
+                   number — re-putting with a fresh one would let a stale
+                   stash outrank newer facts recovered from the patches or
+                   the segment logs.  It is not stashed again: the
+                   original stays in NVRAM until the flush of a segio
+                   carrying the re-logged copy trims past it, so a second
+                   copy would only pile up across repeated failovers.
+                   Metadata stashes at or below the checkpoint watermark
+                   are already in the patches (or deliberately compacted
+                   away) and are not replayed. *)
                 List.iter
                   (fun (r : Nvram.record) ->
                     match Meta_log.decode_nvram r.Nvram.payload with
@@ -457,11 +442,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                       t.last_applied_intent <- r.Nvram.seq
                     | Some (Stash m) when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 -> (
                       replay_meta t m;
-                      try
-                        match m with
-                        | Fact (table, fact) -> record_fact t table fact
-                        | Block fact -> record_block t fact
-                        | Elide (table, { seq; lo; hi }) -> record_elide t table ~seq ~lo ~hi
+                      try append_log_record t ~seq:r.Nvram.seq (Meta_log.encode_log m)
                       with Out_of_space -> ())
                     | Some (Stash _) | None -> ())
                   records;

@@ -176,10 +176,7 @@ type t = {
       (* highest NVRAM intent fully applied to segios; the safe trim
          watermark when the current segio seals *)
   mutable flush_waiters : (unit -> unit) list;
-  mutable checkpoint_dir : (string * string * (string * int * int) list) list;
-      (* last checkpoint's patch directory: pyramid name, encoded elide
-         ranges (empty for tombstone tables), chunks as (compact segment
-         meta, payload off, len) *)
+  mutable checkpoint_dir : Boot_region.dir; (* last checkpoint's patch directory *)
   mutable checkpoint_seq : int64;
       (* seq watermark of the last completed checkpoint: every fact with a
          sequence number at or below it is covered by the patches, and its
@@ -390,9 +387,30 @@ let online_drive t d = Drive.is_online (Shelf.drive t.shelf d)
 
 exception Out_of_space
 
-(* Forward reference: writer_with_room must persist the boot region when
-   an allocation changed the frontier, but the encoder is defined below. *)
-let boot_persist_hook : (t -> unit) ref = ref (fun _ -> ())
+(* Write the boot region (frontier, counters, checkpoint directory);
+   [k] runs at durability. *)
+let persist_boot t k =
+  t.boot_generation_written <- Allocator.persist_generation t.alloc;
+  t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
+  Boot_region.write t.boot
+    (Boot_region.encode
+       {
+         frontier = Allocator.persisted_frontier t.alloc;
+         next_segment = t.next_segment_id;
+         next_medium = t.medium_next_id;
+         seq = Seqno.current t.seqno;
+         checkpoint_seq = t.checkpoint_seq;
+         dir = t.checkpoint_dir;
+       })
+    k
+
+(* Rewrite the boot region when the allocator's persisted sets changed
+   (fire-and-forget; frontier refills run well before the fresh AUs are
+   written, so the window between refill and durability is tiny — see
+   DESIGN.md). A dead controller must never clobber the live one's. *)
+let maybe_persist_boot t =
+  if t.online && Allocator.persist_generation t.alloc <> t.boot_generation_written then
+    persist_boot t (fun () -> ())
 
 (* Reserve a single replacement AU on a healthy drive (for segio member
    remaps), erasing any stale contents before use. *)
@@ -432,7 +450,7 @@ let[@purity.lint.coldpath] open_fresh_writer t =
     Hashtbl.replace t.unflushed id w;
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
-    !boot_persist_hook t;
+    maybe_persist_boot t;
     w
 
 (* Open (allocating if needed) a segment writer with room for [need] more
@@ -706,103 +724,6 @@ let medium_has_blocks t ~medium ~lo ~hi =
 let when_flushed t k =
   if Queue.is_empty t.sealed then Clock.schedule t.clock ~delay:0.0 k
   else t.flush_waiters <- k :: t.flush_waiters
-
-(* ---------- boot-region blob ---------- *)
-
-let encode_boot t =
-  let buf = Buffer.create 512 in
-  Varint.write buf 1;
-  let frontier = Allocator.encode_persisted t.alloc in
-  Varint.write buf (String.length frontier);
-  Buffer.add_string buf frontier;
-  Varint.write buf t.next_segment_id;
-  Varint.write buf t.medium_next_id;
-  Varint.write_i64 buf (Seqno.current t.seqno);
-  Varint.write_i64 buf t.checkpoint_seq;
-  Varint.write buf (List.length t.checkpoint_dir);
-  List.iter
-    (fun (name, ranges, chunks) ->
-      Varint.write buf (String.length name);
-      Buffer.add_string buf name;
-      Varint.write buf (String.length ranges);
-      Buffer.add_string buf ranges;
-      Varint.write buf (List.length chunks);
-      List.iter
-        (fun (meta, off, len) ->
-          Varint.write buf (String.length meta);
-          Buffer.add_string buf meta;
-          Varint.write buf off;
-          Varint.write buf len)
-        chunks)
-    t.checkpoint_dir;
-  Buffer.contents buf
-
-type boot_blob = {
-  bb_frontier : string;
-  bb_next_segment : int;
-  bb_medium_next : int;
-  bb_seq : int64;
-  bb_ckpt_seq : int64;
-  bb_dir : (string * string * (string * int * int) list) list;
-}
-
-let decode_boot s =
-  let buf = Bytes.unsafe_of_string s in
-  let _v, p = Varint.read buf ~pos:0 in
-  let flen, p = Varint.read buf ~pos:p in
-  let frontier = Bytes.sub_string buf p flen in
-  let p = p + flen in
-  let next_segment, p = Varint.read buf ~pos:p in
-  let medium_next, p = Varint.read buf ~pos:p in
-  let seq, p = Varint.read_i64 buf ~pos:p in
-  let ckpt_seq, p = Varint.read_i64 buf ~pos:p in
-  let ndirs, p = Varint.read buf ~pos:p in
-  let pos = ref p in
-  let read_str () =
-    let len, p1 = Varint.read buf ~pos:!pos in
-    let s = Bytes.sub_string buf p1 len in
-    pos := p1 + len;
-    s
-  in
-  let dir =
-    List.init ndirs (fun _ ->
-        let name = read_str () in
-        let ranges = read_str () in
-        let nchunks, p1 = Varint.read buf ~pos:!pos in
-        pos := p1;
-        let chunks =
-          List.init nchunks (fun _ ->
-              let meta = read_str () in
-              let off, p2 = Varint.read buf ~pos:!pos in
-              let len, p3 = Varint.read buf ~pos:p2 in
-              pos := p3;
-              (meta, off, len))
-        in
-        (name, ranges, chunks))
-  in
-  {
-    bb_frontier = frontier;
-    bb_next_segment = next_segment;
-    bb_medium_next = medium_next;
-    bb_seq = seq;
-    bb_ckpt_seq = ckpt_seq;
-    bb_dir = dir;
-  }
-
-(* Rewrite the boot region when the allocator's persisted sets changed
-   (fire-and-forget; frontier refills run well before the fresh AUs are
-   written, so the window between refill and durability is tiny — see
-   DESIGN.md). *)
-let maybe_persist_boot t =
-  (* a dead controller must never clobber the live one's boot region *)
-  let gen = Allocator.persist_generation t.alloc in
-  if t.online && gen <> t.boot_generation_written then begin
-    t.boot_generation_written <- gen;
-    t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
-    Boot_region.write t.boot (encode_boot t) (fun () -> ())
-  end
-
-let () = boot_persist_hook := maybe_persist_boot
 
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. [sealed] keeps its

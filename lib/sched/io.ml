@@ -31,10 +31,6 @@ type t = {
   rs : Rs.t;
   read_around_write : bool;
   p95_backup : bool;
-  mutable fault : (drive:int -> bool) option;
-      (* purity.check injection point: drives the predicate marks behave
-         as failed for shard reads (direct and peer), forcing the
-         degraded/reconstruction paths *)
   mutable stats : stats;
   latencies : Histogram.t;
   direct_latencies : Histogram.t; (* feeds the p95 hedge threshold *)
@@ -47,7 +43,6 @@ let create ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false) 
     rs;
     read_around_write;
     p95_backup;
-    fault = None;
     stats = zero_stats;
     latencies = Histogram.create ();
     direct_latencies = Histogram.create ();
@@ -56,10 +51,6 @@ let create ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false) 
 let stats t = t.stats
 let reset_stats t = t.stats <- zero_stats
 let read_latencies t = t.latencies
-let set_fault t f = t.fault <- f
-
-let faulted t ~drive =
-  match t.fault with Some f -> f ~drive | None -> false
 
 let register_telemetry t reg =
   let module R = Purity_telemetry.Registry in
@@ -90,8 +81,6 @@ let shard_holds t seg column ~au_offset ~len =
   let drive, au = drive_of t seg column in
   Drive.au_fill drive ~au >= au_offset + len
 
-let member_drive seg column = (seg.Segment.members).(column).Segment.drive
-
 (* Rebuild the chunk at (row, within, len) for data column [target] from
    sibling shards. Reed-Solomon is elementwise over byte positions, so the
    sub-range of each write unit decodes independently. *)
@@ -105,7 +94,6 @@ let reconstruct_chunk t seg ~row ~within ~len ~target k =
       List.filter
         (fun c ->
           Drive.is_online (fst (drive_of t seg c))
-          && (not (faulted t ~drive:(member_drive seg c)))
           &&
           let loc = Layout.row_chunk t.layout ~row ~within ~len ~column:c in
           shard_holds t seg c ~au_offset:loc.Layout.au_offset ~len)
@@ -172,17 +160,14 @@ let read_chunk t seg (loc : Layout.location) k =
     t.stats <- { t.stats with failures = t.stats.failures + 1 };
     k (Error `Unrecoverable)
   in
-  let missing =
-    faulted t ~drive:(member_drive seg column)
-    || not (shard_holds t seg column ~au_offset:loc.Layout.au_offset ~len)
-  in
+  let missing = not (shard_holds t seg column ~au_offset:loc.Layout.au_offset ~len) in
   let avoid_busy =
     t.read_around_write && Drive.is_online drive && Drive.busy_writing drive
   in
   if (not (Drive.is_online drive)) || missing || avoid_busy then
-    (* Offline, missing/injected-faulty shard, or writing: rebuild from
-       siblings; if that is impossible and the drive is merely busy, wait
-       it out with a direct read. *)
+    (* Offline, missing shard, or writing: rebuild from siblings; if
+       that is impossible and the drive is merely busy, wait it out with
+       a direct read. *)
     reconstruct `Primary (function
       | Some data -> k (Ok data)
       | None ->

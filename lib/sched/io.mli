@@ -53,13 +53,6 @@ val read :
 val stats : t -> stats
 val reset_stats : t -> unit
 
-val set_fault : t -> (drive:int -> bool) option -> unit
-(** Install (or clear) a fault predicate over shelf drive ids. A faulted
-    drive's shards are treated as unreadable — direct reads degrade to
-    reconstruction and the drive is excluded as a reconstruction peer —
-    without touching the drive's own online state. The [purity.check]
-    injection point for targeted degraded-read scenarios. *)
-
 val read_latencies : t -> Purity_util.Histogram.t
 (** Completed whole-read latencies in simulated microseconds. *)
 

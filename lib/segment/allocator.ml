@@ -1,4 +1,3 @@
-module Varint = Purity_util.Varint
 module Ptbl = Purity_util.Keytbl.Ipair
 
 type t = {
@@ -192,28 +191,8 @@ let used_au_count t = Ptbl.length t.used
 let persisted_frontier t = t.persisted
 let persist_generation t = t.generation
 
-let encode_persisted t =
-  let buf = Buffer.create 256 in
-  Varint.write buf (List.length t.persisted);
-  List.iter
-    (fun (m : Segment.member) ->
-      Varint.write buf m.Segment.drive;
-      Varint.write buf m.Segment.au)
-    t.persisted;
-  Buffer.contents buf
-
-let restore_persisted t s =
-  let buf = Bytes.unsafe_of_string s in
-  let n, pos = Varint.read buf ~pos:0 in
-  let p = ref pos in
-  let members = ref [] in
-  for _ = 1 to n do
-    let drive, p1 = Varint.read buf ~pos:!p in
-    let au, p2 = Varint.read buf ~pos:p1 in
-    members := { Segment.drive; au } :: !members;
-    p := p2
-  done;
-  let members = dedupe (List.rev !members) in
+let restore_persisted t members =
+  let members = dedupe (List.filter (fun (m : Segment.member) -> m.Segment.drive < t.drives) members) in
   t.persisted <- members;
   (* Frontier members not marked used are allocatable again; exclude them
      from the free queues so they are not handed out twice. *)

@@ -13,8 +13,8 @@
     of writes".
 
     The allocator is pure state: persistence latency is charged by the
-    caller (the array core writes {!encode_persisted} to the boot region
-    whenever {!persist_generation} changes). *)
+    caller (the array core writes {!persisted_frontier} to the boot
+    region whenever {!persist_generation} changes). *)
 
 type t
 
@@ -74,7 +74,6 @@ val checkpoint_mark : t -> keep:int -> extra:Segment.member list -> unit
     pins further members, e.g. the open segio. Bumps
     {!persist_generation} so the caller rewrites the boot region. *)
 
-val encode_persisted : t -> string
-val restore_persisted : t -> string -> unit
-(** Install a frontier read back from the boot region.
-    @raise Invalid_argument on malformed input. *)
+val restore_persisted : t -> Segment.member list -> unit
+(** Install a frontier read back from the boot region (duplicates and
+    members on drives this shelf does not have are dropped). *)

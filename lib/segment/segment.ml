@@ -50,41 +50,53 @@ let encode_header layout t ~shard =
   Bytes.blit_string meta 0 page (8 + String.length len_enc) (String.length meta);
   page
 
+(* The meta body shared by header pages and compact values: reads from
+   [pos] and returns the shard, the meta and the position just past it,
+   raising [Invalid_argument] (as the varint reader does, accepting only
+   shortest encodings) on anything malformed. A member takes at least two
+   bytes, so the count is bounded by the bytes left before any array is
+   built. *)
+let meta_body buf pos =
+  let id, p = Varint.read buf ~pos in
+  let shard, p = Varint.read buf ~pos:p in
+  let nmembers, p = Varint.read buf ~pos:p in
+  if nmembers > (Bytes.length buf - p) / 2 then invalid_arg "Segment: member count";
+  let pos = ref p in
+  let members =
+    Array.init nmembers (fun _ ->
+        let drive, p1 = Varint.read buf ~pos:!pos in
+        let au, p2 = Varint.read buf ~pos:p1 in
+        pos := p2;
+        { drive; au })
+  in
+  let payload_len, p = Varint.read buf ~pos:!pos in
+  let log_off, p = Varint.read buf ~pos:p in
+  let log_len, p = Varint.read buf ~pos:p in
+  let seq_lo, p = Varint.read_i64 buf ~pos:p in
+  let seq_hi, p = Varint.read_i64 buf ~pos:p in
+  (shard, { id; members; payload_len; log_off; log_len; seq_lo; seq_hi }, p)
+
 let decode_header page =
   if Bytes.length page < 16 then None
   else if not (String.equal (Bytes.sub_string page 0 4) magic) then None
   else begin
-    try
-      let crc_stored =
-        let b i = Int32.of_int (Bytes.get_uint8 page (4 + i)) in
-        Int32.logor (b 0)
-          (Int32.logor
-             (Int32.shift_left (b 1) 8)
-             (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-      in
+    let crc_stored =
+      let b i = Int32.of_int (Bytes.get_uint8 page (4 + i)) in
+      Int32.logor (b 0)
+        (Int32.logor
+           (Int32.shift_left (b 1) 8)
+           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
+    in
+    match
       let meta_len, p = Varint.read page ~pos:8 in
-      if p + meta_len > Bytes.length page then None
-      else if not (Int32.equal (Crc32c.update 0l page ~pos:p ~len:meta_len) crc_stored) then None
-      else begin
-        let id, p = Varint.read page ~pos:p in
-        let _shard, p = Varint.read page ~pos:p in
-        let nmembers, p = Varint.read page ~pos:p in
-        let pos = ref p in
-        let members =
-          Array.init nmembers (fun _ ->
-              let drive, p1 = Varint.read page ~pos:!pos in
-              let au, p2 = Varint.read page ~pos:p1 in
-              pos := p2;
-              { drive; au })
-        in
-        let payload_len, p = Varint.read page ~pos:!pos in
-        let log_off, p = Varint.read page ~pos:p in
-        let log_len, p = Varint.read page ~pos:p in
-        let seq_lo, p = Varint.read_i64 page ~pos:p in
-        let seq_hi, _ = Varint.read_i64 page ~pos:p in
-        Some { id; members; payload_len; log_off; log_len; seq_lo; seq_hi }
-      end
-    with Invalid_argument _ -> None
+      if
+        meta_len <= Bytes.length page - p
+        && Int32.equal (Crc32c.update 0l page ~pos:p ~len:meta_len) crc_stored
+      then Some (meta_body page p)
+      else None
+    with
+    | Some (_shard, t, _) -> Some t
+    | None | exception Invalid_argument _ -> None
   end
 
 let pp ppf t =
@@ -93,22 +105,9 @@ let pp ppf t =
 
 let encode_compact t = encode_meta t ~shard:0
 
-let decode_compact s =
-  let page = Bytes.unsafe_of_string s in
-  let id, p = Varint.read page ~pos:0 in
-  let _shard, p = Varint.read page ~pos:p in
-  let nmembers, p = Varint.read page ~pos:p in
-  let pos = ref p in
-  let members =
-    Array.init nmembers (fun _ ->
-        let drive, p1 = Varint.read page ~pos:!pos in
-        let au, p2 = Varint.read page ~pos:p1 in
-        pos := p2;
-        { drive; au })
-  in
-  let payload_len, p = Varint.read page ~pos:!pos in
-  let log_off, p = Varint.read page ~pos:p in
-  let log_len, p = Varint.read page ~pos:p in
-  let seq_lo, p = Varint.read_i64 page ~pos:p in
-  let seq_hi, _ = Varint.read_i64 page ~pos:p in
-  { id; members; payload_len; log_off; log_len; seq_lo; seq_hi }
+(* A compact value is shard 0's meta and nothing after it, so whatever
+   decodes re-encodes to [s]. *)
+let[@purity.lint.recovery_root] decode_compact s =
+  match meta_body (Bytes.of_string s) 0 with
+  | 0, t, p when p = String.length s -> Some t
+  | _ | exception Invalid_argument _ -> None

@@ -32,7 +32,9 @@ val encode_compact : t -> string
 (** Compact (unpadded) serialisation — the value stored in the segment
     table pyramid and the boot region's patch directory. *)
 
-val decode_compact : string -> t
-(** @raise Invalid_argument on malformed input. *)
+val decode_compact : string -> t option
+(** Total: [None] unless [s] is exactly one {!encode_compact} image
+    (shard 0, shortest varints, no trailing bytes), so a decoded value
+    re-encodes to [s]. *)
 
 val pp : t Fmt.t

@@ -1,14 +1,11 @@
 module Histogram = Purity_util.Histogram
 
-(* Atomic-backed so pool worker domains can record without racing the
-   main domain's reads; uncontended atomic ops are plain stores with a
-   fence, so the hot path stays a couple of ns. *)
-type counter = int Atomic.t
-type gauge = float Atomic.t
+(* Main-domain only: no pool lane records here (lint's escape pass
+   proves it), so a counter is a plain cell. *)
+type counter = int ref
 
 type metric =
   | Counter of counter
-  | Gauge of gauge
   | Hist of Histogram.t
   | Derived_int of (unit -> int)
   | Derived_float of (unit -> float)
@@ -19,7 +16,6 @@ let create () = { metrics = Hashtbl.create 64 }
 
 let family = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Hist _ -> "histogram"
   | Derived_int _ -> "derived-int"
   | Derived_float _ -> "derived-float"
@@ -33,18 +29,9 @@ let counter t key =
   | Some (Counter c) -> c
   | Some m -> clash key m "counter"
   | None ->
-    let c = Atomic.make 0 in
+    let c = ref 0 in
     Hashtbl.replace t.metrics key (Counter c);
     c
-
-let gauge t key =
-  match Hashtbl.find_opt t.metrics key with
-  | Some (Gauge g) -> g
-  | Some m -> clash key m "gauge"
-  | None ->
-    let g = Atomic.make 0.0 in
-    Hashtbl.replace t.metrics key (Gauge g);
-    g
 
 let histogram t key =
   match Hashtbl.find_opt t.metrics key with
@@ -71,11 +58,9 @@ let derive_float t key f =
   | Some (Derived_float _) | None -> Hashtbl.replace t.metrics key (Derived_float f)
   | Some m -> clash key m "derived-float"
 
-let incr c = Atomic.incr c
-let add c n = ignore (Atomic.fetch_and_add c n)
-let value c = Atomic.get c
-let set g v = Atomic.set g v
-let get g = Atomic.get g
+let incr c = Stdlib.incr c
+let add c n = c := !c + n
+let value c = !c
 
 let mem t key = Hashtbl.mem t.metrics key
 
@@ -144,8 +129,7 @@ let snapshot t =
   |> List.map (fun key ->
          let v =
            match Hashtbl.find t.metrics key with
-           | Counter c -> Int (Atomic.get c)
-           | Gauge g -> Float (Atomic.get g)
+           | Counter c -> Int !c
            | Hist h -> Hist (snapshot_hist h)
            | Derived_int f -> Int (f ())
            | Derived_float f -> Float (f ())
@@ -189,9 +173,9 @@ let reset t =
   Hashtbl.iter
     (fun _ m ->
       match m with
-      | Counter c -> Atomic.set c 0
+      | Counter c -> c := 0
       | Hist h -> Histogram.clear h
-      | Gauge _ | Derived_int _ | Derived_float _ -> ())
+      | Derived_int _ | Derived_float _ -> ())
     t.metrics
 
 (* ---------- pretty printing ---------- *)

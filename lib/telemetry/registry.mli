@@ -1,19 +1,18 @@
-(** Metrics registry: the array's single namespace of counters, gauges and
-    latency histograms.
+(** Metrics registry: the array's single namespace of counters, derived
+    levels and latency histograms.
 
     The paper's evaluation is built on fleet telemetry phoned home from
     deployed arrays (§1, §5); this registry is the reproduction's
     equivalent of the per-array metric table those logs sample. Every
     subsystem registers its counters under a hierarchical slash-separated
     key ([write_path/nvram_commit_us], [ssd/drive3/program_stalls], ...)
-    and records through the handle it got back — an [Atomic.t] cell, so
-    hot-path recording is one uncontended atomic store and pool worker
-    domains can record without racing the main domain (registration and
-    snapshots remain main-domain-only: the key table is not synchronised).
+    and records through the handle it got back — a plain int cell, so
+    hot-path recording is one store. The registry is main-domain only:
+    registration, recording and snapshots all run on the controller's
+    domain, and no pool lane reaches it (lint's escape pass proves this).
 
-    Three metric families are recorded directly:
+    Two metric families are recorded directly:
     - {e counters}: monotone ints ([incr]/[add]);
-    - {e gauges}: level-valued floats ([set]);
     - {e histograms}: {!Purity_util.Histogram} latency distributions.
 
     Two more are {e derived}: registered as closures and sampled only at
@@ -28,14 +27,12 @@
 
 type t
 type counter
-type gauge
 
 val create : unit -> t
 
 (** {1 Registration} *)
 
 val counter : t -> string -> counter
-val gauge : t -> string -> gauge
 
 val histogram : t -> string -> Purity_util.Histogram.t
 (** A registry-owned histogram; record into it directly with
@@ -51,15 +48,13 @@ val derive_int : t -> string -> (unit -> int) -> unit
     replaces the closure (a failover re-derives over fresh state). *)
 
 val derive_float : t -> string -> (unit -> float) -> unit
-(** A computed gauge, sampled at snapshot time. *)
+(** A computed level, sampled at snapshot time. *)
 
 (** {1 Hot-path recording} *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val set : gauge -> float -> unit
-val get : gauge -> float
 
 (** {1 Introspection} *)
 
@@ -85,7 +80,7 @@ type value_snapshot = Int of int | Float of float | Hist of hist_snapshot
 
 type snapshot = (string * value_snapshot) list
 (** Key-sorted point-in-time sample. Counters and derived-int metrics
-    appear as [Int], gauges and derived-float as [Float]. *)
+    appear as [Int], derived-float metrics as [Float]. *)
 
 val snapshot : t -> snapshot
 
@@ -97,12 +92,12 @@ val filter_prefix : snapshot -> prefix:string -> snapshot
 val diff : base:snapshot -> current:snapshot -> snapshot
 (** Activity between two snapshots of the same registry: counters and
     histogram buckets subtract (percentiles are recomputed over the
-    interval's samples); gauges are levels, so the current value is kept.
+    interval's samples); floats are levels, so the current value is kept.
     Keys absent from [base] pass through unchanged. *)
 
 val reset : t -> unit
-(** Zero all counters and clear all histograms. Gauges and derived
-    metrics are levels over live state and are left alone. *)
+(** Zero all counters and clear all histograms. Derived metrics are
+    levels over live state and are left alone. *)
 
 val pp_value : value_snapshot Fmt.t
 val pp_snapshot : snapshot Fmt.t

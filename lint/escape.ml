@@ -11,9 +11,10 @@
      witness from the closure to the touching def.
 
    The walk stops at the audited multicore modules (pool.ml,
-   kernel_stats.ml, registry.ml): their cross-domain state is the
-   reviewed implementation, e.g. the shadow kernel counters each worker
-   drains into its own lane. A site inside an audited file is not an
+   kernel_stats.ml): their cross-domain state is the reviewed
+   implementation, e.g. the shadow kernel counters each worker drains
+   into its own lane. The telemetry registry is not among them: it is
+   main-domain only, and this pass proves no lane reaches it. A site inside an audited file is not an
    escape; neither is a waived site or a waived submission. *)
 
 let audited_file cfg file = Rules.is_audited_domains cfg file

@@ -12,7 +12,8 @@ type config = {
       (* basenames allowed to use unchecked accessors *)
   audited_domains : string list;
       (* basenames allowed to touch Domain/Atomic/Mutex/Condition — the
-         deterministic pool and the counters it aggregates into. The
+         deterministic pool and the kernel counters it aggregates into
+         (the telemetry registry is main-domain only). The
          escape pass also stops at these modules: their
          cross-domain mutable state is the audited implementation, not an
          escape. *)
@@ -43,7 +44,7 @@ let default =
       ];
     audited_unsafe =
       [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "bloom.ml" ];
-    audited_domains = [ "pool.ml"; "kernel_stats.ml"; "registry.ml" ];
+    audited_domains = [ "pool.ml"; "kernel_stats.ml" ];
     exclude = [ "lint_fixtures" ];
     mutable_types =
       [

@@ -9,6 +9,7 @@ module Boot = Purity_core.Boot_region
 module Meta_log = Purity_core.Meta_log
 module Block_index = Purity_core.Block_index
 module Fact = Purity_pyramid.Fact
+module Segment = Purity_segment.Segment
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -481,6 +482,72 @@ let prop_block_index_matches_string_pyramid =
        Spyr.flush (snd both);
        same_reads both ops))
 
+(* ---------- Boot region codec ---------- *)
+
+let gen_segment =
+  let open QCheck.Gen in
+  let wide = oneof [ small_nat; map (fun i -> i land max_int) int ] in
+  let member = map2 (fun drive au -> { Segment.drive; au }) small_nat wide in
+  let* id = wide and* members = array_size (int_bound 12) member in
+  let* payload_len = wide and* log_off = wide and* log_len = wide in
+  let+ seq_lo = ui64 and+ seq_hi = ui64 in
+  { Segment.id; members; payload_len; log_off; log_len; seq_lo; seq_hi }
+
+let gen_boot =
+  let open QCheck.Gen in
+  let wide = oneof [ small_nat; map (fun i -> i land max_int) int ] in
+  let member = map2 (fun drive au -> { Segment.drive; au }) small_nat wide in
+  let entry =
+    triple (string_size (int_bound 12)) (string_size (int_bound 40))
+      (list_size (int_bound 4) (triple gen_segment wide wide))
+  in
+  let* frontier = list_size (int_bound 40) member and* dir = list_size (int_bound 4) entry in
+  let* next_segment = wide and* next_medium = wide in
+  let+ seq = ui64 and+ checkpoint_seq = ui64 in
+  { Boot.frontier; next_segment; next_medium; seq; checkpoint_seq; dir }
+
+let prop_boot_roundtrip =
+  QCheck.Test.make ~name:"boot contents roundtrip" ~count:300 (QCheck.make gen_boot) (fun c ->
+      Boot.decode (Boot.encode c) = Some c)
+
+(* Hand-built images: counts far beyond the bytes left, a wrong version,
+   a trailing byte, a compact meta for a shard other than 0. *)
+let test_boot_rejects () =
+  let varints vs =
+    let buf = Buffer.create 16 in
+    List.iter (Purity_util.Varint.write buf) vs;
+    Buffer.contents buf
+  in
+  let empty =
+    { Boot.frontier = []; next_segment = 1; next_medium = 1; seq = 0L; checkpoint_seq = 0L; dir = [] }
+  in
+  let blob = Boot.encode empty in
+  check bool "empty contents decode" true (Boot.decode blob = Some empty);
+  check bool "huge frontier count" true (Boot.decode (varints [ 2; max_int; 1; 2 ]) = None);
+  check bool "huge directory count" true
+    (Boot.decode (varints [ 2; 0; 1; 1; 0; 0; 1 lsl 40 ]) = None);
+  check bool "wrong version" true
+    (Boot.decode ("\001" ^ String.sub blob 1 (String.length blob - 1)) = None);
+  check bool "trailing byte" true (Boot.decode (blob ^ "\000") = None);
+  check bool "huge member count" true
+    (Segment.decode_compact (varints [ 7; 0; max_int; 1; 2 ]) = None);
+  check bool "shard 1" true (Segment.decode_compact (varints [ 7; 1; 0; 0; 0; 0; 0; 0 ]) = None);
+  check bool "shard 0" true
+    (Option.is_some (Segment.decode_compact (varints [ 7; 0; 0; 0; 0; 0; 0; 0 ])))
+
+let prop_boot_mutation =
+  QCheck.Test.make ~name:"Boot_region.decode total on damage" ~count:2000
+    (QCheck.make (gen_mutated gen_boot Boot.encode))
+    (fun s -> match Boot.decode s with None -> true | Some c -> String.equal (Boot.encode c) s)
+
+let prop_segment_compact_mutation =
+  QCheck.Test.make ~name:"Segment.decode_compact total on damage" ~count:2000
+    (QCheck.make (gen_mutated gen_segment Segment.encode_compact))
+    (fun s ->
+      match Segment.decode_compact s with
+      | None -> true
+      | Some t -> String.equal (Segment.encode_compact t) s)
+
 let () =
   Alcotest.run "core-parts"
     [
@@ -507,6 +574,10 @@ let () =
           Alcotest.test_case "empty" `Quick test_boot_empty_reads_none;
           Alcotest.test_case "write then read" `Quick test_boot_write_then_read;
           Alcotest.test_case "latency" `Quick test_boot_latency_charged;
+          QCheck_alcotest.to_alcotest prop_boot_roundtrip;
+          Alcotest.test_case "codec rejects" `Quick test_boot_rejects;
+          QCheck_alcotest.to_alcotest prop_boot_mutation;
+          QCheck_alcotest.to_alcotest prop_segment_compact_mutation;
         ] );
       ("block_index", [ QCheck_alcotest.to_alcotest prop_block_index_matches_string_pyramid ]);
       ( "meta_log",

@@ -25,18 +25,9 @@ let test_registry_counters () =
   Registry.incr c';
   check int "shared cell" 6 (Registry.value c)
 
-let test_registry_gauges () =
-  let reg = Registry.create () in
-  let g = Registry.gauge reg "nvram/fill" in
-  Registry.set g 0.75;
-  check (Alcotest.float 1e-9) "gauge value" 0.75 (Registry.get g)
-
 let test_registry_duplicate_family_clash () =
   let reg = Registry.create () in
   ignore (Registry.counter reg "x/key");
-  (match Registry.gauge reg "x/key" with
-  | _ -> Alcotest.fail "family mismatch must raise"
-  | exception Invalid_argument _ -> ());
   match Registry.histogram reg "x/key" with
   | _ -> Alcotest.fail "family mismatch must raise"
   | exception Invalid_argument _ -> ()
@@ -70,15 +61,15 @@ let test_registry_derived () =
 let test_snapshot_diff () =
   let reg = Registry.create () in
   let c = Registry.counter reg "ops/total" in
-  let g = Registry.gauge reg "fill/level" in
+  let level = ref 1.0 in
+  Registry.derive_float reg "fill/level" (fun () -> !level);
   let h = Registry.histogram reg "lat/us" in
   Registry.add c 10;
-  Registry.set g 1.0;
   Histogram.record h 100.0;
   Histogram.record h 200.0;
   let base = Registry.snapshot reg in
   Registry.add c 7;
-  Registry.set g 2.5;
+  level := 2.5;
   Histogram.record h 400.0;
   let current = Registry.snapshot reg in
   let d = Registry.diff ~base ~current in
@@ -86,8 +77,8 @@ let test_snapshot_diff () =
   | Some (Registry.Int 7) -> ()
   | _ -> Alcotest.fail "counter diff must subtract");
   (match Registry.find d "fill/level" with
-  | Some (Registry.Float f) -> check (Alcotest.float 1e-9) "gauge keeps level" 2.5 f
-  | _ -> Alcotest.fail "gauge diff must keep current");
+  | Some (Registry.Float f) -> check (Alcotest.float 1e-9) "level keeps current" 2.5 f
+  | _ -> Alcotest.fail "level diff must keep current");
   match Registry.find d "lat/us" with
   | Some (Registry.Hist hs) ->
     check int "interval count" 1 hs.Registry.h_count;
@@ -417,7 +408,6 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counters" `Quick test_registry_counters;
-          Alcotest.test_case "gauges" `Quick test_registry_gauges;
           Alcotest.test_case "duplicate family clash" `Quick
             test_registry_duplicate_family_clash;
           Alcotest.test_case "keys and mem" `Quick test_registry_keys_and_mem;
