@@ -59,8 +59,7 @@ let subsection title =
 
 (* Bench geometry: 11 drives, 7+2, 32 KiB write units, 8-row AUs
    (~260 KiB) — the paper's shape at laptop scale. *)
-let bench_config ?(drives = 11) ?(num_aus = 192) ?(read_around_write = true)
-    ?(inline_dedup = true) ?(compression = true) () =
+let bench_config ?(drives = 11) ?(num_aus = 192) ?(read_around_write = true) () =
   {
     Fa.default_config with
     Fa.drives;
@@ -76,13 +75,11 @@ let bench_config ?(drives = 11) ?(num_aus = 192) ?(read_around_write = true)
       };
     memtable_flush = 1_000_000;
     read_around_write;
-    inline_dedup;
-    compression;
   }
 
-let make_array ?drives ?num_aus ?read_around_write ?inline_dedup ?compression () =
+let make_array ?drives ?num_aus ?read_around_write () =
   let clock = Clock.create () in
-  let config = bench_config ?drives ?num_aus ?read_around_write ?inline_dedup ?compression () in
+  let config = bench_config ?drives ?num_aus ?read_around_write () in
   (clock, Fa.create ~config ~clock ())
 
 (* Run an async operation to completion on the clock. *)

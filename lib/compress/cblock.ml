@@ -35,9 +35,9 @@ let encode buf t =
   Buffer.add_int32_le buf (Crc32c.digest_string t.payload);
   Buffer.add_string buf t.payload
 
-(* Raw (stored-as-is) frame: shared by the compression-off and
-   incompressible branches. A plain function, not a per-call closure —
-   the write path comes through here once per stored run. *)
+(* Raw (stored-as-is) frame, for data compression would expand. A plain
+   function, not a per-call closure — the write path comes through here
+   once per stored run. *)
 let add_raw_frame buf data =
   let n = String.length data in
   Varint.write buf n;
@@ -53,33 +53,30 @@ let add_raw_frame buf data =
    are non-optional: the steady-state write path always holds a scratch,
    and an [?scratch] wrapper would box [Some scratch] per stored run.
    Returns the frame size. *)
-let add_frame_into ~scratch ~compress buf data =
+let add_frame_into ~scratch buf data =
   let n = String.length data in
   if n > max_logical then invalid_arg "Cblock.add_frame: larger than 32 KiB";
   let start = Buffer.length buf in
-  (if not compress then add_raw_frame buf data
-   else begin
-     let clen = Lz.compress_into scratch data in
-     if clen < n then begin
-       let pb = Lz.scratch_bytes scratch in
-       Varint.write buf n;
-       Buffer.add_char buf '\001';
-       Varint.write buf clen;
-       Buffer.add_int32_le buf (Crc32c.digest pb ~pos:0 ~len:clen);
-       Buffer.add_subbytes buf pb 0 clen
-     end
-     else add_raw_frame buf data
-   end);
+  let clen = Lz.compress_into scratch data in
+  if clen < n then begin
+    let pb = Lz.scratch_bytes scratch in
+    Varint.write buf n;
+    Buffer.add_char buf '\001';
+    Varint.write buf clen;
+    Buffer.add_int32_le buf (Crc32c.digest pb ~pos:0 ~len:clen);
+    Buffer.add_subbytes buf pb 0 clen
+  end
+  else add_raw_frame buf data;
   Buffer.length buf - start
 
-let add_frame ?scratch ?(compress = true) buf data =
+let add_frame ?scratch buf data =
   match scratch with
-  | Some sc -> add_frame_into ~scratch:sc ~compress buf data
+  | Some sc -> add_frame_into ~scratch:sc buf data
   | None ->
     let n = String.length data in
     if n > max_logical then invalid_arg "Cblock.add_frame: larger than 32 KiB";
     let start = Buffer.length buf in
-    if compress then encode buf (of_data data) else add_raw_frame buf data;
+    encode buf (of_data data);
     Buffer.length buf - start
 
 let encoding_of_byte = function '\000' -> Some Raw | '\001' -> Some Lz | _ -> None

@@ -35,19 +35,17 @@ val stored_size : t -> int
 val encode : Buffer.t -> t -> unit
 (** Append the frame to a buffer. *)
 
-val add_frame_into : scratch:Lz.scratch -> compress:bool -> Buffer.t -> string -> int
-(** [add_frame_into ~scratch ~compress buf data] is {!add_frame} with
-    both arguments required: the steady-state write path always holds a
-    scratch, and the optional wrapper would box [Some scratch] on every
-    stored run. *)
+val add_frame_into : scratch:Lz.scratch -> Buffer.t -> string -> int
+(** [add_frame_into ~scratch buf data] is {!add_frame} with the scratch
+    required: the steady-state write path always holds one, and the
+    optional wrapper would box [Some scratch] on every stored run. *)
 
-val add_frame : ?scratch:Lz.scratch -> ?compress:bool -> Buffer.t -> string -> int
-(** [add_frame ?scratch ?compress buf data] frames [data] directly into
-    [buf] — byte-identical to [encode buf (of_data data)] — and returns
-    the frame size. With [scratch], the compressed payload moves from the
-    LZ scratch buffer into the frame without an intermediate string; the
-    write path's zero-allocation fill loop. [compress] defaults to
-    [true]; [false] forces a raw frame (compression disabled in config).
+val add_frame : ?scratch:Lz.scratch -> Buffer.t -> string -> int
+(** [add_frame ?scratch buf data] frames [data] directly into [buf] —
+    byte-identical to [encode buf (of_data data)] — and returns the frame
+    size. With [scratch], the compressed payload moves from the LZ
+    scratch buffer into the frame without an intermediate string; the
+    write path's zero-allocation fill loop.
     @raise Invalid_argument beyond [max_logical]. *)
 
 val decode : bytes -> pos:int -> (t * string * int) option

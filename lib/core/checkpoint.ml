@@ -26,8 +26,7 @@ let run t k =
   else begin
   (* Quiesce first: once every sealed segio has flushed, its segment-table
      facts are in the pyramids and will be covered by the patches. *)
-  seal_current t;
-  when_flushed t (fun () ->
+  seal_and_flush t (fun () ->
       if not t.online then ()
       else begin
       let first_ckpt_segment = t.next_segment_id in
@@ -66,8 +65,7 @@ let run t k =
           Meta_log.tables
       in
       (* Flush the checkpoint segments, then write the boot region. *)
-      seal_current t;
-      when_flushed t (fun () ->
+      seal_and_flush t (fun () ->
           if not t.online then ()
           else begin
           let resolve_chunks chunks =
@@ -104,20 +102,10 @@ let run t k =
                    caller release victims — hang, failover abandons us *)
               else begin
               (* previous checkpoint's segments are now garbage *)
-              List.iter
-                (fun seg_id ->
-                  match Hashtbl.find_opt t.segment_metas seg_id with
-                  | None -> ()
-                  | Some meta ->
-                    Hashtbl.remove t.segment_metas seg_id;
-                    put_delete t Segments ~key:(Keys.segment_key seg_id);
-                    Array.iter
-                      (fun (m : Segment.member) ->
-                        let d = Shelf.drive t.shelf m.Segment.drive in
-                        if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
-                      meta.Segment.members;
-                    Allocator.release t.alloc meta.Segment.members)
-                (List.filter (fun s -> not (List.mem s t.checkpoint_segments)) old_ckpt);
+              ignore
+                (destroy_segments t
+                   (List.filter (fun s -> not (List.mem s t.checkpoint_segments)) old_ckpt)
+                  : int);
               let segments_used = t.next_segment_id - first_ckpt_segment in
               k
                 {

@@ -11,7 +11,6 @@ type config = State.config = {
   read_around_write : bool;
   p95_backup : bool;
   inline_dedup : bool;
-  compression : bool;
   read_cache_entries : int;
   secondary_warming : bool;
   seed : int64;
@@ -300,9 +299,7 @@ let read t ~volume ~block ~nblocks k =
         k (r :> (string, read_error) result))
   end
 
-let flush t k =
-  (try seal_current t.st with Out_of_space -> ());
-  when_flushed t.st k
+let flush t k = seal_and_flush t.st k
 
 (* ---------- maintenance ---------- *)
 
@@ -319,16 +316,11 @@ let replace_drive t i = Shelf.replace_drive t.st.shelf i
 let inject_page_corruption t ~drive ~au ~page =
   Drive.inject_page_corruption (Shelf.drive t.st.shelf drive) ~au ~page
 
-
 let rebuild_drive t drive k =
   let st = t.st in
-  let settle k =
-    (try seal_current st with Out_of_space -> ());
-    when_flushed st k
-  in
   (* flush the open segio first so every segment touching the drive is a
      sealed, relocatable victim *)
-  settle (fun () ->
+  seal_and_flush st (fun () ->
       let victims =
         Hashtbl.fold
           (fun id (meta : Segment.t) acc ->
@@ -341,11 +333,10 @@ let rebuild_drive t drive k =
           st.segment_metas []
       in
       match victims with
-      | [] -> settle (fun () -> k 0)
+      | [] -> k 0
       | _ :: _ ->
-        Gc.evacuate st ~live:(Gc.liveness st) ~content_cache:(Purity_util.Keytbl.I64.create 16)
-          ~counters:(ref 0, ref 0, ref 0) ~settle victims (fun released _ ->
-            k (List.length released)))
+        Gc.evacuate st ~live:(Gc.liveness st) ~before_checkpoint:ignore victims (fun r ->
+            k (List.length r.Gc.victims)))
 
 let crash t =
   t.st.online <- false;

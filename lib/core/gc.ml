@@ -1,32 +1,35 @@
-(* The garbage collector (paper §4.5, §4.7, §4.10):
+(* The garbage collector (paper §4.5, §4.7, §4.10), and the one
+   evacuation path it shares with scrub (§5.1) and drive rebuild:
 
    - exact liveness scan of the block index (the paper keeps approximate
      counters and "fixes them up by issuing additional reads at runtime";
      the scan is those reads);
    - victim selection: live segments with the highest dead ratio
-     (unordered log-structured cleaning);
-   - relocation of live cblocks into the current segio, collapsing
-     byte-identical cblocks on the way (the background dedup pass);
+     (unordered log-structured cleaning) — the only step that is GC's
+     own; scrub picks corrupt segments and rebuild a drive's segments;
+   - [evacuate]: relocation of live cblocks into the current segio,
+     collapsing byte-identical cblocks on the way (the background dedup
+     pass), a checkpoint, and the victims' destruction, so their AUs are
+     trimmed and returned to the allocator only after the relocated data
+     and the metadata their log records held are durable elsewhere;
    - medium-tree flattening via shortcuts so reads stay within the
-     three-cblock bound;
-   - pyramid compaction, which is where elided facts actually vanish;
-   - victims' AUs trimmed and returned to the allocator only after the
-     relocated data has reached the drives. *)
+     three-cblock bound (GC's step before the checkpoint);
+   - pyramid compaction, which is where elided facts actually vanish. *)
 
 open State
 module I64tbl = Purity_util.Keytbl.I64
 module Xxhash = Purity_util.Xxhash
 
 type report = {
-  victims : int list;
+  victims : int list; (* destroyed, in victim order *)
   relocated_cblocks : int;
   relocated_bytes : int;
   reclaimed_bytes : int;
   gc_dedup_hits : int;
   shared_cblocks : int;
-      (* cblocks with more references than logical blocks, segregated into
-         their own segments (paper 4.7: multiply-referenced blocks are
-         less likely to die, so mixing them with ordinary data would make
+      (* cblocks with more references than logical blocks, relocated
+         ahead of the rest (paper 4.7: multiply-referenced blocks are less
+         likely to die, so mixing them with ordinary data would make
          future segments harder to clean) *)
   duration_us : float;
 }
@@ -54,18 +57,28 @@ let liveness t =
 
 let live_bytes_of per_seg = Hashtbl.fold (fun _ (len, _) acc -> acc + len) per_seg 0
 
+(* One evacuation's running totals, and its content cache: fingerprint ->
+   (home, frame) of each cblock relocated so far, so a byte-identical
+   cblock met later collapses onto that copy (the background dedup). *)
+type tally = {
+  cache : (Blockref.t * string) I64tbl.t;
+  mutable relocated : int;
+  mutable relocated_bytes : int;
+  mutable dedup_hits : int;
+  mutable shared : int;
+}
+
 (* Relocate every live cblock of one segment; calls [k true] when every
-   live cblock was moved (data durability is the caller's seal+flush),
+   live cblock was moved (data durability is the caller's checkpoint),
    [k false] if any read failed — the victim must then be kept alive, or
    the surviving references would dangle. *)
-let relocate_segment t ~live ~content_cache ~counters seg_id k =
+let relocate_segment t ~live tally seg_id k =
   match (Hashtbl.find_opt t.segment_metas seg_id, Hashtbl.find_opt live seg_id) with
   | None, _ -> k true
   | Some _, None -> k true
   | Some meta, Some per_seg ->
     (* shared first: a cblock with more references than ~logical blocks is
-       deduplicated; segregating the phases clusters such cblocks together
-       (the caller seals between phases across victims) *)
+       deduplicated; relocating those first clusters them together *)
     let entries = Hashtbl.fold (fun off v acc -> (off, v) :: acc) per_seg [] in
     let shared, plain =
       List.partition
@@ -73,8 +86,8 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
           List.length !refs > max 1 (stored_len / 512))
         entries
     in
+    tally.shared <- tally.shared + List.length shared;
     let entries = shared @ plain in
-    let relocated, rel_bytes, dedup_hits = counters in
     let all_ok = ref true in
     let rec go = function
       | [] -> k !all_ok
@@ -91,20 +104,21 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
                  allocate nothing); the victim is then simply kept *)
               try
                 let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
+                let data = Bytes.to_string frame in
                 let base =
-                  match I64tbl.find_opt content_cache fingerprint with
-                  | Some (base, cached) when String.equal cached (Bytes.to_string frame) ->
-                    incr dedup_hits;
+                  match I64tbl.find_opt tally.cache fingerprint with
+                  | Some (base, cached) when String.equal cached data ->
+                    tally.dedup_hits <- tally.dedup_hits + 1;
                     Registry.incr t.ws.gc_dedup_blocks;
                     base
                   | _ ->
-                    let segment, new_off = store_blob t (Bytes.to_string frame) in
+                    let segment, new_off = store_blob t data in
                     let base =
                       { Blockref.segment; off = new_off; stored_len; index = 0 }
                     in
-                    I64tbl.replace content_cache fingerprint (base, Bytes.to_string frame);
-                    incr relocated;
-                    rel_bytes := !rel_bytes + stored_len;
+                    I64tbl.replace tally.cache fingerprint (base, data);
+                    tally.relocated <- tally.relocated + 1;
+                    tally.relocated_bytes <- tally.relocated_bytes + stored_len;
                     base
                 in
                 List.iter
@@ -116,55 +130,43 @@ let relocate_segment t ~live ~content_cache ~counters seg_id k =
     in
     go entries
 
-(* Destroy a relocated segment; returns the bytes of AUs it gave back. *)
-let release_segment t seg_id =
-  match Hashtbl.find_opt t.segment_metas seg_id with
-  | None -> 0
-  | Some meta ->
-    Hashtbl.remove t.segment_metas seg_id;
-    put_delete t Segments ~key:(Keys.segment_key seg_id);
-    Array.iter
-      (fun (m : Segment.member) ->
-        let d = Shelf.drive t.shelf m.Segment.drive in
-        if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
-      meta.Segment.members;
-    Allocator.release t.alloc meta.Segment.members;
-    (* inline-dedup sources living in the victim are gone *)
-    let stale =
-      Hashtbl.fold
-        (fun wid (r : Blockref.t) acc -> if r.Blockref.segment = seg_id then wid :: acc else acc)
-        t.dedup_locs []
-    in
-    List.iter
-      (fun wid ->
-        Hashtbl.remove t.dedup_locs wid;
-        Dedup.forget t.dedup ~write_id:wid)
-      stale;
-    Array.length meta.Segment.members * t.cfg.drive_config.Drive.au_size
-
-(* Evacuate [victims]: relocate each one's live cblocks, run [settle]
-   (the caller's step between relocation and checkpoint), checkpoint, then
-   destroy the victims whose every live cblock moved. [k] gets those, in
-   victim order, and the bytes their release reclaimed. Destroying a
+(* The one evacuation sequence GC, scrub and drive rebuild share; they
+   differ only in how they pick [victims]. Relocate each victim's live
+   cblocks, run [before_checkpoint] (GC flattens medium trees there, so
+   the checkpoint persists the flatten facts too), checkpoint, then
+   destroy the victims whose every live cblock moved. [k] gets the report,
+   its [victims] being those destroyed, in victim order. Destroying a
    victim also destroys its header log records, which may hold the only
    durable copy of metadata facts whose NVRAM stashes were already
    trimmed: a checkpoint must cover them first, so the release waits for
    one. A crash mid-pass abandons it, and [k] never runs. *)
-let evacuate t ~live ~content_cache ~counters ~settle victims k =
+let evacuate t ~live ~before_checkpoint victims k =
+  let start = Clock.now t.clock in
+  let tally =
+    { cache = I64tbl.create 64; relocated = 0; relocated_bytes = 0; dedup_hits = 0; shared = 0 }
+  in
   let released = ref [] in
   let rec go = function
     | [] ->
-      if t.online then
-        settle (fun () ->
-            Checkpoint.run t (fun _ckpt ->
-                let released = List.rev !released in
-                let reclaimed =
-                  List.fold_left (fun acc id -> acc + release_segment t id) 0 released
-                in
-                maybe_persist_boot t;
-                k released reclaimed))
+      if t.online then begin
+        before_checkpoint ();
+        Checkpoint.run t (fun _ckpt ->
+            let victims = List.rev !released in
+            let reclaimed_bytes = destroy_segments t victims in
+            maybe_persist_boot t;
+            k
+              {
+                victims;
+                relocated_cblocks = tally.relocated;
+                relocated_bytes = tally.relocated_bytes;
+                reclaimed_bytes;
+                gc_dedup_hits = tally.dedup_hits;
+                shared_cblocks = tally.shared;
+                duration_us = Clock.now t.clock -. start;
+              })
+      end
     | seg_id :: rest ->
-      relocate_segment t ~live ~content_cache ~counters seg_id (fun ok ->
+      relocate_segment t ~live tally seg_id (fun ok ->
           if ok then released := seg_id :: !released;
           go rest)
   in
@@ -176,7 +178,6 @@ let flatten_mediums t =
   List.iter (fun m -> persist_medium t m) (Medium.live_mediums t.medium_table)
 
 let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
-  let start = Clock.now t.clock in
   (* pass-level telemetry (registration is idempotent, so grabbing the
      handles here keeps them tied to the current controller's registry) *)
   let c_passes = Registry.counter t.tel "gc/passes" in
@@ -213,55 +214,21 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
     |> List.filteri (fun i _ -> i < max_victims)
     |> List.map fst
   in
-  let content_cache = I64tbl.create 64 in
-  let relocated = ref 0 and rel_bytes = ref 0 and dedup_hits = ref 0 in
-  let counters = (relocated, rel_bytes, dedup_hits) in
-  (* 4.7 segregation: relocate multiply-referenced cblocks in their own
-     phase, sealing the segio in between, so deduplicated data clusters in
-     dedicated segments *)
-  let shared_count = ref 0 in
-  let finish releasable reclaimed =
-    let duration_us = Clock.now t.clock -. start in
-    Registry.incr c_passes;
-    Registry.add c_victims (List.length releasable);
-    Registry.add c_relocated !relocated;
-    Registry.add c_rel_bytes !rel_bytes;
-    Registry.add c_reclaimed reclaimed;
-    Histogram.record h_pass_us duration_us;
-    Span.finish
-      ~tags:
-        [
-          ("victims", string_of_int (List.length releasable));
-          ("relocated", string_of_int !relocated);
-        ]
-      gc_span;
-    k
-      {
-        victims = releasable;
-        relocated_cblocks = !relocated;
-        relocated_bytes = !rel_bytes;
-        reclaimed_bytes = reclaimed;
-        gc_dedup_hits = !dedup_hits;
-        shared_cblocks = !shared_count;
-        duration_us;
-      }
-  in
-  (* count the shared cblocks for the report (segregation happens inside
-     relocate_segment's two-phase ordering) *)
-  List.iter
-    (fun seg_id ->
-      match Hashtbl.find_opt live seg_id with
-      | None -> ()
-      | Some per_seg ->
-        Hashtbl.iter
-          (fun _ (stored_len, refs) ->
-            if List.length !refs > max 1 (stored_len / 512) then incr shared_count)
-          per_seg)
-    victims;
-  (* flatten medium trees before the checkpoint, which then persists the
-     relocation and flatten facts along with covering the victims *)
-  evacuate t ~live ~content_cache ~counters
-    ~settle:(fun k ->
-      flatten_mediums t;
-      k ())
-    victims finish
+  evacuate t ~live
+    ~before_checkpoint:(fun () -> flatten_mediums t)
+    victims
+    (fun r ->
+      Registry.incr c_passes;
+      Registry.add c_victims (List.length r.victims);
+      Registry.add c_relocated r.relocated_cblocks;
+      Registry.add c_rel_bytes r.relocated_bytes;
+      Registry.add c_reclaimed r.reclaimed_bytes;
+      Histogram.record h_pass_us r.duration_us;
+      Span.finish
+        ~tags:
+          [
+            ("victims", string_of_int (List.length r.victims));
+            ("relocated", string_of_int r.relocated_cblocks);
+          ]
+        gc_span;
+      k r)

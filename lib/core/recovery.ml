@@ -110,8 +110,8 @@ let rebuild_derived t ~medium_next_hint =
   Stbl.reset t.volumes;
   Pyramid.iter_live t.volumes_pyr (fun ~key ~value ->
       match decode_volume_value value with
-      | v -> Stbl.replace t.volumes key v
-      | exception Invalid_argument _ -> ());
+      | Some v -> Stbl.replace t.volumes key v
+      | None -> ());
   (* the sequence counter must move past everything rediscovered *)
   List.iter
     (fun table ->

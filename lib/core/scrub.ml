@@ -6,9 +6,10 @@
 
    The scrubber reads every member AU of every live segment directly
    (bypassing the read scheduler so latent corruption is actually
-   observed) and relocates any segment with a corrupt page — the rewrite
-   both repairs the copy via Reed-Solomon and resets the data's retention
-   clock. *)
+   observed) and evacuates any segment with a corrupt page through
+   {!Gc.evacuate}, the path GC and drive rebuild share: the rewrite both
+   repairs the copy via Reed-Solomon and resets the data's retention
+   clock. Choosing those victims is all the scrubber adds. *)
 
 open State
 
@@ -70,10 +71,6 @@ let run t k =
           end;
           scan rest)
   and relocate () =
-    let settle k =
-      seal_current t;
-      when_flushed t k
-    in
     let finish relocated =
       let duration_us = Clock.now t.clock -. start in
       Registry.incr c_passes;
@@ -95,10 +92,9 @@ let run t k =
         }
     in
     match !to_relocate with
-    | [] -> if t.online then settle (fun () -> finish 0)
+    | [] -> if t.online then seal_and_flush t (fun () -> finish 0)
     | victims ->
-      Gc.evacuate t ~live:(Gc.liveness t) ~content_cache:(Gc.I64tbl.create 16)
-        ~counters:(ref 0, ref 0, ref 0) ~settle victims (fun released _ ->
-          finish (List.length released))
+      Gc.evacuate t ~live:(Gc.liveness t) ~before_checkpoint:ignore victims (fun r ->
+          finish (List.length r.Gc.victims))
   in
   scan targets

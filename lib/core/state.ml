@@ -47,7 +47,6 @@ type config = {
   read_around_write : bool;
   p95_backup : bool;
   inline_dedup : bool;
-  compression : bool;
   read_cache_entries : int; (* decoded cblocks cached in controller DRAM; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
@@ -74,7 +73,6 @@ let default_config =
     read_around_write = true;
     p95_backup = false;
     inline_dedup = true;
-    compression = true;
     read_cache_entries = 4096;
     secondary_warming = true;
     seed = 0x5EEDL;
@@ -206,18 +204,6 @@ type t = {
 let blocks_policy = Block_index.Elide (fun f -> fst f.Block_index.Fact.key)
 let mediums_policy = Pyramid.Elide (fun f -> Keys.medium_key_id f.Fact.key)
 
-let fresh_volatile cfg clock =
-  let create policy table =
-    Pyramid.create ~memtable_flush_count:cfg.memtable_flush ~policy
-      ~name:(Meta_log.name table) ()
-  in
-  ( Block_index.create ~memtable_flush_count:cfg.memtable_flush ~policy:blocks_policy
-      ~name:(Meta_log.name Blocks) (),
-    create mediums_policy Mediums,
-    create Pyramid.Tombstones Segments,
-    create Pyramid.Tombstones Volumes,
-    ignore clock )
-
 (* Derived metrics over controller state: sampled at snapshot time, so
    the registry exposes live table sizes without per-mutation recording. *)
 let register_derived_telemetry t =
@@ -263,7 +249,17 @@ let create_over ~config ~clock ~shelf ~boot () =
     Allocator.create ~layout ~drives:config.drives
       ~aus_per_drive:config.drive_config.Drive.num_aus ()
   in
-  let blocks, mediums_pyr, segments_pyr, volumes_pyr, () = fresh_volatile config clock in
+  let pyramid policy table =
+    Pyramid.create ~memtable_flush_count:config.memtable_flush ~policy
+      ~name:(Meta_log.name table) ()
+  in
+  let blocks =
+    Block_index.create ~memtable_flush_count:config.memtable_flush ~policy:blocks_policy
+      ~name:(Meta_log.name Blocks) ()
+  in
+  let mediums_pyr = pyramid mediums_policy Mediums in
+  let segments_pyr = pyramid Pyramid.Tombstones Segments in
+  let volumes_pyr = pyramid Pyramid.Tombstones Volumes in
   (* The controller's metric namespace: a fresh registry per controller
      generation (a failover boots the spare with zeroed path counters,
      exactly as the old per-field ints behaved). *)
@@ -635,12 +631,22 @@ let encode_volume_value v =
   Varint.write buf v.blocks;
   Buffer.contents buf
 
-let decode_volume_value s =
-  let buf = Bytes.unsafe_of_string s in
-  let kind = match Bytes.get buf 0 with 'V' -> Volume | 'S' -> Snapshot | _ -> invalid_arg "volume value" in
-  let medium, p = Varint.read buf ~pos:1 in
-  let blocks, _ = Varint.read buf ~pos:p in
-  { medium; blocks; kind; observer = fresh_observer () }
+(* Total: [None] for an unknown kind byte, a truncated, non-shortest or
+   out-of-range varint, or bytes past the blocks count, so whatever
+   decodes re-encodes to [s]. *)
+let[@purity.lint.recovery_root] decode_volume_value s =
+  let buf = Bytes.of_string s in
+  match
+    let kind =
+      match Bytes.get buf 0 with 'V' -> Volume | 'S' -> Snapshot | _ -> invalid_arg "volume kind"
+    in
+    let medium, p = Varint.read buf ~pos:1 in
+    let blocks, p = Varint.read buf ~pos:p in
+    (kind, medium, blocks, p)
+  with
+  | kind, medium, blocks, p when p = String.length s ->
+    Some { medium; blocks; kind; observer = fresh_observer () }
+  | _ | exception Invalid_argument _ -> None
 
 let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
@@ -724,6 +730,50 @@ let medium_has_blocks t ~medium ~lo ~hi =
 let when_flushed t k =
   if Queue.is_empty t.sealed then Clock.schedule t.clock ~delay:0.0 k
   else t.flush_waiters <- k :: t.flush_waiters
+
+(* Seal the open segio, then run [k] once every sealed segio has
+   flushed: the whole write stream so far is on the drives. *)
+let seal_and_flush t k =
+  (try seal_current t with Out_of_space -> ());
+  when_flushed t k
+
+(* Destroy segments whose contents live on elsewhere (relocated victims,
+   a superseded checkpoint): drop each meta, log its tombstone, trim its
+   AUs on reachable drives and hand them back to the allocator, then
+   forget the inline-dedup sources they held. Returns the bytes of AUs
+   given back. The one place a destroyed segment's AUs are released. *)
+let destroy_segments t ids =
+  let destroyed =
+    List.filter_map
+      (fun id ->
+        match Hashtbl.find_opt t.segment_metas id with
+        | None -> None
+        | Some meta ->
+          Hashtbl.remove t.segment_metas id;
+          put_delete t Segments ~key:(Keys.segment_key id);
+          Array.iter
+            (fun (m : Segment.member) ->
+              let d = Shelf.drive t.shelf m.Segment.drive in
+              if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
+            meta.Segment.members;
+          Allocator.release t.alloc meta.Segment.members;
+          Some (id, Array.length meta.Segment.members))
+      ids
+  in
+  if not (List.is_empty destroyed) then begin
+    let stale =
+      Hashtbl.fold
+        (fun wid (r : Blockref.t) acc ->
+          if List.mem_assoc r.Blockref.segment destroyed then wid :: acc else acc)
+        t.dedup_locs []
+    in
+    List.iter
+      (fun wid ->
+        Hashtbl.remove t.dedup_locs wid;
+        Dedup.forget t.dedup ~write_id:wid)
+      stale
+  end;
+  List.fold_left (fun acc (_, n) -> acc + (n * t.cfg.drive_config.Drive.au_size)) 0 destroyed
 
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. [sealed] keeps its

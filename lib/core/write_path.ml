@@ -37,8 +37,7 @@ let[@purity.lint.hotpath] [@purity.lint.allow
   let frame = arena.Arena.frame in
   Buffer.clear frame;
   let stored_len =
-    Cblock.add_frame_into ~scratch:arena.Arena.lz ~compress:t.cfg.compression
-      frame data
+    Cblock.add_frame_into ~scratch:arena.Arena.lz frame data
   in
   let segment, off = store_frame t frame in
   Registry.add t.ws.stored_bytes stored_len;
@@ -80,8 +79,7 @@ let[@purity.lint.allow
            let frame = arena.Arena.frame in
            Buffer.clear frame;
            let stored_len =
-             Cblock.add_frame_into ~scratch:arena.Arena.lz
-               ~compress:t.cfg.compression frame run
+             Cblock.add_frame_into ~scratch:arena.Arena.lz frame run
            in
            (Buffer.contents frame, stored_len)))
   end

@@ -188,6 +188,7 @@ let mark_used t members =
 
 let free_au_count t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.free
 let used_au_count t = Ptbl.length t.used
+let is_used t (m : Segment.member) = Ptbl.mem t.used (m.Segment.drive, m.Segment.au)
 let persisted_frontier t = t.persisted
 let persist_generation t = t.generation
 

@@ -52,6 +52,9 @@ val requeue_scan : t -> Segment.member array -> unit
 val free_au_count : t -> int
 val used_au_count : t -> int
 
+val is_used : t -> Segment.member -> bool
+(** Does this AU hold a live segment (allocated and not yet released)? *)
+
 val persisted_frontier : t -> Segment.member list
 (** Frontier ∪ speculative sets as of the last persist — exactly the AUs
     recovery must scan for recent log records. *)

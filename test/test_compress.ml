@@ -186,7 +186,7 @@ let test_cblock_add_frame_into_random_is_raw () =
   let data = Bytes.to_string (Purity_util.Rng.bytes rng Cblock.max_logical) in
   let buf = Buffer.create (Cblock.max_logical + 16) in
   let scratch = Lz.create_scratch () in
-  let size = Cblock.add_frame_into ~scratch ~compress:true buf data in
+  let size = Cblock.add_frame_into ~scratch buf data in
   let cb, back, next = decode_ok (Buffer.to_bytes buf) ~pos:0 in
   check int "frame size" size next;
   check bool "raw frame" true (cb.Cblock.encoding = Cblock.Raw);

@@ -642,6 +642,96 @@ let test_scrub_repairs_worn_flash () =
   let got = read_ok clock a ~volume:"v" ~block:0 ~nblocks:256 in
   check bool "data repaired" true (got = data)
 
+(* ---------- segment destruction ---------- *)
+
+(* Every way a segment is destroyed — a GC pass, a scrub of a corrupt
+   page, a rebuild of a replaced drive, a checkpoint superseding the last
+   one — leaves nothing pointing at it: no meta, no block reference from
+   any volume, no inline-dedup source, no allocated AU. And every volume
+   still reads back what was written. *)
+let test_destroyed_segments_leave_no_trace () =
+  let module State = Purity_core.State in
+  let clock, a = make_array () in
+  let model = Hashtbl.create 4 in
+  let write volume block data =
+    write_ok clock a ~volume ~block data;
+    let img = Hashtbl.find model volume in
+    Bytes.blit_string data 0 img (block * bs) (String.length data)
+  in
+  List.iter
+    (fun v ->
+      ok (Fa.create_volume a v ~blocks:512);
+      Hashtbl.replace model v (Bytes.make (512 * bs) '\000'))
+    [ "a"; "b" ];
+  (* duplicated data (inline-dedup sources), then overwrites that leave
+     mostly-dead segments behind *)
+  let dup = random_data 32 in
+  write "a" 0 dup;
+  write "b" 0 dup;
+  for i = 1 to 3 do
+    write "a" 64 (random_data 256);
+    write "b" (32 * i) (textish 64)
+  done;
+  Fa.flush a ignore;
+  Clock.run clock;
+  let destroys label op =
+    let before =
+      Hashtbl.fold (fun id meta acc -> (id, meta) :: acc) (Fa.state a).State.segment_metas []
+    in
+    op ();
+    let st = Fa.state a in
+    let destroyed =
+      List.filter (fun (id, _) -> not (Hashtbl.mem st.State.segment_metas id)) before
+    in
+    check bool (label ^ ": segments destroyed") true (destroyed <> []);
+    let gone (r : Purity_core.Blockref.t) = List.mem_assoc r.Purity_core.Blockref.segment destroyed in
+    State.Stbl.iter
+      (fun name (v : State.volume) ->
+        Array.iter
+          (function
+            | Some r when gone r -> Alcotest.failf "%s: %s maps a destroyed segment" label name
+            | _ -> ())
+          (State.resolve_range st ~medium:v.State.medium ~block:0 ~nblocks:v.State.blocks))
+      st.State.volumes;
+    Hashtbl.iter
+      (fun _ r -> if gone r then Alcotest.failf "%s: dedup source in a destroyed segment" label)
+      st.State.dedup_locs;
+    List.iter
+      (fun (_, (meta : Purity_segment.Segment.t)) ->
+        Array.iter
+          (fun m ->
+            check bool (label ^ ": AU free") false (Purity_segment.Allocator.is_used st.State.alloc m))
+          meta.Purity_segment.Segment.members)
+      destroyed;
+    Hashtbl.iter
+      (fun v img ->
+        let got = read_ok clock a ~volume:v ~block:0 ~nblocks:512 in
+        check bool (label ^ ": " ^ v ^ " reads back") true (String.equal got (Bytes.to_string img)))
+      model
+  in
+  destroys "gc" (fun () ->
+      ignore (await clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:64 a (fun r -> k r))));
+  destroys "scrub" (fun () ->
+      let st = Fa.state a in
+      let id =
+        Hashtbl.fold
+          (fun id (meta : Purity_segment.Segment.t) acc ->
+            if meta.Purity_segment.Segment.payload_len > 0
+               && not (List.mem id st.State.checkpoint_segments)
+            then min id acc
+            else acc)
+          st.State.segment_metas max_int
+      in
+      let m = (Hashtbl.find st.State.segment_metas id).Purity_segment.Segment.members.(0) in
+      Fa.inject_page_corruption a ~drive:m.Purity_segment.Segment.drive
+        ~au:m.Purity_segment.Segment.au ~page:1;
+      let r = await clock (fun k -> Fa.scrub a (fun r -> k r)) in
+      check bool "scrub relocated" true (r.Purity_core.Scrub.segments_relocated > 0));
+  destroys "rebuild" (fun () ->
+      Fa.replace_drive a 1;
+      ignore (await clock (fun k -> Fa.rebuild_drive a 1 (fun n -> k n))));
+  destroys "checkpoint" (fun () -> ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r))))
+
 (* ---------- data reduction stats ---------- *)
 
 let test_data_reduction_ratio_vdi_like () =
@@ -1225,6 +1315,11 @@ let () =
         [
           Alcotest.test_case "clean array" `Quick test_scrub_clean_array;
           Alcotest.test_case "repairs worn flash" `Quick test_scrub_repairs_worn_flash;
+        ] );
+      ( "destroy",
+        [
+          Alcotest.test_case "destroyed segments leave no trace" `Quick
+            test_destroyed_segments_leave_no_trace;
         ] );
       ( "sched",
         [ Alcotest.test_case "p95 hedged reads" `Quick test_p95_backup_reads ] );

@@ -10,6 +10,7 @@ module Meta_log = Purity_core.Meta_log
 module Block_index = Purity_core.Block_index
 module Fact = Purity_pyramid.Fact
 module Segment = Purity_segment.Segment
+module State = Purity_core.State
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -548,6 +549,24 @@ let prop_segment_compact_mutation =
       | None -> true
       | Some t -> String.equal (Segment.encode_compact t) s)
 
+(* A volume-table value: a damaged one is rejected or re-encodes to
+   exactly itself, so recovery never raises on one. *)
+let prop_volume_value_mutation =
+  let gen_volume =
+    QCheck.Gen.(
+      map3
+        (fun kind medium blocks ->
+          { State.kind; medium; blocks; observer = State.fresh_observer () })
+        (oneofl [ State.Volume; State.Snapshot ])
+        gen_edge gen_edge)
+  in
+  QCheck.Test.make ~name:"State.decode_volume_value total on damage" ~count:2000
+    (QCheck.make (gen_mutated gen_volume State.encode_volume_value))
+    (fun s ->
+      match State.decode_volume_value s with
+      | None -> true
+      | Some v -> String.equal (State.encode_volume_value v) s)
+
 let () =
   Alcotest.run "core-parts"
     [
@@ -579,6 +598,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_boot_mutation;
           QCheck_alcotest.to_alcotest prop_segment_compact_mutation;
         ] );
+      ("volumes", [ QCheck_alcotest.to_alcotest prop_volume_value_mutation ]);
       ("block_index", [ QCheck_alcotest.to_alcotest prop_block_index_matches_string_pyramid ]);
       ( "meta_log",
         [
