@@ -34,12 +34,13 @@ type report = {
   duration_us : float;
 }
 
-(* Map segment -> (cblock off -> (stored_len, [(medium, block, index)])). *)
+(* Map segment -> (cblock off -> (stored_len, [((medium, block), index)])).
+   Each ref shares its key with the index's fact. *)
 let liveness t =
-  let table : (int, (int, int * (int * int * int) list ref) Hashtbl.t) Hashtbl.t =
+  let table : (int, (int, int * ((int * int) * int) list ref) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  Block_index.iter_live t.blocks (fun ~key:(medium, block) ~value:r ->
+  Block_index.iter_live t.blocks (fun ~key ~value:r ->
       let per_seg =
         match Hashtbl.find_opt table r.Blockref.segment with
         | Some h -> h
@@ -49,10 +50,10 @@ let liveness t =
           h
       in
       (match Hashtbl.find_opt per_seg r.Blockref.off with
-      | Some (_, refs) -> refs := (medium, block, r.Blockref.index) :: !refs
+      | Some (_, refs) -> refs := (key, r.Blockref.index) :: !refs
       | None ->
         Hashtbl.replace per_seg r.Blockref.off
-          (r.Blockref.stored_len, ref [ (medium, block, r.Blockref.index) ])));
+          (r.Blockref.stored_len, ref [ (key, r.Blockref.index) ])));
   table
 
 let live_bytes_of per_seg = Hashtbl.fold (fun _ (len, _) acc -> acc + len) per_seg 0
@@ -68,10 +69,38 @@ type tally = {
   mutable shared : int;
 }
 
+(* The refs of the cblock at [off] of [seg_id] that still map to it, in
+   scan order: host writes acked since the liveness scan may have
+   overwritten some, and a remap from the scan would shadow them. One
+   batched index walk over the refs' key span. A block still mapped there
+   keeps the scan's index, since no write dedups onto a victim once its
+   pass has begun. *)
+let still_mapped t ~seg_id ~off refs =
+  let sorted = Array.of_list refs in
+  let compare_refs (a, _) (b, _) = Keys.Block.compare a b in
+  Array.sort compare_refs sorted;
+  let n = Array.length sorted in
+  let index key =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Keys.Block.compare (fst sorted.(mid)) key < 0 then lo := mid + 1 else hi := mid
+    done;
+    if !lo < n && Keys.Block.compare (fst sorted.(!lo)) key = 0 then !lo else -1
+  in
+  let run = Block_index.find_run t.blocks ~n ~key_of:(fun i -> fst sorted.(i)) ~index in
+  List.filter
+    (fun (key, _) ->
+      match Block_index.resolve_fact t.blocks run.(index key) with
+      | Some (r : Blockref.t) -> r.segment = seg_id && r.off = off
+      | None -> false)
+    refs
+
 (* Relocate every live cblock of one segment; calls [k true] when every
    live cblock was moved (data durability is the caller's checkpoint),
    [k false] if any read failed — the victim must then be kept alive, or
-   the surviving references would dangle. *)
+   the surviving references would dangle. A cblock every block of which
+   was overwritten since the scan is dead, and is not moved. *)
 let relocate_segment t ~live tally seg_id k =
   match (Hashtbl.find_opt t.segment_metas seg_id, Hashtbl.find_opt live seg_id) with
   | None, _ -> k true
@@ -102,30 +131,33 @@ let relocate_segment t ~live tally seg_id k =
               (* [store_blob]/[put] raise Out_of_space if the controller
                  died while the read was in flight (dead controllers
                  allocate nothing); the victim is then simply kept *)
-              try
-                let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
-                let data = Bytes.to_string frame in
-                let base =
-                  match I64tbl.find_opt tally.cache fingerprint with
-                  | Some (base, cached) when String.equal cached data ->
-                    tally.dedup_hits <- tally.dedup_hits + 1;
-                    Registry.incr t.ws.gc_dedup_blocks;
-                    base
-                  | _ ->
-                    let segment, new_off = store_blob t data in
-                    let base =
-                      { Blockref.segment; off = new_off; stored_len; index = 0 }
-                    in
-                    I64tbl.replace tally.cache fingerprint (base, data);
-                    tally.relocated <- tally.relocated + 1;
-                    tally.relocated_bytes <- tally.relocated_bytes + stored_len;
-                    base
-                in
-                List.iter
-                  (fun (medium, block, index) ->
-                    put_block t ~medium ~block { base with Blockref.index })
-                  !refs
-              with Out_of_space -> all_ok := false));
+              match still_mapped t ~seg_id ~off !refs with
+              | [] -> ()
+              | mapped -> (
+                try
+                  let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
+                  let data = Bytes.to_string frame in
+                  let base =
+                    match I64tbl.find_opt tally.cache fingerprint with
+                    | Some (base, cached) when String.equal cached data ->
+                      tally.dedup_hits <- tally.dedup_hits + 1;
+                      Registry.incr t.ws.gc_dedup_blocks;
+                      base
+                    | _ ->
+                      let segment, new_off = store_blob t data in
+                      let base =
+                        { Blockref.segment; off = new_off; stored_len; index = 0 }
+                      in
+                      I64tbl.replace tally.cache fingerprint (base, data);
+                      tally.relocated <- tally.relocated + 1;
+                      tally.relocated_bytes <- tally.relocated_bytes + stored_len;
+                      base
+                  in
+                  List.iter
+                    (fun ((medium, block), index) ->
+                      put_block t ~medium ~block { base with Blockref.index })
+                    mapped
+                with Out_of_space -> all_ok := false)));
             go rest)
     in
     go entries
@@ -142,6 +174,9 @@ let relocate_segment t ~live tally seg_id k =
    one. A crash mid-pass abandons it, and [k] never runs. *)
 let evacuate t ~live ~before_checkpoint victims k =
   let start = Clock.now t.clock in
+  (* a write that dedups onto a victim's cblock after the liveness scan
+     would be left pointing into a destroyed segment *)
+  forget_dedup_sources t victims;
   let tally =
     { cache = I64tbl.create 64; relocated = 0; relocated_bytes = 0; dedup_hits = 0; shared = 0 }
   in

@@ -26,17 +26,16 @@ let plan t ~medium ~block ~nblocks =
      into one fetch. *)
   let refs = resolve_range t ~medium ~block ~nblocks in
   let fetches : fetch list ref = ref [] in
-  let zeros = ref [] in
   for i = 0 to nblocks - 1 do
     match refs.(i) with
-    | None -> zeros := i :: !zeros
+    | None -> () (* unwritten: the output buffer already holds zeros *)
     | Some r -> (
       match !fetches with
       | f :: _ when Blockref.same_cblock f.ref_ r ->
         f.slices <- (i, r.Blockref.index) :: f.slices
       | _ -> fetches := { ref_ = r; slices = [ (i, r.Blockref.index) ] } :: !fetches)
   done;
-  (List.rev !fetches, !zeros)
+  List.rev !fetches
 
 (* Copy the requested 512 B slices out of one decoded cblock. *)
 let rec blit_slices data out failed = function
@@ -71,7 +70,7 @@ let read t ~volume ~block ~nblocks k =
       if nblocks <= 0 || block < 0 || block + nblocks > v.blocks then fail `Out_of_range
       else begin
         let out = Bytes.make (nblocks * block_size) '\000' in
-        let fetches, _zeros = plan t ~medium:v.medium ~block ~nblocks in
+        let fetches = plan t ~medium:v.medium ~block ~nblocks in
         let rspan =
           Span.start t.tracer
             ~tags:

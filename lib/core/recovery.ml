@@ -91,8 +91,8 @@ let rebuild_derived t ~medium_next_hint =
       let id = Keys.medium_key_id key in
       if id > !max_medium then max_medium := id;
       match Medium.decode_extents value with
-      | extents -> rows := (id, extents) :: !rows
-      | exception Invalid_argument _ -> ());
+      | Some extents -> rows := (id, extents) :: !rows
+      | None -> ());
   (* An elided medium id is permanently dead — its elide range outlives the
      crash — so a freshly allocated medium must never reuse one: the range
      would silently swallow the new medium's facts at the next failover.
@@ -158,7 +158,6 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
   in
   let finish ~cold ~headers ~segments ~log_records ~nvram_records ~ckpt_bytes =
     t.online <- true;
-    t.boot_time <- Clock.now t.clock;
     let duration_us = Clock.now t.clock -. start in
     Registry.incr c_runs;
     Registry.add c_headers headers;
@@ -260,19 +259,16 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                 ckpt_bytes := !ckpt_bytes + String.length blob;
                 (if String.length blob > 0 then
                    match P.Patch.deserialize blob with
-                   | patch -> P.replace_patches pyr [ patch ]
-                   | exception Invalid_argument _ -> ());
+                   | Some patch -> P.replace_patches pyr [ patch ]
+                   | None -> ());
                 (if String.length ranges > 0 && P.policy_is_elision pyr then
                    match Purity_encoding.Ranges.decode ranges with
-                   | r -> (
-                     (* a match-exception case only catches the
-                        scrutinee: the restore itself needs its own
-                        guard, or a corrupt range set (or a policy
-                        mismatch) crashes the failover instead of
-                        degrading to fewer elisions *)
+                   | Some r -> (
+                     (* a policy mismatch degrades to fewer elisions
+                        instead of crashing the failover *)
                      try P.restore_elides pyr r
                      with Invalid_argument _ -> ())
-                   | exception Invalid_argument _ -> ());
+                   | None -> ());
                 load_dir rest k))
       in
       load_dir ckpt_dir (fun () ->

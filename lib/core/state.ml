@@ -196,9 +196,6 @@ type t = {
   read_lat : Histogram.t;
   ws : write_stats;
   mutable online : bool;
-  mutable crashed_at : float option;
-  mutable downtime_us : float;
-  mutable boot_time : float;
 }
 
 let blocks_policy = Block_index.Elide (fun f -> fst f.Block_index.Fact.key)
@@ -317,9 +314,6 @@ let create_over ~config ~clock ~shelf ~boot () =
         nvram_commit_us = Registry.histogram tel "write_path/nvram_commit_us";
       };
     online = true;
-    crashed_at = None;
-    downtime_us = 0.0;
-    boot_time = Clock.now clock;
     }
   in
   register_derived_telemetry t;
@@ -737,6 +731,23 @@ let seal_and_flush t k =
   (try seal_current t with Out_of_space -> ());
   when_flushed t k
 
+(* Forget the inline-dedup sources held in [segments], so no later write
+   dedups onto a cblock there. *)
+let forget_dedup_sources t segments =
+  if not (List.is_empty segments) then begin
+    let stale =
+      Hashtbl.fold
+        (fun wid (r : Blockref.t) acc ->
+          if List.mem r.Blockref.segment segments then wid :: acc else acc)
+        t.dedup_locs []
+    in
+    List.iter
+      (fun wid ->
+        Hashtbl.remove t.dedup_locs wid;
+        Dedup.forget t.dedup ~write_id:wid)
+      stale
+  end
+
 (* Destroy segments whose contents live on elsewhere (relocated victims,
    a superseded checkpoint): drop each meta, log its tombstone, trim its
    AUs on reachable drives and hand them back to the allocator, then
@@ -760,19 +771,7 @@ let destroy_segments t ids =
           Some (id, Array.length meta.Segment.members))
       ids
   in
-  if not (List.is_empty destroyed) then begin
-    let stale =
-      Hashtbl.fold
-        (fun wid (r : Blockref.t) acc ->
-          if List.mem_assoc r.Blockref.segment destroyed then wid :: acc else acc)
-        t.dedup_locs []
-    in
-    List.iter
-      (fun wid ->
-        Hashtbl.remove t.dedup_locs wid;
-        Dedup.forget t.dedup ~write_id:wid)
-      stale
-  end;
+  forget_dedup_sources t (List.map fst destroyed);
   List.fold_left (fun acc (_, n) -> acc + (n * t.cfg.drive_config.Drive.au_size)) 0 destroyed
 
 (* Controller death: stop every in-flight flush and queued segio. Called

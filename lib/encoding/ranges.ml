@@ -68,19 +68,28 @@ let encode t =
     t;
   Buffer.contents buf
 
-let decode s =
-  let buf = Bytes.unsafe_of_string s in
-  let count, pos = Purity_util.Varint.read buf ~pos:0 in
-  let t = ref empty in
-  let prev = ref 0 in
-  let p = ref pos in
-  for _ = 1 to count do
-    let dlo, p1 = Purity_util.Varint.read buf ~pos:!p in
-    let dlen, p2 = Purity_util.Varint.read buf ~pos:p1 in
-    let lo = !prev + dlo in
-    let hi = lo + dlen in
-    t := add_range !t ~lo ~hi;
-    prev := hi;
-    p := p2
-  done;
-  !t
+(* The parse behind [decode]; raises [Invalid_argument] on the first
+   malformed byte. Each range is coded against the previous one's end,
+   so after the first a start delta below 2 would overlap or touch it
+   (they would have merged), and a sum that wraps past max_int is no
+   range at all. *)
+let body buf =
+  let rec ranges n p prev t =
+    if n = 0 then (t, p)
+    else
+      let dlo, p = Purity_util.Varint.read buf ~pos:p in
+      let dlen, p = Purity_util.Varint.read buf ~pos:p in
+      let lo = prev + dlo in
+      let hi = lo + dlen in
+      if (dlo < 2 && not (M.is_empty t)) || lo < prev || hi < lo then
+        invalid_arg "Ranges.decode: not canonical";
+      ranges (n - 1) p hi (M.add lo hi t)
+  in
+  let count, p = Purity_util.Varint.read buf ~pos:0 in
+  ranges count p 0 M.empty
+
+(* Whatever decodes re-encodes to [s]. *)
+let[@purity.lint.recovery_root] decode s =
+  match body (Bytes.unsafe_of_string s) with
+  | t, p when p = String.length s -> Some t
+  | _ | exception Invalid_argument _ -> None

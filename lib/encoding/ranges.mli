@@ -37,5 +37,7 @@ val fold : (lo:int -> hi:int -> 'a -> 'a) -> t -> 'a -> 'a
 val encode : t -> string
 (** Compact varint serialisation (delta-encoded) for persistence. *)
 
-val decode : string -> t
-(** @raise Invalid_argument on malformed input. *)
+val decode : string -> t option
+(** The inverse of {!encode}, total on arbitrary bytes: [None] unless the
+    input is exactly some set's encoding (no overlapping or adjacent
+    ranges, no overflow, no bytes left over). *)

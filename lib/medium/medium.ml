@@ -259,38 +259,45 @@ let encode_extents es =
     es;
   Buffer.contents buf
 
-let decode_extents s =
-  let buf = Bytes.unsafe_of_string s in
-  let n, pos = Purity_util.Varint.read buf ~pos:0 in
-  let p = ref pos in
-  let byte () =
-    if !p >= Bytes.length buf then invalid_arg "Medium.decode_extents: truncated";
-    let c = Bytes.get buf !p in
-    incr p;
-    c
+(* The parse behind [decode_extents]; raises [Invalid_argument] on the
+   first malformed byte. Each tag, status and skip byte is exactly 0 or
+   1, and an extent's end must not wrap past max_int. *)
+let extents_body buf =
+  let flag p =
+    match Bytes.get buf p with
+    | '\000' -> false
+    | '\001' -> true
+    | _ -> invalid_arg "Medium.decode_extents: flag byte"
   in
-  List.init n (fun _ ->
-      let start_block, p1 = Purity_util.Varint.read buf ~pos:!p in
-      let len, p2 = Purity_util.Varint.read buf ~pos:p1 in
-      p := p2;
-      let target =
-        match byte () with
-        | '\000' -> Base
-        | '\001' ->
-          let medium, p3 = Purity_util.Varint.read buf ~pos:!p in
-          let offset, p4 = Purity_util.Varint.read buf ~pos:p3 in
-          p := p4;
-          Underlying { medium; offset }
-        | _ -> invalid_arg "Medium.decode_extents: bad target tag"
-      in
-      let status =
-        match byte () with
-        | '\000' -> RO
-        | '\001' -> RW
-        | _ -> invalid_arg "Medium.decode_extents: bad status"
-      in
-      let skip_local = byte () = '\001' in
-      { start_block; end_block = start_block + len; target; status; skip_local })
+  let extent p =
+    let start_block, p = Purity_util.Varint.read buf ~pos:p in
+    let len, p = Purity_util.Varint.read buf ~pos:p in
+    if start_block + len < start_block then invalid_arg "Medium.decode_extents: overflow";
+    let target, p =
+      if flag p then
+        let medium, p = Purity_util.Varint.read buf ~pos:(p + 1) in
+        let offset, p = Purity_util.Varint.read buf ~pos:p in
+        (Underlying { medium; offset }, p)
+      else (Base, p + 1)
+    in
+    let status = if flag p then RW else RO in
+    let skip_local = flag (p + 1) in
+    ({ start_block; end_block = start_block + len; target; status; skip_local }, p + 2)
+  in
+  let rec extents n p acc =
+    if n = 0 then (List.rev acc, p)
+    else
+      let e, p = extent p in
+      extents (n - 1) p (e :: acc)
+  in
+  let n, p = Purity_util.Varint.read buf ~pos:0 in
+  extents n p []
+
+(* Whatever decodes re-encodes to [s]. *)
+let[@purity.lint.recovery_root] decode_extents s =
+  match extents_body (Bytes.unsafe_of_string s) with
+  | es, p when p = String.length s -> Some es
+  | _ | exception Invalid_argument _ -> None
 
 let set_medium t m es =
   set_extents t m es;

@@ -121,8 +121,10 @@ val encode_extents : extent list -> string
 (** Serialise one medium's extents (the value of its fact in the medium
     pyramid). *)
 
-val decode_extents : string -> extent list
-(** @raise Invalid_argument on malformed input. *)
+val decode_extents : string -> extent list option
+(** The inverse of {!encode_extents}, total on arbitrary bytes: [None]
+    unless the input is exactly some extent list's encoding, so whatever
+    decodes re-encodes to it. *)
 
 val restore : rows:(int * extent list) list -> next_id:int -> t
 (** Rebuild a table at recovery from persisted rows. [next_id] must

@@ -86,11 +86,6 @@ module Make (F : Fact.S) = struct
 
   let seq_range t = if is_empty t then None else Some (t.seq_lo, t.seq_hi)
   let max_seq t = t.seq_hi
-  let min_seq t = t.seq_lo
-
-  let key_range t =
-    if is_empty t then None
-    else Some ((t.facts.(0)).F.key, (t.facts.(Array.length t.facts - 1)).F.key)
 
   (* Index of the first fact with key >= [key]. *)
   let lower_bound t key =
@@ -130,46 +125,17 @@ module Make (F : Fact.S) = struct
     done;
     List.rev !acc
 
-  let find_latest t key =
+  (* A key's facts sit newest-first, so the first one is the latest;
+     nothing is allocated on the miss path. *)
+  let[@purity.lint.allow
+       "hotalloc: [Some fact] is the lookup's result; the miss path \
+        allocates nothing"] find_latest t key =
     let i = lower_bound t key in
     if i < Array.length t.facts && K.equal (t.facts.(i)).F.key key then Some t.facts.(i)
     else None
 
-  (* Latest fact for [key] with seq <= [snapshot]. A key's facts sit
-     newest-first, so the first admissible one wins; nothing is allocated
-     on the miss path. *)
-  let[@purity.lint.allow
-       "hotalloc: [Some fact] is the lookup's result; the miss path \
-        allocates nothing"] find_latest_at t key ~snapshot =
-    let a = t.facts in
-    let n = Array.length a in
-    let i = ref (lower_bound t key) in
-    let best = ref None in
-    (try
-       while !i < n && K.equal (a.(!i)).F.key key do
-         if Int64.compare (a.(!i)).F.seq snapshot <= 0 then begin
-           best := Some a.(!i);
-           raise Exit
-         end;
-         incr i
-       done
-     with Exit -> ());
-    !best
-
   let iter t f = Array.iter f t.facts
-  let fold f init t = Array.fold_left f init t.facts
   let to_list t = Array.to_list t.facts
-  let get t i = t.facts.(i)
-
-  let range t ~lo ~hi =
-    let a = t.facts in
-    let i = ref (lower_bound t lo) in
-    let acc = ref [] in
-    while !i < Array.length a && K.compare (a.(!i)).F.key hi <= 0 do
-      acc := a.(!i) :: !acc;
-      incr i
-    done;
-    List.rev !acc
 
   (* One lower_bound, then a sequential walk: the batched-resolution
      primitive. [f] sees every fact with lo <= key <= hi in order. *)
@@ -181,10 +147,6 @@ module Make (F : Fact.S) = struct
       f a.(!i);
       incr i
     done
-
-  let exists_in_range t ~lo ~hi =
-    let i = lower_bound t lo in
-    i < Array.length t.facts && K.compare (t.facts.(i)).F.key hi <= 0
 
   (* Linear merge of two sorted runs into one array, dropping (key, seq)
      duplicates and the facts [keep] rejects. *)
@@ -268,10 +230,12 @@ module Make (F : Fact.S) = struct
     Buffer.add_string out payload;
     Buffer.contents out
 
-  let deserialize s =
-    let buf = Bytes.unsafe_of_string s in
+  (* The parse behind [deserialize]; raises [Invalid_argument] on the
+     first malformed byte. *)
+  let body buf =
     let payload_len, p = Varint.read buf ~pos:0 in
-    if p + 4 + payload_len > Bytes.length buf then invalid_arg "Patch.deserialize: truncated";
+    (* subtracted, not added: a length near max_int must not wrap *)
+    if payload_len > Bytes.length buf - p - 4 then invalid_arg "Patch.deserialize: truncated";
     let crc_stored =
       let b i = Int32.of_int (Bytes.get_uint8 buf (p + i)) in
       Int32.logor (b 0)
@@ -301,6 +265,11 @@ module Make (F : Fact.S) = struct
         invalid_arg "Patch.deserialize: facts out of order"
     done;
     make facts
+
+  let[@purity.lint.recovery_root] deserialize s =
+    match body (Bytes.unsafe_of_string s) with
+    | t -> Some t
+    | exception Invalid_argument _ -> None
 end
 
 module Fact = Fact

@@ -19,19 +19,12 @@ module type S = sig
   (** Highest seq in the patch; [Int64.min_int] when empty. Cached at
       construction: the lookup path seq-fences whole patches with it. *)
 
-  val min_seq : t -> int64
-  (** Lowest seq in the patch; [Int64.max_int] when empty. *)
-
-  val key_range : t -> (Fact.key * Fact.key) option
-
   val find : t -> Fact.key -> Fact.t list
   (** All facts for a key, newest (highest seq) first. *)
 
   val find_latest : t -> Fact.key -> Fact.t option
-
-  val find_latest_at : t -> Fact.key -> snapshot:int64 -> Fact.t option
-  (** Latest fact for a key with [seq <= snapshot]; allocation-free on the
-      miss path (no intermediate list). *)
+  (** The key's newest fact; allocation-free on the miss path (no
+      intermediate list). *)
 
   (** {2 Lookup fences}
 
@@ -61,20 +54,12 @@ module type S = sig
   val iter : t -> (Fact.t -> unit) -> unit
   (** In patch order. *)
 
-  val fold : ('a -> Fact.t -> 'a) -> 'a -> t -> 'a
   val to_list : t -> Fact.t list
-  val get : t -> int -> Fact.t
-
-  val range : t -> lo:Fact.key -> hi:Fact.key -> Fact.t list
-  (** Facts with [lo <= key <= hi], in patch order. *)
 
   val iter_run : t -> lo:Fact.key -> hi:Fact.key -> (Fact.t -> unit) -> unit
   (** Visit facts with [lo <= key <= hi] in patch order: one lower_bound
       then a sequential walk, allocating nothing. The batched-resolution
       primitive behind {!Pyramid.S.find_run}. *)
-
-  val exists_in_range : t -> lo:Fact.key -> hi:Fact.key -> bool
-  (** Is any fact's key within [lo, hi]? *)
 
   val merge : t -> t -> t
   (** Combine two patches (the pyramid's merge operation). Commutative,
@@ -97,10 +82,10 @@ module type S = sig
 
   val serialize : t -> string
 
-  val deserialize : string -> t
-  (** The inverse of {!serialize}: a string that is not exactly some
-      patch's serialisation is rejected.
-      @raise Invalid_argument on malformed input: a CRC mismatch, a fact
-      {!Fact.S.decode} rejects, facts out of layout order or duplicated,
-      and bytes left over. *)
+  val deserialize : string -> t option
+  (** The inverse of {!serialize}, total on arbitrary bytes: [None] for a
+      string that is not exactly some patch's serialisation — a CRC
+      mismatch, a fact {!Fact.S.decode} rejects, facts out of layout order
+      or duplicated, bytes left over — so whatever decodes re-serialises
+      to the input. *)
 end

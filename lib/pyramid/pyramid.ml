@@ -14,8 +14,6 @@ module Make (P : Patch.S) = struct
 
   type policy = Elide of (Fact.t -> int) | Tombstones
 
-  type elide_entry = { eseq : int64; lo : int; hi : int }
-
   type t = {
     name : string;
     policy : policy;
@@ -23,11 +21,7 @@ module Make (P : Patch.S) = struct
     memtable : Fact.t list Tbl.t; (* key -> facts, newest first *)
     mutable memtable_count : int;
     mutable patches : Patch.t list; (* shallowest (newest) first *)
-    mutable elide_log : elide_entry list; (* newest first *)
-    mutable elide_ranges : Ranges.t; (* union of elide_log ranges *)
-    mutable elide_index : (int64 array * Ranges.t array) option;
-        (* eseq-sorted entries with cumulative unions, for snapshot reads;
-           rebuilt lazily after any elide mutation *)
+    mutable elide_ranges : Ranges.t; (* every elided id *)
     mutable max_seq : int64;
     (* fast-path accounting, read back through the telemetry registry *)
     mutable stat_probes : int; (* patch consults attempted *)
@@ -43,9 +37,7 @@ module Make (P : Patch.S) = struct
       memtable = Tbl.create 64;
       memtable_count = 0;
       patches = [];
-      elide_log = [];
       elide_ranges = Ranges.empty;
-      elide_index = None;
       max_seq = 0L;
       stat_probes = 0;
       stat_fence_skips = 0;
@@ -106,68 +98,28 @@ module Make (P : Patch.S) = struct
     | Tombstones -> invalid_arg "Pyramid.elide_range: tombstone-policy table; use delete"
     | Elide _ ->
       if lo > hi then invalid_arg "Pyramid.elide_range: lo > hi";
-      t.elide_log <- { eseq = seq; lo; hi } :: t.elide_log;
       t.elide_ranges <- Ranges.add_range t.elide_ranges ~lo ~hi;
-      t.elide_index <- None;
       bump_seq t seq
 
   let elide_id t ~seq id = elide_range t ~seq ~lo:id ~hi:id
 
-  (* Elide ids are never reused, so filtering against the full table is
-     always safe; snapshot reads restrict to entries committed by then.
-     The snapshot path binary-searches an eseq-sorted index of cumulative
-     range unions instead of scanning the whole log per fact. *)
-  let elide_index t =
-    match t.elide_index with
-    | Some ix -> ix
-    | None ->
-      let entries = Array.of_list t.elide_log in
-      Array.sort (fun a b -> Int64.compare a.eseq b.eseq) entries;
-      let n = Array.length entries in
-      let seqs = Array.make n 0L in
-      let cums = Array.make n Ranges.empty in
-      let acc = ref Ranges.empty in
-      Array.iteri
-        (fun i e ->
-          acc := Ranges.add_range !acc ~lo:e.lo ~hi:e.hi;
-          seqs.(i) <- e.eseq;
-          cums.(i) <- !acc)
-        entries;
-      let ix = (seqs, cums) in
-      t.elide_index <- Some ix;
-      ix
+  (* Elide ids are never reused, so filtering against the whole table is
+     always safe. *)
+  let elided t f =
+    match t.policy with Tombstones -> false | Elide rule -> Ranges.mem t.elide_ranges (rule f)
 
-  let elided_at t ~snapshot f =
-    match t.policy with
-    | Tombstones -> false
-    | Elide rule ->
-      let id = rule f in
-      if Int64.compare snapshot t.max_seq >= 0 then Ranges.mem t.elide_ranges id
-      else begin
-        let seqs, cums = elide_index t in
-        (* largest i with seqs.(i) <= snapshot *)
-        let lo = ref 0 and hi = ref (Array.length seqs) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if Int64.compare seqs.(mid) snapshot <= 0 then lo := mid + 1 else hi := mid
-        done;
-        !lo > 0 && Ranges.mem cums.(!lo - 1) id
-      end
-
-  let no_snapshot = Int64.max_int
-
-  (* Latest fact for a key with seq <= snapshot, across memtable and every
-     patch. Patches may overlap in sequence ranges after recovery, so all
-     sources are consulted and the global maximum wins. Patches whose key
-     fence or bloom filter excludes the key are skipped without a search,
-     and the per-patch probe allocates nothing. *)
+  (* Latest fact for a key across memtable and every patch. Patches may
+     overlap in sequence ranges after recovery, so all sources are
+     consulted and the global maximum wins. Patches whose key fence or
+     bloom filter excludes the key are skipped without a search, and the
+     per-patch probe allocates nothing. *)
   let[@purity.lint.hotpath] [@purity.lint.allow
                               "hotalloc: a lookup allocates a bounded \
                                handful of words — the memoised bloom \
                                hash (lazy cell), the fold closure, and \
                                the result option — per query, not per \
                                fact scanned; the patch probes themselves \
-                               are allocation-free"] latest_fact t ~snapshot key =
+                               are allocation-free"] latest_fact t key =
     let best = ref None in
     let consider f =
       match !best with
@@ -175,28 +127,25 @@ module Make (P : Patch.S) = struct
       | _ -> best := Some f
     in
     (match Tbl.find_opt t.memtable key with
-    | Some fs ->
-      List.iter (fun f -> if Int64.compare f.Fact.seq snapshot <= 0 then consider f) fs
+    | Some fs -> List.iter consider fs
     | None -> ());
     let hashes = lazy (K.hash_pair key) in
     List.iter
       (fun p ->
         t.stat_probes <- t.stat_probes + 1;
-        (* seq fence first (two int64 compares): a patch whose newest fact
-           is already dominated by the best so far — or whose oldest fact
-           postdates the snapshot — cannot contribute *)
+        (* seq fence first (one int64 compare): a patch whose newest fact
+           is already dominated by the best so far cannot contribute *)
         let dominated =
           match !best with
           | Some b -> Int64.compare b.Fact.seq (Patch.max_seq p) >= 0
           | None -> false
         in
-        if dominated || Int64.compare snapshot (Patch.min_seq p) < 0 then
+        if dominated || not (Patch.fence_admits p key) then
           t.stat_fence_skips <- t.stat_fence_skips + 1
-        else if not (Patch.fence_admits p key) then t.stat_fence_skips <- t.stat_fence_skips + 1
         else if not (Patch.bloom_admits_hashed p hashes) then
           t.stat_bloom_skips <- t.stat_bloom_skips + 1
         else
-          match Patch.find_latest_at p key ~snapshot with
+          match Patch.find_latest p key with
           | Some f -> consider f
           | None -> ())
       t.patches;
@@ -205,13 +154,12 @@ module Make (P : Patch.S) = struct
   (* The pre-filter lookup, kept as the reference implementation: the
      equivalence properties in test_pyramid.ml and the before/after rows
      of bench/exp_metadata_hotpath.ml compare against it. *)
-  let latest_fact_naive t ~snapshot key =
+  let latest_fact_naive t key =
     let best = ref None in
     let consider f =
-      if Int64.compare f.Fact.seq snapshot <= 0 then
-        match !best with
-        | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
-        | _ -> best := Some f
+      match !best with
+      | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
+      | _ -> best := Some f
     in
     (match Tbl.find_opt t.memtable key with
     | Some fs -> List.iter consider fs
@@ -219,40 +167,30 @@ module Make (P : Patch.S) = struct
     List.iter (fun p -> List.iter consider (Patch.find p key)) t.patches;
     !best
 
-  let resolve t ~snapshot ~ignore_retractions fact =
-    match fact with
-    | None -> None
-    | Some f ->
-      if ignore_retractions then f.Fact.value
-      else if Fact.is_tombstone f then None
-      else if elided_at t ~snapshot f then None
-      else f.Fact.value
+  (* A fact's live value: tombstoned and elided facts read as absent. *)
+  let live_value t f = if Fact.is_tombstone f || elided t f then None else f.Fact.value
 
-  let find ?(snapshot = no_snapshot) t key =
-    resolve t ~snapshot ~ignore_retractions:false (latest_fact t ~snapshot key)
+  let resolve_fact t = function None -> None | Some f -> live_value t f
 
-  let find_ignoring_retractions ?(snapshot = no_snapshot) t key =
-    match latest_fact t ~snapshot key with
+  let find t key = resolve_fact t (latest_fact t key)
+  let find_naive t key = resolve_fact t (latest_fact_naive t key)
+
+  let find_ignoring_retractions t key =
+    match latest_fact t key with
     | Some f when not (Fact.is_tombstone f) -> f.Fact.value
     | Some _ | None -> None
-
-  let find_naive ?(snapshot = no_snapshot) t key =
-    resolve t ~snapshot ~ignore_retractions:false (latest_fact_naive t ~snapshot key)
-
-  let resolve_fact ?(snapshot = no_snapshot) t fact =
-    resolve t ~snapshot ~ignore_retractions:false fact
 
   (* Batched lookup for [n] consecutive keys: one lower_bound then a
      sequential walk per patch, instead of n independent binary searches.
      [key_of i] names slot i's key (keys must be ascending in i); [index]
      inverts it, mapping a stored key back to its slot (return anything
      out of [0, n) for keys that belong to no slot). Returns the latest
-     in-snapshot fact per slot; retractions are NOT applied — feed each
-     slot through [resolve]. *)
-  let find_run ?(snapshot = no_snapshot) t ~n ~key_of ~index =
+     fact per slot; retractions are NOT applied — feed each slot through
+     [resolve_fact]. *)
+  let find_run t ~n ~key_of ~index =
     let best = Array.make n None in
     let consider slot f =
-      if slot >= 0 && slot < n && Int64.compare f.Fact.seq snapshot <= 0 then
+      if slot >= 0 && slot < n then
         match best.(slot) with
         | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
         | _ -> best.(slot) <- Some f
@@ -267,10 +205,8 @@ module Make (P : Patch.S) = struct
       List.iter
         (fun p ->
           t.stat_probes <- t.stat_probes + 1;
-          if
-            Int64.compare snapshot (Patch.min_seq p) < 0
-            || not (Patch.fence_overlaps p ~lo ~hi)
-          then t.stat_fence_skips <- t.stat_fence_skips + 1
+          if not (Patch.fence_overlaps p ~lo ~hi) then
+            t.stat_fence_skips <- t.stat_fence_skips + 1
           else Patch.iter_run p ~lo ~hi (fun f -> consider (index f.Fact.key) f))
         t.patches
     end;
@@ -281,49 +217,30 @@ module Make (P : Patch.S) = struct
 
   let merged_view t = Patch.merge_many (memtable_patch t :: t.patches)
 
-  let iter_live ?(snapshot = no_snapshot) t f =
+  let iter_live t f =
     let view = merged_view t in
     let current_key = ref None in
-    let emitted = ref false in
     Patch.iter view (fun fact ->
         let same_key =
           match !current_key with
           | Some k -> K.equal k fact.Fact.key
           | None -> false
         in
-        (if not same_key then begin
-           current_key := Some fact.Fact.key;
-           emitted := false
-         end);
-        if (not !emitted) && Int64.compare fact.Fact.seq snapshot <= 0 then begin
-          emitted := true;
-          (* first in-snapshot fact for the key = its latest version *)
-          if not (Fact.is_tombstone fact) && not (elided_at t ~snapshot fact) then
-            match fact.Fact.value with
-            | Some value -> f ~key:fact.Fact.key ~value
-            | None -> ()
+        (* a key's first fact in the view is its latest version *)
+        if not same_key then begin
+          current_key := Some fact.Fact.key;
+          match live_value t fact with
+          | Some value -> f ~key:fact.Fact.key ~value
+          | None -> ()
         end)
 
-  let range ?(snapshot = no_snapshot) t ~lo ~hi =
-    let acc = ref [] in
-    iter_live ~snapshot t (fun ~key ~value ->
-        if K.compare key lo >= 0 && K.compare key hi <= 0 then
-          acc := (key, value) :: !acc);
-    List.rev !acc
-
-  (* Does any key in [lo, hi] resolve to a live value? Unlike [range]
-     (which merges the entire pyramid just to filter it), this walks only
-     the facts inside the fence of each overlapping patch and keeps the
-     per-key winner in a scratch table — maintenance paths (medium
-     flattening, GC) call it in loops. *)
-  let exists_live_in_range ?(snapshot = no_snapshot) t ~lo ~hi =
+  (* The latest fact of each key in [lo, hi]: walks only the facts inside
+     the fence of each overlapping patch, so the cost is the range's, not
+     the pyramid's. *)
+  let latest_in_range t ~lo ~hi =
     let best : Fact.t Tbl.t = Tbl.create 32 in
     let consider f =
-      if
-        Int64.compare f.Fact.seq snapshot <= 0
-        && K.compare f.Fact.key lo >= 0
-        && K.compare f.Fact.key hi <= 0
-      then
+      if K.compare f.Fact.key lo >= 0 && K.compare f.Fact.key hi <= 0 then
         match Tbl.find_opt best f.Fact.key with
         | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
         | _ -> Tbl.replace best f.Fact.key f
@@ -332,19 +249,21 @@ module Make (P : Patch.S) = struct
     List.iter
       (fun p -> if Patch.fence_overlaps p ~lo ~hi then Patch.iter_run p ~lo ~hi consider)
       t.patches;
-    try
-      Tbl.iter
-        (fun _ f ->
-          if
-            (not (Fact.is_tombstone f))
-            && (not (elided_at t ~snapshot f))
-            && Option.is_some f.Fact.value
-          then raise Exit)
-        best;
-      false
-    with Exit -> true
+    best
 
-  let not_elided t f = not (elided_at t ~snapshot:no_snapshot f)
+  let range t ~lo ~hi =
+    Tbl.fold
+      (fun key f acc ->
+        match live_value t f with Some value -> (key, value) :: acc | None -> acc)
+      (latest_in_range t ~lo ~hi) []
+    |> List.sort (fun (a, _) (b, _) -> K.compare a b)
+
+  let exists_live_in_range t ~lo ~hi =
+    Seq.exists
+      (fun f -> Option.is_some (live_value t f))
+      (Tbl.to_seq_values (latest_in_range t ~lo ~hi))
+
+  let not_elided t f = not (elided t f)
 
   let merge_step t =
     match t.patches with
@@ -390,11 +309,7 @@ module Make (P : Patch.S) = struct
     match t.policy with
     | Tombstones -> invalid_arg "Pyramid.restore_elides: tombstone-policy table"
     | Elide _ ->
-      Ranges.fold
-        (fun ~lo ~hi () -> t.elide_log <- { eseq = 0L; lo; hi } :: t.elide_log)
-        ranges ();
-      t.elide_ranges <- Ranges.union t.elide_ranges ranges;
-      t.elide_index <- None
+      t.elide_ranges <- Ranges.union t.elide_ranges ranges
 end
 
 module Patch = Patch

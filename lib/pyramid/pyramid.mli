@@ -21,9 +21,6 @@
       insert per-key tombstone facts that shadow older values and are only
       discarded when a flatten reaches the bottom level.
 
-    Reads are snapshot-consistent: passing [~snapshot:s] observes exactly
-    the facts (and elide entries) with sequence number <= s.
-
     One implementation serves every table: {!Make} instantiates it at a
     table's key and value types ({!Fact.Make}), and the top level of this
     module is the string-keyed instance. *)

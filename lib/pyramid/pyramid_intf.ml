@@ -42,47 +42,45 @@ module type S = sig
 
   (** {1 Reads} *)
 
-  val find : ?snapshot:int64 -> t -> key -> value option
+  val find : t -> key -> value option
   (** Latest live value for a key: tombstoned and elided facts read as
       absent. Patches whose key fence or bloom filter excludes the key are
       skipped without a search. *)
 
-  val find_naive : ?snapshot:int64 -> t -> key -> value option
+  val find_naive : t -> key -> value option
   (** Reference implementation of {!find} that probes every patch with the
       list-building [Patch.find]. Exists so tests and the metadata
       micro-benchmark can compare the fenced fast path against it; results
       are always identical. *)
 
-  val find_run :
-    ?snapshot:int64 -> t -> n:int -> key_of:(int -> key) -> index:(key -> int) ->
-    fact option array
+  val find_run : t -> n:int -> key_of:(int -> key) -> index:(key -> int) -> fact option array
   (** Batched lookup for [n] consecutive keys: one lower_bound then a
       sequential walk per patch instead of [n] independent searches.
       [key_of i] is slot [i]'s key (ascending in [i]); [index] maps a
       stored key back to its slot (anything outside [0, n) is ignored).
-      Returns the latest in-snapshot fact per slot with retractions NOT
+      Returns the latest fact per slot with retractions NOT
       applied — pass each slot through {!resolve_fact} if liveness
       matters. *)
 
-  val resolve_fact : ?snapshot:int64 -> t -> fact option -> value option
+  val resolve_fact : t -> fact option -> value option
   (** Apply tombstone/elide filtering to a looked-up fact (e.g. a
       {!find_run} slot), yielding its live value. *)
 
-  val find_ignoring_retractions : ?snapshot:int64 -> t -> key -> value option
+  val find_ignoring_retractions : t -> key -> value option
   (** The paper's relaxed consistency mode: "readers are allowed to run in a
       relaxed consistency mode that simply ignores retractions, allowing
       them to observe tuples that no longer exist." *)
 
-  val iter_live : ?snapshot:int64 -> t -> (key:key -> value:value -> unit) -> unit
+  val iter_live : t -> (key:key -> value:value -> unit) -> unit
   (** Visit each key's latest live value, in key order. *)
 
-  val range : ?snapshot:int64 -> t -> lo:key -> hi:key -> (key * value) list
-  (** Live (key, value) pairs with [lo <= key <= hi]. *)
+  val range : t -> lo:key -> hi:key -> (key * value) list
+  (** Live (key, value) pairs with [lo <= key <= hi], in key order. Walks
+      only the facts inside each overlapping patch's fence, so the cost
+      is the range's, not the whole pyramid's. *)
 
-  val exists_live_in_range : ?snapshot:int64 -> t -> lo:key -> hi:key -> bool
-  (** Does any key in [lo, hi] resolve to a live value? Equivalent to
-      [range t ~lo ~hi <> []] but walks only the facts inside each
-      overlapping patch's fence instead of merging the whole pyramid. *)
+  val exists_live_in_range : t -> lo:key -> hi:key -> bool
+  (** [range t ~lo ~hi <> []], from the same walk. *)
 
   (** {1 Maintenance} *)
 
@@ -124,7 +122,7 @@ module type S = sig
   (** Install persisted patches at recovery (shallowest first). *)
 
   val restore_elides : t -> Purity_encoding.Ranges.t -> unit
-  (** Recovery: re-install a checkpointed elide table. Restored entries are
-      visible to every snapshot (sequence 0 — elide ids are never reused, so
-      this is always safe). @raise Invalid_argument on tombstone tables. *)
+  (** Recovery: re-install a checkpointed elide table (elide ids are never
+      reused, so this is always safe).
+      @raise Invalid_argument on tombstone tables. *)
 end

@@ -4,7 +4,6 @@ type t = {
   layout : Layout.t;
   drives : int;
   aus_per_drive : int;
-  frontier_per_drive : int;
   free : int Queue.t array; (* per-drive free AU indices *)
   used : unit Ptbl.t; (* (drive, au) holding live segments *)
   mutable frontier : Segment.member list list;
@@ -19,7 +18,10 @@ type t = {
          must scan them, so they stay in the persisted set *)
 }
 
-let create ~layout ~drives ~aus_per_drive ?(frontier_per_drive = 8) () =
+(* AUs per drive each frontier refill makes allocatable. *)
+let frontier_per_drive = 8
+
+let create ~layout ~drives ~aus_per_drive () =
   let free = Array.init drives (fun _ -> Queue.create ()) in
   Array.iter
     (fun q ->
@@ -31,7 +33,6 @@ let create ~layout ~drives ~aus_per_drive ?(frontier_per_drive = 8) () =
     layout;
     drives;
     aus_per_drive;
-    frontier_per_drive;
     free;
     used = Ptbl.create 256;
     frontier = [];
@@ -58,7 +59,7 @@ let take_batch t =
   (* Pull up to frontier_per_drive free AUs from every drive. *)
   let batch = ref [] in
   for d = 0 to t.drives - 1 do
-    for _ = 1 to t.frontier_per_drive do
+    for _ = 1 to frontier_per_drive do
       match Queue.take_opt t.free.(d) with
       | Some au -> batch := { Segment.drive = d; au } :: !batch
       | None -> ()

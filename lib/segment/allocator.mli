@@ -18,15 +18,9 @@
 
 type t
 
-val create :
-  layout:Layout.t ->
-  drives:int ->
-  aus_per_drive:int ->
-  ?frontier_per_drive:int ->
-  unit ->
-  t
-(** All AUs start free. [frontier_per_drive] (default 8) is how many AUs
-    per drive each frontier refill makes allocatable. *)
+val create : layout:Layout.t -> drives:int -> aus_per_drive:int -> unit -> t
+(** All AUs start free. Each frontier refill makes 8 AUs per drive
+    allocatable. *)
 
 val allocate : t -> online:(int -> bool) -> Segment.member array option
 (** Reserve [k + m] AUs on distinct online drives (least-used first),

@@ -914,6 +914,65 @@ let test_gc_segregates_shared_cblocks () =
   check bool "a intact" true (read_ok clock a ~volume:"a" ~block:0 ~nblocks:128 = image);
   check bool "b intact" true (read_ok clock a ~volume:"b" ~block:0 ~nblocks:128 = image)
 
+(* Host writes acked while an evacuation is in flight survive it. 64 runs
+   of 64 blocks, the even ones overwritten, so every data segment is half
+   dead; [start] begins the pass and 32 writes follow its liveness scan.
+   Half overwrite odd runs, which the pass relocates from its
+   liveness scan at the start; half copy other odd runs' bytes into a
+   second volume, which inline dedup lands on the victims' cblocks. *)
+let acked_writes_survive_evacuation start () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:4096);
+  ok (Fa.create_volume a "copy" ~blocks:4096);
+  let image = Array.init 64 (fun _ -> random_data 64) in
+  Array.iteri (fun i d -> write_ok clock a ~volume:"v" ~block:(i * 64) d) image;
+  for i = 0 to 31 do
+    image.(2 * i) <- random_data 64;
+    write_ok clock a ~volume:"v" ~block:(2 * i * 64) image.(2 * i)
+  done;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let finished = ref false in
+  start a (fun () -> finished := true);
+  let acked = ref [] in
+  let write volume run data =
+    Fa.write a ~volume ~block:(run * 64) data (function
+      | Ok () -> acked := (volume, run, data) :: !acked
+      | Error _ -> ())
+  in
+  (* rebuild flushes before its scan: a flush queued after [start]
+     completes just after the scan, in either pass *)
+  Fa.flush a (fun () ->
+      for j = 0 to 15 do
+        let overwritten = (2 * j) + 1 and copied = (2 * j) + 33 in
+        write "v" overwritten (random_data 64);
+        write "copy" copied image.(copied)
+      done);
+  Clock.run clock;
+  check bool "pass finished" true !finished;
+  check int "every write acked" 32 (List.length !acked);
+  let bad =
+    List.filter
+      (fun (volume, run, data) ->
+        match await clock (Fa.read a ~volume ~block:(run * 64) ~nblocks:64) with
+        | Ok got -> not (String.equal got data)
+        | Error _ -> true)
+      !acked
+  in
+  check int "acked writes read back" 0 (List.length bad)
+
+let test_gc_under_writes =
+  acked_writes_survive_evacuation (fun a k ->
+      Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 a (fun r ->
+          check bool "victims destroyed" true (r.Purity_core.Gc.victims <> []);
+          k ()))
+
+let test_rebuild_under_writes =
+  acked_writes_survive_evacuation (fun a k ->
+      Fa.replace_drive a 1;
+      Fa.rebuild_drive a 1 (fun n ->
+          check bool "segments rebuilt" true (n > 0);
+          k ()))
+
 (* ---------- p95 hedged reads (4.4) ---------- *)
 
 let test_p95_backup_reads () =
@@ -1287,6 +1346,7 @@ let () =
           Alcotest.test_case "two drive failures" `Quick test_reads_through_two_drive_failures;
           Alcotest.test_case "write with pulled drive" `Quick test_writes_continue_after_drive_pull;
           Alcotest.test_case "rebuild drive" `Quick test_rebuild_drive;
+          Alcotest.test_case "rebuild under writes" `Quick test_rebuild_under_writes;
         ] );
       ( "recovery",
         [
@@ -1310,6 +1370,7 @@ let () =
           Alcotest.test_case "delete volume reclaim" `Quick test_delete_volume_then_gc_reclaims;
           Alcotest.test_case "after failover" `Quick test_gc_after_failover;
           Alcotest.test_case "segregates shared cblocks" `Quick test_gc_segregates_shared_cblocks;
+          Alcotest.test_case "pass under writes" `Quick test_gc_under_writes;
         ] );
       ( "scrub",
         [

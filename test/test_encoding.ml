@@ -60,7 +60,7 @@ let test_ranges_union () =
 let test_ranges_encode_roundtrip () =
   let r = Ranges.of_list [ (3, 17); (100, 100); (1000, 5000) ] in
   let r2 = Ranges.decode (Ranges.encode r) in
-  check ranges_t "roundtrip" r r2
+  check (Alcotest.option ranges_t) "roundtrip" (Some r) r2
 
 let test_ranges_bad_add () =
   Alcotest.check_raises "lo > hi" (Invalid_argument "Ranges.add_range: lo > hi") (fun () ->
@@ -93,7 +93,7 @@ let prop_ranges_encode_roundtrip =
         List.fold_left (fun acc (lo, len) -> Ranges.add_range acc ~lo ~hi:(lo + len)) Ranges.empty
           pairs
       in
-      Ranges.to_list (Ranges.decode (Ranges.encode r)) = Ranges.to_list r)
+      Option.map Ranges.to_list (Ranges.decode (Ranges.encode r)) = Some (Ranges.to_list r))
 
 (* ---------- Tuple_page ---------- *)
 

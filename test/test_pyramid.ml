@@ -98,9 +98,9 @@ let test_patch_ranges () =
   let p = Patch.of_facts [ mk "a" "1" 5L; mk "m" "2" 3L; mk "z" "3" 9L ] in
   check (Alcotest.option (Alcotest.pair Alcotest.int64 Alcotest.int64)) "seq range"
     (Some (3L, 9L)) (Patch.seq_range p);
-  check (Alcotest.option (Alcotest.pair Alcotest.string Alcotest.string)) "key range"
-    (Some ("a", "z")) (Patch.key_range p);
-  check int "range query" 2 (List.length (Patch.range p ~lo:"a" ~hi:"m"))
+  let in_range = ref 0 in
+  Patch.iter_run p ~lo:"a" ~hi:"m" (fun _ -> incr in_range);
+  check int "range walk" 2 !in_range
 
 let test_patch_compact () =
   let p =
@@ -109,13 +109,13 @@ let test_patch_compact () =
   in
   let c = Patch.compact_latest p ~drop_tombstones:true in
   check int "one survivor" 1 (Patch.count c);
-  check Alcotest.string "newest a" "new" (Option.get (Patch.get c 0).Fact.value);
+  check Alcotest.string "newest a" "new" (Option.get (List.hd (Patch.to_list c)).Fact.value);
   let c2 = Patch.compact_latest p ~drop_tombstones:false in
   check int "tombstone kept" 2 (Patch.count c2)
 
 let test_patch_serialize_roundtrip () =
   let p = Patch.of_facts [ mk "alpha" "1" 1L; Fact.tombstone ~key:"beta" ~seq:2L ] in
-  let p2 = Patch.deserialize (Patch.serialize p) in
+  let p2 = Option.get (Patch.deserialize (Patch.serialize p)) in
   check bool "roundtrip" true (List.for_all2 Fact.equal (Patch.to_list p) (Patch.to_list p2))
 
 let test_patch_serialize_corruption () =
@@ -123,8 +123,8 @@ let test_patch_serialize_corruption () =
   let s = Bytes.of_string (Patch.serialize p) in
   Bytes.set_uint8 s (Bytes.length s - 1) (Bytes.get_uint8 s (Bytes.length s - 1) lxor 1);
   match Patch.deserialize (Bytes.to_string s) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "corruption undetected"
+  | None -> ()
+  | Some _ -> Alcotest.fail "corruption undetected"
 
 let prop_patch_merge_equals_union =
   QCheck.Test.make ~name:"patch merge = set union of facts" ~count:200
@@ -175,17 +175,6 @@ let test_pyr_tombstone_delete () =
   (* reinsertion after delete *)
   Pyramid.insert p ~seq:3L ~key:"k" ~value:"back";
   check str_opt "reinserted" (Some "back") (Pyramid.find p "k")
-
-let test_pyr_snapshot_reads () =
-  let p = tomb_pyramid () in
-  Pyramid.insert p ~seq:1L ~key:"k" ~value:"v1";
-  Pyramid.insert p ~seq:5L ~key:"k" ~value:"v2";
-  Pyramid.delete p ~seq:9L ~key:"k";
-  check str_opt "at 1" (Some "v1") (Pyramid.find ~snapshot:1L p "k");
-  check str_opt "at 4" (Some "v1") (Pyramid.find ~snapshot:4L p "k");
-  check str_opt "at 5" (Some "v2") (Pyramid.find ~snapshot:5L p "k");
-  check str_opt "at 9 deleted" None (Pyramid.find ~snapshot:9L p "k");
-  check str_opt "snapshot before create" None (Pyramid.find ~snapshot:0L p "k")
 
 let test_pyr_flush_merge_flatten_preserve_reads () =
   let p = tomb_pyramid () in
@@ -297,13 +286,6 @@ let test_elide_range () =
   check str_opt "2 alive" (Some "x") (Pyramid.find p "2:0");
   check str_opt "4 dead" None (Pyramid.find p "4:0")
 
-let test_elide_snapshot () =
-  let p = elide_pyramid () in
-  Pyramid.insert p ~seq:1L ~key:"7:0" ~value:"a";
-  Pyramid.elide_id p ~seq:5L 7;
-  check str_opt "before elide" (Some "a") (Pyramid.find ~snapshot:4L p "7:0");
-  check str_opt "after elide" None (Pyramid.find ~snapshot:5L p "7:0")
-
 let test_elide_relaxed_reader_sees_ghosts () =
   let p = elide_pyramid () in
   Pyramid.insert p ~seq:1L ~key:"7:0" ~value:"ghost";
@@ -391,16 +373,11 @@ let test_patch_bloom_fences () =
   check bool "small patch: no bloom" false (Patch.has_bloom small);
   check bool "small patch admits any key" true (Patch.bloom_admits small "whatever")
 
-let test_patch_find_latest_at () =
+let test_patch_find_latest () =
   let p = Patch.of_facts [ mk "k" "v1" 1L; mk "k" "v2" 5L; mk "k" "v3" 9L; mk "z" "w" 3L ] in
-  let value_at snap =
-    Option.map (fun f -> Option.get f.Fact.value) (Patch.find_latest_at p "k" ~snapshot:snap)
-  in
-  check str_opt "latest" (Some "v3") (value_at 100L);
-  check str_opt "mid" (Some "v2") (value_at 7L);
-  check str_opt "exact" (Some "v1") (value_at 1L);
-  check str_opt "before" None (value_at 0L);
-  check bool "absent key" true (Patch.find_latest_at p "nope" ~snapshot:100L = None)
+  check str_opt "latest" (Some "v3")
+    (Option.map (fun f -> Option.get f.Fact.value) (Patch.find_latest p "k"));
+  check bool "absent key" true (Patch.find_latest p "nope" = None)
 
 let test_probe_counters_and_skips () =
   let p = Pyramid.create ~memtable_flush_count:1_000_000 ~policy:Pyramid.Tombstones ~name:"t" () in
@@ -454,27 +431,6 @@ let test_exists_live_in_range () =
   agree ~lo:"aa" ~hi:"az";
   agree ~lo:"d" ~hi:"z"
 
-let test_elide_snapshot_indexed () =
-  (* several elides at distinct seqs; snapshot reads must respect exactly
-     the entries committed by then (exercises the eseq index) *)
-  let p = elide_pyramid () in
-  for m = 0 to 9 do
-    Pyramid.insert p ~seq:(Int64.of_int (m + 1)) ~key:(Printf.sprintf "%d:0" m) ~value:"x"
-  done;
-  Pyramid.elide_id p ~seq:20L 2;
-  Pyramid.elide_id p ~seq:30L 5;
-  Pyramid.elide_id p ~seq:40L 7;
-  check str_opt "snap 15: 2 alive" (Some "x") (Pyramid.find ~snapshot:15L p "2:0");
-  check str_opt "snap 20: 2 dead" None (Pyramid.find ~snapshot:20L p "2:0");
-  check str_opt "snap 25: 5 alive" (Some "x") (Pyramid.find ~snapshot:25L p "5:0");
-  check str_opt "snap 35: 5 dead, 7 alive" None (Pyramid.find ~snapshot:35L p "5:0");
-  check str_opt "snap 35: 7 alive" (Some "x") (Pyramid.find ~snapshot:35L p "7:0");
-  check str_opt "snap 40: 7 dead" None (Pyramid.find ~snapshot:40L p "7:0");
-  (* a later elide invalidates the index; rebuilt answers stay right *)
-  Pyramid.elide_id p ~seq:50L 9;
-  check str_opt "snap 45 after rebuild: 9 alive" (Some "x") (Pyramid.find ~snapshot:45L p "9:0");
-  check str_opt "snap 50 after rebuild: 9 dead" None (Pyramid.find ~snapshot:50L p "9:0")
-
 let pyramid_ops_gen =
   QCheck.Gen.(
     list_size (0 -- 150)
@@ -502,32 +458,20 @@ let apply_ops p ops =
       | `Flush -> Pyramid.flush p
       | `Merge -> ignore (Pyramid.merge_step p)
       | `Flatten -> Pyramid.flatten p)
-    ops;
-  !seq
+    ops
 
 let prop_fast_find_equals_naive =
   (* the bloom-fenced lookup must be bit-identical to the per-patch scan,
-     for present keys, absent keys and every snapshot *)
-  QCheck.Test.make ~name:"fenced find = naive find (keys x snapshots)" ~count:150
+     for present and absent keys *)
+  QCheck.Test.make ~name:"fenced find = naive find (present + absent keys)" ~count:150
     (QCheck.make pyramid_ops_gen)
     (fun ops ->
       let p = Pyramid.create ~memtable_flush_count:8 ~policy:Pyramid.Tombstones ~name:"t" () in
-      let max_seq = apply_ops p ops in
-      let keys =
-        (* the op alphabet, plus keys no op can generate *)
-        List.concat_map (fun a -> List.map (fun b -> a ^ b) [ ""; "a"; "f"; "zz" ])
-          [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ]
-      in
-      let snapshots =
-        [ 0L; 1L; Int64.div max_seq 2L; max_seq; Int64.add max_seq 5L; Int64.max_int ]
-      in
-      List.for_all
-        (fun key ->
-          List.for_all
-            (fun snapshot ->
-              Pyramid.find ~snapshot p key = Pyramid.find_naive ~snapshot p key)
-            snapshots)
-        keys)
+      apply_ops p ops;
+      (* the op alphabet, plus keys no op can generate *)
+      List.concat_map (fun a -> List.map (fun b -> a ^ b) [ ""; "a"; "f"; "zz" ])
+        [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ]
+      |> List.for_all (fun key -> Pyramid.find p key = Pyramid.find_naive p key))
 
 let prop_find_run_equals_point =
   (* batched range lookup = per-key point lookup over a sliding window *)
@@ -660,7 +604,6 @@ let () =
           Alcotest.test_case "latest wins" `Quick test_pyr_overwrite_latest_wins;
           Alcotest.test_case "out-of-order seq" `Quick test_pyr_out_of_order_seq;
           Alcotest.test_case "tombstone delete" `Quick test_pyr_tombstone_delete;
-          Alcotest.test_case "snapshot reads" `Quick test_pyr_snapshot_reads;
           Alcotest.test_case "flush/merge/flatten preserve" `Quick
             test_pyr_flush_merge_flatten_preserve_reads;
           Alcotest.test_case "tombstones dropped at bottom" `Quick
@@ -672,7 +615,7 @@ let () =
           Alcotest.test_case "range" `Quick test_pyr_range;
           QCheck_alcotest.to_alcotest prop_pyramid_matches_model;
           Alcotest.test_case "patch fences + bloom" `Quick test_patch_bloom_fences;
-          Alcotest.test_case "patch find_latest_at" `Quick test_patch_find_latest_at;
+          Alcotest.test_case "patch find_latest" `Quick test_patch_find_latest;
           Alcotest.test_case "probe counters + skips" `Quick test_probe_counters_and_skips;
           Alcotest.test_case "exists_live_in_range" `Quick test_exists_live_in_range;
           QCheck_alcotest.to_alcotest prop_fast_find_equals_naive;
@@ -684,12 +627,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_elide_basic;
           Alcotest.test_case "atomic over matches" `Quick test_elide_is_atomic_over_all_matches;
           Alcotest.test_case "range" `Quick test_elide_range;
-          Alcotest.test_case "snapshot" `Quick test_elide_snapshot;
           Alcotest.test_case "relaxed reader" `Quick test_elide_relaxed_reader_sees_ghosts;
           Alcotest.test_case "merge reclaims immediately" `Quick test_elide_reclaims_space_on_merge;
           Alcotest.test_case "table collapses" `Quick test_elide_table_collapses;
           Alcotest.test_case "delete raises" `Quick test_elide_delete_raises;
           Alcotest.test_case "elide raises on tombstone table" `Quick test_tombstone_elide_raises;
-          Alcotest.test_case "snapshot via eseq index" `Quick test_elide_snapshot_indexed;
         ] );
     ]
