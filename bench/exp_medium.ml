@@ -19,8 +19,8 @@ let run () =
   Medium.extend t m22 ~blocks:1000;
   (* data placement: 12 holds the original blocks; 21 holds overwrites of
      volume blocks 0-499 made while it was the live medium *)
-  let has_blocks ~medium ~lo ~hi = medium = m12 || (medium = m21 && lo <= 499 && hi >= 0) in
-  Medium.shortcut ~only:[ m22 ] t ~has_blocks;
+  let owned m = if m = m12 then [ (0, 3999) ] else if m = m21 then [ (0, 499) ] else [] in
+  Medium.shortcut ~only:[ m22 ] t ~owned;
   Fmt.pr "%a@." Medium.pp_table t;
   Printf.printf "  (ids %d=12, %d=14, %d=15, %d=18, %d=20, %d=21, %d=22 in the figure)\n" m12
     m14 m15 m18 m20 m21 m22;

@@ -292,6 +292,13 @@ let audit_data ctx =
       Suite.iter_chunks blocks (fun block nblocks -> do_read ctx ~view ~block ~nblocks))
     (Model.listing ctx.model)
 
+(* Nearest level of the medium chain holding this block, one pyramid
+   probe per level: the per-block reference [State.resolve_range] is
+   checked against. *)
+let chain_lookup (st : State.t) ~medium ~block =
+  let chain = Purity_medium.Medium.resolve st.State.medium_table medium ~block in
+  List.find_map (Purity_core.Block_index.find st.State.blocks) chain
+
 (* Batched range resolution is a pure performance artifact: for every
    block of every view it must agree exactly with the per-block chain
    walk, no matter what faults (crashes, GC, elides, medium retirement)
@@ -304,7 +311,7 @@ let audit_resolution ctx =
       if blocks > 0 then begin
         let refs = State.resolve_range st ~medium ~block:0 ~nblocks:blocks in
         for b = 0 to blocks - 1 do
-          if refs.(b) <> State.resolve_block st ~medium ~block:b then
+          if refs.(b) <> chain_lookup st ~medium ~block:b then
             raise
               (Violation
                  (Printf.sprintf

@@ -29,6 +29,13 @@ let run t k =
   seal_and_flush t (fun () ->
       if not t.online then ()
       else begin
+      (* Host writes acked during the wait must not share a segio with
+         the chunks: a checkpoint segment is never a GC victim, and the
+         next checkpoint destroys it. A segio of log records at or below
+         the cut is covered by the patches, so it may take the chunks. *)
+      (match t.open_writer with
+      | Some w when Writer.data_len w > 0 -> (try seal_current t with Out_of_space -> ())
+      | Some _ | None -> ());
       let first_ckpt_segment = t.next_segment_id in
       (* cut point: allocations after this stay in the recovery scan set *)
       let cut = Allocator.allocated_count t.alloc in

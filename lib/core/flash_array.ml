@@ -10,7 +10,6 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  inline_dedup : bool;
   read_cache_entries : int;
   secondary_warming : bool;
   seed : int64;

@@ -35,7 +35,6 @@ type config = State.config = {
   memtable_flush : int;
   read_around_write : bool;  (** §4.4 scheduling (E6 ablation switch) *)
   p95_backup : bool;  (** hedged reads at the observed p95 *)
-  inline_dedup : bool;
   read_cache_entries : int;
       (** decoded cblocks cached in controller DRAM (0 disables) *)
   secondary_warming : bool;

@@ -207,9 +207,22 @@ let evacuate t ~live ~before_checkpoint victims k =
   in
   go victims
 
+(* The ascending maximal runs of blocks [medium] owns, from one walk of
+   its facts in the block index. Taken at flatten time, not from the
+   pass's liveness scan: a snapshot taken mid-pass can freeze a medium
+   after that scan missed its newest blocks. *)
+let owned_runs t medium =
+  Block_index.range t.blocks ~lo:(medium, 0) ~hi:(medium, max_int)
+  |> List.fold_left
+       (fun runs ((_, block), _) ->
+         match runs with
+         | (lo, hi) :: rest when hi + 1 = block -> (lo, block) :: rest
+         | _ -> (block, block) :: runs)
+       []
+  |> List.rev
+
 let flatten_mediums t =
-  Medium.shortcut t.medium_table ~has_blocks:(fun ~medium ~lo ~hi ->
-      medium_has_blocks t ~medium ~lo ~hi);
+  Medium.shortcut t.medium_table ~owned:(owned_runs t);
   List.iter (fun m -> persist_medium t m) (Medium.live_mediums t.medium_table)
 
 let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =

@@ -46,7 +46,6 @@ type config = {
   memtable_flush : int;
   read_around_write : bool;
   p95_backup : bool;
-  inline_dedup : bool;
   read_cache_entries : int; (* decoded cblocks cached in controller DRAM; 0 = off *)
   secondary_warming : bool;
       (* paper 4.3: the primary asynchronously warms the spare's cache, so
@@ -72,7 +71,6 @@ let default_config =
     memtable_flush = 4096;
     read_around_write = true;
     p95_backup = false;
-    inline_dedup = true;
     read_cache_entries = 4096;
     secondary_warming = true;
     seed = 0x5EEDL;
@@ -644,18 +642,11 @@ let[@purity.lint.recovery_root] decode_volume_value s =
 
 let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
-(* Nearest level of the medium chain holding this block, one pyramid
-   probe per level: the per-block reference [resolve_range] is checked
-   against. *)
-let resolve_block t ~medium ~block =
-  let chain = Medium.resolve t.medium_table medium ~block in
-  List.find_map (Block_index.find t.blocks) chain
-
 (* Batched resolution for [nblocks] consecutive logical blocks:
-   equivalent to calling [resolve_block] per block, but each medium
-   level consulted does one lower_bound + sequential walk per patch
-   (Pyramid.find_run) for all its unresolved blocks instead of per-block
-   binary searches. Sub-ranges are split along extent boundaries and
+   equivalent to probing the block index at each level of each block's
+   chain ([Medium.resolve]) in turn, but each medium level consulted
+   does one lower_bound + sequential walk per patch (Pyramid.find_run)
+   for all its unresolved blocks instead of per-block binary searches. Sub-ranges are split along extent boundaries and
    recursed level by level, respecting [skip_local] exactly as
    Medium.resolve does. *)
 let resolve_range t ~medium ~block ~nblocks =
@@ -712,11 +703,6 @@ let resolve_range t ~medium ~block ~nblocks =
   out
 
 let find_segment t id = Hashtbl.find_opt t.segment_metas id
-
-(* A medium "has blocks" in [lo..hi] iff the block index holds a live fact
-   there — the predicate the GC feeds to Medium.shortcut. *)
-let medium_has_blocks t ~medium ~lo ~hi =
-  Block_index.exists_live_in_range t.blocks ~lo:(medium, lo) ~hi:(medium, hi)
 
 (* Run [k] once every sealed segio has finished flushing to the drives.
    Prepend (O(1) per registration); pump_flush fires the list as stored,

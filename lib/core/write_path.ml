@@ -87,7 +87,7 @@ let[@purity.lint.allow
 (* Apply one <=32 KiB chunk: dedup the duplicate runs, store the rest. *)
 let apply_chunk t ~medium ~first_block data =
   let nblocks = String.length data / block_size in
-  let hits = if t.cfg.inline_dedup then Dedup.find_duplicates t.dedup data else [] in
+  let hits = Dedup.find_duplicates t.dedup data in
   (* translate hits whose source cblock still exists; drop the rest *)
   let hits =
     List.filter_map
@@ -141,10 +141,8 @@ let apply_chunk t ~medium ~first_block data =
         | None -> store_run t run
       in
       (* register the fresh run so future writes can dedup against it *)
-      if t.cfg.inline_dedup then begin
-        let wid = Dedup.register t.dedup run in
-        Hashtbl.replace t.dedup_locs wid base
-      end;
+      let wid = Dedup.register t.dedup run in
+      Hashtbl.replace t.dedup_locs wid base;
       for b = 0 to run_blocks - 1 do
         put_block t ~medium ~block:(first_block + start + b)
           { base with Blockref.index = b }

@@ -161,59 +161,76 @@ let write_target t m ~block =
   | None -> if exists t m then Error `Out_of_range else Error `No_such_medium
   | Some e -> if e.status = RW then Ok m else Error `Read_only
 
-let shortcut ?only t ~has_blocks =
-  (* [chase medium offset len] partitions the block range
-     [offset, offset+len) of [medium] into (rel, sublen, medium', offset')
-     pieces, each pointing at the deepest level an extent may safely
-     reference. The chase hops past a level when it is immutable (RO) and
-     owns no blocks in the sub-range; ranges that mix data-bearing and
-     empty sub-ranges are split binarily — that is how Figure 6's medium
-     22 ends up with both a "21" row and a direct "12" shortcut row. *)
-  let rec chase medium offset len =
-    let stop = [ (0, len, medium, offset) ] in
-    let split () =
-      if len = 1 then stop
-      else begin
-        let half = len / 2 in
-        let left = chase medium offset half in
-        let right = chase medium (offset + half) (len - half) in
-        left @ List.map (fun (r, l, m, o) -> (r + half, l, m, o)) right
-      end
-    in
-    let immutable = match status t medium with Some RO -> true | Some RW | None -> false in
-    if not immutable then stop
-    else if has_blocks ~medium ~lo:offset ~hi:(offset + len - 1) then split ()
-    else
-      match extent_of t medium ~block:offset with
-      | Some ({ target = Underlying { medium = next; offset = noff }; _ } as inner)
-        when offset >= inner.start_block && offset + len - 1 <= inner.end_block ->
-        chase next (offset - inner.start_block + noff) len
-      | Some _ -> if len = 1 then stop else split ()
-      | None -> stop
+let shortcut ?only t ~owned =
+  (* each RO medium's owned runs, asked for at most once per call *)
+  let memo = Hashtbl.create 16 in
+  let owned_runs m =
+    match Hashtbl.find_opt memo m with
+    | Some runs -> runs
+    | None ->
+      let runs = Array.of_list (owned m) in
+      Hashtbl.add memo m runs;
+      runs
   in
-  (* Coalesce adjacent pieces with the same target and contiguous offsets. *)
-  let rec merge = function
-    | (r1, l1, m1, o1) :: (r2, l2, m2, o2) :: rest
-      when m1 = m2 && r1 + l1 = r2 && o1 + l1 = o2 ->
-      merge ((r1, l1 + l2, m1, o1) :: rest)
-    | piece :: rest -> piece :: merge rest
-    | [] -> []
+  (* Add a piece to the reversed list [acc], coalescing it with the
+     previous one when both point at the same medium with contiguous
+     offsets, so every piece stays maximal. *)
+  let push ((rel, len, m, o) as piece) acc =
+    match acc with
+    | (r1, l1, m1, o1) :: rest when m1 = m && r1 + l1 = rel && o1 + l1 = o ->
+      (r1, l1 + len, m1, o1) :: rest
+    | _ -> piece :: acc
+  in
+  (* [chase medium offset len rel acc] adds to [acc] the pieces
+     (rel', sublen, medium', offset') of the range [offset, offset+len)
+     of [medium], whose first block is block [rel] of the extent being
+     rewritten; each piece points at the deepest level it may safely
+     reference. One walk cuts the range at the medium's owned runs and
+     extent boundaries: owned blocks, a Base extent or a medium that is
+     not RO stop the chase, a gap in an RO medium hops to the underlying
+     one. That is how Figure 6's medium 22 gets both a "21" row and a
+     direct "12" shortcut row. *)
+  let rec chase medium offset len rel acc =
+    match status t medium with
+    | Some RW | None -> push (rel, len, medium, offset) acc
+    | Some RO ->
+      let runs = owned_runs medium and last = offset + len - 1 in
+      let n = Array.length runs in
+      (* [i] is the first run ending at or after block [p] *)
+      let rec walk p i acc =
+        let here = rel + p - offset in
+        let stay e i = walk (e + 1) i (push (here, e - p + 1, medium, p) acc) in
+        if p > last then acc
+        else if i < n && fst runs.(i) <= p then stay (min last (snd runs.(i))) (i + 1)
+        else begin
+          let gap_end = if i < n then min last (fst runs.(i) - 1) else last in
+          match extent_of t medium ~block:p with
+          | Some { target = Underlying { medium = next; offset = noff }; start_block; end_block; _ }
+            ->
+            let e = min gap_end end_block in
+            walk (e + 1) i (chase next (p - start_block + noff) (e - p + 1) here acc)
+          | Some { end_block; _ } -> stay (min gap_end end_block) i
+          | None -> stay gap_end i
+        end
+      in
+      let rec first lo hi =
+        let mid = (lo + hi) / 2 in
+        if lo >= hi then lo else if snd runs.(mid) < offset then first (mid + 1) hi else first lo mid
+      in
+      walk offset (first 0 n) acc
   in
   let reanchor e =
     match e.target with
     | Base -> [ e ]
     | Underlying { medium; offset } ->
-      let len = e.end_block - e.start_block + 1 in
-      let pieces = merge (chase medium offset len) in
-      List.map
-        (fun (rel, sublen, m', o') ->
-          {
-            e with
-            start_block = e.start_block + rel;
-            end_block = e.start_block + rel + sublen - 1;
-            target = Underlying { medium = m'; offset = o' };
-          })
-        pieces
+      chase medium offset (e.end_block - e.start_block + 1) 0 []
+      |> List.rev_map (fun (rel, sublen, m', o') ->
+             {
+               e with
+               start_block = e.start_block + rel;
+               end_block = e.start_block + rel + sublen - 1;
+               target = Underlying { medium = m'; offset = o' };
+             })
   in
   let selected m = match only with None -> true | Some ms -> List.mem m ms in
   let updates =
@@ -299,14 +316,9 @@ let[@purity.lint.recovery_root] decode_extents s =
   | es, p when p = String.length s -> Some es
   | _ | exception Invalid_argument _ -> None
 
-let set_medium t m es =
-  set_extents t m es;
-  if m >= t.next_id then t.next_id <- m + 1
-
 let restore ~rows ~next_id =
   let t = create ~first_id:next_id () in
-  List.iter (fun (m, es) -> set_medium t m es) rows;
-  if next_id >= t.next_id then t.next_id <- next_id;
+  List.iter (fun (m, es) -> set_extents t m es; t.next_id <- max t.next_id (m + 1)) rows;
   t
 
 let peek_next_id t = t.next_id

@@ -96,14 +96,18 @@ val write_target : t -> int -> block:int -> (int, [ `Read_only | `Out_of_range |
 (** Where a write to (medium, block) must record its data: the medium
     itself when RW. *)
 
-val shortcut : ?only:int list -> t -> has_blocks:(medium:int -> lo:int -> hi:int -> bool) -> unit
+val shortcut : ?only:int list -> t -> owned:(int -> (int * int) list) -> unit
 (** GC flattening (§4.5–4.6): for every extent, follow the underlying
     chain past immutable intermediate mediums that own no blocks in the
     mapped range and repoint (pieces of) the extent at the deepest such
     target — producing exactly Figure 6's "22 can refer directly to 12"
     shortcut, including the extent splitting its three-row form implies.
-    [has_blocks ~medium ~lo ~hi] asks whether [medium] owns any block in
-    the inclusive range [lo..hi]. Idempotent given the same predicate.
+    [owned m] gives the ascending maximal runs [(lo, hi)] (inclusive) of
+    blocks medium [m] owns; it is asked only of RO mediums, at most once
+    each per call. Each extent's range is walked once, cut at owned runs
+    and extent boundaries: owned blocks, a [Base] extent or a medium that
+    is not RO stop the chase, a gap hops to the underlying medium. The
+    resulting rows are maximal. Idempotent given the same runs.
     [only] restricts rewriting to the listed mediums — the garbage
     collector flattens medium trees incrementally, one medium at a time,
     which is why tables like Figure 6 show partially flattened states. *)
@@ -132,10 +136,6 @@ val restore : rows:(int * extent list) list -> next_id:int -> t
 
 val extents : t -> int -> extent list
 (** The raw extent rows of one medium (empty when absent). *)
-
-val set_medium : t -> int -> extent list -> unit
-(** Recovery/replay: install a medium's extents verbatim, bumping the id
-    counter past it. *)
 
 val peek_next_id : t -> int
 (** The next id that will be issued (for boot-region persistence). *)

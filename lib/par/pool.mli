@@ -17,8 +17,6 @@ val create : ?seed:int64 -> domains:int -> unit -> t
 val lanes : t -> int
 (** Number of parallel lanes, including the calling domain. *)
 
-val is_live : t -> bool
-
 val shutdown : t -> unit
 (** Join all worker domains. Idempotent; the pool is unusable after. *)
 

@@ -234,10 +234,10 @@ module Make (P : Patch.S) = struct
           | None -> ()
         end)
 
-  (* The latest fact of each key in [lo, hi]: walks only the facts inside
-     the fence of each overlapping patch, so the cost is the range's, not
-     the pyramid's. *)
-  let latest_in_range t ~lo ~hi =
+  (* The latest fact of each key in [lo, hi], from the whole memtable and
+     only the facts inside the fence of each overlapping patch; then the
+     live ones, in key order. *)
+  let range t ~lo ~hi =
     let best : Fact.t Tbl.t = Tbl.create 32 in
     let consider f =
       if K.compare f.Fact.key lo >= 0 && K.compare f.Fact.key hi <= 0 then
@@ -249,19 +249,11 @@ module Make (P : Patch.S) = struct
     List.iter
       (fun p -> if Patch.fence_overlaps p ~lo ~hi then Patch.iter_run p ~lo ~hi consider)
       t.patches;
-    best
-
-  let range t ~lo ~hi =
     Tbl.fold
       (fun key f acc ->
         match live_value t f with Some value -> (key, value) :: acc | None -> acc)
-      (latest_in_range t ~lo ~hi) []
+      best []
     |> List.sort (fun (a, _) (b, _) -> K.compare a b)
-
-  let exists_live_in_range t ~lo ~hi =
-    Seq.exists
-      (fun f -> Option.is_some (live_value t f))
-      (Tbl.to_seq_values (latest_in_range t ~lo ~hi))
 
   let not_elided t f = not (elided t f)
 

@@ -75,12 +75,10 @@ module type S = sig
   (** Visit each key's latest live value, in key order. *)
 
   val range : t -> lo:key -> hi:key -> (key * value) list
-  (** Live (key, value) pairs with [lo <= key <= hi], in key order. Walks
-      only the facts inside each overlapping patch's fence, so the cost
-      is the range's, not the whole pyramid's. *)
-
-  val exists_live_in_range : t -> lo:key -> hi:key -> bool
-  (** [range t ~lo ~hi <> []], from the same walk. *)
+  (** Live (key, value) pairs with [lo <= key <= hi], in key order. The
+      memtable is walked whole; within patches, only the facts inside
+      each overlapping patch's fence are read, so beyond the memtable the
+      cost is the range's facts, not the whole pyramid's. *)
 
   (** {1 Maintenance} *)
 

@@ -68,9 +68,6 @@ let protect t name =
 
 let unprotect t name = Hashtbl.remove t.volumes name
 
-let last_replicated t name =
-  match Hashtbl.find_opt t.volumes name with Some p -> p.last_snap | None -> None
-
 let stats t = t.stats
 
 (* Delta machinery shared with the synchronous ActiveCluster layer

@@ -92,9 +92,6 @@ val replicate_once : t -> string -> (cycle_report -> unit) -> unit
 val replicate_all : t -> (cycle_report list -> unit) -> unit
 (** One cycle for every protected volume, sequentially. *)
 
-val last_replicated : t -> string -> string option
-(** Name of the newest source snapshot fully applied on the target. *)
-
 type stats = {
   cycles : int;
   total_shipped_bytes : int;

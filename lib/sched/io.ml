@@ -50,7 +50,6 @@ let create ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false) 
 
 let stats t = t.stats
 let reset_stats t = t.stats <- zero_stats
-let read_latencies t = t.latencies
 
 let register_telemetry t reg =
   let module R = Purity_telemetry.Registry in

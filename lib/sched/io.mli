@@ -53,9 +53,6 @@ val read :
 val stats : t -> stats
 val reset_stats : t -> unit
 
-val read_latencies : t -> Purity_util.Histogram.t
-(** Completed whole-read latencies in simulated microseconds. *)
-
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
 (** Register the scheduler's counters (derived), the computed read
     amplification, and its latency histograms under [sched/...]. *)

@@ -16,8 +16,6 @@ type location = { column : int; au_offset : int; length : int }
 let row_chunk t ~row ~within ~len ~column =
   { column; au_offset = t.header_size + (row * t.write_unit) + within; length = len }
 
-let row_of_offset t off = off / t.write_unit / t.k
-
 let locate t ~off ~len =
   if off < 0 || len < 0 || off + len > payload_capacity t then
     invalid_arg "Layout.locate: out of bounds";

@@ -42,9 +42,6 @@ val locate : t -> off:int -> len:int -> location list
 (** Map a payload byte range onto per-shard chunks, splitting at
     write-unit boundaries. @raise Invalid_argument when out of bounds. *)
 
-val row_of_offset : t -> int -> int
-(** Which row the payload offset falls in. *)
-
 val row_chunk : t -> row:int -> within:int -> len:int -> column:int -> location
 (** Location of the byte range [\[within, within+len)] of the write unit
     at ([row], [column]); used to read sibling shards for reconstruction. *)

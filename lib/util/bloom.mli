@@ -27,7 +27,6 @@ val mem_hashed : t -> int * int -> bool
 (** [mem] with a precomputed [hash_pair] of the key. *)
 
 val nbits : t -> int
-val hash_count : t -> int
 val entries : t -> int
 (** Number of [add] calls so far. *)
 

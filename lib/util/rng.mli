@@ -31,9 +31,6 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean (inter-arrival
     times for open-loop workloads). *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto-distributed value; used for heavy-tailed object popularity. *)
-
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] samples a rank in [\[0, n)] under a Zipfian
     distribution with skew [theta] (0 = uniform), using the rejection

@@ -1,4 +1,5 @@
 module Medium = Purity_medium.Medium
+module Rng = Purity_util.Rng
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -99,8 +100,8 @@ let test_shortcut_flattens_empty_intermediates () =
   let _s2, m2 = Medium.take_snapshot t m1 in
   let _s3, m3 = Medium.take_snapshot t m2 in
   (* only m0 holds blocks; m1 and m2 are empty RO layers *)
-  let has_blocks ~medium ~lo:_ ~hi:_ = medium = m0 in
-  Medium.shortcut t ~has_blocks;
+  let owned m = if m = m0 then [ (0, 9) ] else [] in
+  Medium.shortcut t ~owned;
   check chain "flattened to <= 3 hops" [ (m3, 0); (m0, 0) ] (Medium.resolve t m3 ~block:0);
   check bool "within the paper's 3-cblock bound" true (Medium.resolve_depth t m3 ~block:0 <= 3)
 
@@ -110,8 +111,8 @@ let test_shortcut_stops_at_data () =
   let _s1, m1 = Medium.take_snapshot t m0 in
   let _s2, m2 = Medium.take_snapshot t m1 in
   (* m1 owns blocks: the chain must keep it *)
-  let has_blocks ~medium ~lo:_ ~hi:_ = medium = m0 || medium = m1 in
-  Medium.shortcut t ~has_blocks;
+  let owned m = if m = m0 || m = m1 then [ (0, 9) ] else [] in
+  Medium.shortcut t ~owned;
   check chain "kept data-bearing layer" [ (m2, 0); (m1, 0); (m0, 0) ]
     (Medium.resolve t m2 ~block:0)
 
@@ -120,10 +121,10 @@ let test_shortcut_idempotent () =
   let m0 = Medium.create_base t ~blocks:10 in
   let _s1, m1 = Medium.take_snapshot t m0 in
   let _s2, _m2 = Medium.take_snapshot t m1 in
-  let has_blocks ~medium ~lo:_ ~hi:_ = medium = m0 in
-  Medium.shortcut t ~has_blocks;
+  let owned m = if m = m0 then [ (0, 9) ] else [] in
+  Medium.shortcut t ~owned;
   let rows1 = Medium.rows t in
-  Medium.shortcut t ~has_blocks;
+  Medium.shortcut t ~owned;
   check bool "idempotent" true (rows1 = Medium.rows t)
 
 (* Figure 6 golden test: rebuild the paper's table structurally.
@@ -161,10 +162,8 @@ let test_figure6_schedule () =
     (List.exists (fun (m, b) -> m = m12 && b = 2500) chain_to_12);
   (* Data placement: 12 holds the original blocks; 21 holds overwrites of
      volume blocks 0-499 made while it was live. *)
-  let has_blocks ~medium ~lo ~hi =
-    (medium = m12) || (medium = m21 && lo <= 499 && hi >= 0)
-  in
-  Medium.shortcut ~only:[ m22 ] t ~has_blocks;
+  let owned m = if m = m12 then [ (0, 3999) ] else if m = m21 then [ (0, 499) ] else [] in
+  Medium.shortcut ~only:[ m22 ] t ~owned;
   (* Figure row "22 | 0:499 | 21 | 0 | RW" (21 itself is not yet
      flattened, so its chain still walks through 18 to 12) *)
   check chain "0:499 goes through 21"
@@ -208,6 +207,129 @@ let test_figure6_schedule () =
     (extent_target m18 = Some (Medium.Underlying { medium = m12; offset = 2000 }, Medium.RO));
   check bool "20 row" true
     (extent_target m20 = Some (Medium.Underlying { medium = m18; offset = 0 }, Medium.RO))
+
+(* The reference for [Medium.shortcut]'s one-walk chase: halve a range
+   wherever the medium owns anything in it, hop a range an immutable
+   medium owns nothing of, then merge the pieces back together. Each
+   block gets the same answer, so the rows must be equal. Returns the
+   rewritten table. *)
+let binary_shortcut ?only t ~has_blocks =
+  let rec chase medium offset len =
+    let stop = [ (0, len, medium, offset) ] in
+    let split () =
+      if len = 1 then stop
+      else begin
+        let half = len / 2 in
+        let left = chase medium offset half in
+        let right = chase medium (offset + half) (len - half) in
+        left @ List.map (fun (r, l, m, o) -> (r + half, l, m, o)) right
+      end
+    in
+    if Medium.status t medium <> Some Medium.RO then stop
+    else if has_blocks ~medium ~lo:offset ~hi:(offset + len - 1) then split ()
+    else
+      match Medium.extent_of t medium ~block:offset with
+      | Some ({ Medium.target = Medium.Underlying { medium = next; offset = noff }; _ } as inner)
+        when offset >= inner.Medium.start_block && offset + len - 1 <= inner.Medium.end_block ->
+        chase next (offset - inner.Medium.start_block + noff) len
+      | Some _ -> if len = 1 then stop else split ()
+      | None -> stop
+  in
+  let rec merge = function
+    | (r1, l1, m1, o1) :: (r2, l2, m2, o2) :: rest when m1 = m2 && r1 + l1 = r2 && o1 + l1 = o2
+      ->
+      merge ((r1, l1 + l2, m1, o1) :: rest)
+    | piece :: rest -> piece :: merge rest
+    | [] -> []
+  in
+  let reanchor (e : Medium.extent) =
+    match e.Medium.target with
+    | Medium.Base -> [ e ]
+    | Medium.Underlying { medium; offset } ->
+      merge (chase medium offset (e.Medium.end_block - e.Medium.start_block + 1))
+      |> List.map (fun (rel, sublen, m', o') ->
+             {
+               e with
+               Medium.start_block = e.Medium.start_block + rel;
+               end_block = e.Medium.start_block + rel + sublen - 1;
+               target = Medium.Underlying { medium = m'; offset = o' };
+             })
+  in
+  let selected m = match only with None -> true | Some ms -> List.mem m ms in
+  let rows =
+    List.map
+      (fun m ->
+        let es = Medium.extents t m in
+        (m, if selected m then List.concat_map reanchor es else es))
+      (Medium.live_mediums t)
+  in
+  Medium.restore ~rows ~next_id:(Medium.peek_next_id t)
+
+(* A random history of creates, snapshots, clones, extends and drops over
+   small mediums, each medium owning random runs of its blocks. *)
+let random_history rng =
+  let t = Medium.create () in
+  let pick = function [] -> None | ms -> Some (List.nth ms (Rng.int rng (List.length ms))) in
+  let with_status st = List.filter (fun m -> Medium.status t m = Some st) (Medium.live_mediums t) in
+  ignore (Medium.create_base t ~blocks:(1 + Rng.int rng 24) : int);
+  for _ = 1 to 4 + Rng.int rng 16 do
+    match Rng.int rng 10 with
+    | 0 -> ignore (Medium.create_base t ~blocks:(1 + Rng.int rng 24) : int)
+    | 1 | 2 | 3 ->
+      Option.iter (fun m -> ignore (Medium.take_snapshot t m : int * int)) (pick (with_status RW))
+    | 4 | 5 | 6 ->
+      Option.iter
+        (fun m ->
+          let size = Medium.size_blocks t m in
+          let lo = Rng.int rng size in
+          let hi = lo + Rng.int rng (size - lo) in
+          ignore (Medium.clone t m ~range:(lo, hi) () : int))
+        (pick (with_status RO))
+    | 7 | 8 ->
+      Option.iter (fun m -> Medium.extend t m ~blocks:(1 + Rng.int rng 8)) (pick (with_status RW))
+    | _ -> (
+      match pick (Medium.live_mediums t) with
+      | Some m when Medium.referenced_by t m = [] -> Medium.drop t m
+      | _ -> ())
+  done;
+  let owned = Hashtbl.create 16 in
+  List.iter
+    (fun m ->
+      let runs = ref [] in
+      for b = Medium.size_blocks t m - 1 downto 0 do
+        if Rng.int rng 3 = 0 then
+          runs :=
+            match !runs with
+            | (lo, hi) :: rest when lo = b + 1 -> (b, hi) :: rest
+            | rs -> (b, b) :: rs
+      done;
+      Hashtbl.replace owned m !runs)
+    (Medium.live_mediums t);
+  (t, fun m -> Option.value ~default:[] (Hashtbl.find_opt owned m))
+
+let prop_shortcut_matches_binary_chase =
+  QCheck.Test.make ~name:"shortcut ~owned = binary has_blocks chase on random histories"
+    ~count:500 QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, restrict) ->
+      Rng.with_seed_report ~seed:(Int64.of_int seed) @@ fun rng ->
+      let t, owned = random_history rng in
+      let only =
+        if restrict then Some (List.filter (fun _ -> Rng.bool rng) (Medium.live_mediums t))
+        else None
+      in
+      let has_blocks ~medium ~lo ~hi =
+        List.exists (fun (rlo, rhi) -> rlo <= hi && rhi >= lo) (owned medium)
+      in
+      let expected = Medium.rows (binary_shortcut ?only t ~has_blocks) in
+      let asked = Hashtbl.create 16 in
+      let owned m =
+        if Hashtbl.mem asked m then failwith "owned asked twice";
+        if Medium.status t m <> Some Medium.RO then failwith "owned asked of a RW medium";
+        Hashtbl.add asked m ();
+        owned m
+      in
+      Medium.shortcut ?only t ~owned;
+      Medium.rows t = expected)
 
 let prop_resolve_depth_bounded =
   QCheck.Test.make ~name:"resolve terminates and is bounded by medium count" ~count:100
@@ -263,6 +385,7 @@ let () =
             test_shortcut_flattens_empty_intermediates;
           Alcotest.test_case "stops at data" `Quick test_shortcut_stops_at_data;
           Alcotest.test_case "idempotent" `Quick test_shortcut_idempotent;
+          QCheck_alcotest.to_alcotest prop_shortcut_matches_binary_chase;
         ] );
       ("figure6", [ Alcotest.test_case "paper schedule" `Quick test_figure6_schedule ]);
     ]

@@ -412,25 +412,6 @@ let test_probe_counters_and_skips () =
   check bool "results unaffected" true
     (Pyramid.find p "a0007" = Some "x" && Pyramid.find p "zzzz" = None)
 
-let test_exists_live_in_range () =
-  let p = tomb_pyramid () in
-  List.iteri
-    (fun i k -> Pyramid.insert p ~seq:(Int64.of_int (i + 1)) ~key:k ~value:k)
-    [ "apple"; "banana"; "cherry" ];
-  Pyramid.delete p ~seq:10L ~key:"banana";
-  Pyramid.flush p;
-  let agree ~lo ~hi =
-    check bool
-      (Printf.sprintf "exists agrees with range on [%s,%s]" lo hi)
-      (Pyramid.range p ~lo ~hi <> [])
-      (Pyramid.exists_live_in_range p ~lo ~hi)
-  in
-  agree ~lo:"a" ~hi:"z";
-  agree ~lo:"b" ~hi:"bz";
-  (* banana is deleted: live-exists must say no *)
-  agree ~lo:"aa" ~hi:"az";
-  agree ~lo:"d" ~hi:"z"
-
 let pyramid_ops_gen =
   QCheck.Gen.(
     list_size (0 -- 150)
@@ -617,7 +598,6 @@ let () =
           Alcotest.test_case "patch fences + bloom" `Quick test_patch_bloom_fences;
           Alcotest.test_case "patch find_latest" `Quick test_patch_find_latest;
           Alcotest.test_case "probe counters + skips" `Quick test_probe_counters_and_skips;
-          Alcotest.test_case "exists_live_in_range" `Quick test_exists_live_in_range;
           QCheck_alcotest.to_alcotest prop_fast_find_equals_naive;
           QCheck_alcotest.to_alcotest prop_find_run_equals_point;
           QCheck_alcotest.to_alcotest prop_merge_many_equals_fold;
