@@ -189,9 +189,10 @@ let crashed t =
 
 (* A flush or checkpoint completed with the controller up: everything the
    model has seen is now in flushed segments, beyond the reach of both
-   crash and NVRAM loss. Ambiguity from *past* crashes persists — the
-   array's current value is durable, but we still don't know which
-   candidate it is until a read tells us. *)
+   crash and NVRAM loss (a barrier covers the writes acked before its
+   call, and the runner awaits each op before issuing the next). Past
+   crashes' ambiguity persists: the array's current value is durable, but
+   we don't know which candidate it is until a read tells us. *)
 let stabilized t =
   iter_cells t (fun c ->
       c.durable <- true;

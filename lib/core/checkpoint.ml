@@ -24,8 +24,12 @@ let run t k =
        like a flush waiter at a crash — failover abandons it. *)
     ()
   else begin
-  (* Quiesce first: once every sealed segio has flushed, its segment-table
-     facts are in the pyramids and will be covered by the patches. *)
+  (* Wait for the segios sealed up to this call. Those sealed since may
+     be in flight at the cut; the cut-seq invariant still covers them.
+     Each is sealed before the chunk segio, so the second barrier has it
+     on the drives before the boot region is written. Its segment-table
+     ('S') fact, made when its flush completes, has seq > [cut_seq] and
+     reaches NVRAM and a post-cut segio's log, which recovery replays. *)
   seal_and_flush t (fun () ->
       if not t.online then ()
       else begin

@@ -317,8 +317,7 @@ let inject_page_corruption t ~drive ~au ~page =
 
 let rebuild_drive t drive k =
   let st = t.st in
-  (* flush the open segio first so every segment touching the drive is a
-     sealed, relocatable victim *)
+  (* every segment written before the call is then a flushed victim *)
   seal_and_flush st (fun () ->
       let victims =
         Hashtbl.fold

@@ -112,8 +112,9 @@ val read :
 (** Read blocks from a volume or snapshot; unwritten blocks are zeros. *)
 
 val flush : t -> (unit -> unit) -> unit
-(** Seal the open segio and wait for every in-flight segment flush —
-    quiesce before maintenance or planned failover. *)
+(** Seal the open segio and wait until every write acked before the call
+    is on the drives; writes acked after the call may not be. It does not
+    wait for an idle flush queue, so it completes under sustained writes. *)
 
 (** {1 Maintenance} *)
 

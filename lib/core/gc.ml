@@ -236,12 +236,10 @@ let run ?(min_dead_ratio = 0.25) ?(max_victims = 4) t k =
   let h_pass_us = Registry.histogram t.tel "gc/pass_us" in
   let gc_span = Span.start t.tracer "gc_pass" in
   let live = liveness t in
-  let open_id = match t.open_writer with Some w -> Writer.id w | None -> -1 in
-  let protected_ = open_id :: t.checkpoint_segments in
   let candidates =
     Hashtbl.fold
       (fun seg_id (meta : Segment.t) acc ->
-        if List.mem seg_id protected_ then acc
+        if List.mem seg_id t.checkpoint_segments then acc
         else begin
           let data_bytes = meta.Segment.payload_len in
           if data_bytes = 0 then acc

@@ -105,7 +105,7 @@ let read t ~volume ~block ~nblocks k =
         | _ :: _ ->
           List.iter
             (fun f ->
-              match Hashtbl.find_opt t.unflushed f.ref_.Blockref.segment with
+              match unflushed_writer t f.ref_.Blockref.segment with
               | Some w -> (
                 (* data still in the segio's RAM buffer: DRAM-speed read *)
                 match

@@ -53,10 +53,7 @@ let run t k =
   let c_relocated = Registry.counter t.tel "scrub/segments_relocated" in
   let h_pass_us = Registry.histogram t.tel "scrub/pass_us" in
   let scrub_span = Span.start t.tracer "scrub_pass" in
-  let open_id = match t.open_writer with Some w -> Writer.id w | None -> -1 in
-  let targets =
-    Hashtbl.fold (fun id m acc -> if id = open_id then acc else (id, m) :: acc) t.segment_metas []
-  in
+  let targets = Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.segment_metas [] in
   let checked = ref 0 and members = ref 0 and corrupt = ref 0 in
   let to_relocate = ref [] in
   let rec scan = function

@@ -30,7 +30,6 @@ module Registry = Purity_telemetry.Registry
 module Span = Purity_telemetry.Span
 
 let block_size = 512
-let max_cblock_blocks = Cblock.max_logical / block_size
 
 (* Paper 4.4: at most two drives of a write group program at once, so
    a read can always reconstruct around the writers from the rest. *)
@@ -133,6 +132,10 @@ type write_stats = {
   nvram_commit_us : Histogram.t; (* write intent -> durability ack *)
 }
 
+(* A sealed segio, the NVRAM watermark its flush may trim to, and the
+   barriers (newest first) that run once its flush completes. *)
+type sealed_segio = { w : Writer.t; upto : int64; mutable waiters : (unit -> unit) list }
+
 type t = {
   cfg : config;
   clock : Clock.t;
@@ -157,21 +160,17 @@ type t = {
   mutable checkpoint_segments : int list; (* hold the current checkpoint *)
   mutable next_segment_id : int;
   mutable open_writer : Writer.t option;
-  unflushed : (int, Writer.t) Hashtbl.t;
-      (* segios (open or sealed) whose bytes are not yet on the drives;
-         reads of their payload are served from RAM *)
-  sealed : (Writer.t * int64) Queue.t;
-      (* sealed segios in seal order, each with the NVRAM watermark its
-         flush may trim to. Flushed one at a time, head first, so that at
-         most [segment_writers] drives in the whole array are programming
-         simultaneously (the §4.4 discipline that keeps read-around-write
-         amplification near the paper's 1.3x) and flushes complete in
-         seal order *)
+  mutable sealed : sealed_segio list;
+      (* sealed segios in seal order; with [open_writer], the only record
+         of segios not yet on the drives. Flushed one at a time, head
+         first, so that at most [segment_writers] drives in the whole
+         array are programming simultaneously (the §4.4 discipline that
+         keeps read-around-write amplification near the paper's 1.3x)
+         and flushes complete in seal order *)
   mutable flush_active : bool; (* the head of [sealed] is flushing *)
   mutable last_applied_intent : int64;
       (* highest NVRAM intent fully applied to segios; the safe trim
          watermark when the current segio seals *)
-  mutable flush_waiters : (unit -> unit) list;
   mutable checkpoint_dir : Boot_region.dir; (* last checkpoint's patch directory *)
   mutable checkpoint_seq : int64;
       (* seq watermark of the last completed checkpoint: every fact with a
@@ -199,13 +198,16 @@ type t = {
 let blocks_policy = Block_index.Elide (fun f -> fst f.Block_index.Fact.key)
 let mediums_policy = Pyramid.Elide (fun f -> Keys.medium_key_id f.Fact.key)
 
+(* Segios whose bytes are not yet on the drives. *)
+let unflushed_count t = List.length t.sealed + if Option.is_some t.open_writer then 1 else 0
+
 (* Derived metrics over controller state: sampled at snapshot time, so
    the registry exposes live table sizes without per-mutation recording. *)
 let register_derived_telemetry t =
   let reg = t.tel in
   Registry.derive_int reg "segments/live" (fun () -> Hashtbl.length t.segment_metas);
-  Registry.derive_int reg "segments/unflushed" (fun () -> Hashtbl.length t.unflushed);
-  Registry.derive_int reg "segments/pending_flushes" (fun () -> Queue.length t.sealed);
+  Registry.derive_int reg "segments/unflushed" (fun () -> unflushed_count t);
+  Registry.derive_int reg "segments/pending_flushes" (fun () -> List.length t.sealed);
   Registry.derive_int reg "segments/next_id" (fun () -> t.next_segment_id);
   Registry.derive_int reg "volumes/count" (fun () -> Stbl.length t.volumes);
   Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Block_index.fact_count t.blocks);
@@ -285,11 +287,9 @@ let create_over ~config ~clock ~shelf ~boot () =
     checkpoint_segments = [];
     next_segment_id = 1;
     open_writer = None;
-    unflushed = Hashtbl.create 8;
-    sealed = Queue.create ();
+    sealed = [];
     flush_active = false;
     last_applied_intent = 0L;
-    flush_waiters = [];
     checkpoint_dir = [];
     checkpoint_seq = 0L;
     medium_next_id = 1;
@@ -435,7 +435,6 @@ let[@purity.lint.coldpath] open_fresh_writer t =
       members;
     let w = Writer.create ~layout:t.layout ~shelf:t.shelf ~rs:t.rs ~members ~id in
     t.open_writer <- Some w;
-    Hashtbl.replace t.unflushed id w;
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
     maybe_persist_boot t;
@@ -479,7 +478,6 @@ and[@purity.lint.coldpath] seal_current t =
     t.open_writer <- None;
     if Writer.is_empty w then begin
       (* never written: hand the AUs back *)
-      Hashtbl.remove t.unflushed (Writer.id w);
       Allocator.release t.alloc (Writer.members w)
     end
     else begin
@@ -504,15 +502,15 @@ and[@purity.lint.coldpath] seal_current t =
       (* Only intents fully applied before this seal are guaranteed to be
          inside this (or an earlier) segio; later intents must stay in
          NVRAM until their own segio flushes. *)
-      Queue.add (w, t.last_applied_intent) t.sealed;
+      t.sealed <- t.sealed @ [ { w; upto = t.last_applied_intent; waiters = [] } ];
       pump_flush t
     end
 
 (* Flush the head of [sealed] (array-wide write staggering: one segio at
    a time, so flushes complete in seal order). *)
 and pump_flush t =
-  match Queue.peek_opt t.sealed with
-  | Some (w, upto) when t.online && not t.flush_active ->
+  match t.sealed with
+  | ({ w; upto; _ } as s) :: _ when t.online && not t.flush_active ->
     t.flush_active <- true;
     let remap ~exclude = allocate_replacement t ~exclude in
     let flush_span =
@@ -529,11 +527,11 @@ and pump_flush t =
       ~parent:flush_span (fun seg ->
         Span.finish flush_span;
         Hashtbl.replace t.segment_metas seg.Segment.id seg;
-        Hashtbl.remove t.unflushed seg.Segment.id;
         (* The segment table fact describes the sealed segment; it doubles
            as the commit record, so it is stashed in NVRAM as well — until
            a later flushed segio carries the log copy, the stash is the
-           only proof that this segment's contents may be trusted. *)
+           only proof that this segment's contents may be trusted (on a
+           full array, the log copy has nowhere to go: the stash alone). *)
         let seq = Seqno.next t.seqno in
         let fact =
           Fact.make ~key:(Keys.segment_key seg.Segment.id)
@@ -541,19 +539,15 @@ and pump_flush t =
         in
         Pyramid.insert t.segments_pyr ~seq ~key:(Keys.segment_key seg.Segment.id)
           ~value:(Segment.encode_compact seg);
-        record_fact t Meta_log.Segments fact;
+        (try record_fact t Meta_log.Segments fact
+         with Out_of_space -> stash t ~seq (Meta_log.stash_fact Meta_log.Segments fact));
         (* §4.3: every intent at or below [upto] is on the drives now (a
            segio sealed by the log record above queues behind this one) *)
-        ignore (Queue.pop t.sealed);
+        (match t.sealed with _ :: later -> t.sealed <- later | [] -> ());
         Nvram.trim_upto (nvram t) upto;
         t.flush_active <- false;
         pump_flush t;
-        if Queue.is_empty t.sealed then begin
-          (* stored newest-first; fired as stored (see when_flushed) *)
-          let waiters = t.flush_waiters in
-          t.flush_waiters <- [];
-          List.iter (fun f -> f ()) waiters
-        end)
+        List.iter (fun f -> f ()) s.waiters)
   | _ -> ()
 
 (* Append one framed log record, rolling segments as needed (16 bytes
@@ -704,18 +698,25 @@ let resolve_range t ~medium ~block ~nblocks =
 
 let find_segment t id = Hashtbl.find_opt t.segment_metas id
 
-(* Run [k] once every sealed segio has finished flushing to the drives.
-   Prepend (O(1) per registration); pump_flush fires the list as stored,
-   preserving the firing order of the old append+rev pairing. *)
-let when_flushed t k =
-  if Queue.is_empty t.sealed then Clock.schedule t.clock ~delay:0.0 k
-  else t.flush_waiters <- k :: t.flush_waiters
+(* The segio holding segment [id] while it is not yet on the drives (a
+   walk on the read path: it allocates nothing unless it finds one). *)
+let rec sealed_writer id = function
+  | [] -> None
+  | s :: later -> if Writer.id s.w = id then Some s.w else sealed_writer id later
 
-(* Seal the open segio, then run [k] once every sealed segio has
-   flushed: the whole write stream so far is on the drives. *)
+let unflushed_writer t id =
+  match t.open_writer with
+  | Some w when Writer.id w = id -> t.open_writer
+  | Some _ | None -> sealed_writer id t.sealed
+
+(* Seal the open segio, then run [k] once every segio sealed so far has
+   flushed. Flushes complete in seal order, so [k] waits on the newest
+   one; segios sealed after the call do not hold it up. *)
 let seal_and_flush t k =
   (try seal_current t with Out_of_space -> ());
-  when_flushed t k
+  match List.rev t.sealed with
+  | newest :: _ -> newest.waiters <- k :: newest.waiters
+  | [] -> Clock.schedule t.clock ~delay:0.0 k
 
 (* Forget the inline-dedup sources held in [segments], so no later write
    dedups onto a cblock there. *)
@@ -762,8 +763,10 @@ let destroy_segments t ids =
 
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. [sealed] keeps its
-   segios, so the dead controller's [when_flushed] waiters never fire. *)
-let halt_device_activity t = Hashtbl.iter (fun _ w -> Writer.abort w) t.unflushed
+   segios, so the dead controller's barrier waiters never fire. *)
+let halt_device_activity t =
+  Option.iter Writer.abort t.open_writer;
+  List.iter (fun s -> Writer.abort s.w) t.sealed
 
 (* Paper 4.3: "the primary controller asynchronously warms the cache of
    the secondary". At failover the spare therefore starts with (most of)

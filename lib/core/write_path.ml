@@ -95,7 +95,7 @@ let apply_chunk t ~medium ~first_block data =
         match Hashtbl.find_opt t.dedup_locs h.Dedup.src.Dedup.write_id with
         | Some base
           when Hashtbl.mem t.segment_metas base.Blockref.segment
-               || Hashtbl.mem t.unflushed base.Blockref.segment ->
+               || Option.is_some (unflushed_writer t base.Blockref.segment) ->
           Some (h, base)
         | _ -> None)
       hits
@@ -206,7 +206,7 @@ let write t ~volume ~block data k =
               Span.finish wspan;
               (* NVRAM drains when segios flush; push the current one out
                  if nothing is already flushing, then report backpressure *)
-              if Queue.is_empty t.sealed then (try seal_current t with Out_of_space -> ());
+              if List.is_empty t.sealed then (try seal_current t with Out_of_space -> ());
               k (Error `Backpressure)
             | Ok () when not t.online ->
               Span.finish ~tags:[ ("error", "offline") ] commit_span;

@@ -634,6 +634,23 @@ let test_scrub_repairs_worn_flash () =
 
 (* ---------- segment destruction ---------- *)
 
+(* Corrupt a page of the oldest live data segment's first member, so a
+   scrub has a victim to evacuate. *)
+let corrupt_oldest_data_segment a =
+  let module State = Purity_core.State in
+  let module Segment = Purity_segment.Segment in
+  let st = Fa.state a in
+  let id =
+    Hashtbl.fold
+      (fun id (meta : Segment.t) acc ->
+        if meta.Segment.payload_len > 0 && not (List.mem id st.State.checkpoint_segments)
+        then min id acc
+        else acc)
+      st.State.segment_metas max_int
+  in
+  let m = (Hashtbl.find st.State.segment_metas id).Segment.members.(0) in
+  Fa.inject_page_corruption a ~drive:m.Segment.drive ~au:m.Segment.au ~page:1
+
 (* Every way a segment is destroyed — a GC pass, a scrub of a corrupt
    page, a rebuild of a replaced drive, a checkpoint superseding the last
    one — leaves nothing pointing at it: no meta, no block reference from
@@ -702,19 +719,7 @@ let test_destroyed_segments_leave_no_trace () =
   destroys "gc" (fun () ->
       ignore (await clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:64 a (fun r -> k r))));
   destroys "scrub" (fun () ->
-      let st = Fa.state a in
-      let id =
-        Hashtbl.fold
-          (fun id (meta : Purity_segment.Segment.t) acc ->
-            if meta.Purity_segment.Segment.payload_len > 0
-               && not (List.mem id st.State.checkpoint_segments)
-            then min id acc
-            else acc)
-          st.State.segment_metas max_int
-      in
-      let m = (Hashtbl.find st.State.segment_metas id).Purity_segment.Segment.members.(0) in
-      Fa.inject_page_corruption a ~drive:m.Purity_segment.Segment.drive
-        ~au:m.Purity_segment.Segment.au ~page:1;
+      corrupt_oldest_data_segment a;
       let r = await clock (fun k -> Fa.scrub a (fun r -> k r)) in
       check bool "scrub relocated" true (r.Purity_core.Scrub.segments_relocated > 0));
   destroys "rebuild" (fun () ->
@@ -1219,6 +1224,19 @@ let step_until clock cond =
     if not (Clock.step clock) then Alcotest.fail "clock drained first"
   done
 
+(* One acked 64-block write at [block], then seal its segio; returns the
+   seal's NVRAM watermark. *)
+let write_and_seal clock a block =
+  let st = Fa.state a in
+  let acked = ref false in
+  Fa.write a ~volume:"v" ~block (random_data 64) (fun r ->
+      ignore (ok r);
+      acked := true);
+  step_until clock (fun () -> !acked);
+  let mark = st.Purity_core.State.last_applied_intent in
+  Purity_core.State.seal_current st;
+  mark
+
 (* Paper 4.3/4.4: sealed segios flush one at a time in seal order, and
    each flush trims NVRAM up to the intents its segio holds. Three
    segios, each holding one acked write, are sealed while the first is
@@ -1226,31 +1244,18 @@ let step_until clock cond =
    flush trims only its own intent, and the drained pipeline leaves no
    intent at or below the last seal's watermark. *)
 let test_sealed_segios_flush_in_seal_order () =
-  let module State = Purity_core.State in
   let module Nvram = Purity_ssd.Nvram in
   let clock, a = make_array () in
   ok (Fa.create_volume a "v" ~blocks:1024);
   await clock (Fa.flush a);
-  let st = Fa.state a in
   let nv = Purity_ssd.Shelf.nvram (Fa.shelf a) in
   let holds seq = List.exists (fun (r : Nvram.record) -> r.Nvram.seq = seq) (Nvram.records nv) in
   let none_upto seq =
     List.for_all (fun (r : Nvram.record) -> r.Nvram.seq > seq) (Nvram.records nv)
   in
-  (* one acked write, then seal its segio; returns the seal's watermark *)
-  let write_and_seal block =
-    let acked = ref false in
-    Fa.write a ~volume:"v" ~block (random_data 64) (fun r ->
-        ignore (ok r);
-        acked := true);
-    step_until clock (fun () -> !acked);
-    let mark = st.State.last_applied_intent in
-    State.seal_current st;
-    mark
-  in
-  let w1 = write_and_seal 0 in
-  let w2 = write_and_seal 64 in
-  let w3 = write_and_seal 128 in
+  let w1 = write_and_seal clock a 0 in
+  let w2 = write_and_seal clock a 64 in
+  let w3 = write_and_seal clock a 128 in
   check int "three sealed segios pending" 3 (pending_flushes a);
   check bool "every intent still in NVRAM" true (holds w1 && holds w2 && holds w3);
   step_until clock (fun () -> pending_flushes a < 3);
@@ -1259,6 +1264,24 @@ let test_sealed_segios_flush_in_seal_order () =
   Clock.run clock;
   check int "pipeline drained" 0 (pending_flushes a);
   check bool "no intent at or below the last watermark" true (none_upto w3)
+
+(* A barrier waits for the segios sealed up to its call, not for an idle
+   queue: a flush registered after the first of three seals completes
+   with that segio's flush, while the two sealed after it still pend. *)
+let test_flush_waits_only_for_earlier_seals () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:1024);
+  await clock (Fa.flush a);
+  ignore (write_and_seal clock a 0 : int64);
+  let fired_with = ref None in
+  Fa.flush a (fun () -> fired_with := Some (pending_flushes a));
+  ignore (write_and_seal clock a 64 : int64);
+  ignore (write_and_seal clock a 128 : int64);
+  check int "three sealed segios pending" 3 (pending_flushes a);
+  step_until clock (fun () -> Option.is_some !fired_with);
+  check (Alcotest.option int) "fires with the later two still pending" (Some 2) !fired_with;
+  Clock.run clock;
+  check int "pipeline drained" 0 (pending_flushes a)
 
 (* A controller that dies with a segio in flight never finishes flushing
    it, so a flush registered on it afterwards must never report done:
@@ -1275,6 +1298,139 @@ let test_flush_never_completes_after_crash () =
   Fa.flush a (fun () -> fired := true);
   Clock.run clock;
   check bool "the dead controller's flush never completes" false !fired
+
+(* ---------- maintenance under load ---------- *)
+
+(* A closed loop of [writers] host writers over volume "v", each writing
+   16-block runs of fresh random bytes to its own [slots] slots in turn,
+   one write at a time, until [stop issued] holds; [on_write n] runs as
+   the [n]th write is issued. A write NVRAM refuses is retried 100 us
+   later. Returns, per slot, every content it may hold: the last acked
+   bytes, plus those of each later write that failed with [`No_space]
+   (such a write may be torn between old and new), and the number of
+   those failures. *)
+let closed_write_loop clock a ~writers ~slots ~on_write ~stop =
+  let issued = ref 0 and no_space = ref 0 in
+  let may_hold = Array.make (writers * slots) [ String.make (16 * bs) '\000' ] in
+  let rec next w i =
+    if not (stop !issued) then begin
+      incr issued;
+      on_write !issued;
+      let slot = (w * slots) + (i mod slots) in
+      let data = random_data 16 in
+      let rec attempt () =
+        Fa.write a ~volume:"v" ~block:(slot * 16) data (function
+          | Ok () ->
+            may_hold.(slot) <- [ data ];
+            next w (i + 1)
+          | Error `No_space ->
+            incr no_space;
+            may_hold.(slot) <- data :: may_hold.(slot);
+            next w (i + 1)
+          | Error `Backpressure -> Clock.schedule clock ~delay:100.0 attempt
+          | Error _ -> Alcotest.fail "unexpected write error")
+      in
+      attempt ()
+    end
+  in
+  for w = 0 to writers - 1 do
+    next w 0
+  done;
+  Clock.run clock;
+  (may_hold, !no_space)
+
+(* Every slot reads back one of the contents it may hold, block by block. *)
+let check_slots clock a label may_hold =
+  Array.iteri
+    (fun slot candidates ->
+      let got = read_ok clock a ~volume:"v" ~block:(slot * 16) ~nblocks:16 in
+      for b = 0 to 15 do
+        let block s = String.sub s (b * bs) bs in
+        if not (List.exists (fun c -> String.equal (block c) (block got)) candidates) then
+          Alcotest.failf "%s: slot %d block %d holds bytes no write gave it" label slot b
+      done)
+    may_hold
+
+(* Crash, then fail over in each recovery mode in turn; every slot reads
+   back after each. *)
+let check_slots_across_failovers clock a may_hold =
+  check_slots clock a "before the crash" may_hold;
+  List.iter
+    (fun (mode, label) ->
+      Fa.crash a;
+      ignore (await clock (fun k -> Fa.failover ~mode a k));
+      check_slots clock a label may_hold)
+    [ (Recovery.Frontier_scan, "after a frontier failover"); (Recovery.Full_scan, "after a full scan") ]
+
+(* Paper §4.5: maintenance runs alongside host I/O, so it finishes while
+   the host keeps writing. Eight writers own eight slots each; [start]
+   begins the op at write 64 and the loop stops writing once it completes
+   (or at write 6,000). The op must complete while the loop still
+   writes, and every acked write must survive it, a crash and a failover
+   in either recovery mode. *)
+let maintenance_completes_under_writes start () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:(8 * 8 * 16));
+  let completed_at = ref None and issued = ref 0 in
+  let may_hold, no_space =
+    closed_write_loop clock a ~writers:8 ~slots:8
+      ~on_write:(fun n ->
+        issued := n;
+        if n = 64 then start a (fun () -> completed_at := Some !issued))
+      ~stop:(fun n -> n >= 6000 || Option.is_some !completed_at)
+  in
+  (match !completed_at with
+  | Some n when n < 6000 -> ()
+  | Some _ -> Alcotest.fail "the op completed only once the writes stopped"
+  | None -> Alcotest.fail "the op never completed");
+  check int "no write ran out of space" 0 no_space;
+  check_slots_across_failovers clock a may_hold
+
+let test_flush_under_writes = maintenance_completes_under_writes (fun a k -> Fa.flush a k)
+
+let test_checkpoint_under_writes =
+  maintenance_completes_under_writes (fun a k -> Fa.checkpoint a (fun _ -> k ()))
+
+(* Once the writes so far are flushed, their overwritten slots leave
+   victims for the pass to relocate. *)
+let test_gc_completes_under_writes =
+  maintenance_completes_under_writes (fun a k ->
+      Fa.flush a @@ fun () ->
+      Fa.gc a (fun r ->
+          check bool "victims destroyed" true (r.Purity_core.Gc.victims <> []);
+          k ()))
+
+(* Once the writes so far are flushed, a corrupt page in the oldest of
+   their segments gives scrub a victim to evacuate. *)
+let test_scrub_under_writes =
+  maintenance_completes_under_writes (fun a k ->
+      Fa.flush a @@ fun () ->
+      corrupt_oldest_data_segment a;
+      Fa.scrub a (fun r ->
+          check bool "scrub relocated" true (r.Purity_core.Scrub.segments_relocated > 0);
+          k ()))
+
+let test_rebuild_completes_under_writes =
+  maintenance_completes_under_writes (fun a k ->
+      Fa.replace_drive a 1;
+      Fa.rebuild_drive a 1 (fun n ->
+          check bool "segments rebuilt" true (n > 0);
+          k ()))
+
+(* A segio flush that completes on a full array has no segio left for
+   its segment-table fact's log copy; the NVRAM stash commits the
+   segment, and the flush still completes. One writer fills the array
+   with no GC until writes fail for lack of space; the clock then runs
+   dry, and every slot reads back what it may hold, also after
+   failovers. *)
+let test_flush_completes_on_full_array () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:4096);
+  let may_hold, no_space =
+    closed_write_loop clock a ~writers:1 ~slots:256 ~on_write:ignore ~stop:(fun n -> n >= 8000)
+  in
+  check bool "the array filled" true (no_space > 0);
+  check_slots_across_failovers clock a may_hold
 
 (* ---------- on-media golden ---------- *)
 
@@ -1436,8 +1592,22 @@ let () =
         [
           Alcotest.test_case "seal order and NVRAM trim" `Quick
             test_sealed_segios_flush_in_seal_order;
+          Alcotest.test_case "barrier waits only for earlier seals" `Quick
+            test_flush_waits_only_for_earlier_seals;
           Alcotest.test_case "crash strands waiters" `Quick
             test_flush_never_completes_after_crash;
+          Alcotest.test_case "completes on a full array" `Quick
+            test_flush_completes_on_full_array;
+        ] );
+      ( "under load",
+        [
+          Alcotest.test_case "flush completes under writes" `Quick test_flush_under_writes;
+          Alcotest.test_case "checkpoint completes under writes" `Quick
+            test_checkpoint_under_writes;
+          Alcotest.test_case "gc completes under writes" `Quick test_gc_completes_under_writes;
+          Alcotest.test_case "scrub completes under writes" `Quick test_scrub_under_writes;
+          Alcotest.test_case "rebuild completes under writes" `Quick
+            test_rebuild_completes_under_writes;
         ] );
       ("media", [ Alcotest.test_case "golden" `Quick test_media_golden ]);
       ( "cache",

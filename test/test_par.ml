@@ -266,8 +266,8 @@ let workload_digest domains =
   done;
   let st = Fa.state a in
   mix st.State.next_segment_id;
-  mix (Hashtbl.length st.State.unflushed);
-  mix (Queue.length st.State.sealed);
+  mix (State.unflushed_count st);
+  mix (List.length st.State.sealed);
   !digest
 
 let test_array_digest_stable_across_domains () =
