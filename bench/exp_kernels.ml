@@ -170,11 +170,12 @@ let shape name ok =
 
 (* ---------- domain-scaled segment fill ----------
 
-   The parallel fill exactly as the write path shards it over
-   Purity_par.Pool: per-block fingerprint -> LZ -> frame+CRC on a
-   per-lane arena via [Pool.map] (frames return in index order), then a
-   serial in-order blit and RS parity — byte-identical to the serial fill
-   at every domain count, which is asserted before anything is timed.
+   The array's data plane is serial; this measures what sharding its
+   segment fill over Purity_par.Pool would buy: per-block fingerprint ->
+   LZ -> frame+CRC on a per-lane arena via [Pool.map] (frames return in
+   index order), then a serial in-order blit and row-parallel RS parity —
+   byte-identical to the serial fill at every domain count, which is
+   asserted before anything is timed.
 
    This host has 2 physical cores, so 4-domain wall-clock numbers cannot
    show 4-way scaling; the HOLD checks ride on the *modeled* critical
@@ -220,8 +221,9 @@ let blit_frames frames =
 
 let row_count pos = (pos + (fill_k * fill_wu) - 1) / (fill_k * fill_wu)
 
-(* parity the way Writer.finalize shards it: row-major over the pool —
-   rows are independent, so there is no merge stage at all *)
+(* parity row-major over the pool, one task per row of the segio that
+   Writer.finalize encodes — rows are independent, so there is no merge
+   stage at all *)
 let[@purity.lint.allow
      "escape: each row task slices and encodes its own disjoint region of \
       the sealed fill buffer; fill_rs and the GF tables are warmed and \
@@ -263,8 +265,7 @@ let run_scaling () =
      timed serially (one lane's work at a time, so the 2-core host does
      not distort it) and composed with the same arithmetic par_fill uses:
      - frame stage: slowest lane's chunk of blocks;
-     - parity: encode_par folds ceil(k/lanes) of the k data shards per
-       lane, then XOR-merges (lanes - 1) partial parity sets;
+     - parity: the slowest lane encodes ceil(rows/lanes) of the rows;
      - blit: serial, in frame order, at every lane count. *)
   let time_once f =
     let ops_s, _ = time_ops ~warmup:3 ~batch:1 (fun () -> ignore (f () : int)) in

@@ -8,9 +8,7 @@
    both reused for every block the controller stores, so the steady-state
    fill loop allocates nothing per block. A controller is single-threaded
    over its write path (the simulated clock serialises everything), so
-   one arena per lane needs no further discipline: the serial path uses
-   arena 0 only, and a parallel fill replicates the arena per pool lane
-   (State.lane_arenas) so each lane compresses into private scratch. *)
+   its one arena needs no further discipline. *)
 
 type t = {
   lz : Purity_compress.Lz.scratch;

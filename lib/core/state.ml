@@ -31,10 +31,6 @@ module Span = Purity_telemetry.Span
 
 let block_size = 512
 
-(* Paper 4.4: at most two drives of a write group program at once, so
-   a read can always reconstruct around the writers from the rest. *)
-let segment_writers = 2
-
 type config = {
   drives : int;
   drive_config : Drive.config;
@@ -163,8 +159,8 @@ type t = {
   mutable sealed : sealed_segio list;
       (* sealed segios in seal order; with [open_writer], the only record
          of segios not yet on the drives. Flushed one at a time, head
-         first, so that at most [segment_writers] drives in the whole
-         array are programming simultaneously (the §4.4 discipline that
+         first, so that at most two drives in the whole array are
+         programming simultaneously (the §4.4 discipline that
          keeps read-around-write amplification near the paper's 1.3x)
          and flushes complete in seal order *)
   mutable flush_active : bool; (* the head of [sealed] is flushing *)
@@ -182,10 +178,7 @@ type t = {
   mutable boot_generation_written : int;
   dedup : Dedup.t;
   dedup_locs : (int, Blockref.t) Hashtbl.t; (* dedup write id -> cblock home *)
-  mutable arenas : Arena.t array;
-      (* per-lane compress/frame scratch for the fill loop: index 0 is the
-         controller's own (serial) arena; grown to the pool's lane count
-         on first parallel fill (lane_arenas) *)
+  arena : Arena.t; (* compress/frame scratch for the fill loop *)
   read_cache : string Lru.Ipair.t;
       (* (segment, off) -> the cblock's verified, decompressed bytes *)
   (* accounting *)
@@ -296,7 +289,7 @@ let create_over ~config ~clock ~shelf ~boot () =
     boot_generation_written = 0;
     dedup = Dedup.create ();
     dedup_locs = Hashtbl.create 1024;
-    arenas = [| Arena.create () |];
+    arena = Arena.create ();
     read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
@@ -347,18 +340,6 @@ let any_pyramid t : Meta_log.table -> any_pyramid = function
   | Segments -> Any ((module Pyramid), t.segments_pyr)
   | Volumes -> Any ((module Pyramid), t.volumes_pyr)
 
-(* The per-lane scratch arenas for a parallel segment fill, grown (on the
-   main domain, before any fan-out) to at least the pool's lane count.
-   Lane 0 is the controller's own serial arena. *)
-let lane_arenas t ~lanes =
-  if Array.length t.arenas < lanes then begin
-    let old = t.arenas in
-    t.arenas <-
-      Array.init lanes (fun i ->
-          if i < Array.length old then old.(i) else Arena.create ())
-  end;
-  t.arenas
-
 (* Stash one metadata record in NVRAM (see {!Meta_log.nvram_backed}).
    Fire-and-forget: the record is durable once admitted, at call time. A
    refusal is dropped here, so a caller that acknowledges on the strength
@@ -400,9 +381,11 @@ let maybe_persist_boot t =
   if t.online && Allocator.persist_generation t.alloc <> t.boot_generation_written then
     persist_boot t (fun () -> ())
 
-(* Reserve a single replacement AU on a healthy drive (for segio member
-   remaps), erasing any stale contents before use. *)
-let allocate_replacement t ~exclude =
+(* Reserve a single replacement AU on a healthy drive for a segio member
+   remap, erasing any stale contents before use. Once a replacement is
+   found, the member it replaces goes back to the allocator: no segment
+   meta will ever name that AU, so no destroy would free it. *)
+let allocate_replacement t ~replacing ~exclude =
   match
     Allocator.allocate_one t.alloc ~allowed:(fun d ->
         online_drive t d && not (List.mem d exclude))
@@ -412,6 +395,7 @@ let allocate_replacement t ~exclude =
     let d = Shelf.drive t.shelf m.Segment.drive in
     if Drive.is_online d && Drive.au_fill d ~au:m.Segment.au > 0 then
       Drive.trim_au d ~au:m.Segment.au;
+    Allocator.release t.alloc [| replacing |];
     Some m
 
 (* Allocate and open a fresh segio writer. Segment-roll granularity:
@@ -492,10 +476,8 @@ and[@purity.lint.coldpath] seal_current t =
             let exclude =
               Array.to_list (Array.map (fun (x : Segment.member) -> x.Segment.drive) members)
             in
-            match allocate_replacement t ~exclude with
-            | Some repl ->
-              Allocator.release t.alloc [| m |];
-              Writer.set_member w ~index:i repl
+            match allocate_replacement t ~replacing:m ~exclude with
+            | Some repl -> Writer.set_member w ~index:i repl
             | None -> () (* no healthy spare drive: flush degraded *)
           end)
         members;
@@ -512,7 +494,6 @@ and pump_flush t =
   match t.sealed with
   | ({ w; upto; _ } as s) :: _ when t.online && not t.flush_active ->
     t.flush_active <- true;
-    let remap ~exclude = allocate_replacement t ~exclude in
     let flush_span =
       Span.start t.tracer
         ~tags:
@@ -523,8 +504,8 @@ and pump_flush t =
           ]
         "segio_flush"
     in
-    Writer.finalize w ~max_writers:segment_writers ~remap ~tracer:t.tracer
-      ~parent:flush_span (fun seg ->
+    Writer.finalize w ~remap:(allocate_replacement t) ~tracer:t.tracer ~parent:flush_span
+      (fun seg ->
         Span.finish flush_span;
         Hashtbl.replace t.segment_metas seg.Segment.id seg;
         (* The segment table fact describes the sealed segment; it doubles

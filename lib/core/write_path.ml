@@ -33,7 +33,7 @@ let[@purity.lint.hotpath] [@purity.lint.allow
                              call's result — one four-word record per \
                              stored run, handed straight to the block \
                              index"] store_run t data =
-  let arena = t.arenas.(0) in
+  let arena = t.arena in
   let frame = arena.Arena.frame in
   Buffer.clear frame;
   let stored_len =
@@ -42,47 +42,6 @@ let[@purity.lint.hotpath] [@purity.lint.allow
   let segment, off = store_frame t frame in
   Registry.add t.ws.stored_bytes stored_len;
   { Blockref.segment; off; stored_len; index = 0 }
-
-(* Store a frame already built (by a pool lane) in some lane's arena.
-   [store_blob]'s roll-the-segment decision uses the same length the
-   serial [store_frame] would, and the frame bytes are the deterministic
-   output of [Cblock.add_frame] on the run — so the segio contents are
-   byte-identical to the serial path's. *)
-let store_prepared t ~frame ~stored_len =
-  let segment, off = store_blob t frame in
-  Registry.add t.ws.stored_bytes stored_len;
-  { Blockref.segment; off; stored_len; index = 0 }
-
-(* Compress the uncovered runs in parallel, one pool lane per contiguous
-   chunk of runs, each lane in its own scratch arena. Returns the framed
-   cblocks (with their stored lengths) in run order; [None] means stay on
-   the serial zero-alloc path. Compression is a pure function of the run
-   bytes (the LZ scratch is epoch-stamped), so the frames — and
-   everything stored from them — are byte-identical at any lane count. *)
-let[@purity.lint.allow
-     "escape: lane-disjoint by construction — each task reads its own \
-      [runs] entry and [data] slice and writes only [arenas.(lane)]; [t] \
-      supplies read-only config, and the CRC/LZ kernel tables it reaches \
-      are warmed before fan-out and read-only after"] compress_runs_par t
-    data runs =
-  let pool = Purity_par.Pool.global () in
-  let lanes = Purity_par.Pool.lanes pool in
-  let nruns = Array.length runs in
-  if lanes <= 1 || nruns <= 1 then None
-  else begin
-    let arenas = lane_arenas t ~lanes in
-    Some
-      (Purity_par.Pool.map pool ~tasks:nruns (fun ~lane r ->
-           let start, run_blocks = runs.(r) in
-           let run = slice data (start * block_size) (run_blocks * block_size) in
-           let arena = arenas.(lane) in
-           let frame = arena.Arena.frame in
-           Buffer.clear frame;
-           let stored_len =
-             Cblock.add_frame_into ~scratch:arena.Arena.lz frame run
-           in
-           (Buffer.contents frame, stored_len)))
-  end
 
 (* Apply one <=32 KiB chunk: dedup the duplicate runs, store the rest. *)
 let apply_chunk t ~medium ~first_block data =
@@ -111,10 +70,7 @@ let apply_chunk t ~medium ~first_block data =
         Registry.incr t.ws.dedup_blocks
       done)
     hits;
-  (* collect the uncovered runs — [covered] is fully determined above, so
-     gathering first and storing after is the same traversal the old
-     fused loop made *)
-  let runs = ref [] in
+  (* store each uncovered run as one cblock, in block order *)
   let i = ref 0 in
   while !i < nblocks do
     if covered.(!i) then incr i
@@ -123,31 +79,18 @@ let apply_chunk t ~medium ~first_block data =
       while !i < nblocks && not covered.(!i) do
         incr i
       done;
-      runs := (start, !i - start) :: !runs
-    end
-  done;
-  let runs = Array.of_list (List.rev !runs) in
-  (* compress in parallel when a pool is live and there is enough work;
-     store serially, in run order, either way *)
-  let frames = compress_runs_par t data runs in
-  Array.iteri
-    (fun r (start, run_blocks) ->
+      let run_blocks = !i - start in
       let run = slice data (start * block_size) (run_blocks * block_size) in
-      let base =
-        match frames with
-        | Some fr ->
-          let frame, stored_len = fr.(r) in
-          store_prepared t ~frame ~stored_len
-        | None -> store_run t run
-      in
+      let base = store_run t run in
       (* register the fresh run so future writes can dedup against it *)
       let wid = Dedup.register t.dedup run in
       Hashtbl.replace t.dedup_locs wid base;
       for b = 0 to run_blocks - 1 do
         put_block t ~medium ~block:(first_block + start + b)
           { base with Blockref.index = b }
-      done)
-    runs
+      done
+    end
+  done
 
 let apply_write ?(io_blocks = Cblock.max_logical / block_size) t ~medium ~block data =
   let len = String.length data in

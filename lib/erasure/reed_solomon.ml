@@ -114,45 +114,6 @@ let encode t data =
   Purity_util.Kernel_stats.(tock rs) ~bytes:(t.k * size) ~t0;
   parity
 
-(* Parallel encode: the k data shards split into contiguous per-lane
-   chunks; each lane folds its chunk into its own partial parity buffers
-   (no shared writes), then the partials merge in lane order with a
-   word-wide XOR. GF(256) addition is exact XOR — commutative and
-   associative bit-for-bit — so the merged parity is byte-identical to
-   the serial input-major [encode] at any lane count. *)
-let[@purity.lint.allow
-     "escape: each lane writes only [partial.(lane)]; [data] shards and \
-      [t.matrix] are read-only during the batch, and [create] warmed every \
-      GF product table this matrix uses on the main domain"] encode_par
-    pool t data =
-  let lanes = Purity_par.Pool.lanes pool in
-  if lanes = 1 || t.k <= 1 then encode t data
-  else begin
-    if Array.length data <> t.k then
-      invalid_arg "Reed_solomon.encode_par: need k shards";
-    let size = check_shard_sizes data in
-    let t0 = Purity_util.Kernel_stats.tick () in
-    let partial =
-      Array.init lanes (fun _ -> Array.init t.m (fun _ -> Bytes.make size '\000'))
-    in
-    Purity_par.Pool.run pool ~tasks:t.k (fun ~lane ~lo ~len ->
-        let mine = partial.(lane) in
-        for j = lo to lo + len - 1 do
-          let src = data.(j) in
-          for i = 0 to t.m - 1 do
-            Gf256.mul_slice t.matrix.(t.k + i).(j) ~src ~dst:mine.(i)
-          done
-        done);
-    let parity = partial.(0) in
-    for lane = 1 to lanes - 1 do
-      for i = 0 to t.m - 1 do
-        Gf256.mul_slice 1 ~src:partial.(lane).(i) ~dst:parity.(i)
-      done
-    done;
-    Purity_util.Kernel_stats.(tock rs) ~bytes:(t.k * size) ~t0;
-    parity
-  end
-
 (* The original row-major encode over the byte-at-a-time multiply, kept
    as the reference [encode] is property-tested against. *)
 let encode_ref t data =

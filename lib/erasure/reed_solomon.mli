@@ -25,13 +25,6 @@ val encode : t -> bytes array -> bytes array
     parity shards. One pass over the data shards, word-at-a-time GF(256)
     multiply-accumulate with cached per-coefficient tables. *)
 
-val encode_par : Purity_par.Pool.t -> t -> bytes array -> bytes array
-(** Like {!encode}, fanned input-major across the pool: each lane folds a
-    contiguous chunk of the [k] data shards into private partial parity
-    buffers, merged in lane order by word-wide XOR. GF(256) addition is
-    exact XOR, so the result is byte-identical to {!encode} at any lane
-    count; a 1-lane pool falls through to {!encode} directly. *)
-
 val encode_ref : t -> bytes array -> bytes array
 (** The original row-major byte-at-a-time encode, retained as the
     reference {!encode} is property-tested against. Same results. *)

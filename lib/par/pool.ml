@@ -1,10 +1,11 @@
-(* A deterministic domain pool for the data plane.
+(* A deterministic domain pool.
 
    Purity's controllers saturate multi-core Xeons (paper §2); the
-   simulator's data plane — fingerprint, LZ, frame+CRC, RS parity — is
-   embarrassingly parallel per block/row, but the whole engine must stay
-   byte-for-byte replayable per seed: purity.check digest-compares double
-   executions, and torture failures shrink by re-running seeds. So the
+   simulator's data-plane kernels — fingerprint, LZ, frame+CRC, RS
+   parity — are embarrassingly parallel per block/row. The array itself
+   runs them serially; the µ-par bench (bench/exp_kernels.ml) fans them
+   out over this pool to measure the multicore headroom, and its output
+   must still be byte-for-byte what the serial fill produces. So the
    pool trades scheduling freedom for determinism:
 
    - fixed size: [lanes] parallel lanes decided at creation, never grown;
@@ -173,27 +174,3 @@ let map t ~tasks f =
 let lane_seed t lane =
   if lane < 0 || lane >= t.lanes then invalid_arg "Pool.lane_seed";
   Int64.logxor t.seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lane + 1)))
-
-(* ---------- the process-global pool ---------- *)
-
-let domains_from_env () =
-  match Sys.getenv_opt "PURITY_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> min n 64
-    | _ -> 1)
-
-let global_pool = ref None
-
-let global () =
-  match !global_pool with
-  | Some p when p.live -> p
-  | _ ->
-    let p = create ~domains:(domains_from_env ()) () in
-    global_pool := Some p;
-    p
-
-let set_global_domains domains =
-  (match !global_pool with Some p -> shutdown p | None -> ());
-  global_pool := Some (create ~domains ())

@@ -3,8 +3,8 @@
     Work is split into contiguous per-lane chunks by pure arithmetic (no
     work stealing), results join in submission order, and per-lane seeds
     derive from the pool seed — so a parallel run produces byte-identical
-    output to a serial run of the same code, and per-seed replay /
-    purity.check's digest-compared double execution survive parallelism.
+    output to a serial run of the same code. The array's data plane is
+    serial; the µ-par bench shards the segment fill over this pool.
 
     Lane 0 is the calling domain; a pool with [domains = 1] executes
     everything inline with zero synchronisation. *)
@@ -38,16 +38,3 @@ val map : t -> tasks:int -> (lane:int -> int -> 'a) -> 'a array
 
 val lane_seed : t -> int -> int64
 (** Per-lane RNG seed, a pure function of (pool seed, lane). *)
-
-(** {1 Process-global pool}
-
-    Sized by the [PURITY_DOMAINS] environment variable (default 1 —
-    fully inline). Fetch it at use sites rather than caching it so
-    test-time {!set_global_domains} swaps take effect. *)
-
-val domains_from_env : unit -> int
-val global : unit -> t
-
-val set_global_domains : int -> unit
-(** Replace the global pool (shutting down the old one) — for tests and
-    benches that compare domain counts within one process. *)

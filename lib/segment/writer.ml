@@ -119,22 +119,11 @@ let row_chunks t ~row =
   let parity = Rs.encode t.rs data in
   Array.append data parity
 
-(* RS-encode every row. Rows are independent (each slices its own region
-   of the sealed buffer and allocates its own parity), so they fan out
-   across the pool as the parallel unit; [Pool.map] returns them in row
-   order, making the result byte-identical to the serial loop at any
-   lane count. *)
-let[@purity.lint.allow
-     "escape: rows are disjoint slices of the sealed buffer — [t] is only \
-      read after [finalize] set [sealed], each row allocates its own \
-      parity, and the GF tables it reaches were warmed by [Rs.create] on \
-      the main domain"] encode_rows t pool ~rows_used =
-  if Purity_par.Pool.lanes pool > 1 && rows_used > 1 then
-    Purity_par.Pool.map pool ~tasks:rows_used (fun ~lane:_ row -> row_chunks t ~row)
-  else Array.init rows_used (fun row -> row_chunks t ~row)
+(* Paper §4.4: at most two members of a write group program at once, so
+   a read can always reconstruct around the writers from the rest. *)
+let max_writers = 2
 
-let finalize t ?pool ?(max_writers = 2) ?(remap = fun ~exclude:_ -> None) ?tracer ?parent
-    k =
+let finalize t ?(remap = fun ~replacing:_ ~exclude:_ -> None) ?tracer ?parent k =
   if t.sealed then invalid_arg "Writer.finalize: already sealed";
   t.sealed <- true;
   let module Span = Purity_telemetry.Span in
@@ -169,8 +158,7 @@ let finalize t ?pool ?(max_writers = 2) ?(remap = fun ~exclude:_ -> None) ?trace
           "rs_encode")
       tracer
   in
-  let pool = match pool with Some p -> p | None -> Purity_par.Pool.global () in
-  let row_data = encode_rows t pool ~rows_used in
+  let row_data = Array.init rows_used (fun row -> row_chunks t ~row) in
   Option.iter (fun s -> Span.finish s) encode_span;
   let member_chunks i =
     List.init rows_used (fun row ->
@@ -214,7 +202,7 @@ let finalize t ?pool ?(max_writers = 2) ?(remap = fun ~exclude:_ -> None) ?trace
     let exclude =
       Array.to_list (Array.map (fun (m : Segment.member) -> m.Segment.drive) t.members)
     in
-    match remap ~exclude with
+    match remap ~replacing:t.members.(i) ~exclude with
     | Some repl ->
       t.members.(i) <- repl;
       (match member_spans.(i) with Some s -> Span.tag s "remapped" "true" | None -> ());

@@ -9,7 +9,7 @@
     On {!finalize} the buffer is sealed: log records are packed
     immediately after the data region, per-row Reed–Solomon parity is
     computed, and header + rows are appended to the member AUs. Writes
-    are staggered so that at most [max_writers] member drives program
+    are staggered so that at most two member drives program
     simultaneously — the §4.4 discipline that keeps reconstruct-reads
     possible while a segment flushes. *)
 
@@ -55,27 +55,24 @@ val append_log : t -> seq:int64 -> string -> unit
 
 val finalize :
   t ->
-  ?pool:Purity_par.Pool.t ->
-  ?max_writers:int ->
-  ?remap:(exclude:int list -> Segment.member option) ->
+  ?remap:(replacing:Segment.member -> exclude:int list -> Segment.member option) ->
   ?tracer:Purity_telemetry.Span.tracer ->
   ?parent:Purity_telemetry.Span.t ->
   (Segment.t -> unit) ->
   unit
 (** Seal and flush. The callback fires at simulated completion with the
     final segment description (as also persisted in every member header).
-    Per-row RS encoding fans out over [pool] (default: the global
-    {!Purity_par.Pool}) — rows are independent and return in row order,
-    so the flushed bytes are identical at any domain count.
+    Rows are RS-encoded one after another, before the first program.
     With [tracer], the flush is traced: an [rs_encode] span for parity
     computation and one [program] span per member shard (tagged with its
     final drive), all parented under [parent] so the whole multi-hop
     write is reconstructable from the trace.
-    [max_writers] defaults to 2. A member whose drive is offline (or
-    fails mid-flush) is re-homed via [remap] — given the drives already
-    in the stripe, return a fresh AU on a healthy drive — and its shard
-    restarts from the header; with no replacement available the member is
-    skipped and parity absorbs it (up to [m]). Header copies written
+    A member whose drive is offline (or fails mid-flush) is re-homed via
+    [remap] — given the member being replaced ([replacing]) and the
+    drives already in the stripe, return a fresh AU on a healthy drive,
+    and free [replacing]'s AU only if one was found — and its shard
+    restarts from the header; with no replacement available the member
+    is skipped and parity absorbs it (up to [m]). Header copies written
     before a remap may list a stale member; the completion callback's
     description (also in the remapped member's own header) is final, so
     the segment-table fact written from it is authoritative. *)

@@ -10,7 +10,7 @@
     so the bridge lives in [State.register_derived_telemetry]).
 
     The named cells belong to the main domain. Kernels invoked on a
-    [Purity_par.Pool] worker accumulate into a domain-local shadow
+    [purity.par] pool worker accumulate into a domain-local shadow
     instead; the pool moves those shadows back via {!drain_shadow} (on
     the worker, after its chunk) and {!absorb} (on the submitter, after
     the join), so totals stay race-free and identical to a serial run. *)

@@ -1,9 +1,9 @@
 (** Fixed-capacity LRU cache.
 
     Used for the inline-dedup recency window (paper §4.7: "inline
-    deduplication only checks for duplicates of recently written data"),
-    the controller's read cache (and the secondary's warmed copy of it)
-    and the mapping cache. Each instance hashes and compares at its key
+    deduplication only checks for duplicates of recently written data")
+    and the controller's read cache (and the secondary's warmed copy of
+    it). Each instance hashes and compares at its key
     type ({!Make}); the top level is the int-keyed one. *)
 
 module type S = sig

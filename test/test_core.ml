@@ -361,6 +361,55 @@ let test_rebuild_drive () =
   let got = read_ok clock a ~volume:"v" ~block:0 ~nblocks:128 in
   check bool "redundancy restored" true (got = data)
 
+(* A member drive pulled while its segio is flushing is re-homed on a
+   fresh AU; the AU it leaves must go back to the allocator. Every used AU
+   belongs to a segment meta, the open segio or a sealed one, round after
+   round. *)
+let test_mid_flush_remap_releases_replaced_au () =
+  let module State = Purity_core.State in
+  let module Segment = Purity_segment.Segment in
+  let module Writer = Purity_segment.Writer in
+  let module Allocator = Purity_segment.Allocator in
+  let clock, a = make_array ~config:Fa.default_config () in
+  ok (Fa.create_volume a "v" ~blocks:8192);
+  let rng = Rng.create ~seed:1L in
+  let orphan_aus () =
+    let st = Fa.state a in
+    let members ms = Array.length ms in
+    let live =
+      Hashtbl.fold (fun _ (seg : Segment.t) n -> n + members seg.Segment.members)
+        st.State.segment_metas 0
+      + (match st.State.open_writer with Some w -> members (Writer.members w) | None -> 0)
+      + List.fold_left
+          (fun n (s : State.sealed_segio) -> n + members (Writer.members s.State.w))
+          0 st.State.sealed
+    in
+    Allocator.used_au_count st.State.alloc - live
+  in
+  for round = 0 to 3 do
+    for i = 0 to 40 do
+      write_ok clock a ~volume:"v" ~block:(i * 64) (Bytes.to_string (Rng.bytes rng (64 * bs)))
+    done;
+    let flushed = ref false in
+    Fa.flush a (fun () -> flushed := true);
+    (* pull the last member of the flushing segio, whose shard has not
+       finished (the flush programs two members at a time), then put the
+       drive back once the flush is over *)
+    let victim =
+      match (Fa.state a).State.sealed with
+      | s :: _ ->
+        let ms = Writer.members s.State.w in
+        ms.(Array.length ms - 1).Segment.drive
+      | [] -> Alcotest.fail "flush sealed nothing"
+    in
+    Clock.run_until clock (Clock.now clock +. 300.0 +. float_of_int (150 * round));
+    Fa.pull_drive a victim;
+    Clock.run clock;
+    check bool "flush completed" true !flushed;
+    Fa.reinsert_drive a victim;
+    check int (Printf.sprintf "no orphaned AU after round %d" round) 0 (orphan_aus ())
+  done
+
 (* ---------- recovery & failover ---------- *)
 
 let test_failover_preserves_acked_writes () =
@@ -1530,6 +1579,8 @@ let () =
           Alcotest.test_case "write with pulled drive" `Quick test_writes_continue_after_drive_pull;
           Alcotest.test_case "rebuild drive" `Quick test_rebuild_drive;
           Alcotest.test_case "rebuild under writes" `Quick test_rebuild_under_writes;
+          Alcotest.test_case "mid-flush remap releases the replaced AU" `Quick
+            test_mid_flush_remap_releases_replaced_au;
         ] );
       ( "recovery",
         [

@@ -333,15 +333,21 @@ let test_finalize_remaps_failed_member () =
   let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:9 in
   let payload = String.init 30000 (fun i -> Char.chr ((i * 11) mod 256)) in
   ignore (Writer.append_data w payload);
-  let victim = members.(0).Segment.drive in
+  let victim_member = members.(0) in
+  let victim = victim_member.Segment.drive in
   (* a spare AU for the remap, on a drive outside the stripe *)
   let spare_drive =
     List.find
       (fun d -> not (Array.exists (fun (m : Segment.member) -> m.Segment.drive = d) members))
       (List.init 6 Fun.id)
   in
-  let remap ~exclude =
-    if List.mem spare_drive exclude then None else Some { Segment.drive = spare_drive; au = 60 }
+  let replaced = ref [] in
+  let remap ~replacing ~exclude =
+    if List.mem spare_drive exclude then None
+    else begin
+      replaced := replacing :: !replaced;
+      Some { Segment.drive = spare_drive; au = 60 }
+    end
   in
   let result = ref None in
   Writer.finalize w ~remap (fun seg -> result := Some seg);
@@ -353,6 +359,7 @@ let test_finalize_remaps_failed_member () =
     (Array.exists (fun (m : Segment.member) -> m.Segment.drive = victim) seg.Segment.members);
   check bool "spare drive joined" true
     (Array.exists (fun (m : Segment.member) -> m.Segment.drive = spare_drive) seg.Segment.members);
+  check bool "remap told which member it replaced" true (!replaced = [ victim_member ]);
   (* two MORE failures on top of the dead victim: still readable *)
   let others =
     Array.to_list (Array.map (fun (m : Segment.member) -> m.Segment.drive) seg.Segment.members)
