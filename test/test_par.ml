@@ -16,7 +16,7 @@ let with_pool ~domains f =
 (* ---------- chunking ---------- *)
 
 let prop_chunk_partitions =
-  QCheck.Test.make ~name:"chunks partition 0..tasks-1 contiguously" ~count:500
+  QCheck.Test.make ~name:"chunks partition 0..tasks-1 contig" ~count:500
     QCheck.(pair (int_range 1 8) (int_range 0 200))
     (fun (lanes, tasks) ->
       let covered = Array.make (max tasks 1) 0 in
