@@ -158,6 +158,7 @@ let finalize ctx =
   | Error msg -> raise (Violation msg));
   if Fa.is_fenced (Ac.array ctx.ac A) || Fa.is_fenced (Ac.array ctx.ac B) then
     raise (Violation "an array is still fenced after failback");
+  List.iter (fun s -> Runner.audit_space (Ac.array ctx.ac s)) [ Ac.A; Ac.B ];
   (* divergence / lost-ack audit: every block, both arrays *)
   List.iter
     (fun (name, blocks) ->

@@ -6,6 +6,10 @@ module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module State = Purity_core.State
 module Recovery = Purity_core.Recovery
+module Segment = Purity_segment.Segment
+module Writer = Purity_segment.Writer
+module Allocator = Purity_segment.Allocator
+module Ipair = Purity_util.Keytbl.Ipair
 module Shelf = Purity_ssd.Shelf
 module Drive = Purity_ssd.Drive
 module Nvram = Purity_ssd.Nvram
@@ -92,6 +96,39 @@ let apply_fault ctx (fault : Plan.fault) =
         ctx.corrupt_units <- ctx.corrupt_units + 1
     end
 
+(* Every used AU has exactly one owner: a segment meta, the open segio or
+   a sealed one. A used AU nobody names is lost to the array for good; an
+   AU two owners name gets overwritten under one of them. *)
+let audit_space arr =
+  let st = Fa.state arr in
+  let owners = Ipair.create 256 in
+  let own what id (members : Segment.member array) =
+    Array.iter
+      (fun (m : Segment.member) ->
+        let au = (m.Segment.drive, m.Segment.au) in
+        let fail why =
+          raise
+            (Violation
+               (Printf.sprintf "AU d%d/au%d of %s %d %s" m.Segment.drive m.Segment.au what id
+                  why))
+        in
+        (match Ipair.find_opt owners au with
+        | Some (w, i) -> fail (Printf.sprintf "is also owned by %s %d" w i)
+        | None -> Ipair.replace owners au (what, id));
+        if not (Allocator.is_used st.State.alloc m) then fail "is not marked used")
+      members
+  in
+  Hashtbl.iter (fun id (seg : Segment.t) -> own "segment" id seg.Segment.members)
+    st.State.segment_metas;
+  Option.iter (fun w -> own "open segio" (Writer.id w) (Writer.members w)) st.State.open_writer;
+  List.iter
+    (fun (s : State.sealed_segio) -> own "sealed segio" (Writer.id s.State.w) (Writer.members s.State.w))
+    st.State.sealed;
+  let used = Allocator.used_au_count st.State.alloc in
+  let owned = Ipair.length owners in
+  if used <> owned then
+    raise (Violation (Printf.sprintf "%d AUs marked used but %d owned" used owned))
+
 let handle_offline ctx =
   Model.crashed ctx.model;
   let mode =
@@ -115,7 +152,8 @@ let settle ctx =
     decr guard;
     if !guard < 0 then raise (Violation "array never settles after crashes");
     handle_offline ctx
-  done
+  done;
+  audit_space ctx.arr
 
 let pp_listing ppf l =
   Format.fprintf ppf "[%s]"
@@ -363,6 +401,7 @@ let finalize ctx =
   audit_namespace ctx;
   audit_data ctx;
   audit_resolution ctx;
+  audit_space ctx.arr;
   (* and once more through a clean failover: recovery must reproduce the
      same state from the shelf alone *)
   Fa.crash ctx.arr;

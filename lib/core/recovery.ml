@@ -1,17 +1,20 @@
 (* Recovery (paper §4.3, Figure 5): runs on a freshly created State.t over
    the surviving shelf + boot region, after a crash or during controller
-   failover.
+   failover, in three phases.
 
-   1. read the boot region: frontier set, counters, checkpoint directory;
-   2. load the checkpointed patches into the pyramids;
-   3. scan segment headers for log records — either the whole array
-      (`Full_scan`, the paper's early 12 s path) or just the persisted
-      frontier set (`Frontier_scan`, the 0.1 s path);
-   4. replay discovered log records into the pyramids (facts are
-      idempotent, so re-inserting already-checkpointed ones is harmless);
-   5. replay NVRAM intents (writes acked but not yet in a flushed segio);
-   6. rebuild the volatile derived state (medium table, volumes, segment
-      metas, allocator occupancy, sequence counter). *)
+   1. Read, allocating nothing: the boot region (frontier set, counters,
+      checkpoint directory); the checkpointed patches; the segment
+      headers of the whole array (`Full_scan`, the paper's early 12 s
+      path) or of just the persisted frontier set (`Frontier_scan`, the
+      0.1 s path); the log records of every scanned segment whose flush
+      provably completed (facts are idempotent, so re-inserting
+      already-checkpointed ones is harmless); the NVRAM metadata stashes.
+   2. Derive, once, from what was read: the segment table, the allocator
+      (from that table and the frontier set, as §4.3 rebuilds it), the
+      medium table, the volumes and the sequence counter.
+   3. Write: re-persist segments known only from their headers, then one
+      seq-ordered NVRAM pass that reapplies intents (writes acked but
+      possibly not in a flushed segio) and re-logs stashes. *)
 
 open State
 module Ptbl = Purity_util.Keytbl.Ipair
@@ -30,8 +33,8 @@ type report = {
 }
 
 (* Deliberate-bug switches for validating purity.check itself: a checker
-   that cannot catch a recovery that "forgets" step 5 is not checking the
-   durability contract. Never set outside tests. *)
+   that cannot catch a recovery that "forgets" its NVRAM records is not
+   checking the durability contract. Never set outside tests. *)
 type chaos = { mutable skip_nvram_replay : bool }
 
 let chaos = { skip_nvram_replay = false }
@@ -48,42 +51,48 @@ let replay_meta t : Meta_log.meta -> unit = function
     let (Any ((module P), pyr)) = any_pyramid t table in
     try P.elide_range pyr ~seq ~lo ~hi with Invalid_argument _ -> ())
 
-(* Rebuild volatile state from the recovered pyramids. *)
-let rebuild_derived t ~medium_next_hint =
-  (* segment metas *)
-  Pyramid.iter_live t.segments_pyr (fun ~key ~value ->
-      let id = Keys.segment_key_id key in
-      match Segment.decode_compact value with
-      | Some meta ->
-        (* the segment-table fact is written at flush completion with the
-           final member list (mid-flush remaps included), so it overrides
-           any stale header copy the scan decoded *)
-        Hashtbl.replace t.segment_metas id meta
-      | None -> ());
-  (* A checkpoint can list a segment that was released right after it: GC
-     releases victims only once the covering checkpoint completes, so the
-     release tombstone always postdates the patches and arrives via log or
-     NVRAM replay. The tombstone wins — drop the meta, or GC would release
-     the dead segment a second time and trim AUs long since reused by
-     newer segments. (Its already-marked AUs stay out of circulation; the
-     overlap with live segments makes releasing them here unsafe.) *)
-  let dead =
-    Hashtbl.fold
-      (fun id _ acc ->
-        let key = Keys.segment_key id in
-        if
-          Option.is_none (Pyramid.find t.segments_pyr key)
-          && Option.is_some (Pyramid.find_ignoring_retractions t.segments_pyr key)
-        then id :: acc
-        else acc)
-      t.segment_metas []
+(* Decoded metadata can name a drive or AU this shelf lacks (a blob that
+   decodes but does not describe this array). Such a record is skipped
+   like an undecodable one, before anything indexes the shelf with it. *)
+let on_shelf t (m : Segment.member) =
+  m.Segment.drive >= 0
+  && m.Segment.drive < Shelf.drive_count t.shelf
+  && m.Segment.au >= 0
+  && m.Segment.au < (Drive.config (Shelf.drive t.shelf m.Segment.drive)).Drive.num_aus
+
+let meta_on_shelf t (seg : Segment.t) = Array.for_all (on_shelf t) seg.Segment.members
+
+(* Phase 2: derive the volatile state from the recovered pyramids, the
+   boot region's [frontier], the checkpoint-chunk metas [ckpt] and the
+   [trusted] scanned segments (in the order they were trusted). *)
+let rebuild_derived t ~frontier ~ckpt ~trusted ~medium_next_hint =
+  (* The segment table holds every live fact: written at flush completion
+     with the final member list (mid-flush remaps included), it overrides
+     a stale header copy. A checkpoint-chunk or scanned meta stands in for
+     a segment the table has no fact about at all (its 'S' fact rode an
+     unflushed segio). A tombstone drops it: the segment was released
+     after the covering checkpoint, and GC would release it again, AUs
+     long since reused included. Metas keep the order they were found
+     in. *)
+  let add id = function
+    | Some meta when meta_on_shelf t meta && not (Hashtbl.mem t.segment_metas id) ->
+      Hashtbl.replace t.segment_metas id meta;
+      if id >= t.next_segment_id then t.next_segment_id <- id + 1
+    | Some _ | None -> ()
   in
-  List.iter (Hashtbl.remove t.segment_metas) dead;
-  Hashtbl.iter
-    (fun id meta ->
-      Allocator.mark_used t.alloc meta.Segment.members;
-      if id >= t.next_segment_id then t.next_segment_id <- id + 1)
-    t.segment_metas;
+  List.iter
+    (fun (seg : Segment.t) ->
+      add seg.Segment.id
+        (match Pyramid.latest_fact t.segments_pyr (Keys.segment_key seg.Segment.id) with
+        | None -> Some seg
+        | f -> Option.bind (Pyramid.resolve_fact t.segments_pyr f) Segment.decode_compact))
+    (ckpt @ trusted);
+  Pyramid.iter_live t.segments_pyr (fun ~key ~value ->
+      add (Keys.segment_key_id key) (Segment.decode_compact value));
+  let members (seg : Segment.t) = Array.to_list seg.Segment.members in
+  Allocator.recover t.alloc ~persisted:frontier
+    ~used:(Hashtbl.fold (fun _ seg acc -> members seg @ acc) t.segment_metas [])
+    ~rescan:(List.concat_map members trusted);
   (* medium table *)
   let rows = ref [] in
   let max_medium = ref 0 in
@@ -185,6 +194,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
       (* factory-fresh array *)
       finish ~cold:true ~headers:0 ~segments:0 ~log_records:0 ~nvram_records:0 ~ckpt_bytes:0
     | Some blob ->
+      (* ---- phase 1: read ---- *)
       (* A boot region that fails to decode must not fall through to the
          factory-fresh path: that path skips the header scan entirely,
          which is only safe when there is genuinely no data. Nothing the
@@ -194,18 +204,23 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
          rediscovered and the logs replay as usual. *)
       let bb = Boot_region.decode blob in
       let mode = match bb with None -> Full_scan | Some _ -> mode in
-      (match bb with
-      | None -> ()
-      | Some bb ->
-        Allocator.restore_persisted t.alloc bb.frontier;
-        t.next_segment_id <- bb.next_segment;
-        (* ids are never reused: pin the medium counter before anything can
-           allocate and rewrite the boot region *)
-        t.medium_next_id <- bb.next_medium;
-        t.medium_table <- Medium.restore ~rows:[] ~next_id:bb.next_medium;
-        Seqno.restore_at_least t.seqno bb.seq;
-        t.checkpoint_dir <- bb.dir;
-        t.checkpoint_seq <- bb.checkpoint_seq);
+      (* with no decodable boot block there is no frontier or checkpoint
+         directory, and the medium-counter hint degrades to the scanned
+         facts' own maximum ([rebuild_derived] takes the max of the two) *)
+      let frontier, ckpt_dir, medium_next_hint =
+        match bb with
+        | None -> ([], [], 0)
+        | Some bb ->
+          t.next_segment_id <- bb.next_segment;
+          (* ids are never reused: pin the medium counter before anything
+             can allocate and rewrite the boot region *)
+          t.medium_next_id <- bb.next_medium;
+          t.medium_table <- Medium.restore ~rows:[] ~next_id:bb.next_medium;
+          Seqno.restore_at_least t.seqno bb.seq;
+          t.checkpoint_dir <- bb.dir;
+          t.checkpoint_seq <- bb.checkpoint_seq;
+          (List.filter (on_shelf t) bb.frontier, bb.dir, bb.next_medium)
+      in
       (* The boot counter can be stale, and the newest surviving facts can
          undercount the dead generation's allocations when they rode a torn
          segment.  NVRAM outlives the crash, so the counter must also clear
@@ -215,18 +230,9 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
       List.iter
         (fun (r : Nvram.record) -> Seqno.restore_at_least t.seqno r.Nvram.seq)
         (Nvram.records (nvram t));
-      t.boot_generation_written <- Allocator.persist_generation t.alloc;
-      (* with no decodable boot block there is no checkpoint directory to
-         load, and the medium-counter hint degrades to the scanned facts'
-         own maximum ([rebuild_derived] takes the max of the two) *)
-      let ckpt_dir, medium_next_hint =
-        match bb with
-        | Some bb -> (bb.dir, bb.next_medium)
-        | None -> ([], 0)
-      in
       (* load checkpoint patches *)
       let ckpt_bytes = ref 0 in
-      let ckpt_segments = ref [] in
+      let ckpt = ref [] in
       let load_chunks chunks k =
         let parts = Array.make (List.length chunks) "" in
         let pending = ref (List.length chunks) in
@@ -234,17 +240,18 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
         else
           List.iteri
             (fun i ((meta : Segment.t), off, len) ->
-              if not (Hashtbl.mem t.segment_metas meta.Segment.id) then begin
-                Hashtbl.replace t.segment_metas meta.Segment.id meta;
-                Allocator.mark_used t.alloc meta.Segment.members;
-                ckpt_segments := meta.Segment.id :: !ckpt_segments
-              end;
-              Io.read t.io meta ~off ~len (fun result ->
-                  (match result with
-                  | Ok data -> parts.(i) <- Bytes.to_string data
-                  | Error `Unrecoverable -> ());
-                  decr pending;
-                  if !pending = 0 then k (String.concat "" (Array.to_list parts))))
+              let got result =
+                (match result with
+                | Ok data -> parts.(i) <- Bytes.to_string data
+                | Error `Unrecoverable -> ());
+                decr pending;
+                if !pending = 0 then k (String.concat "" (Array.to_list parts))
+              in
+              if meta_on_shelf t meta then begin
+                ckpt := meta :: !ckpt;
+                Io.read t.io meta ~off ~len got
+              end
+              else got (Error `Unrecoverable))
             chunks
       in
       let rec load_dir dir k =
@@ -272,27 +279,18 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                 load_dir rest k))
       in
       load_dir ckpt_dir (fun () ->
-          t.checkpoint_segments <- List.sort_uniq Int.compare !ckpt_segments;
+          let ckpt = List.rev !ckpt in
+          t.checkpoint_segments <-
+            List.sort_uniq Int.compare (List.map (fun (s : Segment.t) -> s.Segment.id) ckpt);
           (* scan for log records; [claims] records which segment each
              physical AU's on-disk header actually names *)
           let claims = Ptbl.create 64 in
-          let scan k =
+          let scan =
             match mode with
-            | Full_scan ->
-              let headers =
-                Array.fold_left
-                  (fun acc d ->
-                    if Drive.is_online d then acc + (Drive.config d).Drive.num_aus else acc)
-                  0 (Shelf.drives t.shelf)
-              in
-              Scan.scan_all ~layout:t.layout ~shelf:t.shelf ~claims (fun segs ->
-                  k (headers, segs))
-            | Frontier_scan ->
-              let slots = Allocator.persisted_frontier t.alloc in
-              Scan.scan_members ~layout:t.layout ~shelf:t.shelf ~claims slots (fun segs ->
-                  k (List.length slots, segs))
+            | Full_scan -> Scan.scan_all ~layout:t.layout ~shelf:t.shelf ~claims
+            | Frontier_scan -> Scan.scan_members ~layout:t.layout ~shelf:t.shelf ~claims frontier
           in
-          scan (fun (headers, segs) ->
+          scan (fun headers segs ->
               (* A scanned id is burned even when the segment turns out to
                  be torn and is dropped: its header stays on disk until the
                  AU is erased for reuse, and a new segment under the same id
@@ -304,7 +302,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                     t.next_segment_id <- s.Segment.id + 1)
                 segs;
               (* Only segments whose flush provably completed may be
-                 installed and have their log regions replayed: a torn
+                 trusted and have their log regions replayed: a torn
                  flush can leave the log region readable (it lives on the
                  members that finished) while the data rows are gone, so
                  replaying its records would point blockrefs at
@@ -316,39 +314,35 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                  fixpoint.  Failing all that, a fully-present on-disk
                  image (every online member holds header + all rows) is
                  accepted — the fallback when NVRAM contents were lost. *)
+              let records =
+                if chaos.skip_nvram_replay then [] else Nvram.records (nvram t)
+              in
+              (* stashes at or below the checkpoint watermark carry no
+                 information the patches don't (or were deliberately
+                 compacted away): in particular a released segment's
+                 stale 'S' stash must not count as commit proof *)
+              let stashes =
+                List.filter_map
+                  (fun (r : Nvram.record) ->
+                    if Int64.compare r.Nvram.seq t.checkpoint_seq > 0 then
+                      Meta_log.decode_stash r.Nvram.payload
+                    else None)
+                  records
+              in
               let nvram_commits = Hashtbl.create 16 in
               List.iter
-                (fun (r : Nvram.record) ->
-                  (* stashes at or below the checkpoint watermark carry no
-                     information the patches don't: in particular a released
-                     segment's stale 'S' stash must not count as commit
-                     proof *)
-                  if Int64.compare r.Nvram.seq t.checkpoint_seq > 0 then
-                    match Meta_log.decode_stash r.Nvram.payload with
-                    | Some (Fact (Segments, { key; value = Some _; _ })) ->
-                      Hashtbl.replace nvram_commits (Keys.segment_key_id key) ()
-                    | Some _ | None -> ())
-                (Nvram.records (nvram t));
+                (function
+                  | Meta_log.Fact (Segments, { key; value = Some _; _ }) ->
+                    Hashtbl.replace nvram_commits (Keys.segment_key_id key) ()
+                  | _ -> ())
+                stashes;
               let committed (seg : Segment.t) =
-                Hashtbl.mem t.segment_metas seg.Segment.id
+                List.mem seg.Segment.id t.checkpoint_segments
                 || Option.is_some (Pyramid.find t.segments_pyr (Keys.segment_key seg.Segment.id))
                 || Hashtbl.mem nvram_commits seg.Segment.id
                 || scanned_segment_complete t ~claims seg
               in
               let log_records = ref 0 in
-              let trusted = ref [] in
-              let install (seg : Segment.t) =
-                trusted := seg :: !trusted;
-                if not (Hashtbl.mem t.segment_metas seg.Segment.id) then begin
-                  Hashtbl.replace t.segment_metas seg.Segment.id seg;
-                  Allocator.mark_used t.alloc seg.Segment.members
-                end;
-                (* The log records just replayed from this segment are not
-                   covered by any checkpoint yet: keep its members in the
-                   scan set, or the next boot-region rewrite would hide
-                   them from a later failover's frontier scan. *)
-                Allocator.requeue_scan t.alloc seg.Segment.members
-              in
               let rec replay_logs segs k =
                 match segs with
                 | [] -> k ()
@@ -380,79 +374,64 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                         | Error `Unrecoverable -> ());
                         replay_logs rest k)
               in
-              let rec trust_rounds pending k =
+              (* [trusted] collects the trusted segments, last trusted
+                 first; torn ones are simply dropped: their AUs return to
+                 the pool via erase-before-reuse, acked writes they held
+                 are still covered by NVRAM intents (the trim only runs at
+                 flush completion), and relocated data still has its
+                 source segment (released only after a covering
+                 checkpoint). *)
+              let rec trust_rounds trusted pending k =
                 match List.partition committed pending with
-                | [], later -> k later
+                | [], _torn -> k trusted
                 | now, later ->
-                  List.iter install now;
-                  replay_logs now (fun () -> trust_rounds later k)
+                  replay_logs now (fun () -> trust_rounds (List.rev_append now trusted) later k)
               in
-              let after_logs () =
-                rebuild_derived t ~medium_next_hint;
-                (* Segments known only from their scanned headers (their
-                   'S' fact was in an unflushed segio at the crash) must be
-                   re-persisted, or the next checkpoint would drop their
-                   AUs from the scan set and a later failover would lose
-                   them entirely. One with an 'S' stash is left to the
-                   NVRAM replay below, which re-logs that fact. *)
-                List.iter
-                  (fun (seg : Segment.t) ->
-                    let key = Keys.segment_key seg.Segment.id in
-                    (* absent only — a tombstoned key means the segment was
-                       released after the covering checkpoint; re-inserting
-                       its fact would resurrect a dead segment over its own
-                       tombstone *)
-                    if
-                      (not (Hashtbl.mem nvram_commits seg.Segment.id))
-                      && Option.is_none (Pyramid.find t.segments_pyr key)
-                      && Option.is_none (Pyramid.find_ignoring_retractions t.segments_pyr key)
-                    then
-                      try put t Segments ~key ~value:(Segment.encode_compact seg)
-                      with Out_of_space -> ())
-                  !trusted;
-                (* NVRAM intents: writes acked but possibly not in any
-                   flushed segio; reapply them through the write path *)
-                let records =
-                  if chaos.skip_nvram_replay then [] else Nvram.records (nvram t)
-                in
-                let n = List.length records in
-                (* Replayed metadata must become durable again: its NVRAM
-                   record will be trimmed at the next segio flush, and the
-                   bare replay would leave the fact memtable-only.  It is
-                   re-inserted and re-logged under its ORIGINAL sequence
-                   number — re-putting with a fresh one would let a stale
-                   stash outrank newer facts recovered from the patches or
-                   the segment logs.  It is not stashed again: the
-                   original stays in NVRAM until the flush of a segio
-                   carrying the re-logged copy trims past it, so a second
-                   copy would only pile up across repeated failovers.
-                   Metadata stashes at or below the checkpoint watermark
-                   are already in the patches (or deliberately compacted
-                   away) and are not replayed. *)
-                List.iter
-                  (fun (r : Nvram.record) ->
-                    match Meta_log.decode_nvram r.Nvram.payload with
-                    | Some (Intent { medium; block; data }) ->
-                      (try Write_path.apply_write t ~medium ~block data
-                       with Out_of_space -> ());
-                      t.last_applied_intent <- r.Nvram.seq
-                    | Some (Stash m) when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 -> (
-                      replay_meta t m;
-                      try append_log_record t ~seq:r.Nvram.seq (Meta_log.encode_log m)
-                      with Out_of_space -> ())
-                    | Some (Stash _) | None -> ())
-                  records;
-                (* derived state again: replayed intents may have grown things *)
-                rebuild_derived t ~medium_next_hint;
-                finish ~cold:false ~headers ~segments:(List.length !trusted)
-                  ~log_records:!log_records ~nvram_records:n ~ckpt_bytes:!ckpt_bytes
-              in
-              trust_rounds segs (fun torn ->
-                  (* Torn segments are simply dropped: their AUs return to
-                     the pool via erase-before-reuse, acked writes they
-                     held are still covered by NVRAM intents (the trim
-                     only runs at flush completion), and relocated data
-                     still has its source segment (released only after a
-                     covering checkpoint). *)
-                  ignore torn;
-                  after_logs ()))))
+              trust_rounds []
+                (List.filter (meta_on_shelf t) segs)
+                (fun trusted ->
+                  List.iter (replay_meta t) stashes;
+                  (* ---- phase 2: derive ---- *)
+                  rebuild_derived t ~frontier ~ckpt ~trusted:(List.rev trusted)
+                    ~medium_next_hint;
+                  (* ---- phase 3: write ---- *)
+                  (* Segments known only from their scanned headers (their
+                     'S' fact was in an unflushed segio at the crash) must
+                     be re-persisted, or the next checkpoint would drop
+                     their AUs from the scan set and a later failover would
+                     lose them entirely. *)
+                  List.iter
+                    (fun (seg : Segment.t) ->
+                      let key = Keys.segment_key seg.Segment.id in
+                      match Hashtbl.find_opt t.segment_metas seg.Segment.id with
+                      | Some meta when Option.is_none (Pyramid.find t.segments_pyr key) -> (
+                        try put t Segments ~key ~value:(Segment.encode_compact meta)
+                        with Out_of_space -> ())
+                      | Some _ | None -> ())
+                    trusted;
+                  (* Intents are reapplied through the write path.
+                     Replayed metadata must become durable again: its NVRAM
+                     record will be trimmed at the next segio flush, and the
+                     bare replay would leave the fact memtable-only.  It is
+                     re-logged under its ORIGINAL sequence number —
+                     re-putting with a fresh one would let a stale stash
+                     outrank newer facts recovered from the patches or the
+                     segment logs.  It is not stashed again: the original
+                     stays in NVRAM until the flush of a segio carrying the
+                     re-logged copy trims past it, so a second copy would
+                     only pile up across repeated failovers. *)
+                  List.iter
+                    (fun (r : Nvram.record) ->
+                      match Meta_log.decode_nvram r.Nvram.payload with
+                      | Some (Intent { medium; block; data }) ->
+                        (try Write_path.apply_write t ~medium ~block data
+                         with Out_of_space -> ());
+                        t.last_applied_intent <- r.Nvram.seq
+                      | Some (Stash m) when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 -> (
+                        try append_log_record t ~seq:r.Nvram.seq (Meta_log.encode_log m)
+                        with Out_of_space -> ())
+                      | Some (Stash _) | None -> ())
+                    records;
+                  finish ~cold:false ~headers ~segments:(List.length trusted)
+                    ~log_records:!log_records ~nvram_records:(List.length records)
+                    ~ckpt_bytes:!ckpt_bytes))))

@@ -47,6 +47,10 @@ module type S = sig
       absent. Patches whose key fence or bloom filter excludes the key are
       skipped without a search. *)
 
+  val latest_fact : t -> key -> fact option
+  (** The newest fact for a key, tombstones and elided facts included:
+      [None] only when the table holds no fact about the key at all. *)
+
   val find_naive : t -> key -> value option
   (** Reference implementation of {!find} that probes every patch with the
       list-building [Patch.find]. Exists so tests and the metadata

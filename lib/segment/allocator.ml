@@ -43,18 +43,6 @@ let create ~layout ~drives ~aus_per_drive () =
     allocated_since_mark = [];
   }
 
-let dedupe members =
-  let seen = Ptbl.create 64 in
-  List.filter
-    (fun (m : Segment.member) ->
-      let key = (m.Segment.drive, m.Segment.au) in
-      if Ptbl.mem seen key then false
-      else begin
-        Ptbl.replace seen key ();
-        true
-      end)
-    members
-
 let take_batch t =
   (* Pull up to frontier_per_drive free AUs from every drive. *)
   let batch = ref [] in
@@ -164,52 +152,37 @@ let release t members =
         Queue.add m.Segment.au t.free.(m.Segment.drive))
     members
 
-let remove_free t ~drive ~au =
-  let q = t.free.(drive) in
-  let keep = Queue.create () in
-  Queue.iter (fun a -> if a <> au then Queue.add a keep) q;
-  Queue.clear q;
-  Queue.transfer keep q
-
-let mark_used t members =
-  Array.iter
-    (fun (m : Segment.member) ->
-      if not (Ptbl.mem t.used (m.Segment.drive, m.Segment.au)) then begin
-        Ptbl.replace t.used (m.Segment.drive, m.Segment.au) ();
-        remove_free t ~drive:m.Segment.drive ~au:m.Segment.au;
-        (* the AU may sit in the allocatable pools (recovery restores the
-           frontier before segments are rediscovered): never hand it out *)
-        let not_this (x : Segment.member) =
-          not (x.Segment.drive = m.Segment.drive && x.Segment.au = m.Segment.au)
-        in
-        t.frontier <- List.map (List.filter not_this) t.frontier;
-        t.speculative <- List.filter not_this t.speculative
-      end)
-    members
-
 let free_au_count t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.free
 let used_au_count t = Ptbl.length t.used
 let is_used t (m : Segment.member) = Ptbl.mem t.used (m.Segment.drive, m.Segment.au)
 let persisted_frontier t = t.persisted
 let persist_generation t = t.generation
 
-let restore_persisted t members =
-  let members = dedupe (List.filter (fun (m : Segment.member) -> m.Segment.drive < t.drives) members) in
-  t.persisted <- members;
-  (* Frontier members not marked used are allocatable again; exclude them
-     from the free queues so they are not handed out twice. *)
-  let fresh = List.filter (fun (m : Segment.member) -> not (Ptbl.mem t.used (m.Segment.drive, m.Segment.au))) members in
-  List.iter (fun (m : Segment.member) -> remove_free t ~drive:m.Segment.drive ~au:m.Segment.au) fresh;
-  t.frontier <- [ fresh ];
-  t.speculative <- []
-
-(* Recovery: a rediscovered segment's log records are not covered by any
-   checkpoint, so its members must stay in the persisted scan set (and so
-   survive the next boot-region rewrite) until a checkpoint_mark drops
-   them. Appended, not prepended: these are the oldest allocations, and
-   checkpoint_mark keeps the newest [keep] entries. *)
-let requeue_scan t members =
-  t.allocated_since_mark <- dedupe (t.allocated_since_mark @ Array.to_list members)
+(* Recovery (§4.3): one rebuild from the boot region's frontier set and
+   the recovered segment table. The frontier is what was persisted minus
+   what the table owns; the free queues hold every other AU, in AU order.
+   [rescan] starts the scan set: it is the oldest allocation. *)
+let recover t ~persisted ~used ~rescan =
+  let inside (m : Segment.member) =
+    m.Segment.drive >= 0 && m.Segment.drive < t.drives && m.Segment.au >= 0
+    && m.Segment.au < t.aus_per_drive
+  in
+  let mark tbl (m : Segment.member) = Ptbl.replace tbl (m.Segment.drive, m.Segment.au) () in
+  Ptbl.reset t.used;
+  List.iter (mark t.used) (List.filter inside used);
+  t.persisted <- Segment.distinct_members (List.filter inside persisted);
+  t.frontier <- [ List.filter (fun m -> not (is_used t m)) t.persisted ];
+  t.speculative <- [];
+  let taken = Ptbl.copy t.used in
+  List.iter (mark taken) t.persisted;
+  Array.iteri
+    (fun drive q ->
+      Queue.clear q;
+      for au = 0 to t.aus_per_drive - 1 do
+        if not (Ptbl.mem taken (drive, au)) then Queue.add au q
+      done)
+    t.free;
+  t.allocated_since_mark <- Segment.distinct_members (List.filter inside rescan)
 
 let allocated_count t = List.length t.allocated_since_mark
 
@@ -223,6 +196,6 @@ let checkpoint_mark t ~keep ~extra =
   (* [extra] (the open segio) is usually already among the kept
      allocations: deduplicate, or the persisted list would hand the same
      AU out twice after a recovery restores it as allocatable *)
-  t.allocated_since_mark <- dedupe (extra @ kept);
+  t.allocated_since_mark <- Segment.distinct_members (extra @ kept);
   t.persisted <- t.allocated_since_mark @ List.concat t.frontier @ t.speculative;
   t.generation <- t.generation + 1

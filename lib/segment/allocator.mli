@@ -35,14 +35,6 @@ val release : t -> Segment.member array -> unit
 (** Return a reclaimed segment's AUs to the free pool (after the caller
     trims them); they re-enter circulation at the next frontier refill. *)
 
-val mark_used : t -> Segment.member array -> unit
-(** Recovery: record that these AUs hold a live segment. *)
-
-val requeue_scan : t -> Segment.member array -> unit
-(** Recovery: keep a rediscovered segment's members in the persisted scan
-    set until the next {!checkpoint_mark} — its log records are not yet
-    covered by any checkpoint, so a later failover must still scan it. *)
-
 val free_au_count : t -> int
 val used_au_count : t -> int
 
@@ -71,6 +63,17 @@ val checkpoint_mark : t -> keep:int -> extra:Segment.member list -> unit
     pins further members, e.g. the open segio. Bumps
     {!persist_generation} so the caller rewrites the boot region. *)
 
-val restore_persisted : t -> Segment.member list -> unit
-(** Install a frontier read back from the boot region (duplicates and
-    members on drives this shelf does not have are dropped). *)
+val recover :
+  t ->
+  persisted:Segment.member list ->
+  used:Segment.member list ->
+  rescan:Segment.member list ->
+  unit
+(** Recovery (§4.3): rebuild the allocator once, from the frontier set the
+    boot region [persisted] and the members of every segment the
+    recovered segment table holds ([used]). The frontier becomes
+    [persisted] minus [used], and every other AU goes back to the free
+    queues. [rescan] (the rediscovered segments, whose log records no
+    checkpoint covers yet) stays in the persisted scan set until the next
+    {!checkpoint_mark}. Duplicates, and members on a drive or AU this
+    allocator does not have, are dropped. *)

@@ -6,7 +6,7 @@ let scan_slots ~layout ~shelf ?claims slots k =
   let pending = ref 0 in
   let finish () =
     let segs = Hashtbl.fold (fun _ s acc -> s :: acc) found [] in
-    k (List.sort (fun a b -> Int.compare a.Segment.id b.Segment.id) segs)
+    k (List.length slots) (List.sort (fun a b -> Int.compare a.Segment.id b.Segment.id) segs)
   in
   let header_len = layout.Layout.header_size in
   let launch (m : Segment.member) =
@@ -48,4 +48,4 @@ let scan_all ~layout ~shelf ?claims k =
   scan_slots ~layout ~shelf ?claims !slots k
 
 let scan_members ~layout ~shelf ?claims members k =
-  scan_slots ~layout ~shelf ?claims members k
+  scan_slots ~layout ~shelf ?claims (Segment.distinct_members members) k

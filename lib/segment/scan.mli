@@ -20,9 +20,10 @@ val scan_all :
   layout:Layout.t ->
   shelf:Purity_ssd.Shelf.t ->
   ?claims:int Purity_util.Keytbl.Ipair.t ->
-  (Segment.t list -> unit) ->
+  (int -> Segment.t list -> unit) ->
   unit
-(** Callback receives all discovered segments, ordered by id. When
+(** Callback receives the number of headers scanned (one per AU of an
+    online drive) and all discovered segments, ordered by id. When
     [claims] is given, it is filled with [(drive, au) -> segment id] for
     every AU whose on-disk header decoded — the proof of which segment
     each physical AU currently belongs to (an AU can be reused by a newer
@@ -33,6 +34,7 @@ val scan_members :
   shelf:Purity_ssd.Shelf.t ->
   ?claims:int Purity_util.Keytbl.Ipair.t ->
   Segment.member list ->
-  (Segment.t list -> unit) ->
+  (int -> Segment.t list -> unit) ->
   unit
-(** Scan only the given (drive, AU) slots. *)
+(** Scan only the given (drive, AU) slots, each once however often it is
+    listed; the count passed on is the number of distinct slots. *)

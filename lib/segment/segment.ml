@@ -13,6 +13,18 @@ type t = {
   seq_hi : int64;
 }
 
+let distinct_members members =
+  let seen = Purity_util.Keytbl.Ipair.create 64 in
+  List.filter
+    (fun m ->
+      let key = (m.drive, m.au) in
+      if Purity_util.Keytbl.Ipair.mem seen key then false
+      else begin
+        Purity_util.Keytbl.Ipair.replace seen key ();
+        true
+      end)
+    members
+
 let magic = "PSEG"
 
 let encode_meta t ~shard =

@@ -9,6 +9,10 @@
 
 type member = { drive : int; au : int }
 
+val distinct_members : member list -> member list
+(** The list without repeated (drive, AU) pairs, first occurrences kept
+    in order. *)
+
 type t = {
   id : int;
   members : member array;  (** index = shard column (0..k-1 data, then parity) *)

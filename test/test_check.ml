@@ -194,6 +194,34 @@ let test_planted_bug_is_caught () =
           true
           (contains report (Printf.sprintf "seed %Ld" seed)))
 
+(* ---------- pinned scenarios ---------- *)
+
+(* Seed 69, shrunk: a full-scan failover after drive replacements and
+   rebuilds. Recovery once left one used AU that no segment, open segio or
+   sealed segio owned ("31 AUs marked used but 30 owned"), which only the
+   space audit after each settle sees. *)
+let test_seed_69_space () =
+  let plan =
+    {
+      Plan.seed = 69L;
+      events =
+        [
+          Suite.Op (Plan.Create_volume { name = "v0"; blocks = 512 });
+          Op (Write { view = "v0"; block = 488; nblocks = 16; wid = 1 });
+          Fault (Pull_drive 0);
+          Op (Rebuild 5);
+          Fault (Reinsert_drive 0);
+          Fault (Replace_drive 2);
+          Timed { delay_us = 3500.0; fault = Pull_drive 1 };
+          Op (Rebuild 2);
+          Timed { delay_us = 807.0; fault = Crash Full };
+        ];
+    }
+  in
+  match Runner.run_plan plan with
+  | Ok (_ : int) -> ()
+  | Error (_, msg) -> Alcotest.failf "seed 69: %s" msg
+
 (* ---------- smoke sweep (tier-1 gate) ---------- *)
 
 let test_smoke_sweep () =
@@ -225,5 +253,6 @@ let () =
           Alcotest.test_case "planted recovery bug is caught" `Quick
             test_planted_bug_is_caught;
         ] );
+      ("pinned", [ Alcotest.test_case "seed 69 space audit" `Quick test_seed_69_space ]);
       ("smoke", [ Alcotest.test_case "50-scenario sweep" `Slow test_smoke_sweep ]);
     ]

@@ -408,7 +408,15 @@ let test_mid_flush_remap_releases_replaced_au () =
     check bool "flush completed" true !flushed;
     Fa.reinsert_drive a victim;
     check int (Printf.sprintf "no orphaned AU after round %d" round) 0 (orphan_aus ())
-  done
+  done;
+  (* a header copy written before a remap still names the replaced AU:
+     recovery must take the member list from the segment table instead *)
+  List.iter
+    (fun (mode, name) ->
+      Fa.crash a;
+      ignore (await clock (fun k -> Fa.failover ~mode a k));
+      check int (Printf.sprintf "no orphaned AU after a %s failover" name) 0 (orphan_aus ()))
+    [ (Recovery.Frontier_scan, "frontier-scan"); (Recovery.Full_scan, "full-scan") ]
 
 (* ---------- recovery & failover ---------- *)
 
@@ -550,6 +558,51 @@ let test_boot_region_roundtrip () =
       (c.Boot.next_segment, c.Boot.next_medium);
     check bool "checkpoint watermark" true
       (c.Boot.checkpoint_seq = st.State.checkpoint_seq && c.Boot.checkpoint_seq > 0L)
+
+(* A boot region that decodes but names drives and AUs this shelf lacks
+   (checkpoint chunk metas moved 40 drives up, stray frontier members) is
+   read like an undecodable one: the failover completes, and every used
+   AU still has exactly one owner. *)
+let test_failover_off_shelf_boot_region () =
+  let module State = Purity_core.State in
+  let module Boot = Purity_core.Boot_region in
+  let module Segment = Purity_segment.Segment in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:1024);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 128);
+  ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
+  write_ok clock a ~volume:"v" ~block:512 (random_data 16);
+  let boot = (Fa.state a).State.boot in
+  let c =
+    match Option.bind (await clock (Boot.read boot)) Boot.decode with
+    | Some c -> c
+    | None -> Alcotest.fail "no decodable boot blob after a checkpoint"
+  in
+  let off_shelf (seg : Segment.t) =
+    {
+      seg with
+      Segment.members =
+        Array.map (fun (m : Segment.member) -> { m with Segment.drive = m.Segment.drive + 40 })
+          seg.Segment.members;
+    }
+  in
+  let dir =
+    List.map
+      (fun (name, ranges, chunks) ->
+        (name, ranges, List.map (fun (seg, off, len) -> (off_shelf seg, off, len)) chunks))
+      c.Boot.dir
+  in
+  let frontier =
+    { Segment.drive = 40; au = 0 } :: { Segment.drive = 0; au = 100_000 } :: c.Boot.frontier
+  in
+  Fa.crash a;
+  Boot.write boot (Boot.encode { c with Boot.dir; frontier }) (fun () -> ());
+  Clock.run clock;
+  ignore (await clock (fun k -> Fa.failover a k));
+  check bool "came back" true (Fa.is_online a);
+  match Purity_check.Runner.audit_space a with
+  | () -> ()
+  | exception Purity_check.Suite.Violation msg -> Alcotest.fail msg
 
 let test_frontier_recovery_faster_than_full () =
   let clock, a = make_array () in
@@ -1592,6 +1645,8 @@ let () =
           Alcotest.test_case "double failover" `Quick test_double_failover;
           Alcotest.test_case "corrupt boot region" `Quick
             test_corrupt_boot_region_falls_back_to_full_scan;
+          Alcotest.test_case "off-shelf boot region" `Quick
+            test_failover_off_shelf_boot_region;
           Alcotest.test_case "frontier faster than full" `Quick
             test_frontier_recovery_faster_than_full;
           Alcotest.test_case "repeated failover converges" `Quick

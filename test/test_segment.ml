@@ -205,7 +205,11 @@ let test_alloc_exhaustion () =
 
 let test_alloc_frontier_roundtrip () =
   let env = make_env () in
-  ignore (Allocator.allocate env.alloc ~online:(online env));
+  let seg =
+    match Allocator.allocate env.alloc ~online:(online env) with
+    | Some members -> members
+    | None -> Alcotest.fail "allocation failed"
+  in
   let module Boot = Purity_core.Boot_region in
   let a = Allocator.persisted_frontier env.alloc in
   let contents =
@@ -223,9 +227,14 @@ let test_alloc_frontier_roundtrip () =
   | Some c ->
     let fresh = Allocator.create ~layout ~drives:6 ~aus_per_drive:64 () in
     (* a member on a drive this shelf lacks is dropped, not indexed *)
-    Allocator.restore_persisted fresh (c.Boot.frontier @ [ { Segment.drive = 6; au = 0 } ]);
+    Allocator.recover fresh
+      ~persisted:(c.Boot.frontier @ [ { Segment.drive = 6; au = 0 } ])
+      ~used:(Array.to_list seg) ~rescan:[];
     check bool "same frontier" true (a = Allocator.persisted_frontier fresh);
-    check bool "frontier not empty" true (a <> [])
+    check bool "frontier not empty" true (a <> []);
+    check int "the segment's AUs are used" (Array.length seg) (Allocator.used_au_count fresh);
+    check int "the AUs outside the frontier are free" ((6 * 64) - List.length a)
+      (Allocator.free_au_count fresh)
 
 (* ---------- Writer + Scan + Io end to end ---------- *)
 
@@ -379,17 +388,20 @@ let test_scan_all_discovers_segments () =
   let s2 = write_segment env ~id:2 [ String.make 1000 'b' ] [ (9L, "r2") ] in
   ignore s1;
   ignore s2;
-  let segs = await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf k) in
+  let segs = await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf (fun _ segs -> k segs)) in
   check (Alcotest.list int) "both found" [ 1; 2 ] (List.map (fun s -> s.Segment.id) segs)
 
 let test_scan_members_only_frontier () =
   let env = make_env () in
   let s1 = write_segment env ~id:1 [ String.make 1000 'a' ] [] in
   let _s2 = write_segment env ~id:2 [ String.make 1000 'b' ] [] in
-  let segs =
+  let members = Array.to_list s1.Segment.members in
+  let headers, segs =
     await env (fun k ->
-        Scan.scan_members ~layout ~shelf:env.shelf (Array.to_list s1.Segment.members) k)
+        Scan.scan_members ~layout ~shelf:env.shelf (members @ members) (fun n segs ->
+            k (n, segs)))
   in
+  check int "each listed slot scanned once" (List.length members) headers;
   check (Alcotest.list int) "only the scanned segment" [ 1 ]
     (List.map (fun s -> s.Segment.id) segs)
 
@@ -397,7 +409,7 @@ let test_scan_survives_pulled_drive () =
   let env = make_env () in
   let s1 = write_segment env ~id:1 [ String.make 1000 'a' ] [] in
   Shelf.pull_drive env.shelf s1.Segment.members.(0).Segment.drive;
-  let segs = await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf k) in
+  let segs = await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf (fun _ segs -> k segs)) in
   check (Alcotest.list int) "found via surviving header copies" [ 1 ]
     (List.map (fun s -> s.Segment.id) segs)
 
@@ -405,12 +417,13 @@ let test_scan_all_slower_than_members () =
   let env = make_env () in
   let s1 = write_segment env ~id:1 [ String.make 1000 'a' ] [] in
   let t0 = Clock.now env.clock in
-  ignore (await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf k));
+  ignore (await env (fun k -> Scan.scan_all ~layout ~shelf:env.shelf (fun _ segs -> k segs)));
   let full_time = Clock.now env.clock -. t0 in
   let t1 = Clock.now env.clock in
   ignore
     (await env (fun k ->
-         Scan.scan_members ~layout ~shelf:env.shelf (Array.to_list s1.Segment.members) k));
+         Scan.scan_members ~layout ~shelf:env.shelf (Array.to_list s1.Segment.members)
+           (fun _ segs -> k segs)));
   let frontier_time = Clock.now env.clock -. t1 in
   check bool
     (Printf.sprintf "frontier scan much faster (%.0f vs %.0f us)" frontier_time full_time)
