@@ -15,24 +15,13 @@
    - no work stealing: a lane only ever runs its own chunk;
    - join in submission order: {!run} returns only after every lane
      finished, and {!map} results land at their task index, so callers
-     observe completion order, not scheduling order;
-   - seeded per-lane state: {!lane_seed} derives a per-lane RNG seed from
-     the pool seed, so any lane-local randomness replays.
+     observe completion order, not scheduling order.
 
    Lane 0 is the submitting (main) domain itself — it executes its own
    chunk while the [lanes - 1] worker domains run theirs, so a pool of n
    lanes uses exactly n cores and a 1-lane pool runs inline with zero
    synchronisation. Exceptions propagate deterministically: after the
-   join, the lowest-lane exception (main first) is re-raised.
-
-   Kernel-stats containment: worker domains must not race on the shared
-   [Purity_util.Kernel_stats] cells, so kernels called off-main
-   accumulate into domain-local shadow cells; each worker drains its
-   shadow into a per-lane slot at the end of every batch, and the
-   submitter folds the slots into the main cells after the join — totals
-   are sums, so they are independent of execution order. *)
-
-module Kernel_stats = Purity_util.Kernel_stats
+   join, the lowest-lane exception (main first) is re-raised. *)
 
 type batch = {
   b_id : int;
@@ -42,7 +31,6 @@ type batch = {
 
 type t = {
   lanes : int;
-  seed : int64;
   m : Mutex.t;
   wake : Condition.t; (* workers: a new batch is published *)
   idle : Condition.t; (* submitter: the last worker finished *)
@@ -51,7 +39,6 @@ type t = {
   mutable pending : int;
   mutable live : bool;
   errors : exn option array; (* per lane; read by the submitter after join *)
-  stats : int array array; (* per-lane drained kernel-stat shadow cells *)
   mutable domains : unit Domain.t array;
 }
 
@@ -81,19 +68,17 @@ let rec worker_loop t lane last =
   | Some b ->
     let lo, len = chunk ~lanes:t.lanes ~tasks:b.b_tasks lane in
     (try if len > 0 then b.b_run lane lo len with e -> t.errors.(lane) <- Some e);
-    Kernel_stats.drain_shadow ~into:t.stats.(lane);
     Mutex.lock t.m;
     t.pending <- t.pending - 1;
     if t.pending = 0 then Condition.signal t.idle;
     Mutex.unlock t.m;
     worker_loop t lane b.b_id
 
-let create ?(seed = 0x9A11E7L) ~domains () =
+let create ~domains () =
   if domains < 1 || domains > 64 then invalid_arg "Pool.create: 1 <= domains <= 64";
   let t =
     {
       lanes = domains;
-      seed;
       m = Mutex.create ();
       wake = Condition.create ();
       idle = Condition.create ();
@@ -102,7 +87,6 @@ let create ?(seed = 0x9A11E7L) ~domains () =
       pending = 0;
       live = true;
       errors = Array.make domains None;
-      stats = Array.init domains (fun _ -> Array.make Kernel_stats.shadow_cells 0);
       domains = [||];
     }
   in
@@ -143,11 +127,6 @@ let run t ~tasks f =
     done;
     t.batch <- None;
     Mutex.unlock t.m;
-    (* fold worker kernel counters into the main cells; totals are sums,
-       so the aggregate is independent of lane scheduling *)
-    for lane = 1 to t.lanes - 1 do
-      Kernel_stats.absorb t.stats.(lane)
-    done;
     (* deterministic error propagation: lowest lane wins *)
     let exn = ref None in
     for lane = t.lanes - 1 downto 0 do
@@ -169,8 +148,3 @@ let map t ~tasks f =
         done);
     Array.map (function Some v -> v | None -> assert false) out
   end
-
-(* SplitMix-style per-lane seed derivation: stable in (pool seed, lane). *)
-let lane_seed t lane =
-  if lane < 0 || lane >= t.lanes then invalid_arg "Pool.lane_seed";
-  Int64.logxor t.seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lane + 1)))

@@ -16,7 +16,7 @@ type t = {
   field_offsets : int array; (* bit offset of each field within a tuple *)
   tuple_bits : int;
   body : Bitio.Reader.t;
-  header : string; (* serialised header, cached for [serialize] *)
+  header_bytes : int;
 }
 
 let arity t = t.arity
@@ -89,22 +89,21 @@ let base_index dict v =
   done;
   !found
 
-let encode_header ~arity ~count dicts =
-  let buf = Buffer.create 64 in
-  Varint.write buf arity;
-  Varint.write buf count;
-  Array.iter
-    (fun d ->
-      Varint.write buf (Array.length d.bases);
-      Buffer.add_char buf (Char.chr d.w);
+(* Header size: varint arity and count, then per field a varint base
+   count, one offset-width byte and the varint deltas between bases. *)
+let header_bytes ~arity ~count dicts =
+  Array.fold_left
+    (fun acc d ->
       let prev = ref 0 in
-      Array.iter
-        (fun b ->
-          Varint.write buf (b - !prev);
-          prev := b)
+      Array.fold_left
+        (fun acc b ->
+          let delta = b - !prev in
+          prev := b;
+          acc + Varint.size delta)
+        (acc + Varint.size (Array.length d.bases) + 1)
         d.bases)
-    dicts;
-  Buffer.contents buf
+    (Varint.size arity + Varint.size count)
+    dicts
 
 let layout dicts =
   let arity = Array.length dicts in
@@ -146,7 +145,6 @@ let encode ~arity tuples =
         Bitio.Writer.put writer (Int64.of_int o) ~width:d.w
       done)
     tuples;
-  let header = encode_header ~arity ~count dicts in
   {
     arity;
     count;
@@ -154,7 +152,7 @@ let encode ~arity tuples =
     field_offsets;
     tuple_bits;
     body = Bitio.Reader.create (Bitio.Writer.contents writer);
-    header;
+    header_bytes = header_bytes ~arity ~count dicts;
   }
 
 let field_value t i f =
@@ -211,57 +209,6 @@ let scan_naive t ~field ~value =
   done;
   !acc
 
-let size_bytes t = String.length t.header + (((t.count * t.tuple_bits) + 7) / 8)
-
-let serialize t =
-  let buf = Buffer.create (size_bytes t + 8) in
-  Varint.write buf (String.length t.header);
-  Buffer.add_string buf t.header;
-  let body_bytes = ((t.count * t.tuple_bits) + 7) / 8 in
-  Varint.write buf body_bytes;
-  for i = 0 to body_bytes - 1 do
-    let bits_left = (t.count * t.tuple_bits) - (i * 8) in
-    let width = min 8 bits_left in
-    let b =
-      if width <= 0 then 0L else Bitio.Reader.get t.body ~at:(i * 8) ~width
-    in
-    Buffer.add_char buf (Char.chr (Int64.to_int b land 0xFF))
-  done;
-  Buffer.contents buf
-
-let deserialize s =
-  let buf = Bytes.unsafe_of_string s in
-  let header_len, p = Varint.read buf ~pos:0 in
-  if p + header_len > Bytes.length buf then invalid_arg "Tuple_page.deserialize: truncated";
-  let header = String.sub s p header_len in
-  let hbuf = Bytes.unsafe_of_string header in
-  let arity, hp = Varint.read hbuf ~pos:0 in
-  let count, hp = Varint.read hbuf ~pos:hp in
-  let hp = ref hp in
-  let dicts =
-    Array.init arity (fun _ ->
-        let nbases, p1 = Varint.read hbuf ~pos:!hp in
-        if p1 >= Bytes.length hbuf + 1 then invalid_arg "Tuple_page.deserialize: truncated";
-        let w = Bytes.get_uint8 hbuf p1 in
-        let pos = ref (p1 + 1) in
-        let prev = ref 0 in
-        let bases =
-          Array.init nbases (fun _ ->
-              let d, np = Varint.read hbuf ~pos:!pos in
-              pos := np;
-              prev := !prev + d;
-              !prev)
-        in
-        hp := !pos;
-        { bases; x_bits = ceil_log2 nbases; w })
-  in
-  let field_offsets, tuple_bits = layout dicts in
-  let body_pos = p + header_len in
-  let body_bytes, bp = Varint.read buf ~pos:body_pos in
-  if bp + body_bytes > Bytes.length buf then invalid_arg "Tuple_page.deserialize: truncated";
-  if body_bytes < ((count * tuple_bits) + 7) / 8 then
-    invalid_arg "Tuple_page.deserialize: body too short";
-  let body = Bitio.Reader.create (Bytes.sub buf bp body_bytes) in
-  { arity; count; dicts; field_offsets; tuple_bits; body; header }
+let size_bytes t = t.header_bytes + (((t.count * t.tuple_bits) + 7) / 8)
 
 let plain_size_bytes ~arity ~count = arity * count * 8

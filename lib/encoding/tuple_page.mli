@@ -24,7 +24,7 @@ val arity : t -> int
 val count : t -> int
 val bits_per_tuple : t -> int
 val size_bytes : t -> int
-(** Full serialised page size, header included. *)
+(** Page size: header plus packed body. *)
 
 val get : t -> int -> int64 array
 (** Decode tuple [i]. *)
@@ -39,10 +39,6 @@ val scan : t -> field:int -> value:int64 -> int list
 val scan_naive : t -> field:int -> value:int64 -> int list
 (** Reference implementation that decodes every tuple; used by tests and
     by the E10 experiment as the "decompress then compare" baseline. *)
-
-val serialize : t -> string
-val deserialize : string -> t
-(** @raise Invalid_argument on malformed pages. *)
 
 val plain_size_bytes : arity:int -> count:int -> int
 (** Size the same tuples would occupy as flat 64-bit fields — the

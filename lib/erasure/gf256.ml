@@ -28,9 +28,7 @@ let () =
 
 let add a b = a lxor b
 
-let[@purity.lint.allow
-     "escape: exp/log tables are filled once at module init and read-only \
-      ever after"] mul a b =
+let mul a b =
   if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
 
 let div a b =
@@ -57,10 +55,7 @@ let exp i =
    ints = 2 MiB; an RS code touches k + m of them. *)
 let mul_tables : int array array array = Array.make 256 [||]
 
-let[@purity.lint.allow
-     "escape: lazily built, but [Rs.create] warms every coefficient its \
-      matrix uses on the main domain before any parallel encode; workers \
-      only ever read a fully published table"] [@purity.lint.coldpath] mul_table c =
+let[@purity.lint.coldpath] mul_table c =
   let t = Array.unsafe_get mul_tables c in
   if t != [||] then t
   else begin
@@ -74,13 +69,6 @@ let[@purity.lint.allow
     mul_tables.(c) <- t;
     t
   end
-
-(* The cache above is built lazily on first use, which is a publication
-   race if the first use happens on a pool worker: another domain could
-   observe the row pointer before the table contents. [Rs.create] warms
-   every coefficient its matrix uses on the main domain, before any
-   parallel encode can touch them; after that, workers only read. *)
-let warm c = if c > 1 then ignore (mul_table c : int array array)
 
 let check_lengths name ~src ~dst =
   if Bytes.length dst <> Bytes.length src then

@@ -19,13 +19,6 @@ val inv : int -> int
 val exp : int -> int
 (** [exp i] is the generator raised to the [i]-th power (i taken mod 255). *)
 
-val warm : int -> unit
-(** Materialise the cached product table for coefficient [c] on the
-    calling (main) domain. The cache is otherwise built lazily on first
-    {!mul_slice}, which would be a cross-domain publication race if that
-    first use ran on a pool worker; [Reed_solomon.create] warms every
-    coefficient in its matrix so workers only ever read the cache. *)
-
 val mul_slice : int -> src:bytes -> dst:bytes -> unit
 (** [mul_slice c ~src ~dst] XORs [c · src] into [dst] elementwise; the
     inner loop of encoding. Processes 8 bytes per step through a cached

@@ -67,12 +67,7 @@ let create ~k ~m =
   in
   let top = Array.sub vandermonde 0 k in
   let top_inv = matrix_invert top in
-  let matrix = matrix_mul vandermonde top_inv in
-  (* build every product table this code will use, on the main domain —
-     [Gf256.mul_slice]'s lazy cache must not be first-populated by a pool
-     worker (cross-domain publication race) *)
-  Array.iter (fun row -> Array.iter Gf256.warm row) matrix;
-  { k; m; matrix }
+  { k; m; matrix = matrix_mul vandermonde top_inv }
 
 let check_shard_sizes shards =
   let size = ref (-1) in

@@ -1,7 +1,6 @@
 module Histogram = Purity_util.Histogram
 
-(* Main-domain only: no pool lane records here (lint's escape pass
-   proves it), so a counter is a plain cell. *)
+(* The array is single-domain, so a counter is a plain cell. *)
 type counter = int ref
 
 type metric =

@@ -45,12 +45,7 @@ let t5 = table.(5)
 let t6 = table.(6)
 let t7 = table.(7)
 
-let[@purity.lint.hotpath]
-   [@purity.lint.allow
-     "escape: the t0..t7 slicing tables are filled once at module init on \
-      the first domain to load the unit and are read-only ever after; the \
-      stats cell goes through the audited Kernel_stats shadow protocol"] update
-    crc buf ~pos ~len =
+let[@purity.lint.hotpath] update crc buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Crc32c.update";
   let started = Kernel_stats.tick () in

@@ -4,85 +4,36 @@
    next to the word loops they sit beside. Nanosecond totals need a real
    clock; the simulator has no business paying a syscall per cblock, so
    [ns] only accumulates while a wall-clock source is installed (the bench
-   harness installs one around its runs).
-
-   Domain safety: the named cells below belong to the main domain. A
-   kernel invoked on a pool worker must not race on them, so off-main
-   [tock]s accumulate into a domain-local shadow array instead
-   (3 ints per kernel, indexed by [kernel.index]); the pool drains each
-   worker's shadow into a per-lane slot at the end of every batch
-   ({!drain_shadow}) and the submitting domain folds those slots back
-   into the main cells ({!absorb}). Totals are sums, so the aggregate is
-   independent of lane scheduling — parallel runs report the same
-   bytes/calls as serial ones. *)
+   harness installs one around its runs). The array is single-domain, so
+   every cell is a plain main-domain counter. *)
 
 type kernel = {
   name : string;
-  index : int;  (* slot in the per-domain shadow array *)
   mutable bytes : int;  (* payload bytes processed by the fast kernel *)
   mutable calls : int;
   mutable ns : int;  (* wall-clock ns, only while a clock is installed *)
 }
 
-let make name index = { name; index; bytes = 0; calls = 0; ns = 0 }
-let crc = make "crc" 0
-let gf = make "gf" 1
-let rs = make "rs" 2
-let lz_compress = make "lz_compress" 3
-let lz_decompress = make "lz_decompress" 4
-let fingerprint = make "fingerprint" 5
+let make name = { name; bytes = 0; calls = 0; ns = 0 }
+let crc = make "crc"
+let gf = make "gf"
+let rs = make "rs"
+let lz_compress = make "lz_compress"
+let lz_decompress = make "lz_decompress"
+let fingerprint = make "fingerprint"
 let all = [ crc; gf; rs; lz_compress; lz_decompress; fingerprint ]
 
-(* bytes, calls, ns per kernel *)
-let shadow_cells = 3 * List.length all
+(* wall-clock ns source; [None] outside bench runs *)
+let clock : (unit -> int) option ref = ref None
 
-let shadow_key : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make shadow_cells 0)
+let set_clock c = clock := c
 
-(* wall-clock ns source; [None] outside bench runs. Atomic because pool
-   workers read it while the bench harness (main) may swap it. *)
-let clock : (unit -> int) option Atomic.t = Atomic.make None
-
-let set_clock c = Atomic.set clock c
-
-let tick () = match Atomic.get clock with None -> 0 | Some now -> now ()
+let tick () = match !clock with None -> 0 | Some now -> now ()
 
 let tock k ~bytes ~t0 =
-  if Domain.is_main_domain () then begin
-    k.bytes <- k.bytes + bytes;
-    k.calls <- k.calls + 1;
-    match Atomic.get clock with
-    | None -> ()
-    | Some now -> k.ns <- k.ns + now () - t0
-  end
-  else begin
-    let s = Domain.DLS.get shadow_key in
-    let b = k.index * 3 in
-    s.(b) <- s.(b) + bytes;
-    s.(b + 1) <- s.(b + 1) + 1;
-    match Atomic.get clock with
-    | None -> ()
-    | Some now -> s.(b + 2) <- s.(b + 2) + now () - t0
-  end
-
-let drain_shadow ~into =
-  let s = Domain.DLS.get shadow_key in
-  for i = 0 to shadow_cells - 1 do
-    into.(i) <- into.(i) + s.(i);
-    s.(i) <- 0
-  done
-
-let absorb cells =
-  List.iter
-    (fun k ->
-      let b = k.index * 3 in
-      k.bytes <- k.bytes + cells.(b);
-      k.calls <- k.calls + cells.(b + 1);
-      k.ns <- k.ns + cells.(b + 2);
-      cells.(b) <- 0;
-      cells.(b + 1) <- 0;
-      cells.(b + 2) <- 0)
-    all
+  k.bytes <- k.bytes + bytes;
+  k.calls <- k.calls + 1;
+  match !clock with None -> () | Some now -> k.ns <- k.ns + now () - t0
 
 let reset () =
   List.iter

@@ -416,7 +416,7 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
     else if (not audited_domains) && Rules.domain_violation name then
       emit ~loc Escape
         (Printf.sprintf
-           "%s outside the audited multicore modules; cross-domain shared \
+           "%s outside the audited pool module; cross-domain shared \
             mutable state breaks deterministic replay — go through \
             Purity_par.Pool or audit this module in the lint config"
            name)

@@ -10,28 +10,13 @@
      mutable value ([Mut_global] site) — reported with the call-chain
      witness from the closure to the touching def.
 
-   The walk stops at the audited multicore modules (pool.ml,
-   kernel_stats.ml): their cross-domain state is the reviewed
-   implementation, e.g. the shadow kernel counters each worker drains
-   into its own lane. The telemetry registry is not among them: it is
-   main-domain only, and this pass proves no lane reaches it. A site inside an audited file is not an
-   escape; neither is a waived site or a waived submission. *)
+   The walk stops at the audited pool module: its cross-domain state is
+   the reviewed implementation. Everything else — the kernels' plain
+   [Kernel_stats] cells included — is main-domain state that a lane may
+   not reach unwaived. A site inside an audited file is not an escape;
+   neither is a waived site or a waived submission. *)
 
 let audited_file cfg file = Rules.is_audited_domains cfg file
-
-(* A module-level mutable value *owned by* an audited module is the
-   audited implementation no matter where it is referenced: passing
-   [Kernel_stats.crc] to [Kernel_stats.tock] from a kernel is the shadow
-   protocol (workers record into domain-local shadows the pool drains),
-   not an escape. Module name maps back to its basename the same way the
-   compiler derived it. *)
-let owned_by_audited (cfg : Rules.config) name =
-  match String.index_opt name '.' with
-  | None -> false
-  | Some i ->
-    List.mem
-      (String.uncapitalize_ascii (String.sub name 0 i) ^ ".ml")
-      cfg.audited_domains
 
 let run (cfg : Rules.config) (g : Callgraph.t) : Finding.t list =
   let findings = ref [] in
@@ -52,7 +37,7 @@ let run (cfg : Rules.config) (g : Callgraph.t) : Finding.t list =
               :: !findings)
           p.p_captures;
         (* transitive: functions the closure body calls that touch
-           module-level mutable state outside the audited modules *)
+           module-level mutable state outside the audited pool *)
         let reached =
           Callgraph.reached_sorted g ~roots:p.p_calls
             ~follow:(fun ~caller:_ ~call:_ ~callee ->
@@ -64,11 +49,7 @@ let run (cfg : Rules.config) (g : Callgraph.t) : Finding.t list =
               List.iter
                 (fun (s : Callgraph.site) ->
                   match s.kind with
-                  | Mut_global (name, ty)
-                    when not
-                           (s.s_waived
-                           || audited_file cfg s.s_file
-                           || owned_by_audited cfg name) ->
+                  | Mut_global (name, ty) when not s.s_waived ->
                     findings :=
                       Finding.v ~rule:Escape ~file:p.p_file ~line:p.p_line
                         ~col:p.p_col

@@ -12,11 +12,9 @@ type config = {
       (* basenames allowed to use unchecked accessors *)
   audited_domains : string list;
       (* basenames allowed to touch Domain/Atomic/Mutex/Condition — the
-         deterministic pool and the kernel counters it aggregates into
-         (the telemetry registry is main-domain only). The
-         escape pass also stops at these modules: their
-         cross-domain mutable state is the audited implementation, not an
-         escape. *)
+         deterministic pool, the one module that spawns domains. The
+         escape pass also stops at it: its cross-domain state is the
+         audited implementation, not an escape. *)
   exclude : string list;
       (* path substrings skipped entirely (planted test fixtures) *)
   mutable_types : string list;
@@ -44,7 +42,7 @@ let default =
       ];
     audited_unsafe =
       [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "bloom.ml" ];
-    audited_domains = [ "pool.ml"; "kernel_stats.ml" ];
+    audited_domains = [ "pool.ml" ];
     exclude = [ "lint_fixtures" ];
     mutable_types =
       [

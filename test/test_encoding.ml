@@ -130,17 +130,6 @@ let test_page_scan_matches_naive () =
     (Tp.scan p ~field:0 ~value:5L);
   check (Alcotest.list int) "absent value" [] (Tp.scan p ~field:0 ~value:6L)
 
-let test_page_serialize_roundtrip () =
-  let tuples =
-    List.init 50 (fun i -> [| Int64.of_int (i * 1000); Int64.of_int (i mod 3); 77L |])
-  in
-  let p = Tp.encode ~arity:3 tuples in
-  let p2 = Tp.deserialize (Tp.serialize p) in
-  check int "count" (Tp.count p) (Tp.count p2);
-  for i = 0 to Tp.count p - 1 do
-    check (Alcotest.array Alcotest.int64) "tuple" (Tp.get p i) (Tp.get p2 i)
-  done
-
 let test_page_compresses_clustered_values () =
   (* Clustered values (e.g. offsets within a few segments) should encode far
      below 64 bits per field. *)
@@ -189,14 +178,6 @@ let prop_page_scan_equals_naive =
       let p = Tp.encode ~arity tuples in
       Tp.scan p ~field ~value:needle = Tp.scan_naive p ~field ~value:needle)
 
-let prop_page_serialize_roundtrip =
-  QCheck.Test.make ~name:"tuple page serialise roundtrip" ~count:200
-    (QCheck.make gen_tuples)
-    (fun (arity, tuples) ->
-      let p = Tp.encode ~arity tuples in
-      let p2 = Tp.deserialize (Tp.serialize p) in
-      List.map Array.to_list (Tp.to_list p2) = List.map Array.to_list tuples)
-
 let () =
   Alcotest.run "encoding"
     [
@@ -222,12 +203,10 @@ let () =
           Alcotest.test_case "roundtrip small" `Quick test_page_roundtrip_small;
           Alcotest.test_case "constant field free" `Quick test_page_constant_field_free;
           Alcotest.test_case "scan matches naive" `Quick test_page_scan_matches_naive;
-          Alcotest.test_case "serialize roundtrip" `Quick test_page_serialize_roundtrip;
           Alcotest.test_case "compresses clustered" `Quick test_page_compresses_clustered_values;
           Alcotest.test_case "arity mismatch" `Quick test_page_arity_mismatch;
           Alcotest.test_case "value range" `Quick test_page_value_out_of_range;
           QCheck_alcotest.to_alcotest prop_page_roundtrip;
           QCheck_alcotest.to_alcotest prop_page_scan_equals_naive;
-          QCheck_alcotest.to_alcotest prop_page_serialize_roundtrip;
         ] );
     ]

@@ -132,6 +132,15 @@ let test_escape_pass () =
     [ (("escape", 5), [ "Fx_escape.racy" ]) ]
     (List.map rule_line_chain fs)
 
+let test_escape_transitive () =
+  let g = graph_of [ "fx_escape_chain" ] in
+  let fs = Lint.Escape.run cfg g in
+  Alcotest.check pass_shape
+    "closure calling a helper that bumps a module-level counter fires with \
+     the submitter -> helper chain; the waived submission does not"
+    [ (("escape", 12), [ "Fx_escape_chain.submitter"; "Fx_escape_chain.helper" ]) ]
+    (List.map rule_line_chain fs)
+
 let test_alloc_pass () =
   let g = graph_of [ "fx_hotalloc" ] in
   let fs = Lint.Alloc.run cfg g in
@@ -317,6 +326,7 @@ let () =
       ( "interprocedural",
         [
           Alcotest.test_case "escape pass" `Quick test_escape_pass;
+          Alcotest.test_case "escape pass (transitive)" `Quick test_escape_transitive;
           Alcotest.test_case "alloc pass" `Quick test_alloc_pass;
           Alcotest.test_case "raises pass" `Quick test_raises_pass;
           Alcotest.test_case "raises through a functor" `Quick test_raises_through_functor;

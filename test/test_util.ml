@@ -167,6 +167,48 @@ let prop_crc32c_incremental_equals_oneshot =
       let c1 = Crc32c.digest buf ~pos:0 ~len:cut in
       Crc32c.update c1 buf ~pos:cut ~len:(n - cut) = Crc32c.digest buf ~pos:0 ~len:n)
 
+(* ---------- Kernel_stats ---------- *)
+
+(* a deterministic fake clock: 0, 10, 20, ... *)
+let fake_clock () =
+  let t = ref (-10) in
+  fun () ->
+    t := !t + 10;
+    !t
+
+let with_clock clock f =
+  Kernel_stats.set_clock (Some clock);
+  Fun.protect ~finally:(fun () -> Kernel_stats.set_clock None) f
+
+let crc_of n = ignore (Crc32c.digest (Bytes.make n 'k') ~pos:0 ~len:n : int32)
+
+let test_kernel_stats_exact_counts () =
+  Kernel_stats.reset ();
+  crc_of 1000;
+  check int "crc.bytes += n" 1000 Kernel_stats.crc.bytes;
+  check int "crc.calls += 1" 1 Kernel_stats.crc.calls;
+  check int "no clock: ns stays 0" 0 Kernel_stats.crc.ns
+
+let test_kernel_stats_clock_delta () =
+  Kernel_stats.reset ();
+  (* each call reads the clock once at tick and once at tock: +10 *)
+  with_clock (fake_clock ()) (fun () ->
+      crc_of 64;
+      crc_of 64;
+      crc_of 64);
+  check int "ns moves by exactly the clock delta" 30 Kernel_stats.crc.ns;
+  check int "calls" 3 Kernel_stats.crc.calls
+
+let test_kernel_stats_reset () =
+  with_clock (fake_clock ()) (fun () ->
+      crc_of 100;
+      ignore (Xxhash.hash63 (Bytes.make 100 'k') ~pos:0 ~len:100 : int));
+  Kernel_stats.reset ();
+  List.iter
+    (fun (k : Kernel_stats.kernel) ->
+      check (Alcotest.list int) (k.name ^ " zeroed") [ 0; 0; 0 ] [ k.bytes; k.calls; k.ns ])
+    Kernel_stats.all
+
 (* ---------- Histogram ---------- *)
 
 let test_histogram_empty () =
@@ -560,6 +602,15 @@ let () =
           Alcotest.test_case "rfc3720 suite" `Quick test_crc32c_rfc3720_suite;
           QCheck_alcotest.to_alcotest prop_crc32c_fast_equals_ref;
           QCheck_alcotest.to_alcotest prop_crc32c_incremental_equals_oneshot;
+        ] );
+      (* alcotest pads every group name to the widest and cuts test names
+         to fit the line: a group name wider than "histogram" truncates the
+         printed names of the longer tests in other groups *)
+      ( "kstats",
+        [
+          Alcotest.test_case "exact bytes and calls" `Quick test_kernel_stats_exact_counts;
+          Alcotest.test_case "ns is the clock delta" `Quick test_kernel_stats_clock_delta;
+          Alcotest.test_case "reset zeroes every cell" `Quick test_kernel_stats_reset;
         ] );
       ( "histogram",
         [
