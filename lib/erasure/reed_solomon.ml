@@ -136,38 +136,50 @@ let encode_string t s ~shard_size =
   let parity = encode t data in
   Array.append (Array.map Bytes.to_string data) (Array.map Bytes.to_string parity)
 
-let decode t shards =
+(* The first k present shards, with their indices: the survivors both
+   decoders solve from. *)
+let survivors t shards =
   if Array.length shards <> t.k + t.m then
     invalid_arg "Reed_solomon.decode: need k+m shard slots";
-  (* Fast path: all data shards present. *)
-  let all_data = ref true in
-  for i = 0 to t.k - 1 do
-    if shards.(i) = None then all_data := false
-  done;
-  if !all_data then Array.init t.k (fun i -> Option.get shards.(i))
-  else begin
-    let survivors = ref [] in
-    Array.iteri
-      (fun i s -> match s with Some b -> survivors := (i, b) :: !survivors | None -> ())
-      shards;
-    let survivors = List.rev !survivors in
-    if List.length survivors < t.k then
-      invalid_arg "Reed_solomon.decode: too many erasures";
-    let chosen = Array.of_list (List.filteri (fun idx _ -> idx < t.k) survivors) in
-    let size = check_shard_sizes (Array.map snd chosen) in
-    let sub = Array.map (fun (i, _) -> Array.copy t.matrix.(i)) chosen in
-    let sub_inv = matrix_invert sub in
-    apply_rows sub_inv (Array.map snd chosen) size
-  end
+  let chosen = Array.make t.k 0 and found = ref 0 in
+  Array.iteri
+    (fun j s ->
+      if Option.is_some s && !found < t.k then begin
+        chosen.(!found) <- j;
+        incr found
+      end)
+    shards;
+  if !found < t.k then invalid_arg "Reed_solomon.decode: too many erasures";
+  (chosen, Array.map (fun j -> Option.get shards.(j)) chosen)
 
+(* The survivors are the k data shards exactly when the last one is
+   shard k-1; then the inverse is the identity and nothing is solved. *)
+let all_data t chosen = chosen.(t.k - 1) = t.k - 1
+
+let invert_survivors t chosen = matrix_invert (Array.map (fun j -> t.matrix.(j)) chosen)
+
+let decode t shards =
+  let chosen, srcs = survivors t shards in
+  if all_data t chosen then srcs
+  else apply_rows (invert_survivors t chosen) srcs (check_shard_sizes srcs)
+
+(* One shard from the survivors: the target's coefficient row over them,
+   then k multiply-accumulates. A data target's row is its row of the
+   inverted survivor matrix; a parity target's is its encoding row times
+   that inverse. *)
 let reconstruct_shard t shards i =
   if i < 0 || i >= t.k + t.m then invalid_arg "Reed_solomon.reconstruct_shard";
-  let data = decode t shards in
-  if i < t.k then data.(i)
-  else begin
-    let size = Bytes.length data.(0) in
-    let out = apply_rows [| t.matrix.(i) |] data size in
-    out.(0)
-  end
+  let chosen, srcs = survivors t shards in
+  let size = check_shard_sizes srcs in
+  let row =
+    if all_data t chosen then t.matrix.(i)
+    else begin
+      let inv = invert_survivors t chosen in
+      if i < t.k then inv.(i) else (matrix_mul [| t.matrix.(i) |] inv).(0)
+    end
+  in
+  let out = Bytes.make size '\000' in
+  Array.iteri (fun j src -> Gf256.mul_slice row.(j) ~src ~dst:out) srcs;
+  out
 
 let parity_overhead t = float_of_int t.m /. float_of_int t.k

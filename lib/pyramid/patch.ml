@@ -186,34 +186,53 @@ module Make (F : Fact.S) = struct
 
   let merge a b = merge_keep a b ~keep:(fun _ -> true)
 
-  (* Balanced pairwise rounds: each fact takes part in O(log n) merges
-     instead of the O(n) of a left fold that re-merges its accumulator. *)
-  let rec merge_many = function
-    | [] -> empty
-    | [ t ] -> t
-    | ts ->
-      let rec pairwise = function
-        | a :: b :: rest -> merge a b :: pairwise rest
-        | rest -> rest
-      in
-      merge_many (pairwise ts)
+  (* One merge over every run at once, calling [f] on each key's newest
+     fact that [keep] accepts, in key order. The next fact is the least
+     head by (key asc, seq desc), ties to the shallowest run, so a (key,
+     seq) repeat collapses to its shallowest copy before [keep] sees it,
+     as in [merge_keep]. The runs are few (the last flatten's bottom plus
+     the patches flushed since), so a scan of the heads beats a heap. *)
+  let iter_newest ts ~keep f =
+    let runs =
+      Array.of_list (List.filter_map (fun t -> if is_empty t then None else Some t.facts) ts)
+    in
+    let nruns = Array.length runs in
+    let heads = Array.make nruns 0 in
+    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 runs in
+    if total > 0 then begin
+      let prev = ref runs.(0).(0) and seen = ref false and decided = ref false in
+      for _ = 1 to total do
+        let best = ref (-1) in
+        for r = 0 to nruns - 1 do
+          let h = heads.(r) in
+          if h < Array.length runs.(r) then
+            if !best < 0 || F.compare_key_seq runs.(r).(h) runs.(!best).(heads.(!best)) < 0
+            then best := r
+        done;
+        let fact = runs.(!best).(heads.(!best)) in
+        heads.(!best) <- heads.(!best) + 1;
+        if not (!seen && same_key_seq !prev fact) then begin
+          if not (!seen && K.equal !prev.F.key fact.F.key) then decided := false;
+          seen := true;
+          prev := fact;
+          if (not !decided) && keep fact then begin
+            decided := true;
+            f fact
+          end
+        end
+      done
+    end
 
-  let filter t pred = make (Array.of_seq (Seq.filter pred (Array.to_seq t.facts)))
-
-  let compact_latest t ~drop_tombstones =
-    let out = ref [] in
-    let last_key = ref None in
-    Array.iter
-      (fun (f : F.t) ->
-        let fresh =
-          match !last_key with Some k -> not (K.equal k f.key) | None -> true
-        in
-        if fresh then begin
-          last_key := Some f.key;
-          if not (drop_tombstones && F.is_tombstone f) then out := f :: !out
-        end)
-      t.facts;
-    make (Array.of_list (List.rev !out))
+  let flatten ts ~keep =
+    let total = List.fold_left (fun acc t -> acc + count t) 0 ts in
+    let out = ref [||] and n = ref 0 in
+    iter_newest ts ~keep (fun fact ->
+        if not (F.is_tombstone fact) then begin
+          if !n = 0 then out := Array.make total fact;
+          !out.(!n) <- fact;
+          incr n
+        end);
+    of_prefix !out !n
 
   let serialize t =
     let body = Buffer.create (64 * Array.length t.facts) in

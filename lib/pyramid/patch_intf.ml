@@ -68,17 +68,18 @@ module type S = sig
 
   val merge_keep : t -> t -> keep:(Fact.t -> bool) -> t
   (** [merge] that drops the facts [keep] rejects on the way, building one
-      patch instead of a merge and then a {!filter}. *)
+      patch instead of a merge and then a filter. *)
 
-  val merge_many : t list -> t
+  val iter_newest : t list -> keep:(Fact.t -> bool) -> (Fact.t -> unit) -> unit
+  (** [iter_newest ts ~keep f] merges the runs [ts] (shallowest first) in
+      one pass and calls [f] on each key's newest fact that [keep]
+      accepts, tombstones included, in key order. A (key, seq) repeat
+      counts once, as its shallowest copy. *)
 
-  val filter : t -> (Fact.t -> bool) -> t
-  (** Keep only matching facts (elide-aware flatten uses this). *)
-
-  val compact_latest : t -> drop_tombstones:bool -> t
-  (** Keep only the newest fact per key — valid only at the bottom of a
-      pyramid, where no older level can resurrect superseded facts. With
-      [drop_tombstones] the retractions themselves are discarded too. *)
+  val flatten : t list -> keep:(Fact.t -> bool) -> t
+  (** The bottom of a pyramid whose runs are [ts]: the facts
+      {!iter_newest} visits, less the tombstones. Valid only at the
+      bottom, where no older level can resurrect what it drops. *)
 
   val serialize : t -> string
 

@@ -212,27 +212,18 @@ module Make (P : Patch.S) = struct
     end;
     best
 
-  let memtable_patch t =
-    Patch.of_facts (Tbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [])
+  (* The memtable (when it holds anything) above every patch. *)
+  let runs t =
+    if t.memtable_count = 0 then t.patches
+    else
+      Patch.of_facts (Tbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [])
+      :: t.patches
 
-  let merged_view t = Patch.merge_many (memtable_patch t :: t.patches)
-
+  (* Each key's newest fact, in key order, from one merge; tombstoned and
+     elided ones read as absent. *)
   let iter_live t f =
-    let view = merged_view t in
-    let current_key = ref None in
-    Patch.iter view (fun fact ->
-        let same_key =
-          match !current_key with
-          | Some k -> K.equal k fact.Fact.key
-          | None -> false
-        in
-        (* a key's first fact in the view is its latest version *)
-        if not same_key then begin
-          current_key := Some fact.Fact.key;
-          match live_value t fact with
-          | Some value -> f ~key:fact.Fact.key ~value
-          | None -> ()
-        end)
+    Patch.iter_newest (runs t) ~keep:(fun _ -> true) (fun fact ->
+        match live_value t fact with Some value -> f ~key:fact.Fact.key ~value | None -> ())
 
   (* The latest fact of each key in [lo, hi], from the whole memtable and
      only the facts inside the fence of each overlapping patch; then the
@@ -265,11 +256,11 @@ module Make (P : Patch.S) = struct
       true
     | _ -> false
 
+  (* The memtable and every patch in one merge. *)
   let flatten t =
-    flush t;
-    let all = Patch.merge_many t.patches in
-    let live = Patch.filter all (not_elided t) in
-    let bottom = Patch.compact_latest live ~drop_tombstones:true in
+    let bottom = Patch.flatten (runs t) ~keep:(not_elided t) in
+    Tbl.reset t.memtable;
+    t.memtable_count <- 0;
     t.patches <- (if Patch.is_empty bottom then [] else [ bottom ])
 
   let patch_count t = List.length t.patches

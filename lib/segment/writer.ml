@@ -74,12 +74,16 @@ let append_buffer t frame =
 
 let append_log t ~seq record =
   if t.sealed then invalid_arg "Writer.append_log: sealed";
-  let frame = Buffer.create (String.length record + 12) in
-  Varint.write_i64 frame seq;
-  Varint.write frame (String.length record);
-  Buffer.add_string frame record;
-  if Buffer.length frame > remaining t then invalid_arg "Writer.append_log: no room";
-  Buffer.add_buffer t.log frame;
+  (* the frame goes straight onto the log's back; one that does not fit
+     is cut off again before the raise *)
+  let start = Buffer.length t.log in
+  Varint.write_i64 t.log seq;
+  Varint.write t.log (String.length record);
+  Buffer.add_string t.log record;
+  if remaining t < 0 then begin
+    Buffer.truncate t.log start;
+    invalid_arg "Writer.append_log: no room"
+  end;
   if Int64.equal t.seq_lo 0L || Int64.compare seq t.seq_lo < 0 then t.seq_lo <- seq;
   if Int64.compare seq t.seq_hi > 0 then t.seq_hi <- seq
 

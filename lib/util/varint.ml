@@ -1,19 +1,26 @@
-let write_i64 buf v =
+(* Untagged arithmetic on a native int: nothing boxes. *)
+let write_nonneg buf v =
   let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let low = Int64.to_int (Int64.logand !v 0x7FL) in
-    v := Int64.shift_right_logical !v 7;
-    if !v = 0L then begin
-      Buffer.add_char buf (Char.chr low);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (low lor 0x80))
-  done
+  while !v >= 0x80 do
+    Buffer.add_char buf (Char.chr ((!v land 0x7F) lor 0x80));
+    v := !v lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !v)
 
 let write buf v =
   if v < 0 then invalid_arg "Varint.write: negative";
-  write_i64 buf (Int64.of_int v)
+  write_nonneg buf v
+
+(* Values in [0, max_int] — every seqno — take the int loop. A larger
+   one (as unsigned) has more than 7 bits, so its low group goes out
+   with the continuation bit and the rest, below 2^57, is back in range. *)
+let rec write_i64 buf v =
+  if Int64.compare v 0L >= 0 && Int64.compare v (Int64.of_int max_int) <= 0 then
+    write_nonneg buf (Int64.to_int v)
+  else begin
+    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.logand v 0x7FL) lor 0x80));
+    write_i64 buf (Int64.shift_right_logical v 7)
+  end
 
 let put buf ~pos v =
   if v < 0 then invalid_arg "Varint.put: negative";

@@ -1,12 +1,19 @@
-(** xxHash64: the 64-bit non-cryptographic hash used for deduplication.
+(** Non-cryptographic hashes: xxHash64 and a native-int fingerprint.
 
-    Purity records hashes "no larger than 64 bits" for dedup candidates and
-    relies on a byte-level comparison to confirm matches, so hash collisions
-    affect only performance, never correctness (paper §4.7). This is a
-    from-scratch implementation of the xxHash64 algorithm. *)
+    {!hash} is xxHash64 proper (from-scratch, spec digests): GC's
+    relocation content cache fingerprints frames with it, bloom filters
+    derive their two probe hashes from it, and simulated drives draw
+    page-corruption events from it, so its digests are pinned by tests.
+    {!hash63} is the dedup fingerprint. Purity records hashes "no larger
+    than 64 bits" for dedup candidates and relies on a byte-level
+    comparison to confirm matches, so collisions affect only
+    performance, never correctness (paper §4.7). *)
 
 val hash : ?seed:int64 -> bytes -> pos:int -> len:int -> int64
-(** [hash ?seed buf ~pos ~len] hashes the given slice. *)
+(** [hash ?seed buf ~pos ~len] is the xxHash64 digest of the slice. Its
+    round and merge helpers inline into the stripe loop, whose int64s
+    stay unboxed: a call allocates only its boxed result (and the [Some]
+    around an explicit [seed]), whatever its length. *)
 
 val hash_string : ?seed:int64 -> string -> int64
 (** Hash a whole string. *)
@@ -18,8 +25,10 @@ val truncate : int64 -> bits:int -> int64
 (** {2 hash63: unboxed fingerprints}
 
     An xxh-style hash defined over the native [int] width (63 bits on a
-    64-bit platform): words are folded as two exact 32-bit limbs with
-    untagged arithmetic, so fingerprinting a block allocates nothing.
+    64-bit platform): each 8-byte word is loaded, truncated to 63 bits and
+    folded into one of four lanes with untagged arithmetic, so
+    fingerprinting a block allocates nothing. It is not xxHash64 and its
+    digests differ from {!hash}'s.
     Used by the dedup index, which stores truncated hashes and always
     byte-verifies candidates, so the narrower width costs nothing but a
     marginally higher (still verified-away) collision rate. *)

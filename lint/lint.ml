@@ -26,9 +26,14 @@ let scan_cmts (cfg : Rules.config) ~roots =
       Array.iter
         (fun name ->
           let path = Filename.concat dir name in
+          (* dune may replace an entry (a linked .exe) between the
+             readdir and this test: a vanished one is skipped *)
           if Rules.is_excluded cfg path then ()
-          else if Sys.is_directory path then walk path
-          else if Filename.check_suffix name ".cmt" then acc := path :: !acc)
+          else
+            match Sys.is_directory path with
+            | true -> walk path
+            | false -> if Filename.check_suffix name ".cmt" then acc := path :: !acc
+            | exception Sys_error _ -> ())
         entries
   in
   List.iter (fun r -> if Sys.file_exists r && Sys.is_directory r then walk r) roots;

@@ -228,6 +228,27 @@ let prop_rs_random_erasures =
       let decoded = Rs.decode rs shards in
       Array.for_all2 Bytes.equal data decoded)
 
+(* Up to m erased shards, the target among them or not: every data and
+   parity shard rebuilds to its encoded bytes. *)
+let prop_rs_reconstruct_any_target =
+  QCheck.Test.make ~name:"reconstruct_shard rebuilds any target" ~count:80
+    QCheck.(quad (int_range 2 10) (int_range 1 4) (int_range 1 64) (int_bound 1000))
+    (fun (k, m, size, seed) ->
+      let rs = Rs.create ~k ~m in
+      let local = Purity_util.Rng.create ~seed:(Int64.of_int seed) in
+      let data = Array.init k (fun _ -> Purity_util.Rng.bytes local size) in
+      let all = Array.append data (Rs.encode rs data) in
+      let idx = Array.init (k + m) Fun.id in
+      Purity_util.Rng.shuffle local idx;
+      let erased = Purity_util.Rng.int local (m + 1) in
+      let shards = Array.map Option.some all in
+      for i = 0 to erased - 1 do
+        shards.(idx.(i)) <- None
+      done;
+      List.for_all
+        (fun target -> Bytes.equal all.(target) (Rs.reconstruct_shard rs shards target))
+        (List.init (k + m) Fun.id))
+
 let () =
   Alcotest.run "erasure"
     [
@@ -256,5 +277,6 @@ let () =
           Alcotest.test_case "odd-size double erasure" `Quick test_rs_odd_size_double_erasure;
           QCheck_alcotest.to_alcotest prop_rs_encode_fast_equals_ref;
           QCheck_alcotest.to_alcotest prop_rs_random_erasures;
+          QCheck_alcotest.to_alcotest prop_rs_reconstruct_any_target;
         ] );
     ]

@@ -107,11 +107,21 @@ let test_patch_compact () =
     Patch.of_facts
       [ mk "a" "old" 1L; mk "a" "new" 2L; Fact.tombstone ~key:"b" ~seq:3L; mk "b" "dead" 1L ]
   in
-  let c = Patch.compact_latest p ~drop_tombstones:true in
+  let c = Patch.flatten [ p ] ~keep:(fun _ -> true) in
   check int "one survivor" 1 (Patch.count c);
   check Alcotest.string "newest a" "new" (Option.get (List.hd (Patch.to_list c)).Fact.value);
-  let c2 = Patch.compact_latest p ~drop_tombstones:false in
-  check int "tombstone kept" 2 (Patch.count c2)
+  (* [keep] filters before the newest is picked: rejecting a@2 revives a@1 *)
+  let c2 = Patch.flatten [ p ] ~keep:(fun f -> not (f.Fact.key = "a" && f.Fact.seq = 2L)) in
+  check Alcotest.string "older a" "old" (Option.get (List.hd (Patch.to_list c2)).Fact.value);
+  (* across runs: a shallow tombstone drops a deeper value, and a
+     (key, seq) repeat keeps its shallowest copy *)
+  let deep = Patch.of_facts [ mk "c" "deep" 4L; mk "d" "deep" 5L; mk "e" "only" 1L ] in
+  let shallow = Patch.of_facts [ Fact.tombstone ~key:"c" ~seq:6L; mk "d" "shallow" 5L ] in
+  let c3 = Patch.flatten [ shallow; Patch.empty; deep ] ~keep:(fun _ -> true) in
+  check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.option Alcotest.string)))
+    "across runs"
+    [ ("d", Some "shallow"); ("e", Some "only") ]
+    (List.map (fun f -> (f.Fact.key, f.Fact.value)) (Patch.to_list c3))
 
 let test_patch_serialize_roundtrip () =
   let p = Patch.of_facts [ mk "alpha" "1" 1L; Fact.tombstone ~key:"beta" ~seq:2L ] in
@@ -496,25 +506,54 @@ let prop_find_run_equals_point =
             (List.init n Fun.id))
         [ 0; 7; 25 ])
 
-let prop_merge_many_equals_fold =
-  QCheck.Test.make ~name:"pairwise merge_many = left-fold merge" ~count:100
+(* The reference bottom: merge every run, drop the facts [keep] rejects,
+   keep each key's first (newest) survivor, drop tombstones. *)
+let prop_flatten_equals_reference =
+  QCheck.Test.make ~name:"one-pass flatten = merge+filter+newest" ~count:200
     (QCheck.make
        QCheck.Gen.(
-         list_size (0 -- 8)
+         list_size (0 -- 6)
            (list_size (0 -- 20)
-              (pair (string_size ~gen:(char_range 'a' 'd') (1 -- 2)) (int_bound 20)))))
+              (triple (string_size ~gen:(char_range 'a' 'd') (1 -- 2)) (int_bound 20) bool))))
     (fun patch_specs ->
       let patches =
-        List.map
-          (fun spec ->
+        List.mapi
+          (fun depth spec ->
             Patch.of_facts
-              (List.map (fun (k, s) -> mk k (k ^ string_of_int s) (Int64.of_int (s + 1))) spec))
+              (List.map
+                 (fun (k, s, live) ->
+                   let seq = Int64.of_int (s + 1) in
+                   if live then mk k (Printf.sprintf "%s%d@%d" k s depth) seq
+                   else Fact.tombstone ~key:k ~seq)
+                 spec))
           patch_specs
       in
-      let fast = Patch.merge_many patches in
-      let slow = List.fold_left Patch.merge Patch.empty patches in
-      List.length (Patch.to_list fast) = List.length (Patch.to_list slow)
-      && List.for_all2 Fact.equal (Patch.to_list fast) (Patch.to_list slow))
+      let keep f = Int64.rem f.Fact.seq 3L <> 0L in
+      let merged = List.filter keep (Patch.to_list (List.fold_left Patch.merge Patch.empty patches)) in
+      let rec newest = function
+        | a :: (b :: _ as rest) when a.Fact.key = b.Fact.key -> newest (a :: List.tl rest)
+        | a :: rest -> a :: newest rest
+        | [] -> []
+      in
+      let expected = List.filter (fun f -> not (Fact.is_tombstone f)) (newest merged) in
+      List.equal Fact.equal expected (Patch.to_list (Patch.flatten patches ~keep)))
+
+(* A checkpoint's flatten runs over a pyramid of a few thousand facts
+   per key range: it may allocate a few words per fact on the minor heap
+   (the memtable's sort), not a merge tree and a filter sequence. *)
+let test_pyr_flatten_allocation () =
+  let p = Pyramid.create ~memtable_flush_count:256 ~policy:Pyramid.Tombstones ~name:"t" () in
+  for i = 1 to 20_000 do
+    Pyramid.insert p ~seq:(Int64.of_int i) ~key:(Printf.sprintf "k%05d" (i * 7919 mod 5000))
+      ~value:"v"
+  done;
+  let facts = Pyramid.fact_count p in
+  let w0 = Gc.minor_words () in
+  Pyramid.flatten p;
+  let words = (Gc.minor_words () -. w0) /. float_of_int facts in
+  check int "one patch" 1 (Pyramid.patch_count p);
+  check int "one fact per key" 5000 (Pyramid.fact_count p);
+  if words > 2. then Alcotest.failf "Pyramid.flatten allocates %.2f words per fact" words
 
 let prop_pyramid_matches_model =
   (* Pyramid vs a naive Map model under random insert/delete/flush/merge. *)
@@ -552,7 +591,12 @@ let prop_pyramid_matches_model =
           | `Merge -> ignore (Pyramid.merge_step p)
           | `Flatten -> Pyramid.flatten p)
         ops;
-      List.for_all (fun (k, v) -> Pyramid.find p k = v) !model)
+      let live = ref [] in
+      Pyramid.iter_live p (fun ~key ~value -> live := (key, value) :: !live);
+      let model_live =
+        List.sort compare (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) !model)
+      in
+      List.for_all (fun (k, v) -> Pyramid.find p k = v) !model && List.rev !live = model_live)
 
 let () =
   Alcotest.run "pyramid"
@@ -600,7 +644,8 @@ let () =
           Alcotest.test_case "probe counters + skips" `Quick test_probe_counters_and_skips;
           QCheck_alcotest.to_alcotest prop_fast_find_equals_naive;
           QCheck_alcotest.to_alcotest prop_find_run_equals_point;
-          QCheck_alcotest.to_alcotest prop_merge_many_equals_fold;
+          QCheck_alcotest.to_alcotest prop_flatten_equals_reference;
+          Alcotest.test_case "flatten allocation" `Quick test_pyr_flatten_allocation;
         ] );
       ( "elision",
         [

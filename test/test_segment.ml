@@ -324,6 +324,25 @@ let test_writer_capacity_respected () =
   Writer.append_log w ~seq:1L (String.make 50 'z');
   check int "small log fits" 48 (Writer.remaining w)
 
+(* A log frame lands straight in the segio's log: no frame buffer per
+   record. The log's own growth allocates its new bytes outside the minor
+   heap. *)
+let test_writer_append_log_allocation () =
+  let env = make_env () in
+  let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
+  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:8 in
+  let record = String.make 48 'r' in
+  let seqs = Array.init 1001 Int64.of_int in
+  Writer.append_log w ~seq:seqs.(0) record;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Writer.append_log w ~seq:seqs.(i) record
+  done;
+  let words = (Gc.minor_words () -. w0) /. 1000. in
+  if words > 2. then Alcotest.failf "Writer.append_log allocates %.2f words per record" words;
+  let framed = List.init 1001 (fun seq -> Purity_util.Varint.size seq + 1 + 48) in
+  check int "every frame kept" (List.fold_left ( + ) 0 framed) (Writer.log_len w)
+
 let test_writer_data_and_logs_meet () =
   (* data from the front, logs from the back; they share the capacity *)
   let env = make_env () in
@@ -497,6 +516,7 @@ let () =
             test_segment_read_three_failures_unrecoverable;
           test_case "log records roundtrip" `Quick test_log_records_roundtrip;
           test_case "capacity respected" `Quick test_writer_capacity_respected;
+          test_case "append_log allocation" `Quick test_writer_append_log_allocation;
           test_case "data and logs meet" `Quick test_writer_data_and_logs_meet;
           test_case "read around write" `Quick test_read_around_write_avoids_busy_drive;
           test_case "mid-flush remap" `Quick test_finalize_remaps_failed_member;

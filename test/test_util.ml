@@ -68,7 +68,45 @@ let test_xxhash_known_vectors () =
   (* Reference values from the xxHash specification. *)
   let h s = Xxhash.hash_string ~seed:0L s in
   check Alcotest.int64 "empty" 0xEF46DB3751D8E999L (h "");
-  check Alcotest.int64 "abc" 0x44BC2CF5AD770999L (h "abc")
+  check Alcotest.int64 "abc" 0x44BC2CF5AD770999L (h "abc");
+  (* Pinned digests over inputs long enough to run the 32-byte stripe
+     loop, the 8/4/1-byte tails and many stripes. Page-corruption draws
+     and bloom filters hash with [hash], so these must never move. *)
+  let input n = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
+  List.iter
+    (fun (n, seed, want) ->
+      check Alcotest.int64
+        (Printf.sprintf "%d B seed %Ld" n seed)
+        want
+        (Xxhash.hash ~seed (input n) ~pos:0 ~len:n))
+    [
+      (33, 0L, 0x09f85eeb4e1cbe9fL);
+      (33, 42L, 0x70e78138c9f35ca7L);
+      (100, 0L, 0x9ddada11d3dc2d8fL);
+      (100, 42L, 0x42c8b9ebf60e6ba4L);
+      (16384, 0L, 0x29478ad45faf911bL);
+      (16384, 42L, 0xf68f0e9d9a98e4a7L);
+    ]
+
+(* Minor-heap words one call of [f] allocates, averaged over [n] calls
+   after a warm-up call; the two [Gc.minor_words] floats add a few words
+   in all. *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_xxhash_allocation () =
+  let b = Bytes.init 16384 (fun i -> Char.chr (i land 0xFF)) in
+  let w =
+    words_per_call 100 (fun () ->
+        ignore (Sys.opaque_identity (Xxhash.hash b ~pos:0 ~len:16384)))
+  in
+  (* the boxed int64 result is 3 words; the stripe loop allocates none *)
+  if w > 8. then Alcotest.failf "Xxhash.hash allocates %.1f words per 16 KiB call" w
 
 let test_xxhash_slice_matches_whole () =
   let data = Bytes.of_string "hello world, this is a longer buffer for slicing!" in
@@ -327,7 +365,41 @@ let test_varint_i64 () =
   let v1, p = Varint.read_i64 (Buffer.to_bytes b) ~pos:0 in
   let v2, _ = Varint.read_i64 (Buffer.to_bytes b) ~pos:p in
   check Alcotest.int64 "max_int64" Int64.max_int v1;
-  check Alcotest.int64 "zero" 0L v2
+  check Alcotest.int64 "zero" 0L v2;
+  (* the int loop covers [0, max_int]; past it the int64 loop takes over,
+     and the spellings meet at the boundary *)
+  List.iter
+    (fun (v, bytes) ->
+      let b = Buffer.create 10 in
+      Varint.write_i64 b v;
+      check int (Printf.sprintf "%Ld length" v) bytes (Buffer.length b);
+      check Alcotest.int64 (Printf.sprintf "%Ld roundtrip" v) v
+        (fst (Varint.read_i64 (Buffer.to_bytes b) ~pos:0)))
+    [
+      (0L, 1);
+      (127L, 1);
+      (128L, 2);
+      (Int64.of_int max_int, 9);
+      (Int64.succ (Int64.of_int max_int), 9);
+      (Int64.max_int, 9);
+      (-1L, 10);
+      (Int64.min_int, 10);
+    ];
+  let via_int = Buffer.create 10 and via_i64 = Buffer.create 10 in
+  Varint.write via_int max_int;
+  Varint.write_i64 via_i64 (Int64.of_int max_int);
+  check Alcotest.string "write = write_i64" (Buffer.contents via_int) (Buffer.contents via_i64)
+
+let test_varint_allocation () =
+  let b = Buffer.create 64 in
+  let w =
+    words_per_call 1000 (fun () ->
+        Buffer.clear b;
+        Varint.write b 300_000;
+        Varint.write b max_int;
+        Varint.write_i64 b 1_234_567_890_123L)
+  in
+  if w > 1. then Alcotest.failf "Varint.write/write_i64 allocate %.2f words per call" w
 
 let test_varint_truncated () =
   Alcotest.check_raises "truncated raises" (Invalid_argument "Varint.read: truncated")
@@ -588,6 +660,7 @@ let () =
       ( "xxhash",
         [
           Alcotest.test_case "known vectors" `Quick test_xxhash_known_vectors;
+          Alcotest.test_case "no allocation" `Quick test_xxhash_allocation;
           Alcotest.test_case "slice" `Quick test_xxhash_slice_matches_whole;
           Alcotest.test_case "truncate" `Quick test_xxhash_truncate;
           QCheck_alcotest.to_alcotest prop_xxhash_deterministic;
@@ -632,6 +705,7 @@ let () =
         [
           Alcotest.test_case "edge values" `Quick test_varint_edge_values;
           Alcotest.test_case "int64" `Quick test_varint_i64;
+          Alcotest.test_case "no allocation" `Quick test_varint_allocation;
           Alcotest.test_case "truncated" `Quick test_varint_truncated;
           Alcotest.test_case "shortest encoding only" `Quick test_varint_shortest_only;
           Alcotest.test_case "size" `Quick test_varint_size;
