@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test lint torture torture-ac bench bench-micro bench-kernels perf-diff clean
+.PHONY: all check test lint torture torture-ac bench bench-micro bench-kernels perf-diff perf-diff-traced clean
 
 all:
 	dune build
@@ -53,6 +53,15 @@ perf-diff:
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done > _build/perf-diff.out
 	python3 perf/diff.py _build/perf-diff.out
+
+# The same three runs traced: the deterministic per-layer readings must
+# match the newest rows' traced runs exactly (perf/diff.py TRACED_EXACT).
+perf-diff-traced:
+	mkdir -p _build
+	for w in rand-rw ingest vdi; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 10 --trace 1 || exit 1; \
+	done > _build/perf-diff-traced.out
+	python3 perf/diff.py _build/perf-diff-traced.out
 
 clean:
 	dune clean

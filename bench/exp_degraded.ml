@@ -8,8 +8,7 @@
 open Bench_util
 module Fa = Purity_core.Flash_array
 module Wl = Purity_workload.Workload
-module Io = Purity_sched.Io
-module State = Purity_core.State
+module Registry = Purity_telemetry.Registry
 
 let run_with_failures failures =
   let clock, a = make_array () in
@@ -28,8 +27,7 @@ let run_with_failures failures =
   List.iter (Fa.pull_drive a) failures;
   let wl = Wl.uniform ~seed:72L ~volumes ~read_fraction:1.0 ~io_blocks:64 () in
   let r = await clock (Wl.run a wl ~ops:2500 ~concurrency:32) in
-  let io = Io.stats (Fa.state a).State.io in
-  (r, io)
+  (r, Registry.read_int (Fa.telemetry a) "sched/reconstruct_reads")
 
 let run () =
   section "E7 — random-read throughput through 0 / 1 / 2 drive failures";
@@ -38,14 +36,14 @@ let run () =
   let results =
     List.map
       (fun failures ->
-        let r, io = run_with_failures failures in
+        let r, reconstructs = run_with_failures failures in
         Printf.printf "  %-16s %12.0f %14.1f %10d %14.0f %14d\n"
           (match failures with
           | [] -> "none"
           | l -> String.concat "," (List.map string_of_int l))
           r.Wl.iops r.Wl.throughput_mb_s r.Wl.errors
           (Purity_util.Histogram.percentile r.Wl.read_lat 99.9)
-          io.Io.reconstruct_reads;
+          reconstructs;
         r)
       [ []; [ 3 ]; [ 3; 8 ] ]
   in

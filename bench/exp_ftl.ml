@@ -50,14 +50,14 @@ let run () =
     (Histogram.percentile rnd_hist 99.9);
   Printf.printf "  %-24s %15.0f us %15.0f us\n" "write latency max"
     (Histogram.max_value seq_hist) (Histogram.max_value rnd_hist);
-  let s = Ftl.stats rnd_ftl in
-  Printf.printf "\n  random phase: %d erases, %d GC relocations for %d host writes\n"
-    s.Ftl.erases s.Ftl.gc_relocations s.Ftl.host_writes;
   (* both devices join one registry under distinct prefixes; the snapshot
      rows land in BENCH_E11.json alongside the printed table *)
   let reg = Purity_telemetry.Registry.create () in
   Ftl.register_telemetry ~prefix:"ftl/sequential" seq_ftl reg;
   Ftl.register_telemetry ~prefix:"ftl/random" rnd_ftl reg;
+  let rnd key = Purity_telemetry.Registry.read_int reg ("ftl/random/" ^ key) in
+  Printf.printf "\n  random phase: %d erases, %d GC relocations for %d host writes\n"
+    (rnd "erases") (rnd "gc_relocations") (rnd "host_writes");
   List.iter
     (fun (key, v) ->
       emit_row ~kind:"bench_metric"

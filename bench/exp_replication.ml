@@ -15,6 +15,7 @@ module Repl = Purity_replication.Replication
 module Clock = Purity_sim.Clock
 module Ac = Purity_activecluster.Activecluster
 module Histogram = Purity_util.Histogram
+module Registry = Purity_telemetry.Registry
 
 let setup () =
   let clock = Clock.create () in
@@ -71,14 +72,14 @@ let rec run () =
   (* initial sync before the measured window *)
   ignore (await clock (fun k -> Repl.replicate_all repl k));
   let with_repl = run_workload clock source volumes ~while_replicating:true repl in
-  let s = Repl.stats repl in
+  let count key = Registry.read_int (Fa.telemetry source) ("replication/" ^ key) in
   Printf.printf "  %-30s %14s %14s\n" "" "no replication" "replicating";
   Printf.printf "  %-30s %14.0f %14.0f\n" "IOPS @ 32 KiB" base.Wl.iops with_repl.Wl.iops;
   Printf.printf "  %-30s %14.0f %14.0f\n" "read p99.9 (us)"
     (Purity_util.Histogram.percentile base.Wl.read_lat 99.9)
     (Purity_util.Histogram.percentile with_repl.Wl.read_lat 99.9);
   Printf.printf "\n  replication: %d cycles, %d changed blocks, %s over the wire\n"
-    s.Repl.cycles s.Repl.total_changed_blocks (human_bytes s.Repl.total_shipped_bytes);
+    (count "cycles") (count "changed_blocks") (human_bytes (count "shipped_bytes"));
   (* drain the workload's tail of un-replicated writes first *)
   ignore (await clock (fun k -> Repl.replicate_all repl k));
   (* delta efficiency: one more small write, one more cycle *)
@@ -168,7 +169,7 @@ and run_activecluster () =
   | Ac.Sync, _ ->
     let c = Ac.counters ac in
     Printf.printf "\n  failback: resynced %d blocks, %d mirror writes acked\n"
-      c.Ac.resync_blocks c.Ac.mirror_acked
+      (Registry.value c.Ac.resync_blocks) (Registry.value c.Ac.mirror_acked)
   | st, _ -> Printf.printf "\n  failback did not reconverge (%s)\n" (Ac.status_name st));
   let p50 h = Histogram.percentile h 50.0 in
   Printf.printf "\n  Paper: ActiveCluster adds one interconnect round trip to writes.\n";

@@ -9,9 +9,8 @@
 open Bench_util
 module Fa = Purity_core.Flash_array
 module Wl = Purity_workload.Workload
-module Io = Purity_sched.Io
+module Registry = Purity_telemetry.Registry
 module Histogram = Purity_util.Histogram
-module State = Purity_core.State
 
 let run_one ?(read_fraction = 0.5) ?(ops = 2500) ?(concurrency = 24) ~read_around_write () =
   let clock, a = make_array ~read_around_write () in
@@ -28,8 +27,8 @@ let run_one ?(read_fraction = 0.5) ?(ops = 2500) ?(concurrency = 24) ~read_aroun
   fill 0;
   let wl = Wl.uniform ~seed:62L ~volumes ~read_fraction ~io_blocks:64 () in
   let r = await clock (Wl.run a wl ~ops ~concurrency) in
-  let io = Io.stats (Fa.state a).State.io in
-  (r, io)
+  let sched key = Registry.read_int (Fa.telemetry a) ("sched/" ^ key) in
+  (r, (sched "reconstruct_reads", sched "chunk_reads"))
 
 let run () =
   section "E6 / §4.4 — tail latency: read-around-write scheduling (ablation)";
@@ -46,17 +45,16 @@ let run () =
   Printf.printf "  typical mix (10%% writes, moderate queue depth):\n";
   pp_lat "scheduler ON:  reads" typ.Wl.read_lat;
   let frac stats =
-    if stats.Io.chunk_reads = 0 then 0.0
-    else float_of_int stats.Io.reconstruct_reads /. float_of_int stats.Io.chunk_reads
+    let reconstructs, chunks = stats in
+    if chunks = 0 then 0.0 else float_of_int reconstructs /. float_of_int chunks
   in
   (* the paper's accounting: each dodged read costs k=7 peer reads, so the
      total read cost rises by 7 x (fraction reconstructed) ~ 7 x 2/11 = 1.3 *)
   let cost stats = 7.0 *. frac stats in
   Printf.printf
     "\n  reconstruct-reads ON:  %d of %d chunks (fraction %.2f; 7 x fraction = %.2fx, paper ~1.3x)\n"
-    io_on.Io.reconstruct_reads io_on.Io.chunk_reads (frac io_on) (cost io_on);
-  Printf.printf "  reconstruct-reads OFF: %d of %d chunks\n" io_off.Io.reconstruct_reads
-    io_off.Io.chunk_reads;
+    (fst io_on) (snd io_on) (frac io_on) (cost io_on);
+  Printf.printf "  reconstruct-reads OFF: %d of %d chunks\n" (fst io_off) (snd io_off);
   let p999_on = Histogram.percentile on.Wl.read_lat 99.9 in
   let p999_off = Histogram.percentile off.Wl.read_lat 99.9 in
   let p999_typ = Histogram.percentile typ.Wl.read_lat 99.9 in

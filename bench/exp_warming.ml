@@ -13,6 +13,7 @@ module Fa = Purity_core.Flash_array
 module Clock = Purity_sim.Clock
 module Histogram = Purity_util.Histogram
 module Dg = Purity_workload.Datagen
+module Registry = Purity_telemetry.Registry
 
 let hot_blocks = 8192
 
@@ -43,12 +44,17 @@ let run_one ~secondary_warming =
   ignore (await clock (fun k -> Fa.failover a k));
   (* post-failover: re-serve the hot set and measure *)
   let hist = Histogram.create () in
-  let drive_reads_before =
+  (* the drives own their read counters, so they span the failover *)
+  let drive_reads () =
     Array.fold_left
-      (fun acc d -> acc + (Purity_ssd.Drive.stats d).Purity_ssd.Drive.reads)
+      (fun acc d ->
+        acc
+        + Registry.read_int (Fa.telemetry a)
+            (Printf.sprintf "ssd/drive%d/reads" (Purity_ssd.Drive.id d)))
       0
       (Purity_ssd.Shelf.drives (Fa.shelf a))
   in
+  let drive_reads_before = drive_reads () in
   let rec reread b =
     if b < hot_blocks then begin
       let t0 = Clock.now clock in
@@ -59,13 +65,7 @@ let run_one ~secondary_warming =
     end
   in
   reread 0;
-  let drive_reads_after =
-    Array.fold_left
-      (fun acc d -> acc + (Purity_ssd.Drive.stats d).Purity_ssd.Drive.reads)
-      0
-      (Purity_ssd.Shelf.drives (Fa.shelf a))
-  in
-  (hist, drive_reads_after - drive_reads_before, (Fa.stats a).Fa.cache_hits)
+  (hist, drive_reads () - drive_reads_before, (Fa.stats a).Fa.cache_hits)
 
 let run () =
   section "E14 / §4.3 — secondary cache warming (ablation)";

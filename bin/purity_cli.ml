@@ -220,9 +220,9 @@ let replicate drives seed cycles =
       r.Repl.changed_blocks r.Repl.shipped_bytes (r.Repl.duration_us /. 1000.0)
       r.Repl.rpo_snapshot
   done;
-  let s = Repl.stats repl in
-  Printf.printf "total: %d cycles, %d blocks, %d bytes over the wire\n" s.Repl.cycles
-    s.Repl.total_changed_blocks s.Repl.total_shipped_bytes;
+  let repl_count key = Registry.read_int (Fa.telemetry source) ("replication/" ^ key) in
+  Printf.printf "total: %d cycles, %d blocks, %d bytes over the wire\n" (repl_count "cycles")
+    (repl_count "changed_blocks") (repl_count "shipped_bytes");
   Printf.printf "target volumes: %s\n"
     (String.concat ", " (List.map (fun (n, _, _) -> n) (Fa.list_volumes target)))
 

@@ -64,6 +64,9 @@ let () =
   (match await clock (Fa.write dr_site ~volume:"orders" ~block:0 (Dg.rdbms_page dg (32 * 512))) with
   | Ok () -> print_endline "DR site promoted to read-write: applications resume"
   | Error _ -> failwith "promotion failed");
-  let s = Repl.stats repl in
+  (* the replicator counts into the source array's registry *)
+  let count key =
+    Purity_telemetry.Registry.read_int (Fa.telemetry production) ("replication/" ^ key)
+  in
   Printf.printf "\nlifetime replication: %d cycles, %d blocks, %d bytes over the wire\n"
-    s.Repl.cycles s.Repl.total_changed_blocks s.Repl.total_shipped_bytes
+    (count "cycles") (count "changed_blocks") (count "shipped_bytes")

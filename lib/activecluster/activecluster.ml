@@ -84,19 +84,19 @@ type io_error =
   | `Backpressure ]
 
 type counters = {
-  mutable mirror_writes : int;
-  mutable mirror_acked : int;
-  mutable mirror_timeouts : int;
-  mutable mirror_stale_drops : int;
-  mutable mediation_requests : int;
-  mutable mediation_grants : int;
-  mutable mediation_denials : int;
-  mutable mediation_unreachable : int;
-  mutable solo_writes : int;
-  mutable redirects : int;  (** front-door I/O moved to the other side *)
-  mutable fences : int;
-  mutable resyncs : int;
-  mutable resync_blocks : int;
+  mirror_writes : Registry.counter;
+  mirror_acked : Registry.counter;
+  mirror_timeouts : Registry.counter;
+  mirror_stale_drops : Registry.counter;
+  mediation_requests : Registry.counter;
+  mediation_grants : Registry.counter;
+  mediation_denials : Registry.counter;
+  mediation_unreachable : Registry.counter;
+  solo_writes : Registry.counter;
+  redirects : Registry.counter;  (** front-door I/O moved to the other side *)
+  fences : Registry.counter;
+  resyncs : Registry.counter;
+  resync_blocks : Registry.counter;
 }
 
 type node = {
@@ -129,44 +129,45 @@ type t = {
 let node t = function A -> t.a | B -> t.b
 
 let new_counters () =
+  let c = Registry.cell in
   {
-    mirror_writes = 0; mirror_acked = 0; mirror_timeouts = 0; mirror_stale_drops = 0;
-    mediation_requests = 0; mediation_grants = 0; mediation_denials = 0;
-    mediation_unreachable = 0; solo_writes = 0; redirects = 0; fences = 0;
-    resyncs = 0; resync_blocks = 0;
+    mirror_writes = c (); mirror_acked = c (); mirror_timeouts = c ();
+    mirror_stale_drops = c (); mediation_requests = c (); mediation_grants = c ();
+    mediation_denials = c (); mediation_unreachable = c (); solo_writes = c ();
+    redirects = c (); fences = c (); resyncs = c (); resync_blocks = c ();
   }
 
-(* Derived (not direct) on purpose, like the async replicator's: a
-   failover hands an array a fresh registry, and re-deriving after
-   recovery re-joins the pod's counters to it. Registered on both sides
-   so either array's phone-home stream carries them. *)
+(* The pod owns its counter cells, like the async replicator: a failover
+   hands an array a fresh registry, and re-attaching after recovery
+   re-joins the pod's counters to it. Registered on both sides so either
+   array's phone-home stream carries them. *)
 let register_telemetry t =
+  let c = t.c and l = t.link in
+  let cells =
+    [
+      ("mirror_writes", c.mirror_writes);
+      ("mirror_acked", c.mirror_acked);
+      ("mirror_timeouts", c.mirror_timeouts);
+      ("mirror_stale_drops", c.mirror_stale_drops);
+      ("mediation_requests", c.mediation_requests);
+      ("mediation_grants", c.mediation_grants);
+      ("mediation_denials", c.mediation_denials);
+      ("mediation_unreachable", c.mediation_unreachable);
+      ("solo_writes", c.solo_writes);
+      ("redirects", c.redirects);
+      ("fences", c.fences);
+      ("resyncs", c.resyncs);
+      ("resync_blocks", c.resync_blocks);
+      ("link_sent", l.Link.sent);
+      ("link_delivered", l.Link.delivered);
+    ]
+  in
   let on reg =
-    Registry.derive_int reg "activecluster/mirror_writes" (fun () -> t.c.mirror_writes);
-    Registry.derive_int reg "activecluster/mirror_acked" (fun () -> t.c.mirror_acked);
-    Registry.derive_int reg "activecluster/mirror_timeouts" (fun () -> t.c.mirror_timeouts);
-    Registry.derive_int reg "activecluster/mirror_stale_drops" (fun () ->
-        t.c.mirror_stale_drops);
-    Registry.derive_int reg "activecluster/mediation_requests" (fun () ->
-        t.c.mediation_requests);
-    Registry.derive_int reg "activecluster/mediation_grants" (fun () ->
-        t.c.mediation_grants);
-    Registry.derive_int reg "activecluster/mediation_denials" (fun () ->
-        t.c.mediation_denials);
-    Registry.derive_int reg "activecluster/mediation_unreachable" (fun () ->
-        t.c.mediation_unreachable);
-    Registry.derive_int reg "activecluster/solo_writes" (fun () -> t.c.solo_writes);
-    Registry.derive_int reg "activecluster/redirects" (fun () -> t.c.redirects);
-    Registry.derive_int reg "activecluster/fences" (fun () -> t.c.fences);
-    Registry.derive_int reg "activecluster/resyncs" (fun () -> t.c.resyncs);
-    Registry.derive_int reg "activecluster/resync_blocks" (fun () -> t.c.resync_blocks);
-    Registry.derive_int reg "activecluster/link_sent" (fun () ->
-        (Link.stats t.link).Link.sent);
-    Registry.derive_int reg "activecluster/link_delivered" (fun () ->
-        (Link.stats t.link).Link.delivered);
+    List.iter
+      (fun (name, cell) -> Registry.attach_counter reg ("activecluster/" ^ name) cell)
+      cells;
     Registry.derive_int reg "activecluster/link_dropped" (fun () ->
-        let s = Link.stats t.link in
-        s.Link.dropped_loss + s.Link.dropped_cut)
+        Registry.value l.Link.dropped_loss + Registry.value l.Link.dropped_cut)
   in
   on (Fa.telemetry t.a.arr);
   on (Fa.telemetry t.b.arr)
@@ -275,7 +276,7 @@ let fence_side t s =
   let n = node t s in
   if not (Fa.is_fenced n.arr) then begin
     Fa.fence n.arr;
-    t.c.fences <- t.c.fences + 1
+    Registry.incr t.c.fences
   end
 
 let go_solo t winner =
@@ -300,17 +301,17 @@ let mediate t origin waiter =
     t.med_waiters <- waiter :: t.med_waiters;
     if not t.mediating then begin
       t.mediating <- true;
-      t.c.mediation_requests <- t.c.mediation_requests + 1;
+      Registry.incr t.c.mediation_requests;
       Mediator.request t.med origin (fun outcome ->
           t.mediating <- false;
           (match outcome with
           | `Granted ->
-            t.c.mediation_grants <- t.c.mediation_grants + 1;
+            Registry.incr t.c.mediation_grants;
             if t.status = Sync then go_solo t origin
           | `Denied ->
             (* the peer already holds the pod (it raced first, or holds
                a stale claim from an earlier partition): we lose *)
-            t.c.mediation_denials <- t.c.mediation_denials + 1;
+            Registry.incr t.c.mediation_denials;
             if t.status = Sync then begin
               t.status <- Solo (other origin);
               t.gen <- t.gen + 1;
@@ -318,7 +319,7 @@ let mediate t origin waiter =
               absorb_uncertain t (other origin)
             end
           | `Unreachable ->
-            t.c.mediation_unreachable <- t.c.mediation_unreachable + 1;
+            Registry.incr t.c.mediation_unreachable;
             if t.status = Sync then go_frozen t);
           let ws = t.med_waiters in
           t.med_waiters <- [];
@@ -336,7 +337,7 @@ let mediate t origin waiter =
    it must look like loss so the origin retries or mediates. *)
 let deliver_mirror t dst ~gen ~stamp ~volume ~block ~data ~ack =
   let n = node t dst in
-  if gen <> t.gen then t.c.mirror_stale_drops <- t.c.mirror_stale_drops + 1
+  if gen <> t.gen then Registry.incr t.c.mirror_stale_drops
   else if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then ()
   else begin
     n.counter <- max n.counter (stamp lsr 1);
@@ -386,7 +387,7 @@ let solo_write t s ~volume ~block data k =
   if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then respond t (Error `Unavailable) k
   else begin
     let nblocks = String.length data / Fa.block_size in
-    t.c.solo_writes <- t.c.solo_writes + 1;
+    Registry.incr t.c.solo_writes;
     (* dirty before issue: even an un-acked outcome must converge later *)
     mark_dirty n volume block nblocks;
     Fa.write n.arr ~volume ~block data (function
@@ -398,14 +399,14 @@ let rec write t ?(prefer = A) ~volume ~block data k =
   match t.status with
   | Down | Frozen -> respond t (Error `Unavailable) k
   | Solo s ->
-    if s <> prefer then t.c.redirects <- t.c.redirects + 1;
+    if s <> prefer then Registry.incr t.c.redirects;
     solo_write t s ~volume ~block data k
   | Sync ->
     let p = node t prefer in
     let origin =
       if Fa.is_online p.arr && not (Fa.is_fenced p.arr) then prefer
       else begin
-        t.c.redirects <- t.c.redirects + 1;
+        Registry.incr t.c.redirects;
         other prefer
       end
     in
@@ -469,7 +470,7 @@ and sync_write t origin ~volume ~block data k =
              winner; its ack is the host's ack *)
           finished := true;
           remove_one_inflight t entry;
-          t.c.redirects <- t.c.redirects + 1;
+          Registry.incr t.c.redirects;
           write t ~prefer:s ~volume ~block data k
         | Frozen | Down | Sync -> finish_err `Unavailable
     in
@@ -480,14 +481,14 @@ and sync_write t origin ~volume ~block data k =
     (* mirror leg, with retransmits and a partition verdict *)
     let rec attempt tries =
       if (not !finished) && not !peer_acked then begin
-        t.c.mirror_writes <- t.c.mirror_writes + 1;
+        Registry.incr t.c.mirror_writes;
         Link.send t.link (fun () ->
             deliver_mirror t (other origin) ~gen ~stamp ~volume ~block ~data
               ~ack:(fun () ->
                 Link.send t.link (fun () ->
                     if t.gen = gen && not !peer_acked then begin
                       peer_acked := true;
-                      t.c.mirror_acked <- t.c.mirror_acked + 1;
+                      Registry.incr t.c.mirror_acked;
                       maybe_complete ()
                     end)));
         Clock.schedule t.clock ~delay:t.cfg.mirror_timeout_us (fun () ->
@@ -495,7 +496,7 @@ and sync_write t origin ~volume ~block data k =
               if t.status = Sync && t.gen = gen then begin
                 if tries < t.cfg.mirror_retries then attempt (tries + 1)
                 else begin
-                  t.c.mirror_timeouts <- t.c.mirror_timeouts + 1;
+                  Registry.incr t.c.mirror_timeouts;
                   mediate t origin redispatch
                 end
               end
@@ -524,7 +525,7 @@ let read t ?(prefer = A) ~volume ~block ~nblocks k =
   match t.status with
   | Down | Frozen -> respond t (Error `Unavailable) k
   | Solo s ->
-    if s <> prefer then t.c.redirects <- t.c.redirects + 1;
+    if s <> prefer then Registry.incr t.c.redirects;
     let n = node t s in
     if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then respond t (Error `Unavailable) k
     else
@@ -536,7 +537,7 @@ let read t ?(prefer = A) ~volume ~block ~nblocks k =
       let p = node t prefer in
       if Fa.is_online p.arr && not (Fa.is_fenced p.arr) then prefer
       else begin
-        t.c.redirects <- t.c.redirects + 1;
+        Registry.incr t.c.redirects;
         other prefer
       end
     in
@@ -545,7 +546,7 @@ let read t ?(prefer = A) ~volume ~block ~nblocks k =
       | Ok data -> k (Ok (data, first))
       | Error (`Offline | `Fenced) ->
         (* transparent failover mid-read: one retry on the other side *)
-        t.c.redirects <- t.c.redirects + 1;
+        Registry.incr t.c.redirects;
         let n' = node t (other first) in
         if (not (Fa.is_online n'.arr)) || Fa.is_fenced n'.arr then k (Error `Unavailable)
         else
@@ -637,7 +638,7 @@ let rec copy_runs t ~from ~into volume runs k =
           (fun () ->
             Fa.write (node t into).arr ~volume ~block:start data (function
               | Ok () ->
-                t.c.resync_blocks <- t.c.resync_blocks + len;
+                Registry.add t.c.resync_blocks len;
                 copy_runs t ~from ~into volume rest k
               | Error _ -> k false)))
 
@@ -682,7 +683,7 @@ let reconcile t ~survivor k =
       | None -> ());
       t.gen <- t.gen + 1;
       t.status <- Sync;
-      t.c.resyncs <- t.c.resyncs + 1;
+      Registry.incr t.c.resyncs;
       k (Sync, Some survivor)
     end
     else begin
@@ -700,16 +701,16 @@ let try_solo t s k =
   match t.status with
   | Solo h when h = s -> respond t (Solo s, Some s) k
   | _ ->
-    t.c.mediation_requests <- t.c.mediation_requests + 1;
+    Registry.incr t.c.mediation_requests;
     Mediator.request t.med s (fun outcome ->
         (match outcome with
         | `Granted ->
-          t.c.mediation_grants <- t.c.mediation_grants + 1;
+          Registry.incr t.c.mediation_grants;
           (match t.status with
           | Sync | Frozen | Down -> go_solo t s
           | Solo _ -> ())
         | `Denied ->
-          t.c.mediation_denials <- t.c.mediation_denials + 1;
+          Registry.incr t.c.mediation_denials;
           (* the peer holds a (possibly stale) claim; serving against it
              could lose its solo-era writes, so we must not *)
           (match t.status with
@@ -720,7 +721,7 @@ let try_solo t s k =
             absorb_uncertain t (other s)
           | Solo _ -> ())
         | `Unreachable ->
-          t.c.mediation_unreachable <- t.c.mediation_unreachable + 1;
+          Registry.incr t.c.mediation_unreachable;
           (match t.status with Sync -> go_frozen t | Solo _ | Frozen | Down -> ()));
         k (t.status, match t.status with Solo h -> Some h | _ -> None))
 

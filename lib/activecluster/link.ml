@@ -18,6 +18,7 @@
 
 module Clock = Purity_sim.Clock
 module Rng = Purity_util.Rng
+module Registry = Purity_telemetry.Registry
 
 type config = {
   latency_us : float;  (** one-way propagation *)
@@ -31,23 +32,16 @@ type config = {
    inside it so mirror timeouts are unambiguous. *)
 let default_config = { latency_us = 200.0; jitter_us = 60.0; loss_prob = 0.001; seed = 0x11CCL }
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped_loss : int;  (** random loss while healthy *)
-  dropped_cut : int;  (** sent or in flight across a partition *)
-}
-
 type t = {
   clock : Clock.t;
   cfg : config;
   rng : Rng.t;
   mutable up : bool;
   mutable cuts : int;  (* partition epoch: bumped on every [cut] *)
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped_loss : int;
-  mutable dropped_cut : int;
+  sent : Registry.counter;
+  delivered : Registry.counter;
+  dropped_loss : Registry.counter;  (* random loss while healthy *)
+  dropped_cut : Registry.counter;  (* sent or in flight across a partition *)
 }
 
 let create ?(config = default_config) ~clock () =
@@ -57,41 +51,37 @@ let create ?(config = default_config) ~clock () =
     rng = Rng.create ~seed:config.seed;
     up = true;
     cuts = 0;
-    sent = 0;
-    delivered = 0;
-    dropped_loss = 0;
-    dropped_cut = 0;
+    sent = Registry.cell ();
+    delivered = Registry.cell ();
+    dropped_loss = Registry.cell ();
+    dropped_cut = Registry.cell ();
   }
 
 let up t = t.up
 let cut t = if t.up then begin t.up <- false; t.cuts <- t.cuts + 1 end
 let heal t = t.up <- true
 
-let stats t =
-  { sent = t.sent; delivered = t.delivered; dropped_loss = t.dropped_loss;
-    dropped_cut = t.dropped_cut }
-
 (* Send a message; [k] fires at delivery time. A dropped message fires
    nothing — the sender's timeout is the only way to notice. The jitter
    draw happens even for messages doomed by a partition, so the Rng
    stream depends only on the sequence of sends, not on link state. *)
 let send t k =
-  t.sent <- t.sent + 1;
+  Registry.incr t.sent;
   let delay =
     t.cfg.latency_us
     +. (if t.cfg.jitter_us > 0.0 then Rng.float t.rng t.cfg.jitter_us else 0.0)
   in
   let lost = t.cfg.loss_prob > 0.0 && Rng.float t.rng 1.0 < t.cfg.loss_prob in
-  if not t.up then t.dropped_cut <- t.dropped_cut + 1
-  else if lost then t.dropped_loss <- t.dropped_loss + 1
+  if not t.up then Registry.incr t.dropped_cut
+  else if lost then Registry.incr t.dropped_loss
   else begin
     let epoch = t.cuts in
     Clock.schedule t.clock ~delay (fun () ->
         if t.up && t.cuts = epoch then begin
-          t.delivered <- t.delivered + 1;
+          Registry.incr t.delivered;
           k ()
         end
-        else t.dropped_cut <- t.dropped_cut + 1)
+        else Registry.incr t.dropped_cut)
   end
 
 (* A reliable bulk transfer for resync traffic: charges the same latency
@@ -102,22 +92,22 @@ let send t k =
    [send] the sender is told ([fail]) so a failback can abort cleanly
    instead of hanging. *)
 let transfer t ~bytes ~fail k =
-  t.sent <- t.sent + 1;
+  Registry.incr t.sent;
   (* 1 GbE-class replication port: ~1 us per KiB on top of propagation *)
   let delay = t.cfg.latency_us +. (float_of_int bytes /. 1024.0) in
   if not t.up then begin
-    t.dropped_cut <- t.dropped_cut + 1;
+    Registry.incr t.dropped_cut;
     Clock.schedule t.clock ~delay:0.0 fail
   end
   else begin
     let epoch = t.cuts in
     Clock.schedule t.clock ~delay (fun () ->
         if t.up && t.cuts = epoch then begin
-          t.delivered <- t.delivered + 1;
+          Registry.incr t.delivered;
           k ()
         end
         else begin
-          t.dropped_cut <- t.dropped_cut + 1;
+          Registry.incr t.dropped_cut;
           fail ()
         end)
   end

@@ -18,6 +18,7 @@ module Fa = Purity_core.Flash_array
 module Ac = Purity_activecluster.Activecluster
 module Link = Purity_activecluster.Link
 module Mediator = Purity_activecluster.Mediator
+module Registry = Purity_telemetry.Registry
 module Acm = Ac_model
 
 exception Violation = Suite.Violation
@@ -166,13 +167,13 @@ let finalize ctx =
       audit_array ctx B name blocks)
     ctx.vols;
   (* fold the pod's externally visible end state into the replay digest *)
-  let c = Ac.counters ctx.ac in
+  let c = Ac.counters ctx.ac and v = Registry.value in
   mix ctx
-    ( c.Ac.mirror_writes, c.Ac.mirror_acked, c.Ac.mirror_timeouts,
-      c.Ac.mediation_requests, c.Ac.mediation_grants, c.Ac.mediation_denials,
-      c.Ac.solo_writes, c.Ac.resync_blocks );
-  let ls = Link.stats (Ac.link ctx.ac) in
-  mix ctx (ls.Link.sent, ls.Link.delivered, ls.Link.dropped_loss, ls.Link.dropped_cut);
+    ( v c.Ac.mirror_writes, v c.Ac.mirror_acked, v c.Ac.mirror_timeouts,
+      v c.Ac.mediation_requests, v c.Ac.mediation_grants, v c.Ac.mediation_denials,
+      v c.Ac.solo_writes, v c.Ac.resync_blocks );
+  let l = Ac.link ctx.ac in
+  mix ctx (v l.Link.sent, v l.Link.delivered, v l.Link.dropped_loss, v l.Link.dropped_cut);
   mix ctx (List.length (Mediator.events (Ac.mediator ctx.ac)));
   mix ctx (int_of_float (Clock.now ctx.clock));
   ctx.digest

@@ -114,14 +114,14 @@ type t = {
   clock : Clock.t;
   write_us : float;
   mutable blob : string option;
-  mutable write_count : int;
+  write_count : Purity_telemetry.Registry.counter;
   mutable free_at : float;
 }
 
 let read_us = 250.0
 
 let create ?(write_us = 600.0) ~clock () =
-  { clock; write_us; blob = None; write_count = 0; free_at = 0.0 }
+  { clock; write_us; blob = None; write_count = Purity_telemetry.Registry.cell (); free_at = 0.0 }
 
 let reserve t dur =
   let start = Float.max (Clock.now t.clock) t.free_at in
@@ -131,7 +131,7 @@ let reserve t dur =
 
 let write t blob k =
   t.blob <- Some blob;
-  t.write_count <- t.write_count + 1;
+  Purity_telemetry.Registry.incr t.write_count;
   Clock.schedule_at t.clock ~at:(reserve t t.write_us) k
 
 let read t k =

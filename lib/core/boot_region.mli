@@ -48,5 +48,7 @@ val write : t -> string -> (unit -> unit) -> unit
 val read : t -> (string option -> unit) -> unit
 (** [None] before the first write (a factory-fresh array). *)
 
-val writes : t -> int
-(** Total boot-region writes — the "<1% of writes" bookkeeping. *)
+val writes : t -> Purity_telemetry.Registry.counter
+(** Total boot-region writes — the "<1% of writes" bookkeeping: a cell
+    the region owns (it outlives controllers), adopted as
+    [array/boot_region_writes]. *)

@@ -22,7 +22,7 @@ type t = {
   config : config;
   clk : Clock.t;
   mutable st : State.t;
-  mutable app_reads : int;
+  app_reads : Registry.counter; (* array-lifetime: adopted by every controller's registry *)
   mutable crash_time : float option;
   mutable total_downtime : float;
   mutable fenced : bool;
@@ -53,12 +53,12 @@ let availability t =
 (* Registered against the *current* controller's registry — re-run after
    every failover, since the spare boots with a fresh namespace (path
    counters reset, exactly as before telemetry existed) while these
-   array-lifetime levels persist. *)
+   array-lifetime figures persist: the array owns the [app_reads] cell
+   and each registry adopts it. *)
 let register_array_telemetry t =
   let reg = t.st.tel in
-  Registry.derive_int reg "array/app_reads" (fun () -> t.app_reads);
-  Registry.derive_int reg "array/boot_region_writes" (fun () ->
-      Boot_region.writes t.st.boot);
+  Registry.attach_counter reg "array/app_reads" t.app_reads;
+  Registry.attach_counter reg "array/boot_region_writes" (Boot_region.writes t.st.boot);
   Registry.derive_int reg "array/physical_bytes_used" (fun () -> physical_bytes_used t.st);
   Registry.derive_int reg "array/physical_capacity" (fun () ->
       Shelf.physical_bytes t.st.shelf);
@@ -69,7 +69,7 @@ let register_array_telemetry t =
 
 let create ?(config = default_config) ~clock () =
   let t =
-    { config; clk = clock; st = State.create ~config ~clock (); app_reads = 0;
+    { config; clk = clock; st = State.create ~config ~clock (); app_reads = Registry.cell ();
       crash_time = None; total_downtime = 0.0; fenced = false;
       created_at = Clock.now clock }
   in
@@ -293,7 +293,7 @@ let write t ~volume ~block data k =
 let read t ~volume ~block ~nblocks k =
   if t.fenced then Clock.schedule t.clk ~delay:0.0 (fun () -> k (Error `Fenced))
   else begin
-    t.app_reads <- t.app_reads + 1;
+    Registry.incr t.app_reads;
     Read_path.read t.st ~volume ~block ~nblocks (fun r ->
         k (r :> (string, read_error) result))
   end
@@ -376,7 +376,6 @@ type stats = {
   gc_dedup_blocks : int;
   write_latency : Purity_util.Histogram.t;
   read_latency : Purity_util.Histogram.t;
-  io : Purity_sched.Io.stats;
   boot_region_writes : int;
   segments_live : int;
   availability : float;
@@ -390,7 +389,7 @@ let stats t =
      them back through their handles, so both views always agree *)
   {
     app_writes = Registry.value st.ws.app_writes;
-    app_reads = t.app_reads;
+    app_reads = Registry.value t.app_reads;
     logical_bytes_written = Registry.value st.ws.logical_bytes;
     stored_bytes_written = Registry.value st.ws.stored_bytes;
     live_logical_bytes = live_logical_bytes st;
@@ -402,8 +401,7 @@ let stats t =
     gc_dedup_blocks = Registry.value st.ws.gc_dedup_blocks;
     write_latency = st.write_lat;
     read_latency = st.read_lat;
-    io = Io.stats st.io;
-    boot_region_writes = Boot_region.writes st.boot;
+    boot_region_writes = Registry.value (Boot_region.writes st.boot);
     segments_live = Hashtbl.length st.segment_metas;
     availability = availability t;
     cache_hits = Registry.value st.ws.cache_hits;

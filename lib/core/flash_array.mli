@@ -187,7 +187,6 @@ type stats = {
   gc_dedup_blocks : int;
   write_latency : Purity_util.Histogram.t;
   read_latency : Purity_util.Histogram.t;
-  io : Purity_sched.Io.stats;
   boot_region_writes : int;
   segments_live : int;
   availability : float;  (** uptime fraction since creation *)

@@ -214,7 +214,7 @@ let register_derived_telemetry t =
   Registry.derive_int reg "pyramid/blocks_bloom_skips" (fun () ->
       let _, _, b = Block_index.probe_stats t.blocks in
       b);
-  Registry.derive_int reg "trace/dropped_spans" (fun () -> Span.dropped t.tracer);
+  Registry.attach_counter reg "trace/dropped_spans" (Span.dropped t.tracer);
   (* data-plane kernel throughput: process-wide cells (the kernels sit
      below the telemetry library in the dependency order), re-derived
      into whichever controller registry is current *)
@@ -231,10 +231,6 @@ let create_over ~config ~clock ~shelf ~boot () =
       ~au_size:config.drive_config.Drive.au_size ()
   in
   let rs = Rs.create ~k:config.k ~m:config.m in
-  let io =
-    Io.create ~layout ~shelf ~rs ~read_around_write:config.read_around_write
-      ~p95_backup:config.p95_backup ()
-  in
   let alloc =
     Allocator.create ~layout ~drives:config.drives
       ~aus_per_drive:config.drive_config.Drive.num_aus ()
@@ -256,7 +252,10 @@ let create_over ~config ~clock ~shelf ~boot () =
   let tel = Registry.create () in
   let tracer = Span.create_tracer ~clock () in
   Shelf.register_telemetry shelf tel;
-  Io.register_telemetry io tel;
+  let io =
+    Io.create ~telemetry:tel ~layout ~shelf ~rs ~read_around_write:config.read_around_write
+      ~p95_backup:config.p95_backup ()
+  in
   let t =
     {
     cfg = config;
@@ -465,25 +464,11 @@ and[@purity.lint.coldpath] seal_current t =
       Allocator.release t.alloc (Writer.members w)
     end
     else begin
-      (* Members whose drive failed since allocation are remapped to fresh
-         AUs on healthy drives — the shard data is still in RAM, so the
-         stripe reaches the media at full 7+2 redundancy instead of
-         flushing already-degraded. *)
-      let members = Writer.members w in
-      Array.iteri
-        (fun i (m : Segment.member) ->
-          if not (online_drive t m.Segment.drive) then begin
-            let exclude =
-              Array.to_list (Array.map (fun (x : Segment.member) -> x.Segment.drive) members)
-            in
-            match allocate_replacement t ~replacing:m ~exclude with
-            | Some repl -> Writer.set_member w ~index:i repl
-            | None -> () (* no healthy spare drive: flush degraded *)
-          end)
-        members;
-      (* Only intents fully applied before this seal are guaranteed to be
-         inside this (or an earlier) segio; later intents must stay in
-         NVRAM until their own segio flushes. *)
+      (* A member whose drive is offline when its turn to flush comes is
+         remapped by [Writer.finalize] (see [pump_flush]). Only intents
+         fully applied before this seal are guaranteed to be inside this
+         (or an earlier) segio; later intents must stay in NVRAM until
+         their own segio flushes. *)
       t.sealed <- t.sealed @ [ { w; upto = t.last_applied_intent; waiters = [] } ];
       pump_flush t
     end

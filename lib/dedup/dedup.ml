@@ -1,6 +1,7 @@
 module Xxhash = Purity_util.Xxhash
 module Lru = Purity_util.Lru
 module Itbl = Purity_util.Keytbl.Int
+module Registry = Purity_telemetry.Registry
 
 let block_size = 512
 
@@ -11,33 +12,18 @@ type config = { hash_bits : int; record_every : int; window_writes : int; min_ru
 
 let default_config = { hash_bits = 48; record_every = 8; window_writes = 4096; min_run = 1 }
 
-type stats = {
-  registered_writes : int;
-  recorded_hashes : int;
-  lookups : int;
-  hash_hits : int;
-  verified_hits : int;
-  false_positives : int;
-  duplicate_blocks : int;
-}
-
-let zero_stats =
-  {
-    registered_writes = 0;
-    recorded_hashes = 0;
-    lookups = 0;
-    hash_hits = 0;
-    verified_hits = 0;
-    false_positives = 0;
-    duplicate_blocks = 0;
-  }
-
 type t = {
   cfg : config;
   index : source list Itbl.t; (* truncated hash -> recorded anchors *)
   window : string Lru.t; (* write_id -> payload, the recency window *)
   mutable next_write_id : int;
-  mutable stats : stats;
+  registered_writes : Registry.counter;
+  recorded_hashes : Registry.counter;
+  lookups : Registry.counter;
+  hash_hits : Registry.counter;
+  verified_hits : Registry.counter;
+  false_positives : Registry.counter; (* hash matched, bytes differed *)
+  duplicate_blocks : Registry.counter; (* blocks covered by returned runs *)
 }
 
 let create ?(config = default_config) () =
@@ -46,10 +32,27 @@ let create ?(config = default_config) () =
     index = Itbl.create 4096;
     window = Lru.create ~capacity:config.window_writes;
     next_write_id = 0;
-    stats = zero_stats;
+    registered_writes = Registry.cell ();
+    recorded_hashes = Registry.cell ();
+    lookups = Registry.cell ();
+    hash_hits = Registry.cell ();
+    verified_hits = Registry.cell ();
+    false_positives = Registry.cell ();
+    duplicate_blocks = Registry.cell ();
   }
 
-let stats t = t.stats
+let register_telemetry t reg =
+  List.iter
+    (fun (name, c) -> Registry.attach_counter reg ("dedup/" ^ name) c)
+    [
+      ("registered_writes", t.registered_writes);
+      ("recorded_hashes", t.recorded_hashes);
+      ("lookups", t.lookups);
+      ("hash_hits", t.hash_hits);
+      ("verified_hits", t.verified_hits);
+      ("false_positives", t.false_positives);
+      ("duplicate_blocks", t.duplicate_blocks);
+    ]
 
 (* Unboxed fingerprint: hash63 probes the index with a plain [int] key,
    so the hot register/lookup loop never boxes an [int64]. Collisions are
@@ -70,7 +73,6 @@ let register t data =
   t.next_write_id <- id + 1;
   Lru.add t.window id data;
   let n = blocks_of data in
-  let recorded = ref 0 in
   let b = ref 0 in
   while !b < n do
     let h = block_hash t data !b in
@@ -78,15 +80,10 @@ let register t data =
     (* keep the anchor list short: newest few only *)
     let entry = { write_id = id; block = !b } in
     Itbl.replace t.index h (entry :: (if List.length prev > 3 then [] else prev));
-    incr recorded;
+    Registry.incr t.recorded_hashes;
     b := !b + t.cfg.record_every
   done;
-  t.stats <-
-    {
-      t.stats with
-      registered_writes = t.stats.registered_writes + 1;
-      recorded_hashes = t.stats.recorded_hashes + !recorded;
-    };
+  Registry.incr t.registered_writes;
   id
 
 let payload t ~write_id = Lru.find t.window write_id
@@ -143,12 +140,12 @@ let find_duplicates t data =
   let covered_until = ref 0 in
   for b = 0 to n - 1 do
     if b >= !covered_until then begin
-      t.stats <- { t.stats with lookups = t.stats.lookups + 1 };
+      Registry.incr t.lookups;
       let h = block_hash t data b in
       match Itbl.find_opt t.index h with
       | None -> ()
       | Some candidates ->
-        t.stats <- { t.stats with hash_hits = t.stats.hash_hits + 1 };
+        Registry.incr t.hash_hits;
         (* first candidate whose bytes really match wins *)
         let verified =
           List.find_map
@@ -158,7 +155,7 @@ let find_duplicates t data =
               | Some src_data ->
                 if blocks_equal data b src_data src.block then Some (src, src_data)
                 else begin
-                  t.stats <- { t.stats with false_positives = t.stats.false_positives + 1 };
+                  Registry.incr t.false_positives;
                   None
                 end)
             candidates
@@ -166,7 +163,7 @@ let find_duplicates t data =
         (match verified with
         | None -> ()
         | Some (src, src_data) ->
-          t.stats <- { t.stats with verified_hits = t.stats.verified_hits + 1 };
+          Registry.incr t.verified_hits;
           let hit = extend data n ~at:b ~src src_data in
           (* clip the run to start at the first uncovered block *)
           let clip = max 0 (!covered_until - hit.at_block) in
@@ -180,8 +177,7 @@ let find_duplicates t data =
           if hit.run_blocks >= t.cfg.min_run then begin
             hits := hit :: !hits;
             covered_until := hit.at_block + hit.run_blocks;
-            t.stats <-
-              { t.stats with duplicate_blocks = t.stats.duplicate_blocks + hit.run_blocks }
+            Registry.add t.duplicate_blocks hit.run_blocks
           end)
     end
   done;

@@ -60,14 +60,10 @@ val forget : t -> write_id:int -> unit
 
 val payload : t -> write_id:int -> string option
 
-type stats = {
-  registered_writes : int;
-  recorded_hashes : int;
-  lookups : int;
-  hash_hits : int;
-  verified_hits : int;
-  false_positives : int;  (** hash matched, bytes differed *)
-  duplicate_blocks : int;  (** total blocks covered by returned runs *)
-}
-
-val stats : t -> stats
+val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
+(** Attach the index's counters under [dedup/]: [registered_writes],
+    [recorded_hashes], [lookups], [hash_hits], [verified_hits],
+    [false_positives] (hash matched, bytes differed) and
+    [duplicate_blocks] (blocks covered by returned runs). The index owns
+    the cells. The controller does not attach them: its registry's
+    [dedup/] keys are the write path's own block counts. *)

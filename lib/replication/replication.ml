@@ -16,8 +16,6 @@ type protected_vol = {
   mutable in_flight : bool;
 }
 
-type stats = { cycles : int; total_shipped_bytes : int; total_changed_blocks : int }
-
 type t = {
   link : link;
   source : Fa.t;
@@ -25,19 +23,19 @@ type t = {
   clock : Clock.t;
   volumes : (string, protected_vol) Hashtbl.t;
   mutable link_free_at : float;
-  mutable stats : stats;
+  cycles : Registry.counter;
+  shipped_bytes : Registry.counter;
+  changed_blocks : Registry.counter;
 }
 
-(* Expose the replicator's counters in the source array's registry.
-   Derived (not direct) on purpose: a failover hands the source a fresh
-   registry, and re-deriving — idempotent, cheap — re-joins it. *)
+(* Expose the replicator's counters in the source array's registry. The
+   replicator owns the cells: a failover hands the source a fresh
+   registry, and re-attaching — idempotent, cheap — re-joins it. *)
 let register_telemetry t =
   let reg = Fa.telemetry t.source in
-  Registry.derive_int reg "replication/cycles" (fun () -> t.stats.cycles);
-  Registry.derive_int reg "replication/shipped_bytes" (fun () ->
-      t.stats.total_shipped_bytes);
-  Registry.derive_int reg "replication/changed_blocks" (fun () ->
-      t.stats.total_changed_blocks);
+  Registry.attach_counter reg "replication/cycles" t.cycles;
+  Registry.attach_counter reg "replication/shipped_bytes" t.shipped_bytes;
+  Registry.attach_counter reg "replication/changed_blocks" t.changed_blocks;
   Registry.derive_int reg "replication/protected_volumes" (fun () ->
       Hashtbl.length t.volumes)
 
@@ -52,7 +50,9 @@ let create ?(link = default_link) ~source ~target () =
       clock = Fa.clock source;
       volumes = Hashtbl.create 8;
       link_free_at = 0.0;
-      stats = { cycles = 0; total_shipped_bytes = 0; total_changed_blocks = 0 };
+      cycles = Registry.cell ();
+      shipped_bytes = Registry.cell ();
+      changed_blocks = Registry.cell ();
     }
   in
   register_telemetry t;
@@ -67,8 +67,6 @@ let protect t name =
   end
 
 let unprotect t name = Hashtbl.remove t.volumes name
-
-let stats t = t.stats
 
 (* Delta machinery shared with the synchronous ActiveCluster layer
    (lib/activecluster): both replication flavours reduce "what must cross
@@ -231,12 +229,9 @@ let replicate_once t volume k =
     p.cycle <- cycle;
     p.last_snap <- Some snap_name;
     p.in_flight <- false;
-    t.stats <-
-      {
-        cycles = t.stats.cycles + 1;
-        total_shipped_bytes = t.stats.total_shipped_bytes + !shipped;
-        total_changed_blocks = t.stats.total_changed_blocks + List.length blocks;
-      };
+    Registry.incr t.cycles;
+    Registry.add t.shipped_bytes !shipped;
+    Registry.add t.changed_blocks (List.length blocks);
     Span.finish
       ~tags:
         [

@@ -66,7 +66,11 @@ val create :
   target:Purity_core.Flash_array.t ->
   unit ->
   t
-(** Both arrays must share one simulation clock.
+(** Both arrays must share one simulation clock. The replicator counts
+    into the source's registry under [replication/] ([cycles],
+    [shipped_bytes], [changed_blocks]; [protected_volumes] is derived).
+    It owns those cells and re-attaches them at each cycle, so they
+    survive a source failover.
     @raise Invalid_argument otherwise. *)
 
 val protect : t -> string -> (unit, [ `No_such_volume | `Already ]) result
@@ -91,11 +95,3 @@ val replicate_once : t -> string -> (cycle_report -> unit) -> unit
 
 val replicate_all : t -> (cycle_report list -> unit) -> unit
 (** One cycle for every protected volume, sequentially. *)
-
-type stats = {
-  cycles : int;
-  total_shipped_bytes : int;
-  total_changed_blocks : int;
-}
-
-val stats : t -> stats

@@ -5,25 +5,7 @@ module Drive = Purity_ssd.Drive
 module Rs = Purity_erasure.Reed_solomon
 module Clock = Purity_sim.Clock
 module Histogram = Purity_util.Histogram
-
-type stats = {
-  chunk_reads : int;
-  direct_reads : int;
-  reconstruct_reads : int;
-  backup_reads : int;
-  peer_reads : int;
-  failures : int;
-}
-
-let zero_stats =
-  {
-    chunk_reads = 0;
-    direct_reads = 0;
-    reconstruct_reads = 0;
-    backup_reads = 0;
-    peer_reads = 0;
-    failures = 0;
-  }
+module Registry = Purity_telemetry.Registry
 
 type t = {
   layout : Layout.t;
@@ -31,41 +13,43 @@ type t = {
   rs : Rs.t;
   read_around_write : bool;
   p95_backup : bool;
-  mutable stats : stats;
+  chunk_reads : Registry.counter;
+  direct_reads : Registry.counter;
+  reconstruct_reads : Registry.counter;
+  backup_reads : Registry.counter;
+  peer_reads : Registry.counter;
+  failures : Registry.counter;
   latencies : Histogram.t;
   direct_latencies : Histogram.t; (* feeds the p95 hedge threshold *)
 }
 
-let create ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false) () =
-  {
-    layout;
-    shelf;
-    rs;
-    read_around_write;
-    p95_backup;
-    stats = zero_stats;
-    latencies = Histogram.create ();
-    direct_latencies = Histogram.create ();
-  }
-
-let stats t = t.stats
-let reset_stats t = t.stats <- zero_stats
-
-let register_telemetry t reg =
-  let module R = Purity_telemetry.Registry in
-  R.derive_int reg "sched/chunk_reads" (fun () -> t.stats.chunk_reads);
-  R.derive_int reg "sched/direct_reads" (fun () -> t.stats.direct_reads);
-  R.derive_int reg "sched/reconstruct_reads" (fun () -> t.stats.reconstruct_reads);
-  R.derive_int reg "sched/backup_reads" (fun () -> t.stats.backup_reads);
-  R.derive_int reg "sched/peer_reads" (fun () -> t.stats.peer_reads);
-  R.derive_int reg "sched/failures" (fun () -> t.stats.failures);
-  R.derive_float reg "sched/read_amplification" (fun () ->
-      if t.stats.chunk_reads = 0 then 1.0
+let create ~telemetry:reg ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_backup = false)
+    () =
+  let counter name = Registry.counter reg ("sched/" ^ name) in
+  let t =
+    {
+      layout;
+      shelf;
+      rs;
+      read_around_write;
+      p95_backup;
+      chunk_reads = counter "chunk_reads";
+      direct_reads = counter "direct_reads";
+      reconstruct_reads = counter "reconstruct_reads";
+      backup_reads = counter "backup_reads";
+      peer_reads = counter "peer_reads";
+      failures = counter "failures";
+      latencies = Registry.histogram reg "sched/segment_read_us";
+      direct_latencies = Registry.histogram reg "sched/direct_read_us";
+    }
+  in
+  Registry.derive_float reg "sched/read_amplification" (fun () ->
+      let chunks = Registry.value t.chunk_reads in
+      if chunks = 0 then 1.0
       else
-        float_of_int (t.stats.direct_reads + t.stats.peer_reads)
-        /. float_of_int t.stats.chunk_reads);
-  R.attach_histogram reg "sched/segment_read_us" t.latencies;
-  R.attach_histogram reg "sched/direct_read_us" t.direct_latencies
+        float_of_int (Registry.value t.direct_reads + Registry.value t.peer_reads)
+        /. float_of_int chunks);
+  t
 
 let drive_of t seg column =
   let m = (seg.Segment.members).(column) in
@@ -123,7 +107,7 @@ let reconstruct_chunk t seg ~row ~within ~len ~target k =
     let rec issue c =
       let drive, au = drive_of t seg c in
       let loc = Layout.row_chunk t.layout ~row ~within ~len ~column:c in
-      t.stats <- { t.stats with peer_reads = t.stats.peer_reads + 1 };
+      Registry.incr t.peer_reads;
       Drive.read drive ~au ~off:loc.Layout.au_offset ~len (fun result ->
           (match result with
           | Ok data -> shards.(c) <- Some data
@@ -142,7 +126,7 @@ let reconstruct_chunk t seg ~row ~within ~len ~target k =
 
 (* Serve one chunk (entirely inside one write unit). *)
 let read_chunk t seg (loc : Layout.location) k =
-  t.stats <- { t.stats with chunk_reads = t.stats.chunk_reads + 1 };
+  Registry.incr t.chunk_reads;
   let clock = Shelf.clock t.shelf in
   let column = loc.Layout.column in
   let row = (loc.Layout.au_offset - t.layout.Layout.header_size) / t.layout.Layout.write_unit in
@@ -151,12 +135,12 @@ let read_chunk t seg (loc : Layout.location) k =
   let drive, au = drive_of t seg column in
   let reconstruct tag =
     (match tag with
-    | `Primary -> t.stats <- { t.stats with reconstruct_reads = t.stats.reconstruct_reads + 1 }
-    | `Backup -> t.stats <- { t.stats with backup_reads = t.stats.backup_reads + 1 });
+    | `Primary -> Registry.incr t.reconstruct_reads
+    | `Backup -> Registry.incr t.backup_reads);
     reconstruct_chunk t seg ~row ~within ~len ~target:column
   in
   let fail () =
-    t.stats <- { t.stats with failures = t.stats.failures + 1 };
+    Registry.incr t.failures;
     k (Error `Unrecoverable)
   in
   let missing = not (shard_holds t seg column ~au_offset:loc.Layout.au_offset ~len) in
@@ -171,14 +155,14 @@ let read_chunk t seg (loc : Layout.location) k =
       | Some data -> k (Ok data)
       | None ->
         if Drive.is_online drive && not missing then begin
-          t.stats <- { t.stats with direct_reads = t.stats.direct_reads + 1 };
+          Registry.incr t.direct_reads;
           Drive.read drive ~au ~off:loc.Layout.au_offset ~len (function
             | Ok data -> k (Ok data)
             | Error _ -> fail ())
         end
         else fail ())
   else begin
-    t.stats <- { t.stats with direct_reads = t.stats.direct_reads + 1 };
+    Registry.incr t.direct_reads;
     let start = Clock.now clock in
     let delivered = ref false in
     let deliver result =
@@ -219,7 +203,7 @@ let read t seg ~off ~len k =
       (* an out-of-range (off, len) can only come from corrupt persisted
          metadata (recovery replaying a torn record): deliver the same
          error an unrecoverable read does rather than crash failover *)
-      t.stats <- { t.stats with failures = t.stats.failures + 1 };
+      Registry.incr t.failures;
       Clock.schedule clock ~delay:0.0 (fun () -> k (Error `Unrecoverable))
     | locs ->
     let out = Bytes.create len in

@@ -15,20 +15,13 @@
 
     Reconstruction reads [k] sibling shards, so a worst-case write-heavy
     workload pays ≈ [7 × 2/11 ≈ 1.3×] extra reads — the paper's cost
-    bound, measurable from {!stats}. *)
+    bound, measurable from the [sched/*] counters: reads issued per chunk
+    served is [sched/read_amplification]. *)
 
 type t
 
-type stats = {
-  chunk_reads : int;  (** chunks requested by callers *)
-  direct_reads : int;  (** served by reading the home shard *)
-  reconstruct_reads : int;  (** served by rebuilding from siblings *)
-  backup_reads : int;  (** p95 hedges launched *)
-  peer_reads : int;  (** total sibling-shard reads issued *)
-  failures : int;  (** chunks that could not be served at all *)
-}
-
 val create :
+  telemetry:Purity_telemetry.Registry.t ->
   layout:Purity_segment.Layout.t ->
   shelf:Purity_ssd.Shelf.t ->
   rs:Purity_erasure.Reed_solomon.t ->
@@ -36,8 +29,13 @@ val create :
   ?p95_backup:bool ->
   unit ->
   t
-(** [read_around_write] defaults to true (disable for the E6 ablation);
-    [p95_backup] defaults to false. *)
+(** Counts into [telemetry] under [sched/]: [chunk_reads] requested,
+    [direct_reads] from the home shard, [reconstruct_reads] rebuilt from
+    siblings, [backup_reads] (p95 hedges), [peer_reads] (sibling shards
+    read) and [failures] (chunks not served), with the
+    [segment_read_us]/[direct_read_us] histograms and the derived
+    [read_amplification]. [read_around_write] defaults to true (disable
+    for the E6 ablation); [p95_backup] defaults to false. *)
 
 val read :
   t ->
@@ -49,10 +47,3 @@ val read :
 (** Read a payload byte range of a segment. Splits into write-unit chunks,
     serves each by the cheapest safe path, reassembles. [`Unrecoverable]
     only when more than [m] shards of some row are unavailable. *)
-
-val stats : t -> stats
-val reset_stats : t -> unit
-
-val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
-(** Register the scheduler's counters (derived), the computed read
-    amplification, and its latency histograms under [sched/...]. *)

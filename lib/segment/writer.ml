@@ -40,10 +40,6 @@ let create ~layout ~shelf ~rs ~members ~id =
 
 let abort t = t.aborted <- true
 
-let set_member t ~index m =
-  if t.sealed then invalid_arg "Writer.set_member: sealed";
-  t.members.(index) <- m
-
 let id t = t.seg_id
 let members t = t.members
 let data_len t = t.data_len

@@ -77,11 +77,6 @@ val finalize :
     description (also in the remapped member's own header) is final, so
     the segment-table fact written from it is authoritative. *)
 
-val set_member : t -> index:int -> Segment.member -> unit
-(** Remap one member slot to a different (drive, AU) before the flush —
-    how a segio abandons a drive that failed after allocation. The shard
-    data is still in RAM, so the stripe flushes at full redundancy.
-    @raise Invalid_argument once sealed. *)
 
 val abort : t -> unit
 (** Stop issuing further chunk writes (controller crash): the flush halts

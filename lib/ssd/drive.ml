@@ -35,26 +35,7 @@ let default_config =
 
 type error = [ `Offline | `Corrupt of int ]
 
-type stats = {
-  reads : int;
-  writes : int;
-  bytes_read : int;
-  bytes_written : int;
-  trims : int;
-  corrupt_reads : int;
-  program_stalls : int;
-}
-
-let zero_stats =
-  {
-    reads = 0;
-    writes = 0;
-    bytes_read = 0;
-    bytes_written = 0;
-    trims = 0;
-    corrupt_reads = 0;
-    program_stalls = 0;
-  }
+module Registry = Purity_telemetry.Registry
 
 type t = {
   cfg : config;
@@ -70,7 +51,15 @@ type t = {
   mutable channel_free_at : float;
   mutable write_busy_until : float;
   mutable online : bool;
-  mutable stats : stats;
+  (* counters: the drive outlives any controller, so it owns its cells
+     and every controller's registry adopts them *)
+  reads : Registry.counter;
+  writes : Registry.counter;
+  bytes_read : Registry.counter;
+  bytes_written : Registry.counter;
+  trims : Registry.counter;
+  corrupt_reads : Registry.counter;
+  program_stalls : Registry.counter;
 }
 
 let create ?(config = default_config) ~clock ~rng ~id () =
@@ -88,7 +77,13 @@ let create ?(config = default_config) ~clock ~rng ~id () =
     channel_free_at = 0.0;
     write_busy_until = 0.0;
     online = true;
-    stats = zero_stats;
+    reads = Registry.cell ();
+    writes = Registry.cell ();
+    bytes_read = Registry.cell ();
+    bytes_written = Registry.cell ();
+    trims = Registry.cell ();
+    corrupt_reads = Registry.cell ();
+    program_stalls = Registry.cell ();
   }
 
 let id t = t.drive_id
@@ -109,8 +104,6 @@ let au_fill t ~au = t.fill.(au)
 let au_pe_count t ~au = t.pe.(au)
 let busy_writing t = Clock.now t.clock < t.write_busy_until
 let wear_to t ~pe = Array.fill t.pe 0 t.cfg.num_aus pe
-let stats t = t.stats
-let reset_stats t = t.stats <- zero_stats
 
 (* Fault injection: mark one page as latently corrupt, as though its
    charge leaked. The mark behaves exactly like age-induced retention
@@ -133,21 +126,24 @@ let pe_mean t =
   else float_of_int (Array.fold_left ( + ) 0 t.pe) /. float_of_int t.cfg.num_aus
 
 let register_telemetry t reg =
-  let module R = Purity_telemetry.Registry in
   let p name = Printf.sprintf "ssd/drive%d/%s" t.drive_id name in
-  R.derive_int reg (p "reads") (fun () -> t.stats.reads);
-  R.derive_int reg (p "writes") (fun () -> t.stats.writes);
-  R.derive_int reg (p "bytes_read") (fun () -> t.stats.bytes_read);
-  R.derive_int reg (p "bytes_written") (fun () -> t.stats.bytes_written);
-  R.derive_int reg (p "trims") (fun () -> t.stats.trims);
-  R.derive_int reg (p "corrupt_reads") (fun () -> t.stats.corrupt_reads);
-  R.derive_int reg (p "program_stalls") (fun () -> t.stats.program_stalls);
-  R.derive_int reg (p "injected_corrupt_pages") (fun () -> injected_corrupt_pages t);
-  R.derive_int reg (p "pe_max") (fun () -> pe_max t);
-  R.derive_float reg (p "pe_mean") (fun () -> pe_mean t);
-  R.derive_float reg (p "wear_ratio") (fun () ->
+  List.iter
+    (fun (name, c) -> Registry.attach_counter reg (p name) c)
+    [
+      ("reads", t.reads);
+      ("writes", t.writes);
+      ("bytes_read", t.bytes_read);
+      ("bytes_written", t.bytes_written);
+      ("trims", t.trims);
+      ("corrupt_reads", t.corrupt_reads);
+      ("program_stalls", t.program_stalls);
+    ];
+  Registry.derive_int reg (p "injected_corrupt_pages") (fun () -> injected_corrupt_pages t);
+  Registry.derive_int reg (p "pe_max") (fun () -> pe_max t);
+  Registry.derive_float reg (p "pe_mean") (fun () -> pe_mean t);
+  Registry.derive_float reg (p "wear_ratio") (fun () ->
       pe_mean t /. float_of_int t.cfg.pe_rating);
-  R.derive_int reg (p "online") (fun () -> if t.online then 1 else 0)
+  Registry.derive_int reg (p "online") (fun () -> if t.online then 1 else 0)
 
 let channel_us t len =
   float_of_int len /. (t.cfg.channel_mb_s *. 1024.0 *. 1024.0 /. 1e6)
@@ -214,7 +210,8 @@ let write_chunk t ~au ~off ~data k =
     Bytes.blit data 0 buf off len;
     if t.fill.(au) = 0 then t.written_at.(au) <- Clock.now t.clock;
     t.fill.(au) <- off + len;
-    t.stats <- { t.stats with writes = t.stats.writes + 1; bytes_written = t.stats.bytes_written + len };
+    Registry.incr t.writes;
+    Registry.add t.bytes_written len;
     (* Timing: transfer over the channel, then program pages striped over
        the dies; the dies run in parallel, pages on one die serialise. *)
     let _, transfer_done = reserve_channel t len in
@@ -248,7 +245,8 @@ let[@purity.lint.allow
   else begin
     if au < 0 || au >= t.cfg.num_aus then invalid_arg "Drive.read: bad au";
     if off < 0 || len < 0 || off + len > t.cfg.au_size then invalid_arg "Drive.read: bad range";
-    t.stats <- { t.stats with reads = t.stats.reads + 1; bytes_read = t.stats.bytes_read + len };
+    Registry.incr t.reads;
+    Registry.add t.bytes_read len;
     let data =
       match Hashtbl.find_opt t.contents au with
       | Some buf -> Bytes.sub buf off len
@@ -303,8 +301,7 @@ let[@purity.lint.allow
     done;
     (* a read queued behind an in-progress program/erase on its die — the
        latency spike Purity's scheduler reads around (§4.4) *)
-    if !stalled then
-      t.stats <- { t.stats with program_stalls = t.stats.program_stalls + 1 };
+    if !stalled then Registry.incr t.program_stalls;
     (* internal parity repairs read the rest of the group *)
     let repair_us =
       float_of_int !internal_repairs *. 15.0 *. t.cfg.read_us /. float_of_int t.cfg.dies
@@ -315,7 +312,7 @@ let[@purity.lint.allow
     let result =
       match !corrupt with
       | Some p ->
-        t.stats <- { t.stats with corrupt_reads = t.stats.corrupt_reads + 1 };
+        Registry.incr t.corrupt_reads;
         Error (`Corrupt p)
       | None -> Ok data
     in
@@ -330,7 +327,7 @@ let trim_au t ~au =
     (Hashtbl.copy t.injected);
   t.fill.(au) <- 0;
   t.pe.(au) <- t.pe.(au) + 1;
-  t.stats <- { t.stats with trims = t.stats.trims + 1 };
+  Registry.incr t.trims;
   (* The erase occupies the AU's dies; reads landing there meanwhile stall. *)
   let now = Clock.now t.clock in
   for d = 0 to t.cfg.dies - 1 do

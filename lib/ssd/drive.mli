@@ -111,26 +111,15 @@ val inject_page_corruption : t -> au:int -> page:int -> unit
 val injected_corrupt_pages : t -> int
 (** Injected marks still present (not yet erased away). *)
 
-type stats = {
-  reads : int;
-  writes : int;
-  bytes_read : int;
-  bytes_written : int;
-  trims : int;
-  corrupt_reads : int;
-  program_stalls : int;
-      (** reads that queued behind an in-progress program or erase on one
-          of their dies — the §4.4 latency-spike events *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit
-
 val pe_max : t -> int
 (** Highest per-AU P/E count — the wear figure fleet telemetry tracks. *)
 
 val pe_mean : t -> float
 
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
-(** Register this drive's counters and wear gauges under
-    [ssd/drive<id>/...] as derived metrics (sampled at snapshot time). *)
+(** Attach this drive's counters under [ssd/drive<id>/]: [reads],
+    [writes], [bytes_read], [bytes_written], [trims], [corrupt_reads] and
+    [program_stalls] (reads that queued behind an in-progress program or
+    erase on one of their dies — the §4.4 latency-spike events). The
+    drive owns these cells, so they keep counting across a controller
+    failover. Its wear gauges and [online] flag are derived. *)

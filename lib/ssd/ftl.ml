@@ -19,12 +19,7 @@ let default_config =
     gc_low_watermark = 4;
   }
 
-type stats = {
-  host_writes : int;
-  total_programs : int;
-  erases : int;
-  gc_relocations : int;
-}
+module Registry = Purity_telemetry.Registry
 
 type t = {
   cfg : config;
@@ -35,7 +30,10 @@ type t = {
   mutable free_blocks : int list;
   mutable open_block : int;
   mutable open_next : int; (* next page slot in the open block *)
-  mutable stats : stats;
+  host_writes : Registry.counter;
+  total_programs : Registry.counter;
+  erases : Registry.counter;
+  gc_relocations : Registry.counter;
 }
 
 let default_config = default_config
@@ -55,7 +53,10 @@ let create ?(config = default_config) () =
     free_blocks = free;
     open_block = 0;
     open_next = 0;
-    stats = { host_writes = 0; total_programs = 0; erases = 0; gc_relocations = 0 };
+    host_writes = Registry.cell ();
+    total_programs = Registry.cell ();
+    erases = Registry.cell ();
+    gc_relocations = Registry.cell ();
   }
 
 let host_pages t = t.host_page_count
@@ -75,7 +76,7 @@ let program t lpn =
   t.map.(lpn) <- ppn;
   t.rmap.(ppn) <- lpn;
   t.valid.(t.open_block) <- t.valid.(t.open_block) + 1;
-  t.stats <- { t.stats with total_programs = t.stats.total_programs + 1 }
+  Registry.incr t.total_programs
 
 (* Pick the block with the fewest valid pages (greedy), relocate its valid
    pages, erase it. Returns the latency of the work. *)
@@ -110,12 +111,8 @@ let gc_once t =
     done;
     t.valid.(b) <- 0;
     t.free_blocks <- t.free_blocks @ [ b ];
-    t.stats <-
-      {
-        t.stats with
-        erases = t.stats.erases + 1;
-        gc_relocations = t.stats.gc_relocations + !moved;
-      };
+    Registry.incr t.erases;
+    Registry.add t.gc_relocations !moved;
     (float_of_int !moved *. (t.cfg.read_us +. t.cfg.program_us)) +. t.cfg.erase_us
   end
 
@@ -135,20 +132,21 @@ let write t ~lpn =
     | [] -> failwith "Ftl: out of space"
   end;
   program t lpn;
-  t.stats <- { t.stats with host_writes = t.stats.host_writes + 1 };
+  Registry.incr t.host_writes;
   !latency
 
-let stats t = t.stats
-
 let write_amplification t =
-  if t.stats.host_writes = 0 then 1.0
-  else float_of_int t.stats.total_programs /. float_of_int t.stats.host_writes
+  let host = Registry.value t.host_writes in
+  if host = 0 then 1.0 else float_of_int (Registry.value t.total_programs) /. float_of_int host
 
 let register_telemetry ?(prefix = "ftl") t reg =
-  let module R = Purity_telemetry.Registry in
   let key name = prefix ^ "/" ^ name in
-  R.derive_int reg (key "host_writes") (fun () -> t.stats.host_writes);
-  R.derive_int reg (key "total_programs") (fun () -> t.stats.total_programs);
-  R.derive_int reg (key "erases") (fun () -> t.stats.erases);
-  R.derive_int reg (key "gc_relocations") (fun () -> t.stats.gc_relocations);
-  R.derive_float reg (key "write_amplification") (fun () -> write_amplification t)
+  List.iter
+    (fun (name, c) -> Registry.attach_counter reg (key name) c)
+    [
+      ("host_writes", t.host_writes);
+      ("total_programs", t.total_programs);
+      ("erases", t.erases);
+      ("gc_relocations", t.gc_relocations);
+    ];
+  Registry.derive_float reg (key "write_amplification") (fun () -> write_amplification t)

@@ -39,19 +39,11 @@ val write : t -> lpn:int -> float
 (** Write one logical page; returns the latency in microseconds, including
     any garbage-collection relocations and erases this write stalled on. *)
 
-type stats = {
-  host_writes : int;
-  total_programs : int;
-  erases : int;
-  gc_relocations : int;
-}
-
-val stats : t -> stats
-
 val write_amplification : t -> float
 (** [total_programs / host_writes]; 1.0 until GC starts. *)
 
 val register_telemetry : ?prefix:string -> t -> Purity_telemetry.Registry.t -> unit
-(** Register the FTL's counters and write-amplification gauge under
-    [prefix/...] (default [ftl/...]) as derived metrics, so several FTLs
-    can share one registry. *)
+(** Attach the FTL's counters ([host_writes], [total_programs], [erases],
+    [gc_relocations]) and derive its write-amplification gauge under
+    [prefix/] (default [ftl/]), so several FTLs can share one registry.
+    The FTL owns the counter cells. *)

@@ -41,11 +41,13 @@ let histogram t key =
     Hashtbl.replace t.metrics key (Hist h);
     h
 
-let attach_histogram t key h =
+let cell () = ref 0
+
+let attach_counter t key c =
   match Hashtbl.find_opt t.metrics key with
-  | Some (Hist h') when h' == h -> ()
-  | Some m -> clash key m "histogram"
-  | None -> Hashtbl.replace t.metrics key (Hist h)
+  | Some (Counter c') when c' == c -> ()
+  | Some m -> clash key m "counter"
+  | None -> Hashtbl.replace t.metrics key (Counter c)
 
 let derive_int t key f =
   match Hashtbl.find_opt t.metrics key with
@@ -62,6 +64,12 @@ let add c n = c := !c + n
 let value c = !c
 
 let mem t key = Hashtbl.mem t.metrics key
+
+let read_int t key =
+  match Hashtbl.find_opt t.metrics key with
+  | Some (Counter c) -> !c
+  | Some (Derived_int f) -> f ()
+  | _ -> raise Not_found
 
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.metrics [] |> List.sort String.compare

@@ -15,10 +15,18 @@
     - {e counters}: monotone ints ([incr]/[add]);
     - {e histograms}: {!Purity_util.Histogram} latency distributions.
 
-    Two more are {e derived}: registered as closures and sampled only at
-    {!snapshot} time, so pre-existing statistics structs (drive stats, IO
-    scheduler stats, medium-table sizes) can join the namespace without
-    rewriting their recording sites.
+    Every counter the array records through this library is such a cell.
+    A per-controller path takes its cells from the controller's registry
+    ({!counter}); a device that outlives a controller — a drive, an FTL,
+    the replication link — owns its cells ({!cell}) and each new registry
+    adopts them ({!attach_counter}), so they keep counting across a
+    failover while the path counters start again from zero. (The kernel
+    and pyramid probe tallies live in libraries below this one and are
+    derived.)
+
+    Two more families are {e derived}: closures sampled only at
+    {!snapshot} time, for levels computed over live state (table sizes,
+    ratios, a drive's [online] flag) rather than counted events.
 
     Registration is idempotent per key: re-registering the same key with
     the same family returns the original handle; a family mismatch raises
@@ -38,13 +46,18 @@ val histogram : t -> string -> Purity_util.Histogram.t
 (** A registry-owned histogram; record into it directly with
     {!Purity_util.Histogram.record}. *)
 
-val attach_histogram : t -> string -> Purity_util.Histogram.t -> unit
-(** Adopt an existing histogram under a key (zero-copy: snapshots read the
-    live histogram). Re-attaching the same instance is a no-op; attaching
-    a different instance to an occupied key raises. *)
+val cell : unit -> counter
+(** A counter no registry holds yet: its owner keeps it, records through
+    it, and attaches it to each registry it reports into. *)
+
+val attach_counter : t -> string -> counter -> unit
+(** Adopt an owner's cell under a key: snapshots read the live cell,
+    {!diff} subtracts it and {!reset} zeroes it like any counter.
+    Re-attaching the same cell is a no-op; attaching a different cell to
+    an occupied key, or a cell to another family's key, raises. *)
 
 val derive_int : t -> string -> (unit -> int) -> unit
-(** A computed counter, sampled at snapshot time. Re-registration
+(** A computed level, sampled at snapshot time. Re-registration
     replaces the closure (a failover re-derives over fresh state). *)
 
 val derive_float : t -> string -> (unit -> float) -> unit
@@ -59,6 +72,11 @@ val value : counter -> int
 (** {1 Introspection} *)
 
 val mem : t -> string -> bool
+
+val read_int : t -> string -> int
+(** The current value of a counter or derived-int key.
+    @raise Not_found if the key is absent or holds another family. *)
+
 val keys : t -> string list
 (** All registered keys, sorted. *)
 
@@ -96,8 +114,8 @@ val diff : base:snapshot -> current:snapshot -> snapshot
     Keys absent from [base] pass through unchanged. *)
 
 val reset : t -> unit
-(** Zero all counters and clear all histograms. Derived metrics are
-    levels over live state and are left alone. *)
+(** Zero all counters (adopted cells too) and clear all histograms.
+    Derived metrics are levels over live state and are left alone. *)
 
 val pp_value : value_snapshot Fmt.t
 val pp_snapshot : snapshot Fmt.t

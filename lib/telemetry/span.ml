@@ -17,7 +17,7 @@ and tracer = {
   mutable head : int;  (* next write slot *)
   mutable len : int;
   mutable next_id : int;
-  mutable evicted : int;
+  evicted : Registry.counter;
   mutable sink : (t -> unit) option;
 }
 
@@ -30,7 +30,7 @@ let create_tracer ?(capacity = 1024) ~clock () =
     head = 0;
     len = 0;
     next_id = 1;
-    evicted = 0;
+    evicted = Registry.cell ();
     sink = None;
   }
 
@@ -56,7 +56,7 @@ let finish ?(tags = []) t =
     List.iter (fun (k, v) -> tag t k v) tags;
     let tr = t.tracer in
     t.ended <- Some (Clock.now tr.clock);
-    if tr.ring.(tr.head) <> None then tr.evicted <- tr.evicted + 1;
+    if tr.ring.(tr.head) <> None then Registry.incr tr.evicted;
     tr.ring.(tr.head) <- Some t;
     tr.head <- (tr.head + 1) mod tr.capacity;
     if tr.len < tr.capacity then tr.len <- tr.len + 1;

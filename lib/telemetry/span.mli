@@ -47,8 +47,9 @@ val finished : tracer -> t list
 val drain : tracer -> t list
 (** [finished] + empty the ring — what a periodic exporter calls. *)
 
-val dropped : tracer -> int
-(** Finished spans evicted by ring overflow since creation. *)
+val dropped : tracer -> Registry.counter
+(** Finished spans evicted by ring overflow since creation: a cell the
+    tracer owns, for a registry to adopt. *)
 
 val clear : tracer -> unit
 

@@ -72,7 +72,6 @@ module Reader = struct
     t.cursor <- t.cursor + width;
     v
 
-  let seek t p = t.cursor <- p
   let pos t = t.cursor
   let bit_length t = t.len_bits
 end

@@ -35,7 +35,6 @@ module Reader : sig
   val read : t -> width:int -> int64
   (** Sequential read at the cursor; advances it. *)
 
-  val seek : t -> int -> unit
   val pos : t -> int
   val bit_length : t -> int
 end

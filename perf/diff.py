@@ -23,9 +23,15 @@ perf/trajectory.jsonl for the same workload and seed:
 - wall-clock and heap metrics are printed as deltas against their
   BENCHMARK.json bounds, for information only (one run is noisy).
 
+Each traced result (--trace 1) is compared with the same row's traced
+run: the op count and every per-layer reading in TRACED_EXACT must match
+exactly. Those readings count simulated events and simulated time, so two
+traced runs of one tree agree on them bit for bit; the host-time readings
+(per-op wall costs, kernel ns/KiB, gc.pass_wall_ms, failover_wall_ms) and
+the OCaml runtime's collector counts are left out.
+
 Exits 1 listing every drifted metric, allocation regression or failed
-run, 0 otherwise. Traced runs (--trace 1) are skipped: their per-layer
-metrics are not compared.
+run, 0 otherwise.
 """
 
 import json
@@ -46,6 +52,40 @@ SIMULATED = (
 # printed against their bounds; only the gated ones fail the run
 INFORMATIONAL = ("wall_us_per_op", "alloc_words_per_op", "peak_heap_mb", "setup_s")
 GATED = ("alloc_words_per_op",)
+# per-layer readings of a traced run that repeat exactly run to run:
+# simulated time and counted events, not host time or GC activity
+TRACED_EXACT = (
+    "nvram.commit_p50_us",
+    "nvram.backpressure_per_write",
+    "dedup.hit_ratio",
+    "compress.stored_ratio",
+    "segment.flush_sim_p50_us",
+    "segment.program_sim_us_per_mib",
+    "segment.segios_per_mib",
+    "sched.read_amplification",
+    "sched.reconstruct_share",
+    "sched.segment_read_p50_us",
+    "sched.backup_reads",
+    "drive.program_stalls_per_kread",
+    "drive.reads_per_op",
+    "read_path.cache_hit_ratio",
+    "read_path.map_cache_hit_ratio",
+    "pyramid.probes_per_lookup",
+    "pyramid.skip_ratio",
+    "pyramid.patches",
+    "pyramid.facts",
+    "medium.resolve_depth",
+    "gc.passes",
+    "gc.relocated_per_user_byte",
+    "gc.reclaimed_mib",
+    "gc.pass_sim_ms",
+    "recovery.headers_scanned",
+    "recovery.log_records",
+    "recovery.nvram_records",
+    "recovery.checkpoint_bytes",
+    "clock.events_per_op",
+    "trace.spans_per_op",
+)
 
 HEADER = re.compile(r"^perfbench (\S+): seed (\d+), .* trace (\d)$")
 
@@ -89,15 +129,20 @@ def value(result, name):
     return None if m is None else m["value"]
 
 
-def compare(workload, seed, result, row, spec):
-    """Print one run's comparison; return its list of problems."""
+def common_problems(result, base):
     problems = []
-    base = row["untraced"]
-    print(f"{workload} seed {seed}: against PR {row['pr']} ({row['rev']})")
     if not result["correct"] or result["failed"] != 0:
         problems.append(f"run not correct ({result['failed']} failed)")
     if result["attempted"] != base["attempted"]:
         problems.append(f"attempted {base['attempted']} -> {result['attempted']}")
+    return problems
+
+
+def compare(workload, seed, result, row, spec):
+    """Print one untraced run's comparison; return its list of problems."""
+    base = row["untraced"]
+    print(f"{workload} seed {seed}: against PR {row['pr']} ({row['rev']})")
+    problems = common_problems(result, base)
     for name in SIMULATED:
         old, new = value(base, name), value(result, name)
         if old != new:
@@ -124,6 +169,22 @@ def compare(workload, seed, result, row, spec):
     return problems
 
 
+def compare_traced(workload, seed, result, row):
+    """Print one traced run's comparison; return its list of problems."""
+    base = row["traced"]
+    print(f"{workload} seed {seed} traced: against PR {row['pr']} ({row['rev']})")
+    problems = common_problems(result, base)
+    for name in TRACED_EXACT:
+        old, new = value(base, name), value(result, name)
+        if old != new:
+            problems.append(f"{name} {old!r} -> {new!r}")
+    for p in problems:
+        print(f"  DRIFT {p}")
+    if not problems:
+        print(f"  {len(TRACED_EXACT)} per-layer readings identical")
+    return problems
+
+
 def main(argv):
     rows = newest_rows(os.path.join(ROOT, "perf", "trajectory.jsonl"))
     spec = bounds(os.path.join(ROOT, "BENCHMARK.json"))
@@ -137,18 +198,19 @@ def main(argv):
     compared = 0
     failed = []
     for workload, seed, traced, result in runs(lines):
-        if traced:
-            print(f"{workload} seed {seed}: traced run skipped")
-            continue
         row = rows.get((workload, seed))
-        if row is None:
+        if row is None or (traced and row.get("traced") is None):
             failed.append(f"{workload} seed {seed}: no trajectory row")
             print(f"{workload} seed {seed}: no trajectory row to compare with")
             continue
         compared += 1
-        failed += [f"{workload}: {p}" for p in compare(workload, seed, result, row, spec)]
+        if traced:
+            problems = compare_traced(workload, seed, result, row)
+        else:
+            problems = compare(workload, seed, result, row, spec)
+        failed += [f"{workload}: {p}" for p in problems]
     if compared == 0 and not failed:
-        failed.append("no untraced perfbench result in the input")
+        failed.append("no perfbench result in the input")
     if failed:
         print(f"perf-diff: {len(failed)} problem(s)", file=sys.stderr)
         for p in failed:

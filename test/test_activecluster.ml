@@ -198,7 +198,7 @@ let test_mirrored_write_on_both () =
         [ 0; 32 ])
     [ Ac.A; Ac.B ];
   check bool "pod stayed in sync" true (Ac.status ac = Ac.Sync);
-  check bool "mirrors were acked" true ((Ac.counters ac).Ac.mirror_acked >= 2)
+  check bool "mirrors were acked" true (Ac.Registry.value (Ac.counters ac).Ac.mirror_acked >= 2)
 
 let test_partition_solo_and_failback () =
   let clock, ac = pod_fixture () in
@@ -231,7 +231,7 @@ let test_partition_solo_and_failback () =
         check bool (Printf.sprintf "B resynced block %d" blk) true (got = d1)
       | _ -> Alcotest.fail "direct read failed")
     [ 8; 16 ];
-  check bool "resync copied blocks" true ((Ac.counters ac).Ac.resync_blocks > 0);
+  check bool "resync copied blocks" true (Ac.Registry.value (Ac.counters ac).Ac.resync_blocks > 0);
   match Mediator.audit (Ac.mediator ac) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "mediation history: %s" msg

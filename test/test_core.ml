@@ -2,6 +2,7 @@ module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module Recovery = Purity_core.Recovery
 module Rng = Purity_util.Rng
+module Registry = Purity_telemetry.Registry
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -365,6 +366,57 @@ let test_rebuild_drive () =
    fresh AU; the AU it leaves must go back to the allocator. Every used AU
    belongs to a segment meta, the open segio or a sealed one, round after
    round. *)
+(* A member drive pulled while its segio is still open: the flush remaps
+   that member when its turn comes, so the sealed segment lands whole on
+   online drives, and both recovery paths agree with the space audit. *)
+let test_pulled_member_remapped_at_flush () =
+  let module State = Purity_core.State in
+  let module Segment = Purity_segment.Segment in
+  let module Writer = Purity_segment.Writer in
+  let clock, a = make_array ~config:Fa.default_config () in
+  ok (Fa.create_volume a "v" ~blocks:8192);
+  let rng = Rng.create ~seed:3L in
+  let writes = List.init 8 (fun i -> (i * 64, Bytes.to_string (Rng.bytes rng (64 * bs)))) in
+  List.iter (fun (block, data) -> write_ok clock a ~volume:"v" ~block data) writes;
+  let w =
+    match (Fa.state a).State.open_writer with
+    | Some w -> w
+    | None -> Alcotest.fail "no open segio"
+  in
+  let victim = (Writer.members w).(0).Segment.drive in
+  Fa.pull_drive a victim;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let audit () =
+    match Purity_check.Runner.audit_space a with
+    | () -> ()
+    | exception Purity_check.Suite.Violation msg -> Alcotest.fail msg
+  in
+  let check_segment when_ =
+    match Hashtbl.find_opt (Fa.state a).State.segment_metas (Writer.id w) with
+    | None -> Alcotest.fail ("sealed segment missing " ^ when_)
+    | Some seg ->
+      Array.iter
+        (fun (m : Segment.member) ->
+          check bool
+            (Printf.sprintf "member on drive %d online %s" m.Segment.drive when_)
+            true
+            (Purity_ssd.Drive.is_online (Purity_ssd.Shelf.drive (Fa.shelf a) m.Segment.drive)))
+        seg.Segment.members
+  in
+  check_segment "after the flush";
+  audit ();
+  List.iter
+    (fun (mode, name) ->
+      ignore (await clock (fun k -> Fa.failover ~mode a k));
+      check_segment ("after a " ^ name ^ " failover");
+      audit ();
+      List.iter
+        (fun (block, data) ->
+          check bool (name ^ " data intact") true
+            (read_ok clock a ~volume:"v" ~block ~nblocks:64 = data))
+        writes)
+    [ (Recovery.Frontier_scan, "frontier-scan"); (Recovery.Full_scan, "full-scan") ]
+
 let test_mid_flush_remap_releases_replaced_au () =
   let module State = Purity_core.State in
   let module Segment = Purity_segment.Segment in
@@ -970,10 +1022,10 @@ let test_inference_sizes_cblocks_for_single_fetch_reads () =
   done;
   write_ok clock a ~volume:"db" ~block:2048 (random_data 16);
   ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
-  let st = Fa.state a in
-  let before = (Purity_sched.Io.stats st.Purity_core.State.io).Purity_sched.Io.chunk_reads in
+  let chunk_reads () = Registry.read_int (Fa.telemetry a) "sched/chunk_reads" in
+  let before = chunk_reads () in
   ignore (read_ok clock a ~volume:"db" ~block:2048 ~nblocks:16);
-  let after = (Purity_sched.Io.stats st.Purity_core.State.io).Purity_sched.Io.chunk_reads in
+  let after = chunk_reads () in
   (* a page-sized read retrieves a single page-sized cblock (at most two
      write-unit chunks when the frame straddles a boundary) — not the
      4+ chunks a 32 KiB cblock would cost *)
@@ -1127,10 +1179,10 @@ let test_p95_backup_reads () =
   done;
   Clock.run clock;
   check bool "write completed" true !done_w;
-  let io = Purity_sched.Io.stats (Fa.state a).Purity_core.State.io in
+  let sched key = Registry.read_int (Fa.telemetry a) ("sched/" ^ key) in
   (* the hedge must never lose data and is allowed to fire *)
-  check bool "reads all served" true (io.Purity_sched.Io.failures = 0);
-  check bool "hedged reads fired" true (io.Purity_sched.Io.backup_reads > 0)
+  check bool "reads all served" true (sched "failures" = 0);
+  check bool "hedged reads fired" true (sched "backup_reads" > 0)
 
 (* ---------- whole-array consistency property ---------- *)
 
@@ -1314,7 +1366,6 @@ let test_protection_errors () =
 (* ---------- flush pipeline ---------- *)
 
 let pending_flushes a =
-  let module Registry = Purity_telemetry.Registry in
   match Registry.find (Registry.snapshot (Fa.telemetry a)) "segments/pending_flushes" with
   | Some (Registry.Int n) -> n
   | _ -> Alcotest.fail "segments/pending_flushes not registered"
@@ -1632,6 +1683,8 @@ let () =
           Alcotest.test_case "write with pulled drive" `Quick test_writes_continue_after_drive_pull;
           Alcotest.test_case "rebuild drive" `Quick test_rebuild_drive;
           Alcotest.test_case "rebuild under writes" `Quick test_rebuild_under_writes;
+          Alcotest.test_case "member pulled before its flush is remapped" `Quick
+            test_pulled_member_remapped_at_flush;
           Alcotest.test_case "mid-flush remap releases the replaced AU" `Quick
             test_mid_flush_remap_releases_replaced_au;
         ] );

@@ -1,5 +1,6 @@
 module Dedup = Purity_dedup.Dedup
 module Rng = Purity_util.Rng
+module Registry = Purity_telemetry.Registry
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -9,6 +10,12 @@ let bs = Dedup.block_size
 let rng = Rng.create ~seed:0xDED0L
 
 let random_blocks n = Bytes.to_string (Rng.bytes rng (n * bs))
+
+(* The index's counters, read through a registry that adopts its cells. *)
+let counters d =
+  let reg = Registry.create () in
+  Dedup.register_telemetry d reg;
+  fun name -> Registry.read_int reg ("dedup/" ^ name)
 
 let test_no_duplicates_in_fresh_data () =
   let d = Dedup.create () in
@@ -75,8 +82,10 @@ let test_byte_verification_rejects_collisions () =
   ignore (Dedup.register d (random_blocks 64));
   let hits = Dedup.find_duplicates d (random_blocks 64) in
   check int "no false dedup despite collisions" 0 (List.length hits);
-  check bool "collisions were caught by byte compare" true
-    ((Dedup.stats d).Dedup.false_positives > 0)
+  let count = counters d in
+  check bool "collisions were caught by byte compare" true (count "false_positives" > 0);
+  check int "no verified hit" 0 (count "verified_hits");
+  check int "no duplicate block" 0 (count "duplicate_blocks")
 
 let test_window_eviction () =
   let cfg = { Dedup.default_config with Dedup.window_writes = 2 } in
@@ -99,8 +108,28 @@ let test_forget () =
 let test_record_every_8_index_size () =
   let d = Dedup.create () in
   ignore (Dedup.register d (random_blocks 64));
-  let s = Dedup.stats d in
-  check int "64 blocks -> 8 recorded hashes" 8 s.Dedup.recorded_hashes
+  let count = counters d in
+  check int "64 blocks -> 8 recorded hashes" 8 (count "recorded_hashes");
+  check int "one registered write" 1 (count "registered_writes")
+
+(* A lookup that finds nothing allocates nothing per block: the hash
+   probe is an unboxed int and each counted event is one store. *)
+let test_find_duplicates_allocation () =
+  let d = Dedup.create () in
+  ignore (Dedup.register d (random_blocks 64));
+  let fresh = random_blocks 64 in
+  let count = counters d in
+  ignore (Dedup.find_duplicates d fresh);
+  let calls = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Dedup.find_duplicates d fresh))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check int "a lookup per block" (64 * (calls + 1)) (count "lookups");
+  check int "no hit" 0 (count "hash_hits");
+  if words > 8. then
+    Alcotest.failf "Dedup.find_duplicates allocates %.1f words per 64-block miss" words
 
 let test_zero_blocks_dedupe_against_each_other () =
   let d = Dedup.create () in
@@ -175,6 +204,7 @@ let () =
           Alcotest.test_case "window eviction" `Quick test_window_eviction;
           Alcotest.test_case "forget" `Quick test_forget;
           Alcotest.test_case "1-in-8 recording" `Quick test_record_every_8_index_size;
+          Alcotest.test_case "lookup allocation" `Quick test_find_duplicates_allocation;
           Alcotest.test_case "zero blocks" `Quick test_zero_blocks_dedupe_against_each_other;
           Alcotest.test_case "partial tail ignored" `Quick test_partial_block_tail_ignored;
           QCheck_alcotest.to_alcotest prop_hits_are_truthful;

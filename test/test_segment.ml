@@ -9,6 +9,7 @@ module Writer = Purity_segment.Writer
 module Scan = Purity_segment.Scan
 module Io = Purity_sched.Io
 module Rng = Purity_util.Rng
+module Registry = Purity_telemetry.Registry
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -27,6 +28,7 @@ type env = {
   shelf : Shelf.t;
   rs : Rs.t;
   alloc : Allocator.t;
+  tel : Registry.t; (* the scheduler's counters *)
   io : Io.t;
 }
 
@@ -38,8 +40,9 @@ let make_env ?(drives = 6) ?read_around_write () =
   let shelf = Shelf.create ~drive_config ~clock ~rng ~drives () in
   let rs = Rs.create ~k:3 ~m:2 in
   let alloc = Allocator.create ~layout ~drives ~aus_per_drive:64 () in
-  let io = Io.create ~layout ~shelf ~rs ?read_around_write () in
-  { clock; shelf; rs; alloc; io }
+  let tel = Registry.create () in
+  let io = Io.create ~telemetry:tel ~layout ~shelf ~rs ?read_around_write () in
+  { clock; shelf; rs; alloc; tel; io }
 
 let await env f =
   let result = ref None in
@@ -272,7 +275,7 @@ let test_segment_read_with_two_failures () =
   (match await env (Io.read env.io seg ~off:0 ~len:25000) with
   | Ok data -> check Alcotest.string "degraded read" payload (Bytes.to_string data)
   | Error `Unrecoverable -> Alcotest.fail "degraded read failed");
-  check bool "reconstruction used" true ((Io.stats env.io).Io.reconstruct_reads > 0)
+  check bool "reconstruction used" true (Registry.read_int env.tel "sched/reconstruct_reads" > 0)
 
 let test_segment_read_three_failures_unrecoverable () =
   let env = make_env () in
@@ -453,7 +456,7 @@ let test_read_around_write_avoids_busy_drive () =
   let env = make_env () in
   let payload = String.init 30000 (fun i -> Char.chr (i mod 256)) in
   let seg = write_segment env ~id:1 [ payload ] [] in
-  Io.reset_stats env.io;
+  Registry.reset env.tel;
   (* Start a second segment flushing, then read the first segment while
      its member drives are busy programming. *)
   let members2 = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
@@ -469,8 +472,8 @@ let test_read_around_write_avoids_busy_drive () =
   (match !read_result with
   | Some (Ok data) -> check Alcotest.string "data intact" (String.sub payload 0 4096) (Bytes.to_string data)
   | _ -> Alcotest.fail "read failed");
-  let s = Io.stats env.io in
-  check bool "read-around-write reconstructed" true (s.Io.reconstruct_reads >= 0)
+  check bool "read-around-write reconstructed" true
+    (Registry.read_int env.tel "sched/reconstruct_reads" >= 0)
 
 (* Every environment in this file derives from [env_seed]; a failing
    test reports it so the run can be reproduced. *)

@@ -109,6 +109,37 @@ let test_reset () =
   check int "counter zeroed" 0 (Registry.value c);
   check int "histogram cleared" 0 (Histogram.count h)
 
+(* A device-owned cell: every registry that adopts it reads the live
+   count; diff and reset treat it as a counter. *)
+let test_adopted_counter () =
+  let cell = Registry.cell () in
+  let r1 = Registry.create () and r2 = Registry.create () in
+  Registry.attach_counter r1 "dev/ops" cell;
+  Registry.attach_counter r2 "dev/ops" cell;
+  Registry.attach_counter r1 "dev/ops" cell;
+  Registry.add cell 4;
+  check int "first registry" 4 (Registry.read_int r1 "dev/ops");
+  check int "second registry" 4 (Registry.read_int r2 "dev/ops");
+  check bool "counter returns the adopted cell" true (Registry.counter r1 "dev/ops" == cell);
+  let base = Registry.snapshot r1 in
+  Registry.incr cell;
+  (match Registry.find (Registry.diff ~base ~current:(Registry.snapshot r1)) "dev/ops" with
+  | Some (Registry.Int 1) -> ()
+  | _ -> Alcotest.fail "an adopted cell diffs like a counter");
+  Registry.reset r1;
+  check int "reset zeroes the cell" 0 (Registry.value cell);
+  check int "for every adopter" 0 (Registry.read_int r2 "dev/ops");
+  (match Registry.attach_counter r1 "dev/ops" (Registry.cell ()) with
+  | () -> Alcotest.fail "a second cell under one key must raise"
+  | exception Invalid_argument _ -> ());
+  ignore (Registry.histogram r1 "dev/lat");
+  (match Registry.attach_counter r1 "dev/lat" cell with
+  | () -> Alcotest.fail "adopting over another family must raise"
+  | exception Invalid_argument _ -> ());
+  match Registry.read_int r1 "dev/lat" with
+  | _ -> Alcotest.fail "read_int of a histogram must raise"
+  | exception Not_found -> ()
+
 (* ---------- histogram satellites ---------- *)
 
 let test_histogram_to_buckets () =
@@ -171,7 +202,7 @@ let test_span_ring_eviction () =
   let names = List.map Span.name (Span.finished tr) in
   check (Alcotest.list string) "newest 4 survive, oldest first"
     [ "s7"; "s8"; "s9"; "s10" ] names;
-  check int "evictions counted" 6 (Span.dropped tr);
+  check int "evictions counted" 6 (Registry.value (Span.dropped tr));
   check int "drain empties" 4 (List.length (Span.drain tr));
   check int "ring empty after drain" 0 (List.length (Span.finished tr))
 
@@ -390,9 +421,16 @@ let test_failover_resets_registry () =
   | Error _ -> assert false);
   ignore (await clock (Fa.read a ~volume:"v" ~block:0 ~nblocks:1));
   let before = Fa.telemetry a in
+  let drive_reads_before = Registry.read_int before "ssd/drive0/reads" in
   ignore (await clock (fun k -> Fa.failover a k));
   let after = Fa.telemetry a in
   check bool "fresh registry per controller" true (before != after);
+  check bool "every key re-registered" true
+    (List.for_all (Registry.mem after) (Registry.keys before));
+  (* the drives own their cells: the new registry adopts them, counts
+     and all (recovery reads more on top) *)
+  check bool "drive counters persist" true
+    (Registry.read_int after "ssd/drive0/reads" >= drive_reads_before);
   let snap = Registry.snapshot after in
   (match Registry.find snap "write_path/app_writes" with
   | Some (Registry.Int 0) -> ()
@@ -415,6 +453,7 @@ let () =
           Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
           Alcotest.test_case "filter prefix" `Quick test_filter_prefix;
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "adopted counter" `Quick test_adopted_counter;
         ] );
       ( "histogram",
         [
