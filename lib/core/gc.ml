@@ -35,7 +35,10 @@ type report = {
 }
 
 (* Map segment -> (cblock off -> (stored_len, [((medium, block), index)])).
-   Each ref shares its key with the index's fact. *)
+   Each ref shares its key with the index's fact. [iter_live] walks keys
+   in ascending order, once each, and each ref is prepended: a cblock's
+   refs come out in strictly descending key order, which [still_mapped]
+   relies on. *)
 let liveness t =
   let table : (int, (int, int * ((int * int) * int) list ref) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
@@ -74,27 +77,41 @@ type tally = {
    overwritten some, and a remap from the scan would shadow them. One
    batched index walk over the refs' key span. A block still mapped there
    keeps the scan's index, since no write dedups onto a victim once its
-   pass has begun. *)
+   pass has begun. [refs] are in strictly descending key order (see
+   [liveness]), so reversed they are sorted for the binary search; the
+   order is checked, since a ref missed here would be left pointing into
+   a destroyed segment. *)
 let still_mapped t ~seg_id ~off refs =
   let sorted = Array.of_list refs in
-  let compare_refs (a, _) (b, _) = Keys.Block.compare a b in
-  Array.sort compare_refs sorted;
   let n = Array.length sorted in
+  for i = 0 to (n / 2) - 1 do
+    let r = sorted.(i) in
+    sorted.(i) <- sorted.(n - 1 - i);
+    sorted.(n - 1 - i) <- r
+  done;
+  let key_of i = fst sorted.(i) in
+  for i = 1 to n - 1 do
+    if Keys.Block.compare (key_of (i - 1)) (key_of i) >= 0 then
+      invalid_arg "Gc.still_mapped: refs not in descending key order"
+  done;
   let index key =
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Keys.Block.compare (fst sorted.(mid)) key < 0 then lo := mid + 1 else hi := mid
+      if Keys.Block.compare (key_of mid) key < 0 then lo := mid + 1 else hi := mid
     done;
-    if !lo < n && Keys.Block.compare (fst sorted.(!lo)) key = 0 then !lo else -1
+    if !lo < n && Keys.Block.compare (key_of !lo) key = 0 then !lo else -1
   in
-  let run = Block_index.find_run t.blocks ~n ~key_of:(fun i -> fst sorted.(i)) ~index in
-  List.filter
-    (fun (key, _) ->
-      match Block_index.resolve_fact t.blocks run.(index key) with
-      | Some (r : Blockref.t) -> r.segment = seg_id && r.off = off
-      | None -> false)
-    refs
+  let run = Block_index.find_run t.blocks ~n ~key_of ~index in
+  (* ascending slots, prepended: the result comes out in [refs]' order *)
+  let mapped = ref [] in
+  for i = 0 to n - 1 do
+    match Block_index.resolve_fact t.blocks run.(i) with
+    | Some (r : Blockref.t) when r.segment = seg_id && r.off = off ->
+      mapped := sorted.(i) :: !mapped
+    | Some _ | None -> ()
+  done;
+  !mapped
 
 (* Relocate every live cblock of one segment; calls [k true] when every
    live cblock was moved (data durability is the caller's checkpoint),

@@ -32,7 +32,20 @@ let fact_record lead table encode fact =
   Buffer.contents buf
 
 let log_fact table fact = fact_record "" table Fact.encode fact
-let log_block fact = fact_record "" Blocks Block_index.Fact.encode fact
+
+(* The one place a block record's layout lives: [log_block], the NVRAM
+   stash and the put path's reused buffer all frame through it. *)
+let frame_block buf fact =
+  Buffer.add_char buf (tag Blocks);
+  Block_index.Fact.encode buf fact
+
+let block_record lead fact =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf lead;
+  frame_block buf fact;
+  Buffer.contents buf
+
+let log_block fact = block_record "" fact
 let stash_fact table fact = fact_record "F" table Fact.encode fact
 
 let elide_record lead table ~seq ~lo ~hi =
@@ -70,7 +83,7 @@ let encode_log = function
 
 let encode_nvram = function
   | Stash (Fact (table, fact)) -> stash_fact table fact
-  | Stash (Block fact) -> fact_record "F" Blocks Block_index.Fact.encode fact
+  | Stash (Block fact) -> block_record "F" fact
   | Stash (Elide (table, { seq; lo; hi })) -> stash_elide table ~seq ~lo ~hi
   | Intent { medium; block; data } -> encode_intent ~medium ~block data
 

@@ -59,6 +59,11 @@ type nvram = Stash of meta | Intent of intent
 
 val log_fact : table -> Purity_pyramid.Fact.t -> string
 val log_block : Block_index.Fact.t -> string
+
+val frame_block : Buffer.t -> Block_index.Fact.t -> unit
+(** Append {!log_block}'s bytes to a buffer: the put path frames each
+    block record in a reused buffer instead of building a string. *)
+
 val log_elide : table -> seq:int64 -> lo:int -> hi:int -> string
 val stash_fact : table -> Purity_pyramid.Fact.t -> string
 val stash_elide : table -> seq:int64 -> lo:int -> hi:int -> string

@@ -528,9 +528,16 @@ and record_fact t table fact =
   if Meta_log.nvram_backed table then stash t ~seq:fact.Fact.seq (Meta_log.stash_fact table fact)
 
 (* Log a block-index fact in the current segio (never stashed: the write
-   intent that produced it is already in NVRAM). *)
-let record_block t (fact : Block_index.Fact.t) =
-  append_log_record t ~seq:fact.seq (Meta_log.log_block fact)
+   intent that produced it is already in NVRAM). The record is framed in
+   the arena's log buffer and appended from there, so nothing per put is
+   allocated. *)
+let[@purity.lint.hotpath] record_block t (fact : Block_index.Fact.t) =
+  let record = t.arena.Arena.log in
+  Buffer.clear record;
+  Meta_log.frame_block record fact;
+  Writer.append_log_buffer
+    (writer_with_room t ~need:(Buffer.length record + 16))
+    ~seq:fact.seq record
 
 (* Store a data blob (cblock frame or patch chunk) in the current segio.
    Returns (segment id, payload offset). *)

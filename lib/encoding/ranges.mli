@@ -16,9 +16,18 @@ val add : t -> int -> t
 (** Insert a single id, merging with neighbours. *)
 
 val add_range : t -> lo:int -> hi:int -> t
-(** Insert an inclusive range ([lo <= hi]). *)
+(** Insert an inclusive range ([lo <= hi]). The set is one flat array,
+    so an insert copies it: O({!range_count}) time and words, and
+    replaying [n] logged elides costs O([n] × {!range_count}). The count
+    is bounded by the ids left between elided ones, since every gap
+    between two ranges holds an id never elided. The array's tables
+    elide by medium id, so theirs hold at most one range more than the
+    mediums still live. *)
 
 val mem : t -> int -> bool
+(** A binary search over the ranges that allocates nothing: every merge,
+    flatten and lookup asks it for each fact it meets. *)
+
 val cardinal : t -> int
 (** Total ids covered. *)
 
@@ -33,6 +42,7 @@ val to_list : t -> (int * int) list
 val of_list : (int * int) list -> t
 
 val fold : (lo:int -> hi:int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Over the ranges in ascending order. *)
 
 val encode : t -> string
 (** Compact varint serialisation (delta-encoded) for persistence. *)

@@ -8,6 +8,11 @@ module type S = sig
   val of_facts : Fact.t list -> t
   (** Sort, deduplicate and freeze a batch of facts. *)
 
+  val of_array : Fact.t array -> t
+  (** {!of_facts} over an array the patch takes over: it is sorted and
+      deduplicated in place, and the patch may share it, so the caller
+      must not use it again. *)
+
   val empty : t
   val count : t -> int
   val is_empty : t -> bool

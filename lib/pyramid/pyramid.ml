@@ -49,6 +49,13 @@ module Make (P : Patch.S) = struct
 
   let bump_seq t seq = if Int64.compare seq t.max_seq > 0 then t.max_seq <- seq
 
+  (* Elide ids are never reused, so filtering against the whole table is
+     always safe. *)
+  let elided t f =
+    match t.policy with Tombstones -> false | Elide rule -> Ranges.mem t.elide_ranges (rule f)
+
+  let not_elided t f = not (elided t f)
+
   (* Size-tiered maintenance: after a flush, merge the shallowest patches
      while the newer one has grown to at least half the older one's size.
      This keeps the patch count logarithmic in the number of flushes, like
@@ -57,20 +64,25 @@ module Make (P : Patch.S) = struct
   let rec auto_compact t =
     match t.patches with
     | a :: b :: rest when 2 * Patch.count a >= Patch.count b ->
-      let merged =
-        match t.policy with
-        | Tombstones -> Patch.merge a b
-        | Elide rule ->
-          Patch.merge_keep a b ~keep:(fun f -> not (Ranges.mem t.elide_ranges (rule f)))
-      in
-      t.patches <- merged :: rest;
+      t.patches <- Patch.merge_keep a b ~keep:(not_elided t) :: rest;
       auto_compact t
     | _ -> ()
 
+  (* The memtable's facts in an exact-size array, in no particular order
+     (each key's list holds no (key, seq) repeat). *)
+  let memtable_facts t =
+    let a = ref [||] and n = ref 0 in
+    let add f =
+      if !n = 0 then a := Array.make t.memtable_count f;
+      !a.(!n) <- f;
+      incr n
+    in
+    Tbl.iter (fun _ fs -> List.iter add fs) t.memtable;
+    !a
+
   let flush t =
     if t.memtable_count > 0 then begin
-      let facts = Tbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [] in
-      t.patches <- Patch.of_facts facts :: t.patches;
+      t.patches <- Patch.of_array (memtable_facts t) :: t.patches;
       Tbl.reset t.memtable;
       t.memtable_count <- 0;
       auto_compact t
@@ -102,11 +114,6 @@ module Make (P : Patch.S) = struct
       bump_seq t seq
 
   let elide_id t ~seq id = elide_range t ~seq ~lo:id ~hi:id
-
-  (* Elide ids are never reused, so filtering against the whole table is
-     always safe. *)
-  let elided t f =
-    match t.policy with Tombstones -> false | Elide rule -> Ranges.mem t.elide_ranges (rule f)
 
   (* Latest fact for a key across memtable and every patch. Patches may
      overlap in sequence ranges after recovery, so all sources are
@@ -214,10 +221,7 @@ module Make (P : Patch.S) = struct
 
   (* The memtable (when it holds anything) above every patch. *)
   let runs t =
-    if t.memtable_count = 0 then t.patches
-    else
-      Patch.of_facts (Tbl.fold (fun _ fs acc -> List.rev_append fs acc) t.memtable [])
-      :: t.patches
+    if t.memtable_count = 0 then t.patches else Patch.of_array (memtable_facts t) :: t.patches
 
   (* Each key's newest fact, in key order, from one merge; tombstoned and
      elided ones read as absent. *)
@@ -245,8 +249,6 @@ module Make (P : Patch.S) = struct
         match live_value t f with Some value -> (key, value) :: acc | None -> acc)
       best []
     |> List.sort (fun (a, _) (b, _) -> K.compare a b)
-
-  let not_elided t f = not (elided t f)
 
   let merge_step t =
     match t.patches with

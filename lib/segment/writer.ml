@@ -68,20 +68,32 @@ let append_buffer t frame =
   t.data_len <- off + n;
   off
 
-let append_log t ~seq record =
+(* A log record goes straight onto the log's back behind its frame (seq,
+   length); one that does not fit is cut off again before the raise. *)
+let open_log_frame t ~seq ~len =
   if t.sealed then invalid_arg "Writer.append_log: sealed";
-  (* the frame goes straight onto the log's back; one that does not fit
-     is cut off again before the raise *)
   let start = Buffer.length t.log in
   Varint.write_i64 t.log seq;
-  Varint.write t.log (String.length record);
-  Buffer.add_string t.log record;
+  Varint.write t.log len;
+  start
+
+let close_log_frame t ~seq start =
   if remaining t < 0 then begin
     Buffer.truncate t.log start;
     invalid_arg "Writer.append_log: no room"
   end;
   if Int64.equal t.seq_lo 0L || Int64.compare seq t.seq_lo < 0 then t.seq_lo <- seq;
   if Int64.compare seq t.seq_hi > 0 then t.seq_hi <- seq
+
+let append_log t ~seq record =
+  let start = open_log_frame t ~seq ~len:(String.length record) in
+  Buffer.add_string t.log record;
+  close_log_frame t ~seq start
+
+let[@purity.lint.hotpath] append_log_buffer t ~seq record =
+  let start = open_log_frame t ~seq ~len:(Buffer.length record) in
+  Buffer.add_buffer t.log record;
+  close_log_frame t ~seq start
 
 (* Serve a read from the in-memory buffer: Purity answers reads of
    not-yet-flushed segios from RAM. Valid for the data region only. *)

@@ -53,6 +53,11 @@ val append_log : t -> seq:int64 -> string -> unit
     (two varints), so [String.length record + 16 <= remaining t] always
     fits. @raise Invalid_argument if it does not fit, or once sealed. *)
 
+val append_log_buffer : t -> seq:int64 -> Buffer.t -> unit
+(** {!append_log} for a record framed in a [Buffer.t]: the put path
+    reuses one buffer per controller, so logging a block-index fact
+    builds no string. *)
+
 val finalize :
   t ->
   ?remap:(replacing:Segment.member -> exclude:int list -> Segment.member option) ->

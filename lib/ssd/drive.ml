@@ -167,7 +167,8 @@ let die_of_page t ~au ~page = (au + page) mod t.cfg.dies
    effectively immortal, matching the paper's observation that typical
    customers never approach P/E limits. *)
 let page_corrupt t ~au ~page =
-  if Hashtbl.mem t.injected (au, page) then true
+  (* the probe's key is a fresh pair: build it only when a mark exists *)
+  if Hashtbl.length t.injected > 0 && Hashtbl.mem t.injected (au, page) then true
   else
   let pe = t.pe.(au) in
   let ratio = float_of_int pe /. float_of_int t.cfg.pe_rating in

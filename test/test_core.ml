@@ -1115,6 +1115,113 @@ let test_gc_under_writes =
           check bool "victims destroyed" true (r.Purity_core.Gc.victims <> []);
           k ()))
 
+(* [Gc.still_mapped] as it was before it took the refs' order from the
+   liveness scan: sort the refs, binary-search each index fact's key back
+   to its slot, filter [refs]. *)
+let still_mapped_by_search (st : Purity_core.State.t) ~seg_id ~off refs =
+  let module Block_index = Purity_core.Block_index in
+  let compare = Purity_core.Keys.Block.compare in
+  let sorted = Array.of_list refs in
+  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
+  let n = Array.length sorted in
+  let index key =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if compare (fst sorted.(mid)) key < 0 then lo := mid + 1 else hi := mid
+    done;
+    if !lo < n && compare (fst sorted.(!lo)) key = 0 then !lo else -1
+  in
+  let blocks = st.Purity_core.State.blocks in
+  let run = Block_index.find_run blocks ~n ~key_of:(fun i -> fst sorted.(i)) ~index in
+  List.filter
+    (fun (key, _) ->
+      match Block_index.resolve_fact blocks run.(index key) with
+      | Some (r : Purity_core.Blockref.t) -> r.segment = seg_id && r.off = off
+      | None -> false)
+    refs
+
+(* The relocation re-check returns what the search did, in the scan's
+   order, for a cblock whose refs are one run of blocks, for cblocks
+   inline dedup shares between mediums and offsets, and after host
+   writes overwrite some refs between the scan and the relocation; refs
+   not in the scan's order are refused rather than half-matched. *)
+let test_gc_still_mapped () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "a" ~blocks:512);
+  ok (Fa.create_volume a "b" ~blocks:512);
+  let image = random_data 64 in
+  write_ok clock a ~volume:"a" ~block:0 image;
+  write_ok clock a ~volume:"b" ~block:64 image;
+  write_ok clock a ~volume:"a" ~block:256 image;
+  write_ok clock a ~volume:"a" ~block:128 (random_data 64);
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let st = Fa.state a in
+  let live = Purity_core.Gc.liveness st in
+  let cblocks =
+    Hashtbl.fold
+      (fun seg_id per_seg acc ->
+        Hashtbl.fold (fun off (_, refs) acc -> (seg_id, off, !refs) :: acc) per_seg acc)
+      live []
+  in
+  let one_run refs =
+    let blocks = List.map (fun ((_, b), _) -> b) refs in
+    List.length (List.sort_uniq Int.compare (List.map (fun ((m, _), _) -> m) refs)) = 1
+    && List.fold_left max min_int blocks - List.fold_left min max_int blocks
+       = List.length refs - 1
+  in
+  check bool "a cblock's refs are one run" true
+    (List.exists (fun (_, _, refs) -> one_run refs) cblocks);
+  check bool "a deduplicated cblock's refs are not" true
+    (List.exists (fun (_, _, refs) -> not (one_run refs)) cblocks);
+  let mapped () =
+    List.fold_left
+      (fun total (seg_id, off, refs) ->
+        let got = Purity_core.Gc.still_mapped st ~seg_id ~off refs in
+        check
+          Alcotest.(list (pair (pair int int) int))
+          (Printf.sprintf "seg %d off %d" seg_id off)
+          (still_mapped_by_search st ~seg_id ~off refs)
+          got;
+        total + List.length got)
+      0 cblocks
+  in
+  let before = mapped () in
+  check int "every scanned ref still maps" (4 * 64) before;
+  (match List.find_opt (fun (_, _, refs) -> List.length refs > 1) cblocks with
+  | Some (seg_id, off, refs) ->
+    Alcotest.check_raises "refs out of the scan's order are refused"
+      (Invalid_argument "Gc.still_mapped: refs not in descending key order") (fun () ->
+        ignore (Purity_core.Gc.still_mapped st ~seg_id ~off (List.rev refs)))
+  | None -> Alcotest.fail "no cblock with two refs");
+  write_ok clock a ~volume:"a" ~block:16 (random_data 8);
+  write_ok clock a ~volume:"b" ~block:70 (random_data 2);
+  check int "the overwritten refs drop out" (before - 10) (mapped ())
+
+(* Logging a block-index fact frames its record in the controller's arena
+   and appends it to the open segio's log, which grows by doubling in the
+   major heap: no record reaches the minor heap. *)
+let test_block_record_allocation () =
+  let module State = Purity_core.State in
+  let module Block_index = Purity_core.Block_index in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 1);
+  let st = Fa.state a in
+  let home = { Purity_core.Blockref.segment = 1; off = 4096; stored_len = 300; index = 0 } in
+  let n = 1000 in
+  let facts =
+    Array.init n (fun i ->
+        Block_index.Fact.make ~key:(1, i)
+          ~value:{ home with index = i mod 8 }
+          ~seq:(Purity_pyramid.Seqno.next st.State.seqno))
+  in
+  let record = State.record_block st in
+  let w0 = Gc.minor_words () in
+  Array.iter record facts;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 0.5 then Alcotest.failf "State.record_block allocates %.2f words per record" words
+
 let test_rebuild_under_writes =
   acked_writes_survive_evacuation (fun a k ->
       Fa.replace_drive a 1;
@@ -1715,6 +1822,8 @@ let () =
           Alcotest.test_case "after failover" `Quick test_gc_after_failover;
           Alcotest.test_case "segregates shared cblocks" `Quick test_gc_segregates_shared_cblocks;
           Alcotest.test_case "pass under writes" `Quick test_gc_under_writes;
+          Alcotest.test_case "still-mapped re-check" `Quick test_gc_still_mapped;
+          Alcotest.test_case "block record allocation" `Quick test_block_record_allocation;
         ] );
       ( "scrub",
         [

@@ -76,6 +76,28 @@ let prop_ranges_match_naive_set =
       Ranges.cardinal r = S.cardinal s
       && List.for_all (fun v -> Ranges.mem r v = S.mem v s) (List.init 201 Fun.id))
 
+(* Ranges inserted whole, and the union of two such sets, against a
+   naive set: membership, size, and canonical form (sorted ranges with
+   gaps between them). *)
+let prop_ranges_add_range_and_union =
+  let ranges_gen = QCheck.Gen.(list_size (0 -- 12) (pair (int_bound 150) (int_bound 12))) in
+  QCheck.Test.make ~name:"add_range and union agree with a naive set" ~count:300
+    (QCheck.make QCheck.Gen.(pair ranges_gen ranges_gen))
+    (fun (xs, ys) ->
+      let module S = Set.Make (Int) in
+      let build = List.fold_left (fun acc (lo, len) -> Ranges.add_range acc ~lo ~hi:(lo + len)) in
+      let naive = List.fold_left (fun acc (lo, len) -> S.union acc (S.of_list (List.init (len + 1) (( + ) lo)))) in
+      let r = Ranges.union (build Ranges.empty xs) (build Ranges.empty ys) in
+      let s = naive (naive S.empty xs) ys in
+      let rec canonical = function
+        | (lo, hi) :: ((lo', _) :: _ as rest) -> lo <= hi && hi + 1 < lo' && canonical rest
+        | [ (lo, hi) ] -> lo <= hi
+        | [] -> true
+      in
+      canonical (Ranges.to_list r)
+      && Ranges.cardinal r = S.cardinal s
+      && List.for_all (fun v -> Ranges.mem r v = S.mem v s) (List.init 170 (fun i -> i - 2)))
+
 let prop_ranges_count_bounded =
   (* range_count <= number of distinct inserted ids (the paper's bound). *)
   QCheck.Test.make ~name:"range count bounded by distinct ids" ~count:200
@@ -194,6 +216,7 @@ let () =
           Alcotest.test_case "encode roundtrip" `Quick test_ranges_encode_roundtrip;
           Alcotest.test_case "bad add" `Quick test_ranges_bad_add;
           QCheck_alcotest.to_alcotest prop_ranges_match_naive_set;
+          QCheck_alcotest.to_alcotest prop_ranges_add_range_and_union;
           QCheck_alcotest.to_alcotest prop_ranges_count_bounded;
           QCheck_alcotest.to_alcotest prop_ranges_encode_roundtrip;
         ] );

@@ -555,6 +555,75 @@ let test_pyr_flatten_allocation () =
   check int "one fact per key" 5000 (Pyramid.fact_count p);
   if words > 2. then Alcotest.failf "Pyramid.flatten allocates %.2f words per fact" words
 
+(* Elision keyed by a string key's first byte. *)
+let first_byte_policy = Pyramid.Elide (fun f -> Char.code f.Fact.key.[0])
+
+(* A flush fills one exact-size array from the memtable and merge-sorts
+   it, and the elide checks of the size-tiered merge it triggers allocate
+   nothing. Arrays this size go straight to the major heap; what the minor
+   heap sees is mostly the merge sort's local closures (about 2.5 words
+   per fact), not a list cell per fact and an elide probe's closure and
+   result per fact merged (about 15 words per flushed fact in all). *)
+let test_pyr_flush_allocation () =
+  let n = 4096 in
+  let p = Pyramid.create ~memtable_flush_count:(n + 1) ~policy:first_byte_policy ~name:"t" () in
+  Pyramid.elide_id p ~seq:1L (Char.code 'z');
+  let fill ~seq0 =
+    for i = 0 to n - 1 do
+      Pyramid.insert p
+        ~seq:(Int64.of_int (seq0 + i))
+        ~key:(Printf.sprintf "%c%05d" (Char.chr (Char.code 'a' + (i mod 4))) i)
+        ~value:"v"
+    done
+  in
+  fill ~seq0:10;
+  Pyramid.flush p;
+  (* the second flush is as big as the first patch, so they merge *)
+  fill ~seq0:(10 + n);
+  let w0 = Gc.minor_words () in
+  Pyramid.flush p;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check int "merged into one patch" 1 (Pyramid.patch_count p);
+  check int "both flushes' facts" (2 * n) (Pyramid.fact_count p);
+  if words > 4. then Alcotest.failf "Pyramid.flush allocates %.2f words per flushed fact" words
+
+(* The flush's array path builds the patch [Patch.of_facts] builds from
+   the facts the memtable took: exact (key, seq) repeats collapse, and
+   elided facts stay until a merge drops them. *)
+let prop_flush_equals_of_facts =
+  QCheck.Test.make ~name:"array flush = Patch.of_facts of the memtable's facts" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (0 -- 200)
+           (frequency
+              [
+                ( 8,
+                  map
+                    (fun (k, s) -> `Put (k, s))
+                    (pair (string_size ~gen:(char_range 'a' 'e') (1 -- 2)) (int_bound 40)) );
+                (1, map (fun c -> `Elide c) (char_range 'a' 'e'));
+              ])))
+    (fun ops ->
+      let p =
+        Pyramid.create ~memtable_flush_count:1_000 ~policy:first_byte_policy ~name:"t" ()
+      in
+      let taken = ref [] in
+      List.iter
+        (function
+          | `Put (k, s) ->
+            (* a repeated (key, seq) is the same fact *)
+            let f = mk k (Printf.sprintf "%s@%d" k s) (Int64.of_int (s + 1)) in
+            taken := f :: !taken;
+            Pyramid.insert_fact p f
+          | `Elide c -> Pyramid.elide_id p ~seq:100L (Char.code c))
+        ops;
+      Pyramid.flush p;
+      let expected = Patch.to_list (Patch.of_facts !taken) in
+      match Pyramid.patches p with
+      | [] -> expected = []
+      | [ q ] -> List.equal Fact.equal expected (Patch.to_list q)
+      | _ :: _ :: _ -> false)
+
 let prop_pyramid_matches_model =
   (* Pyramid vs a naive Map model under random insert/delete/flush/merge. *)
   QCheck.Test.make ~name:"pyramid agrees with naive map model" ~count:150
@@ -646,6 +715,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_find_run_equals_point;
           QCheck_alcotest.to_alcotest prop_flatten_equals_reference;
           Alcotest.test_case "flatten allocation" `Quick test_pyr_flatten_allocation;
+          Alcotest.test_case "flush allocation" `Quick test_pyr_flush_allocation;
+          QCheck_alcotest.to_alcotest prop_flush_equals_of_facts;
         ] );
       ( "elision",
         [

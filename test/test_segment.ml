@@ -452,28 +452,47 @@ let test_scan_all_slower_than_members () =
     true
     (frontier_time *. 5.0 < full_time)
 
-let test_read_around_write_avoids_busy_drive () =
-  let env = make_env () in
+(* Start a second segio flushing, then read a 4 KiB chunk of the first
+   segment from a data column whose drive the flush is programming (its
+   first [Writer.max_writers] members start at once). Checks the bytes
+   and returns how many chunks the scheduler rebuilt from siblings. *)
+let read_beside_flush ~read_around_write =
+  let env = make_env ~read_around_write () in
   let payload = String.init 30000 (fun i -> Char.chr (i mod 256)) in
   let seg = write_segment env ~id:1 [ payload ] [] in
   Registry.reset env.tel;
-  (* Start a second segment flushing, then read the first segment while
-     its member drives are busy programming. *)
   let members2 = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
   let w2 = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members:members2 ~id:2 in
   ignore (Writer.append_data w2 (String.make 40000 'w'));
   let flush_done = ref false in
   Writer.finalize w2 (fun _ -> flush_done := true);
-  (* issue the read immediately, while writes are in flight *)
+  let programming column =
+    Drive.busy_writing (Shelf.drive env.shelf seg.Segment.members.(column).Segment.drive)
+  in
+  let column =
+    match List.find_opt programming [ 0; 1; 2 ] with
+    | Some c -> c
+    | None -> Alcotest.fail "no data column of the first segment is on a programming drive"
+  in
+  (* row 0 of column c holds payload bytes [c * 4096, (c + 1) * 4096) *)
+  let off = column * 4096 in
   let read_result = ref None in
-  Io.read env.io seg ~off:0 ~len:4096 (fun r -> read_result := Some r);
+  Io.read env.io seg ~off ~len:4096 (fun r -> read_result := Some r);
   Clock.run env.clock;
   check bool "flush finished" true !flush_done;
   (match !read_result with
-  | Some (Ok data) -> check Alcotest.string "data intact" (String.sub payload 0 4096) (Bytes.to_string data)
+  | Some (Ok data) ->
+    check Alcotest.string "data intact" (String.sub payload off 4096) (Bytes.to_string data)
   | _ -> Alcotest.fail "read failed");
-  check bool "read-around-write reconstructed" true
-    (Registry.read_int env.tel "sched/reconstruct_reads" >= 0)
+  check int "one chunk read" 1 (Registry.read_int env.tel "sched/chunk_reads");
+  Registry.read_int env.tel "sched/reconstruct_reads"
+
+let test_read_around_write_avoids_busy_drive () =
+  check int "rebuilt around the programming drive" 1
+    (read_beside_flush ~read_around_write:true)
+
+let test_read_around_write_off_reads_directly () =
+  check int "served by the programming drive" 0 (read_beside_flush ~read_around_write:false)
 
 (* Every environment in this file derives from [env_seed]; a failing
    test reports it so the run can be reproduced. *)
@@ -522,6 +541,7 @@ let () =
           test_case "append_log allocation" `Quick test_writer_append_log_allocation;
           test_case "data and logs meet" `Quick test_writer_data_and_logs_meet;
           test_case "read around write" `Quick test_read_around_write_avoids_busy_drive;
+          test_case "read around write off" `Quick test_read_around_write_off_reads_directly;
           test_case "mid-flush remap" `Quick test_finalize_remaps_failed_member;
         ] );
       ( "scan",
