@@ -18,8 +18,9 @@ test:
 lint:
 	dune build @lint
 
-# Extended fault-injection sweep (~1000 random scenarios through
-# purity.check); minutes, not seconds — deliberately outside tier-1.
+# Extended fault-injection sweep (array seeds 1..200 and 1000..1999
+# through purity.check, the range CI gates on); minutes, not seconds —
+# deliberately outside tier-1.
 torture:
 	dune build @torture
 

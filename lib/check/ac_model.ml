@@ -43,12 +43,15 @@ let create_volume t name ~blocks =
   let mk _ = { cands = [ Payload.Zero ]; obs_a = None; obs_b = None; converged = true } in
   Hashtbl.replace t.views name (Array.init blocks mk)
 
-let cells_of t view block nblocks =
+(* The one outcome an I/O to the range must get: [`Ok], or the error
+   that names what is wrong with the request. *)
+let predict t ~view ~block ~nblocks =
   match Hashtbl.find_opt t.views view with
-  | None -> None
-  | Some cells ->
-    if block < 0 || block + nblocks > Array.length cells then None
-    else Some cells
+  | None -> `No_such_volume
+  | Some cells -> if block < 0 || block + nblocks > Array.length cells then `Out_of_range else `Ok
+
+let cells_of t view block nblocks =
+  if predict t ~view ~block ~nblocks = `Ok then Hashtbl.find_opt t.views view else None
 
 (* Every value a cell may still hold: its candidates plus whatever either
    array was last seen to hold. *)

@@ -1,9 +1,10 @@
 (* Fault plans for the ActiveCluster torture suite.
 
-   Same philosophy as {!Plan}: a plan is a seed plus a self-contained
-   event list, so dropping events during shrinking never changes the
-   meaning of the events that remain. The vocabulary is the stretched
-   pod's: writes and reads landing on a chosen side, racing writes
+   Same philosophy as {!Plan}: a plan is a {!Suite.plan}, a seed plus a
+   self-contained event list, so dropping events during shrinking never
+   changes the meaning of the events that remain. The vocabulary is the
+   stretched pod's: creating the stretched volumes (a plan's first
+   events), writes and reads landing on a chosen side, racing writes
    landing on both at once, link partitions, mediator loss, single and
    double array crashes, recoveries and settles (failback attempts).
 
@@ -28,6 +29,7 @@ type fault =
   | Crash_both
 
 type op =
+  | Create of { view : string; blocks : int }  (* a stretched volume *)
   | Write of { side : side; view : string; block : int; nblocks : int; wid : int }
   | Write_racing of { view : string; block : int; nblocks : int; wid_a : int; wid_b : int }
       (* issued concurrently, one from each side, same range: the LWW
@@ -35,14 +37,6 @@ type op =
   | Read of { side : side; view : string; block : int; nblocks : int }
   | Settle  (* drive the pod toward the healthiest reachable status *)
   | Recover of side
-
-type event = (op, fault) Suite.event
-
-type t = {
-  seed : int64;
-  vols : (string * int) list;  (* stretched volumes the runner pre-creates *)
-  events : event list;
-}
 
 (* ---------- pretty-printing (failure reports) ---------- *)
 
@@ -55,6 +49,7 @@ let pp_fault ppf = function
   | Crash_both -> Format.fprintf ppf "crash both arrays"
 
 let pp_op ppf = function
+  | Create { view; blocks } -> Format.fprintf ppf "create stretched %s (%d blocks)" view blocks
   | Write { side; view; block; nblocks; wid } ->
     Format.fprintf ppf "write#%d %s[%d..%d] via %s" wid view block
       (block + nblocks - 1) (Mediator.side_name side)
@@ -67,32 +62,24 @@ let pp_op ppf = function
   | Settle -> Format.fprintf ppf "settle"
   | Recover s -> Format.fprintf ppf "recover array %s" (Mediator.side_name s)
 
-let pp ppf { seed; vols; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, vols [%s], %d events:@,%a@]" seed
-    (String.concat "; " (List.map (fun (n, b) -> Printf.sprintf "%s:%d" n b) vols))
-    (List.length events)
-    (Suite.pp_events pp_op pp_fault)
-    events
-
 (* ---------- generation ---------- *)
 
-type gen_config = {
-  steps : int;  (** generation rounds; recipes emit several events *)
-  vols : int;  (** stretched volumes *)
-  vol_blocks : int;
-  io_blocks : int;  (** nominal write size in 512 B blocks *)
-}
+(* Generation knobs: how many stretched volumes, their nominal size and
+   the nominal write size, in 512 B blocks. *)
+let n_vols = 2
+let vol_blocks = 192
+let io_blocks = 8
 
-let default_gen = { steps = 30; vols = 2; vol_blocks = 192; io_blocks = 8 }
-
-let generate ?(cfg = default_gen) seed =
+(* [steps]: generation rounds; recipes emit several events. *)
+let generate ?(steps = 30) seed =
   let rng = Rng.create ~seed in
   let vols =
-    List.init (max 1 cfg.vols) (fun i ->
-        (Printf.sprintf "p%d" i, cfg.vol_blocks / 2 * (1 + Rng.int rng 2)))
+    List.init n_vols (fun i ->
+        (Printf.sprintf "p%d" i, vol_blocks / 2 * (1 + Rng.int rng 2)))
   in
   let rev_events = ref [] in
   let emit e = rev_events := e :: !rev_events in
+  List.iter (fun (view, blocks) -> emit (Suite.Op (Create { view; blocks }))) vols;
   let wid_ctr = ref 0 in
   let fresh_wid () =
     incr wid_ctr;
@@ -101,7 +88,7 @@ let generate ?(cfg = default_gen) seed =
   let any_side () = if Rng.bool rng then A else B in
   let range () =
     let view, blocks = List.nth vols (Rng.int rng (List.length vols)) in
-    let nblocks = min blocks (1 + Rng.int rng cfg.io_blocks) in
+    let nblocks = min blocks (1 + Rng.int rng io_blocks) in
     let block = Rng.int rng (blocks - nblocks + 1) in
     (view, block, nblocks)
   in
@@ -125,7 +112,7 @@ let generate ?(cfg = default_gen) seed =
   for _ = 1 to 3 do
     write_somewhere ()
   done;
-  for _ = 1 to cfg.steps do
+  for _ = 1 to steps do
     match Rng.int rng 100 with
     | n when n < 26 -> write_somewhere ()
     | n when n < 40 -> read_somewhere ()
@@ -187,4 +174,4 @@ let generate ?(cfg = default_gen) seed =
   emit (Suite.Op (Recover A));
   emit (Suite.Op (Recover B));
   emit (Suite.Op Settle);
-  { seed; vols; events = List.rev !rev_events }
+  { Suite.seed; events = List.rev !rev_events }

@@ -2,9 +2,12 @@
 
    Executes an {!Ac_plan} against a real stretched pod — two full
    simulated arrays, the lossy interconnect, the mediator — while
-   {!Ac_model} shadows every write's outcome. The run loop, shrinking,
-   replay and reports are {!Suite}'s; the execution digest is a fold over
-   final content, counters and the simulated clock.
+   {!Ac_model} shadows every write's outcome. The plan's [Create] events
+   make the stretched volumes; I/O to a volume whose [Create] was shrunk
+   away must fail with [No_such_volume], as the model predicts. The run
+   loop, shrinking, replay and reports are {!Suite}'s; the execution
+   digest is a fold over final content, counters and the simulated
+   clock.
 
    The final audit heals every fault, drives a failback, then reads
    every block of every stretched volume from BOTH arrays directly
@@ -28,7 +31,7 @@ type ctx = {
   ac : Ac.t;
   payloads : Payload.t;
   model : Acm.t;
-  vols : (string * int) list;
+  mutable vols : (string * int) list;  (* stretched volumes, in creation order *)
   mutable crashed : Ac.side list;
   mutable digest : int;
 }
@@ -58,25 +61,37 @@ let apply_fault ctx (fault : Ac_plan.fault) =
     Ac.crash_side ctx.ac B;
     ctx.crashed <- [ A; B ]
 
+(* Hold a front-door I/O's result to the model's one predicted outcome.
+   [Some v] for a success; [None] when the I/O never completed, failed as
+   predicted, or was refused for a reason the pod owes no prediction for:
+   out of space or NVRAM, or unavailable while some fault is outstanding. *)
+let checked ctx ~op ~view ~block ~nblocks = function
+  | None | Some (Error (`No_space | `Backpressure)) -> None
+  | Some (Error `Unavailable) when not (healthy ctx) -> None
+  | Some result ->
+    let predicted = Acm.predict ctx.model ~view ~block ~nblocks in
+    Suite.expect_outcome ~op ~view ~block ~nblocks ~predicted result;
+    Result.to_option result
+
 let exec_op ctx (op : Ac_plan.op) =
   match op with
+  | Ac_plan.Create { view; blocks } -> (
+    match Ac.create_stretched ctx.ac view ~blocks with
+    | Ok () ->
+      Acm.create_volume ctx.model view ~blocks;
+      ctx.vols <- ctx.vols @ [ (view, blocks) ]
+    | Error _ -> raise (Violation ("failed to create stretched volume " ^ view)))
   | Ac_plan.Write { side; view; block; nblocks; wid } -> (
     let data = Payload.of_write ctx.payloads ~wid ~nblocks in
-    match
+    let result =
       Suite.await ctx.clock (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k)
-    with
+    in
+    match checked ctx ~op:(Printf.sprintf "write#%d" wid) ~view ~block ~nblocks result with
+    | Some () ->
+      Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:true ~in_sync:(in_sync ctx)
     | None ->
-      (* never completed (e.g. the origin died under it): not acked *)
-      Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:false ~in_sync:false
-    | Some (Ok ()) ->
-      Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:true
-        ~in_sync:(in_sync ctx)
-    | Some (Error `Unavailable) when healthy ctx ->
-      raise (Violation (Printf.sprintf "write#%d Unavailable on a healthy pod" wid))
-    | Some (Error (`No_such_volume | `Out_of_range | `Unaligned)) ->
-      raise (Violation (Printf.sprintf "write#%d rejected as malformed" wid))
-    | Some (Error (`Unavailable | `No_space | `Backpressure)) ->
-      (* not acked; the blocks may be torn on either side *)
+      (* never completed (e.g. the origin died under it) or refused: not
+         acked; the blocks may be torn on either side *)
       Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:false ~in_sync:false)
   | Ac_plan.Write_racing { view; block; nblocks; wid_a; wid_b } ->
     (* both writes enter before the clock runs: their mirrors genuinely
@@ -90,20 +105,11 @@ let exec_op ctx (op : Ac_plan.op) =
     let acked r = match !r with Some (Ok ()) -> true | _ -> false in
     Acm.write_racing_result ctx.model ~view ~block ~nblocks ~wid_a ~wid_b
       ~acked_a:(acked ra) ~acked_b:(acked rb) ~in_sync:(in_sync ctx)
-  | Ac_plan.Read { side; view; block; nblocks } -> (
-    match
-      Suite.await ctx.clock (fun k ->
-          Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
-    with
-    | None -> ()
-    | Some (Ok (data, served)) -> (
-      match Acm.check_read ctx.model ~side:served ~view ~block ~nblocks data with
-      | Ok () -> ()
-      | Error msg -> raise (Violation msg))
-    | Some (Error `Unavailable) ->
-      if healthy ctx then raise (Violation "read Unavailable on a healthy pod")
-    | Some (Error _) ->
-      raise (Violation (Printf.sprintf "spurious error reading %s[%d]" view block)))
+  | Ac_plan.Read { side; view; block; nblocks } ->
+    Suite.await ctx.clock (fun k -> Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
+    |> checked ctx ~op:"read" ~view ~block ~nblocks
+    |> Option.iter (fun (data, served) ->
+           Suite.expect (Acm.check_read ctx.model ~side:served ~view ~block ~nblocks data))
   | Ac_plan.Settle -> (
     match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, Some s) -> Acm.settled ctx.model ~survivor:s
@@ -122,11 +128,9 @@ let audit_array ctx side name blocks =
   let arr = Ac.array ctx.ac side in
   Suite.iter_chunks blocks (fun block nblocks ->
       match Suite.await ctx.clock (fun k -> Fa.read arr ~volume:name ~block ~nblocks k) with
-      | Some (Ok data) -> (
+      | Some (Ok data) ->
         mix ctx data;
-        match Acm.check_read ctx.model ~side ~view:name ~block ~nblocks data with
-        | Ok () -> ()
-        | Error msg -> raise (Violation msg))
+        Suite.expect (Acm.check_read ctx.model ~side ~view:name ~block ~nblocks data)
       | Some (Error _) | None ->
         raise
           (Violation
@@ -154,9 +158,7 @@ let finalize ctx =
   in
   drive 2;
   (* safety of the mediation history itself *)
-  (match Mediator.audit (Ac.mediator ctx.ac) with
-  | Ok () -> ()
-  | Error msg -> raise (Violation msg));
+  Suite.expect (Mediator.audit (Ac.mediator ctx.ac));
   if Fa.is_fenced (Ac.array ctx.ac A) || Fa.is_fenced (Ac.array ctx.ac B) then
     raise (Violation "an array is still fenced after failback");
   List.iter (fun s -> Runner.audit_space (Ac.array ctx.ac s)) [ Ac.A; Ac.B ];
@@ -180,19 +182,12 @@ let finalize ctx =
 
 (* ---------- plan execution ---------- *)
 
-let start clock (plan : Ac_plan.t) =
+let start clock seed =
   let a = Fa.create ~config:Suite.config ~clock () in
   let b = Fa.create ~config:Suite.config ~clock () in
   let ac = Ac.create ~a ~b ~pod:"pod0" () in
-  let payloads = Payload.create ~seed:plan.Ac_plan.seed ~block_size:Fa.block_size in
-  let model = Acm.create payloads in
-  List.iter
-    (fun (name, blocks) ->
-      match Ac.create_stretched ac name ~blocks with
-      | Ok () -> Acm.create_volume model name ~blocks
-      | Error _ -> raise (Violation ("failed to create stretched volume " ^ name)))
-    plan.Ac_plan.vols;
-  { clock; ac; payloads; model; vols = plan.Ac_plan.vols; crashed = []; digest = 0 }
+  let payloads = Payload.create ~seed ~block_size:Fa.block_size in
+  { clock; ac; payloads; model = Acm.create payloads; vols = []; crashed = []; digest = 0 }
 
 include Suite.Make (struct
   include Ac_plan
@@ -200,9 +195,6 @@ include Suite.Make (struct
   type nonrec ctx = ctx
 
   let name = "activecluster"
-  let seed p = p.seed
-  let events p = p.events
-  let with_events p events = { p with events }
   let start = start
   let exec_op = exec_op
   let apply_fault = apply_fault

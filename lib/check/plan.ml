@@ -1,4 +1,5 @@
 module Rng = Purity_util.Rng
+module Fa = Purity_core.Flash_array
 
 type mode = Fast | Full
 
@@ -28,15 +29,7 @@ type op =
   | Scrub
   | Rebuild of int
 
-type event = (op, fault) Suite.event
-
-type t = { seed : int64; events : event list }
-
 (* ---------- pretty-printing (failure reports) ---------- *)
-
-let pp_mode ppf = function
-  | Fast -> Format.fprintf ppf "fast"
-  | Full -> Format.fprintf ppf "full"
 
 let pp_fault ppf = function
   | Pull_drive d -> Format.fprintf ppf "pull drive %d" d
@@ -45,7 +38,9 @@ let pp_fault ppf = function
   | Corrupt_page { drive; au_rank; page_rank } ->
     Format.fprintf ppf "corrupt page (drive %d, au#%d, page#%d)" drive au_rank page_rank
   | Lose_nvram -> Format.fprintf ppf "lose NVRAM contents"
-  | Crash mode -> Format.fprintf ppf "crash + failover (%a recovery)" pp_mode mode
+  | Crash mode ->
+    Format.fprintf ppf "crash + failover (%s recovery)"
+      (match mode with Fast -> "fast" | Full -> "full")
 
 let pp_op ppf = function
   | Create_volume { name; blocks } -> Format.fprintf ppf "create %s (%d blocks)" name blocks
@@ -64,39 +59,24 @@ let pp_op ppf = function
   | Scrub -> Format.fprintf ppf "scrub"
   | Rebuild d -> Format.fprintf ppf "rebuild drive %d" d
 
-let pp ppf { seed; events } =
-  Format.fprintf ppf "@[<v>seed %Ld, %d events:@,%a@]" seed (List.length events)
-    (Suite.pp_events pp_op pp_fault) events
-
 (* ---------- generation ---------- *)
 
-type gen_config = {
-  steps : int;  (** generation rounds; most emit one event, recipes a few *)
-  drives : int;
-  fault_units : int;  (** the array's [m]: concurrent repairable faults *)
-  vol_blocks : int;  (** nominal volume size in 512 B blocks *)
-  io_blocks : int;  (** preferred write size in blocks *)
-  max_views : int;  (** volumes + snapshots ceiling *)
-  allow_nvram_loss : bool;
-}
-
-let default_gen =
-  {
-    steps = 60;
-    drives = 7;
-    fault_units = 2;
-    vol_blocks = 512;
-    io_blocks = 16;
-    max_views = 6;
-    allow_nvram_loss = true;
-  }
+(* Generation knobs: the geometry of the array plans run on
+   ({!Suite.config}), volume and preferred write sizes in 512 B blocks,
+   and the ceiling on volumes + snapshots. *)
+let drives = Suite.config.Fa.drives
+let fault_units = Suite.config.Fa.m  (* concurrent repairable faults *)
+let vol_blocks = 512
+let io_blocks = 16
+let max_views = 6
 
 (* Scheduled faults never exceed the erasure-code tolerance: concurrent
    pulled drives + replaced-but-not-rebuilt drives + outstanding injected
    corruptions stay <= fault_units, so every generated scenario is one the
    array is contractually able to survive. The runner re-checks the same
-   budget at execution time (shrinking can reorder what survives). *)
-let generate ?(cfg = default_gen) seed =
+   budget at execution time (shrinking can reorder what survives).
+   [steps]: generation rounds; most emit one event, recipes a few. *)
+let generate ?(steps = 60) seed =
   let rng = Rng.create ~seed in
   let rev_events = ref [] in
   let emit e = rev_events := e :: !rev_events in
@@ -107,7 +87,7 @@ let generate ?(cfg = default_gen) seed =
   let unrebuilt = ref [] in
   let corrupts = ref 0 in
   let budget_left () =
-    cfg.fault_units - (List.length !pulled + List.length !unrebuilt + !corrupts)
+    fault_units - (List.length !pulled + List.length !unrebuilt + !corrupts)
   in
   let views () = List.length !volumes + List.length !snaps in
   let pick xs = List.nth xs (Rng.int rng (List.length xs)) in
@@ -120,13 +100,13 @@ let generate ?(cfg = default_gen) seed =
   let any_mode () = if Rng.bool rng then Fast else Full in
   let free_drive () =
     let busy = !pulled @ !unrebuilt in
-    let d = Rng.int rng cfg.drives in
+    let d = Rng.int rng drives in
     if List.mem d busy then None else Some d
   in
   let new_volume () =
     let name = Printf.sprintf "v%d" !vol_ctr in
     incr vol_ctr;
-    let blocks = cfg.vol_blocks / 2 * (1 + Rng.int rng 2) in
+    let blocks = vol_blocks / 2 * (1 + Rng.int rng 2) in
     volumes := (name, ref blocks) :: !volumes;
     emit (Suite.Op (Create_volume { name; blocks }))
   in
@@ -134,9 +114,9 @@ let generate ?(cfg = default_gen) seed =
     let name, blocks = pick !volumes in
     let nblocks =
       match Rng.int rng 8 with
-      | 0 -> 1 + Rng.int rng cfg.io_blocks
-      | 1 -> cfg.io_blocks * 2
-      | _ -> cfg.io_blocks
+      | 0 -> 1 + Rng.int rng io_blocks
+      | 1 -> io_blocks * 2
+      | _ -> io_blocks
     in
     let nblocks = min nblocks !blocks in
     let block = Rng.int rng (!blocks - nblocks + 1) in
@@ -145,7 +125,7 @@ let generate ?(cfg = default_gen) seed =
   let read_somewhere () =
     let all = List.map (fun (n, b) -> (n, !b)) !volumes @ !snaps in
     let name, blocks = pick all in
-    let nblocks = min cfg.io_blocks blocks in
+    let nblocks = min io_blocks blocks in
     let block = Rng.int rng (blocks - nblocks + 1) in
     emit (Suite.Op (Read { view = name; block; nblocks }))
   in
@@ -153,14 +133,14 @@ let generate ?(cfg = default_gen) seed =
   for _ = 1 to 4 do
     write_somewhere ()
   done;
-  for _ = 1 to cfg.steps do
+  for _ = 1 to steps do
     match Rng.int rng 100 with
     | n when n < 34 -> write_somewhere ()
     | n when n < 54 -> read_somewhere ()
     | n when n < 60 -> (
       (* crash recipe; sometimes with NVRAM content loss first, in which
          case a flush bounds the exposure to the recipe's own writes *)
-      let lose = cfg.allow_nvram_loss && Rng.int rng 3 = 0 in
+      let lose = Rng.int rng 3 = 0 in
       if lose then begin
         emit (Suite.Op Flush);
         emit (Suite.Fault Lose_nvram)
@@ -226,7 +206,7 @@ let generate ?(cfg = default_gen) seed =
           (Fault
              (Corrupt_page
                 {
-                  drive = Rng.int rng cfg.drives;
+                  drive = Rng.int rng drives;
                   au_rank = Rng.int rng 64;
                   page_rank = Rng.int rng 64;
                 }));
@@ -239,7 +219,7 @@ let generate ?(cfg = default_gen) seed =
       corrupts := 0
     | n when n < 85 ->
       (* namespace churn *)
-      if views () < cfg.max_views then begin
+      if views () < max_views then begin
         match Rng.int rng 4 with
         | 0 -> new_volume ()
         | 1 ->
@@ -256,7 +236,7 @@ let generate ?(cfg = default_gen) seed =
           emit (Suite.Op (Clone { snapshot; volume }))
         | _ ->
           let name, blocks = pick !volumes in
-          let blocks' = !blocks + (cfg.io_blocks * (1 + Rng.int rng 4)) in
+          let blocks' = !blocks + (io_blocks * (1 + Rng.int rng 4)) in
           blocks := blocks';
           emit (Suite.Op (Resize_volume { name; blocks = blocks' }))
       end
@@ -279,4 +259,4 @@ let generate ?(cfg = default_gen) seed =
   (* close out: reinsert surviving pulls so the final audit runs at full
      redundancy headroom (the runner independently finishes rebuilds) *)
   List.iter (fun d -> emit (Suite.Fault (Reinsert_drive d))) !pulled;
-  { seed; events = List.rev !rev_events }
+  { Suite.seed; events = List.rev !rev_events }

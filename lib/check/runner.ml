@@ -33,9 +33,13 @@ type ctx = {
 (* Live fault budget: the same ceiling the generator respects, re-checked
    at execution time because shrinking can remove the event that would
    have cleared a unit. A fault that would exceed the array's erasure
-   tolerance is skipped — the scenario must stay one the contract covers. *)
-let units ctx =
-  List.length ctx.pulled + List.length ctx.unrebuilt + ctx.corrupt_units
+   tolerance is skipped — the scenario must stay one the contract covers.
+   [admits ctx d]: drive [d] is not awaiting a rebuild, and one more unit
+   fits once [d]'s own pull, if any, is counted out. *)
+let admits ctx d =
+  let units = List.length ctx.pulled + List.length ctx.unrebuilt + ctx.corrupt_units in
+  let freed = if List.mem d ctx.pulled then 1 else 0 in
+  (not (List.mem d ctx.unrebuilt)) && units - freed < Suite.config.Fa.m
 
 let residual_corrupt_units ctx =
   let n = ref 0 in
@@ -56,10 +60,7 @@ let apply_fault ctx (fault : Plan.fault) =
       Fa.crash ctx.arr
     end
   | Plan.Pull_drive d ->
-    if (not (List.mem d ctx.pulled))
-       && (not (List.mem d ctx.unrebuilt))
-       && units ctx < Suite.config.Fa.m
-    then begin
+    if (not (List.mem d ctx.pulled)) && admits ctx d then begin
       Fa.pull_drive ctx.arr d;
       ctx.pulled <- d :: ctx.pulled
     end
@@ -69,18 +70,13 @@ let apply_fault ctx (fault : Plan.fault) =
       ctx.pulled <- List.filter (( <> ) d) ctx.pulled
     end
   | Plan.Replace_drive d ->
-    let freed = if List.mem d ctx.pulled then 1 else 0 in
-    if (not (List.mem d ctx.unrebuilt)) && units ctx - freed < Suite.config.Fa.m
-    then begin
+    if admits ctx d then begin
       Fa.replace_drive ctx.arr d;
       ctx.pulled <- List.filter (( <> ) d) ctx.pulled;
       ctx.unrebuilt <- d :: ctx.unrebuilt
     end
   | Plan.Corrupt_page { drive; au_rank; page_rank } ->
-    if (not (List.mem drive ctx.pulled))
-       && (not (List.mem drive ctx.unrebuilt))
-       && units ctx < Suite.config.Fa.m
-    then begin
+    if (not (List.mem drive ctx.pulled)) && admits ctx drive then begin
       let dr = Shelf.drive (Fa.shelf ctx.arr) drive in
       let dcfg = Suite.config.Fa.drive_config in
       let filled = ref [] in
@@ -139,10 +135,8 @@ let handle_offline ctx =
   ctx.pending_crash_mode <- None;
   match Suite.await ctx.clock (fun k -> Fa.failover ~mode ctx.arr k) with
   | None -> raise (Violation "failover never completed")
-  | Some (_ : Recovery.report) -> (
-    match Model.reconcile ctx.model (Fa.list_volumes ctx.arr) with
-    | Ok () -> ()
-    | Error msg -> raise (Violation msg))
+  | Some (_ : Recovery.report) ->
+    Suite.expect (Model.reconcile ctx.model (Fa.list_volumes ctx.arr))
 
 (* A timed fault can re-crash the array as soon as failover finishes; the
    loop is bounded because every armed fault fires at most once. *)
@@ -163,14 +157,6 @@ let pp_listing ppf l =
             Printf.sprintf "%s:%s:%d" n (match k with `Volume -> "vol" | `Snapshot -> "snap") b)
           l))
 
-let vol_err_name = function
-  | `Exists -> "Exists"
-  | `No_such_volume -> "No_such_volume"
-  | `Busy -> "Busy"
-  | `Is_snapshot -> "Is_snapshot"
-  | `Is_volume -> "Is_volume"
-  | `Shrink -> "Shrink"
-
 (* Namespace calls are synchronous; run one and hold the array to the
    outcome the model predicts. [`Busy] (NVRAM cannot take the op's
    metadata stashes) promises that nothing changed, so the model stays
@@ -181,42 +167,28 @@ let ns_op ~what ~expect_ok actual ~on_ok =
   | Error _, false | Error `Busy, true -> ()
   | Ok (), false -> raise (Violation (what ^ ": succeeded but the model forbids it"))
   | Error e, true ->
-    raise (Violation (Printf.sprintf "%s: unexpected %s" what (vol_err_name e)))
+    raise (Violation (Printf.sprintf "%s: unexpected %s" what (Suite.outcome_name e)))
+
+(* The one outcome the model predicts for an I/O: [`Ok], or the error
+   that names what is wrong with the request. *)
+let predict m ~write ~view ~block ~nblocks =
+  match (Model.kind m view, Model.blocks m view) with
+  | None, _ | _, None -> `No_such_volume
+  | Some `Snapshot, _ when write -> `Read_only
+  | Some _, Some b -> if block + nblocks > b then `Out_of_range else `Ok
 
 let do_read ctx ~view ~block ~nblocks =
   ctx.reads_issued <- ctx.reads_issued + 1;
-  let m = ctx.model in
-  let expect =
-    match Model.blocks m view with
-    | None -> `No_such
-    | Some b when block + nblocks > b -> `Out_of_range
-    | Some _ -> `Data
-  in
+  let predicted = predict ctx.model ~write:false ~view ~block ~nblocks in
   match Suite.await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
-  | None -> ()  (* interrupted by a crash; nothing was promised *)
-  | Some (Ok data) -> (
-    ctx.digest <- Suite.mix ctx.digest data;
-    if expect <> `Data then
-      raise
-        (Violation
-           (Printf.sprintf "read %s[%d..%d] succeeded but the model forbids it" view block
-              (block + nblocks - 1)));
-    match Model.check_read m ~view ~block ~nblocks data with
-    | Ok () -> ()
-    | Error msg -> raise (Violation msg))
-  | Some (Error `No_such_volume) ->
-    if expect <> `No_such then raise (Violation ("spurious No_such_volume reading " ^ view))
-  | Some (Error `Out_of_range) ->
-    if expect <> `Out_of_range then raise (Violation ("spurious Out_of_range reading " ^ view))
-  | Some (Error `Offline) -> ()  (* crash landed mid-read *)
-  | Some (Error `Fenced) ->
-    (* single-array plans never fence: only the ActiveCluster layer does *)
-    raise (Violation ("spurious Fenced reading " ^ view))
-  | Some (Error `Media_failure) ->
-    raise
-      (Violation
-         (Printf.sprintf "read %s[%d..%d]: Media_failure inside the fault budget" view block
-            (block + nblocks - 1)))
+  | None | Some (Error `Offline) -> ()  (* a crash landed mid-read; nothing was promised *)
+  | Some result ->
+    Suite.expect_outcome ~op:"read" ~view ~block ~nblocks ~predicted result;
+    Result.iter
+      (fun data ->
+        ctx.digest <- Suite.mix ctx.digest data;
+        Suite.expect (Model.check_read ctx.model ~view ~block ~nblocks data))
+      result
 
 let exec_op ctx (op : Plan.op) =
   let m = ctx.model in
@@ -258,36 +230,18 @@ let exec_op ctx (op : Plan.op) =
       (Fa.delete_snapshot ctx.arr name)
       ~on_ok:(fun () -> Model.delete m name)
   | Plan.Write { view; block; nblocks; wid } -> (
-    let expect =
-      match Model.kind m view with
-      | None -> `No_such
-      | Some `Snapshot -> `Read_only
-      | Some `Volume ->
-        if block + nblocks > Option.get (Model.blocks m view) then `Out_of_range else `Ok
-    in
+    let predicted = predict m ~write:true ~view ~block ~nblocks in
     let data = Payload.of_write ctx.payloads ~wid ~nblocks in
     match Suite.await ctx.clock (Fa.write ctx.arr ~volume:view ~block data) with
-    | None ->
-      (* controller died mid-write: not acked, outcome ambiguous *)
-      if expect = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
-    | Some (Ok ()) ->
-      if expect <> `Ok then
-        raise (Violation (Printf.sprintf "write#%d to %s succeeded but the model forbids it" wid view));
-      Model.write m ~view ~block ~wid ~nblocks ~acked:true
     | Some (Error `Backpressure) -> ()  (* not acked, no state change promised *)
-    | Some (Error `Offline) ->
-      if expect = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
-    | Some (Error `No_space) ->
-      (* allocation failed partway: blocks may be torn between old and new *)
-      if expect = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
-    | Some (Error `No_such_volume) ->
-      if expect <> `No_such then raise (Violation ("spurious No_such_volume writing " ^ view))
-    | Some (Error `Read_only) ->
-      if expect <> `Read_only then raise (Violation ("spurious Read_only writing " ^ view))
-    | Some (Error `Out_of_range) ->
-      if expect <> `Out_of_range then raise (Violation ("spurious Out_of_range writing " ^ view))
-    | Some (Error `Unaligned) -> raise (Violation "spurious Unaligned write")
-    | Some (Error `Fenced) -> raise (Violation ("spurious Fenced writing " ^ view)))
+    | None | Some (Error (`Offline | `No_space)) ->
+      (* the controller died mid-write, or allocation failed partway: not
+         acked, and the blocks may be torn between old and new *)
+      if predicted = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
+    | Some result ->
+      let op = Printf.sprintf "write#%d" wid in
+      Suite.expect_outcome ~op ~view ~block ~nblocks ~predicted result;
+      if Result.is_ok result then Model.write m ~view ~block ~wid ~nblocks ~acked:true)
   | Plan.Read { view; block; nblocks } -> do_read ctx ~view ~block ~nblocks
   | Plan.Flush -> (
     match Suite.await ctx.clock (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
@@ -391,11 +345,7 @@ let finalize ctx =
   while ctx.unrebuilt <> [] do
     decr guard;
     if !guard < 0 then raise (Violation "rebuild never completes");
-    let d = List.hd ctx.unrebuilt in
-    (match Suite.await ctx.clock (fun k -> Fa.rebuild_drive ctx.arr d k) with
-    | Some (_ : int) when Fa.is_online ctx.arr ->
-      ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
-    | _ -> ());
+    exec_op ctx (Plan.Rebuild (List.hd ctx.unrebuilt));
     settle ctx
   done;
   audit_namespace ctx;
@@ -419,8 +369,8 @@ let finalize ctx =
 
 (* ---------- plan execution ---------- *)
 
-let start clock (plan : Plan.t) =
-  let payloads = Payload.create ~seed:plan.Plan.seed ~block_size:Fa.block_size in
+let start clock seed =
+  let payloads = Payload.create ~seed ~block_size:Fa.block_size in
   {
     clock;
     arr = Fa.create ~config:Suite.config ~clock ();
@@ -441,9 +391,6 @@ include Suite.Make (struct
   type nonrec ctx = ctx
 
   let name = "durability"
-  let seed p = p.seed
-  let events p = p.events
-  let with_events p events = { p with events }
   let start = start
   let exec_op = exec_op
   let apply_fault = apply_fault

@@ -1,10 +1,14 @@
 (* The checker harness both torture suites run through. A suite
    ({!Runner}, {!Ac_runner}) supplies its plan generator, how its ops and
    faults execute, and a final audit returning an execution digest; the
-   envelope, run loop, shrinking, replay check, sweeps and reports live
-   here once. Runs are deterministic per plan — the harness adds no
-   randomness — so a shrunk trace replays bit-for-bit, and [check_seed]
-   holds every passing seed to that by replaying it. *)
+   plan type and its printer, the envelope, run loop, shrinking, replay
+   check, sweeps and reports live here once. A plan is a seed plus a
+   self-contained event list: the seed only keys the payload bytes, so a
+   hand-written plan is [{ Suite.seed = N; events }] and shrinking drops
+   events without changing what the rest mean. Runs are deterministic
+   per plan — the harness adds no randomness — so a shrunk trace replays
+   bit-for-bit, and [check_seed] holds every passing seed to that by
+   replaying it. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -38,7 +42,10 @@ type ('op, 'fault) event =
       (* armed on the simulation clock when reached, so the fault fires in
          the middle of whatever runs next (a rebuild, a GC pass, a write) *)
 
-let pp_events pp_op pp_fault ppf events =
+type ('op, 'fault) plan = { seed : int64; events : ('op, 'fault) event list }
+
+let pp pp_op pp_fault ppf { seed; events } =
+  Format.fprintf ppf "@[<v>seed %Ld, %d events:@," seed (List.length events);
   List.iteri
     (fun i e ->
       match e with
@@ -46,7 +53,42 @@ let pp_events pp_op pp_fault ppf events =
       | Fault f -> Format.fprintf ppf "%3d. ! %a@," i pp_fault f
       | Timed { delay_us; fault } ->
         Format.fprintf ppf "%3d. ! after %.0fus: %a@," i delay_us pp_fault fault)
-    events
+    events;
+  Format.fprintf ppf "@]"
+
+(* An audit's verdict: a message names the violation. *)
+let expect = function Ok () -> () | Error msg -> raise (Violation msg)
+
+(* Names for every I/O and namespace outcome the runners report. *)
+let outcome_name = function
+  | `Ok -> "Ok"
+  | `No_such_volume -> "No_such_volume"
+  | `Read_only -> "Read_only"
+  | `Out_of_range -> "Out_of_range"
+  | `Unaligned -> "Unaligned"
+  | `Fenced -> "Fenced"
+  | `Media_failure -> "Media_failure"
+  | `Unavailable -> "Unavailable"
+  | `Offline -> "Offline"
+  | `No_space -> "No_space"
+  | `Backpressure -> "Backpressure"
+  | `Exists -> "Exists"
+  | `Busy -> "Busy"
+  | `Is_snapshot -> "Is_snapshot"
+  | `Is_volume -> "Is_volume"
+  | `Shrink -> "Shrink"
+
+(* Hold the result of I/O [op] on [view]'s range to the one outcome the
+   model predicts for it: [`Ok], or the exact error a malformed request
+   must get. Results that promise nothing (a crash cut the I/O off, a
+   fault excuses it) are the caller's to filter out first. *)
+let expect_outcome ~op ~view ~block ~nblocks ~predicted result =
+  let got = match result with Ok _ -> "Ok" | Error e -> outcome_name e in
+  if got <> outcome_name predicted then
+    raise
+      (Violation
+         (Printf.sprintf "%s %s[%d..%d]: array returned %s, model predicted %s" op view block
+            (block + nblocks - 1) got (outcome_name predicted)))
 
 (* Start an asynchronous call, run the clock dry, return its result
    ([None] when the callback never fired, e.g. a crash cut it off). *)
@@ -102,19 +144,18 @@ let shrink ?(budget = 250) ~fails events failure =
 module type SUITE = sig
   type op
   type fault
-  type t  (* a plan *)
-  type gen_config
   type ctx
 
   val name : string
-  val generate : ?cfg:gen_config -> int64 -> t
-  val seed : t -> int64
-  val events : t -> (op, fault) event list
-  val with_events : t -> (op, fault) event list -> t
-  val pp : Format.formatter -> t -> unit
+  val pp_op : Format.formatter -> op -> unit
+  val pp_fault : Format.formatter -> fault -> unit
 
-  val start : Clock.t -> t -> ctx
-  (** Build the world a plan runs in; may raise {!Violation}. *)
+  val generate : ?steps:int -> int64 -> (op, fault) plan
+  (** [steps]: generation rounds, the suite's default when absent. *)
+
+  val start : Clock.t -> int64 -> ctx
+  (** Build the world a plan with this seed runs in; may raise
+      {!Violation}. *)
 
   val exec_op : ctx -> op -> unit
   val apply_fault : ctx -> fault -> unit
@@ -130,7 +171,7 @@ module Make (S : SUITE) = struct
   type report = {
     step : int;  (** event index the (shrunk) run failed at *)
     violation : string;
-    plan : S.t;  (** shrunk reproduction *)
+    plan : (S.op, S.fault) plan;  (** shrunk reproduction *)
     original_events : int;
   }
 
@@ -138,7 +179,7 @@ module Make (S : SUITE) = struct
   let run_plan plan =
     let clock = Clock.create () and step = ref 0 in
     try
-      let ctx = S.start clock plan in
+      let ctx = S.start clock plan.seed in
       List.iteri
         (fun i ev ->
           step := i;
@@ -148,8 +189,8 @@ module Make (S : SUITE) = struct
           | Timed { delay_us; fault } ->
             Clock.schedule clock ~delay:delay_us (fun () -> S.apply_fault ctx fault));
           S.after_event ctx)
-        (S.events plan);
-      step := List.length (S.events plan);
+        plan.events;
+      step := List.length plan.events;
       Clock.run clock;
       Ok (S.finalize ctx)
     with
@@ -157,43 +198,43 @@ module Make (S : SUITE) = struct
     | exn -> Error (!step, "exception: " ^ Printexc.to_string exn)
 
   let report_to_string r =
-    let seed = S.seed r.plan in
+    let seed = r.plan.seed in
     Format.asprintf
       "@[<v>%s violation at seed %Ld (step %d):@,  %s@,%a@,reproduce with: run_plan on the \
        plan above  (or re-run seed %Ld)@]"
-      S.name seed r.step r.violation S.pp r.plan seed
+      S.name seed r.step r.violation (pp S.pp_op S.pp_fault) r.plan seed
 
   (* Run one plan; on a violation, shrink it to a minimal reproduction. *)
   let check_plan ?shrink_budget plan =
     match run_plan plan with
     | Ok digest -> Ok digest
     | Error failure ->
-      let fails evs =
-        match run_plan (S.with_events plan evs) with
+      let fails events =
+        match run_plan { plan with events } with
         | Ok _ -> None
         | Error f -> Some f
       in
-      let trace, (step, violation) =
-        shrink ?budget:shrink_budget ~fails (S.events plan) failure
+      let events, (step, violation) =
+        shrink ?budget:shrink_budget ~fails plan.events failure
       in
       Error
         {
           step;
           violation;
-          plan = S.with_events plan trace;
-          original_events = List.length (S.events plan);
+          plan = { plan with events };
+          original_events = List.length plan.events;
         }
 
   (* A generated plan must pass, and replay to the same digest. *)
-  let check_seed ?gen ?shrink_budget seed =
-    let plan = S.generate ?cfg:gen seed in
+  let check_seed ?steps ?shrink_budget seed =
+    let plan = S.generate ?steps seed in
     match check_plan ?shrink_budget plan with
     | Error r -> Error r
     | Ok d1 -> (
       match check_plan ?shrink_budget plan with
       | Ok d2 when d2 = d1 -> Ok ()
       | Ok _ ->
-        let n = List.length (S.events plan) in
+        let n = List.length plan.events in
         Error
           {
             step = n;
@@ -204,11 +245,11 @@ module Make (S : SUITE) = struct
       | Error r -> Error r)
 
   (* Run seeds [base, base+count); return the first failure, shrunk. *)
-  let sweep ?gen ?shrink_budget ~base ~count () =
+  let sweep ?steps ?shrink_budget ~base ~count () =
     let rec go i =
       if i >= count then None
       else
-        match check_seed ?gen ?shrink_budget (Int64.add base (Int64.of_int i)) with
+        match check_seed ?steps ?shrink_budget (Int64.add base (Int64.of_int i)) with
         | Ok () -> go (i + 1)
         | Error report -> Some report
     in

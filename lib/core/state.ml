@@ -710,9 +710,11 @@ let forget_dedup_sources t segments =
 
 (* Destroy segments whose contents live on elsewhere (relocated victims,
    a superseded checkpoint): drop each meta, log its tombstone, trim its
-   AUs on reachable drives and hand them back to the allocator, then
-   forget the inline-dedup sources they held. Returns the bytes of AUs
-   given back. The one place a destroyed segment's AUs are released. *)
+   AUs on reachable drives and hand them back to the allocator. Returns
+   the bytes of AUs given back. The one place a destroyed segment's AUs
+   are released. No inline-dedup source points into them: evacuation
+   forgets a victim's sources before relocating it, and a superseded
+   checkpoint segment holds only patch chunks. *)
 let destroy_segments t ids =
   let destroyed =
     List.filter_map
@@ -728,11 +730,10 @@ let destroy_segments t ids =
               if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
             meta.Segment.members;
           Allocator.release t.alloc meta.Segment.members;
-          Some (id, Array.length meta.Segment.members))
+          Some (Array.length meta.Segment.members))
       ids
   in
-  forget_dedup_sources t (List.map fst destroyed);
-  List.fold_left (fun acc (_, n) -> acc + (n * t.cfg.drive_config.Drive.au_size)) 0 destroyed
+  List.fold_left (fun acc n -> acc + (n * t.cfg.drive_config.Drive.au_size)) 0 destroyed
 
 (* Controller death: stop every in-flight flush and queued segio. Called
    by Flash_array.crash after clearing [online]. [sealed] keeps its

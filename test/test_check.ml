@@ -10,6 +10,7 @@
 module Model = Purity_check.Model
 module Payload = Purity_check.Payload
 module Plan = Purity_check.Plan
+module Ac_plan = Purity_check.Ac_plan
 module Runner = Purity_check.Runner
 module Suite = Purity_check.Suite
 module Recovery = Purity_core.Recovery
@@ -140,16 +141,12 @@ let test_per_seed_determinism () =
 module Drifting_suite = struct
   type op = unit
   type fault = unit
-  type t = { seed : int64; events : (op, fault) Suite.event list }
-  type gen_config = unit
   type ctx = unit
 
   let name = "drifting"
-  let generate ?cfg:_ seed = { seed; events = [ Suite.Op (); Suite.Fault () ] }
-  let seed p = p.seed
-  let events p = p.events
-  let with_events p events = { p with events }
-  let pp ppf p = Format.fprintf ppf "seed %Ld" p.seed
+  let pp_op ppf () = Format.fprintf ppf "op"
+  let pp_fault ppf () = Format.fprintf ppf "fault"
+  let generate ?steps:_ seed = { Suite.seed; events = [ Suite.Op (); Suite.Fault () ] }
   let start _ _ = ()
   let exec_op _ () = ()
   let apply_fault _ () = ()
@@ -172,6 +169,24 @@ let test_nondeterministic_replay_caught () =
     check bool "report names the seed" true
       (contains (Drifting.report_to_string r) "seed 5")
 
+(* A reported seed must keep naming the same plan: the printed plans of
+   seeds 1-20 from each generator hash to a pinned digest. A generator
+   change that moves what a seed means fails here, and must re-pin on
+   purpose. *)
+let test_generators_pinned () =
+  let digest pp generate =
+    let b = Buffer.create 65536 in
+    let ppf = Format.formatter_of_buffer b in
+    for s = 1 to 20 do
+      Format.fprintf ppf "%a@." pp (generate (Int64.of_int s))
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  check Alcotest.string "array plans, seeds 1-20" "a2fbd4b53188275b3bcd976315dbaf66"
+    (digest (Suite.pp Plan.pp_op Plan.pp_fault) (fun s -> Plan.generate s));
+  check Alcotest.string "pod plans, seeds 1-20" "ee67de8e691db711b1d157d6f738d048"
+    (digest (Suite.pp Ac_plan.pp_op Ac_plan.pp_fault) (fun s -> Ac_plan.generate s))
+
 (* ---------- the harness catches a planted recovery bug ---------- *)
 
 let test_planted_bug_is_caught () =
@@ -185,7 +200,7 @@ let test_planted_bug_is_caught () =
       match Runner.sweep ~shrink_budget:80 ~base:1L ~count:12 () with
       | None -> Alcotest.fail "planted NVRAM-replay bug escaped the smoke sweep"
       | Some r ->
-        let { Plan.seed; events } = r.Runner.plan in
+        let { Suite.seed; events } = r.Runner.plan in
         check bool "trace shrunk below the original plan" true
           (List.length events < r.Runner.original_events);
         let report = Runner.report_to_string r in
@@ -203,12 +218,12 @@ let test_planted_bug_is_caught () =
 let test_seed_69_space () =
   let plan =
     {
-      Plan.seed = 69L;
+      Suite.seed = 69L;
       events =
         [
           Suite.Op (Plan.Create_volume { name = "v0"; blocks = 512 });
           Op (Write { view = "v0"; block = 488; nblocks = 16; wid = 1 });
-          Fault (Pull_drive 0);
+          Fault (Plan.Pull_drive 0);
           Op (Rebuild 5);
           Fault (Reinsert_drive 0);
           Fault (Replace_drive 2);
@@ -250,6 +265,7 @@ let () =
           Alcotest.test_case "per-seed determinism" `Quick test_per_seed_determinism;
           Alcotest.test_case "nondeterministic replay is caught" `Quick
             test_nondeterministic_replay_caught;
+          Alcotest.test_case "generators pinned" `Quick test_generators_pinned;
           Alcotest.test_case "planted recovery bug is caught" `Quick
             test_planted_bug_is_caught;
         ] );

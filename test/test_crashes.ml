@@ -24,13 +24,13 @@ let bool = Alcotest.bool
 
 (* Run a hand-built plan; on violation, fail with the shrunk report so
    the trace lands in the test output. *)
-let expect_clean (plan : Plan.t) =
+let expect_clean plan =
   match Runner.check_plan plan with
   | Ok (_ : int) -> ()
   | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
-let run_seed ?gen seed () =
-  match Runner.check_seed ?gen seed with
+let run_seed ?steps seed () =
+  match Runner.check_seed ?steps seed with
   | Ok () -> ()
   | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
@@ -51,7 +51,7 @@ let test_crash_during_gc () =
   in
   expect_clean
     {
-      Plan.seed = 0x6C01L;
+      Suite.seed = 0x6C01L;
       events =
         [ v "v0" 512 ]
         @ overwrite_rounds 1
@@ -72,7 +72,7 @@ let test_crash_during_gc () =
 let test_pull_during_rebuild () =
   expect_clean
     {
-      Plan.seed = 0xB41DL;
+      Suite.seed = 0xB41DL;
       events =
         [ v "v0" 512 ]
         @ List.init 8 (fun i -> w ~wid:(i + 1) (i * 32) 32)
@@ -94,7 +94,7 @@ let test_pull_during_rebuild () =
 let test_nvram_loss_before_checkpoint () =
   expect_clean
     {
-      Plan.seed = 0x4EAL;
+      Suite.seed = 0x4EAL;
       events =
         [ v "v0" 512 ]
         @ List.init 6 (fun i -> w ~wid:(i + 1) (i * 16) 16)
@@ -116,7 +116,7 @@ let test_nvram_loss_without_barrier () =
      the post-loss writes once the crash lands *)
   expect_clean
     {
-      Plan.seed = 0x4EBL;
+      Suite.seed = 0x4EBL;
       events =
         [ v "v0" 512 ]
         @ List.init 6 (fun i -> w ~wid:(i + 1) (i * 16) 16)
@@ -139,7 +139,7 @@ let test_nvram_loss_without_barrier () =
 let test_corruption_during_degraded_read () =
   expect_clean
     {
-      Plan.seed = 0xC0DEL;
+      Suite.seed = 0xC0DEL;
       events =
         [ v "v0" 512 ]
         @ List.init 8 (fun i -> w ~wid:(i + 1) (i * 32) 32)
@@ -165,7 +165,7 @@ let test_corruption_during_degraded_read () =
 let test_snapshot_clone_lineage_under_crash () =
   expect_clean
     {
-      Plan.seed = 0x11AEL;
+      Suite.seed = 0x11AEL;
       events =
         [ v "v0" 256 ]
         @ List.init 4 (fun i -> w ~wid:(i + 1) (i * 64) 64)
@@ -193,7 +193,7 @@ let test_snapshot_clone_lineage_under_crash () =
 let test_resize_racing_checkpoint () =
   expect_clean
     {
-      Plan.seed = 0x5122L;
+      Suite.seed = 0x5122L;
       events =
         [ v "v0" 256 ]
         @ List.init 4 (fun i -> w ~wid:(i + 1) (i * 64) 64)
@@ -280,7 +280,7 @@ let lineage_plan seed =
       emit (Suite.Op Plan.Flush);
       emit (Suite.Fault Plan.Lose_nvram)
   done;
-  { Plan.seed; events = List.rev !rev }
+  { Suite.seed; events = List.rev !rev }
 
 let test_lineage_property () =
   for i = 1 to 12 do
@@ -296,10 +296,12 @@ let test_lineage_property () =
 module Ac_plan = Purity_check.Ac_plan
 module Ac_runner = Purity_check.Ac_runner
 
-let expect_ac_clean (plan : Ac_plan.t) =
+let expect_ac_clean plan =
   match Ac_runner.check_plan plan with
   | Ok (_ : int) -> ()
   | Error r -> Alcotest.failf "%s" (Ac_runner.report_to_string r)
+
+let create_p0 = Suite.Op (Ac_plan.Create { view = "p0"; blocks = 128 })
 
 let aw ~side ~wid block nblocks =
   Suite.Op (Ac_plan.Write { side; view = "p0"; block; nblocks; wid })
@@ -313,10 +315,10 @@ let ar ~side block nblocks =
 let test_ac_ack_after_partition () =
   expect_ac_clean
     {
-      Ac_plan.seed = 0x3A01L;
-      vols = [ ("p0", 128) ];
+      Suite.seed = 0x3A01L;
       events =
         [
+          create_p0;
           aw ~side:Ac_plan.A ~wid:1 0 8;
           Suite.Fault Ac_plan.Cut_link;
           (* mirror times out, A wins mediation, the ack is solo-era *)
@@ -338,10 +340,10 @@ let test_ac_ack_after_partition () =
 let test_ac_write_straddling_failover () =
   expect_ac_clean
     {
-      Ac_plan.seed = 0x3A02L;
-      vols = [ ("p0", 128) ];
+      Suite.seed = 0x3A02L;
       events =
         [
+          create_p0;
           aw ~side:Ac_plan.A ~wid:1 0 8;
           Suite.Timed { delay_us = 250.0; fault = Ac_plan.Cut_link };
           aw ~side:Ac_plan.A ~wid:2 32 8;
@@ -359,10 +361,10 @@ let test_ac_write_straddling_failover () =
 let test_ac_failback_resync () =
   expect_ac_clean
     {
-      Ac_plan.seed = 0x3A03L;
-      vols = [ ("p0", 128) ];
+      Suite.seed = 0x3A03L;
       events =
         [
+          create_p0;
           aw ~side:Ac_plan.A ~wid:1 0 16;
           aw ~side:Ac_plan.B ~wid:2 40 16;
           Suite.Fault Ac_plan.Cut_link;
@@ -380,9 +382,38 @@ let test_ac_failback_resync () =
         ];
     }
 
+(* Shrinking can drop a plan's [Create]. I/O to the never-created volume
+   must then get the outcome the model predicts, [No_such_volume], on a
+   healthy pod and behind a partition alike, so the shrinker does not
+   "reproduce" a violation that is not there. *)
+let test_ac_missing_create () =
+  let race = Ac_plan.Write_racing { view = "p0"; block = 8; nblocks = 8; wid_a = 2; wid_b = 3 } in
+  let plan =
+    {
+      Suite.seed = 0x3A04L;
+      events =
+        [
+          aw ~side:Ac_plan.A ~wid:1 0 8;
+          ar ~side:Ac_plan.B 0 8;
+          Suite.Op race;
+          ar ~side:Ac_plan.A 8 8;
+          Suite.Fault Ac_plan.Cut_link;
+          aw ~side:Ac_plan.B ~wid:4 16 8;
+          ar ~side:Ac_plan.A 16 8;
+          Suite.Fault Ac_plan.Heal_link;
+          Suite.Op Ac_plan.Settle;
+          aw ~side:Ac_plan.B ~wid:5 24 8;
+          ar ~side:Ac_plan.B 24 8;
+        ];
+    }
+  in
+  match Ac_runner.run_plan plan with
+  | Ok (_ : int) -> ()
+  | Error (step, msg) -> Alcotest.failf "step %d: %s" step msg
+
 (* ---------- randomized full-mix scenarios ---------- *)
 
-let test_long_haul () = run_seed ~gen:{ Plan.default_gen with Plan.steps = 220 } 424242L ()
+let test_long_haul () = run_seed ~steps:220 424242L ()
 
 (* ---------- space reclamation (no model needed) ---------- *)
 
@@ -442,6 +473,7 @@ let () =
             test_ac_write_straddling_failover;
           Alcotest.test_case "failback resync + racing pair" `Quick
             test_ac_failback_resync;
+          Alcotest.test_case "I/O after a shrunk-away Create" `Quick test_ac_missing_create;
         ] );
       ( "fault-injection",
         [

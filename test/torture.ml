@@ -1,21 +1,20 @@
 (* Torture sweep: many random fault-plan scenarios through purity.check.
    Excluded from the tier-1 `dune runtest` gate; run with `make torture`
-   or `dune build @torture`. Exit status 1 on the first violation, with a
-   report that prints the seed and the shrunk reproducing trace.
+   or `dune build @torture` (array seeds 1..200 and 1000..1999). Exit
+   status 1 on the first violation, with a report that prints the seed
+   and the shrunk reproducing plan.
 
    Two suites share the binary:
    - [array]: single-array crash/recovery plans (Runner/Plan);
-   - [ac]: stretched-pod ActiveCluster plans — partitions, mediator
-     loss, straddling writes, simultaneous crashes — audited by the
-     two-array model (Ac_runner/Ac_plan). `dune build @torture-ac` runs
-     the fixed seed range 1..200 that CI gates on.
+   - [ac]: stretched-pod ActiveCluster plans — volume creation,
+     partitions, mediator loss, straddling writes, simultaneous crashes —
+     audited by the two-array model (Ac_runner/Ac_plan). `dune build
+     @torture-ac` runs the fixed seed range 1..200 that CI gates on.
    Both run through the same harness, which replays every passing seed
    and compares execution digests. *)
 
 module Runner = Purity_check.Runner
-module Plan = Purity_check.Plan
 module Ac_runner = Purity_check.Ac_runner
-module Ac_plan = Purity_check.Ac_plan
 
 let () =
   let suite = ref "array" in
@@ -33,24 +32,16 @@ let () =
     ]
   in
   Arg.parse spec (fun _ -> ()) "torture [-suite array|ac|all] [-base N] [-count N] [-steps N]";
-  let array_gen =
-    if !steps = 0 then Plan.default_gen else { Plan.default_gen with Plan.steps = !steps }
-  in
-  let ac_gen =
-    if !steps = 0 then Ac_plan.default_gen
-    else { Ac_plan.default_gen with Ac_plan.steps = !steps }
-  in
+  let steps = if !steps = 0 then None else Some !steps in
   (* each suite's harness sweep over [base, base+count), reports rendered *)
   let suites =
     [
       ( "array",
         fun ~base ~count ->
-          Runner.sweep ~gen:array_gen ~base ~count ()
-          |> Option.map Runner.report_to_string );
+          Runner.sweep ?steps ~base ~count () |> Option.map Runner.report_to_string );
       ( "ac",
         fun ~base ~count ->
-          Ac_runner.sweep ~gen:ac_gen ~base ~count ()
-          |> Option.map Ac_runner.report_to_string );
+          Ac_runner.sweep ?steps ~base ~count () |> Option.map Ac_runner.report_to_string );
     ]
   in
   (* one harness sweep per 100 seeds, so progress prints between them *)
