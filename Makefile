@@ -25,8 +25,8 @@ torture:
 	dune build @torture
 
 # Stretched-pod (ActiveCluster) sweep: partitions, mediator loss and
-# crashes over the fixed seed range 1..200 CI gates on, audited by the
-# two-array model. Seconds, not minutes.
+# crashes over seeds 1..200 and 1000..1999 (the range CI gates on),
+# audited by the two-view pod model. About a minute.
 torture-ac:
 	dune build @torture-ac
 

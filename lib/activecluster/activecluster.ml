@@ -56,13 +56,11 @@ let status_name = function
   | Frozen -> "frozen"
   | Down -> "down"
 
-type config = {
-  mirror_timeout_us : float;  (** per-attempt wait for the peer's ack *)
-  mirror_retries : int;  (** retransmits before suspecting a partition *)
-  resync_run : int;  (** blocks per failback transfer *)
-}
-
-let default_config = { mirror_timeout_us = 1_500.0; mirror_retries = 2; resync_run = 64 }
+(* Per-attempt wait for the peer's mirror ack, retransmits before
+   suspecting a partition, and blocks per failback transfer. *)
+let mirror_timeout_us = 1_500.0
+let mirror_retries = 2
+let resync_run = 64
 
 (* Planted-bug hooks for the checker's self-tests: each one breaks the
    contract in a way the two-array reference model must catch. *)
@@ -109,7 +107,6 @@ type node = {
 
 type t = {
   clock : Clock.t;
-  cfg : config;
   pod : string;
   a : node;
   b : node;
@@ -172,8 +169,7 @@ let register_telemetry t =
   on (Fa.telemetry t.a.arr);
   on (Fa.telemetry t.b.arr)
 
-let create ?(config = default_config) ?link_config ?(mediator_rtt_us = 1_000.0)
-    ~a ~b ~pod () =
+let create ~a ~b ~pod () =
   if Fa.clock a != Fa.clock b then
     invalid_arg "Activecluster.create: arrays must share one clock";
   let clock = Fa.clock a in
@@ -183,12 +179,11 @@ let create ?(config = default_config) ?link_config ?(mediator_rtt_us = 1_000.0)
   let t =
     {
       clock;
-      cfg = config;
       pod;
       a = mknode A a;
       b = mknode B b;
-      link = Link.create ?config:link_config ~clock ();
-      med = Mediator.create ~rtt_us:mediator_rtt_us ~clock ();
+      link = Link.create ~clock ();
+      med = Mediator.create ~clock ();
       status = Sync;
       gen = 0;
       vols = [];
@@ -491,10 +486,10 @@ and sync_write t origin ~volume ~block data k =
                       Registry.incr t.c.mirror_acked;
                       maybe_complete ()
                     end)));
-        Clock.schedule t.clock ~delay:t.cfg.mirror_timeout_us (fun () ->
+        Clock.schedule t.clock ~delay:mirror_timeout_us (fun () ->
             if (not !peer_acked) && not !finished then begin
               if t.status = Sync && t.gen = gen then begin
-                if tries < t.cfg.mirror_retries then attempt (tries + 1)
+                if tries < mirror_retries then attempt (tries + 1)
                 else begin
                   Registry.incr t.c.mirror_timeouts;
                   mediate t origin redispatch
@@ -647,7 +642,7 @@ let rec resync_volumes t ~from ~into vols k =
   | [] -> k true
   | (name, blocks) :: rest ->
     let bl = resync_blocks_for t ~from name blocks in
-    let runs = Delta.runs_of bl ~max_run:t.cfg.resync_run in
+    let runs = Delta.runs_of bl ~max_run:resync_run in
     copy_runs t ~from ~into name runs (fun ok ->
         if ok then resync_volumes t ~from ~into rest k else k false)
 

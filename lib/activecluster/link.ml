@@ -20,21 +20,16 @@ module Clock = Purity_sim.Clock
 module Rng = Purity_util.Rng
 module Registry = Purity_telemetry.Registry
 
-type config = {
-  latency_us : float;  (** one-way propagation *)
-  jitter_us : float;  (** uniform extra delay, [0, jitter_us) *)
-  loss_prob : float;  (** per-message drop probability while healthy *)
-  seed : int64;
-}
-
-(* A metro-distance link: ~200 us one way, mild jitter, one message in a
-   thousand lost. ActiveCluster supports up to 5 ms RTT; tests stay well
-   inside it so mirror timeouts are unambiguous. *)
-let default_config = { latency_us = 200.0; jitter_us = 60.0; loss_prob = 0.001; seed = 0x11CCL }
+(* A metro-distance link: ~200 us one way, up to 60 us of uniform
+   jitter, one message in a thousand lost. ActiveCluster supports up to
+   5 ms RTT; this stays well inside it so mirror timeouts are
+   unambiguous. *)
+let latency_us = 200.0
+let jitter_us = 60.0
+let loss_prob = 0.001
 
 type t = {
   clock : Clock.t;
-  cfg : config;
   rng : Rng.t;
   mutable up : bool;
   mutable cuts : int;  (* partition epoch: bumped on every [cut] *)
@@ -44,11 +39,10 @@ type t = {
   dropped_cut : Registry.counter;  (* sent or in flight across a partition *)
 }
 
-let create ?(config = default_config) ~clock () =
+let create ~clock () =
   {
     clock;
-    cfg = config;
-    rng = Rng.create ~seed:config.seed;
+    rng = Rng.create ~seed:0x11CCL;
     up = true;
     cuts = 0;
     sent = Registry.cell ();
@@ -67,11 +61,8 @@ let heal t = t.up <- true
    stream depends only on the sequence of sends, not on link state. *)
 let send t k =
   Registry.incr t.sent;
-  let delay =
-    t.cfg.latency_us
-    +. (if t.cfg.jitter_us > 0.0 then Rng.float t.rng t.cfg.jitter_us else 0.0)
-  in
-  let lost = t.cfg.loss_prob > 0.0 && Rng.float t.rng 1.0 < t.cfg.loss_prob in
+  let delay = latency_us +. Rng.float t.rng jitter_us in
+  let lost = Rng.float t.rng 1.0 < loss_prob in
   if not t.up then Registry.incr t.dropped_cut
   else if lost then Registry.incr t.dropped_loss
   else begin
@@ -94,7 +85,7 @@ let send t k =
 let transfer t ~bytes ~fail k =
   Registry.incr t.sent;
   (* 1 GbE-class replication port: ~1 us per KiB on top of propagation *)
-  let delay = t.cfg.latency_us +. (float_of_int bytes /. 1024.0) in
+  let delay = latency_us +. (float_of_int bytes /. 1024.0) in
   if not t.up then begin
     Registry.incr t.dropped_cut;
     Clock.schedule t.clock ~delay:0.0 fail

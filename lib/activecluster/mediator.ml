@@ -153,15 +153,13 @@ let audit_log events =
 
 (* ---------- the clocked wrapper ---------- *)
 
-type t = {
-  core : Core.t;
-  clock : Clock.t;
-  rtt_us : float;  (** request/response round trip to the third site *)
-  timeout_us : float;  (** how long a caller waits before concluding loss *)
-}
+type t = { core : Core.t; clock : Clock.t }
 
-let create ?(rtt_us = 1_000.0) ?(timeout_us = 5_000.0) ~clock () =
-  { core = Core.create (); clock; rtt_us; timeout_us }
+(* The request/response round trip to the third site, and how long a
+   caller waits before concluding the mediator is lost. *)
+let rtt_us = 1_000.0
+let timeout_us = 5_000.0
+let create ~clock () = { core = Core.create (); clock }
 
 let core t = t.core
 let holder t = Core.holder t.core
@@ -175,14 +173,14 @@ let audit t = audit_log (events t)
    round trip. An unreachable mediator answers nothing; the caller's
    verdict arrives only at [timeout_us]. *)
 let request t s k =
-  Clock.schedule t.clock ~delay:(t.rtt_us /. 2.0) (fun () ->
+  Clock.schedule t.clock ~delay:(rtt_us /. 2.0) (fun () ->
       if Core.reachable t.core then begin
         let o = Core.request t.core s in
-        Clock.schedule t.clock ~delay:(t.rtt_us /. 2.0) (fun () -> k o)
+        Clock.schedule t.clock ~delay:(rtt_us /. 2.0) (fun () -> k o)
       end
       else
-        Clock.schedule t.clock ~delay:t.timeout_us (fun () -> k `Unreachable))
+        Clock.schedule t.clock ~delay:timeout_us (fun () -> k `Unreachable))
 
 let release t s =
-  Clock.schedule t.clock ~delay:(t.rtt_us /. 2.0) (fun () ->
+  Clock.schedule t.clock ~delay:(rtt_us /. 2.0) (fun () ->
       if Core.reachable t.core then Core.release t.core s)

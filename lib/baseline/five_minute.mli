@@ -25,11 +25,6 @@ val hard_disk : tier
 val ecc_dimm : tier
 (** $1000 per 64 GiB LR-DIMM; accesses are free (no device time). *)
 
-val cost_per_gb_hour :
-  tier -> object_bytes:int -> access_interval_s:float -> float
-(** Total cost rate of holding one GB of such objects on the tier,
-    accessed once per [access_interval_s] each. *)
-
 val relative_cost :
   tier -> baseline:tier -> object_bytes:int -> access_interval_s:float -> float
 (** Figure 7's y-axis: cost on [tier] / cost on [baseline] (RAM). *)

@@ -56,16 +56,16 @@ let fa450 = { ops_per_s = 200_000.0; effective_tb = 250.0 }
 
 type row = { deployment : deployment; arrays_needed : float; nodes_per_array : float }
 
-let consolidate ?(array_spec = fa450) d =
+let consolidate d =
   let arrays =
     match d.demand with
-    | `Ops_per_s ops -> ops /. array_spec.ops_per_s
-    | `Capacity_pb pb -> pb *. 1000.0 /. array_spec.effective_tb
+    | `Ops_per_s ops -> ops /. fa450.ops_per_s
+    | `Capacity_pb pb -> pb *. 1000.0 /. fa450.effective_tb
   in
   let arrays = Float.max arrays 1.0 in
   { deployment = d; arrays_needed = arrays; nodes_per_array = float_of_int d.nodes /. arrays }
 
-let table ?array_spec () = List.map (consolidate ?array_spec) paper_deployments
+let table () = List.map consolidate paper_deployments
 
 let pp_table ppf rows =
   Fmt.pf ppf "@[<v>%-10s %-28s %-6s %-12s %8s %10s %12s@,"

@@ -15,22 +15,14 @@ type deployment = {
   demand : [ `Ops_per_s of float | `Capacity_pb of float ];
 }
 
-val paper_deployments : deployment list
-(** PNUTS, Spanner, S3 and DynamoDB rows with the paper's numbers. *)
-
-type fa450 = {
-  ops_per_s : float;  (** 200k x 32 KiB IOPS *)
-  effective_tb : float;  (** 250 TB effective capacity *)
-}
-
-val fa450 : fa450
-
 type row = {
   deployment : deployment;
   arrays_needed : float;  (** the paper's "≈FA-450's" column *)
   nodes_per_array : float;  (** the consolidation ratio *)
 }
 
-val consolidate : ?array_spec:fa450 -> deployment -> row
-val table : ?array_spec:fa450 -> unit -> row list
+val table : unit -> row list
+(** PNUTS, Spanner, S3 and DynamoDB with the paper's numbers, against
+    one FA-450 (200k x 32 KiB IOPS, 250 TB effective). *)
+
 val pp_table : row list Fmt.t

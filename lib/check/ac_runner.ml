@@ -2,19 +2,19 @@
 
    Executes an {!Ac_plan} against a real stretched pod — two full
    simulated arrays, the lossy interconnect, the mediator — while
-   {!Ac_model} shadows every write's outcome. The plan's [Create] events
-   make the stretched volumes; I/O to a volume whose [Create] was shrunk
-   away must fail with [No_such_volume], as the model predicts. The run
-   loop, shrinking, replay and reports are {!Suite}'s; the execution
-   digest is a fold over final content, counters and the simulated
-   clock.
+   {!Ac_model} shadows every write's outcome in two {!Model} views per
+   stretched volume, one per array. The plan's [Create] events make the
+   stretched volumes; I/O to a volume whose [Create] was shrunk away
+   must fail with [No_such_volume], as the model predicts. The run loop,
+   shrinking, replay and reports are {!Suite}'s; the execution digest is
+   a fold over final content, counters and the simulated clock.
 
    The final audit heals every fault, drives a failback, then reads
    every block of every stretched volume from BOTH arrays directly
-   (below the front door). The model requires the two arrays to agree
-   block-for-block — first observation pins the value, the second array
-   must match — which is the divergence check; and an acked write is its
-   cell's only candidate, which is the lost-ack check. *)
+   (below the front door). After the failback the two views share every
+   cell, so A's read pins the value B must reproduce — the divergence
+   check; and an acked write is its cell's only candidate — the lost-ack
+   check. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -31,8 +31,6 @@ type ctx = {
   ac : Ac.t;
   payloads : Payload.t;
   model : Acm.t;
-  mutable vols : (string * int) list;  (* stretched volumes, in creation order *)
-  mutable crashed : Ac.side list;
   mutable digest : int;
 }
 
@@ -41,7 +39,8 @@ let mix ctx v = ctx.digest <- Suite.mix ctx.digest v
 (* No outstanding fault and the pod in sync: I/O has no excuse to fail. *)
 let healthy ctx =
   Ac.status ctx.ac = Ac.Sync
-  && ctx.crashed = []
+  && Fa.is_online (Ac.array ctx.ac A)
+  && Fa.is_online (Ac.array ctx.ac B)
   && Link.up (Ac.link ctx.ac)
   && Mediator.reachable (Ac.mediator ctx.ac)
 
@@ -53,46 +52,40 @@ let apply_fault ctx (fault : Ac_plan.fault) =
   | Ac_plan.Heal_link -> Ac.heal_link ctx.ac
   | Ac_plan.Lose_mediator -> Ac.lose_mediator ctx.ac
   | Ac_plan.Restore_mediator -> Ac.restore_mediator ctx.ac
-  | Ac_plan.Crash s ->
-    Ac.crash_side ctx.ac s;
-    if not (List.mem s ctx.crashed) then ctx.crashed <- s :: ctx.crashed
+  | Ac_plan.Crash s -> Ac.crash_side ctx.ac s
   | Ac_plan.Crash_both ->
     Ac.crash_side ctx.ac A;
-    Ac.crash_side ctx.ac B;
-    ctx.crashed <- [ A; B ]
+    Ac.crash_side ctx.ac B
 
 (* Hold a front-door I/O's result to the model's one predicted outcome.
    [Some v] for a success; [None] when the I/O never completed, failed as
    predicted, or was refused for a reason the pod owes no prediction for:
    out of space or NVRAM, or unavailable while some fault is outstanding. *)
-let checked ctx ~op ~view ~block ~nblocks = function
+let checked ctx op ~view ~block ~nblocks = function
   | None | Some (Error (`No_space | `Backpressure)) -> None
   | Some (Error `Unavailable) when not (healthy ctx) -> None
   | Some result ->
     let predicted = Acm.predict ctx.model ~view ~block ~nblocks in
-    Suite.expect_outcome ~op ~view ~block ~nblocks ~predicted result;
+    Suite.expect_outcome Ac_plan.pp_op op ~predicted result;
     Result.to_option result
 
 let exec_op ctx (op : Ac_plan.op) =
   match op with
-  | Ac_plan.Create { view; blocks } -> (
-    match Ac.create_stretched ctx.ac view ~blocks with
-    | Ok () ->
-      Acm.create_volume ctx.model view ~blocks;
-      ctx.vols <- ctx.vols @ [ (view, blocks) ]
-    | Error _ -> raise (Violation ("failed to create stretched volume " ^ view)))
-  | Ac_plan.Write { side; view; block; nblocks; wid } -> (
+  | Ac_plan.Create { view; blocks } ->
+    let result = Ac.create_stretched ctx.ac view ~blocks in
+    let predicted = if Acm.exists ctx.model view then `Exists else `Ok in
+    Suite.expect_outcome Ac_plan.pp_op op ~predicted result;
+    if Result.is_ok result then Acm.create_volume ctx.model view ~blocks
+  | Ac_plan.Write { side; view; block; nblocks; wid } ->
     let data = Payload.of_write ctx.payloads ~wid ~nblocks in
-    let result =
+    (* [None]: never completed (e.g. the origin died under it) or
+       refused: not acked, and the blocks may be torn on either side *)
+    let acked =
       Suite.await ctx.clock (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k)
+      |> checked ctx op ~view ~block ~nblocks
+      |> Option.is_some
     in
-    match checked ctx ~op:(Printf.sprintf "write#%d" wid) ~view ~block ~nblocks result with
-    | Some () ->
-      Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:true ~in_sync:(in_sync ctx)
-    | None ->
-      (* never completed (e.g. the origin died under it) or refused: not
-         acked; the blocks may be torn on either side *)
-      Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked:false ~in_sync:false)
+    Acm.write_result ctx.model ~view ~block ~nblocks ~wid ~acked ~in_sync:(in_sync ctx)
   | Ac_plan.Write_racing { view; block; nblocks; wid_a; wid_b } ->
     (* both writes enter before the clock runs: their mirrors genuinely
        cross on the link *)
@@ -107,23 +100,22 @@ let exec_op ctx (op : Ac_plan.op) =
       ~acked_a:(acked ra) ~acked_b:(acked rb) ~in_sync:(in_sync ctx)
   | Ac_plan.Read { side; view; block; nblocks } ->
     Suite.await ctx.clock (fun k -> Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
-    |> checked ctx ~op:"read" ~view ~block ~nblocks
+    |> checked ctx op ~view ~block ~nblocks
     |> Option.iter (fun (data, served) ->
            Suite.expect (Acm.check_read ctx.model ~side:served ~view ~block ~nblocks data))
   | Ac_plan.Settle -> (
     match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, Some s) -> Acm.settled ctx.model ~survivor:s
     | Some (_, _) | None -> ())
-  | Ac_plan.Recover s -> (
-    match Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k) with
-    | Some () -> ctx.crashed <- List.filter (( <> ) s) ctx.crashed
-    | None -> raise (Violation ("recovery of array " ^ Ac.side_name s ^ " never completed")))
+  | Ac_plan.Recover s ->
+    if Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k) = None then
+      raise (Violation ("recovery of array " ^ Ac.side_name s ^ " never completed"))
 
 (* ---------- final audit ---------- *)
 
 (* Read a whole volume from one array, below the pod's front door, and
-   hold it to the model. After a successful failback every cell is
-   converged, so A's observation pins the value B must reproduce. *)
+   hold it to that array's view. After a successful failback both views
+   share every cell, so A's observation pins the value B must reproduce. *)
 let audit_array ctx side name blocks =
   let arr = Ac.array ctx.ac side in
   Suite.iter_chunks blocks (fun block nblocks ->
@@ -144,7 +136,6 @@ let finalize ctx =
   List.iter
     (fun s -> ignore (Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k)))
     [ Ac.A; Ac.B ];
-  ctx.crashed <- [];
   let rec drive attempts =
     match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, sv) -> (
@@ -167,7 +158,7 @@ let finalize ctx =
     (fun (name, blocks) ->
       audit_array ctx A name blocks;
       audit_array ctx B name blocks)
-    ctx.vols;
+    (Ac.stretched ctx.ac);
   (* fold the pod's externally visible end state into the replay digest *)
   let c = Ac.counters ctx.ac and v = Registry.value in
   mix ctx
@@ -187,7 +178,7 @@ let start clock seed =
   let b = Fa.create ~config:Suite.config ~clock () in
   let ac = Ac.create ~a ~b ~pod:"pod0" () in
   let payloads = Payload.create ~seed ~block_size:Fa.block_size in
-  { clock; ac; payloads; model = Acm.create payloads; vols = []; crashed = []; digest = 0 }
+  { clock; ac; payloads; model = Model.create payloads; digest = 0 }
 
 include Suite.Make (struct
   include Ac_plan

@@ -1,9 +1,10 @@
-(* Reference model for the durability contract.
+(* Reference model for the durability contract, in both torture suites.
 
    The model shadows the array's logical state — volumes, snapshots,
    clones, and the bytes behind every block — precisely enough to decide,
    for any read the array serves, whether the bytes are ones the history
-   permits.
+   permits, and to predict the one outcome every I/O and namespace op
+   must get ([predict], [predict_op]).
 
    Crash uncertainty is the interesting part. An acknowledged write must
    survive a controller crash (NVRAM replay), so a plain crash loses the
@@ -23,7 +24,8 @@
    Cells are shared by reference between a volume and its snapshots and
    clones, so a collapse observed through one view constrains the others
    — which is also what makes "snapshots stay frozen" checkable: once a
-   snapshot block collapses, any later disagreement is a violation. *)
+   snapshot block collapses, any later disagreement is a violation. The
+   stretched pod's two arrays share cells the same way ({!Ac_model}). *)
 
 type cell = {
   mutable v : Payload.token;
@@ -73,15 +75,47 @@ let create payloads =
 let find t name = Hashtbl.find_opt t.views name
 let exists t name = Hashtbl.mem t.views name
 
-let kind t name = Option.map (fun v -> v.kind) (find t name)
-
-let blocks t name = Option.map (fun v -> Array.length v.cells) (find t name)
-
 let listing t =
   Hashtbl.fold
     (fun name v acc -> (name, v.kind, Array.length v.cells) :: acc)
     t.views []
   |> List.sort compare
+
+(* The one outcome an I/O to [view]'s range must get: [`Ok], or the
+   error that names what is wrong with the request. *)
+let predict t ~write ~view ~block ~nblocks =
+  match find t view with
+  | None -> `No_such_volume
+  | Some { kind = `Snapshot; _ } when write -> `Read_only
+  | Some v -> if block < 0 || block + nblocks > Array.length v.cells then `Out_of_range else `Ok
+
+(* A namespace op needs [name] to be a [want]: the error the array
+   names when it is missing or the other kind. *)
+let need t want name =
+  match find t name with
+  | None -> `No_such_volume
+  | Some v when v.kind = want -> `Ok
+  | Some { kind = `Snapshot; _ } -> `Is_snapshot
+  | Some { kind = `Volume; _ } -> `Is_volume
+
+let fresh t name = if exists t name then `Exists else `Ok
+let ( &&& ) a b = if a = `Ok then b else a
+
+(* The one outcome a plan op must get, in the order the array checks
+   its preconditions. *)
+let predict_op t : Plan.op -> _ = function
+  | Create_volume { name; _ } -> fresh t name
+  | Delete_volume name -> need t `Volume name
+  | Delete_snapshot name -> need t `Snapshot name
+  | Resize_volume { name; blocks } -> (
+    match find t name with
+    | Some v when v.kind = `Volume && blocks < Array.length v.cells -> `Shrink
+    | _ -> need t `Volume name)
+  | Snapshot { volume; snap } -> need t `Volume volume &&& fresh t snap
+  | Clone { snapshot; volume } -> need t `Snapshot snapshot &&& fresh t volume
+  | Write { view; block; nblocks; _ } -> predict t ~write:true ~view ~block ~nblocks
+  | Read { view; block; nblocks } -> predict t ~write:false ~view ~block ~nblocks
+  | Flush | Checkpoint | Gc | Scrub | Rebuild _ -> `Ok
 
 let add_view t name kind cells =
   Hashtbl.replace t.views name
@@ -115,10 +149,11 @@ let clone t ~snapshot ~volume =
 
 (* ---------- data ---------- *)
 
+(* A write the array acked, or one whose outcome is unknown ([acked] is
+   false); a no-op unless the request is well formed. *)
 let write t ~view ~block ~wid ~nblocks ~acked =
   match find t view with
-  | None -> ()
-  | Some v ->
+  | Some v when predict t ~write:true ~view ~block ~nblocks = `Ok ->
     if acked then t.acked_writes <- t.acked_writes + 1;
     for j = 0 to nblocks - 1 do
       let old = v.cells.(block + j) in
@@ -133,6 +168,14 @@ let write t ~view ~block ~wid ~nblocks ~acked =
           parent = Some old;
         }
     done
+  | _ -> ()
+
+(* [into]'s cells over the range become [from]'s: the two views now hold
+   the same cells, so the first read through either collapses both. *)
+let share t ~from ~into ~block ~nblocks =
+  match (find t from, find t into) with
+  | Some f, Some i -> Array.blit f.cells block i.cells block nblocks
+  | _ -> ()
 
 let candidates cell =
   let rec go c acc =

@@ -7,7 +7,7 @@
    payloads collision-free and letting a failure report name the write a
    wrong byte actually came from. wid 0 renders as zeros (a deliberate
    zero-write, indistinguishable from unwritten space — as it should be).
-   Both reference models judge reads through this module only, so the
+   The reference model judges reads through this module only, so the
    block format is known here and nowhere else. *)
 
 type token = Zero | Data of { wid : int; idx : int }

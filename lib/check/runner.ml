@@ -1,6 +1,7 @@
 (* The single-array suite: executes a {!Plan} against a real array
-   while the reference {!Model} shadows it, and audits the durability
-   contract. The run loop, shrinking, replay and reports are {!Suite}'s. *)
+   while the reference {!Model} shadows it and predicts the one outcome
+   of every I/O and namespace op, and audits the durability contract.
+   The run loop, shrinking, replay and reports are {!Suite}'s. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -157,33 +158,14 @@ let pp_listing ppf l =
             Printf.sprintf "%s:%s:%d" n (match k with `Volume -> "vol" | `Snapshot -> "snap") b)
           l))
 
-(* Namespace calls are synchronous; run one and hold the array to the
-   outcome the model predicts. [`Busy] (NVRAM cannot take the op's
-   metadata stashes) promises that nothing changed, so the model stays
-   as it was. *)
-let ns_op ~what ~expect_ok actual ~on_ok =
-  match (actual, expect_ok) with
-  | Ok (), true -> on_ok ()
-  | Error _, false | Error `Busy, true -> ()
-  | Ok (), false -> raise (Violation (what ^ ": succeeded but the model forbids it"))
-  | Error e, true ->
-    raise (Violation (Printf.sprintf "%s: unexpected %s" what (Suite.outcome_name e)))
-
-(* The one outcome the model predicts for an I/O: [`Ok], or the error
-   that names what is wrong with the request. *)
-let predict m ~write ~view ~block ~nblocks =
-  match (Model.kind m view, Model.blocks m view) with
-  | None, _ | _, None -> `No_such_volume
-  | Some `Snapshot, _ when write -> `Read_only
-  | Some _, Some b -> if block + nblocks > b then `Out_of_range else `Ok
-
 let do_read ctx ~view ~block ~nblocks =
   ctx.reads_issued <- ctx.reads_issued + 1;
-  let predicted = predict ctx.model ~write:false ~view ~block ~nblocks in
+  let op = Plan.Read { view; block; nblocks } in
+  let predicted = Model.predict_op ctx.model op in
   match Suite.await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
   | None | Some (Error `Offline) -> ()  (* a crash landed mid-read; nothing was promised *)
   | Some result ->
-    Suite.expect_outcome ~op:"read" ~view ~block ~nblocks ~predicted result;
+    Suite.expect_outcome Plan.pp_op op ~predicted result;
     Result.iter
       (fun data ->
         ctx.digest <- Suite.mix ctx.digest data;
@@ -191,79 +173,65 @@ let do_read ctx ~view ~block ~nblocks =
       result
 
 let exec_op ctx (op : Plan.op) =
-  let m = ctx.model in
+  let m = ctx.model and arr = ctx.arr in
+  let predicted = Model.predict_op m op in
+  (* Namespace calls are synchronous: hold the result to the predicted
+     outcome and, on success, apply [f] to the model. [`Busy] (NVRAM
+     cannot take the op's metadata stashes) promises that nothing
+     changed, so the model stays as it was. *)
+  let namespace result f =
+    match result with
+    | Error `Busy when predicted = `Ok -> ()
+    | result ->
+      Suite.expect_outcome Plan.pp_op op ~predicted result;
+      if Result.is_ok result then f ()
+  in
   match op with
   | Plan.Create_volume { name; blocks } ->
-    ns_op ~what:("create " ^ name)
-      ~expect_ok:(not (Model.exists m name))
-      (Fa.create_volume ctx.arr name ~blocks)
-      ~on_ok:(fun () -> Model.create_volume m name ~blocks)
+    namespace (Fa.create_volume arr name ~blocks) (fun () -> Model.create_volume m name ~blocks)
   | Plan.Delete_volume name ->
-    ns_op ~what:("delete " ^ name)
-      ~expect_ok:(Model.kind m name = Some `Volume)
-      (Fa.delete_volume ctx.arr name)
-      ~on_ok:(fun () -> Model.delete m name)
+    namespace (Fa.delete_volume arr name) (fun () -> Model.delete m name)
   | Plan.Resize_volume { name; blocks } ->
-    let expect_ok =
-      match Model.blocks m name with
-      | Some b when Model.kind m name = Some `Volume -> blocks >= b
-      | _ -> false
-    in
-    ns_op ~what:("resize " ^ name) ~expect_ok
-      (Fa.resize_volume ctx.arr name ~blocks)
-      ~on_ok:(fun () -> Model.resize_volume m name ~blocks)
+    namespace (Fa.resize_volume arr name ~blocks) (fun () -> Model.resize_volume m name ~blocks)
   | Plan.Snapshot { volume; snap } ->
-    ns_op
-      ~what:(Printf.sprintf "snapshot %s of %s" snap volume)
-      ~expect_ok:(Model.kind m volume = Some `Volume && not (Model.exists m snap))
-      (Fa.snapshot ctx.arr ~volume ~snap)
-      ~on_ok:(fun () -> Model.snapshot m ~volume ~snap)
+    namespace (Fa.snapshot arr ~volume ~snap) (fun () -> Model.snapshot m ~volume ~snap)
   | Plan.Clone { snapshot; volume } ->
-    ns_op
-      ~what:(Printf.sprintf "clone %s from %s" volume snapshot)
-      ~expect_ok:(Model.kind m snapshot = Some `Snapshot && not (Model.exists m volume))
-      (Fa.clone ctx.arr ~snapshot ~volume)
-      ~on_ok:(fun () -> Model.clone m ~snapshot ~volume)
+    namespace (Fa.clone arr ~snapshot ~volume) (fun () -> Model.clone m ~snapshot ~volume)
   | Plan.Delete_snapshot name ->
-    ns_op ~what:("delete snapshot " ^ name)
-      ~expect_ok:(Model.kind m name = Some `Snapshot)
-      (Fa.delete_snapshot ctx.arr name)
-      ~on_ok:(fun () -> Model.delete m name)
+    namespace (Fa.delete_snapshot arr name) (fun () -> Model.delete m name)
   | Plan.Write { view; block; nblocks; wid } -> (
-    let predicted = predict m ~write:true ~view ~block ~nblocks in
     let data = Payload.of_write ctx.payloads ~wid ~nblocks in
-    match Suite.await ctx.clock (Fa.write ctx.arr ~volume:view ~block data) with
+    match Suite.await ctx.clock (Fa.write arr ~volume:view ~block data) with
     | Some (Error `Backpressure) -> ()  (* not acked, no state change promised *)
     | None | Some (Error (`Offline | `No_space)) ->
       (* the controller died mid-write, or allocation failed partway: not
          acked, and the blocks may be torn between old and new *)
-      if predicted = `Ok then Model.write m ~view ~block ~wid ~nblocks ~acked:false
+      Model.write m ~view ~block ~wid ~nblocks ~acked:false
     | Some result ->
-      let op = Printf.sprintf "write#%d" wid in
-      Suite.expect_outcome ~op ~view ~block ~nblocks ~predicted result;
+      Suite.expect_outcome Plan.pp_op op ~predicted result;
       if Result.is_ok result then Model.write m ~view ~block ~wid ~nblocks ~acked:true)
   | Plan.Read { view; block; nblocks } -> do_read ctx ~view ~block ~nblocks
   | Plan.Flush -> (
-    match Suite.await ctx.clock (fun k -> Fa.flush ctx.arr (fun () -> k ())) with
-    | Some () when Fa.is_online ctx.arr -> Model.stabilized ctx.model
+    match Suite.await ctx.clock (fun k -> Fa.flush arr (fun () -> k ())) with
+    | Some () when Fa.is_online arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Checkpoint -> (
-    match Suite.await ctx.clock (fun k -> Fa.checkpoint ctx.arr k) with
-    | Some _ when Fa.is_online ctx.arr -> Model.stabilized ctx.model
+    match Suite.await ctx.clock (fun k -> Fa.checkpoint arr k) with
+    | Some _ when Fa.is_online arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Gc ->
     ignore
-      (Suite.await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 ctx.arr k))
+      (Suite.await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 arr k))
   | Plan.Scrub -> (
-    match Suite.await ctx.clock (fun k -> Fa.scrub ctx.arr k) with
-    | Some _ when Fa.is_online ctx.arr ->
+    match Suite.await ctx.clock (fun k -> Fa.scrub arr k) with
+    | Some _ when Fa.is_online arr ->
       (* scrub relocated what it found; re-derive the live corruption
          budget from the marks actually left on the drives *)
       ctx.corrupt_units <- residual_corrupt_units ctx
     | _ -> ())
   | Plan.Rebuild d -> (
-    match Suite.await ctx.clock (fun k -> Fa.rebuild_drive ctx.arr d k) with
-    | Some (_ : int) when Fa.is_online ctx.arr ->
+    match Suite.await ctx.clock (fun k -> Fa.rebuild_drive arr d k) with
+    | Some (_ : int) when Fa.is_online arr ->
       ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
     | _ -> () (* interrupted: still missing shards; finalize retries *))
 

@@ -78,17 +78,17 @@ let outcome_name = function
   | `Is_volume -> "Is_volume"
   | `Shrink -> "Shrink"
 
-(* Hold the result of I/O [op] on [view]'s range to the one outcome the
-   model predicts for it: [`Ok], or the exact error a malformed request
-   must get. Results that promise nothing (a crash cut the I/O off, a
-   fault excuses it) are the caller's to filter out first. *)
-let expect_outcome ~op ~view ~block ~nblocks ~predicted result =
+(* Hold the result of [op] to the one outcome the model predicts for it:
+   [`Ok], or the exact error a malformed request must get. Results that
+   promise nothing (a crash cut the op off, a fault excuses it) are the
+   caller's to filter out first. *)
+let expect_outcome pp_op op ~predicted result =
   let got = match result with Ok _ -> "Ok" | Error e -> outcome_name e in
   if got <> outcome_name predicted then
     raise
       (Violation
-         (Printf.sprintf "%s %s[%d..%d]: array returned %s, model predicted %s" op view block
-            (block + nblocks - 1) got (outcome_name predicted)))
+         (Format.asprintf "%a: array returned %s, model predicted %s" pp_op op got
+            (outcome_name predicted)))
 
 (* Start an asynchronous call, run the clock dry, return its result
    ([None] when the callback never fired, e.g. a crash cut it off). *)

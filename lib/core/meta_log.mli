@@ -58,11 +58,10 @@ type nvram = Stash of meta | Intent of intent
     bytes. *)
 
 val log_fact : table -> Purity_pyramid.Fact.t -> string
-val log_block : Block_index.Fact.t -> string
 
 val frame_block : Buffer.t -> Block_index.Fact.t -> unit
-(** Append {!log_block}'s bytes to a buffer: the put path frames each
-    block record in a reused buffer instead of building a string. *)
+(** Append a block record's log bytes to a buffer: the put path frames
+    each block record in a reused buffer instead of building a string. *)
 
 val log_elide : table -> seq:int64 -> lo:int -> hi:int -> string
 val stash_fact : table -> Purity_pyramid.Fact.t -> string

@@ -31,12 +31,6 @@ module Delta : sig
   val snap_medium : Purity_core.State.t -> string -> int option
   (** The frozen medium a snapshot handle references. *)
 
-  val mediums_between :
-    Purity_core.State.t -> from_medium:int -> until:int option -> int list
-  (** Successor-chain walk from [from_medium] (inclusive) down to [until]
-      (exclusive): the mediums that accumulated writes between two
-      replication snapshots. *)
-
   val changed_blocks : Purity_core.State.t -> int list -> int list
   (** Sorted blocks with live facts in any of the given mediums, read off
       the block index (no full-volume scan). *)
@@ -54,9 +48,6 @@ type link = {
   mb_s : float;  (** WAN bandwidth *)
   rtt_us : float;  (** per-transfer round-trip overhead *)
 }
-
-val default_link : link
-(** 100 MB/s, 20 ms RTT. *)
 
 type t
 

@@ -114,8 +114,6 @@ val injected_corrupt_pages : t -> int
 val pe_max : t -> int
 (** Highest per-AU P/E count — the wear figure fleet telemetry tracks. *)
 
-val pe_mean : t -> float
-
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
 (** Attach this drive's counters under [ssd/drive<id>/]: [reads],
     [writes], [bytes_read], [bytes_written], [trims], [corrupt_reads] and

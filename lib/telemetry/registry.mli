@@ -117,6 +117,5 @@ val reset : t -> unit
 (** Zero all counters (adopted cells too) and clear all histograms.
     Derived metrics are levels over live state and are left alone. *)
 
-val pp_value : value_snapshot Fmt.t
 val pp_snapshot : snapshot Fmt.t
 (** Grouped, aligned rendering for the CLI's [stats] subcommand. *)

@@ -73,7 +73,6 @@ let mem_hashed t (h1, h2) =
 
 let mem t key = mem_hashed t (hash_pair key)
 
-let nbits t = t.nbits
 let entries t = t.entries
 
 let fill_ratio t =

@@ -26,7 +26,6 @@ val hash_pair : string -> int * int
 val mem_hashed : t -> int * int -> bool
 (** [mem] with a precomputed [hash_pair] of the key. *)
 
-val nbits : t -> int
 val entries : t -> int
 (** Number of [add] calls so far. *)
 

@@ -1,13 +1,17 @@
 (* Tests for purity.check itself: the checker must catch the violations
    it exists to catch. The reference model is fed deliberately wrong
-   observations (a lost write, wrong bytes, a thawed snapshot); the
-   shrinker is driven by a synthetic failure predicate and must converge
-   to the minimal trace; a suite whose digest drifts between runs must
+   observations (a lost write, wrong bytes, a thawed snapshot), and so
+   is its stretched-pod mapping (a lost in-sync ack, racing writes that
+   diverge, a solo write dropped by failback); every namespace op the
+   array must refuse gets its exact predicted error; the shrinker is
+   driven by a synthetic failure predicate and must converge to the
+   minimal trace; a suite whose digest drifts between runs must
    fail replay; and a deliberately planted recovery bug —
    skipping NVRAM replay — must be caught by the same smoke sweep that
    gates tier-1, with a reproducing seed and a shrunk trace. *)
 
 module Model = Purity_check.Model
+module Ac_model = Purity_check.Ac_model
 module Payload = Purity_check.Payload
 module Plan = Purity_check.Plan
 module Ac_plan = Purity_check.Ac_plan
@@ -105,6 +109,52 @@ let test_durable_write_survives_crash () =
     (Model.check_read m ~view:"v" ~block:0 ~nblocks:1 (String.make bs '\000'));
   expect_ok "the durable bytes"
     (Model.check_read m ~view:"v" ~block:0 ~nblocks:1 (payload ~wid:1 ~nblocks:1))
+
+(* ---------- the stretched pod's two views ---------- *)
+
+let fresh_pod () =
+  let m = Model.create payloads in
+  Ac_model.create_volume m "p0" ~blocks:16;
+  m
+
+let pod_read ?(block = 0) m side ~wid =
+  let data = if wid = 0 then String.make (2 * bs) '\000' else payload ~wid ~nblocks:2 in
+  Ac_model.check_read m ~side ~view:"p0" ~block ~nblocks:2 data
+
+let test_pod_in_sync_write () =
+  let m = fresh_pod () in
+  Ac_model.write_result m ~view:"p0" ~block:0 ~nblocks:2 ~wid:1 ~acked:true ~in_sync:true;
+  expect_ok "A serving the acked write" (pod_read m A ~wid:1);
+  expect_violation "B serving the old value" (pod_read m B ~wid:0);
+  expect_ok "B serving the acked write" (pod_read m B ~wid:1)
+
+let test_pod_racing_pair_agrees () =
+  let m = fresh_pod () in
+  Ac_model.write_racing_result m ~view:"p0" ~block:0 ~nblocks:2 ~wid_a:1 ~wid_b:2 ~acked_a:true
+    ~acked_b:true ~in_sync:true;
+  expect_ok "A serving A's write" (pod_read m A ~wid:1);
+  expect_violation "B serving the other winner" (pod_read m B ~wid:2)
+
+let test_pod_solo_write_survives_failback () =
+  let m = fresh_pod () in
+  Ac_model.write_result m ~view:"p0" ~block:0 ~nblocks:2 ~wid:1 ~acked:true ~in_sync:false;
+  (* and an unacked one that A was seen to hold *)
+  Ac_model.write_result m ~view:"p0" ~block:2 ~nblocks:2 ~wid:2 ~acked:false ~in_sync:false;
+  expect_ok "A serving its unacked write" (pod_read ~block:2 m A ~wid:2);
+  Ac_model.settled m ~survivor:A;
+  expect_violation "B dropping A's solo write" (pod_read m B ~wid:0);
+  expect_ok "B serving A's solo write" (pod_read m B ~wid:1);
+  expect_violation "B keeping its own old value" (pod_read ~block:2 m B ~wid:0);
+  expect_ok "B serving what A held" (pod_read ~block:2 m B ~wid:2)
+
+let test_pod_unacked_write_per_side () =
+  let m = fresh_pod () in
+  Ac_model.write_result m ~view:"p0" ~block:0 ~nblocks:2 ~wid:1 ~acked:false ~in_sync:true;
+  expect_ok "A serving the new value" (pod_read m A ~wid:1);
+  expect_ok "B serving the old value" (pod_read m B ~wid:0);
+  (* each side's first read pinned that side *)
+  expect_violation "A flipping back" (pod_read m A ~wid:0);
+  expect_violation "B flipping forward" (pod_read m B ~wid:1)
 
 (* ---------- shrinking ---------- *)
 
@@ -237,6 +287,36 @@ let test_seed_69_space () =
   | Ok (_ : int) -> ()
   | Error (_, msg) -> Alcotest.failf "seed 69: %s" msg
 
+(* Every namespace op the array must refuse, each with the exact error
+   the model predicts; one wrong error fails the plan. *)
+let test_namespace_oracle () =
+  let ops =
+    Plan.
+      [
+        Create_volume { name = "v0"; blocks = 64 };
+        Snapshot { volume = "v0"; snap = "s0" };
+        Create_volume { name = "v0"; blocks = 64 };
+        Delete_volume "s0";
+        Delete_snapshot "v0";
+        Resize_volume { name = "s0"; blocks = 128 };
+        Resize_volume { name = "v0"; blocks = 32 };
+        Snapshot { volume = "v0"; snap = "s0" };
+        Snapshot { volume = "s0"; snap = "s1" };
+        Clone { snapshot = "v0"; volume = "c0" };
+        Clone { snapshot = "s0"; volume = "v0" };
+        Delete_volume "x";
+        Delete_snapshot "x";
+        Resize_volume { name = "x"; blocks = 64 };
+        Snapshot { volume = "x"; snap = "s2" };
+        Clone { snapshot = "x"; volume = "c1" };
+        Resize_volume { name = "v0"; blocks = 64 };
+        Clone { snapshot = "s0"; volume = "c0" };
+      ]
+  in
+  match Runner.run_plan { Suite.seed = 3L; events = List.map (fun op -> Suite.Op op) ops } with
+  | Ok (_ : int) -> ()
+  | Error (step, msg) -> Alcotest.failf "step %d: %s" step msg
+
 (* ---------- smoke sweep (tier-1 gate) ---------- *)
 
 let test_smoke_sweep () =
@@ -269,6 +349,18 @@ let () =
           Alcotest.test_case "planted recovery bug is caught" `Quick
             test_planted_bug_is_caught;
         ] );
-      ("pinned", [ Alcotest.test_case "seed 69 space audit" `Quick test_seed_69_space ]);
+      ( "pod-model",
+        [
+          Alcotest.test_case "in-sync write pins both arrays" `Quick test_pod_in_sync_write;
+          Alcotest.test_case "racing pair agrees" `Quick test_pod_racing_pair_agrees;
+          Alcotest.test_case "solo write survives failback" `Quick
+            test_pod_solo_write_survives_failback;
+          Alcotest.test_case "unacked write, per side" `Quick test_pod_unacked_write_per_side;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "seed 69 space audit" `Quick test_seed_69_space;
+          Alcotest.test_case "namespace oracle" `Quick test_namespace_oracle;
+        ] );
       ("smoke", [ Alcotest.test_case "50-scenario sweep" `Slow test_smoke_sweep ]);
     ]

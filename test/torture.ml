@@ -8,8 +8,8 @@
    - [array]: single-array crash/recovery plans (Runner/Plan);
    - [ac]: stretched-pod ActiveCluster plans — volume creation,
      partitions, mediator loss, straddling writes, simultaneous crashes —
-     audited by the two-array model (Ac_runner/Ac_plan). `dune build
-     @torture-ac` runs the fixed seed range 1..200 that CI gates on.
+     audited by the two-view pod model (Ac_runner/Ac_plan). `dune build
+     @torture-ac` runs seeds 1..200 and 1000..1999, as CI does.
    Both run through the same harness, which replays every passing seed
    and compares execution digests. *)
 
