@@ -81,13 +81,17 @@ let fill_blocks =
       if i mod 4 = 3 then Bytes.to_string (Rng.bytes rng 32768)
       else textish 32768 (1000000 + (7717 * i)))
 
-let fingerprints_ref b =
+let[@purity.lint.allow
+     "unsafe: read-only views of generated corpora fed to the kernels under \
+      test"] fingerprints_ref b =
   let bb = Bytes.unsafe_of_string b in
   for j = 0 to (String.length b / 512) - 1 do
     ignore (Xxhash.hash63_ref bb ~pos:(j * 512) ~len:512 : int)
   done
 
-let fingerprints_fast b =
+let[@purity.lint.allow
+     "unsafe: read-only views of generated corpora fed to the kernels under \
+      test"] fingerprints_fast b =
   let bb = Bytes.unsafe_of_string b in
   for j = 0 to (String.length b / 512) - 1 do
     ignore (Xxhash.hash63 bb ~pos:(j * 512) ~len:512 : int)
@@ -113,8 +117,12 @@ let fill_ref () =
       Buffer.add_char buf enc;
       Varint.write buf (String.length payload);
       Buffer.add_int32_le buf
-        (Crc32c.digest_ref (Bytes.unsafe_of_string payload) ~pos:0
-           ~len:(String.length payload));
+        (Crc32c.digest_ref
+           (Bytes.unsafe_of_string payload
+           [@purity.lint.allow
+             "unsafe: read-only views of generated corpora fed to the kernels \
+              under test"])
+           ~pos:0 ~len:(String.length payload));
       Buffer.add_string buf payload;
       Buffer.blit buf 0 out !pos (Buffer.length buf);
       pos := !pos + Buffer.length buf)

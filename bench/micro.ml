@@ -65,7 +65,13 @@ let tests =
       (Staged.stage (fun () -> ignore (Rs.decode rs (erased ()))));
     Test.make ~name:"xxhash64-32k"
       (Staged.stage (fun () ->
-           ignore (Xxhash.hash (Bytes.unsafe_of_string incompressible_32k) ~pos:0 ~len:32768)));
+           ignore
+             (Xxhash.hash
+                (Bytes.unsafe_of_string incompressible_32k
+                [@purity.lint.allow
+                  "unsafe: read-only view of the generated corpus fed to the \
+                   checksum kernels"])
+                ~pos:0 ~len:32768)));
     Test.make ~name:"tuple-page-encode-2k"
       (Staged.stage (fun () -> ignore (Tp.encode ~arity:3 tuples)));
     Test.make ~name:"tuple-page-scan-packed"

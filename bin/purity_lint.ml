@@ -3,65 +3,30 @@
    already produced for every module under the given roots, runs the
    per-file rules plus the interprocedural escape / allocation-freedom /
    exception-reachability passes over the whole-program call graph, and
-   exits non-zero on any unwaived finding. With --cache FILE, unchanged
-   .cmts (by content digest) skip the typed-AST walk entirely. *)
+   exits non-zero on any finding not waived in source. *)
 
 let () =
   let roots = ref [] in
-  let baseline_path = ref "" in
   let jsonl = ref "" in
-  let cache = ref "" in
-  let stale_hard = ref false in
-  let quiet = ref false in
   let spec =
     [
       ( "--root",
         Arg.String (fun s -> roots := s :: !roots),
         "DIR scan this directory for .cmt files (repeatable; default: lib bin \
-         bench test lint)" );
-      ("--baseline", Arg.Set_string baseline_path, "FILE checked-in baseline of acknowledged findings");
-      ( "--stale-baseline",
-        Arg.Set stale_hard,
-        " treat stale baseline entries as hard errors (default: non-failing \
-         notes)" );
+         bench test lint examples)" );
       ("--jsonl", Arg.Set_string jsonl, "FILE write machine-readable findings (telemetry exporter schema)");
-      ( "--cache",
-        Arg.Set_string cache,
-        "FILE digest cache: skip re-walking .cmts whose content is unchanged" );
-      ("--quiet", Arg.Set quiet, " suppress per-finding lines, print the summary only");
     ]
   in
   Arg.parse spec
     (fun s -> roots := s :: !roots)
-    "purity_lint [--root DIR]... [--baseline FILE] [--stale-baseline] [--cache \
-     FILE] [--jsonl FILE]";
+    "purity_lint [--root DIR]... [--jsonl FILE]";
   let roots =
-    match !roots with [] -> [ "lib"; "bin"; "bench"; "test"; "lint" ] | rs -> List.rev rs
+    match !roots with
+    | [] -> [ "lib"; "bin"; "bench"; "test"; "lint"; "examples" ]
+    | rs -> List.rev rs
   in
   let cfg = Lint.Rules.default in
-  let baseline, baseline_errors =
-    if !baseline_path = "" then ([], [])
-    else if not (Sys.file_exists !baseline_path) then
-      ( [],
-        [
-          Lint.Finding.v ~rule:Lint.Finding.Waiver ~file:!baseline_path ~line:1
-            ~col:0 "baseline file not found";
-        ] )
-    else Lint.Baseline.load !baseline_path
-  in
-  let cmts = Lint.scan_cmts cfg ~roots in
-  let summary =
-    Lint.run
-      ?cache_path:(if !cache = "" then None else Some !cache)
-      ~stale_hard:!stale_hard cfg ~baseline ~baseline_path:!baseline_path cmts
-  in
-  let summary =
-    {
-      summary with
-      Lint.Report.findings =
-        List.sort Lint.Finding.order (baseline_errors @ summary.Lint.Report.findings);
-    }
-  in
+  let summary = Lint.run cfg (Lint.scan_cmts cfg ~roots) in
   if !jsonl <> "" then Lint.Report.write_jsonl ~path:!jsonl summary;
-  Lint.Report.print ~quiet:!quiet summary;
+  Lint.Report.print summary;
   if not (Lint.Report.clean summary) then exit 1

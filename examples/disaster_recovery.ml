@@ -11,6 +11,7 @@ module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module Repl = Purity_replication.Replication
 module Dg = Purity_workload.Datagen
+module Rng = Purity_util.Rng
 
 let await clock f =
   let r = ref None in
@@ -24,6 +25,7 @@ let () =
   let dr_site = Fa.create ~config:{ Fa.default_config with Fa.seed = 7L } ~clock () in
   let repl = Repl.create ~source:production ~target:dr_site () in
   let dg = Dg.create ~seed:99L in
+  let rng = Rng.create ~seed:41L in
 
   (match Fa.create_volume production "orders" ~blocks:16384 with
   | Ok () -> ()
@@ -48,7 +50,7 @@ let () =
   (* steady state: small updates, small deltas *)
   for cycle = 2 to 4 do
     for _ = 1 to 4 do
-      write (Random.int 40 * 256) 32
+      write (Rng.int rng 40 * 256) 32
     done;
     let r = await clock (fun k -> Repl.replicate_once repl "orders" k) in
     Printf.printf "cycle %d: delta of %d blocks shipped in %.1f ms (RPO image %s)\n" cycle

@@ -210,7 +210,7 @@ let respond t r k = Clock.schedule t.clock ~delay:0.0 (fun () -> k r)
 
 (* ---------- stretched volumes ---------- *)
 
-let create_stretched t name ~blocks : (unit, Fa.vol_error) result =
+let create_stretched t name ~blocks : (unit, [ Fa.vol_error | `Out_of_range ]) result =
   if t.status <> Sync then Error `Busy
   else if List.mem_assoc name t.vols then Error `Exists
   else
@@ -218,7 +218,12 @@ let create_stretched t name ~blocks : (unit, Fa.vol_error) result =
     | Error _ as e -> e
     | Ok () -> (
       match Fa.create_volume t.b.arr name ~blocks with
-      | Error _ as e -> e
+      | Error _ as e ->
+        (* B refused: take the volume back off A, or it would live on one
+           side only, outside the pod's list. A delete refused as [`Busy]
+           (NVRAM full) leaves it there. *)
+        ignore (Fa.delete_volume t.a.arr name : (unit, Fa.vol_error) result);
+        e
       | Ok () ->
         t.vols <- List.sort compare ((name, blocks) :: t.vols);
         List.iter

@@ -73,7 +73,11 @@ let exec_op ctx (op : Ac_plan.op) =
   match op with
   | Ac_plan.Create { view; blocks } ->
     let result = Ac.create_stretched ctx.ac view ~blocks in
-    let predicted = if Acm.exists ctx.model view then `Exists else `Ok in
+    let predicted =
+      if Acm.exists ctx.model view then `Exists
+      else if blocks <= 0 then `Out_of_range
+      else `Ok
+    in
     Suite.expect_outcome Ac_plan.pp_op op ~predicted result;
     if Result.is_ok result then Acm.create_volume ctx.model view ~blocks
   | Ac_plan.Write { side; view; block; nblocks; wid } ->

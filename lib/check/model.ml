@@ -104,7 +104,8 @@ let ( &&& ) a b = if a = `Ok then b else a
 (* The one outcome a plan op must get, in the order the array checks
    its preconditions. *)
 let predict_op t : Plan.op -> _ = function
-  | Create_volume { name; _ } -> fresh t name
+  | Create_volume { name; blocks } ->
+    fresh t name &&& if blocks <= 0 then `Out_of_range else `Ok
   | Delete_volume name -> need t `Volume name
   | Delete_snapshot name -> need t `Snapshot name
   | Resize_volume { name; blocks } -> (

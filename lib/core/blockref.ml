@@ -34,7 +34,8 @@ let encode t =
   write buf t;
   Buffer.contents buf
 
-let[@purity.lint.recovery_root] decode s =
+let[@purity.lint.recovery_root] [@purity.lint.allow
+     "unsafe: decode-side view of an immutable encoded blockref"] decode s =
   read (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let same_cblock a b = a.segment = b.segment && a.off = b.off

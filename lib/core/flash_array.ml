@@ -154,7 +154,7 @@ let ns_op st plan =
 let create_volume t name ~blocks =
   let st = t.st in
   if State.Stbl.mem st.volumes name then Error `Exists
-  else if blocks <= 0 then invalid_arg "create_volume: blocks must be positive"
+  else if blocks <= 0 then Error `Out_of_range
   else begin
     let r =
       ns_op st (fun () ->

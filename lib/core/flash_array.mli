@@ -61,7 +61,9 @@ type vol_error = [ `Exists | `No_such_volume | `Busy | `Is_snapshot | `Is_volume
 (** [`Busy]: NVRAM cannot take the op's metadata stashes right now. The
     op changed nothing; retry once segio flushes have drained NVRAM. *)
 
-val create_volume : t -> string -> blocks:int -> (unit, vol_error) result
+val create_volume : t -> string -> blocks:int -> (unit, [ vol_error | `Out_of_range ]) result
+(** [`Out_of_range]: [blocks] is not positive. *)
+
 val delete_volume : t -> string -> (unit, vol_error) result
 (** Deletes the volume and elides every medium that becomes unreferenced —
     a handful of elide-table inserts, not a per-block walk (§4.10). *)

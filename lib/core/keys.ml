@@ -1,9 +1,13 @@
-let be64 v =
+let[@purity.lint.allow
+     "unsafe: key codec: freshly built bytes published as a string, never \
+      mutated after"] be64 v =
   let b = Bytes.create 8 in
   Bytes.set_int64_be b 0 (Int64.of_int v);
   Bytes.unsafe_to_string b
 
-let read_be64 s pos = Int64.to_int (Bytes.get_int64_be (Bytes.unsafe_of_string s) pos)
+let[@purity.lint.allow "unsafe: key codec: decode-side view of an immutable key"] read_be64 s
+    pos =
+  Int64.to_int (Bytes.get_int64_be (Bytes.unsafe_of_string s) pos)
 
 module Block = struct
   type t = int * int
@@ -38,7 +42,9 @@ module Block = struct
       | Some m, Some b -> Some (m, b)
       | _ -> None
 
-  let to_string (medium, block) =
+  let[@purity.lint.allow
+       "unsafe: key codec: freshly built bytes published as a string, never \
+        mutated after"] to_string (medium, block) =
     let b = Bytes.create 16 in
     Bytes.set_int64_be b 0 (Int64.of_int medium);
     Bytes.set_int64_be b 8 (Int64.of_int block);
@@ -50,7 +56,8 @@ end
 
 let block_key ~medium ~block = Block.to_string (medium, block)
 
-let[@purity.lint.recovery_root] parse_block_key k =
+let[@purity.lint.recovery_root] [@purity.lint.allow
+     "unsafe: key codec: decode-side view of an immutable key"] parse_block_key k =
   Block.read (Bytes.unsafe_of_string k) ~pos:0 ~len:(String.length k)
 
 let medium_key id = be64 id

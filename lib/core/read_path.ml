@@ -91,7 +91,11 @@ let read t ~volume ~block ~nblocks k =
           else begin
             Span.finish rspan;
             Histogram.record t.read_lat (Clock.now t.clock -. start);
-            k (Ok (Bytes.unsafe_to_string out))
+            k
+              (Ok
+                 (Bytes.unsafe_to_string out
+                 [@purity.lint.allow
+                   "unsafe: result buffer published as string after last write"]))
           end
         in
         let settle () =
@@ -117,7 +121,11 @@ let read t ~volume ~block ~nblocks k =
                   settle ()
                 | Some frame ->
                   Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      ignore (decode_slices (Bytes.unsafe_of_string frame) out failed f.slices);
+                      ignore
+                        (decode_slices
+                           (Bytes.unsafe_of_string frame
+                           [@purity.lint.allow "unsafe: frame decode view"])
+                           out failed f.slices);
                       settle ()))
               | None -> (
                 let cache_key = (f.ref_.Blockref.segment, f.ref_.Blockref.off) in

@@ -99,7 +99,8 @@ let body buf =
   ranges count p 0 []
 
 (* Whatever decodes re-encodes to [s]. *)
-let[@purity.lint.recovery_root] decode s =
+let[@purity.lint.recovery_root] [@purity.lint.allow
+     "unsafe: decode-side view of an immutable encoded range set"] decode s =
   match body (Bytes.unsafe_of_string s) with
   | t, p when p = String.length s -> Some t
   | _ | exception Invalid_argument _ -> None

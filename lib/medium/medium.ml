@@ -311,7 +311,8 @@ let extents_body buf =
   extents n p []
 
 (* Whatever decodes re-encodes to [s]. *)
-let[@purity.lint.recovery_root] decode_extents s =
+let[@purity.lint.recovery_root] [@purity.lint.allow
+     "unsafe: decode-side view of an immutable persisted mapping row"] decode_extents s =
   match extents_body (Bytes.unsafe_of_string s) with
   | es, p when p = String.length s -> Some es
   | _ | exception Invalid_argument _ -> None

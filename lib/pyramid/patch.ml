@@ -288,7 +288,8 @@ module Make (F : Fact.S) = struct
     done;
     make facts
 
-  let[@purity.lint.recovery_root] deserialize s =
+  let[@purity.lint.recovery_root] [@purity.lint.allow
+       "unsafe: deserialize views the immutable patch blob"] deserialize s =
     match body (Bytes.unsafe_of_string s) with
     | t -> Some t
     | exception Invalid_argument _ -> None

@@ -19,7 +19,9 @@ let family = function
   | Derived_int _ -> "derived-int"
   | Derived_float _ -> "derived-float"
 
-let clash key existing wanted =
+let[@purity.lint.allow
+     "raises: deterministic double-registration type guard, not data-dependent"] clash
+    key existing wanted =
   invalid_arg
     (Printf.sprintf "Telemetry.Registry: %S is a %s, not a %s" key (family existing) wanted)
 

@@ -15,7 +15,9 @@ type t = {
 
 let seed2 = 0x9E3779B97F4A7C15L
 
-let create ?(fp_rate = 0.01) ~expected () =
+let[@purity.lint.allow
+     "raises: create's size guard: inputs derive from in-memory fact counts, \
+      not decoded data"] create ?(fp_rate = 0.01) ~expected () =
   if fp_rate <= 0. || fp_rate >= 1. then invalid_arg "Bloom.create: fp_rate";
   let n = max 1 expected in
   (* optimal bits: m = -n ln p / (ln 2)^2; optimal probes: k = m/n ln 2 *)

@@ -1,7 +1,7 @@
 (* The whole-program call graph the interprocedural passes run over.
 
-   The engine extracts one [file_summary] per .cmt (pure data, so it
-   marshals into the digest cache); [build] merges summaries into a
+   The engine extracts one [file_summary] per .cmt (pure data, no typed
+   AST); [build] merges summaries into a
    name-keyed graph. Names are canonical: the last two dotted components
    of the resolved path with dune's [Lib__Module] mangling stripped, so
    [Purity_core__State.put], [State.put] and a local reference inside

@@ -5,8 +5,9 @@
    - the per-file findings of the syntactic rule classes (determinism,
      unsafe containment, direct Domain/Atomic use, hot-path hygiene,
      partial functions), with in-source
-     [@purity.lint.allow "<rule>: <reason>"] waivers applied and stale
-     waivers reported;
+     [@purity.lint.allow "<rule>: <reason>"] waivers on a binding or an
+     expression applied, and stale, malformed or floating waivers
+     reported;
 
    - a [Callgraph.file_summary]: every top-level definition with its call
      edges (guarded when inside try/with), allocation sites, raise sites
@@ -15,9 +16,8 @@
      [@purity.lint.coldpath]), and every Pool.map/Pool.run submission
      with the mutable values its closure captures.
 
-   The summary is pure data, so (findings, summary) marshal into the
-   digest cache and the interprocedural passes never re-read a cmt whose
-   digest is unchanged. *)
+   The summary is pure data: the interprocedural passes run over the
+   summaries alone and never re-read a cmt. *)
 
 type waiver = {
   w_rule : Finding.rule;
@@ -696,6 +696,10 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
   in
   let structure_item sub (item : Typedtree.structure_item) =
     match item.str_desc with
+    | Tstr_attribute a when a.attr_name.txt = attr_name ->
+      emit_bad a.attr_loc
+        "floating [@@@purity.lint.allow] would waive the rest of the module; \
+         attach the waiver to the binding or expression it covers"
     | Tstr_value (_, vbs) when !cur = None ->
       List.iter
         (fun (vb : Typedtree.value_binding) ->
@@ -770,16 +774,6 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
     | _ -> default.structure_item sub item
   in
   let iter = { default with expr; value_binding; structure_item } in
-  (* floating [@@@purity.lint.allow "..."] attributes waive the whole file *)
-  let floating =
-    List.concat_map
-      (fun (item : Typedtree.structure_item) ->
-        match item.str_desc with Tstr_attribute a -> [ a ] | _ -> [])
-      str.str_items
-  in
-  let file_waivers = parse_waivers floating in
-  all_waivers := file_waivers @ !all_waivers;
-  active := file_waivers @ !active;
   iter.structure iter str;
   List.iter
     (fun w ->

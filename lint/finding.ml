@@ -15,7 +15,7 @@ type rule =
   | Hotalloc  (* allocation site reachable from a [@purity.lint.hotpath] root *)
   | Partial  (* exception-raising partial functions in failover code *)
   | Raises  (* raise / partial match reachable from a recovery root *)
-  | Waiver  (* stale or malformed [@purity.lint.allow] / baseline row *)
+  | Waiver  (* stale, malformed or floating [@purity.lint.allow] *)
 
 let rule_name = function
   | Determinism -> "determinism"
@@ -27,8 +27,8 @@ let rule_name = function
   | Raises -> "raises"
   | Waiver -> "waiver"
 
-(* [Waiver] is deliberately absent: stale-waiver errors cannot themselves
-   be waived or baselined away. *)
+(* [Waiver] is deliberately absent: waiver errors cannot themselves be
+   waived. *)
 let rule_of_name = function
   | "determinism" -> Some Determinism
   | "unsafe" -> Some Unsafe

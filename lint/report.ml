@@ -13,11 +13,7 @@ type summary = {
   findings : Finding.t list;  (* unwaived, sorted *)
   waived : int;  (* suppressed by in-source [@purity.lint.allow] *)
   waivers : int;  (* total in-source waivers seen *)
-  baseline_suppressed : int;
   read_errors : string list;  (* unreadable cmt files *)
-  notes : string list;  (* non-failing notices (stale baseline without --stale-baseline) *)
-  cache_hits : int;  (* cmts served from the digest cache *)
-  cache_misses : int;  (* cmts read and walked this run *)
 }
 
 let finding_row (f : Finding.t) =
@@ -46,11 +42,7 @@ let summary_row s =
       ("warnings", Json.Int (count Finding.Warning));
       ("waived", Json.Int s.waived);
       ("waivers", Json.Int s.waivers);
-      ("baseline_suppressed", Json.Int s.baseline_suppressed);
       ("read_errors", Json.Int (List.length s.read_errors));
-      ("notes", Json.Int (List.length s.notes));
-      ("cache_hits", Json.Int s.cache_hits);
-      ("cache_misses", Json.Int s.cache_misses);
     ]
 
 let write_jsonl ~path s =
@@ -64,16 +56,10 @@ let write_jsonl ~path s =
   output_char oc '\n';
   close_out oc
 
-let print ?(quiet = false) s =
-  if not quiet then
-    List.iter (fun f -> print_endline (Finding.to_string f)) s.findings;
-  List.iter (fun n -> Printf.printf "purity.lint: note: %s\n" n) s.notes;
+let print s =
+  List.iter (fun f -> print_endline (Finding.to_string f)) s.findings;
   List.iter (fun e -> Printf.printf "purity.lint: %s\n" e) s.read_errors;
-  Printf.printf
-    "purity.lint: %d files scanned (%d cached), %d findings (%d waived in \
-     source, %d via baseline)\n"
-    s.files s.cache_hits
-    (List.length s.findings)
-    s.waived s.baseline_suppressed
+  Printf.printf "purity.lint: %d files scanned, %d findings (%d waived in source)\n"
+    s.files (List.length s.findings) s.waived
 
 let clean s = s.findings = [] && s.read_errors = []

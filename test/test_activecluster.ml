@@ -278,6 +278,19 @@ let test_double_crash_full_resync () =
   let got, _ = read_ok clock ac ~prefer:B ~block:64 ~nblocks:8 in
   check bool "acked write survived double crash (B)" true (got = d)
 
+(* A stretched create that B refuses leaves nothing behind on A. *)
+let test_create_refused_by_b () =
+  let _clock, ac = pod_fixture () in
+  (match Fa.create_volume (Ac.array ac B) "p0" ~blocks:16 with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "local create on B failed");
+  (match Ac.create_stretched ac "p0" ~blocks:16 with
+  | Error `Exists -> ()
+  | Ok () -> Alcotest.fail "stretched create over B's local p0 succeeded"
+  | Error _ -> Alcotest.fail "stretched create failed with other than Exists");
+  check bool "no p0 left on A" false (Fa.volume_exists (Ac.array ac A) "p0");
+  check bool "p0 not in the pod" false (List.mem_assoc "p0" (Ac.stretched ac))
+
 (* ---------- the torture machinery, and it checking itself ---------- *)
 
 let run_ac_seed seed () =
@@ -339,6 +352,8 @@ let () =
             test_mediator_loss_freezes;
           Alcotest.test_case "double crash, full resync" `Quick
             test_double_crash_full_resync;
+          Alcotest.test_case "create refused by B undone on A" `Quick
+            test_create_refused_by_b;
         ] );
       ( "torture",
         [

@@ -16,6 +16,7 @@ module Payload = Purity_check.Payload
 module Plan = Purity_check.Plan
 module Ac_plan = Purity_check.Ac_plan
 module Runner = Purity_check.Runner
+module Ac_runner = Purity_check.Ac_runner
 module Suite = Purity_check.Suite
 module Recovery = Purity_core.Recovery
 
@@ -317,6 +318,23 @@ let test_namespace_oracle () =
   | Ok (_ : int) -> ()
   | Error (step, msg) -> Alcotest.failf "step %d: %s" step msg
 
+(* A create of a non-positive size is refused as [`Out_of_range], on
+   one array and on a stretched pod alike, not raised. *)
+let test_create_out_of_range () =
+  let clean name = function
+    | Ok (_ : int) -> ()
+    | Error (step, msg) -> Alcotest.failf "%s, step %d: %s" name step msg
+  in
+  List.iter
+    (fun blocks ->
+      Runner.run_plan
+        { Suite.seed = 3L; events = [ Suite.Op (Plan.Create_volume { name = "v0"; blocks }) ] }
+      |> clean (Printf.sprintf "create %d blocks" blocks))
+    [ 0; -1 ];
+  Ac_runner.run_plan
+    { Suite.seed = 3L; events = [ Suite.Op (Ac_plan.Create { view = "p0"; blocks = 0 }) ] }
+  |> clean "pod create 0 blocks"
+
 (* ---------- smoke sweep (tier-1 gate) ---------- *)
 
 let test_smoke_sweep () =
@@ -361,6 +379,7 @@ let () =
         [
           Alcotest.test_case "seed 69 space audit" `Quick test_seed_69_space;
           Alcotest.test_case "namespace oracle" `Quick test_namespace_oracle;
+          Alcotest.test_case "create out of range" `Quick test_create_out_of_range;
         ] );
       ("smoke", [ Alcotest.test_case "50-scenario sweep" `Slow test_smoke_sweep ]);
     ]

@@ -4,10 +4,8 @@
    every rule class fires at the planted file:line, that the
    interprocedural passes (escape / hotalloc / raises) catch their planted
    fixtures with the right witness chains, that in-source waivers suppress
-   exactly their finding, that stale waivers error, that the baseline
-   machinery suppresses and goes stale correctly, that the call-graph edge
-   set is independent of build order, and that the digest cache serves
-   warm runs without changing the report. *)
+   exactly their finding, that stale and malformed waivers error, and that
+   the call-graph edge set is independent of build order. *)
 
 (* Under `dune runtest` the cwd is _build/default/test; under
    `dune exec test/test_lint.exe` it is the project root. *)
@@ -224,91 +222,19 @@ let test_stale_waiver () =
   | fs -> Alcotest.failf "expected exactly one stale-waiver finding, got %d" (List.length fs));
   Alcotest.(check int) "nothing waived" 0 r.waived
 
-(* ---- baseline machinery, on in-memory entries ---- *)
-
-let baseline_lines =
-  [
-    "# comment";
-    "";
-    "unsafe lint_fixtures/fx_unsafe.ml -- planted";
-    "partial lint_fixtures/fx_never.ml -- never fires";
-  ]
-
-let test_baseline_apply () =
-  let entries, errors = Lint.Baseline.parse ~path:"baseline.txt" baseline_lines in
-  Alcotest.(check int) "baseline parses clean" 0 (List.length errors);
-  Alcotest.(check int) "two entries" 2 (List.length entries);
-  let _, r = check "fx_unsafe" in
-  let kept, suppressed = Lint.Baseline.apply entries r.findings in
-  Alcotest.(check int) "unsafe finding suppressed by baseline" 1 suppressed;
-  Alcotest.check rules_at "nothing kept" [] (fired { r with findings = kept });
-  let stale = Lint.Baseline.stale ~path:"baseline.txt" entries in
-  (match stale with
-  | [ f ] ->
-    Alcotest.(check string) "unused entry goes stale" "waiver"
-      (Lint.Finding.rule_name f.rule);
-    Alcotest.(check int) "stale report points at the baseline line" 4 f.line
-  | fs -> Alcotest.failf "expected one stale entry, got %d" (List.length fs))
-
-let test_baseline_rejects_unwaivable () =
-  let entries, errors =
-    Lint.Baseline.parse ~path:"baseline.txt" [ "waiver lib/core/state.ml" ]
-  in
-  Alcotest.(check int) "waiver rule cannot be baselined" 0 (List.length entries);
-  Alcotest.(check int) "malformed entry reported" 1 (List.length errors)
-
-let test_baseline_rejects_domain () =
-  let entries, errors =
-    Lint.Baseline.parse ~path:"baseline.txt" [ "domain lib/foo.ml -- legacy" ]
-  in
-  Alcotest.(check int) "retired domain rule is not an entry" 0 (List.length entries);
-  Alcotest.(check int) "domain row is a parse error" 1 (List.length errors)
-
-(* ---- stale-baseline hardening + driver-level runs ---- *)
-
-let fixture_cmts names = List.map cmt_for names
-
-let test_stale_baseline_flag () =
-  let cmts = fixture_cmts [ "fx_audited" ] in
-  let soft_entries, _ =
-    Lint.Baseline.parse ~path:"baseline.txt" [ "partial fx_never.ml -- never" ]
-  in
-  let soft = Lint.run cfg ~baseline:soft_entries ~baseline_path:"baseline.txt" cmts in
-  Alcotest.(check bool) "stale entry is a non-failing note by default" true
-    (Lint.Report.clean soft);
-  Alcotest.(check int) "note emitted" 1 (List.length soft.Lint.Report.notes);
-  let hard_entries, _ =
-    Lint.Baseline.parse ~path:"baseline.txt" [ "partial fx_never.ml -- never" ]
-  in
-  let hard =
-    Lint.run ~stale_hard:true cfg ~baseline:hard_entries ~baseline_path:"baseline.txt" cmts
-  in
-  Alcotest.(check bool) "--stale-baseline makes it a hard error" false
-    (Lint.Report.clean hard);
-  match hard.Lint.Report.findings with
-  | [ f ] ->
-    Alcotest.(check string) "reported under waiver" "waiver"
-      (Lint.Finding.rule_name f.rule)
-  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
-
-let test_cache () =
-  let cmts = fixture_cmts [ "fx_escape"; "fx_hotalloc"; "fx_raise" ] in
-  let tmp = Filename.temp_file "purity_lint_cache" ".bin" in
-  Sys.remove tmp;
-  let cold = Lint.run ~cache_path:tmp cfg ~baseline:[] ~baseline_path:"" cmts in
-  let warm = Lint.run ~cache_path:tmp cfg ~baseline:[] ~baseline_path:"" cmts in
-  (if Sys.file_exists tmp then Sys.remove tmp);
-  Alcotest.(check int) "cold run misses every cmt" 3 cold.Lint.Report.cache_misses;
-  Alcotest.(check int) "cold run hits none" 0 cold.Lint.Report.cache_hits;
-  Alcotest.(check int) "warm run hits every cmt" 3 warm.Lint.Report.cache_hits;
-  Alcotest.(check int) "warm run misses none" 0 warm.Lint.Report.cache_misses;
-  Alcotest.(check (list string)) "warm report identical to cold"
-    (List.map Lint.Finding.to_string cold.Lint.Report.findings)
-    (List.map Lint.Finding.to_string warm.Lint.Report.findings);
-  Alcotest.(check bool) "interprocedural findings survive the cache" true
-    (List.exists
-       (fun (f : Lint.Finding.t) -> f.rule = Lint.Finding.Hotalloc)
-       warm.Lint.Report.findings)
+let test_refused_waivers () =
+  let _, r = check "fx_bad_waivers" in
+  Alcotest.check rules_at
+    "unknown rule, waiver, retired domain, non-string payload and floating \
+     waivers are all refused, and the unsafe site after the floating one \
+     still fires"
+    [
+      ("waiver", 3); ("waiver", 5); ("waiver", 6); ("waiver", 8); ("waiver", 10);
+      ("unsafe", 12);
+    ]
+    (fired r);
+  Alcotest.(check int) "nothing waived" 0 r.waived;
+  Alcotest.(check int) "no waiver accepted" 0 r.waivers
 
 let () =
   Alcotest.run "lint"
@@ -337,13 +263,6 @@ let () =
         [
           Alcotest.test_case "waiver suppresses" `Quick test_waiver_suppresses;
           Alcotest.test_case "stale waiver errors" `Quick test_stale_waiver;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "apply + stale" `Quick test_baseline_apply;
-          Alcotest.test_case "unwaivable rules rejected" `Quick test_baseline_rejects_unwaivable;
-          Alcotest.test_case "retired domain rule rejected" `Quick test_baseline_rejects_domain;
-          Alcotest.test_case "stale-baseline flag" `Quick test_stale_baseline_flag;
-          Alcotest.test_case "digest cache" `Quick test_cache;
+          Alcotest.test_case "refused waivers" `Quick test_refused_waivers;
         ] );
     ]

@@ -45,7 +45,9 @@ let () =
     ]
   in
   (* one harness sweep per 100 seeds, so progress prints between them *)
-  let sweep (name, run) =
+  let[@purity.lint.allow
+       "determinism: progress/ETA reporting in the test harness, outside the \
+        simulation"] sweep (name, run) =
     let t0 = Unix.gettimeofday () in
     let rec go done_ =
       if done_ >= !count then begin
