@@ -13,8 +13,9 @@ test:
 	dune runtest
 
 # purity.lint: typed-AST checks for determinism, unsafe-access
-# containment and hot-path hygiene. Fails on any unwaived finding;
-# writes _build/default/lint_report.jsonl.
+# containment and hot-path hygiene, plus unused_export (every lib/
+# interface value has a caller outside test/). Fails on any unwaived
+# finding; writes _build/default/lint_report.jsonl.
 lint:
 	dune build @lint
 

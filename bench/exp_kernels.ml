@@ -86,7 +86,7 @@ let[@purity.lint.allow
       test"] fingerprints_ref b =
   let bb = Bytes.unsafe_of_string b in
   for j = 0 to (String.length b / 512) - 1 do
-    ignore (Xxhash.hash63_ref bb ~pos:(j * 512) ~len:512 : int)
+    ignore (Purity_reference.Xxhash_ref.hash63 bb ~pos:(j * 512) ~len:512 : int)
   done
 
 let[@purity.lint.allow
@@ -110,14 +110,14 @@ let fill_ref () =
     (fun b ->
       fingerprints_ref b;
       let n = String.length b in
-      let c = Lz.compress_ref b in
+      let c = Purity_reference.Lz_ref.compress b in
       let enc, payload = if String.length c < n then ('\001', c) else ('\000', b) in
       let buf = Buffer.create (String.length payload + 16) in
       Varint.write buf n;
       Buffer.add_char buf enc;
       Varint.write buf (String.length payload);
       Buffer.add_int32_le buf
-        (Crc32c.digest_ref
+        (Purity_reference.Crc32c_ref.digest
            (Bytes.unsafe_of_string payload
            [@purity.lint.allow
              "unsafe: read-only views of generated corpora fed to the kernels \
@@ -139,7 +139,7 @@ let fill_fast () =
     (fun b ->
       fingerprints_fast b;
       Buffer.clear frame;
-      ignore (Cblock.add_frame ~scratch frame b : int);
+      ignore (Cblock.add_frame_into ~scratch frame b : int);
       Buffer.blit frame 0 out !pos (Buffer.length frame);
       pos := !pos + Buffer.length frame)
     fill_blocks;
@@ -147,7 +147,7 @@ let fill_fast () =
 
 let check_equiv () =
   (* point kernels *)
-  if Crc32c.digest random_32k ~pos:0 ~len:32768 <> Crc32c.digest_ref random_32k ~pos:0 ~len:32768
+  if Crc32c.digest random_32k ~pos:0 ~len:32768 <> Purity_reference.Crc32c_ref.digest random_32k ~pos:0 ~len:32768
   then failwith "kernels: crc32c fast diverges from ref";
   let gf_fast = Bytes.copy random_32k and gf_ref = Bytes.copy random_32k in
   Gf256.mul_slice 0x57 ~src:random_32k ~dst:gf_fast;
@@ -158,15 +158,15 @@ let check_equiv () =
     failwith "kernels: rs encode fast diverges from ref";
   List.iter
     (fun s ->
-      if Lz.compress s <> Lz.compress_ref s then
+      if Lz.compress s <> Purity_reference.Lz_ref.compress s then
         failwith "kernels: lz compress fast diverges from ref")
     [ text_32k; Bytes.to_string random_32k; mix_3to1_32k ];
-  let c = Lz.compress_ref text_32k in
-  if Lz.decompress c ~expected_len:32768 <> Lz.decompress_ref c ~expected_len:32768 then
+  let c = Purity_reference.Lz_ref.compress text_32k in
+  if Lz.decompress c ~expected_len:32768 <> Purity_reference.Lz_ref.decompress c ~expected_len:32768 then
     failwith "kernels: lz decompress fast diverges from ref";
   if
     Xxhash.hash63 random_32k ~pos:0 ~len:32768
-    <> Xxhash.hash63_ref random_32k ~pos:0 ~len:32768
+    <> Purity_reference.Xxhash_ref.hash63 random_32k ~pos:0 ~len:32768
   then failwith "kernels: hash63 fast diverges from ref";
   let ro, rn, rp = fill_ref () in
   let fo, fn, fp = fill_fast () in
@@ -209,7 +209,7 @@ let par_arenas lanes =
 let block_frame (scratch, frame) b =
   fingerprints_fast b;
   Buffer.clear frame;
-  ignore (Cblock.add_frame ~scratch frame b : int);
+  ignore (Cblock.add_frame_into ~scratch frame b : int);
   Buffer.contents frame
 
 (* The segio buffer, preallocated and zeroed once like the real writer's:
@@ -392,7 +392,7 @@ let run_in_section () =
     (String.concat ", " (List.map kb [ Kernel_stats.crc; Kernel_stats.gf; Kernel_stats.fingerprint ]));
 
   let crc_ref =
-    time_ops (fun () -> ignore (Crc32c.digest_ref random_32k ~pos:0 ~len:32768 : int32))
+    time_ops (fun () -> ignore (Purity_reference.Crc32c_ref.digest random_32k ~pos:0 ~len:32768 : int32))
   in
   let crc_fast =
     time_ops (fun () -> ignore (Crc32c.digest random_32k ~pos:0 ~len:32768 : int32))
@@ -409,10 +409,10 @@ let run_in_section () =
   let rs_fast =
     time_ops ~batch:10 (fun () -> ignore (Rs.encode fill_rs shards : Bytes.t array))
   in
-  let lz_c = Lz.compress_ref text_32k in
+  let lz_c = Purity_reference.Lz_ref.compress text_32k in
   let lz_ref =
     time_ops ~batch:10 (fun () ->
-        ignore (Lz.decompress_ref (Lz.compress_ref text_32k) ~expected_len:32768 : string))
+        ignore (Purity_reference.Lz_ref.decompress (Purity_reference.Lz_ref.compress text_32k) ~expected_len:32768 : string))
   in
   let lz_fast =
     time_ops ~batch:10 (fun () ->
@@ -425,13 +425,13 @@ let run_in_section () =
   let lzc_random = time_ops (fun () -> ignore (Lz.compress_into lz_scratch random_32k_s : int)) in
   let lzc_mix = time_ops (fun () -> ignore (Lz.compress_into lz_scratch mix_3to1_32k : int)) in
   let unz_ref =
-    time_ops (fun () -> ignore (Lz.decompress_ref lz_c ~expected_len:32768 : string))
+    time_ops (fun () -> ignore (Purity_reference.Lz_ref.decompress lz_c ~expected_len:32768 : string))
   in
   let unz_fast =
     time_ops (fun () -> ignore (Lz.decompress lz_c ~expected_len:32768 : string))
   in
   let fp_ref =
-    time_ops (fun () -> ignore (Xxhash.hash63_ref random_32k ~pos:0 ~len:32768 : int))
+    time_ops (fun () -> ignore (Purity_reference.Xxhash_ref.hash63 random_32k ~pos:0 ~len:32768 : int))
   in
   let fp_fast =
     time_ops (fun () -> ignore (Xxhash.hash63 random_32k ~pos:0 ~len:32768 : int))

@@ -32,7 +32,6 @@ type t = {
   disk_free_at : float array;
   mutable rr : int;
   read_hist : Histogram.t;
-  write_hist : Histogram.t;
   (* write cache destage: sustained writes are bounded by spindle time *)
   mutable destage_backlog_us : float;
   mutable destage_drain_mark : float;
@@ -46,7 +45,6 @@ let create ?(config = default_config) ~clock ~seed () =
     disk_free_at = Array.make config.disks 0.0;
     rr = 0;
     read_hist = Histogram.create ();
-    write_hist = Histogram.create ();
     destage_backlog_us = 0.0;
     destage_drain_mark = 0.0;
   }
@@ -92,8 +90,6 @@ let write t ~bytes k =
     else 0.0
   in
   let latency = t.cfg.write_cache_us +. stall in
-  Histogram.record t.write_hist latency;
   Clock.schedule t.clock ~delay:latency k
 
 let read_lat t = t.read_hist
-let write_lat t = t.write_hist

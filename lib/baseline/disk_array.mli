@@ -22,16 +22,14 @@ type config = {
       (** fraction of spindle time reserved for destaging writes *)
 }
 
-val default_config : config
-(** 120 x 15k-RPM spindles (a mid-range shelf): 3.5 ms seek, 2 ms rotate,
-    180 MB/s media, 20% read-cache hits, 0.25 ms cached ops. *)
-
 type t
 
 val create : ?config:config -> clock:Purity_sim.Clock.t -> seed:int64 -> unit -> t
+(** The default config: 120 x 15k-RPM spindles (a mid-range shelf): 3.5
+    ms seek, 2 ms rotate, 180 MB/s media, 20% read-cache hits, 0.25 ms
+    cached ops. *)
 
 val read : t -> bytes:int -> (unit -> unit) -> unit
 val write : t -> bytes:int -> (unit -> unit) -> unit
 
 val read_lat : t -> Purity_util.Histogram.t
-val write_lat : t -> Purity_util.Histogram.t

@@ -27,6 +27,9 @@ val ecc_dimm : tier
 
 val relative_cost :
   tier -> baseline:tier -> object_bytes:int -> access_interval_s:float -> float
+[@@purity.lint.allow
+  "unused_export: test_workload's five_minute shapes and reduction-monotone tests \
+   probe the model at single intervals"]
 (** Figure 7's y-axis: cost on [tier] / cost on [baseline] (RAM). *)
 
 val crossover_interval_s :

@@ -29,6 +29,9 @@ val default_params : params
     busy I/O-bound OLTP system near its disk-era conflict ceiling. *)
 
 val rollback_probability : params -> storage_latency_s:float -> float
+[@@purity.lint.allow
+  "unused_export: test_workload's rollback zero-latency-floor test probes 0 ms, \
+   below the series"]
 (** Per-transaction rollback probability at the given storage latency. *)
 
 val series : params -> (float * float) list

@@ -27,8 +27,8 @@
     probes, 8-byte match extension, sequences written into a reusable
     {!scratch} buffer through an epoch-stamped hash table, so steady-state
     compression allocates nothing. It emits byte-identical output to the
-    retained original ({!compress_ref}); the property suite enforces
-    this. *)
+    original byte-at-a-time compressor, kept in purity.reference; the
+    property suite enforces this. *)
 
 type scratch
 (** Reusable compressor state: hash table plus worst-case output buffer.
@@ -56,17 +56,3 @@ val decompress : string -> expected_len:int -> string
     offset permits (short offsets are the RLE overlap case and stay
     byte-wise).
     @raise Invalid_argument on malformed input or length mismatch. *)
-
-val ratio : string -> float
-(** [ratio s] = original size / compressed size, a quick compressibility
-    probe used by workload-characterisation code. *)
-
-(** {2 Reference kernels} *)
-
-val compress_ref : string -> string
-(** The original Buffer-based byte-at-a-time compressor, with the same
-    skip trigger. {!compress} produces byte-identical output. *)
-
-val decompress_ref : string -> expected_len:int -> string
-(** The original byte-at-a-time decompressor; same results and same
-    error behaviour as {!decompress}. *)

@@ -29,15 +29,6 @@ let[@purity.lint.recovery_root] read buf ~pos ~len =
 
 let retractable = false
 
-let encode t =
-  let buf = Buffer.create 12 in
-  write buf t;
-  Buffer.contents buf
-
-let[@purity.lint.recovery_root] [@purity.lint.allow
-     "unsafe: decode-side view of an immutable encoded blockref"] decode s =
-  read (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
 let same_cblock a b = a.segment = b.segment && a.off = b.off
 
 let pp ppf t = Fmt.pf ppf "seg%d@%d+%d[%d]" t.segment t.off t.stored_len t.index

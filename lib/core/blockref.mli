@@ -23,10 +23,5 @@ include Purity_pyramid.Fact.VALUE with type t := t
 (** The on-media codec. A reference is never retracted: the block index
     elides whole mediums instead. *)
 
-val encode : t -> string
-
-val decode : string -> t option
-(** [None] unless the string is exactly some reference's {!encode}. *)
-
 val same_cblock : t -> t -> bool
 (** Do two references point into the same physical cblock? *)

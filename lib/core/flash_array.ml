@@ -276,11 +276,6 @@ let list_volumes t =
 
 let volume_exists t name = State.Stbl.mem t.st.volumes name
 
-let inferred_io_blocks t name =
-  match State.Stbl.find_opt t.st.volumes name with
-  | Some v -> Some (State.inferred_io_blocks v.State.observer)
-  | None -> None
-
 (* ---------- data path ---------- *)
 
 let write t ~volume ~block data k =
@@ -311,9 +306,6 @@ let scrub t k = Scrub.run t.st k
 let pull_drive t i = Shelf.pull_drive t.st.shelf i
 let reinsert_drive t i = Shelf.reinsert_drive t.st.shelf i
 let replace_drive t i = Shelf.replace_drive t.st.shelf i
-
-let inject_page_corruption t ~drive ~au ~page =
-  Drive.inject_page_corruption (Shelf.drive t.st.shelf drive) ~au ~page
 
 let rebuild_drive t drive k =
   let st = t.st in

@@ -85,13 +85,6 @@ val list_volumes : t -> (string * [ `Volume | `Snapshot ] * int) list
 
 val volume_exists : t -> string -> bool
 
-val inferred_io_blocks : t -> string -> int option
-(** §4.6: the volume's observed dominant write size (in 512 B blocks),
-    which the write path uses to size cblocks — "instead of having
-    administrators guess optimal block sizes, Purity infers optimal
-    transfer sizes by observing I/O requests". 64 (32 KiB) until enough
-    writes have been observed. *)
-
 (** {1 Data path} *)
 
 type write_error = [ Write_path.error | `Fenced ]
@@ -142,13 +135,6 @@ val rebuild_drive : t -> int -> (int -> unit) -> unit
 (** Relocate every segment that had a member on the given (failed or
     replaced) drive, restoring full 7+2 redundancy; the callback receives
     the number of segments rebuilt. *)
-
-val inject_page_corruption : t -> drive:int -> au:int -> page:int -> unit
-(** Deterministic fault injection: mark one flash page latently corrupt,
-    as if its charge had leaked (cleared when the AU is next erased). The
-    hook behind [purity.check]'s corruption faults; scrub and degraded
-    reads must repair around it. *)
-
 
 val crash : t -> unit
 (** Simulate controller loss: all volatile state is gone; the shelf

@@ -54,12 +54,6 @@ module Block = struct
   let pp ppf (m, b) = Fmt.pf ppf "(%d, %d)" m b
 end
 
-let block_key ~medium ~block = Block.to_string (medium, block)
-
-let[@purity.lint.recovery_root] [@purity.lint.allow
-     "unsafe: key codec: decode-side view of an immutable key"] parse_block_key k =
-  Block.read (Bytes.unsafe_of_string k) ~pos:0 ~len:(String.length k)
-
 let medium_key id = be64 id
 let medium_key_id k = read_be64 k 0
 

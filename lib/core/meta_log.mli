@@ -15,7 +15,7 @@
     [tag] is one byte naming the table (['B'], ['M'], ['S'] or ['V']); [fact] is
     the table's {!Purity_pyramid.Fact.S.encode}; [seq], [lo], [hi], [medium],
     [block] and [len] are LEB128 varints. A block-index fact is the
-    16-byte {!Keys.block_key} and the varint {!Blockref} in the same
+    16-byte {!Keys.Block} key and the varint {!Blockref} in the same
     framing as a string fact, so its bytes do not depend on the typed form
     the block index holds in memory. This module is the only one that
     encodes or decodes these records. Its decoders are total: a string

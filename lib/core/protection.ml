@@ -56,12 +56,6 @@ let protect t ~volume policy =
     Ok ()
   end
 
-let unprotect t ~volume =
-  (match Stbl.find_opt t.entries volume with
-  | Some e -> e.active <- false
-  | None -> ());
-  Stbl.remove t.entries volume
-
 let stop t = t.stopped <- true
 
 let snapshots t ~volume =

@@ -26,12 +26,9 @@ val protect : t -> volume:string -> policy -> (unit, [ `No_such_volume | `Alread
 (** Start snapshotting the volume on its cadence (first snapshot one
     period from now). *)
 
-val unprotect : t -> volume:string -> unit
-(** Stop scheduling; existing snapshots are kept. *)
-
 val stop : t -> unit
 (** Stop all scheduling (the ticker also stops when nothing is
-    protected). *)
+    protected); existing snapshots are kept. *)
 
 val snapshots : t -> volume:string -> string list
 (** Retained automatic snapshots, oldest first. *)

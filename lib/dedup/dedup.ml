@@ -86,7 +86,6 @@ let register t data =
   Registry.incr t.registered_writes;
   id
 
-let payload t ~write_id = Lru.find t.window write_id
 let forget t ~write_id = Lru.remove t.window write_id
 
 (* Word-wise verify: 512-byte blocks compare as 64 aligned word loads.

@@ -38,13 +38,9 @@ type config = {
   min_run : int;  (** discard runs shorter than this many blocks *)
 }
 
-val default_config : config
-(** 48-bit hashes, record 1/8, 4096-write window, min run 1. *)
-
-val block_size : int
-(** 512, the paper's dedup granularity. *)
-
 val create : ?config:config -> unit -> t
+(** The default config: 48-bit hashes, record 1/8, 4096-write window, min
+    run 1. Blocks are 512 B, the paper's dedup granularity. *)
 
 val register : t -> string -> int
 (** Add a write's payload to the index (recording sampled hashes) and
@@ -55,12 +51,17 @@ val find_duplicates : t -> string -> hit list
     the recency window, in block order. Does not register the payload. *)
 
 val forget : t -> write_id:int -> unit
-(** Drop a write from the verification window (its hashes age out
-    naturally). *)
-
-val payload : t -> write_id:int -> string option
+(** Drop a write from the verification window. Its anchors stay in the
+    index: an anchor leaves only when a later {!register} finds four or
+    more anchors in its hash bucket and drops the whole bucket, so the
+    index keeps about one anchor per [record_every] blocks registered
+    since {!create}, those of writes the window no longer holds included
+    (a hit on one fails verification and costs only the lookup). *)
 
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
+[@@purity.lint.allow
+  "unused_export: test_dedup's counters helper reads the index's hash, \
+   verification and false-positive counts through it"]
 (** Attach the index's counters under [dedup/]: [registered_writes],
     [recorded_hashes], [lookups], [hash_hits], [verified_hits],
     [false_positives] (hash matched, bytes differed) and

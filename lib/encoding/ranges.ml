@@ -10,7 +10,6 @@
 type t = int array
 
 let empty = [||]
-let is_empty t = Array.length t = 0
 let range_count t = Array.length t / 2
 let lo_of t i = t.(2 * i)
 let hi_of t i = t.((2 * i) + 1)
@@ -49,8 +48,6 @@ let add_range t ~lo ~hi =
   Array.blit t (2 * j) out ((2 * i) + 2) (2 * (n - j));
   out
 
-let add t v = add_range t ~lo:v ~hi:v
-
 (* In ascending order. *)
 let fold f t init =
   let acc = ref init in
@@ -59,9 +56,6 @@ let fold f t init =
   done;
   !acc
 
-let cardinal t = fold (fun ~lo ~hi acc -> acc + (hi - lo + 1)) t 0
-let to_list t = List.rev (fold (fun ~lo ~hi acc -> (lo, hi) :: acc) t [])
-let of_list l = List.fold_left (fun acc (lo, hi) -> add_range acc ~lo ~hi) empty l
 let union a b = fold (fun ~lo ~hi acc -> add_range acc ~lo ~hi) a b
 
 let encode t =

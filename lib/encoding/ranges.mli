@@ -10,10 +10,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
-
-val add : t -> int -> t
-(** Insert a single id, merging with neighbours. *)
 
 val add_range : t -> lo:int -> hi:int -> t
 (** Insert an inclusive range ([lo <= hi]). The set is one flat array,
@@ -28,19 +24,11 @@ val mem : t -> int -> bool
 (** A binary search over the ranges that allocates nothing: every merge,
     flatten and lookup asks it for each fact it meets. *)
 
-val cardinal : t -> int
-(** Total ids covered. *)
-
 val range_count : t -> int
 (** Number of stored ranges — the space the elide table actually uses.
     The paper's bound: never more than the number of live tuples. *)
 
 val union : t -> t -> t
-val to_list : t -> (int * int) list
-(** Sorted disjoint inclusive ranges. *)
-
-val of_list : (int * int) list -> t
-
 val fold : (lo:int -> hi:int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over the ranges in ascending order. *)
 

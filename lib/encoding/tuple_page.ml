@@ -19,8 +19,6 @@ type t = {
   header_bytes : int;
 }
 
-let arity t = t.arity
-let count t = t.count
 let bits_per_tuple t = t.tuple_bits
 
 let ceil_log2 n =
@@ -165,8 +163,6 @@ let field_value t i f =
 let get t i =
   if i < 0 || i >= t.count then invalid_arg "Tuple_page.get";
   Array.init t.arity (fun f -> field_value t i f)
-
-let to_list t = List.init t.count (get t)
 
 (* All compressed encodings of [value] in this field: (x, o) pairs packed
    as they appear in the bit stream. A value may be reachable from several

@@ -20,17 +20,9 @@ val encode : arity:int -> int64 array list -> t
     [0, 2^57)) into a page, choosing per-field dictionaries that minimise
     total page size. The input order is preserved. *)
 
-val arity : t -> int
-val count : t -> int
 val bits_per_tuple : t -> int
 val size_bytes : t -> int
 (** Page size: header plus packed body. *)
-
-val get : t -> int -> int64 array
-(** Decode tuple [i]. *)
-
-val to_list : t -> int64 array list
-(** Decode the whole page. *)
 
 val scan : t -> field:int -> value:int64 -> int list
 (** Indices of tuples whose [field] equals [value], found by comparing

@@ -10,8 +10,6 @@ val add : int -> int -> int
 (** Addition = XOR. Arguments and results are field elements in 0–255. *)
 
 val mul : int -> int -> int
-val div : int -> int -> int
-(** @raise Division_by_zero if the divisor is 0. *)
 
 val inv : int -> int
 (** Multiplicative inverse. @raise Division_by_zero on 0. *)

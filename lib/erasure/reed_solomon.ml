@@ -121,21 +121,6 @@ let encode_ref t data =
         data;
       out)
 
-let encode_string t s ~shard_size =
-  if shard_size <= 0 then invalid_arg "Reed_solomon.encode_string";
-  if String.length s > t.k * shard_size then
-    invalid_arg "Reed_solomon.encode_string: buffer too large";
-  let data =
-    Array.init t.k (fun i ->
-        let b = Bytes.make shard_size '\000' in
-        let pos = i * shard_size in
-        let avail = max 0 (min shard_size (String.length s - pos)) in
-        if avail > 0 then Bytes.blit_string s pos b 0 avail;
-        b)
-  in
-  let parity = encode t data in
-  Array.append (Array.map Bytes.to_string data) (Array.map Bytes.to_string parity)
-
 (* The first k present shards, with their indices: the survivors both
    decoders solve from. *)
 let survivors t shards =
@@ -181,5 +166,3 @@ let reconstruct_shard t shards i =
   let out = Bytes.make size '\000' in
   Array.iteri (fun j src -> Gf256.mul_slice row.(j) ~src ~dst:out) srcs;
   out
-
-let parity_overhead t = float_of_int t.m /. float_of_int t.k

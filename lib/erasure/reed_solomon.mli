@@ -29,10 +29,6 @@ val encode_ref : t -> bytes array -> bytes array
 (** The original row-major byte-at-a-time encode, retained as the
     reference {!encode} is property-tested against. Same results. *)
 
-val encode_string : t -> string -> shard_size:int -> string array
-(** Convenience: split a buffer into [k] shards of [shard_size] (padding
-    the tail with zeros), encode, and return all [k + m] shards. *)
-
 val decode : t -> (bytes option) array -> bytes array
 (** [decode t shards] takes the [k + m] shard slots with [None] marking
     erasures and returns the [k] data shards. At most [m] slots may be
@@ -42,7 +38,3 @@ val decode : t -> (bytes option) array -> bytes array
 val reconstruct_shard : t -> (bytes option) array -> int -> bytes
 (** Rebuild just shard [i] (data or parity) from the survivors; used for
     single-drive rebuild and reconstruct-reads. *)
-
-val parity_overhead : t -> float
-(** [m / k]: space overhead of the code (7+2 → ~0.29, versus 1.0 for the
-    mirrored pairs disk arrays use). *)

@@ -68,9 +68,7 @@ val drop : t -> int -> unit
     caller elides its data facts. @raise Invalid_argument if other
     mediums still reference it. *)
 
-val status : t -> int -> status option
 val exists : t -> int -> bool
-val size_blocks : t -> int -> int
 val live_mediums : t -> int list
 
 val count : t -> int

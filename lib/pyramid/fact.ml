@@ -18,9 +18,6 @@ module Make (K : KEY) (V : VALUE) = struct
     let c = K.compare a.key b.key in
     if c <> 0 then c else Int64.compare b.seq a.seq
 
-  let equal a b =
-    K.equal a.key b.key && Option.equal V.equal a.value b.value && Int64.equal a.seq b.seq
-
   let encode buf t =
     Varint.write_i64 buf t.seq;
     Varint.write buf (K.size t.key);
@@ -54,11 +51,6 @@ module Make (K : KEY) (V : VALUE) = struct
       | Some v -> ({ key; value = Some v; seq }, p + vlen)
       | None -> invalid_arg "Fact.decode: bad value")
     | _ -> invalid_arg "Fact.decode: bad tag"
-
-  let pp ppf t =
-    match t.value with
-    | Some v -> Fmt.pf ppf "@[<h>%a=%a@%Ld@]" K.pp t.key V.pp v t.seq
-    | None -> Fmt.pf ppf "@[<h>%a=⊥@%Ld@]" K.pp t.key t.seq
 end
 
 module Str = struct

@@ -59,8 +59,6 @@ module type S = sig
   (** Order by key ascending, then sequence number descending — the patch
       layout order, which puts the newest fact for a key first. *)
 
-  val equal : t -> t -> bool
-
   val encode : Buffer.t -> t -> unit
   (** Append a self-framing binary encoding (used in NVRAM payloads, segment
       log records and patches): [seq . klen . key . tag . (vlen . value)],
@@ -71,6 +69,4 @@ module type S = sig
   (** Parse one encoded fact; returns it and the offset just past it.
       @raise Invalid_argument on truncated input, on a key or value its
       codec rejects, and on a tombstone of a non-retractable table. *)
-
-  val pp : t Fmt.t
 end

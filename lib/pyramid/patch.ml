@@ -111,7 +111,6 @@ module Make (F : Fact.S) = struct
     let n = Array.length a in
     n > 0 && K.compare (a.(0)).F.key hi <= 0 && K.compare lo (a.(n - 1)).F.key <= 0
 
-  let bloom_admits t key = (not (has_bloom t)) || Bloom.mem_hashed (filter_of t) (K.hash_pair key)
 
   (* One key is tested against every patch on the lookup path: hash once,
      probe each filter with the digests. *)
@@ -137,8 +136,6 @@ module Make (F : Fact.S) = struct
     if i < Array.length t.facts && K.equal (t.facts.(i)).F.key key then Some t.facts.(i)
     else None
 
-  let iter t f = Array.iter f t.facts
-  let to_list t = Array.to_list t.facts
 
   (* One lower_bound, then a sequential walk: the batched-resolution
      primitive. [f] sees every fact with lo <= key <= hi in order. *)

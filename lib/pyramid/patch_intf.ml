@@ -45,21 +45,11 @@ module type S = sig
   val fence_overlaps : t -> lo:Fact.key -> hi:Fact.key -> bool
   (** Could any key in [lo, hi] fall inside this patch's key range? *)
 
-  val bloom_admits : t -> Fact.key -> bool
-  (** [false] proves the key is absent; [true] means "probe the patch"
-      (always [true] for small patches, which carry no filter). *)
-
   val bloom_admits_hashed : t -> (int * int) lazy_t -> bool
-  (** [bloom_admits] with the key's [Fact.Key.hash_pair] computed at most
-      once across a whole patch stack (forced only if some patch has a
-      filter). *)
-
-  val has_bloom : t -> bool
-
-  val iter : t -> (Fact.t -> unit) -> unit
-  (** In patch order. *)
-
-  val to_list : t -> Fact.t list
+  (** Given the key's [Fact.Key.hash_pair], computed at most once across a
+      whole patch stack (forced only if some patch has a filter): [false]
+      proves the key is absent; [true] means "probe the patch" (always
+      [true] for small patches, which carry no filter). *)
 
   val iter_run : t -> lo:Fact.key -> hi:Fact.key -> (Fact.t -> unit) -> unit
   (** Visit facts with [lo <= key <= hi] in patch order: one lower_bound

@@ -182,11 +182,6 @@ module Make (P : Patch.S) = struct
   let find t key = resolve_fact t (latest_fact t key)
   let find_naive t key = resolve_fact t (latest_fact_naive t key)
 
-  let find_ignoring_retractions t key =
-    match latest_fact t key with
-    | Some f when not (Fact.is_tombstone f) -> f.Fact.value
-    | Some _ | None -> None
-
   (* Batched lookup for [n] consecutive keys: one lower_bound then a
      sequential walk per patch, instead of n independent binary searches.
      [key_of i] names slot i's key (keys must be ascending in i); [index]
@@ -275,7 +270,6 @@ module Make (P : Patch.S) = struct
     iter_live t (fun ~key:_ ~value:_ -> incr n);
     !n
 
-  let memtable_size t = t.memtable_count
   let elide_table t = t.elide_ranges
   let elide_range_count t = Ranges.range_count t.elide_ranges
   let max_seq t = t.max_seq

@@ -49,7 +49,10 @@ module type S = sig
 
   val latest_fact : t -> key -> fact option
   (** The newest fact for a key, tombstones and elided facts included:
-      [None] only when the table holds no fact about the key at all. *)
+      [None] only when the table holds no fact about the key at all. Its
+      value is the paper's relaxed consistency read, which "simply ignores
+      retractions, allowing [readers] to observe tuples that no longer
+      exist". *)
 
   val find_naive : t -> key -> value option
   (** Reference implementation of {!find} that probes every patch with the
@@ -69,11 +72,6 @@ module type S = sig
   val resolve_fact : t -> fact option -> value option
   (** Apply tombstone/elide filtering to a looked-up fact (e.g. a
       {!find_run} slot), yielding its live value. *)
-
-  val find_ignoring_retractions : t -> key -> value option
-  (** The paper's relaxed consistency mode: "readers are allowed to run in a
-      relaxed consistency mode that simply ignores retractions, allowing
-      them to observe tuples that no longer exist." *)
 
   val iter_live : t -> (key:key -> value:value -> unit) -> unit
   (** Visit each key's latest live value, in key order. *)
@@ -106,7 +104,6 @@ module type S = sig
   (** Stored facts across memtable and patches, including shadowed ones. *)
 
   val live_key_count : t -> int
-  val memtable_size : t -> int
   val elide_table : t -> Purity_encoding.Ranges.t
   val elide_range_count : t -> int
   val max_seq : t -> int64

@@ -6,12 +6,6 @@ let next t =
   t.last <- Int64.add t.last 1L;
   t.last
 
-let next_batch t n =
-  if n <= 0 then invalid_arg "Seqno.next_batch";
-  let first = Int64.add t.last 1L in
-  t.last <- Int64.add t.last (Int64.of_int n);
-  (first, t.last)
-
 let current t = t.last
 
 let restore_at_least t seq =

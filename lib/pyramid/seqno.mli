@@ -15,11 +15,6 @@ val create : unit -> t
 val next : t -> int64
 (** Allocate one sequence number. *)
 
-val next_batch : t -> int -> int64 * int64
-(** [next_batch t n] allocates [n] consecutive numbers and returns
-    [(first, last)]; a persist operation stamps a whole batch of tuples
-    this way (§4.8). [n] must be positive. *)
-
 val current : t -> int64
 (** Highest number allocated so far (0 if none). *)
 

@@ -66,8 +66,6 @@ let protect t name =
     Ok ()
   end
 
-let unprotect t name = Hashtbl.remove t.volumes name
-
 (* Delta machinery shared with the synchronous ActiveCluster layer
    (lib/activecluster): both replication flavours reduce "what must cross
    the wire" to sorted block lists and consecutive runs. *)

@@ -28,13 +28,6 @@
     "what must cross the wire" to sorted block lists and consecutive
     runs. *)
 module Delta : sig
-  val snap_medium : Purity_core.State.t -> string -> int option
-  (** The frozen medium a snapshot handle references. *)
-
-  val changed_blocks : Purity_core.State.t -> int list -> int list
-  (** Sorted blocks with live facts in any of the given mediums, read off
-      the block index (no full-volume scan). *)
-
   val live_blocks : Purity_core.State.t -> medium:int -> blocks:int -> int list
   (** Sorted blocks the medium resolves anywhere in its chain — the
       initial-sync block list, via one batched range resolution. *)
@@ -67,8 +60,6 @@ val create :
 val protect : t -> string -> (unit, [ `No_such_volume | `Already ]) result
 (** Start protecting a source volume. The target volume (same name) is
     created on first cycle if absent. *)
-
-val unprotect : t -> string -> unit
 
 type cycle_report = {
   volume : string;

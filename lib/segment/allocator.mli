@@ -36,6 +36,9 @@ val release : t -> Segment.member array -> unit
     trims them); they re-enter circulation at the next frontier refill. *)
 
 val free_au_count : t -> int
+[@@purity.lint.allow
+  "unused_export: test_segment's allocator release-recycles and frontier-roundtrip \
+   tests count free AUs"]
 val used_au_count : t -> int
 
 val is_used : t -> Segment.member -> bool

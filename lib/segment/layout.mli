@@ -26,9 +26,6 @@ val make : ?k:int -> ?m:int -> ?write_unit:int -> ?header_size:int -> au_size:in
 val members : t -> int
 (** [k + m]. *)
 
-val rows : t -> int
-(** Write-unit rows per shard. *)
-
 val payload_capacity : t -> int
 (** Application-payload bytes one segment can hold: [k * rows * write_unit]. *)
 

@@ -111,10 +111,6 @@ let decode_header page =
     | None | exception Invalid_argument _ -> None
   end
 
-let pp ppf t =
-  Fmt.pf ppf "@[<h>segment %d (%d members, payload=%d, log=%d@%d, seq=[%Ld,%Ld])@]" t.id
-    (Array.length t.members) t.payload_len t.log_len t.log_off t.seq_lo t.seq_hi
-
 let encode_compact t = encode_meta t ~shard:0
 
 (* A compact value is shard 0's meta and nothing after it, so whatever

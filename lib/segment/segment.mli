@@ -40,5 +40,3 @@ val decode_compact : string -> t option
 (** Total: [None] unless [s] is exactly one {!encode_compact} image
     (shard 0, shortest varints, no trailing bytes), so a decoded value
     re-encodes to [s]. *)
-
-val pp : t Fmt.t

@@ -32,6 +32,8 @@ val step : t -> bool
 (** Dispatch the single earliest event. Returns false if none is queued. *)
 
 val pending : t -> int
+[@@purity.lint.allow
+  "unused_export: test_sim's run_until counts the events left queued"]
 (** Number of queued events. *)
 
 val advance : t -> float -> unit

@@ -91,6 +91,8 @@ val au_fill : t -> au:int -> int
 (** Bytes currently written in the AU. *)
 
 val au_pe_count : t -> au:int -> int
+[@@purity.lint.allow
+  "unused_export: test_ssd's drive trim-resets-and-wears test reads one AU's wear"]
 
 val busy_writing : t -> bool
 (** True while any die is executing a program or erase — the scheduler

@@ -36,8 +36,6 @@ type t = {
   gc_relocations : Registry.counter;
 }
 
-let default_config = default_config
-
 let create ?(config = default_config) () =
   let physical_pages = config.num_blocks * config.pages_per_block in
   let host_page_count =

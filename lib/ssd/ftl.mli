@@ -26,8 +26,6 @@ type config = {
   gc_low_watermark : int;  (** free blocks that trigger GC *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> unit -> t

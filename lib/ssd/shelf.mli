@@ -24,9 +24,6 @@ val drive : t -> int -> Drive.t
 val drives : t -> Drive.t array
 val nvram : t -> Nvram.t
 
-val online_drives : t -> int list
-(** Indices of drives currently serving I/O. *)
-
 val physical_bytes : t -> int
 (** Raw capacity across all drives. *)
 

@@ -6,27 +6,14 @@ type t = {
   clock : Clock.t;
   registry : Registry.t;
   tracer : Span.tracer option;
-  interval_us : float;
   array_id : string;
   sink : sink;
-  mutable running : bool;
   mutable seq : int;
   mutable emitted : int;
 }
 
-let create ?(interval_us = 1e6) ?(array_id = "array0") ?tracer ~clock ~registry ~sink () =
-  if interval_us <= 0.0 then invalid_arg "Export.create: interval must be positive";
-  {
-    clock;
-    registry;
-    tracer;
-    interval_us;
-    array_id;
-    sink;
-    running = false;
-    seq = 0;
-    emitted = 0;
-  }
+let create ?(array_id = "array0") ?tracer ~clock ~registry ~sink () =
+  { clock; registry; tracer; array_id; sink; seq = 0; emitted = 0 }
 
 let json_of_value = function
   | Registry.Int n -> Json.Int n
@@ -95,20 +82,6 @@ let sample t =
             ("metrics", json_of_snapshot (Registry.snapshot t.registry));
           ]))
 
-let rec tick t =
-  Clock.schedule t.clock ~delay:t.interval_us (fun () ->
-      if t.running then begin
-        sample t;
-        tick t
-      end)
-
-let start t =
-  if not t.running then begin
-    t.running <- true;
-    tick t
-  end
-
-let stop t = t.running <- false
 let emitted t = t.emitted
 
 let buffer_sink buf line =

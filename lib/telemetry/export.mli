@@ -1,9 +1,9 @@
-(** Phone-home exporter: periodic JSONL snapshots of a registry.
+(** Phone-home exporter: JSONL snapshots of a registry.
 
     The paper's headline numbers (latency percentiles, 5.4× reduction,
     99.999% availability) come from logs phoned home by deployed arrays
     and aggregated fleet-wide (§1, §5). This exporter mirrors that
-    methodology in the simulator: on a clock timer it samples the metrics
+    methodology in the simulator: each {!sample} reads the metrics
     registry (and drains the span ring, if a tracer is attached) and
     emits one self-describing JSON object per line to a pluggable sink.
 
@@ -19,7 +19,6 @@ type sink = string -> unit
 type t
 
 val create :
-  ?interval_us:float ->
   ?array_id:string ->
   ?tracer:Span.tracer ->
   clock:Purity_sim.Clock.t ->
@@ -27,19 +26,12 @@ val create :
   sink:sink ->
   unit ->
   t
-(** [interval_us] defaults to 1e6 (one simulated second); [array_id]
-    (default ["array0"]) labels every line, standing in for the fleet's
-    array serial number. *)
+(** [array_id] (default ["array0"]) labels every line, standing in for
+    the fleet's array serial number; [ts_us] is the clock's time. *)
 
 val sample : t -> unit
 (** Emit one snapshot line now (plus one line per drained span). *)
 
-val start : t -> unit
-(** Begin periodic sampling on the clock. Each tick reschedules the next,
-    so drive the clock with [run_until] (not [run], which would chase the
-    timer forever) and call {!stop} when done. *)
-
-val stop : t -> unit
 val emitted : t -> int
 (** Total lines emitted (snapshots + spans). *)
 

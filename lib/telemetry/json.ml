@@ -59,4 +59,3 @@ let to_string j =
   add buf j;
   Buffer.contents buf
 
-let pp ppf j = Fmt.string ppf (to_string j)

@@ -17,5 +17,3 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. Non-finite floats serialise as [null]
     (JSON has no NaN/Infinity); strings are escaped per RFC 8259. *)
-
-val pp : t Fmt.t

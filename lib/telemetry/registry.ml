@@ -65,8 +65,6 @@ let incr c = Stdlib.incr c
 let add c n = c := !c + n
 let value c = !c
 
-let mem t key = Hashtbl.mem t.metrics key
-
 let read_int t key =
   match Hashtbl.find_opt t.metrics key with
   | Some (Counter c) -> !c
@@ -146,12 +144,6 @@ let snapshot t =
          (key, v))
 
 let find snap key = List.assoc_opt key snap
-
-let filter_prefix snap ~prefix =
-  let slash = prefix ^ "/" in
-  List.filter
-    (fun (k, _) -> String.equal k prefix || String.starts_with ~prefix:slash k)
-    snap
 
 let diff_hist ~base ~current =
   let base_count bound =

@@ -71,14 +71,9 @@ val value : counter -> int
 
 (** {1 Introspection} *)
 
-val mem : t -> string -> bool
-
 val read_int : t -> string -> int
 (** The current value of a counter or derived-int key.
     @raise Not_found if the key is absent or holds another family. *)
-
-val keys : t -> string list
-(** All registered keys, sorted. *)
 
 (** {1 Snapshots} *)
 
@@ -104,9 +99,6 @@ val snapshot : t -> snapshot
 
 val find : snapshot -> string -> value_snapshot option
 
-val filter_prefix : snapshot -> prefix:string -> snapshot
-(** Entries whose key is [prefix] or starts with [prefix ^ "/"]. *)
-
 val diff : base:snapshot -> current:snapshot -> snapshot
 (** Activity between two snapshots of the same registry: counters and
     histogram buckets subtract (percentiles are recomputed over the
@@ -114,6 +106,10 @@ val diff : base:snapshot -> current:snapshot -> snapshot
     Keys absent from [base] pass through unchanged. *)
 
 val reset : t -> unit
+[@@purity.lint.allow
+  "unused_export: test_segment's read_beside_flush, test_ssd's drive \
+   telemetry and test_telemetry's reset/adopted-counter tests zero counts \
+   between phases"]
 (** Zero all counters (adopted cells too) and clear all histograms.
     Derived metrics are levels over live state and are left alone. *)
 

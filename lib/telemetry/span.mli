@@ -41,17 +41,13 @@ val tags : t -> (string * string) list
 
 (** {1 The ring buffer} *)
 
-val finished : tracer -> t list
-(** Finished spans still in the ring, oldest first. *)
-
 val drain : tracer -> t list
-(** [finished] + empty the ring — what a periodic exporter calls. *)
+(** The finished spans still in the ring, oldest first, emptying it —
+    what an exporter's sample calls. *)
 
 val dropped : tracer -> Registry.counter
 (** Finished spans evicted by ring overflow since creation: a cell the
     tracer owns, for a registry to adopt. *)
-
-val clear : tracer -> unit
 
 val set_sink : tracer -> (t -> unit) option -> unit
 (** Called synchronously on every {!finish}; [None] uninstalls. *)

@@ -33,29 +33,18 @@ module Writer = struct
       t.bits <- t.bits + width
     end
 
-  let bit_length t = t.bits
-
-  let align_byte t =
-    let rem = t.bits mod 8 in
-    if rem <> 0 then begin
-      ensure t (8 - rem);
-      t.bits <- t.bits + (8 - rem)
-    end
-
   let contents t = Bytes.sub t.buf 0 ((t.bits + 7) / 8)
 end
 
 module Reader = struct
-  type t = { buf : Bytes.t; padded : Bytes.t; len_bits : int; mutable cursor : int }
+  type t = { padded : Bytes.t; len_bits : int }
 
   (* Pad with 8 trailing zero bytes so [get] can always do an aligned
      8-byte load without bounds checks near the end. *)
   let create buf =
     let padded = Bytes.make (Bytes.length buf + 8) '\000' in
     Bytes.blit buf 0 padded 0 (Bytes.length buf);
-    { buf; padded; len_bits = 8 * Bytes.length buf; cursor = 0 }
-
-  let of_string s = create (Bytes.of_string s)
+    { padded; len_bits = 8 * Bytes.length buf }
 
   let get t ~at ~width =
     assert (width >= 0 && width <= max_width);
@@ -66,12 +55,4 @@ module Reader = struct
       let word = Bytes.get_int64_le t.padded byte in
       Int64.logand (Int64.shift_right_logical word off) (mask width)
     end
-
-  let read t ~width =
-    let v = get t ~at:t.cursor ~width in
-    t.cursor <- t.cursor + width;
-    v
-
-  let pos t = t.cursor
-  let bit_length t = t.len_bits
 end

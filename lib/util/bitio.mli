@@ -14,10 +14,6 @@ module Writer : sig
   (** Append the low [width] (0–57) bits of the value. Width 0 is a no-op,
       mirroring the paper's "W can be 0" degenerate encoding. *)
 
-  val bit_length : t -> int
-  val align_byte : t -> unit
-  (** Pad with zero bits to the next byte boundary. *)
-
   val contents : t -> bytes
   (** Snapshot of the written bytes (final partial byte zero-padded). *)
 end
@@ -26,15 +22,8 @@ module Reader : sig
   type t
 
   val create : bytes -> t
-  val of_string : string -> t
 
   val get : t -> at:int -> width:int -> int64
   (** Random-access read of [width] (0–57) bits starting at bit offset
-      [at]. Does not move the cursor. *)
-
-  val read : t -> width:int -> int64
-  (** Sequential read at the cursor; advances it. *)
-
-  val pos : t -> int
-  val bit_length : t -> int
+      [at]. *)
 end

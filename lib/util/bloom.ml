@@ -10,7 +10,6 @@ type t = {
   bits : Bytes.t;
   nbits : int;
   k : int; (* probes per key *)
-  mutable entries : int;
 }
 
 let seed2 = 0x9E3779B97F4A7C15L
@@ -28,7 +27,7 @@ let[@purity.lint.allow
     let ideal = Float.round (float_of_int nbits /. float_of_int n *. log 2.) in
     min 16 (max 1 (int_of_float ideal))
   in
-  { bits = Bytes.make nbytes '\000'; nbits; k; entries = 0 }
+  { bits = Bytes.make nbytes '\000'; nbits; k }
 
 let set_bit bits i =
   let byte = i lsr 3 and bit = i land 7 in
@@ -54,10 +53,7 @@ let add_hashed t (h1, h2) =
     set_bit t.bits !idx;
     idx := !idx + step;
     if !idx >= m then idx := !idx - m
-  done;
-  t.entries <- t.entries + 1
-
-let add t key = add_hashed t (hash_pair key)
+  done
 
 let mem_hashed t (h1, h2) =
   let m = t.nbits in
@@ -72,18 +68,3 @@ let mem_hashed t (h1, h2) =
      done
    with Exit -> hit := false);
   !hit
-
-let mem t key = mem_hashed t (hash_pair key)
-
-let entries t = t.entries
-
-let fill_ratio t =
-  let set = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let b = Char.code c in
-      for i = 0 to 7 do
-        if b land (1 lsl i) <> 0 then incr set
-      done)
-    t.bits;
-  float_of_int !set /. float_of_int t.nbits

@@ -1,12 +1,10 @@
 (* CRC-32C with the Castagnoli polynomial (reflected 0x82F63B78).
 
-   Two kernels share one set of tables:
-   - [update] is the production kernel: slicing-by-8 over
-     [Bytes.get_int64_le], all arithmetic in untagged [int] (the 64-bit
-     word is split into two exact 32-bit halves, so no [Int32] boxing and
-     no lost bit 63). Eight bytes cost eight table lookups and one load.
-   - [update_ref] is the original byte-at-a-time [Int32] kernel, kept as
-     the reference the fast path is property-tested against.
+   [update] is slicing-by-8 over [Bytes.get_int64_le], all arithmetic in
+   untagged [int] (the 64-bit word is split into two exact 32-bit halves,
+   so no [Int32] boxing and no lost bit 63). Eight bytes cost eight table
+   lookups and one load. The original byte-at-a-time [Int32] kernel, the
+   reference it is property-tested against, lives in purity.reference.
 
    Tables are built eagerly at module init: [lazy] put a force (and a
    branch) on every call of a kernel that runs on every stored byte. *)
@@ -81,27 +79,3 @@ let digest buf ~pos ~len = update 0l buf ~pos ~len
 
 let digest_string s =
   update 0l (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-(* ---------- reference kernel (original implementation) ---------- *)
-
-let table_ref =
-  let t = Array.make 256 0l in
-  for n = 0 to 255 do
-    t.(n) <- Int32.of_int table.(0).(n)
-  done;
-  t
-
-let update_ref crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Crc32c.update_ref";
-  let t = table_ref in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Bytes.get_uint8 buf i))) 0xFFl)
-    in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
-let digest_ref buf ~pos ~len = update_ref 0l buf ~pos ~len

@@ -6,9 +6,8 @@
     pages").
 
     The production kernel is slicing-by-8 over 64-bit little-endian loads
-    with untagged [int] arithmetic; the original byte-at-a-time [Int32]
-    kernel is retained as [update_ref]/[digest_ref] and the two are
-    property-tested bit-identical. *)
+    with untagged [int] arithmetic, property-tested bit-identical to the
+    original byte-at-a-time [Int32] kernel kept in purity.reference. *)
 
 val digest : bytes -> pos:int -> len:int -> int32
 (** Checksum of a byte slice. @raise Invalid_argument on a bad range. *)
@@ -19,10 +18,3 @@ val digest_string : string -> int32
 val update : int32 -> bytes -> pos:int -> len:int -> int32
 (** Incremental update: [update crc buf ~pos ~len] extends a running
     checksum previously returned by {!digest} or {!update}. *)
-
-(** {2 Reference kernel} *)
-
-val update_ref : int32 -> bytes -> pos:int -> len:int -> int32
-(** The original byte-at-a-time kernel; same results as {!update}. *)
-
-val digest_ref : bytes -> pos:int -> len:int -> int32

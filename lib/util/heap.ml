@@ -7,7 +7,6 @@ type 'a t = {
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -73,11 +72,3 @@ let pop t =
     else t.data <- [||];
     Some top
   end
-
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
-let to_list t =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
-  go (t.size - 1) []

@@ -7,14 +7,9 @@ type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the minimum. The vacated slot is overwritten and
     the backing array shrunk at quarter occupancy, so retained memory is
     bounded by the live contents, not the high-water mark. *)
-
-val clear : 'a t -> unit
-val to_list : 'a t -> 'a list
-(** Elements in arbitrary (heap) order; the heap is unchanged. *)

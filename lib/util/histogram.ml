@@ -44,15 +44,13 @@ let bound_of i =
     float_of_int (((sub lor sub_count) lsl shift) lor ((1 lsl shift) - 1))
   end
 
-let record_n t v n =
+let record t v =
   let v = if Float.is_nan v || v < 0.0 then 0.0 else v in
   let i = min (bucket_count - 1) (index_of v) in
-  t.buckets.(i) <- t.buckets.(i) + n;
-  t.total <- t.total + n;
-  t.sum <- t.sum +. (v *. float_of_int n);
+  t.buckets.(i) <- t.buckets.(i) + 1;
+  t.total <- t.total + 1;
+  t.sum <- t.sum +. v;
   if v > t.max_seen then t.max_seen <- v
-
-let record t v = record_n t v 1
 
 let count t = t.total
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
@@ -81,19 +79,6 @@ let to_buckets t =
     if t.buckets.(i) > 0 then acc := (bound_of i, t.buckets.(i)) :: !acc
   done;
   !acc
-
-let quantiles t qs =
-  List.map
-    (fun q ->
-      if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantiles: q outside [0, 1]";
-      percentile t (q *. 100.0))
-    qs
-
-let merge_into ~src ~dst =
-  Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
-  if src.max_seen > dst.max_seen then dst.max_seen <- src.max_seen
 
 let clear t =
   Array.fill t.buckets 0 bucket_count 0;

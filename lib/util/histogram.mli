@@ -16,9 +16,6 @@ val create : unit -> t
 val record : t -> float -> unit
 (** Record a non-negative sample (values < 1 count in the first bucket). *)
 
-val record_n : t -> float -> int -> unit
-(** Record the same sample [n] times. *)
-
 val count : t -> int
 (** Number of recorded samples. *)
 
@@ -38,14 +35,6 @@ val to_buckets : t -> (float * int) list
     order — the serialisation the telemetry exporter ships, from which the
     distribution (and any percentile) can be reconstructed without access
     to this module's internals. Empty buckets are omitted. *)
-
-val quantiles : t -> float list -> float list
-(** [quantiles t qs] for quantile fractions in [\[0, 1\]]: each result is
-    [percentile t (q *. 100.)]. @raise Invalid_argument outside the
-    range. *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Add all of [src]'s samples into [dst]. *)
 
 val clear : t -> unit
 

@@ -6,11 +6,8 @@ module type S = sig
 
   val create : capacity:int -> 'v t
   val find : 'v t -> key -> 'v option
-  val mem : 'v t -> key -> bool
   val add : 'v t -> key -> 'v -> unit
   val remove : 'v t -> key -> unit
-  val length : 'v t -> int
-  val clear : 'v t -> unit
   val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 end
 
@@ -61,8 +58,6 @@ module Make (H : Hashtbl.HashedType) = struct
       push_front t node;
       Some node.value
 
-  let mem t k = Tbl.mem t.table k
-
   let remove t k =
     match Tbl.find_opt t.table k with
     | None -> ()
@@ -88,13 +83,6 @@ module Make (H : Hashtbl.HashedType) = struct
       let node = { key = k; value = v; prev = None; next = None } in
       Tbl.replace t.table k node;
       push_front t node
-
-  let length t = Tbl.length t.table
-
-  let clear t =
-    Tbl.reset t.table;
-    t.head <- None;
-    t.tail <- None
 
   let fold f t init =
     let rec go acc = function

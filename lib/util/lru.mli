@@ -16,15 +16,10 @@ module type S = sig
   val find : 'v t -> key -> 'v option
   (** Lookup; promotes the entry to most-recently-used on hit. *)
 
-  val mem : 'v t -> key -> bool
-  (** Membership test without promotion. *)
-
   val add : 'v t -> key -> 'v -> unit
   (** Insert or overwrite; evicts the least-recently-used entry when full. *)
 
   val remove : 'v t -> key -> unit
-  val length : 'v t -> int
-  val clear : 'v t -> unit
 
   val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
   (** Fold over entries in most-recently-used-first order. No order

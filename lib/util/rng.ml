@@ -31,10 +31,6 @@ let float t bound =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let exponential t ~mean =
-  let u = float t 1.0 in
-  -.mean *. log (1.0 -. u)
-
 (* Zipfian sampling after Gray et al., "Quickly generating billion-record
    synthetic databases"; constants computed per call site would be wasteful,
    so we memoise on (n, theta). *)
@@ -94,17 +90,3 @@ let bytes t len =
   let buf = Bytes.create len in
   fill_bytes t buf ~pos:0 ~len;
   buf
-
-let with_seed_report ~seed f =
-  try f (create ~seed)
-  with exn ->
-    Printf.eprintf "  [rng] failing seed: %LdL — rerun with this seed to reproduce\n%!" seed;
-    raise exn
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -27,10 +27,6 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed value with the given mean (inter-arrival
-    times for open-loop workloads). *)
-
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] samples a rank in [\[0, n)] under a Zipfian
     distribution with skew [theta] (0 = uniform), using the rejection
@@ -41,12 +37,3 @@ val bytes : t -> int -> bytes
 
 val fill_bytes : t -> bytes -> pos:int -> len:int -> unit
 (** Fill a slice of an existing buffer with random bytes. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val with_seed_report : seed:int64 -> (t -> 'a) -> 'a
-(** [with_seed_report ~seed f] runs [f] with a fresh generator seeded by
-    [seed].  If [f] raises (a failing assertion, say), the seed is printed
-    to stderr before the exception propagates — so a failing randomized
-    test always tells you how to reproduce it. *)

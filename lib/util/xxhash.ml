@@ -75,13 +75,6 @@ let[@purity.lint.allow
   done;
   finalize !h
 
-let hash_string ?seed s =
-  hash ?seed (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-let truncate h ~bits =
-  if bits >= 64 then h
-  else Int64.logand h (Int64.sub (Int64.shift_left 1L bits) 1L)
-
 (* ---------- hash63: the dedup fingerprint kernel ----------
 
    xxh64 proper cannot be computed in untagged [int]s — its 64-bit
@@ -93,10 +86,11 @@ let truncate h ~bits =
    runs four independent lanes over 32-byte stripes — the mix chain is
    multiply-latency-bound, so one serial lane would leave the multiplier
    idle between folds. Each fold consumes a whole 63-bit-truncated word:
-   an unchecked load plus [Int64.to_int] on the fast path, eight byte
-   loads assembled with shifts in [hash63_ref] (a shift past bit 62 wraps
-   mod 2^63 exactly as the truncated load does, so the two agree bit for
-   bit — the property suite keeps them that way). *)
+   an unchecked load plus [Int64.to_int] here, eight byte loads assembled
+   with shifts in the reference kernel (purity.reference's [Xxhash_ref]:
+   a shift past bit 62 wraps mod 2^63 exactly as the truncated load does,
+   so the two agree bit for bit — the property suite keeps them that
+   way). *)
 
 (* little-endian view over Word's unchecked native-endian load; local so
    the non-flambda inliner folds it into the loops *)
@@ -157,47 +151,6 @@ let[@purity.lint.hotpath] hash63 ?(seed = 0) buf ~pos ~len =
     h2 := mix63 !h2 !v
   end;
   Kernel_stats.tock Kernel_stats.fingerprint ~bytes:len ~t0;
-  merge63 !h1 !h2 !h3 !h4
-
-let hash63_ref ?(seed = 0) buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Xxhash.hash63_ref";
-  let stop = pos + len in
-  let word at =
-    Bytes.get_uint8 buf at
-    lor (Bytes.get_uint8 buf (at + 1) lsl 8)
-    lor (Bytes.get_uint8 buf (at + 2) lsl 16)
-    lor (Bytes.get_uint8 buf (at + 3) lsl 24)
-    lor (Bytes.get_uint8 buf (at + 4) lsl 32)
-    lor (Bytes.get_uint8 buf (at + 5) lsl 40)
-    lor (Bytes.get_uint8 buf (at + 6) lsl 48)
-    lor (Bytes.get_uint8 buf (at + 7) lsl 56)
-  in
-  let h1 = ref (seed + (len * q2) + q3)
-  and h2 = ref ((seed lxor q1) + (len * q3) + q2)
-  and h3 = ref (seed + (len * q1) + q2)
-  and h4 = ref ((seed lxor q3) + (len * q2) + q1) in
-  let i = ref pos in
-  while !i + 32 <= stop do
-    h1 := mix63 !h1 (word !i);
-    h2 := mix63 !h2 (word (!i + 8));
-    h3 := mix63 !h3 (word (!i + 16));
-    h4 := mix63 !h4 (word (!i + 24));
-    i := !i + 32
-  done;
-  while !i + 8 <= stop do
-    h1 := mix63 !h1 (word !i);
-    i := !i + 8
-  done;
-  if !i < stop then begin
-    let v = ref 0 and shift = ref 0 in
-    while !i < stop do
-      v := !v lor (Bytes.get_uint8 buf !i lsl !shift);
-      shift := !shift + 8;
-      incr i
-    done;
-    h2 := mix63 !h2 !v
-  end;
   merge63 !h1 !h2 !h3 !h4
 
 let truncate_int h ~bits =

@@ -15,13 +15,6 @@ val hash : ?seed:int64 -> bytes -> pos:int -> len:int -> int64
     stay unboxed: a call allocates only its boxed result (and the [Some]
     around an explicit [seed]), whatever its length. *)
 
-val hash_string : ?seed:int64 -> string -> int64
-(** Hash a whole string. *)
-
-val truncate : int64 -> bits:int -> int64
-(** [truncate h ~bits] keeps the low [bits] bits, emulating the short
-    hashes Purity stores in its dedup index to keep the index small. *)
-
 (** {2 hash63: unboxed fingerprints}
 
     An xxh-style hash defined over the native [int] width (63 bits on a
@@ -36,9 +29,6 @@ val truncate : int64 -> bits:int -> int64
 val hash63 : ?seed:int -> bytes -> pos:int -> len:int -> int
 (** Fingerprint a slice; the result uses the full native-int range and
     may be negative. @raise Invalid_argument on a bad range. *)
-
-val hash63_ref : ?seed:int -> bytes -> pos:int -> len:int -> int
-(** Byte-at-a-time reference for {!hash63}; property-tested identical. *)
 
 val truncate_int : int -> bits:int -> int
 (** Keep the low [bits] bits of a {!hash63} fingerprint (non-negative for

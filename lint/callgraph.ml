@@ -1,8 +1,9 @@
 (* The whole-program call graph the interprocedural passes run over.
 
-   The engine extracts one [file_summary] per .cmt (pure data, no typed
-   AST); [build] merges summaries into a
-   name-keyed graph. Names are canonical: the last two dotted components
+   The engine extracts one [file_summary] per .cmt or .cmti (pure data,
+   no typed AST); [build] merges summaries into a name-keyed graph. The
+   unused-export pass reads the summaries' declarations and uses
+   directly. Names are canonical: the last two dotted components
    of the resolved path with dune's [Lib__Module] mangling stripped, so
    [Purity_core__State.put], [State.put] and a local reference inside
    state.ml all collapse to "State.put". Two files defining the same
@@ -63,10 +64,25 @@ type pool_site = {
   p_waived : bool;
 }
 
+(* A declaration by place: the file, line and column of its [val]. *)
+type decl = string * int * int
+
+(* One value an interface declares, for the unused_export pass. *)
+type export = {
+  e_name : string;  (* canonical "Module.value" *)
+  e_decl : decl;  (* where its [val] is written *)
+  e_waiver : (string * Location.t) option;
+      (* reason and place of an [unused_export] waiver on the [val] *)
+}
+
 type file_summary = {
   fs_file : string;
   fs_defs : def list;
   fs_pools : pool_site list;
+  fs_uses : decl list;
+      (* the declarations of other units' values this unit references,
+         including those a unit passed whole to a functor supplies *)
+  fs_exports : export list;  (* the values an interface declares *)
 }
 
 type t = {

@@ -13,8 +13,12 @@
      edges (guarded when inside try/with), allocation sites, raise sites
      and partial matches, module-level mutable-value touches, root
      annotations ([@purity.lint.hotpath], [@purity.lint.recovery_root],
-     [@purity.lint.coldpath]), and every Pool.map/Pool.run submission
-     with the mutable values its closure captures.
+     [@purity.lint.coldpath]), every Pool.map/Pool.run submission with
+     the mutable values its closure captures, and the declarations of
+     other units' values it references.
+
+   An interface (.cmti) yields only the values it declares, for the
+   unused-export pass ([check_signature]).
 
    The summary is pure data: the interprocedural passes run over the
    summaries alone and never re-read a cmt. *)
@@ -200,6 +204,26 @@ let pat_vars : type k. k Typedtree.general_pattern -> (Ident.t * Types.type_expr
   it.pat it p;
   !acc
 
+(* The values of [sg] a functor application takes when [sg] is its
+   argument's signature: all of them under an exact match, else the ones
+   the coercion picks by runtime position. *)
+let supplied_values (sg : Types.signature) (coe : Typedtree.module_coercion) =
+  let runtime =
+    List.filter_map
+      (function
+        | Types.Sig_value (_, ({ val_kind = Val_reg; _ } as vd), _) -> Some (Some vd)
+        | Sig_value _ | Sig_type _ | Sig_modtype _ | Sig_class_type _
+        | Sig_module (_, Mp_absent, _, _, _) ->
+          None
+        | Sig_typext _ | Sig_module _ | Sig_class _ -> Some None)
+      sg
+  in
+  match coe with
+  | Tcoerce_none -> List.filter_map Fun.id runtime
+  | Tcoerce_structure (picks, _) ->
+    List.filter_map (fun (pos, _) -> Option.join (List.nth_opt runtime pos)) picks
+  | _ -> []
+
 (* ---- the per-file walk ---- *)
 
 let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure) :
@@ -273,6 +297,21 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
      module aliases the unit declares -- *)
   let toplevel : (string, string * Types.type_expr) Hashtbl.t = Hashtbl.create 64 in
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  (* A module alias, [module Rs = Purity_erasure.Reed_solomon] or [let
+     module R = ... in]: later references go through the alias path, so
+     record the target to keep canonical names (and therefore graph
+     edges) unified. *)
+  let rec alias_target (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> (
+      match List.rev (String.split_on_char '.' (Path.name p)) with
+      | last :: _ ->
+        let last = canon_component last in
+        Some (Option.value ~default:last (Hashtbl.find_opt aliases last))
+      | [] -> None)
+    | Tmod_constraint (me, _, _, _) -> alias_target me
+    | _ -> None
+  in
   let rec collect_top modname (s : Typedtree.structure) =
     List.iter
       (fun (item : Typedtree.structure_item) ->
@@ -317,17 +356,10 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
           | None -> ())
         | Named (None, _, _) | Unit -> ());
         body parent me
-      | Tmod_ident (p, _) -> (
-        (* module alias: [module Rs = Purity_erasure.Reed_solomon] — later
-           references go through the alias path, so record the target to
-           keep canonical names (and therefore graph edges) unified *)
-        match List.rev (String.split_on_char '.' (Path.name p)) with
-        | last :: _ ->
-          let last = canon_component last in
-          Hashtbl.replace aliases name
-            (Option.value ~default:last (Hashtbl.find_opt aliases last))
-        | [] -> ())
-      | _ -> ()
+      | _ -> (
+        match alias_target me with
+        | Some target -> Hashtbl.replace aliases name target
+        | None -> ())
     in
     body name mb.mb_expr
   in
@@ -360,6 +392,12 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
   in
   let defs = ref [] in
   let pools = ref [] in
+  let uses = ref [] in
+  let record_use (vd : Types.value_description) =
+    let p = vd.val_loc.loc_start in
+    if p.pos_fname <> source_file && not vd.val_loc.loc_ghost then
+      uses := (p.pos_fname, p.pos_lnum, p.pos_cnum - p.pos_bol) :: !uses
+  in
   let cur : Callgraph.def option ref = ref None in
   let try_depth = ref 0 in
   let raise_depth = ref 0 in
@@ -573,7 +611,8 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
   let rec expr sub (e : Typedtree.expression) =
     with_waivers e.exp_attributes (fun () ->
         match e.exp_desc with
-        | Texp_ident (path, lid, _) ->
+        | Texp_ident (path, lid, vd) ->
+          record_use vd;
           check_ident ~loc:lid.loc (Rules.strip_stdlib (Path.name path)) e;
           (match canon_of_path path with
           | Some c ->
@@ -674,10 +713,35 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         | Texp_lazy _ ->
           if !raise_depth = 0 then record_site ~loc:e.exp_loc (Callgraph.Boxed "lazy");
           default.expr sub e
+        | Texp_letmodule (Some id, _, _, me, _) -> (
+          match alias_target me with
+          | Some target ->
+            Hashtbl.add aliases (Ident.name id) target;
+            default.expr sub e;
+            Hashtbl.remove aliases (Ident.name id)
+          | None -> default.expr sub e)
         | _ -> default.expr sub e)
   in
   let value_binding sub (vb : Typedtree.value_binding) =
     with_waivers vb.vb_attributes (fun () -> default.value_binding sub vb)
+  in
+  let rec unit_path (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Ident.global (Path.head p)
+    | Tmod_constraint (me, _, _, _) -> unit_path me
+    | _ -> false
+  in
+  (* A unit passed whole to a functor, [Fact.Make (Keys.Block) (Blockref)],
+     supplies the values the functor's parameter declares: each is a use
+     of that unit's value. *)
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Tmod_apply (_, arg, coe) when unit_path arg -> (
+      match arg.mod_type with
+      | Mty_signature sg -> List.iter record_use (supplied_values sg coe)
+      | _ -> ())
+    | _ -> ());
+    default.module_expr sub me
   in
   (* mark the leading fun-chain of a definition: those Texp_function nodes
      are the definition itself, not runtime closure allocations. An
@@ -773,7 +837,7 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
       | _ -> default.structure_item sub item)
     | _ -> default.structure_item sub item
   in
-  let iter = { default with expr; value_binding; structure_item } in
+  let iter = { default with expr; value_binding; module_expr; structure_item } in
   iter.structure iter str;
   List.iter
     (fun w ->
@@ -796,7 +860,70 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         Callgraph.fs_file = source_file;
         fs_defs = List.rev !defs;
         fs_pools = List.rev !pools;
+        fs_uses = List.sort_uniq compare !uses;
+        fs_exports = [];
       };
+  }
+
+(* ---- interfaces ----
+
+   An interface contributes its declared values, nested modules' values
+   under the module's name, and the values an [include S] or a [module M :
+   S] brings in, each placed at its [val] in the signature that declares
+   it. The only waiver a [val] takes is [unused_export]; the pass decides
+   whether it is used or stale. *)
+
+let check_signature ~source_file (sg : Typedtree.signature) : result =
+  let bad = ref [] in
+  let waivers = ref 0 in
+  let waiver_of (vd : Types.value_description) =
+    List.fold_left
+      (fun acc (a : Parsetree.attribute) ->
+        if a.attr_name.txt <> attr_name then acc
+        else
+          let refuse msg =
+            bad :=
+              Finding.of_loc ~rule:Waiver ~file:a.attr_loc.loc_start.pos_fname
+                a.attr_loc msg
+              :: !bad;
+            acc
+          in
+          match Option.map split_waiver (payload_string a.attr_payload) with
+          | Some ("unused_export", reason) ->
+            incr waivers;
+            Some (reason, a.attr_loc)
+          | Some (rule, _) ->
+            refuse
+              (Printf.sprintf
+                 "only an unused_export waiver applies to a declaration, not %S"
+                 rule)
+          | None -> refuse "waiver payload must be a string literal")
+      None vd.val_attributes
+  in
+  let export prefix id (vd : Types.value_description) =
+    let p = vd.val_loc.loc_start in
+    {
+      Callgraph.e_name = prefix ^ "." ^ Ident.name id;
+      e_decl = (p.pos_fname, p.pos_lnum, p.pos_cnum - p.pos_bol);
+      e_waiver = waiver_of vd;
+    }
+  in
+  let rec exports prefix (sg : Types.signature) =
+    List.concat_map
+      (function
+        | Types.Sig_value (id, vd, _) -> [ export prefix id vd ]
+        | Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, _) ->
+          exports (Ident.name id) sg
+        | _ -> [])
+      sg
+  in
+  let fs_exports = exports (module_name_of_source source_file) sg.sig_type in
+  {
+    findings = List.sort_uniq Finding.order !bad;
+    waived = 0;
+    waivers = !waivers;
+    summary =
+      { Callgraph.fs_file = source_file; fs_defs = []; fs_pools = []; fs_uses = []; fs_exports };
   }
 
 (* ---- cmt loading ---- *)
@@ -806,7 +933,7 @@ let source_of_cmt (cmt : Cmt_format.cmt_infos) =
   | Some f -> f
   | None -> cmt.cmt_modname ^ ".ml"
 
-(* [Ok None] = not an implementation cmt (interface, pack, partial) *)
+(* [Ok None] = neither an implementation nor an interface (pack, partial) *)
 let check_cmt (cfg : Rules.config) path : ((string * result) option, string) Stdlib.result =
   match Cmt_format.read_cmt path with
   | exception exn ->
@@ -817,4 +944,5 @@ let check_cmt (cfg : Rules.config) path : ((string * result) option, string) Std
     else
       match cmt.cmt_annots with
       | Implementation str -> Ok (Some (source_file, check_structure cfg ~source_file str))
+      | Interface sg -> Ok (Some (source_file, check_signature ~source_file sg))
       | _ -> Ok None)

@@ -15,6 +15,7 @@ type rule =
   | Hotalloc  (* allocation site reachable from a [@purity.lint.hotpath] root *)
   | Partial  (* exception-raising partial functions in failover code *)
   | Raises  (* raise / partial match reachable from a recovery root *)
+  | Unused_export  (* a lib/ interface value no unit outside test/ uses *)
   | Waiver  (* stale, malformed or floating [@purity.lint.allow] *)
 
 let rule_name = function
@@ -25,6 +26,7 @@ let rule_name = function
   | Hotalloc -> "hotalloc"
   | Partial -> "partial"
   | Raises -> "raises"
+  | Unused_export -> "unused_export"
   | Waiver -> "waiver"
 
 (* [Waiver] is deliberately absent: waiver errors cannot themselves be
@@ -37,9 +39,11 @@ let rule_of_name = function
   | "hotalloc" -> Some Hotalloc
   | "partial" -> Some Partial
   | "raises" -> Some Raises
+  | "unused_export" -> Some Unused_export
   | _ -> None
 
-let rule_names = "determinism/unsafe/escape/hotpath/hotalloc/partial/raises"
+let rule_names =
+  "determinism/unsafe/escape/hotpath/hotalloc/partial/raises/unused_export"
 
 type severity = Error | Warning
 
@@ -47,7 +51,7 @@ let severity_name = function Error -> "error" | Warning -> "warning"
 
 let severity_of_rule = function
   | Determinism | Unsafe | Escape | Waiver -> Error
-  | Hotpath | Hotalloc | Partial | Raises -> Warning
+  | Hotpath | Hotalloc | Partial | Raises | Unused_export -> Warning
 
 type t = {
   rule : rule;

@@ -41,7 +41,7 @@ let default =
         "lib/activecluster/link.ml";
       ];
     audited_unsafe =
-      [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "bloom.ml" ];
+      [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "lz_ref.ml"; "bloom.ml" ];
     audited_domains = [ "pool.ml" ];
     exclude = [ "lint_fixtures" ];
     mutable_types =

@@ -60,8 +60,8 @@ let test_lz_bad_input_rejected () =
   | _ -> Alcotest.fail "expected length mismatch rejection"
 
 let test_lz_ratio () =
-  check bool "compressible ratio > 2" true (Lz.ratio (String.make 1000 'a') > 2.0);
-  check bool "empty ratio 1" true (Lz.ratio "" = 1.0)
+  check bool "compressible ratio > 2" true (Testkit.lz_ratio (String.make 1000 'a') > 2.0);
+  check bool "empty ratio 1" true (Testkit.lz_ratio "" = 1.0)
 
 let prop_lz_roundtrip_random =
   QCheck.Test.make ~name:"lz roundtrip arbitrary strings" ~count:500
@@ -79,10 +79,10 @@ let prop_lz_roundtrip_structured =
    input shapes (random, low-entropy, RLE, text-like). *)
 let fast_equals_ref s =
   let c_fast = Lz.compress s in
-  let c_ref = Lz.compress_ref s in
+  let c_ref = Purity_reference.Lz_ref.compress s in
   c_fast = c_ref
   && Lz.decompress c_fast ~expected_len:(String.length s)
-     = Lz.decompress_ref c_fast ~expected_len:(String.length s)
+     = Purity_reference.Lz_ref.decompress c_fast ~expected_len:(String.length s)
 
 let prop_lz_fast_equals_ref_random =
   QCheck.Test.make ~name:"lz word kernel equals byte kernel (random)" ~count:300
@@ -160,24 +160,39 @@ let decode_ok raw ~pos =
   | Some r -> r
   | None -> Alcotest.fail "valid frame rejected"
 
+(* Frame [data] the way the write path does. *)
+let add_frame buf data = Cblock.add_frame_into ~scratch:(Lz.create_scratch ()) buf data
+
 let frame_of data =
   let buf = Buffer.create 64 in
-  Cblock.encode buf (Cblock.of_data data);
+  ignore (add_frame buf data : int);
   Buffer.contents buf
+
+(* A frame written from its fields: varint logical length, encoding byte,
+   varint payload length, CRC-32C of the payload, payload. *)
+let encode buf ~logical_len encoding payload =
+  Purity_util.Varint.write buf logical_len;
+  Buffer.add_char buf encoding;
+  Purity_util.Varint.write buf (String.length payload);
+  Buffer.add_int32_le buf (Purity_util.Crc32c.digest_string payload);
+  Buffer.add_string buf payload
+
+let encoding_byte = function Cblock.Raw -> '\000' | Cblock.Lz -> '\001'
 
 let test_cblock_roundtrip_compressible () =
   let data = String.concat "" (List.init 64 (fun _ -> "0123456789abcdef")) in
-  let cb = Cblock.of_data data in
+  let frame = frame_of data in
+  let cb, back, _ = decode_ok (Bytes.of_string frame) ~pos:0 in
   check bool "chose lz" true (cb.Cblock.encoding = Cblock.Lz);
-  check str "data back" data (Cblock.data cb);
-  check bool "reduction > 1" true (Cblock.reduction cb > 1.0)
+  check str "data back" data back;
+  check bool "frame smaller than the data" true (String.length frame < String.length data)
 
 let test_cblock_raw_fallback () =
   let rng = Purity_util.Rng.create ~seed:77L in
   let data = Bytes.to_string (Purity_util.Rng.bytes rng 512) in
-  let cb = Cblock.of_data data in
+  let cb, back, _ = decode_ok (Bytes.of_string (frame_of data)) ~pos:0 in
   check bool "fell back to raw" true (cb.Cblock.encoding = Cblock.Raw);
-  check str "data back" data (Cblock.data cb)
+  check str "data back" data back
 
 (* The write path's framing of an incompressible 32 KiB run: the
    compressor strides through it, and the frame still falls back to Raw. *)
@@ -195,7 +210,7 @@ let test_cblock_add_frame_into_random_is_raw () =
 let test_cblock_frame_roundtrip () =
   let blocks = [ "hello"; String.make 512 'q'; ""; "final block of data" ] in
   let buf = Buffer.create 256 in
-  List.iter (fun d -> Cblock.encode buf (Cblock.of_data d)) blocks;
+  List.iter (fun d -> ignore (add_frame buf d : int)) blocks;
   let raw = Buffer.to_bytes buf in
   let rec decode_all pos acc =
     if pos >= Bytes.length raw then List.rev acc
@@ -207,9 +222,7 @@ let test_cblock_frame_roundtrip () =
   check (Alcotest.list str) "all frames" blocks (decode_all 0 [])
 
 let test_cblock_crc_detects_corruption () =
-  let buf = Buffer.create 64 in
-  Cblock.encode buf (Cblock.of_data (String.make 256 'k'));
-  let raw = Buffer.to_bytes buf in
+  let raw = Bytes.of_string (frame_of (String.make 256 'k')) in
   (* flip a payload byte (last byte is always payload for non-empty data) *)
   let n = Bytes.length raw in
   Bytes.set_uint8 raw (n - 1) (Bytes.get_uint8 raw (n - 1) lxor 0xFF);
@@ -218,11 +231,7 @@ let test_cblock_crc_detects_corruption () =
 (* Frames whose CRC is right but whose header lies about the data. *)
 let forged_frame ~logical_len encoding payload =
   let buf = Buffer.create 64 in
-  Purity_util.Varint.write buf logical_len;
-  Buffer.add_char buf encoding;
-  Purity_util.Varint.write buf (String.length payload);
-  Buffer.add_int32_le buf (Purity_util.Crc32c.digest_string payload);
-  Buffer.add_string buf payload;
+  encode buf ~logical_len encoding payload;
   Buffer.to_bytes buf
 
 let test_cblock_decode_rejects_forged_headers () =
@@ -250,25 +259,25 @@ let test_cblock_decode_rejects_forged_headers () =
 
 let test_cblock_max_size_enforced () =
   Alcotest.check_raises "33 KiB rejected"
-    (Invalid_argument "Cblock.of_data: larger than 32 KiB") (fun () ->
-      ignore (Cblock.of_data (String.make ((32 * 1024) + 1) 'x')))
+    (Invalid_argument "Cblock.add_frame_into: larger than 32 KiB") (fun () ->
+      ignore (frame_of (String.make ((32 * 1024) + 1) 'x')))
 
 let test_cblock_512b_min_granularity () =
   (* Paper: 512 B is the minimum dedup/compress unit; a 512 B cblock works. *)
   let data = String.make 512 '\000' in
-  let cb = Cblock.of_data data in
+  let cb, back, _ = decode_ok (Bytes.of_string (frame_of data)) ~pos:0 in
   check int "logical len" 512 cb.Cblock.logical_len;
-  check str "roundtrip" data (Cblock.data cb)
+  check str "roundtrip" data back
 
 let prop_cblock_roundtrip =
   QCheck.Test.make ~name:"cblock roundtrip arbitrary data" ~count:300
     QCheck.(string_of_size Gen.(0 -- 4096))
     (fun s ->
-      let buf = Buffer.create 64 in
-      Cblock.encode buf (Cblock.of_data s);
-      match Cblock.decode (Buffer.to_bytes buf) ~pos:0 with
+      let frame = frame_of s in
+      match Cblock.decode (Bytes.of_string frame) ~pos:0 with
       | Some (cb, data, consumed) ->
-        data = s && Cblock.data cb = s && consumed = Buffer.length buf
+        data = s && cb.Cblock.logical_len = String.length s
+        && consumed = String.length frame
       | None -> false)
 
 (* Raw and Lz frames alike: random bytes, and a short random unit
@@ -308,8 +317,8 @@ let gen_damaged_frame =
     ]
 
 (* The decoder never raises on damage: it rejects the frame, or returns a
-   cblock that re-encodes to exactly the bytes it consumed, with data of
-   its logical length. *)
+   cblock whose fields re-encode to exactly the bytes it consumed, with
+   data of its logical length. *)
 let prop_cblock_decode_total_on_damage =
   QCheck.Test.make ~name:"cblock decode total on damaged frames" ~count:2000
     (QCheck.make ~print:String.escaped gen_damaged_frame)
@@ -318,30 +327,29 @@ let prop_cblock_decode_total_on_damage =
       | None -> true
       | Some (cb, data, next) ->
         let buf = Buffer.create 64 in
-        Cblock.encode buf cb;
+        encode buf ~logical_len:cb.logical_len (encoding_byte cb.encoding) cb.payload;
         Buffer.contents buf = String.sub s 0 next
-        && String.length data = cb.Cblock.logical_len
-        && Cblock.data cb = data)
+        && String.length data = cb.Cblock.logical_len)
 
 let prop_cblock_never_expands_much =
   (* Raw fallback bounds expansion to the frame header. *)
   QCheck.Test.make ~name:"cblock stored size bounded" ~count:200
     QCheck.(string_of_size Gen.(1 -- 4096))
-    (fun s ->
-      let cb = Cblock.of_data s in
-      Cblock.stored_size cb <= String.length s + 16)
+    (fun s -> String.length (frame_of s) <= String.length s + 16)
 
 let prop_cblock_add_frame_equals_encode =
-  (* The zero-alloc framing path must be byte-identical to the boxed
-     [of_data] + [encode] path, including the raw-fallback branch. *)
+  (* The zero-copy framing path must be byte-identical to encoding the
+     allocating compressor's output, stored Raw unless it is shorter. *)
   QCheck.Test.make ~name:"cblock add_frame equals encode (of_data)" ~count:200
     QCheck.(string_of_size Gen.(0 -- 4096))
     (fun s ->
-      let scratch = Lz.create_scratch () in
       let direct = Buffer.create 64 in
-      let n = Cblock.add_frame ~scratch direct s in
+      let n = add_frame direct s in
       let boxed = Buffer.create 64 in
-      Cblock.encode boxed (Cblock.of_data s);
+      let lz = Lz.compress s in
+      (if String.length lz < String.length s then
+         encode boxed ~logical_len:(String.length s) '\001' lz
+       else encode boxed ~logical_len:(String.length s) '\000' s);
       n = Buffer.length direct && Buffer.contents direct = Buffer.contents boxed)
 
 let () =

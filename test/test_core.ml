@@ -4,6 +4,14 @@ module Recovery = Purity_core.Recovery
 module Rng = Purity_util.Rng
 module Registry = Purity_telemetry.Registry
 
+(* The write size the array infers for a volume (paper §4.6), in 512 B
+   blocks. *)
+let inferred_io_blocks a name =
+  let module State = Purity_core.State in
+  Option.map
+    (fun v -> State.inferred_io_blocks v.State.observer)
+    (State.Stbl.find_opt (Fa.state a).State.volumes name)
+
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -803,7 +811,9 @@ let corrupt_oldest_data_segment a =
       st.State.segment_metas max_int
   in
   let m = (Hashtbl.find st.State.segment_metas id).Segment.members.(0) in
-  Fa.inject_page_corruption a ~drive:m.Segment.drive ~au:m.Segment.au ~page:1
+  Purity_ssd.Drive.inject_page_corruption
+    (Purity_ssd.Shelf.drive (Fa.shelf a) m.Segment.drive)
+    ~au:m.Segment.au ~page:1
 
 (* Every way a segment is destroyed — a GC pass, a scrub of a corrupt
    page, a rebuild of a replaced drive, a checkpoint superseding the last
@@ -1004,13 +1014,13 @@ let test_inference_tracks_write_size () =
   let clock, a = make_array () in
   ok (Fa.create_volume a "db" ~blocks:4096);
   check (Alcotest.option int) "default before evidence" (Some 64)
-    (Fa.inferred_io_blocks a "db");
+    (inferred_io_blocks a "db");
   (* an 8 KiB-page database *)
   for i = 0 to 39 do
     write_ok clock a ~volume:"db" ~block:(i * 16) (random_data 16)
   done;
   check (Alcotest.option int) "inferred 16-block pages" (Some 16)
-    (Fa.inferred_io_blocks a "db")
+    (inferred_io_blocks a "db")
 
 let test_inference_sizes_cblocks_for_single_fetch_reads () =
   let config = { test_config with Fa.read_cache_entries = 0 } in
@@ -1040,8 +1050,8 @@ let test_inference_per_volume () =
     write_ok clock a ~volume:"small" ~block:(i * 8) (random_data 8);
     write_ok clock a ~volume:"large" ~block:(i * 64) (random_data 64)
   done;
-  check (Alcotest.option int) "small volume" (Some 8) (Fa.inferred_io_blocks a "small");
-  check (Alcotest.option int) "large volume" (Some 64) (Fa.inferred_io_blocks a "large")
+  check (Alcotest.option int) "small volume" (Some 8) (inferred_io_blocks a "small");
+  check (Alcotest.option int) "large volume" (Some 64) (inferred_io_blocks a "large")
 
 let test_gc_segregates_shared_cblocks () =
   (* two volumes holding the same image (deduped) plus unique churn; GC
@@ -1301,7 +1311,7 @@ let prop_array_matches_model =
     (fun seed ->
       let clock, a = make_array () in
       (match Fa.create_volume a "v" ~blocks:1024 with Ok () -> () | Error _ -> assert false);
-      Rng.with_seed_report ~seed:(Int64.of_int (seed + 77)) @@ fun rng ->
+      Testkit.with_seed_report ~seed:(Int64.of_int (seed + 77)) @@ fun rng ->
       let model = Bytes.make (1024 * bs) '\000' in
       let okay = ref true in
       for step = 1 to 60 do
@@ -1335,7 +1345,7 @@ let prop_resolve_range_matches_per_block =
     ~count:25 QCheck.(int_bound 10_000)
     (fun seed ->
       let clock, a = make_array () in
-      Rng.with_seed_report ~seed:(Int64.of_int (seed + 191)) @@ fun rng ->
+      Testkit.with_seed_report ~seed:(Int64.of_int (seed + 191)) @@ fun rng ->
       ok (Fa.create_volume a "v0" ~blocks:384);
       let next_name = ref 0 in
       let fresh () =
@@ -1454,7 +1464,7 @@ let test_protection_unprotect_stops () =
   ignore (Protection.protect p ~volume:"db" { Protection.every_us = 1000.0; keep = 2 });
   Clock.run_until clock (Clock.now clock +. 2_500.0);
   let before = Protection.taken p in
-  Protection.unprotect p ~volume:"db";
+  Protection.stop p;
   Clock.run_until clock (Clock.now clock +. 10_000.0);
   check int "no more snapshots" before (Protection.taken p)
 

@@ -12,6 +12,21 @@ module Fact = Purity_pyramid.Fact
 module Segment = Purity_segment.Segment
 module State = Purity_core.State
 module Ranges = Purity_encoding.Ranges
+
+(* The block index's key and value codecs, on strings. *)
+let block_key ~medium ~block =
+  let b = Buffer.create 16 in
+  Keys.Block.write b (medium, block);
+  Buffer.contents b
+
+let parse_block_key k = Keys.Block.read (Bytes.of_string k) ~pos:0 ~len:(String.length k)
+
+let blockref_encode r =
+  let b = Buffer.create 12 in
+  Blockref.write b r;
+  Buffer.contents b
+
+let blockref_decode s = Blockref.read (Bytes.of_string s) ~pos:0 ~len:(String.length s)
 module Medium = Purity_medium.Medium
 
 let check = Alcotest.check
@@ -21,30 +36,30 @@ let int = Alcotest.int
 (* ---------- Keys ---------- *)
 
 let test_block_key_roundtrip () =
-  let k = Keys.block_key ~medium:42 ~block:99999 in
+  let k = block_key ~medium:42 ~block:99999 in
   check int "key width" 16 (String.length k);
-  check bool "parses back" true (Keys.parse_block_key k = Some (42, 99999));
+  check bool "parses back" true (parse_block_key k = Some (42, 99999));
   check bool "max_int block" true
-    (Keys.parse_block_key (Keys.block_key ~medium:0 ~block:max_int) = Some (0, max_int))
+    (parse_block_key (block_key ~medium:0 ~block:max_int) = Some (0, max_int))
 
 (* Only a 16-byte string whose halves are sign-extended 63-bit ints is a
    block key. *)
 let test_block_key_rejects () =
-  let k = Keys.block_key ~medium:42 ~block:99999 in
-  check bool "short" true (Keys.parse_block_key (String.sub k 0 15) = None);
-  check bool "long" true (Keys.parse_block_key (k ^ "\x00") = None);
-  check bool "empty" true (Keys.parse_block_key "" = None);
+  let k = block_key ~medium:42 ~block:99999 in
+  check bool "short" true (parse_block_key (String.sub k 0 15) = None);
+  check bool "long" true (parse_block_key (k ^ "\x00") = None);
+  check bool "empty" true (parse_block_key "" = None);
   check bool "half beyond 63 bits" true
-    (Keys.parse_block_key ("\x40" ^ String.sub k 1 15) = None);
+    (parse_block_key ("\x40" ^ String.sub k 1 15) = None);
   check bool "sign bit without bit 62" true
-    (Keys.parse_block_key ("\x80" ^ String.sub k 1 15) = None);
+    (parse_block_key ("\x80" ^ String.sub k 1 15) = None);
   check bool "negative half is an int" true
-    (Keys.parse_block_key (Keys.block_key ~medium:(-1) ~block:7) = Some (-1, 7))
+    (parse_block_key (block_key ~medium:(-1) ~block:7) = Some (-1, 7))
 
 let test_block_key_ordering () =
   (* byte order must equal (medium, block) order for range scans *)
   let pairs = [ (1, 5); (1, 6); (1, 100000); (2, 0); (2, 7); (300, 1) ] in
-  let keys = List.map (fun (m, b) -> Keys.block_key ~medium:m ~block:b) pairs in
+  let keys = List.map (fun (m, b) -> block_key ~medium:m ~block:b) pairs in
   let sorted = List.sort compare keys in
   check bool "lexicographic = numeric" true (keys = sorted)
 
@@ -57,7 +72,7 @@ let prop_block_key_order =
     (fun (((m1, b1) as a), ((m2, b2) as b)) ->
       let sign x = compare x 0 in
       sign (Keys.Block.compare a b)
-      = sign (String.compare (Keys.block_key ~medium:m1 ~block:b1) (Keys.block_key ~medium:m2 ~block:b2))
+      = sign (String.compare (block_key ~medium:m1 ~block:b1) (block_key ~medium:m2 ~block:b2))
       && Keys.Block.equal a b = (Keys.Block.compare a b = 0))
 
 let test_medium_segment_keys () =
@@ -68,25 +83,25 @@ let prop_block_key_injective =
   QCheck.Test.make ~name:"block keys are injective" ~count:200
     QCheck.(pair (pair (int_bound 10000) (int_bound 100000)) (pair (int_bound 10000) (int_bound 100000)))
     (fun ((m1, b1), (m2, b2)) ->
-      let k1 = Keys.block_key ~medium:m1 ~block:b1 in
-      let k2 = Keys.block_key ~medium:m2 ~block:b2 in
+      let k1 = block_key ~medium:m1 ~block:b1 in
+      let k2 = block_key ~medium:m2 ~block:b2 in
       (k1 = k2) = (m1 = m2 && b1 = b2))
 
 (* ---------- Blockref ---------- *)
 
 let test_blockref_roundtrip () =
   let r = { Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 } in
-  check bool "roundtrip" true (Blockref.decode (Blockref.encode r) = Some r);
-  check int "size" (String.length (Blockref.encode r)) (Blockref.size r)
+  check bool "roundtrip" true (blockref_decode (blockref_encode r) = Some r);
+  check int "size" (String.length (blockref_encode r)) (Blockref.size r)
 
 (* Anything but exactly four shortest-encoding varints is rejected. *)
 let test_blockref_rejects () =
-  let e = Blockref.encode { Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 } in
-  check bool "empty" true (Blockref.decode "" = None);
-  check bool "truncated" true (Blockref.decode (String.sub e 0 (String.length e - 1)) = None);
-  check bool "trailing byte" true (Blockref.decode (e ^ "\x00") = None);
-  check bool "overlong varint" true (Blockref.decode "\x80\x00\x01\x02\x03" = None);
-  check bool "three fields" true (Blockref.decode "\x01\x02\x03" = None)
+  let e = blockref_encode { Blockref.segment = 9001; off = 123456; stored_len = 8201; index = 63 } in
+  check bool "empty" true (blockref_decode "" = None);
+  check bool "truncated" true (blockref_decode (String.sub e 0 (String.length e - 1)) = None);
+  check bool "trailing byte" true (blockref_decode (e ^ "\x00") = None);
+  check bool "overlong varint" true (blockref_decode "\x80\x00\x01\x02\x03" = None);
+  check bool "three fields" true (blockref_decode "\x01\x02\x03" = None)
 
 let test_blockref_same_cblock () =
   let a = { Blockref.segment = 5; off = 100; stored_len = 900; index = 0 } in
@@ -100,7 +115,7 @@ let prop_blockref_roundtrip =
     QCheck.(quad (int_bound 100000) (int_bound 10_000_000) (int_bound 40000) (int_bound 64))
     (fun (segment, off, stored_len, index) ->
       let r = { Blockref.segment; off; stored_len; index } in
-      Blockref.decode (Blockref.encode r) = Some r)
+      blockref_decode (blockref_encode r) = Some r)
 
 (* ---------- Boot region ---------- *)
 
@@ -189,12 +204,12 @@ let not_block_records =
   [
     ("130-byte-key block tombstone", "\x42\x05\x82\x01" ^ long_key ^ "\x00");
     ( "16-byte-key block tombstone",
-      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x00" );
-    ("15-byte block key", "\x42\x05\x0f" ^ String.sub (Keys.block_key ~medium:3 ~block:200) 1 15 ^ "\x01\x04\x01\x02\x03\x04");
+      "\x42\x05\x10" ^ block_key ~medium:3 ~block:200 ^ "\x00" );
+    ("15-byte block key", "\x42\x05\x0f" ^ String.sub (block_key ~medium:3 ~block:200) 1 15 ^ "\x01\x04\x01\x02\x03\x04");
     ( "blockref with a trailing byte",
-      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x01\x05\x01\x02\x03\x04\x05" );
+      "\x42\x05\x10" ^ block_key ~medium:3 ~block:200 ^ "\x01\x05\x01\x02\x03\x04\x05" );
     ( "overlong blockref varint",
-      "\x42\x05\x10" ^ Keys.block_key ~medium:3 ~block:200 ^ "\x01\x05\x81\x00\x02\x03\x04" );
+      "\x42\x05\x10" ^ block_key ~medium:3 ~block:200 ^ "\x01\x05\x81\x00\x02\x03\x04" );
   ]
 
 let test_meta_log_golden () =
@@ -335,19 +350,19 @@ let prop_block_record_mutation =
 
 let prop_blockref_mutation =
   QCheck.Test.make ~name:"Blockref.decode total on damage" ~count:2000
-    (QCheck.make (gen_mutated gen_blockref Blockref.encode))
+    (QCheck.make (gen_mutated gen_blockref blockref_encode))
     (fun s ->
-      match Blockref.decode s with None -> true | Some r -> String.equal (Blockref.encode r) s)
+      match blockref_decode s with None -> true | Some r -> String.equal (blockref_encode r) s)
 
 let prop_block_key_mutation =
   QCheck.Test.make ~name:"block-key parse total on damage" ~count:2000
     (QCheck.make
        (gen_mutated (QCheck.Gen.pair gen_edge gen_edge) (fun (medium, block) ->
-            Keys.block_key ~medium ~block)))
+            block_key ~medium ~block)))
     (fun s ->
-      match Keys.parse_block_key s with
+      match parse_block_key s with
       | None -> true
-      | Some (medium, block) -> String.equal (Keys.block_key ~medium ~block) s)
+      | Some (medium, block) -> String.equal (block_key ~medium ~block) s)
 
 (* A block-index patch blob: a damaged one is rejected (recovery takes it
    as a corrupt chunk) or re-serialises to itself. *)
@@ -409,7 +424,7 @@ let prop_extents_mutation =
 let test_block_patch_rejects_tombstone () =
   let string_patch =
     Purity_pyramid.Patch.of_facts
-      [ Fact.tombstone ~key:(Keys.block_key ~medium:3 ~block:200) ~seq:5L ]
+      [ Fact.tombstone ~key:(block_key ~medium:3 ~block:200) ~seq:5L ]
   in
   match Block_index.Patch.deserialize (Purity_pyramid.Patch.serialize string_patch) with
   | None -> ()
@@ -450,7 +465,7 @@ let gen_op =
         (1, return Flatten);
       ])
 
-let block_of_string_key k = Option.get (Keys.parse_block_key k)
+let block_of_string_key k = Option.get (parse_block_key k)
 
 let run_both ops =
   let b =
@@ -467,7 +482,7 @@ let run_both ops =
       match op with
       | Put (((medium, block) as key), r) ->
         Block_index.insert b ~seq ~key ~value:r;
-        Spyr.insert s ~seq ~key:(Keys.block_key ~medium ~block) ~value:(Blockref.encode r)
+        Spyr.insert s ~seq ~key:(block_key ~medium ~block) ~value:(blockref_encode r)
       | Elide_mediums (lo, hi) ->
         Block_index.elide_range b ~seq ~lo ~hi;
         Spyr.elide_range s ~seq ~lo ~hi
@@ -485,7 +500,7 @@ let same_reads (b, s) ops =
   let live_b = ref [] and live_s = ref [] in
   Block_index.iter_live b (fun ~key ~value -> live_b := (key, value) :: !live_b);
   Spyr.iter_live s (fun ~key ~value ->
-      live_s := (block_of_string_key key, Option.get (Blockref.decode value)) :: !live_s);
+      live_s := (block_of_string_key key, Option.get (blockref_decode value)) :: !live_s);
   let runs_agree (medium, block) =
     let n = 4 in
     let block = if block >= 0 then min block (max_int - n) else min block (-1 - n) in
@@ -495,18 +510,18 @@ let same_reads (b, s) ops =
     in
     let run_s =
       Spyr.find_run s ~n
-        ~key_of:(fun i -> Keys.block_key ~medium ~block:(block + i))
+        ~key_of:(fun i -> block_key ~medium ~block:(block + i))
         ~index:(fun k ->
-          match Keys.parse_block_key k with Some (m, k) when m = medium -> k - block | _ -> -1)
+          match parse_block_key k with Some (m, k) when m = medium -> k - block | _ -> -1)
     in
     List.for_all
       (fun i ->
         Block_index.resolve_fact b run_b.(i)
-        = Option.map (fun v -> Option.get (Blockref.decode v)) (Spyr.resolve_fact s run_s.(i))
+        = Option.map (fun v -> Option.get (blockref_decode v)) (Spyr.resolve_fact s run_s.(i))
         && Block_index.find b (medium, block + i)
            = Option.map
-               (fun v -> Option.get (Blockref.decode v))
-               (Spyr.find s (Keys.block_key ~medium ~block:(block + i))))
+               (fun v -> Option.get (blockref_decode v))
+               (Spyr.find s (block_key ~medium ~block:(block + i))))
       [ 0; 1; 2; 3 ]
   in
   (* one medium's range, as replication's delta reads it, against the

@@ -424,7 +424,7 @@ let test_no_crash_heavy_gc () =
   let io_blocks = 16 in
   let clock = Clock.create () in
   let a = Fa.create ~config ~clock () in
-  Rng.with_seed_report ~seed:77L (fun rng ->
+  Testkit.with_seed_report ~seed:77L (fun rng ->
       (match Fa.create_volume a "v" ~blocks:vol_blocks with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "create");

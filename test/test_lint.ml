@@ -2,8 +2,8 @@
    test/lint_fixtures/ (excluded from the real @lint run) under a config
    that treats them as hot-path / recovery / audited code, and assert that
    every rule class fires at the planted file:line, that the
-   interprocedural passes (escape / hotalloc / raises) catch their planted
-   fixtures with the right witness chains, that in-source waivers suppress
+   interprocedural passes (escape / hotalloc / raises / unused_export)
+   catch their planted fixtures with the right witness chains, that in-source waivers suppress
    exactly their finding, that stale and malformed waivers error, and that
    the call-graph edge set is independent of build order. *)
 
@@ -16,8 +16,8 @@ let fixture_objs =
   | Some d -> d
   | None -> rel
 
-let cmt_for name =
-  let want = String.lowercase_ascii name ^ ".cmt" in
+let cmt_for ?(ext = ".cmt") name =
+  let want = String.lowercase_ascii name ^ ext in
   let files = Array.to_list (Sys.readdir fixture_objs) in
   match
     List.find_opt
@@ -151,6 +151,14 @@ let test_alloc_pass () =
     ]
     (List.map rule_line_chain fs)
 
+let test_alloc_through_let_module () =
+  let g = graph_of [ "fx_alias" ] in
+  let fs = Lint.Alloc.run cfg g in
+  Alcotest.check pass_shape
+    "a call through a [let module] alias reaches the aliased module's def"
+    [ (("hotalloc", 5), [ "Fx_alias.root"; "Inner.leaf" ]) ]
+    (List.map rule_line_chain fs)
+
 let test_raises_pass () =
   let g = graph_of [ "fx_raise" ] in
   let fs = Lint.Raises.run cfg g in
@@ -181,6 +189,34 @@ let test_handled_exns () =
   Alcotest.check pass_shape "declared-handled Failure is not a finding"
     [ (("raises", 5), [ "Fx_raise.recover"; "Fx_raise.step" ]) ]
     (List.map rule_line_chain fs)
+
+let test_unused_export () =
+  let summary name ext =
+    match Lint.Engine.check_cmt cfg (cmt_for ~ext name) with
+    | Ok (Some (_, r)) -> r.Lint.Engine.summary
+    | Ok None -> Alcotest.failf "%s%s: nothing to check" name ext
+    | Error e -> Alcotest.fail e
+  in
+  let base f = Filename.basename f in
+  let fs, waived =
+    Lint.Unused_export.run
+      ~exporting:(fun f -> base f = "fx_exports.mli")
+      ~counting:(fun f -> base f <> "fx_test_user.ml")
+      [
+        summary "fx_exports" ".cmti";
+        summary "fx_exports" ".cmt";
+        summary "fx_bench_user" ".cmt";
+        summary "fx_test_user" ".cmt";
+        summary "fx_functor" ".cmt";
+      ]
+  in
+  Alcotest.check rules_at
+    "the unreferenced and the test-only value fire, the stale waiver \
+     errors; the let-module alias, the functor argument and the \
+     bench-style call count as uses"
+    [ ("unused_export", 3); ("unused_export", 7); ("waiver", 9) ]
+    (List.map (fun (f : Lint.Finding.t) -> (Lint.Finding.rule_name f.rule, f.line)) fs);
+  Alcotest.(check int) "the waived value is accepted" 1 waived
 
 (* ---- call-graph determinism ---- *)
 
@@ -254,9 +290,12 @@ let () =
           Alcotest.test_case "escape pass" `Quick test_escape_pass;
           Alcotest.test_case "escape pass (transitive)" `Quick test_escape_transitive;
           Alcotest.test_case "alloc pass" `Quick test_alloc_pass;
+          Alcotest.test_case "alloc through a let-module alias" `Quick
+            test_alloc_through_let_module;
           Alcotest.test_case "raises pass" `Quick test_raises_pass;
           Alcotest.test_case "raises through a functor" `Quick test_raises_through_functor;
           Alcotest.test_case "handled exns" `Quick test_handled_exns;
+          Alcotest.test_case "unused exports" `Quick test_unused_export;
           test_edges_stable;
         ] );
       ( "waivers",

@@ -1,6 +1,15 @@
 module Medium = Purity_medium.Medium
 module Rng = Purity_util.Rng
 
+(* a medium's size and status, read off its extents *)
+let size_blocks t m =
+  List.fold_left (fun acc e -> max acc (e.Medium.end_block + 1)) 0 (Medium.extents t m)
+
+let status t m =
+  match Medium.extents t m with
+  | [] -> None
+  | es -> Some (if List.exists (fun e -> e.Medium.status = Medium.RW) es then Medium.RW else Medium.RO)
+
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -10,8 +19,8 @@ let chain = Alcotest.list (Alcotest.pair int int)
 let test_base_medium () =
   let t = Medium.create () in
   let m = Medium.create_base t ~blocks:100 in
-  check int "size" 100 (Medium.size_blocks t m);
-  check bool "rw" true (Medium.status t m = Some Medium.RW);
+  check int "size" 100 (size_blocks t m);
+  check bool "rw" true (status t m = Some Medium.RW);
   check chain "resolve to self" [ (m, 42) ] (Medium.resolve t m ~block:42);
   check chain "out of range" [] (Medium.resolve t m ~block:100)
 
@@ -19,9 +28,9 @@ let test_snapshot_freezes_and_chains () =
   let t = Medium.create () in
   let m = Medium.create_base t ~blocks:10 in
   let snap, succ = Medium.take_snapshot t m in
-  check bool "original frozen" true (Medium.status t m = Some Medium.RO);
-  check bool "snap ro" true (Medium.status t snap = Some Medium.RO);
-  check bool "successor rw" true (Medium.status t succ = Some Medium.RW);
+  check bool "original frozen" true (status t m = Some Medium.RO);
+  check bool "snap ro" true (status t snap = Some Medium.RO);
+  check bool "successor rw" true (status t succ = Some Medium.RW);
   (* successor resolves through itself then the frozen original *)
   check chain "successor chain" [ (succ, 3); (m, 3) ] (Medium.resolve t succ ~block:3);
   (* snapshot handle skips its own (empty) level *)
@@ -43,7 +52,7 @@ let test_clone_with_offset () =
   let m = Medium.create_base t ~blocks:4000 in
   let _snap, _succ = Medium.take_snapshot t m in
   let c = Medium.clone t m ~range:(2000, 2999) () in
-  check int "clone size" 1000 (Medium.size_blocks t c);
+  check int "clone size" 1000 (size_blocks t c);
   check chain "clone offset mapping" [ (c, 5); (m, 2005) ] (Medium.resolve t c ~block:5);
   check chain "clone oob" [] (Medium.resolve t c ~block:1000)
 
@@ -68,7 +77,7 @@ let test_extend () =
   let t = Medium.create () in
   let m = Medium.create_base t ~blocks:10 in
   Medium.extend t m ~blocks:10;
-  check int "grown" 20 (Medium.size_blocks t m);
+  check int "grown" 20 (size_blocks t m);
   check chain "new range is base" [ (m, 15) ] (Medium.resolve t m ~block:15)
 
 let test_drop_protects_references () =
@@ -225,7 +234,7 @@ let binary_shortcut ?only t ~has_blocks =
         left @ List.map (fun (r, l, m, o) -> (r + half, l, m, o)) right
       end
     in
-    if Medium.status t medium <> Some Medium.RO then stop
+    if status t medium <> Some Medium.RO then stop
     else if has_blocks ~medium ~lo:offset ~hi:(offset + len - 1) then split ()
     else
       match Medium.extent_of t medium ~block:offset with
@@ -270,7 +279,7 @@ let binary_shortcut ?only t ~has_blocks =
 let random_history rng =
   let t = Medium.create () in
   let pick = function [] -> None | ms -> Some (List.nth ms (Rng.int rng (List.length ms))) in
-  let with_status st = List.filter (fun m -> Medium.status t m = Some st) (Medium.live_mediums t) in
+  let with_status st = List.filter (fun m -> status t m = Some st) (Medium.live_mediums t) in
   ignore (Medium.create_base t ~blocks:(1 + Rng.int rng 24) : int);
   for _ = 1 to 4 + Rng.int rng 16 do
     match Rng.int rng 10 with
@@ -280,7 +289,7 @@ let random_history rng =
     | 4 | 5 | 6 ->
       Option.iter
         (fun m ->
-          let size = Medium.size_blocks t m in
+          let size = size_blocks t m in
           let lo = Rng.int rng size in
           let hi = lo + Rng.int rng (size - lo) in
           ignore (Medium.clone t m ~range:(lo, hi) () : int))
@@ -296,7 +305,7 @@ let random_history rng =
   List.iter
     (fun m ->
       let runs = ref [] in
-      for b = Medium.size_blocks t m - 1 downto 0 do
+      for b = size_blocks t m - 1 downto 0 do
         if Rng.int rng 3 = 0 then
           runs :=
             match !runs with
@@ -311,7 +320,7 @@ let prop_shortcut_matches_binary_chase =
   QCheck.Test.make ~name:"shortcut ~owned = binary has_blocks chase on random histories"
     ~count:500 QCheck.(pair (int_bound 1_000_000) bool)
     (fun (seed, restrict) ->
-      Rng.with_seed_report ~seed:(Int64.of_int seed) @@ fun rng ->
+      Testkit.with_seed_report ~seed:(Int64.of_int seed) @@ fun rng ->
       let t, owned = random_history rng in
       let only =
         if restrict then Some (List.filter (fun _ -> Rng.bool rng) (Medium.live_mediums t))
@@ -324,7 +333,7 @@ let prop_shortcut_matches_binary_chase =
       let asked = Hashtbl.create 16 in
       let owned m =
         if Hashtbl.mem asked m then failwith "owned asked twice";
-        if Medium.status t m <> Some Medium.RO then failwith "owned asked of a RW medium";
+        if status t m <> Some Medium.RO then failwith "owned asked of a RW medium";
         Hashtbl.add asked m ();
         owned m
       in

@@ -63,7 +63,6 @@ let write_segment env ~id payload logs =
 
 let test_layout_geometry () =
   check int "members" 5 (Layout.members layout);
-  check int "rows" 15 (Layout.rows layout);
   check int "payload capacity" (3 * 15 * 4096) (Layout.payload_capacity layout)
 
 let test_layout_locate_single () =
@@ -135,6 +134,61 @@ let test_header_rejects_garbage () =
   let page = Segment.encode_header layout sample_segment ~shard:0 in
   Bytes.set_uint8 page 20 (Bytes.get_uint8 page 20 lxor 0xFF);
   check bool "corrupted" true (Segment.decode_header page = None)
+
+(* Does the page carry the magic and a CRC that covers its meta bytes? *)
+let header_crc_matches page =
+  Bytes.length page >= 16
+  && Bytes.sub_string page 0 4 = Bytes.sub_string (Segment.encode_header layout sample_segment ~shard:0) 0 4
+  &&
+  match Purity_util.Varint.read page ~pos:8 with
+  | meta_len, p ->
+    meta_len <= Bytes.length page - p
+    && Int32.equal (Purity_util.Crc32c.digest page ~pos:p ~len:meta_len) (Bytes.get_int32_le page 4)
+  | exception Invalid_argument _ -> false
+
+(* Valid header pages of varied segments, damaged by a cut, a bit flip or
+   overwritten bytes, plus arbitrary bytes behind the magic: the decoder
+   never raises, decodes only a page whose CRC still matches, and a flip
+   in the zero padding past the meta leaves the segment intact. *)
+let prop_header_total_on_damage =
+  let gen =
+    let open QCheck.Gen in
+    let* id = nat and* payload_len = nat and* seq = map Int64.of_int nat in
+    let* shard = 0 -- 1 in
+    let seg = { sample_segment with Segment.id; payload_len; seq_hi = Int64.add seq 17L } in
+    let page = Segment.encode_header layout seg ~shard in
+    let n = Bytes.length page in
+    let* damage =
+      oneof
+        [
+          map (fun k -> `Cut (k mod (n + 1))) nat;
+          map2 (fun i b -> `Flip (i mod n, 1 lsl (b mod 8))) nat nat;
+          map2 (fun i s -> `Overwrite (i mod n, s)) nat (string_size (1 -- 32));
+          map (fun s -> `Garbage s) (string_size (0 -- 64));
+        ]
+    in
+    return (seg, page, damage)
+  in
+  QCheck.Test.make ~name:"Segment.decode_header total on damage" ~count:2000 (QCheck.make gen)
+    (fun (seg, page, damage) ->
+      let damaged = Bytes.copy page in
+      (* magic, CRC, a one-byte length, then the meta *)
+      let meta_end = 8 + 1 + String.length (Segment.encode_compact seg) in
+      let damaged, padding_flip =
+        match damage with
+        | `Cut k -> (Bytes.sub damaged 0 k, false)
+        | `Flip (i, bit) ->
+          Bytes.set_uint8 damaged i (Bytes.get_uint8 damaged i lxor bit);
+          (damaged, i >= meta_end)
+        | `Overwrite (i, s) ->
+          let len = min (String.length s) (Bytes.length damaged - i) in
+          Bytes.blit_string s 0 damaged i len;
+          (damaged, false)
+        | `Garbage s -> (Bytes.cat (Bytes.sub damaged 0 4) (Bytes.of_string s), false)
+      in
+      match Segment.decode_header damaged with
+      | None -> not padding_flip
+      | Some t -> header_crc_matches damaged && ((not padding_flip) || t = seg))
 
 (* ---------- Allocator ---------- *)
 
@@ -305,6 +359,64 @@ let test_log_records_roundtrip () =
         check Alcotest.string "record" er gr)
       logs got
   | Error `Unrecoverable -> Alcotest.fail "log read failed"
+
+(* Log records framed as the writer frames them: seq, length, bytes. *)
+let frame_log records =
+  let b = Buffer.create 64 in
+  List.iter
+    (fun (seq, r) ->
+      Purity_util.Varint.write_i64 b seq;
+      Purity_util.Varint.write b (String.length r);
+      Buffer.add_string b r)
+    records;
+  Buffer.to_bytes b
+
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | x :: a, y :: b -> x = y && is_prefix a b
+  | _ :: _, [] -> false
+
+(* A framed region cut anywhere decodes to a prefix of its records; cut,
+   bit-flipped or arbitrary bytes never make the decoder raise, and what it
+   returns re-frames to a prefix of the bytes it was given. *)
+let prop_log_region_total_on_damage =
+  let gen =
+    let open QCheck.Gen in
+    let* records =
+      list_size (0 -- 12) (pair (map Int64.of_int nat) (string_size (0 -- 40)))
+    in
+    let region = frame_log records in
+    let n = Bytes.length region in
+    let* damage =
+      oneof
+        [
+          map (fun k -> `Cut (k mod (n + 1))) nat;
+          map2 (fun i b -> `Flip (i, 1 lsl (b mod 8))) nat nat;
+          map (fun s -> `Garbage s) (string_size (0 -- 96));
+        ]
+    in
+    return (records, region, damage)
+  in
+  QCheck.Test.make ~name:"Writer.decode_log_region total on damage" ~count:2000
+    (QCheck.make gen) (fun (records, region, damage) ->
+      let damaged =
+        match damage with
+        | `Cut k -> Bytes.sub region 0 k
+        | `Flip (i, bit) ->
+          let b = Bytes.copy region in
+          if Bytes.length b > 0 then begin
+            let i = i mod Bytes.length b in
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor bit)
+          end;
+          b
+        | `Garbage s -> Bytes.of_string s
+      in
+      let got = Writer.decode_log_region damaged in
+      let reframed = frame_log got in
+      Bytes.length reframed <= Bytes.length damaged
+      && Bytes.equal reframed (Bytes.sub damaged 0 (Bytes.length reframed))
+      && match damage with `Cut _ -> is_prefix got records | `Flip _ | `Garbage _ -> true)
 
 let test_writer_capacity_respected () =
   let env = make_env () in
@@ -498,7 +610,7 @@ let test_read_around_write_off_reads_directly () =
    test reports it so the run can be reproduced. *)
 let test_case name speed f =
   Alcotest.test_case name speed (fun () ->
-      ignore (Rng.with_seed_report ~seed:env_seed (fun _ -> f ())))
+      ignore (Testkit.with_seed_report ~seed:env_seed (fun _ -> f ())))
 
 let () =
   Alcotest.run "segment"
@@ -517,6 +629,7 @@ let () =
         [
           test_case "roundtrip" `Quick test_header_roundtrip;
           test_case "rejects garbage" `Quick test_header_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_header_total_on_damage;
         ] );
       ( "allocator",
         [
@@ -532,6 +645,7 @@ let () =
       ( "writer+io",
         [
           test_case "write/read roundtrip" `Quick test_segment_write_read_roundtrip;
+          QCheck_alcotest.to_alcotest prop_log_region_total_on_damage;
           test_case "partial reads" `Quick test_segment_partial_reads;
           test_case "read through two failures" `Quick test_segment_read_with_two_failures;
           test_case "three failures unrecoverable" `Quick

@@ -323,7 +323,7 @@ let test_ftl_sequential_no_amplification () =
   check (Alcotest.float 0.01) "first fill WA=1" 1.0 (Ftl.write_amplification ftl)
 
 let test_ftl_random_writes_amplify () =
-  Rng.with_seed_report ~seed:99L (fun rng ->
+  Testkit.with_seed_report ~seed:99L (fun rng ->
       let ftl = Ftl.create () in
       let n = Ftl.host_pages ftl in
       (* fill once sequentially, then hammer with random overwrites *)
@@ -337,7 +337,7 @@ let test_ftl_random_writes_amplify () =
       check bool (Printf.sprintf "random overwrites amplify (wa=%.2f)" wa) true (wa > 1.3))
 
 let test_ftl_gc_latency_spikes () =
-  Rng.with_seed_report ~seed:100L (fun rng ->
+  Testkit.with_seed_report ~seed:100L (fun rng ->
       let ftl = Ftl.create () in
       let n = Ftl.host_pages ftl in
       for lpn = 0 to n - 1 do
@@ -364,28 +364,34 @@ let test_ftl_stats_consistent () =
 
 (* ---------- Shelf ---------- *)
 
+let online shelf =
+  List.length
+    (List.filter
+       (fun i -> Drive.is_online (Shelf.drive shelf i))
+       (List.init (Shelf.drive_count shelf) Fun.id))
+
 let test_shelf_basics () =
-  Rng.with_seed_report ~seed:5L (fun rng ->
+  Testkit.with_seed_report ~seed:5L (fun rng ->
       let clock = Clock.create () in
       let shelf = Shelf.create ~drive_config:small_config ~clock ~rng ~drives:11 () in
       check int "drive count" 11 (Shelf.drive_count shelf);
-      check int "online" 11 (List.length (Shelf.online_drives shelf));
+      check int "online" 11 (online shelf);
       check int "physical bytes" (11 * 32 * 64 * 1024) (Shelf.physical_bytes shelf))
 
 let test_shelf_pull_and_reinsert () =
-  Rng.with_seed_report ~seed:6L (fun rng ->
+  Testkit.with_seed_report ~seed:6L (fun rng ->
       let clock = Clock.create () in
       let shelf = Shelf.create ~drive_config:small_config ~clock ~rng ~drives:11 () in
       Shelf.pull_drive shelf 3;
       Shelf.pull_drive shelf 7;
-      check int "two pulled" 9 (List.length (Shelf.online_drives shelf));
+      check int "two pulled" 9 (online shelf);
       check bool "3 offline" false (Drive.is_online (Shelf.drive shelf 3));
       Shelf.reinsert_drive shelf 3;
-      check int "back online" 10 (List.length (Shelf.online_drives shelf)))
+      check int "back online" 10 (online shelf))
 
 let test_shelf_distinct_drive_salts () =
   (* Drives must get independent rngs (different corruption draws). *)
-  Rng.with_seed_report ~seed:7L (fun rng ->
+  Testkit.with_seed_report ~seed:7L (fun rng ->
       let clock = Clock.create () in
       let shelf = Shelf.create ~drive_config:small_config ~clock ~rng ~drives:3 () in
       check bool "distinct ids" true

@@ -45,11 +45,13 @@ let test_rng_zipf_skew () =
   check bool "rank 0 heavily popular" true (counts.(0) > 1000)
 
 let test_rng_exponential_mean () =
+  (* inverse-transform sampling over [Rng.float] *)
+  let exponential r ~mean = -.mean *. log (1.0 -. Rng.float r 1.0) in
   let r = Rng.create ~seed:10L in
   let n = 20_000 in
   let sum = ref 0.0 in
   for _ = 1 to n do
-    sum := !sum +. Rng.exponential r ~mean:5.0
+    sum := !sum +. exponential r ~mean:5.0
   done;
   let mean = !sum /. float_of_int n in
   check bool "mean near 5" true (mean > 4.5 && mean < 5.5)
@@ -57,16 +59,18 @@ let test_rng_exponential_mean () =
 let test_rng_shuffle_permutation () =
   let r = Rng.create ~seed:11L in
   let a = Array.init 50 Fun.id in
-  Rng.shuffle r a;
+  Testkit.shuffle r a;
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check (Alcotest.array int) "still a permutation" (Array.init 50 Fun.id) sorted
 
 (* ---------- Xxhash ---------- *)
 
+let hash_string ?seed s = Xxhash.hash ?seed (Bytes.of_string s) ~pos:0 ~len:(String.length s)
+
 let test_xxhash_known_vectors () =
   (* Reference values from the xxHash specification. *)
-  let h s = Xxhash.hash_string ~seed:0L s in
+  let h s = hash_string ~seed:0L s in
   check Alcotest.int64 "empty" 0xEF46DB3751D8E999L (h "");
   check Alcotest.int64 "abc" 0x44BC2CF5AD770999L (h "abc");
   (* Pinned digests over inputs long enough to run the 32-byte stripe
@@ -111,23 +115,18 @@ let test_xxhash_allocation () =
 let test_xxhash_slice_matches_whole () =
   let data = Bytes.of_string "hello world, this is a longer buffer for slicing!" in
   let whole = Xxhash.hash data ~pos:6 ~len:5 in
-  let direct = Xxhash.hash_string "world" in
+  let direct = hash_string "world" in
   check Alcotest.int64 "slice equals substring hash" direct whole
-
-let test_xxhash_truncate () =
-  let h = 0xFFFFFFFFFFFFFFFFL in
-  check Alcotest.int64 "16 bits" 0xFFFFL (Xxhash.truncate h ~bits:16);
-  check Alcotest.int64 "64 bits id" h (Xxhash.truncate h ~bits:64)
 
 let prop_xxhash_deterministic =
   QCheck.Test.make ~name:"xxhash deterministic over random strings" ~count:200
     QCheck.(string_of_size Gen.(0 -- 200))
-    (fun s -> Xxhash.hash_string s = Xxhash.hash_string s)
+    (fun s -> hash_string s = hash_string s)
 
 let prop_xxhash_seed_sensitivity =
   QCheck.Test.make ~name:"xxhash seed changes value" ~count:100
     QCheck.(string_of_size Gen.(1 -- 64))
-    (fun s -> Xxhash.hash_string ~seed:1L s <> Xxhash.hash_string ~seed:2L s)
+    (fun s -> hash_string ~seed:1L s <> hash_string ~seed:2L s)
 
 let test_hash63_truncate_int () =
   let h = -1 (* all 63 bits set *) in
@@ -145,9 +144,9 @@ let prop_hash63_fast_equals_ref =
       let n = Bytes.length buf in
       let pos = if n = 0 then 0 else a mod (n + 1) in
       let len = if n = pos then 0 else b mod (n - pos + 1) in
-      Xxhash.hash63 buf ~pos ~len = Xxhash.hash63_ref buf ~pos ~len
+      Xxhash.hash63 buf ~pos ~len = Purity_reference.Xxhash_ref.hash63 buf ~pos ~len
       && Xxhash.hash63 ~seed:42 buf ~pos ~len
-         = Xxhash.hash63_ref ~seed:42 buf ~pos ~len)
+         = Purity_reference.Xxhash_ref.hash63 ~seed:42 buf ~pos ~len)
 
 (* ---------- Crc32c ---------- *)
 
@@ -178,7 +177,7 @@ let test_crc32c_rfc3720_suite () =
   List.iter
     (fun (name, b, want) ->
       check Alcotest.int32 name want (Crc32c.digest b ~pos:0 ~len:32);
-      check Alcotest.int32 (name ^ " (ref)") want (Crc32c.digest_ref b ~pos:0 ~len:32))
+      check Alcotest.int32 (name ^ " (ref)") want (Purity_reference.Crc32c_ref.digest b ~pos:0 ~len:32))
     vectors
 
 let prop_crc32c_fast_equals_ref =
@@ -191,7 +190,7 @@ let prop_crc32c_fast_equals_ref =
       let n = Bytes.length buf in
       let pos = if n = 0 then 0 else a mod (n + 1) in
       let len = if n = pos then 0 else b mod (n - pos + 1) in
-      Crc32c.digest buf ~pos ~len = Crc32c.digest_ref buf ~pos ~len)
+      Crc32c.digest buf ~pos ~len = Purity_reference.Crc32c_ref.digest buf ~pos ~len)
 
 let prop_crc32c_incremental_equals_oneshot =
   (* Splitting at any point and chaining through [update] must match the
@@ -271,17 +270,11 @@ let test_histogram_percentile_accuracy () =
   check bool "p99 within 2%" true (abs_float (p99 -. 9900.0) < 220.0);
   check bool "p100 = max" true (Histogram.percentile h 100.0 = 10_000.0)
 
-let test_histogram_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  Histogram.record a 10.0;
-  Histogram.record b 1000.0;
-  Histogram.merge_into ~src:a ~dst:b;
-  check int "merged count" 2 (Histogram.count b);
-  check (Alcotest.float 0.01) "merged max" 1000.0 (Histogram.max_value b)
-
 let test_histogram_mean () =
   let h = Histogram.create () in
-  Histogram.record_n h 10.0 3;
+  for _ = 1 to 3 do
+    Histogram.record h 10.0
+  done;
   Histogram.record h 70.0;
   check (Alcotest.float 0.001) "mean exact" 25.0 (Histogram.mean h)
 
@@ -301,17 +294,25 @@ let prop_histogram_percentile_monotone =
 
 (* ---------- Bitio ---------- *)
 
+(* sequential reads of a writer's bits through the random-access [get] *)
+let bitio_reader w =
+  let r = Bitio.Reader.create (Bitio.Writer.contents w) and at = ref 0 in
+  fun ~width ->
+    let v = Bitio.Reader.get r ~at:!at ~width in
+    at := !at + width;
+    v
+
 let test_bitio_roundtrip_fixed () =
   let w = Bitio.Writer.create () in
   Bitio.Writer.put w 5L ~width:3;
   Bitio.Writer.put w 0L ~width:0;
   Bitio.Writer.put w 1023L ~width:10;
   Bitio.Writer.put w 0x1FFFFFFFFFFFFFFL ~width:57;
-  let r = Bitio.Reader.create (Bitio.Writer.contents w) in
-  check Alcotest.int64 "3 bits" 5L (Bitio.Reader.read r ~width:3);
-  check Alcotest.int64 "0 bits" 0L (Bitio.Reader.read r ~width:0);
-  check Alcotest.int64 "10 bits" 1023L (Bitio.Reader.read r ~width:10);
-  check Alcotest.int64 "57 bits" 0x1FFFFFFFFFFFFFFL (Bitio.Reader.read r ~width:57)
+  let read = bitio_reader w in
+  check Alcotest.int64 "3 bits" 5L (read ~width:3);
+  check Alcotest.int64 "0 bits" 0L (read ~width:0);
+  check Alcotest.int64 "10 bits" 1023L (read ~width:10);
+  check Alcotest.int64 "57 bits" 0x1FFFFFFFFFFFFFFL (read ~width:57)
 
 let test_bitio_random_access () =
   let w = Bitio.Writer.create () in
@@ -323,12 +324,12 @@ let test_bitio_random_access () =
   check Alcotest.int64 "tuple 99" 99L (Bitio.Reader.get r ~at:(99 * 7) ~width:7)
 
 let test_bitio_align () =
+  (* [contents] ends on a byte boundary, the partial byte zero-padded *)
   let w = Bitio.Writer.create () in
   Bitio.Writer.put w 1L ~width:1;
-  Bitio.Writer.align_byte w;
-  check int "aligned to 8" 8 (Bitio.Writer.bit_length w);
-  Bitio.Writer.align_byte w;
-  check int "idempotent" 8 (Bitio.Writer.bit_length w)
+  check Alcotest.string "one padded byte" "\001" (Bytes.to_string (Bitio.Writer.contents w));
+  Bitio.Writer.put w 0x7FL ~width:8;
+  check Alcotest.string "two bytes" "\255\000" (Bytes.to_string (Bitio.Writer.contents w))
 
 let prop_bitio_roundtrip =
   QCheck.Test.make ~name:"bitio roundtrip arbitrary widths" ~count:300
@@ -337,8 +338,8 @@ let prop_bitio_roundtrip =
       let fields = List.map (fun (w, v) -> (w + 1, Int64.logand v (Int64.sub (Int64.shift_left 1L (w + 1)) 1L))) fields in
       let wtr = Bitio.Writer.create () in
       List.iter (fun (w, v) -> Bitio.Writer.put wtr v ~width:w) fields;
-      let r = Bitio.Reader.create (Bitio.Writer.contents wtr) in
-      List.for_all (fun (w, v) -> Int64.equal (Bitio.Reader.read r ~width:w) v) fields)
+      let read = bitio_reader wtr in
+      List.for_all (fun (w, v) -> Int64.equal (read ~width:w) v) fields)
 
 (* ---------- Varint ---------- *)
 
@@ -443,7 +444,7 @@ let test_heap_ordering () =
 
 let test_heap_empty () =
   let h = Heap.create ~cmp:Int.compare in
-  check bool "empty" true (Heap.is_empty h);
+  check int "empty" 0 (Heap.length h);
   check bool "pop none" true (Heap.pop h = None);
   check bool "peek none" true (Heap.peek h = None)
 
@@ -533,10 +534,14 @@ let test_heap_pop_releases () =
   let rec drain () = match Heap.pop h with Some _ -> drain () | None -> () in
   drain ();
   Gc.full_major ();
-  check bool "empty heap" true (Heap.is_empty h);
+  check int "empty heap" 0 (Heap.length h);
   check int "a drained heap pins nothing" 0 (pinned ())
 
 (* ---------- Lru ---------- *)
+
+(* membership and size through the one traversal the cache exports *)
+let lru_mem c k = Lru.fold (fun k' _ found -> found || k' = k) c false
+let lru_length c = Lru.fold (fun _ _ n -> n + 1) c 0
 
 let test_lru_eviction () =
   let c = Lru.create ~capacity:3 in
@@ -546,22 +551,22 @@ let test_lru_eviction () =
   ignore (Lru.find c 1);
   (* 2 is now least recently used *)
   Lru.add c 4 "d";
-  check bool "2 evicted" false (Lru.mem c 2);
-  check bool "1 kept" true (Lru.mem c 1);
-  check int "size" 3 (Lru.length c)
+  check bool "2 evicted" false (lru_mem c 2);
+  check bool "1 kept" true (lru_mem c 1);
+  check int "size" 3 (lru_length c)
 
 let test_lru_overwrite () =
   let c = Lru.create ~capacity:2 in
   Lru.add c 1 "a";
   Lru.add c 1 "b";
-  check int "no duplicate" 1 (Lru.length c);
+  check int "no duplicate" 1 (lru_length c);
   check (Alcotest.option Alcotest.string) "updated" (Some "b") (Lru.find c 1)
 
 let test_lru_remove () =
   let c = Lru.create ~capacity:2 in
   Lru.add c 1 "a";
   Lru.remove c 1;
-  check int "removed" 0 (Lru.length c);
+  check int "removed" 0 (lru_length c);
   Lru.remove c 99 (* removing absent key is fine *)
 
 let test_lru_fold_order () =
@@ -579,9 +584,17 @@ let prop_lru_capacity =
     (fun (cap, keys) ->
       let c = Lru.create ~capacity:cap in
       List.iter (fun k -> Lru.add c k k) keys;
-      Lru.length c <= cap)
+      lru_length c <= cap)
 
 (* ---------- Bloom ---------- *)
+
+(* keys go through the hashed calls the pyramid's patches use *)
+module Bloom = struct
+  include Bloom
+
+  let add b k = add_hashed b (hash_pair k)
+  let mem b k = mem_hashed b (hash_pair k)
+end
 
 let test_bloom_no_false_negatives () =
   let b = Bloom.create ~expected:1000 () in
@@ -594,8 +607,7 @@ let test_bloom_no_false_negatives () =
 
 let test_bloom_empty () =
   let b = Bloom.create ~expected:100 () in
-  check bool "empty filter rejects" false (Bloom.mem b "anything");
-  check int "no entries" 0 (Bloom.entries b)
+  check bool "empty filter rejects" false (Bloom.mem b "anything")
 
 let test_bloom_fp_rate_bounded () =
   (* 1% target; allow 5x slack so the test is seed-robust *)
@@ -611,9 +623,7 @@ let test_bloom_fp_rate_bounded () =
   let rate = float_of_int !fps /. float_of_int probes in
   check bool
     (Printf.sprintf "false-positive rate %.4f below 0.05" rate)
-    true (rate < 0.05);
-  (* optimally sized filters sit near 50% occupancy when full *)
-  check bool "fill ratio sane" true (Bloom.fill_ratio b > 0.2 && Bloom.fill_ratio b < 0.8)
+    true (rate < 0.05)
 
 let test_bloom_binary_keys () =
   (* the block pyramid's keys are 16-byte be64^be64 strings with long
@@ -662,7 +672,6 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_xxhash_known_vectors;
           Alcotest.test_case "no allocation" `Quick test_xxhash_allocation;
           Alcotest.test_case "slice" `Quick test_xxhash_slice_matches_whole;
-          Alcotest.test_case "truncate" `Quick test_xxhash_truncate;
           QCheck_alcotest.to_alcotest prop_xxhash_deterministic;
           QCheck_alcotest.to_alcotest prop_xxhash_seed_sensitivity;
           Alcotest.test_case "truncate_int" `Quick test_hash63_truncate_int;
@@ -690,7 +699,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_histogram_empty;
           Alcotest.test_case "single" `Quick test_histogram_single;
           Alcotest.test_case "percentile accuracy" `Quick test_histogram_percentile_accuracy;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "mean" `Quick test_histogram_mean;
           QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
         ] );
