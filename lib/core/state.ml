@@ -215,6 +215,9 @@ let register_derived_telemetry t =
       let _, _, b = Block_index.probe_stats t.blocks in
       b);
   Registry.attach_counter reg "trace/dropped_spans" (Span.dropped t.tracer);
+  (* the dedup index's own lookup, hit and verification counts, beside
+     the write path's dedup/inline_blocks and dedup/gc_blocks *)
+  Dedup.register_telemetry t.dedup reg;
   (* data-plane kernel throughput: process-wide cells (the kernels sit
      below the telemetry library in the dependency order), re-derived
      into whichever controller registry is current *)

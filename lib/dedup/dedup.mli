@@ -59,12 +59,10 @@ val forget : t -> write_id:int -> unit
     (a hit on one fails verification and costs only the lookup). *)
 
 val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
-[@@purity.lint.allow
-  "unused_export: test_dedup's counters helper reads the index's hash, \
-   verification and false-positive counts through it"]
 (** Attach the index's counters under [dedup/]: [registered_writes],
     [recorded_hashes], [lookups], [hash_hits], [verified_hits],
     [false_positives] (hash matched, bytes differed) and
     [duplicate_blocks] (blocks covered by returned runs). The index owns
-    the cells. The controller does not attach them: its registry's
-    [dedup/] keys are the write path's own block counts. *)
+    the cells. The controller attaches its index's cells to its registry,
+    beside the write path's own [dedup/inline_blocks] and
+    [dedup/gc_blocks]. *)

@@ -20,22 +20,40 @@ let create ~seed =
   let pool_rng = Rng.split rng in
   { rng; os_pool = lazy (make_os_pool pool_rng) }
 
-let random t len = Bytes.to_string (Rng.bytes t.rng len)
+(* A payload is one fresh buffer, filled in place and handed out as the
+   string it becomes: nothing else holds the bytes, so no copy is needed. *)
+let[@purity.lint.allow "unsafe: a freshly filled buffer that nothing else references"] publish
+    buf =
+  Bytes.unsafe_to_string buf
+
+let random t len = publish (Rng.bytes t.rng len)
+
+(* interleave random spans (incompressible) with a repeated template;
+   random fraction ~ 1/ratio gives roughly the requested ratio *)
+let template = "the-quick-brown-fox-0123456789-"
+let span = 32
 
 let compressible t len ~target_ratio =
   if target_ratio <= 1.0 then random t len
   else begin
-    (* interleave random spans (incompressible) with a repeated template;
-       random fraction ~ 1/ratio gives roughly the requested ratio *)
-    let template = "the-quick-brown-fox-0123456789-" in
-    let random_fraction = 1.0 /. target_ratio in
-    let b = Buffer.create len in
-    while Buffer.length b < len do
-      if Rng.float t.rng 1.0 < random_fraction then
-        Buffer.add_string b (Bytes.to_string (Rng.bytes t.rng 32))
-      else Buffer.add_string b template
+    let random_span = Rng.odds (1.0 /. target_ratio) in
+    let buf = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let room = len - !pos in
+      if Rng.hit t.rng random_span then begin
+        let n = min span room in
+        Rng.fill_bytes t.rng buf ~pos:!pos ~len:n;
+        (* a cut-off last span still consumes its whole 32 bytes' draws *)
+        Rng.skip t.rng ((span - n) / 8);
+        pos := !pos + span
+      end
+      else begin
+        Bytes.blit_string template 0 buf !pos (min (String.length template) room);
+        pos := !pos + String.length template
+      end
     done;
-    Buffer.sub b 0 len
+    publish buf
   end
 
 let rdbms_page t len =
@@ -76,14 +94,17 @@ let os_image_block t i =
   let pool = Lazy.force t.os_pool in
   pool.(((i mod Array.length pool) + Array.length pool) mod Array.length pool)
 
+let shared_block = Rng.odds 0.95
+
 let vm_image t ~blocks =
-  let b = Buffer.create (blocks * block) in
+  let buf = Bytes.create (blocks * block) in
   for i = 0 to blocks - 1 do
-    if Rng.float t.rng 1.0 < 0.95 then
+    if Rng.hit t.rng shared_block then
       (* shared OS content, in file-sized runs so dedup anchors land *)
-      Buffer.add_string b (os_image_block t (i / 16 * 16 mod 256 + (i mod 16)))
+      Bytes.blit_string (os_image_block t (i / 16 * 16 mod 256 + (i mod 16))) 0 buf (i * block)
+        block
     else
       (* machine-unique block (logs, swap, config) *)
-      Buffer.add_string b (Bytes.to_string (Rng.bytes t.rng block))
+      Rng.fill_bytes t.rng buf ~pos:(i * block) ~len:block
   done;
-  Buffer.contents b
+  publish buf

@@ -4,7 +4,14 @@
     relational pages compress 3–8×, document stores ~10×, VDI images
     dedup up to 20× (§4.7, §5.2–5.3). These generators synthesise data
     with the same structure so the reduction experiments (E8) exercise
-    the real compression/dedup machinery rather than asserting ratios. *)
+    the real compression/dedup machinery rather than asserting ratios.
+
+    [random], [compressible] and [vm_image] fill one fresh buffer in
+    place and return it as the payload string, without a copy; their
+    draws allocate nothing (see {!Purity_util.Rng}), so a payload costs
+    its own bytes and a few words. The text generators ([rdbms_page],
+    [document]) still format through [Printf]. Every output is a pure
+    function of the seed and the calls before it. *)
 
 type t
 

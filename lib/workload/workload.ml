@@ -23,19 +23,26 @@ let offset_for rng size io_blocks ~zipf_skew =
   in
   slot * io_blocks
 
+(* A write's payload is one fresh buffer, filled in place and handed out
+   as the string it becomes: nothing else holds the bytes. *)
+let[@purity.lint.allow "unsafe: a freshly filled buffer that nothing else references"] publish
+    buf =
+  Bytes.unsafe_to_string buf
+
 let uniform ~seed ~volumes ~read_fraction ~io_blocks () =
   let rng = Rng.create ~seed in
   let data_rng = Rng.split rng in
   let vols = Array.of_list volumes in
+  let read = Rng.odds read_fraction in
   let gen () =
     let name, size = pick_volume rng vols in
     let block = offset_for rng size io_blocks ~zipf_skew:0.0 in
-    if Rng.float rng 1.0 < read_fraction then Read { volume = name; block; nblocks = io_blocks }
-    else
-      Write
-        { volume = name; block; data = Bytes.to_string (Rng.bytes data_rng (io_blocks * 512)) }
+    if Rng.hit rng read then Read { volume = name; block; nblocks = io_blocks }
+    else Write { volume = name; block; data = publish (Rng.bytes data_rng (io_blocks * 512)) }
   in
   { gen }
+
+let oltp_read = Rng.odds 0.7
 
 let oltp ~seed ~volumes () =
   let rng = Rng.create ~seed in
@@ -46,10 +53,12 @@ let oltp ~seed ~volumes () =
     (* 8, 16 or 32 KiB pages, skewed towards 16 *)
     let io_blocks = match Rng.int rng 4 with 0 -> 16 | 3 -> 64 | _ -> 32 in
     let block = offset_for rng size io_blocks ~zipf_skew:0.9 in
-    if Rng.float rng 1.0 < 0.7 then Read { volume = name; block; nblocks = io_blocks }
+    if Rng.hit rng oltp_read then Read { volume = name; block; nblocks = io_blocks }
     else Write { volume = name; block; data = Datagen.rdbms_page dg (io_blocks * 512) }
   in
   { gen }
+
+let docstore_read = Rng.odds 0.5
 
 let docstore ~seed ~volumes () =
   let rng = Rng.create ~seed in
@@ -59,7 +68,7 @@ let docstore ~seed ~volumes () =
   let gen () =
     let name, size = pick_volume rng vols in
     let io_blocks = 64 + (64 * Rng.int rng 2) in
-    if Rng.float rng 1.0 < 0.5 then begin
+    if Rng.hit rng docstore_read then begin
       let block = offset_for rng size io_blocks ~zipf_skew:0.5 in
       Read { volume = name; block; nblocks = io_blocks }
     end
@@ -73,22 +82,24 @@ let docstore ~seed ~volumes () =
   in
   { gen }
 
+let vdi_read = Rng.odds 0.8
+
 let vdi ~seed ~volumes ~datagen () =
   let rng = Rng.create ~seed in
   let vols = Array.of_list volumes in
+  let io_blocks = 32 in
   let gen () =
     let name, size = pick_volume rng vols in
-    let io_blocks = 32 in
     let block = offset_for rng size io_blocks ~zipf_skew:0.7 in
-    if Rng.float rng 1.0 < 0.8 then Read { volume = name; block; nblocks = io_blocks }
+    if Rng.hit rng vdi_read then Read { volume = name; block; nblocks = io_blocks }
     else begin
       (* desktops rewrite OS-image content: highly duplicated across VMs *)
-      let b = Buffer.create (io_blocks * 512) in
+      let buf = Bytes.create (io_blocks * 512) in
       let base = Rng.int rng 224 in
       for i = 0 to io_blocks - 1 do
-        Buffer.add_string b (Datagen.os_image_block datagen (base + i))
+        Bytes.blit_string (Datagen.os_image_block datagen (base + i)) 0 buf (i * 512) 512
       done;
-      Write { volume = name; block; data = Buffer.contents b }
+      Write { volume = name; block; data = publish buf }
     end
   in
   { gen }

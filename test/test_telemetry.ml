@@ -321,6 +321,31 @@ let test_array_stats_match_registry () =
     | Some pid -> List.exists (fun s -> Span.id s = pid) (by_name "write")
     | None -> false)
 
+(* The dedup index's own counters reach the array's registry: a write
+   of bytes already stored looks its blocks up and verifies the hit. *)
+let test_dedup_index_counters () =
+  let module Fa = Purity_core.Flash_array in
+  let clock = Clock.create () in
+  let a = Fa.create ~clock () in
+  (match Fa.create_volume a "v" ~blocks:4096 with Ok () -> () | Error _ -> assert false);
+  let data = Bytes.to_string (Purity_util.Rng.bytes (Purity_util.Rng.create ~seed:5L) (64 * 512)) in
+  let write block =
+    match await clock (Fa.write a ~volume:"v" ~block data) with
+    | Ok () -> ()
+    | Error _ -> assert false
+  in
+  let reg_int key =
+    match Registry.find (Registry.snapshot (Fa.telemetry a)) key with
+    | Some (Registry.Int n) -> n
+    | _ -> Alcotest.failf "missing int metric %s" key
+  in
+  write 0;
+  let lookups = reg_int "dedup/lookups" and verified = reg_int "dedup/verified_hits" in
+  write 64;
+  check bool "the duplicate write looked its blocks up" true (reg_int "dedup/lookups" > lookups);
+  check bool "and verified a hit" true (reg_int "dedup/verified_hits" > verified);
+  check bool "the write path dedup'd blocks" true (reg_int "dedup/inline_blocks" > 0)
+
 let test_metadata_hotpath_counters () =
   (* smoke: after a mixed write/read workload with flushed patches, the
      metadata fast-path counters must all have moved — probes attempted
@@ -452,6 +477,7 @@ let () =
             test_array_stats_match_registry;
           Alcotest.test_case "metadata hot-path counters" `Quick
             test_metadata_hotpath_counters;
+          Alcotest.test_case "dedup index counters" `Quick test_dedup_index_counters;
           Alcotest.test_case "kernel counters" `Quick test_kernel_counters;
           Alcotest.test_case "failover resets registry" `Quick
             test_failover_resets_registry;

@@ -6,6 +6,7 @@ let bool = Alcotest.bool
 
 (* ---------- Rng ---------- *)
 
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
   for _ = 1 to 100 do
@@ -64,6 +65,149 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check (Alcotest.array int) "still a permutation" (Array.init 50 Fun.id) sorted
 
+(* SplitMix64's reference outputs for seed 1234567 (Vigna's splitmix64.c),
+   as unsigned decimals. *)
+let test_rng_reference_vectors () =
+  let r = Rng.create ~seed:1234567L in
+  let got = List.init 5 (fun _ -> Printf.sprintf "%Lu" (Rng.next_int64 r)) in
+  check (Alcotest.list Alcotest.string) "splitmix64"
+    [
+      "6457827717110365317";
+      "3203168211198807973";
+      "9817491932198370423";
+      "4593380528125082431";
+      "16408922859458223821";
+    ]
+    got
+
+(* MD5 of a textual rendering of a stream: every draw kind, bounds and
+   slice shapes included. The digests were taken from the generator that
+   kept its state in a boxed int64; a change to how the state is stored
+   must leave every one of them where it is. *)
+let stream_digest render =
+  let b = Buffer.create 4096 in
+  render b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_rng_streams =
+  let pf = Printf.bprintf in
+  [
+    ( "int",
+      (fun b ->
+        let r = Rng.create ~seed:1L in
+        for i = 1 to 1000 do
+          pf b "%d," (Rng.int r (1 + (i * 7919)))
+        done;
+        List.iter (fun bound -> pf b "%d," (Rng.int r bound)) [ 1; 2; 3; max_int; max_int / 3 ]),
+      "a49bfa744e7674e76dca104e1ba16b4d" );
+    ( "float",
+      (fun b ->
+        let r = Rng.create ~seed:2L in
+        for _ = 1 to 500 do
+          pf b "%h,%h," (Rng.float r 1.0) (Rng.float r 3.5)
+        done),
+      "212981c52f646181e8cbcd57974ab0e2" );
+    ( "bool",
+      (fun b ->
+        let r = Rng.create ~seed:3L in
+        for _ = 1 to 1000 do
+          Buffer.add_char b (if Rng.bool r then '1' else '0')
+        done),
+      "e1b636d750e5e2477d973e6f8ca731ba" );
+    ( "zipf",
+      (fun b ->
+        let r = Rng.create ~seed:4L in
+        List.iter
+          (fun (n, theta) ->
+            for _ = 1 to 200 do
+              pf b "%d," (Rng.zipf r ~n ~theta)
+            done)
+          [ (1, 0.9); (2, 0.5); (100, 0.99); (1000, 0.7); (1000, 0.0); (37, 0.3); (100, 0.99) ]),
+      "2e93facf75b4780f0b8ed1af520c711b" );
+    ( "split",
+      (fun b ->
+        let r = Rng.create ~seed:5L in
+        let c = Rng.split r in
+        let g = Rng.split c in
+        for _ = 1 to 100 do
+          pf b "%Lx,%Lx,%Lx," (Rng.next_int64 r) (Rng.next_int64 c) (Rng.next_int64 g)
+        done),
+      "d1db1d4a9d1e4aadb4c948d670d51559" );
+    ( "fill_bytes",
+      (fun b ->
+        let r = Rng.create ~seed:6L in
+        let buf = Bytes.make 203 '.' in
+        List.iter
+          (fun (pos, len) ->
+            Rng.fill_bytes r buf ~pos ~len;
+            Buffer.add_bytes b buf)
+          [ (0, 1); (1, 7); (3, 37); (50, 51); (101, 102); (0, 203); (7, 0); (9, 9); (202, 1) ];
+        List.iter (fun n -> Buffer.add_bytes b (Rng.bytes r n)) [ 0; 13; 64; 1001 ];
+        pf b "%Lx" (Rng.next_int64 r)),
+      "885a3f4758d5726c7c4f94821e534811" );
+  ]
+
+let test_rng_golden_streams () =
+  List.iter
+    (fun (name, render, want) -> check Alcotest.string name want (stream_digest render))
+    golden_rng_streams
+
+(* [hit (odds p)] against [float 1.0 < p] on twin generators, with [p]
+   set at, just above and just below the very draw about to be compared
+   (read off a third twin), so every comparison sits on the threshold's
+   boundary; plus fixed and edge-case probabilities. *)
+let test_rng_hit_matches_float () =
+  let a = Rng.create ~seed:12L and b = Rng.create ~seed:12L and peek = Rng.create ~seed:12L in
+  let same p =
+    let via_odds = Rng.hit a (Rng.odds p) in
+    let via_float = Rng.float b 1.0 < p in
+    if via_odds <> via_float then
+      Alcotest.failf "hit (odds %h) = %b but float 1.0 < %h = %b" p via_odds p via_float
+  in
+  for i = 0 to 2999 do
+    let u = Rng.float peek 1.0 in
+    same (match i mod 3 with 0 -> u | 1 -> Float.succ u | _ -> Float.pred u)
+  done;
+  List.iter same
+    [
+      0.0; -0.5; Float.nan; 1.0; 1.5; Float.infinity; Float.neg_infinity; 5e-324;
+      Float.min_float; Float.epsilon; Float.pred 1.0; 0.1; 0.5; 0.7; 0.8; 0.95; 1.0 /. 3.0;
+    ];
+  check Alcotest.int64 "same position" (Rng.next_int64 a) (Rng.next_int64 b)
+
+(* [skip t n] lands where [n] draws would. *)
+let test_rng_skip () =
+  let a = Rng.create ~seed:13L and b = Rng.create ~seed:13L in
+  List.iter
+    (fun n ->
+      for _ = 1 to n do
+        ignore (Rng.next_int64 a)
+      done;
+      Rng.skip b n;
+      check Alcotest.int64 (Printf.sprintf "after %d" n) (Rng.next_int64 a) (Rng.next_int64 b))
+    [ 0; 1; 3; 1000 ]
+
+(* The draws run on the unboxed state: none allocates (an odd-length
+   fill included), and [zipf] finds its memoised constants without
+   building a key. Over 10,000 calls the two [Gc.minor_words] readings
+   round to zero per call; a boxed int64 state costs 6 words per draw. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:14L in
+  let half = Rng.odds 0.5 in
+  let buf = Bytes.create 64 in
+  List.iter
+    (fun (name, draw) ->
+      let w = Testkit.words_per_call 10_000 draw in
+      if w > 0.001 then Alcotest.failf "Rng.%s allocates %.3f words per draw" name w)
+    [
+      ("int", fun () -> ignore (Sys.opaque_identity (Rng.int r 1000)));
+      ("bool", fun () -> ignore (Sys.opaque_identity (Rng.bool r)));
+      ("hit", fun () -> ignore (Sys.opaque_identity (Rng.hit r half)));
+      ("skip", fun () -> Rng.skip r 3);
+      ("fill_bytes", fun () -> Rng.fill_bytes r buf ~pos:3 ~len:37);
+      ("zipf", fun () -> ignore (Sys.opaque_identity (Rng.zipf r ~n:1000 ~theta:0.7)));
+    ]
+
 (* ---------- Xxhash ---------- *)
 
 let hash_string ?seed s = Xxhash.hash ?seed (Bytes.of_string s) ~pos:0 ~len:(String.length s)
@@ -92,21 +236,10 @@ let test_xxhash_known_vectors () =
       (16384, 42L, 0xf68f0e9d9a98e4a7L);
     ]
 
-(* Minor-heap words one call of [f] allocates, averaged over [n] calls
-   after a warm-up call; the two [Gc.minor_words] floats add a few words
-   in all. *)
-let words_per_call n f =
-  f ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int n
-
 let test_xxhash_allocation () =
   let b = Bytes.init 16384 (fun i -> Char.chr (i land 0xFF)) in
   let w =
-    words_per_call 100 (fun () ->
+    Testkit.words_per_call 100 (fun () ->
         ignore (Sys.opaque_identity (Xxhash.hash b ~pos:0 ~len:16384)))
   in
   (* the boxed int64 result is 3 words; the stripe loop allocates none *)
@@ -394,7 +527,7 @@ let test_varint_i64 () =
 let test_varint_allocation () =
   let b = Buffer.create 64 in
   let w =
-    words_per_call 1000 (fun () ->
+    Testkit.words_per_call 1000 (fun () ->
         Buffer.clear b;
         Varint.write b 300_000;
         Varint.write b max_int;
@@ -666,6 +799,11 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "reference vectors" `Quick test_rng_reference_vectors;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "hit matches float" `Quick test_rng_hit_matches_float;
+          Alcotest.test_case "skip" `Quick test_rng_skip;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "xxhash",
         [

@@ -56,6 +56,109 @@ let test_vm_images_share_blocks () =
     done;
     check bool (Printf.sprintf "%d/128 shared" !same) true (!same > 64))
 
+(* MD5 of every generator's output at odd lengths, in call order on one
+   generator so a call's leftover draws show in the next one's bytes. The
+   digests were taken from the Buffer-built, boxed-int64 generators; a
+   change to how payloads are filled must leave them where they are. *)
+let digest_of parts =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "" (List.map (fun s -> Printf.sprintf "%d:%s;" (String.length s) s) parts)))
+
+let golden_datagen =
+  [
+    ( "random",
+      (fun dg -> List.map (Dg.random dg) [ 0; 1; 7; 33; 4099; 32768 ]),
+      "7ee03a94a5c951d3f4ae42bb75046740" );
+    ( "compressible",
+      (fun dg ->
+        List.concat_map
+          (fun ratio ->
+            List.map
+              (fun len -> Dg.compressible dg len ~target_ratio:ratio)
+              [ 1; 31; 33; 1001; 4097; 32767; 32768 ])
+          [ 1.0; 3.0; 1.5; 0.5; 10.0 ]),
+      "f2bcd93970f9f103100749746ba6558d" );
+    ( "ingest alternation",
+      (fun dg ->
+        List.init 8 (fun i ->
+            if i land 1 = 0 then Dg.random dg 32768
+            else Dg.compressible dg 32768 ~target_ratio:3.0)),
+      "72c8497b52b56902ea8b850b8b548f8c" );
+    ( "vm_image",
+      (fun dg -> [ Dg.vm_image dg ~blocks:37; Dg.vm_image dg ~blocks:300 ]),
+      "351982c854083b3df7941af7919d0eeb" );
+    ( "os_image_block",
+      (fun dg -> List.map (Dg.os_image_block dg) [ 0; 17; 255; 256; 1000; -3 ]),
+      "898f9daf414b3a1cfc2176fa1731a968" );
+    ( "rdbms_page",
+      (fun dg -> [ Dg.rdbms_page dg 8192; Dg.rdbms_page dg 16385 ]),
+      "ebf6cff9bdff7ac43953b94f517889ca" );
+    ( "document",
+      (fun dg -> [ Dg.document dg 4099; Dg.document dg 16384 ]),
+      "8d8d5f911d66aa32a3d372ab03a80081" );
+  ]
+
+let test_datagen_golden () =
+  List.iter
+    (fun (name, gen, want) ->
+      check Alcotest.string name want (digest_of (gen (Dg.create ~seed:2026L))))
+    golden_datagen
+
+(* The op streams of the built-in workloads, 2,000 ops each: offsets,
+   read/write choice and payload digests. *)
+let op_stream_digest wl =
+  digest_of
+    (List.init 2000 (fun _ ->
+         match Wl.next_op wl with
+         | Wl.Read { volume; block; nblocks } -> Printf.sprintf "R %s %d %d" volume block nblocks
+         | Wl.Write { volume; block; data } ->
+           Printf.sprintf "W %s %d %s" volume block (Digest.to_hex (Digest.string data))))
+
+let golden_volumes = [ ("a", 4096); ("b", 1000); ("c", 65536) ]
+
+let golden_workloads =
+  [
+    ( "uniform 70% reads",
+      (fun () ->
+        Wl.uniform ~seed:5L ~volumes:golden_volumes ~read_fraction:0.7 ~io_blocks:64 ()),
+      "fed58fd7971c86d2e97cd8b7c8ce7c0a" );
+    ( "uniform odd io",
+      (fun () ->
+        Wl.uniform ~seed:6L ~volumes:golden_volumes ~read_fraction:0.25 ~io_blocks:7 ()),
+      "7ab11cb28fc830fa54946dbb6b039c09" );
+    ( "oltp",
+      (fun () -> Wl.oltp ~seed:7L ~volumes:golden_volumes ()),
+      "5c51a92ae5cd7a4f3888dc89b6af5e2b" );
+    ( "docstore",
+      (fun () -> Wl.docstore ~seed:8L ~volumes:golden_volumes ()),
+      "bdfd64c81d5e3d7b2a268901a3133e05" );
+    ( "vdi",
+      (fun () ->
+        Wl.vdi ~seed:9L ~volumes:golden_volumes ~datagen:(Dg.create ~seed:10L) ()),
+      "21c0e9fc544bfa4137ed468cb4f6104f" );
+  ]
+
+let test_workload_golden () =
+  List.iter
+    (fun (name, make, want) -> check Alcotest.string name want (op_stream_digest (make ())))
+    golden_workloads
+
+(* A 32 KiB payload is past the minor heap's size limit, so its buffer
+   goes straight to the major heap and what the minor heap sees is the
+   generator's own garbage: 6 words per 8 random bytes (24,576 per
+   32 KiB) when its state boxed, and a Buffer plus a copy per span. *)
+let test_payload_allocation () =
+  let dg = Dg.create ~seed:3L in
+  List.iter
+    (fun (name, gen) ->
+      let w = Testkit.words_per_call 20 (fun () -> ignore (Sys.opaque_identity (gen ()))) in
+      if w > 16. then Alcotest.failf "Datagen.%s allocates %.1f minor words per 32 KiB" name w)
+    [
+      ("random", fun () -> Dg.random dg 32768);
+      ("compressible", fun () -> Dg.compressible dg 32768 ~target_ratio:3.0);
+    ]
+
 (* ---------- Workload runner ---------- *)
 
 let small_config =
@@ -128,6 +231,13 @@ let test_vdi_dedups () =
     let r = Option.get !result in
     check int "no errors" 0 r.Wl.errors;
     check bool "vdi writes deduplicate" true ((Fa.stats a).Fa.dedup_blocks > 0))
+
+(* A uniform write op is its op record and a payload filled in place;
+   the generator's draws box nothing. *)
+let test_uniform_write_allocation () =
+  let wl = Wl.uniform ~seed:4L ~volumes:golden_volumes ~read_fraction:0.0 ~io_blocks:64 () in
+  let w = Testkit.words_per_call 20 (fun () -> ignore (Sys.opaque_identity (Wl.next_op wl))) in
+  if w > 16. then Alcotest.failf "Workload.uniform allocates %.1f minor words per write op" w
 
 (* ---------- Disk array baseline ---------- *)
 
@@ -270,6 +380,8 @@ let () =
           Alcotest.test_case "rdbms band" `Quick test_rdbms_page_band;
           Alcotest.test_case "document band" `Quick test_document_band;
           Alcotest.test_case "vm images share" `Quick test_vm_images_share_blocks;
+          Alcotest.test_case "golden outputs" `Quick test_datagen_golden;
+          Alcotest.test_case "payload allocation" `Quick test_payload_allocation;
         ] );
       ( "runner",
         [
@@ -277,6 +389,8 @@ let () =
           Alcotest.test_case "oltp mix" `Quick test_oltp_mix;
           Alcotest.test_case "oltp reduces" `Quick test_oltp_reduces;
           Alcotest.test_case "vdi dedups" `Quick test_vdi_dedups;
+          Alcotest.test_case "golden op streams" `Quick test_workload_golden;
+          Alcotest.test_case "uniform write allocation" `Quick test_uniform_write_allocation;
         ] );
       ( "disk_array",
         [

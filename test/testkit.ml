@@ -26,3 +26,14 @@ let lz_ratio s =
   else
     float_of_int (String.length s)
     /. float_of_int (String.length (Purity_compress.Lz.compress s))
+
+(* Minor-heap words one call of [f] allocates, averaged over [n] calls
+   after a warm-up call; the two [Gc.minor_words] floats add a few words
+   in all. *)
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n

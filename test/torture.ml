@@ -44,15 +44,23 @@ let () =
           Ac_runner.sweep ?steps ~base ~count () |> Option.map Ac_runner.report_to_string );
     ]
   in
-  (* one harness sweep per 100 seeds, so progress prints between them *)
+  (* one harness sweep per 100 seeds, so progress prints between them;
+     the closing line adds the harness's own cost per seed (host ms and
+     minor-heap words, replay included), for information *)
   let[@purity.lint.allow
        "determinism: progress/ETA reporting in the test harness, outside the \
         simulation"] sweep (name, run) =
     let t0 = Unix.gettimeofday () in
+    let w0 = Gc.minor_words () in
     let rec go done_ =
       if done_ >= !count then begin
-        Format.printf "torture[%s]: %d scenarios clean in %.1fs@." name !count
-          (Unix.gettimeofday () -. t0);
+        let secs = Unix.gettimeofday () -. t0 in
+        let per_seed = float_of_int (max 1 !count) in
+        Format.printf
+          "torture[%s]: %d scenarios clean in %.1fs (per seed: %.1f host ms, %.0f minor words)@."
+          name !count secs
+          (secs *. 1000. /. per_seed)
+          ((Gc.minor_words () -. w0) /. per_seed);
         true
       end
       else
