@@ -12,27 +12,6 @@ let[@purity.lint.allow
 (* Nanosecond processor time for Kernel_stats-style cycle attribution. *)
 let now_ns () = int_of_float (now_s () *. 1e9)
 
-(* Elapsed real time, for timing multi-domain runs: [Sys.time] sums
-   processor time across domains, so a perfectly-scaling 4-domain run
-   would show ~zero speedup on it. *)
-let[@purity.lint.allow
-     "determinism: the bench harness is the one place wall-clock reads \
-      belong; domain-scaling runs need elapsed (not summed-CPU) time"] now_wall_s
-    () =
-  Unix.gettimeofday ()
-
-(* [time_ops] on the real-time clock: seconds of wall clock per op,
-   for loops that fan out over a domain pool. *)
-let time_wall ?(warmup = 2) ?(reps = 5) f =
-  for _ = 1 to warmup do
-    f ()
-  done;
-  let start = now_wall_s () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  (now_wall_s () -. start) /. float_of_int reps
-
 (* Calibrated ops/s measurement: warm up, then run [batch]-sized chunks
    until [budget_s] of processor time has elapsed. Returns
    (ops per second, nanoseconds per op). *)

@@ -20,7 +20,6 @@ module Rs = Purity_erasure.Reed_solomon
 module Lz = Purity_compress.Lz
 module Cblock = Purity_compress.Cblock
 module Json = Purity_telemetry.Json
-module Pool = Purity_par.Pool
 
 let rng = Rng.create ~seed:0xCAFEL
 
@@ -97,11 +96,14 @@ let[@purity.lint.allow
     ignore (Xxhash.hash63 bb ~pos:(j * 512) ~len:512 : int)
   done
 
+let row_count pos = (pos + (fill_k * fill_wu) - 1) / (fill_k * fill_wu)
+
+(* the [fill_k] data shards of row [r] of a filled segio buffer *)
+let row_shards out r =
+  Array.init fill_k (fun c -> Bytes.sub out (((r * fill_k) + c) * fill_wu) fill_wu)
+
 let parity_rows encode pos out =
-  let rows = (pos + (fill_k * fill_wu) - 1) / (fill_k * fill_wu) in
-  Array.init rows (fun r ->
-      encode fill_rs
-        (Array.init fill_k (fun c -> Bytes.sub out (((r * fill_k) + c) * fill_wu) fill_wu)))
+  Array.init (row_count pos) (fun r -> encode fill_rs (row_shards out r))
 
 let fill_ref () =
   let out = Bytes.make fill_cap '\000' in
@@ -176,22 +178,26 @@ let check_equiv () =
 let shape name ok =
   Printf.printf "  Shape check (%s): %s\n" name (if ok then "HOLDS" else "DIVERGES")
 
-(* ---------- domain-scaled segment fill ----------
+(* ---------- lane-chunked segment fill ----------
 
-   The array's data plane is serial; this measures what sharding its
-   segment fill over Purity_par.Pool would buy: per-block fingerprint ->
-   LZ -> frame+CRC on a per-lane arena via [Pool.map] (frames return in
-   index order), then a serial in-order blit and row-parallel RS parity —
-   byte-identical to the serial fill at every domain count, which is
-   asserted before anything is timed.
+   Purity's controllers spread the data plane over many cores (paper §2);
+   the simulator is single-domain, so this models what sharding the
+   segment fill over lanes would buy without running any lane
+   concurrently. [chunk] gives each lane a contiguous run of the blocks
+   (and of the parity rows); the lane-chunked fill runs each lane's chunk
+   of fingerprint -> LZ -> frame+CRC on that lane's own arena, one lane
+   after another in lane order, then blits the frames in block order and
+   RS-encodes the rows lane chunk by lane chunk. Before anything is timed
+   the chunks are asserted to partition the blocks and the rows, and the
+   fill at 1, 2 and 4 lanes to be byte-identical to the serial fill,
+   frames and parity alike.
 
-   This host has 2 physical cores, so 4-domain wall-clock numbers cannot
-   show 4-way scaling; the HOLD checks ride on the *modeled* critical
-   path instead: per-lane chunk compute is measured serially (processor
-   time, one lane at a time), the serial residue (blit + parity + merge)
-   is measured once, and modeled speedup = (total + residue) /
-   (slowest lane + residue). Wall-clock rows are emitted alongside as
-   informational (they bound at ~2x here however many lanes run). *)
+   The HOLD checks ride on a *modeled* critical path: each block's frame
+   cost and the whole blit and parity stages are timed serially
+   (processor time); a lane's frame cost is the sum over its chunk, the
+   slowest lane encodes ceil(rows/lanes) of the parity rows, and the blit
+   stays serial, so modeled speedup = (frames + parity + blit) / (slowest
+   lane + its parity share + blit). *)
 
 let par_nblocks = 64
 let par_cap = 80 * fill_k * fill_wu
@@ -227,54 +233,65 @@ let blit_frames frames =
     frames;
   !pos
 
-let row_count pos = (pos + (fill_k * fill_wu) - 1) / (fill_k * fill_wu)
+(* Static chunking: contiguous [lo, lo+len) per lane, remainder spread
+   over the lowest lanes. Pure in (lanes, tasks, lane). *)
+let chunk ~lanes ~tasks lane =
+  let q = tasks / lanes and r = tasks mod lanes in
+  ((lane * q) + min lane r, q + if lane < r then 1 else 0)
 
-(* parity row-major over the pool, one task per row of the segio that
-   Writer.finalize encodes — rows are independent, so there is no merge
-   stage at all *)
-let[@purity.lint.allow
-     "escape: each row task slices and encodes its own disjoint region of \
-      the sealed fill buffer; fill_rs and the GF tables it uses were built \
-      by the serial fill and are read-only under the measurement; lanes \
-      bump the plain Kernel_stats cells unsynchronised, and nothing reads \
-      them across the parallel section"] parity_rows_par pool pos out =
-  let shards r =
-    Array.init fill_k (fun c -> Bytes.sub out (((r * fill_k) + c) * fill_wu) fill_wu)
-  in
-  Pool.map pool ~tasks:(row_count pos) (fun ~lane:_ r -> Rs.encode fill_rs (shards r))
+(* the lanes' chunks tile [0, tasks) in lane order, sizes within one *)
+let chunks_partition ~lanes ~tasks =
+  let next = ref 0 and ok = ref true in
+  for lane = 0 to lanes - 1 do
+    let lo, len = chunk ~lanes ~tasks lane in
+    if lo <> !next || len < tasks / lanes || len > (tasks / lanes) + 1 then ok := false;
+    next := lo + len
+  done;
+  !ok && !next = tasks
 
-let[@purity.lint.allow
-     "escape: the bench shares the block corpus read-only and gives every \
-      lane its own arena; kernel tables are init-once; lanes bump the \
-      plain Kernel_stats cells unsynchronised, and nothing reads them \
-      across the parallel section (run_scaling resets them after)"] par_fill pool arenas =
-  let frames =
-    Pool.map pool ~tasks:par_nblocks (fun ~lane i -> block_frame arenas.(lane) par_blocks.(i))
-  in
+(* [f lane i] for every [i] of each lane's chunk of [0, tasks), lanes in
+   order *)
+let by_lane ~lanes ~tasks f =
+  for lane = 0 to lanes - 1 do
+    let lo, len = chunk ~lanes ~tasks lane in
+    for i = lo to lo + len - 1 do
+      f lane i
+    done
+  done
+
+let lane_fill lanes =
+  let arenas = par_arenas lanes in
+  let frames = Array.make par_nblocks "" in
+  by_lane ~lanes ~tasks:par_nblocks (fun lane i ->
+      frames.(i) <- block_frame arenas.(lane) par_blocks.(i));
   let pos = blit_frames frames in
-  (pos, parity_rows_par pool pos par_out)
+  let rows = row_count pos in
+  let parity = Array.make rows [||] in
+  by_lane ~lanes ~tasks:rows (fun _ r -> parity.(r) <- Rs.encode fill_rs (row_shards par_out r));
+  (pos, parity)
 
 let run_scaling () =
-  Printf.printf "\n  Domain-scaled segment fill (%d x 32 KiB blocks, 2-core host):\n"
+  Printf.printf "\n  Lane-chunked segment fill (%d x 32 KiB blocks, modeled lanes):\n"
     par_nblocks;
-  (* byte-identity first: the whole point of the deterministic pool *)
   let serial_arena = par_arenas 1 in
   let serial_frames = Array.map (block_frame serial_arena.(0)) par_blocks in
   let s_pos = blit_frames serial_frames in
   let s_snap = Bytes.sub par_out 0 s_pos in
   let s_par = parity_rows Rs.encode s_pos par_out in
   List.iter
-    (fun domains ->
-      let pool = Pool.create ~domains () in
-      let p_pos, p_par = par_fill pool (par_arenas (Pool.lanes pool)) in
-      Pool.shutdown pool;
+    (fun lanes ->
+      if
+        not
+          (chunks_partition ~lanes ~tasks:par_nblocks
+          && chunks_partition ~lanes ~tasks:(row_count s_pos))
+      then failwith (Printf.sprintf "kernels: %d-lane chunks do not partition" lanes);
+      let p_pos, p_par = lane_fill lanes in
       if s_pos <> p_pos || Bytes.sub par_out 0 p_pos <> s_snap || s_par <> p_par then
-        failwith
-          (Printf.sprintf "kernels: %d-domain fill diverges from serial" domains))
+        failwith (Printf.sprintf "kernels: %d-lane fill diverges from serial" lanes))
     [ 1; 2; 4 ];
-  (* Modeled critical path: every stage the parallel fill executes is
-     timed serially (one lane's work at a time, so the 2-core host does
-     not distort it) and composed with the same arithmetic par_fill uses:
+  (* Modeled critical path: every stage the lane-chunked fill executes is
+     timed serially and composed with the same chunk arithmetic lane_fill
+     uses:
      - frame stage: slowest lane's chunk of blocks;
      - parity: the slowest lane encodes ceil(rows/lanes) of the rows;
      - blit: serial, in frame order, at every lane count. *)
@@ -302,7 +319,7 @@ let run_scaling () =
     best
   in
   let chunk_time lanes lane =
-    let lo, len = Pool.chunk ~lanes ~tasks:par_nblocks lane in
+    let lo, len = chunk ~lanes ~tasks:par_nblocks lane in
     let t = ref 0.0 in
     for i = lo to lo + len - 1 do
       t := !t +. block_times.(i)
@@ -332,48 +349,16 @@ let run_scaling () =
     /. (!slowest +. (parity_t *. parity_frac) +. blit_t)
   in
   let m2 = modeled 2 and m4 = modeled 4 in
-  (* wall clock, informational: real elapsed time with the lanes live *)
-  let wall domains =
-    let pool = Pool.create ~domains () in
-    let arenas = par_arenas (Pool.lanes pool) in
-    let s = Bclock.time_wall (fun () -> ignore (par_fill pool arenas)) in
-    Pool.shutdown pool;
-    s
-  in
-  let w1 = wall 1 and w2 = wall 2 and w4 = wall 4 in
-  let fill_bytes = par_nblocks * 32768 in
-  let emit_wall name s =
-    Bench_util.emit_row ~kind:"bench_micro"
-      [
-        ("name", Json.Str name);
-        ("ns_per_op", Json.Float (s *. 1e9));
-        ("ops_per_sec", Json.Float (1.0 /. s));
-        ("mb_per_s", Json.Float (float_of_int fill_bytes /. s /. 1e6));
-      ];
-    Printf.printf "  %-34s %12.0f ns/op %12.0f MB/s\n%!" name (s *. 1e9)
-      (float_of_int fill_bytes /. s /. 1e6)
-  in
-  emit_wall "parfill-64x32k-1domain-wall" w1;
-  emit_wall "parfill-64x32k-2domain-wall" w2;
-  emit_wall "parfill-64x32k-4domain-wall" w4;
   Bench_util.emit_row ~kind:"bench_kernels"
     [
       ("fill_par_2d_modeled_speedup", Json.Float m2);
       ("fill_par_4d_modeled_speedup", Json.Float m4);
-      ("fill_par_2d_wall_speedup", Json.Float (w1 /. w2));
-      ("fill_par_4d_wall_speedup", Json.Float (w1 /. w4));
     ];
-  Printf.printf
-    "  scaling: modeled critical path %.2fx @2 domains, %.2fx @4 domains;\n\
-    \  wall clock %.2fx @2, %.2fx @4 (2-core host caps wall at ~2x)\n"
-    m2 m4 (w1 /. w2) (w1 /. w4);
+  Printf.printf "  scaling: modeled critical path %.2fx @2 lanes, %.2fx @4 lanes\n" m2 m4;
   shape "parallel fill >= 1.8x @2 domains (modeled critical path), bytes identical"
     (m2 >= 1.8);
   shape "parallel fill >= 3.0x @4 domains (modeled critical path), bytes identical"
-    (m4 >= 3.0);
-  (* the parallel fills bumped the kernel counters from several domains
-     at once; drop those racy totals rather than let them outlive us *)
-  Kernel_stats.reset ()
+    (m4 >= 3.0)
 
 let run_in_section () =
   (* earlier sections (the metadata hot path builds a 600k-fact index)

@@ -1,7 +1,7 @@
 (* purity_lint: the standalone static-analysis driver. Run from the build
    root (the dune @lint alias does this): scans the .cmt typed ASTs dune
    already produced for every module under the given roots, runs the
-   per-file rules plus the interprocedural escape / allocation-freedom /
+   per-file rules plus the interprocedural allocation-freedom /
    exception-reachability passes over the whole-program call graph and
    the unused-export pass, and exits non-zero on any finding not waived
    in source. *)

@@ -19,9 +19,7 @@ module Make (F : Fact.S) = struct
      them (paper §4.9: consulting metadata pages must stay cheap as the
      pyramid deepens). The filter is built on the first probe that needs
      it: flushes and merges make patches that the range walks of the block
-     index's I/O path read without one. Building it twice (two domains
-     probing one fresh patch at once) sets the same bits, so the field
-     needs no lock. *)
+     index's I/O path read without one. *)
   type t = {
     facts : F.t array; (* sorted by (key asc, seq desc), no (key,seq) dups *)
     mutable bloom : Bloom.t option;

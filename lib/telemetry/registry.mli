@@ -7,9 +7,9 @@
     subsystem registers its counters under a hierarchical slash-separated
     key ([write_path/nvram_commit_us], [ssd/drive3/program_stalls], ...)
     and records through the handle it got back — a plain int cell, so
-    hot-path recording is one store. The registry is main-domain only:
-    registration, recording and snapshots all run on the controller's
-    domain, and no pool lane reaches it (lint's escape pass proves this).
+    hot-path recording is one store. The array is single-domain, so
+    registration, recording and snapshots all run on one domain and the
+    cells need no synchronisation.
 
     Two metric families are recorded directly:
     - {e counters}: monotone ints ([incr]/[add]);

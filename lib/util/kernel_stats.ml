@@ -5,7 +5,7 @@
    clock; the simulator has no business paying a syscall per cblock, so
    [ns] only accumulates while a wall-clock source is installed (the bench
    harness installs one around its runs). The array is single-domain, so
-   every cell is a plain main-domain counter. *)
+   every cell is a plain counter. *)
 
 type kernel = {
   name : string;

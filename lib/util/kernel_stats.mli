@@ -9,8 +9,8 @@
     (the registry sits below [purity.telemetry] in the dependency order,
     so the bridge lives in [State.register_derived_telemetry]).
 
-    The cells are plain counters owned by the main domain; the array
-    runs its kernels serially. *)
+    The cells are plain counters; the array runs its kernels serially
+    on its one domain. *)
 
 type kernel = {
   name : string;

@@ -42,7 +42,7 @@ let run (_cfg : Rules.config) (g : Callgraph.t) : Finding.t list =
                 | Boxed w -> Some (Printf.sprintf "allocates a boxed %s" w)
                 | Alloc_call fn ->
                   Some (Printf.sprintf "calls allocating %s" fn)
-                | Raise_site _ | Partial_match | Mut_global _ -> None
+                | Raise_site _ | Partial_match -> None
               in
               match what with
               | Some what ->
@@ -51,7 +51,7 @@ let run (_cfg : Rules.config) (g : Callgraph.t) : Finding.t list =
                     ~col:s.s_col ~chain
                     (Printf.sprintf
                        "%s on a hot path: %s %s; steady state must stay \
-                        allocation-free — hoist it, reuse a per-lane buffer, \
+                        allocation-free — hoist it, reuse a scratch buffer, \
                         or mark the enclosing def [@purity.lint.coldpath] if \
                         it is off the steady state"
                        d.name what

@@ -22,7 +22,6 @@ type site_kind =
   | Alloc_call of string  (* call to a known allocating external *)
   | Raise_site of string  (* raise/failwith/invalid_arg/assert: exn name *)
   | Partial_match  (* refutable match or function reachable at runtime *)
-  | Mut_global of string * string  (* module-level mutable value: name, type *)
 
 type site = {
   kind : site_kind;
@@ -47,23 +46,6 @@ type def = {
   sites : site list;
 }
 
-type capture = { cap_name : string; cap_type : string }
-
-(* One closure submitted to Pool.map/Pool.run. [p_captures] holds the
-   mutable values the closure closes over (or module-level mutable values
-   it touches directly); [p_calls] the functions its body invokes, the
-   seeds of the transitive escape walk. *)
-type pool_site = {
-  p_fn : string;  (* "Pool.map" | "Pool.run" *)
-  p_file : string;
-  p_line : int;
-  p_col : int;
-  p_def : string;  (* enclosing def, for the report *)
-  p_captures : capture list;
-  p_calls : string list;
-  p_waived : bool;
-}
-
 (* A declaration by place: the file, line and column of its [val]. *)
 type decl = string * int * int
 
@@ -78,17 +60,14 @@ type export = {
 type file_summary = {
   fs_file : string;
   fs_defs : def list;
-  fs_pools : pool_site list;
   fs_uses : decl list;
       (* the declarations of other units' values this unit references,
          including those a unit passed whole to a functor supplies *)
   fs_exports : export list;  (* the values an interface declares *)
 }
 
-type t = {
-  defs : (string, def) Hashtbl.t;
-  pools : pool_site list;  (* sorted by (file, line, col) *)
-}
+(* the merged defs, keyed by canonical name *)
+type t = (string, def) Hashtbl.t
 
 let site_order a b =
   let c = String.compare a.s_file b.s_file in
@@ -136,21 +115,12 @@ let build (summaries : file_summary list) : t =
           | Some prev -> Hashtbl.replace defs d.name (merge_def prev d))
         fs.fs_defs)
     summaries;
-  let pools =
-    List.concat_map (fun fs -> fs.fs_pools) summaries
-    |> List.sort (fun a b ->
-           let c = String.compare a.p_file b.p_file in
-           if c <> 0 then c
-           else
-             let c = Int.compare a.p_line b.p_line in
-             if c <> 0 then c else Int.compare a.p_col b.p_col)
-  in
-  { defs; pools }
+  defs
 
-let find t name = Hashtbl.find_opt t.defs name
+let find t name = Hashtbl.find_opt t name
 
 let defs_sorted t =
-  Hashtbl.fold (fun _ d acc -> d :: acc) t.defs []
+  Hashtbl.fold (fun _ d acc -> d :: acc) t []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
 (* Every (caller, callee) pair, sorted and deduped — including edges to
@@ -160,7 +130,7 @@ let edges t =
   Hashtbl.fold
     (fun _ d acc ->
       List.fold_left (fun acc c -> (d.name, c.callee) :: acc) acc d.calls)
-    t.defs []
+    t []
   |> List.sort_uniq compare
 
 (* BFS from [roots] (canonical names; unknown or non-function roots are

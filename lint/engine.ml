@@ -3,19 +3,17 @@
    things at once:
 
    - the per-file findings of the syntactic rule classes (determinism,
-     unsafe containment, direct Domain/Atomic use, hot-path hygiene,
-     partial functions), with in-source
+     which bans domain primitives too, unsafe containment, hot-path
+     hygiene, partial functions), with in-source
      [@purity.lint.allow "<rule>: <reason>"] waivers on a binding or an
      expression applied, and stale, malformed or floating waivers
      reported;
 
    - a [Callgraph.file_summary]: every top-level definition with its call
      edges (guarded when inside try/with), allocation sites, raise sites
-     and partial matches, module-level mutable-value touches, root
-     annotations ([@purity.lint.hotpath], [@purity.lint.recovery_root],
-     [@purity.lint.coldpath]), every Pool.map/Pool.run submission with
-     the mutable values its closure captures, and the declarations of
-     other units' values it references.
+     and partial matches, root annotations ([@purity.lint.hotpath],
+     [@purity.lint.recovery_root], [@purity.lint.coldpath]), and the
+     declarations of other units' values it references.
 
    An interface (.cmti) yields only the values it declares, for the
    unused-export pass ([check_signature]).
@@ -152,30 +150,6 @@ let is_tvar ty = match Types.get_desc ty with Tvar _ -> true | _ -> false
 let type_to_string ty =
   try Format.asprintf "%a" Printtyp.type_expr ty with _ -> "_"
 
-(* Structural mutability for the escape pass: mutable stdlib containers
-   by predef path or canonical name, project record types via the config
-   list, transparently through tuples / options / lists of mutable.
-   [self] is the unit's module name, so a bare local constructor [t]
-   inside writer.ml still matches a configured "Writer.t"; [resolve]
-   rewrites module aliases (an [Rs.t] where [module Rs = Reed_solomon]
-   still matches "Reed_solomon.t"). *)
-let rec is_mutable_ty (cfg : Rules.config) ~self ~resolve ty =
-  match Types.get_desc ty with
-  | Tconstr (p, args, _) ->
-    let n = resolve (canon_dotted (Path.name p)) in
-    if n = "ref" || n = "array" || n = "bytes" then true
-    else if
-      List.mem n Rules.mutable_builtin
-      || List.mem n cfg.mutable_types
-      || ((not (String.contains n '.'))
-         && List.mem (self ^ "." ^ n) cfg.mutable_types)
-    then true
-    else if n = "option" || n = "list" || n = "Lazy.t" then
-      List.exists (is_mutable_ty cfg ~self ~resolve) args
-    else false
-  | Ttuple ts -> List.exists (is_mutable_ty cfg ~self ~resolve) ts
-  | _ -> false
-
 (* key type of the [('k, 'v) Hashtbl.t] a polymorphic-Hashtbl function is
    applied at; [None] when it cannot be determined *)
 let hashtbl_key_type name ty =
@@ -189,14 +163,13 @@ let hashtbl_key_type name ty =
   | Some t -> (
     match Types.get_desc t with Tconstr (_, [ k; _ ], _) -> Some k | _ -> None)
 
-(* Variables bound by a pattern, with their types. *)
-let pat_vars : type k. k Typedtree.general_pattern -> (Ident.t * Types.type_expr) list =
+(* Variables bound by a pattern. *)
+let pat_vars : type k. k Typedtree.general_pattern -> Ident.t list =
  fun p ->
   let acc = ref [] in
   let pat (type k2) sub (p : k2 Typedtree.general_pattern) =
     (match p.pat_desc with
-    | Typedtree.Tpat_var (id, _) -> acc := (id, p.pat_type) :: !acc
-    | Typedtree.Tpat_alias (_, id, _) -> acc := (id, p.pat_type) :: !acc
+    | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) -> acc := id :: !acc
     | _ -> ());
     Tast_iterator.default_iterator.pat sub p
   in
@@ -289,13 +262,12 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
   let hot = Rules.in_hot_path cfg source_file in
   let recovery = Rules.in_recovery cfg source_file in
   let audited = Rules.is_audited cfg source_file in
-  let audited_domains = Rules.is_audited_domains cfg source_file in
 
   (* -- pre-pass: module-level bindings (across nested structures), keyed
-     by Ident.unique_name so closure free-variable analysis can tell a
-     captured local from a same-module top-level reference, plus the
-     module aliases the unit declares -- *)
-  let toplevel : (string, string * Types.type_expr) Hashtbl.t = Hashtbl.create 64 in
+     by Ident.unique_name so a same-module top-level reference resolves to
+     its qualified name and a local variable to none, plus the module
+     aliases the unit declares -- *)
+  let toplevel : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let aliases : (string, string) Hashtbl.t = Hashtbl.create 8 in
   (* A module alias, [module Rs = Purity_erasure.Reed_solomon] or [let
      module R = ... in]: later references go through the alias path, so
@@ -320,9 +292,9 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
           List.iter
             (fun (vb : Typedtree.value_binding) ->
               List.iter
-                (fun (id, ty) ->
+                (fun id ->
                   Hashtbl.replace toplevel (Ident.unique_name id)
-                    (modname ^ "." ^ Ident.name id, ty))
+                    (modname ^ "." ^ Ident.name id))
                 (pat_vars vb.vb_pat))
             vbs
         | Tstr_module mb -> collect_top_module modname mb
@@ -330,9 +302,9 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         | Tstr_include incl ->
           List.iter
             (function
-              | Types.Sig_value (id, vd, _) ->
+              | Types.Sig_value (id, _, _) ->
                 Hashtbl.replace toplevel (Ident.unique_name id)
-                  (modname ^ "." ^ Ident.name id, vd.Types.val_type)
+                  (modname ^ "." ^ Ident.name id)
               | _ -> ())
             incl.incl_type
         | _ -> ())
@@ -378,10 +350,7 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
   (* canonical name of a referenced path; [None] for local variables *)
   let canon_of_path (p : Path.t) =
     match p with
-    | Path.Pident id -> (
-      match Hashtbl.find_opt toplevel (Ident.unique_name id) with
-      | Some (qname, _) -> Some qname
-      | None -> None)
+    | Path.Pident id -> Hashtbl.find_opt toplevel (Ident.unique_name id)
     | _ -> Some (resolve (canon_dotted (Path.name p)))
   in
 
@@ -391,7 +360,6 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
     match !module_stack with m :: _ -> m | [] -> unit_module
   in
   let defs = ref [] in
-  let pools = ref [] in
   let uses = ref [] in
   let record_use (vd : Types.value_description) =
     let p = vd.val_loc.loc_start in
@@ -413,7 +381,6 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         match (kind : Callgraph.site_kind) with
         | Closure | Boxed _ | Alloc_call _ -> Finding.Hotalloc
         | Raise_site _ | Partial_match -> Finding.Raises
-        | Mut_global _ -> Finding.Escape
       in
       let line, col = loc_pos loc in
       let site =
@@ -436,8 +403,7 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
       cur := Some { d with Callgraph.calls = call :: d.Callgraph.calls }
   in
 
-  (* the syntactic rule classes, unchanged from the per-module engine
-     (direct Domain/Atomic/... use is now emitted under [escape]) *)
+  (* the syntactic rule classes *)
   let check_ident ~loc name (e : Typedtree.expression) =
     if Rules.determinism_violation name then
       emit ~loc Determinism
@@ -445,18 +411,18 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
            "%s reads ambient time/entropy and breaks per-seed replay; use the \
             sim clock or a seeded Purity_util.Rng"
            name)
+    else if Rules.domain_violation name then
+      emit ~loc Determinism
+        (Printf.sprintf
+           "%s: a second domain makes results depend on the host \
+            scheduler's interleaving, which no seed replays; the tree is \
+            single-domain"
+           name)
     else if (not audited) && Rules.unsafe_violation name then
       emit ~loc Unsafe
         (Printf.sprintf
            "%s outside the audited kernel modules; move it behind an audited \
             kernel or waive it with a reason"
-           name)
-    else if (not audited_domains) && Rules.domain_violation name then
-      emit ~loc Escape
-        (Printf.sprintf
-           "%s outside the audited pool module; cross-domain shared \
-            mutable state breaks deterministic replay — go through \
-            Purity_par.Pool or audit this module in the lint config"
            name)
     else begin
       if recovery && Rules.partial_violation name then
@@ -502,111 +468,6 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
     end
   in
 
-  (* -- closure capture analysis for Pool.map/Pool.run submissions -- *)
-  let analyze_pool_closure (fexp : Typedtree.expression) =
-    let used : (string, string * Types.type_expr) Hashtbl.t = Hashtbl.create 32 in
-    let order = ref [] in
-    let bound : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-    let calls = ref [] in
-    let expr sub (e : Typedtree.expression) =
-      (match e.Typedtree.exp_desc with
-      | Texp_ident (Path.Pident id, _, _) ->
-        let key = Ident.unique_name id in
-        if not (Hashtbl.mem used key) then begin
-          Hashtbl.replace used key (Ident.name id, e.Typedtree.exp_type);
-          order := key :: !order
-        end;
-        (match canon_of_path (Path.Pident id) with
-        | Some c -> calls := c :: !calls
-        | None -> ())
-      | Texp_ident (p, _, _) -> (
-        match canon_of_path p with Some c -> calls := c :: !calls | None -> ())
-      | Texp_for (id, _, _, _, _, _) ->
-        Hashtbl.replace bound (Ident.unique_name id) ()
-      | _ -> ());
-      Tast_iterator.default_iterator.expr sub e
-    in
-    let pat (type k) sub (p : k Typedtree.general_pattern) =
-      (match p.Typedtree.pat_desc with
-      | Typedtree.Tpat_var (id, _) -> Hashtbl.replace bound (Ident.unique_name id) ()
-      | Typedtree.Tpat_alias (_, id, _) ->
-        Hashtbl.replace bound (Ident.unique_name id) ()
-      | _ -> ());
-      Tast_iterator.default_iterator.pat sub p
-    in
-    let it = { Tast_iterator.default_iterator with expr; pat } in
-    it.expr it fexp;
-    let captures =
-      List.rev !order
-      |> List.filter_map (fun key ->
-             if Hashtbl.mem bound key then None
-             else
-               match Hashtbl.find_opt used key with
-               | Some (name, ty)
-                 when (not (Hashtbl.mem toplevel key)) && is_mutable_ty cfg ~self:unit_module ~resolve ty ->
-                 Some { Callgraph.cap_name = name; cap_type = type_to_string ty }
-               | _ -> None)
-    in
-    (* module-level mutable values the closure touches directly count as
-       captures too: the worker domain reaches them all the same *)
-    let global_caps =
-      List.rev !calls
-      |> List.filter_map (fun c ->
-             let found =
-               Hashtbl.fold
-                 (fun _ (qname, ty) acc ->
-                   if qname = c && is_mutable_ty cfg ~self:unit_module ~resolve ty then Some ty else acc)
-                 toplevel None
-             in
-             match found with
-             | Some ty ->
-               Some { Callgraph.cap_name = c; cap_type = type_to_string ty }
-             | None -> None)
-    in
-    let seen = Hashtbl.create 8 in
-    let captures =
-      List.filter
-        (fun (c : Callgraph.capture) ->
-          if Hashtbl.mem seen c.cap_name then false
-          else begin
-            Hashtbl.replace seen c.cap_name ();
-            true
-          end)
-        (captures @ global_caps)
-    in
-    (captures, List.sort_uniq String.compare !calls)
-  in
-  let record_pool_site ~loc fn_name (args : (_ * Typedtree.expression option) list) =
-    let closure =
-      List.fold_left
-        (fun acc (_, a) -> match a with Some e -> Some e | None -> acc)
-        None args
-    in
-    let p_waived = site_waived Finding.Escape in
-    let captures, calls =
-      match closure with
-      | Some ({ Typedtree.exp_desc = Texp_function _; _ } as fexp) ->
-        analyze_pool_closure fexp
-      | Some { Typedtree.exp_desc = Texp_ident (p, _, _); _ } -> (
-        match canon_of_path p with Some c -> ([], [ c ]) | None -> ([], []))
-      | _ -> ([], [])
-    in
-    let line, col = loc_pos loc in
-    pools :=
-      {
-        Callgraph.p_fn = fn_name;
-        p_file = source_file;
-        p_line = line;
-        p_col = col;
-        p_def =
-          (match !cur with Some d -> d.Callgraph.name | None -> cur_prefix ());
-        p_captures = captures;
-        p_calls = calls;
-        p_waived;
-      }
-      :: !pools
-  in
-
   let default = Tast_iterator.default_iterator in
   let rec expr sub (e : Typedtree.expression) =
     with_waivers e.exp_attributes (fun () ->
@@ -614,25 +475,11 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
         | Texp_ident (path, lid, vd) ->
           record_use vd;
           check_ident ~loc:lid.loc (Rules.strip_stdlib (Path.name path)) e;
-          (match canon_of_path path with
-          | Some c ->
-            record_call c;
-            (* a module-level mutable value touched inside a function *)
-            let is_top =
-              match path with
-              | Path.Pident id -> Hashtbl.mem toplevel (Ident.unique_name id)
-              | _ -> true
-            in
-            if is_top && is_mutable_ty cfg ~self:unit_module ~resolve e.exp_type then
-              record_site ~loc:lid.loc
-                (Callgraph.Mut_global (c, type_to_string e.exp_type))
-          | None -> ());
+          Option.iter record_call (canon_of_path path);
           default.expr sub e
         | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, args) -> (
           let cname = canon_of_path p in
           (match cname with
-          | Some c when List.mem c Rules.pool_submit ->
-            record_pool_site ~loc:e.exp_loc c args
           | Some c when List.mem c Rules.alloc_externals && !raise_depth = 0 ->
             record_site ~loc:e.exp_loc (Callgraph.Alloc_call c)
           | _ -> ());
@@ -767,15 +614,9 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
     | Tstr_value (_, vbs) when !cur = None ->
       List.iter
         (fun (vb : Typedtree.value_binding) ->
-          let vars = pat_vars vb.vb_pat in
           let name =
-            match
-              List.sort
-                (fun (a, _) (b, _) ->
-                  String.compare (Ident.name a) (Ident.name b))
-                vars
-            with
-            | (id, _) :: _ -> cur_prefix () ^ "." ^ Ident.name id
+            match List.sort String.compare (List.map Ident.name (pat_vars vb.vb_pat)) with
+            | n :: _ -> cur_prefix () ^ "." ^ n
             | [] -> cur_prefix () ^ "._"
           in
           let line, _ = loc_pos vb.vb_loc in
@@ -859,7 +700,6 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
       {
         Callgraph.fs_file = source_file;
         fs_defs = List.rev !defs;
-        fs_pools = List.rev !pools;
         fs_uses = List.sort_uniq compare !uses;
         fs_exports = [];
       };
@@ -923,7 +763,7 @@ let check_signature ~source_file (sg : Typedtree.signature) : result =
     waived = 0;
     waivers = !waivers;
     summary =
-      { Callgraph.fs_file = source_file; fs_defs = []; fs_pools = []; fs_uses = []; fs_exports };
+      { Callgraph.fs_file = source_file; fs_defs = []; fs_uses = []; fs_exports };
   }
 
 (* ---- cmt loading ---- *)

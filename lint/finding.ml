@@ -5,12 +5,10 @@
    at the flagged site. *)
 
 type rule =
-  | Determinism  (* wall clock / global RNG in engine code *)
+  | Determinism
+      (* wall clock / global RNG / domain primitives: each breaks
+         per-seed replay *)
   | Unsafe  (* unchecked accessors & casts outside audited kernels *)
-  | Escape
-      (* domain-escape: mutable state reachable from a Pool.map/run
-         closure, or raw Domain/Atomic/Mutex use outside audited modules
-         (subsumes the old path-based `domain` rule) *)
   | Hotpath  (* polymorphic hash/compare at non-primitive types *)
   | Hotalloc  (* allocation site reachable from a [@purity.lint.hotpath] root *)
   | Partial  (* exception-raising partial functions in failover code *)
@@ -21,7 +19,6 @@ type rule =
 let rule_name = function
   | Determinism -> "determinism"
   | Unsafe -> "unsafe"
-  | Escape -> "escape"
   | Hotpath -> "hotpath"
   | Hotalloc -> "hotalloc"
   | Partial -> "partial"
@@ -34,7 +31,6 @@ let rule_name = function
 let rule_of_name = function
   | "determinism" -> Some Determinism
   | "unsafe" -> Some Unsafe
-  | "escape" -> Some Escape
   | "hotpath" -> Some Hotpath
   | "hotalloc" -> Some Hotalloc
   | "partial" -> Some Partial
@@ -43,14 +39,14 @@ let rule_of_name = function
   | _ -> None
 
 let rule_names =
-  "determinism/unsafe/escape/hotpath/hotalloc/partial/raises/unused_export"
+  "determinism/unsafe/hotpath/hotalloc/partial/raises/unused_export"
 
 type severity = Error | Warning
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 let severity_of_rule = function
-  | Determinism | Unsafe | Escape | Waiver -> Error
+  | Determinism | Unsafe | Waiver -> Error
   | Hotpath | Hotalloc | Partial | Raises | Unused_export -> Warning
 
 type t = {

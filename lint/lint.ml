@@ -8,7 +8,6 @@ module Finding = Finding
 module Rules = Rules
 module Engine = Engine
 module Callgraph = Callgraph
-module Escape = Escape
 module Alloc = Alloc
 module Raises = Raises
 module Unused_export = Unused_export
@@ -62,9 +61,7 @@ let run (cfg : Rules.config) ?(references = []) cmts : Report.summary =
     Unused_export.run
       (summaries @ List.map (fun r -> r.Engine.summary) ref_results)
   in
-  let inter =
-    Escape.run cfg graph @ Alloc.run cfg graph @ Raises.run cfg graph @ unused
-  in
+  let inter = Alloc.run cfg graph @ Raises.run cfg graph @ unused in
   {
     Report.files = List.length results;
     findings = List.sort Finding.order (per_file @ inter);

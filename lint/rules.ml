@@ -10,18 +10,8 @@ type config = {
       (* path suffixes where partial functions are flagged *)
   audited_unsafe : string list;
       (* basenames allowed to use unchecked accessors *)
-  audited_domains : string list;
-      (* basenames allowed to touch Domain/Atomic/Mutex/Condition — the
-         deterministic pool, the one module that spawns domains. The
-         escape pass also stops at it: its cross-domain state is the
-         audited implementation, not an escape. *)
   exclude : string list;
       (* path substrings skipped entirely (planted test fixtures) *)
-  mutable_types : string list;
-      (* canonical type-constructor names (Module.t form) treated as
-         mutable for the escape pass, on top of the structural cases
-         (ref/array/bytes/Hashtbl/Buffer/...): project records with
-         mutable fields that the typed tree alone cannot reveal *)
   handled_exns : string list;
       (* exception constructors the recovery roots' callers declare they
          handle; reachable raises of these are not findings *)
@@ -42,25 +32,7 @@ let default =
       ];
     audited_unsafe =
       [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "lz_ref.ml"; "bloom.ml" ];
-    audited_domains = [ "pool.ml" ];
     exclude = [ "lint_fixtures" ];
-    mutable_types =
-      [
-        (* records with mutable fields (or fields holding buffers) that
-           appear as closure captures at the audited fan-out sites *)
-        "State.t";
-        "Arena.t";
-        "Writer.t";
-        "Reed_solomon.t";
-        "Kernel_stats.kernel";
-        "Pool.t";
-        "Registry.t";
-        (* Keytbl specialized hash tables *)
-        "Stbl.t";
-        "Itbl.t";
-        "Ptbl.t";
-        "Keytbl.t";
-      ];
     handled_exns = [ "Exit" ];
   }
 
@@ -77,7 +49,6 @@ let suffix_matches path suf =
 let in_hot_path cfg path = List.exists (contains_sub path) cfg.hot_path_dirs
 let in_recovery cfg path = List.exists (suffix_matches path) cfg.recovery_files
 let is_audited cfg path = List.mem (Filename.basename path) cfg.audited_unsafe
-let is_audited_domains cfg path = List.mem (Filename.basename path) cfg.audited_domains
 let is_excluded cfg path = List.exists (contains_sub path) cfg.exclude
 
 (* ---- banned identifiers (matched on Path.name with "Stdlib." stripped) ---- *)
@@ -113,14 +84,10 @@ let determinism_violation name =
   || (starts_with ~prefix:"Random." name
      && not (starts_with ~prefix:"Random.State." name))
 
-(* Cross-domain shared-mutable-state machinery. Spawning domains, CAS
-   loops, locks: each is either the deterministic pool's own plumbing (in
-   an audited module) or an unreviewed parallelism escape hatch that can
-   break per-seed replay in ways no torture seed will reproduce twice.
-   Flagged under the [escape] rule (direct use is the trivially provable
-   escape); the interprocedural escape pass covers what this name check
-   cannot see — a mutable value captured by a closure handed to the
-   pool. *)
+(* Domain primitives: spawning domains, CAS loops, locks. Nothing in the
+   tree runs on a second domain, and any that did would make results
+   depend on the host scheduler's interleaving, which no seed replays.
+   Reported under [determinism]. *)
 let domain_modules = [ "Domain."; "Atomic."; "Mutex."; "Condition."; "Semaphore." ]
 
 let domain_violation name = List.exists (fun p -> starts_with ~prefix:p name) domain_modules
@@ -172,32 +139,13 @@ let hashtbl_funcs =
 (* ---- interprocedural-pass tables (matched on canonical names: the last
    two dotted components with dune's Lib__Module mangling stripped) ---- *)
 
-(* The deterministic pool's submission points: closures passed here run on
-   worker domains, so their captures are the domain-escape frontier. *)
-let pool_submit = [ "Pool.map"; "Pool.run" ]
-
-(* Stdlib containers that are mutable regardless of their parameters.
-   ref / array / bytes are recognized structurally by predef path. *)
-let mutable_builtin =
-  [
-    "Hashtbl.t";
-    "Buffer.t";
-    "Queue.t";
-    "Stack.t";
-    "Atomic.t";
-    "Weak.t";
-    "Array1.t";
-    "Dynarray.t";
-  ]
-
 (* External (not-in-tree) functions that allocate on every call. In-tree
    callees don't need to be listed: the alloc pass walks into them and
    finds their own allocation sites. Two deliberate absences: Buffer.add_*
    (the arena discipline preallocates, so growth is amortized-once, and
    flagging every append would drown the signal) and [ref] (a 2-word local
    accumulator per kernel call is the scalar-loop idiom everywhere in the
-   kernels; a ref that *escapes* to another domain is the escape pass's
-   finding, not this one's). *)
+   kernels). *)
 let alloc_externals =
   [
     "Bytes.create";

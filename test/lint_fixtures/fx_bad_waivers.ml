@@ -5,7 +5,9 @@ let[@purity.lint.allow "bogus: no such rule"] unknown x = x
 let[@purity.lint.allow "waiver: cover the refusal below"] self_waiver x =
   (x [@purity.lint.allow 42])
 
-let[@purity.lint.allow "domain: retired, now escape"] retired x = x
+let[@purity.lint.allow "domain: retired, now determinism"] retired x = x
+
+let[@purity.lint.allow "escape: retired with the domain pool"] retired_escape x = x
 
 [@@@purity.lint.allow "unsafe: the rest of this module"]
 

@@ -1,4 +1,4 @@
-(* Planted cross-domain shared-mutable-state violations: line numbers are
+(* Planted domain primitives, banned under [determinism]: line numbers are
    asserted by test_lint.ml — keep the banned calls on lines 3 and 5. *)
 let counter = Atomic.make 0
 

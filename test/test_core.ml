@@ -122,9 +122,8 @@ let test_backpressure_write_skips_intent () =
   let records = Nvram.records nv in
   let data = random_data 64 in
   let result = ref None in
-  (* this domain's live counters: OCaml 5's [Gc.quick_stat] folds direct
-     major allocations in only at minor collections, and sums every
-     domain's last sample, so pool lanes' earlier work would leak in *)
+  (* live counters: OCaml 5's [Gc.quick_stat] folds direct major
+     allocations in only at minor collections *)
   let _, _, major0 = Gc.counters () in
   Fa.write a ~volume:"v" ~block:0 data (fun r -> result := Some r);
   let _, _, major1 = Gc.counters () in

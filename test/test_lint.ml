@@ -2,8 +2,8 @@
    test/lint_fixtures/ (excluded from the real @lint run) under a config
    that treats them as hot-path / recovery / audited code, and assert that
    every rule class fires at the planted file:line, that the
-   interprocedural passes (escape / hotalloc / raises / unused_export)
-   catch their planted fixtures with the right witness chains, that in-source waivers suppress
+   interprocedural passes (hotalloc / raises / unused_export) catch their
+   planted fixtures with the right witness chains, that in-source waivers suppress
    exactly their finding, that stale and malformed waivers error, and that
    the call-graph edge set is independent of build order. *)
 
@@ -36,9 +36,7 @@ let cfg =
     Lint.Rules.hot_path_dirs = [ "lint_fixtures/" ];
     recovery_files = [ "fx_partial.ml" ];
     audited_unsafe = [ "fx_audited.ml" ];
-    audited_domains = [ "fx_audited.ml" ];
     exclude = [];
-    mutable_types = [];
     handled_exns = [ "Exit" ];
   }
 
@@ -78,13 +76,13 @@ let test_unsafe () =
 let test_domain () =
   let _, r = check "fx_domain" in
   Alcotest.check rules_at
-    "Atomic.make and Domain.spawn fire (under the escape rule that subsumed \
-     the path-based domain rule); pure chunk arithmetic does not"
-    [ ("escape", 3); ("escape", 5) ]
+    "the atomic counter and the domain spawn fire under determinism; pure \
+     chunk arithmetic does not"
+    [ ("determinism", 3); ("determinism", 5) ]
     (fired r);
   List.iter
     (fun (f : Lint.Finding.t) ->
-      Alcotest.(check string) "escape is an error" "error"
+      Alcotest.(check string) "determinism is an error" "error"
         (Lint.Finding.severity_name f.severity))
     r.findings
 
@@ -120,24 +118,6 @@ let test_severities () =
     r.findings
 
 (* ---- interprocedural passes ---- *)
-
-let test_escape_pass () =
-  let g = graph_of [ "fx_escape" ] in
-  let fs = Lint.Escape.run cfg g in
-  Alcotest.check pass_shape
-    "ref captured into Pool.map fires at the submission site; \
-     immutable-capture closure does not"
-    [ (("escape", 5), [ "Fx_escape.racy" ]) ]
-    (List.map rule_line_chain fs)
-
-let test_escape_transitive () =
-  let g = graph_of [ "fx_escape_chain" ] in
-  let fs = Lint.Escape.run cfg g in
-  Alcotest.check pass_shape
-    "closure calling a helper that bumps a module-level counter fires with \
-     the submitter -> helper chain; the waived submission does not"
-    [ (("escape", 12), [ "Fx_escape_chain.submitter"; "Fx_escape_chain.helper" ]) ]
-    (List.map rule_line_chain fs)
 
 let test_alloc_pass () =
   let g = graph_of [ "fx_hotalloc" ] in
@@ -222,7 +202,7 @@ let test_unused_export () =
 
 let test_edges_stable =
   let names =
-    [ "fx_escape"; "fx_hotalloc"; "fx_raise"; "fx_domain"; "fx_hotpath" ]
+    [ "fx_alias"; "fx_hotalloc"; "fx_raise"; "fx_domain"; "fx_hotpath" ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:50 ~name:"edge set independent of build order"
@@ -261,12 +241,12 @@ let test_stale_waiver () =
 let test_refused_waivers () =
   let _, r = check "fx_bad_waivers" in
   Alcotest.check rules_at
-    "unknown rule, waiver, retired domain, non-string payload and floating \
-     waivers are all refused, and the unsafe site after the floating one \
-     still fires"
+    "unknown rule, waiver, retired domain and escape, non-string payload \
+     and floating waivers are all refused, and the unsafe site after the \
+     floating one still fires"
     [
       ("waiver", 3); ("waiver", 5); ("waiver", 6); ("waiver", 8); ("waiver", 10);
-      ("unsafe", 12);
+      ("waiver", 12); ("unsafe", 14);
     ]
     (fired r);
   Alcotest.(check int) "nothing waived" 0 r.waived;
@@ -279,7 +259,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "unsafe" `Quick test_unsafe;
-          Alcotest.test_case "domain (escape alias)" `Quick test_domain;
+          Alcotest.test_case "domain primitives (determinism)" `Quick test_domain;
           Alcotest.test_case "audited exemption" `Quick test_audited;
           Alcotest.test_case "hotpath" `Quick test_hotpath;
           Alcotest.test_case "partial" `Quick test_partial;
@@ -287,8 +267,6 @@ let () =
         ] );
       ( "interprocedural",
         [
-          Alcotest.test_case "escape pass" `Quick test_escape_pass;
-          Alcotest.test_case "escape pass (transitive)" `Quick test_escape_transitive;
           Alcotest.test_case "alloc pass" `Quick test_alloc_pass;
           Alcotest.test_case "alloc through a let-module alias" `Quick
             test_alloc_through_let_module;
