@@ -193,7 +193,7 @@ let evacuate t ~live ~before_checkpoint victims k =
   let start = Clock.now t.clock in
   (* a write that dedups onto a victim's cblock after the liveness scan
      would be left pointing into a destroyed segment *)
-  forget_dedup_sources t victims;
+  Dedup.forget_where t.dedup (fun r -> List.mem r.Blockref.segment victims);
   let tally =
     { cache = I64tbl.create 64; relocated = 0; relocated_bytes = 0; dedup_hits = 0; shared = 0 }
   in

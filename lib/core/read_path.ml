@@ -154,7 +154,7 @@ let read t ~volume ~block ~nblocks k =
                         | Ok frame -> (
                           match decode_slices frame out failed f.slices with
                           | Some data when t.cfg.read_cache_entries > 0 ->
-                            Lru.Ipair.add t.read_cache cache_key data
+                            ignore (Lru.Ipair.add t.read_cache cache_key data)
                           | _ -> ()));
                         settle ()))))
             fetches

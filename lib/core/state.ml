@@ -176,8 +176,7 @@ type t = {
          or compacted-away deletions would resurrect *)
   mutable medium_next_id : int;
   mutable boot_generation_written : int;
-  dedup : Dedup.t;
-  dedup_locs : (int, Blockref.t) Hashtbl.t; (* dedup write id -> cblock home *)
+  dedup : Blockref.t Dedup.t; (* recent writes, each with its cblock home *)
   arena : Arena.t; (* compress/frame scratch for the fill loop *)
   read_cache : string Lru.Ipair.t;
       (* (segment, off) -> the cblock's verified, decompressed bytes *)
@@ -290,7 +289,6 @@ let create_over ~config ~clock ~shelf ~boot () =
     medium_next_id = 1;
     boot_generation_written = 0;
     dedup = Dedup.create ();
-    dedup_locs = Hashtbl.create 1024;
     arena = Arena.create ();
     read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
     write_lat = Registry.histogram tel "write_path/latency_us";
@@ -694,23 +692,6 @@ let seal_and_flush t k =
   | newest :: _ -> newest.waiters <- k :: newest.waiters
   | [] -> Clock.schedule t.clock ~delay:0.0 k
 
-(* Forget the inline-dedup sources held in [segments], so no later write
-   dedups onto a cblock there. *)
-let forget_dedup_sources t segments =
-  if not (List.is_empty segments) then begin
-    let stale =
-      Hashtbl.fold
-        (fun wid (r : Blockref.t) acc ->
-          if List.mem r.Blockref.segment segments then wid :: acc else acc)
-        t.dedup_locs []
-    in
-    List.iter
-      (fun wid ->
-        Hashtbl.remove t.dedup_locs wid;
-        Dedup.forget t.dedup ~write_id:wid)
-      stale
-  end
-
 (* Destroy segments whose contents live on elsewhere (relocated victims,
    a superseded checkpoint): drop each meta, log its tombstone, trim its
    AUs on reachable drives and hand them back to the allocator. Returns
@@ -751,6 +732,6 @@ let halt_device_activity t =
    they are, already decoded: the spare's hits are copies too. *)
 let warm_cache ~from ~into =
   if into.cfg.secondary_warming then
-    Lru.Ipair.fold
-      (fun key data () -> Lru.Ipair.add into.read_cache key data)
-      from.read_cache ()
+    (* least recently used first, so the spare's order matches the primary's *)
+    Lru.Ipair.fold (fun key data acc -> (key, data) :: acc) from.read_cache []
+    |> List.iter (fun (key, data) -> ignore (Lru.Ipair.add into.read_cache key data))

@@ -50,8 +50,8 @@ let apply_chunk t ~medium ~first_block data =
   (* translate hits whose source cblock still exists; drop the rest *)
   let hits =
     List.filter_map
-      (fun (h : Dedup.hit) ->
-        match Hashtbl.find_opt t.dedup_locs h.Dedup.src.Dedup.write_id with
+      (fun (h : _ Dedup.hit) ->
+        match h.Dedup.home with
         | Some base
           when Hashtbl.mem t.segment_metas base.Blockref.segment
                || Option.is_some (unflushed_writer t base.Blockref.segment) ->
@@ -61,12 +61,12 @@ let apply_chunk t ~medium ~first_block data =
   in
   let covered = Array.make nblocks false in
   List.iter
-    (fun ((h : Dedup.hit), (base : Blockref.t)) ->
+    (fun ((h : _ Dedup.hit), (base : Blockref.t)) ->
       for i = 0 to h.Dedup.run_blocks - 1 do
         let blk = h.Dedup.at_block + i in
         covered.(blk) <- true;
         put_block t ~medium ~block:(first_block + blk)
-          { base with Blockref.index = h.Dedup.src.Dedup.block + i };
+          { base with Blockref.index = h.Dedup.src_block + i };
         Registry.incr t.ws.dedup_blocks
       done)
     hits;
@@ -83,8 +83,7 @@ let apply_chunk t ~medium ~first_block data =
       let run = slice data (start * block_size) (run_blocks * block_size) in
       let base = store_run t run in
       (* register the fresh run so future writes can dedup against it *)
-      let wid = Dedup.register t.dedup run in
-      Hashtbl.replace t.dedup_locs wid base;
+      Dedup.register ~home:base t.dedup run;
       for b = 0 to run_blocks - 1 do
         put_block t ~medium ~block:(first_block + start + b)
           { base with Blockref.index = b }

@@ -5,18 +5,21 @@ module Registry = Purity_telemetry.Registry
 
 let block_size = 512
 
-type source = { write_id : int; block : int }
-type hit = { at_block : int; src : source; run_blocks : int }
+type 'home hit = { at_block : int; src_block : int; run_blocks : int; home : 'home option }
 
 type config = { hash_bits : int; record_every : int; window_writes : int; min_run : int }
 
 let default_config = { hash_bits = 48; record_every = 8; window_writes = 4096; min_run = 1 }
 
-type t = {
+type anchor = { write_id : int; block : int } (* a recorded block of a windowed write *)
+type 'home entry = { data : string; home : 'home option }
+
+type 'home t = {
   cfg : config;
-  index : source list Itbl.t; (* truncated hash -> recorded anchors *)
-  window : string Lru.t; (* write_id -> payload, the recency window *)
+  index : anchor list Itbl.t; (* truncated hash -> recorded anchors *)
+  window : 'home entry Lru.t; (* write id -> payload and home, the recency window *)
   mutable next_write_id : int;
+  anchors : Registry.counter; (* anchors in [index]: a level, not a count *)
   registered_writes : Registry.counter;
   recorded_hashes : Registry.counter;
   lookups : Registry.counter;
@@ -32,6 +35,7 @@ let create ?(config = default_config) () =
     index = Itbl.create 4096;
     window = Lru.create ~capacity:config.window_writes;
     next_write_id = 0;
+    anchors = Registry.cell ();
     registered_writes = Registry.cell ();
     recorded_hashes = Registry.cell ();
     lookups = Registry.cell ();
@@ -45,6 +49,7 @@ let register_telemetry t reg =
   List.iter
     (fun (name, c) -> Registry.attach_counter reg ("dedup/" ^ name) c)
     [
+      ("anchors", t.anchors);
       ("registered_writes", t.registered_writes);
       ("recorded_hashes", t.recorded_hashes);
       ("lookups", t.lookups);
@@ -68,25 +73,47 @@ let[@purity.lint.allow
 
 let blocks_of data = String.length data / block_size
 
-let register t data =
+(* Replace bucket [h]'s anchors [old] with [anchors], keeping the
+   [anchors] level equal to the index's size. *)
+let set_bucket t h ~old anchors =
+  Registry.add t.anchors (List.length anchors - List.length old);
+  match anchors with [] -> Itbl.remove t.index h | _ -> Itbl.replace t.index h anchors
+
+(* Drop a write's anchors, found by recomputing its sampled hashes. *)
+let drop_anchors t write_id data =
+  let b = ref 0 in
+  while !b < blocks_of data do
+    let h = block_hash t data !b in
+    (match Itbl.find_opt t.index h with
+    | Some old -> set_bucket t h ~old (List.filter (fun a -> a.write_id <> write_id) old)
+    | None -> ());
+    b := !b + t.cfg.record_every
+  done
+
+let register ?home t data =
   let id = t.next_write_id in
   t.next_write_id <- id + 1;
-  Lru.add t.window id data;
-  let n = blocks_of data in
+  (match Lru.add t.window id { data; home } with
+  | Some (old_id, old) -> drop_anchors t old_id old.data
+  | None -> ());
   let b = ref 0 in
-  while !b < n do
+  while !b < blocks_of data do
     let h = block_hash t data !b in
-    let prev = Option.value ~default:[] (Itbl.find_opt t.index h) in
-    (* keep the anchor list short: newest few only *)
-    let entry = { write_id = id; block = !b } in
-    Itbl.replace t.index h (entry :: (if List.length prev > 3 then [] else prev));
+    let old = Option.value ~default:[] (Itbl.find_opt t.index h) in
+    (* keep the anchor list short: a fifth anchor replaces the bucket *)
+    let keep = if List.length old > 3 then [] else old in
+    set_bucket t h ~old ({ write_id = id; block = !b } :: keep);
     Registry.incr t.recorded_hashes;
     b := !b + t.cfg.record_every
   done;
-  Registry.incr t.registered_writes;
-  id
+  Registry.incr t.registered_writes
 
-let forget t ~write_id = Lru.remove t.window write_id
+let forget_where t pred =
+  let doomed id e acc = match e.home with Some h when pred h -> (id, e) :: acc | _ -> acc in
+  Lru.fold doomed t.window []
+  |> List.iter (fun (id, e) ->
+         Lru.remove t.window id;
+         drop_anchors t id e.data)
 
 (* Word-wise verify: 512-byte blocks compare as 64 aligned word loads.
    The XOR of the two words is tested through its two 32-bit halves —
@@ -108,29 +135,31 @@ let[@purity.lint.allow
   done;
   !eq
 
-(* Extend a verified anchor match forwards and backwards. *)
-let extend data nblocks ~at ~(src : source) src_data =
-  let src_blocks = blocks_of src_data in
+(* Extend a verified anchor match forwards, and backwards down to block
+   [from], the first one no earlier run covers. *)
+let extend data nblocks ~from ~at ~src_block (src : _ entry) =
+  let src_blocks = blocks_of src.data in
   let back = ref 0 in
   while
-    at - !back - 1 >= 0
-    && src.block - !back - 1 >= 0
-    && blocks_equal data (at - !back - 1) src_data (src.block - !back - 1)
+    at - !back - 1 >= from
+    && src_block - !back - 1 >= 0
+    && blocks_equal data (at - !back - 1) src.data (src_block - !back - 1)
   do
     incr back
   done;
   let fwd = ref 0 in
   while
     at + !fwd + 1 < nblocks
-    && src.block + !fwd + 1 < src_blocks
-    && blocks_equal data (at + !fwd + 1) src_data (src.block + !fwd + 1)
+    && src_block + !fwd + 1 < src_blocks
+    && blocks_equal data (at + !fwd + 1) src.data (src_block + !fwd + 1)
   do
     incr fwd
   done;
   {
     at_block = at - !back;
-    src = { src with block = src.block - !back };
+    src_block = src_block - !back;
     run_blocks = !back + 1 + !fwd;
+    home = src.home;
   }
 
 let find_duplicates t data =
@@ -148,11 +177,11 @@ let find_duplicates t data =
         (* first candidate whose bytes really match wins *)
         let verified =
           List.find_map
-            (fun src ->
-              match Lru.find t.window src.write_id with
+            (fun a ->
+              match Lru.find t.window a.write_id with
               | None -> None
-              | Some src_data ->
-                if blocks_equal data b src_data src.block then Some (src, src_data)
+              | Some src ->
+                if blocks_equal data b src.data a.block then Some (a.block, src)
                 else begin
                   Registry.incr t.false_positives;
                   None
@@ -161,18 +190,9 @@ let find_duplicates t data =
         in
         (match verified with
         | None -> ()
-        | Some (src, src_data) ->
+        | Some (src_block, src) ->
           Registry.incr t.verified_hits;
-          let hit = extend data n ~at:b ~src src_data in
-          (* clip the run to start at the first uncovered block *)
-          let clip = max 0 (!covered_until - hit.at_block) in
-          let hit =
-            {
-              at_block = hit.at_block + clip;
-              src = { hit.src with block = hit.src.block + clip };
-              run_blocks = hit.run_blocks - clip;
-            }
-          in
+          let hit = extend data n ~from:!covered_until ~at:b ~src_block src in
           if hit.run_blocks >= t.cfg.min_run then begin
             hits := hit :: !hits;
             covered_until := hit.at_block + hit.run_blocks;

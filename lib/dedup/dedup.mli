@@ -17,18 +17,16 @@
     LRU), modelling the recency window; the garbage collector runs a
     second, exhaustive pass later (E8 measures both).
 
-    The caller identifies writes by the dense ids this module assigns, and
-    maps (write id, block) pairs back to its own storage addresses. *)
+    A window entry holds the payload beside the caller's [home] for it (a
+    cblock address), and a write's anchors leave the index with it. *)
 
-type t
+type 'home t
 
-type source = { write_id : int; block : int }
-(** A position inside a previously registered write. *)
-
-type hit = {
+type 'home hit = {
   at_block : int;  (** first duplicate block in the incoming write *)
-  src : source;  (** where the identical run already lives *)
+  src_block : int;  (** the run's first block in the registered write *)
   run_blocks : int;  (** verified identical blocks, >= 1 *)
+  home : 'home option;  (** the [?home] that write was registered with *)
 }
 
 type config = {
@@ -38,31 +36,32 @@ type config = {
   min_run : int;  (** discard runs shorter than this many blocks *)
 }
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> unit -> 'home t
 (** The default config: 48-bit hashes, record 1/8, 4096-write window, min
     run 1. Blocks are 512 B, the paper's dedup granularity. *)
 
-val register : t -> string -> int
-(** Add a write's payload to the index (recording sampled hashes) and
-    return its write id. Lengths are rounded down to whole 512 B blocks. *)
+val register : ?home:'home -> 'home t -> string -> unit
+(** Add a write's payload and [home] to the window, first evicting the
+    least recently used write and its anchors if the window is full, then
+    record its sampled hashes. Lengths round down to whole 512 B blocks. *)
 
-val find_duplicates : t -> string -> hit list
+val find_duplicates : 'home t -> string -> 'home hit list
 (** Verified, non-overlapping duplicate runs of the given payload against
-    the recency window, in block order. Does not register the payload. *)
+    writes still in the window (each hit promotes its write), in block
+    order. Does not register the payload. *)
 
-val forget : t -> write_id:int -> unit
-(** Drop a write from the verification window. Its anchors stay in the
-    index: an anchor leaves only when a later {!register} finds four or
-    more anchors in its hash bucket and drops the whole bucket, so the
-    index keeps about one anchor per [record_every] blocks registered
-    since {!create}, those of writes the window no longer holds included
-    (a hit on one fails verification and costs only the lookup). *)
+val forget_where : 'home t -> ('home -> bool) -> unit
+(** Drop, with their anchors, every windowed write whose home satisfies
+    the predicate; writes registered without a home stay. *)
 
-val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
+val register_telemetry : 'home t -> Purity_telemetry.Registry.t -> unit
 (** Attach the index's counters under [dedup/]: [registered_writes],
     [recorded_hashes], [lookups], [hash_hits], [verified_hits],
     [false_positives] (hash matched, bytes differed) and
-    [duplicate_blocks] (blocks covered by returned runs). The index owns
-    the cells. The controller attaches its index's cells to its registry,
-    beside the write path's own [dedup/inline_blocks] and
-    [dedup/gc_blocks]. *)
+    [duplicate_blocks] (blocks covered by returned runs), plus the level
+    [anchors]: the index's size, which rises on each recorded hash and
+    falls as writes leave the window or buckets overflow, so it never
+    exceeds [window_writes] x ceil(largest write in blocks /
+    [record_every]). The index owns the cells. The controller attaches
+    its index's cells to its registry, beside the write path's own
+    [dedup/inline_blocks] and [dedup/gc_blocks]. *)

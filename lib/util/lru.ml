@@ -6,7 +6,7 @@ module type S = sig
 
   val create : capacity:int -> 'v t
   val find : 'v t -> key -> 'v option
-  val add : 'v t -> key -> 'v -> unit
+  val add : 'v t -> key -> 'v -> (key * 'v) option
   val remove : 'v t -> key -> unit
   val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 end
@@ -65,24 +65,22 @@ module Make (H : Hashtbl.HashedType) = struct
       unlink t node;
       Tbl.remove t.table k
 
-  let evict_lru t =
-    match t.tail with
-    | None -> ()
-    | Some node ->
-      unlink t node;
-      Tbl.remove t.table node.key
-
   let add t k v =
     match Tbl.find_opt t.table k with
     | Some node ->
       node.value <- v;
       unlink t node;
-      push_front t node
-    | None ->
-      if Tbl.length t.table >= t.capacity then evict_lru t;
+      push_front t node;
+      None
+    | None -> (
       let node = { key = k; value = v; prev = None; next = None } in
       Tbl.replace t.table k node;
-      push_front t node
+      push_front t node;
+      match t.tail with
+      | Some lru when Tbl.length t.table > t.capacity ->
+        remove t lru.key;
+        Some (lru.key, lru.value)
+      | _ -> None)
 
   let fold f t init =
     let rec go acc = function

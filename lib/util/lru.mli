@@ -16,8 +16,10 @@ module type S = sig
   val find : 'v t -> key -> 'v option
   (** Lookup; promotes the entry to most-recently-used on hit. *)
 
-  val add : 'v t -> key -> 'v -> unit
-  (** Insert or overwrite; evicts the least-recently-used entry when full. *)
+  val add : 'v t -> key -> 'v -> (key * 'v) option
+  (** Insert or overwrite. Inserting a new key into a full cache evicts
+      the least-recently-used entry and hands back its binding, so its
+      owner can release what the entry held; otherwise [None]. *)
 
   val remove : 'v t -> key -> unit
 

@@ -61,12 +61,16 @@ let run (cfg : Rules.config) ?(references = []) cmts : Report.summary =
     Unused_export.run
       (summaries @ List.map (fun r -> r.Engine.summary) ref_results)
   in
-  let inter = Alloc.run cfg graph @ Raises.run cfg graph @ unused in
+  let hot, hot_waived = Alloc.run cfg graph in
+  let raises, raises_waived = Raises.run cfg graph in
   {
     Report.files = List.length results;
-    findings = List.sort Finding.order (per_file @ inter);
+    findings = List.sort Finding.order (per_file @ hot @ raises @ unused);
     waived =
-      List.fold_left (fun a r -> a + r.Engine.waived) unused_waived results;
+      List.fold_left
+        (fun a r -> a + r.Engine.waived)
+        (unused_waived + hot_waived + raises_waived)
+        results;
     waivers = List.fold_left (fun a r -> a + r.Engine.waivers) 0 results;
     read_errors = read_errors @ ref_errors;
   }

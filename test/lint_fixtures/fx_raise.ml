@@ -15,3 +15,9 @@ let recover x = step (Some (fail_path x)) [@@purity.lint.recovery_root]
 let recover2 x =
   (match deep_fail x with v -> v | exception Invalid_argument _ -> 0)
   [@@purity.lint.recovery_root]
+
+(* A waived failwith below a recovery root is tallied as waived. *)
+let[@purity.lint.allow "raises: planted fixture, tallied as waived"] waived_fail x =
+  if x < 0 then failwith "waived" else x
+
+let recover3 x = waived_fail x [@@purity.lint.recovery_root]

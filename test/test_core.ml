@@ -863,9 +863,11 @@ let test_destroyed_segments_leave_no_trace () =
             | _ -> ())
           (State.resolve_range st ~medium:v.State.medium ~block:0 ~nblocks:v.State.blocks))
       st.State.volumes;
-    Hashtbl.iter
-      (fun _ r -> if gone r then Alcotest.failf "%s: dedup source in a destroyed segment" label)
-      st.State.dedup_locs;
+    (* a predicate that fails on a windowed home in a destroyed segment,
+       and otherwise keeps every entry *)
+    Purity_dedup.Dedup.forget_where st.State.dedup (fun r ->
+        if gone r then Alcotest.failf "%s: dedup source in a destroyed segment" label;
+        false);
     List.iter
       (fun (_, (meta : Purity_segment.Segment.t)) ->
         Array.iter
@@ -1006,6 +1008,30 @@ let test_cold_failover_without_warming () =
   ignore (read_ok clock a ~volume:"v" ~block:0 ~nblocks:256);
   let s = Fa.stats a in
   check int "cold spare misses" 0 s.Fa.cache_hits
+
+(* Warming keeps the primary's recency order: the spare's first eviction
+   drops the primary's least recently read cblock, not its hottest. *)
+let test_warming_keeps_recency () =
+  let clock, a = make_array ~config:{ test_config with Fa.read_cache_entries = 4 } () in
+  ok (Fa.create_volume a "v" ~blocks:64);
+  (* five 4 KiB cblocks, at blocks 0, 8, 16, 24 and 32 *)
+  for i = 0 to 4 do
+    write_ok clock a ~volume:"v" ~block:(8 * i) (random_data 8)
+  done;
+  ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
+  for i = 0 to 3 do
+    ignore (read_ok clock a ~volume:"v" ~block:(8 * i) ~nblocks:8)
+  done;
+  Fa.crash a;
+  ignore (await clock (fun k -> Fa.failover a k));
+  ignore (read_ok clock a ~volume:"v" ~block:32 ~nblocks:8);
+  let hit block =
+    let before = (Fa.stats a).Fa.cache_hits in
+    ignore (read_ok clock a ~volume:"v" ~block ~nblocks:8);
+    (Fa.stats a).Fa.cache_hits > before
+  in
+  check bool "the primary's most recent cblock stays warm" true (hit 24);
+  check bool "its least recent cblock was evicted" false (hit 0)
 
 (* ---------- 4.6: inferred transfer sizes ---------- *)
 
@@ -1895,5 +1921,6 @@ let () =
           Alcotest.test_case "overwrite wins" `Quick test_cache_serves_fresh_data_after_overwrite;
           Alcotest.test_case "secondary warming" `Quick test_secondary_warming_preserves_hits;
           Alcotest.test_case "cold without warming" `Quick test_cold_failover_without_warming;
+          Alcotest.test_case "warming keeps recency" `Quick test_warming_keeps_recency;
         ] );
     ]

@@ -121,7 +121,7 @@ let test_severities () =
 
 let test_alloc_pass () =
   let g = graph_of [ "fx_hotalloc" ] in
-  let fs = Lint.Alloc.run cfg g in
+  let fs, waived = Lint.Alloc.run cfg g in
   Alcotest.check pass_shape
     "Bytes.create two hops below the hotpath root carries the witness \
      chain; the coldpath cut is not entered"
@@ -129,11 +129,20 @@ let test_alloc_pass () =
       ( ("hotalloc", 4),
         [ "Fx_hotalloc.root"; "Fx_hotalloc.mid"; "Fx_hotalloc.leaf" ] );
     ]
-    (List.map rule_line_chain fs)
+    (List.map rule_line_chain fs);
+  Alcotest.(check int) "the waived allocation a root reaches is tallied" 1 waived
+
+(* The report's total counts a waived site the alloc pass would have
+   reported, beside the file's per-file waivers (none here). *)
+let test_report_counts_site_waivers () =
+  let s = Lint.run cfg [ cmt_for "fx_hotalloc" ] in
+  Alcotest.check rules_at "only the planted allocation fires" [ ("hotalloc", 4) ]
+    (List.map (fun (f : Lint.Finding.t) -> (Lint.Finding.rule_name f.rule, f.line)) s.findings);
+  Alcotest.(check int) "the reached waived site counts, the unreached one does not" 1 s.waived
 
 let test_alloc_through_let_module () =
   let g = graph_of [ "fx_alias" ] in
-  let fs = Lint.Alloc.run cfg g in
+  let fs, _ = Lint.Alloc.run cfg g in
   Alcotest.check pass_shape
     "a call through a [let module] alias reaches the aliased module's def"
     [ (("hotalloc", 5), [ "Fx_alias.root"; "Inner.leaf" ]) ]
@@ -141,7 +150,7 @@ let test_alloc_through_let_module () =
 
 let test_raises_pass () =
   let g = graph_of [ "fx_raise" ] in
-  let fs = Lint.Raises.run cfg g in
+  let fs, waived = Lint.Raises.run cfg g in
   Alcotest.check pass_shape
     "partial match and failwith reachable from the recovery root fire; \
      the match-with-exception boundary stops the walk into deep_fail"
@@ -149,11 +158,12 @@ let test_raises_pass () =
       (("raises", 5), [ "Fx_raise.recover"; "Fx_raise.step" ]);
       (("raises", 7), [ "Fx_raise.recover"; "Fx_raise.fail_path" ]);
     ]
-    (List.map rule_line_chain fs)
+    (List.map rule_line_chain fs);
+  Alcotest.(check int) "the waived failwith is tallied" 1 waived
 
 let test_raises_through_functor () =
   let g = graph_of [ "fx_functor"; "fx_instance" ] in
-  let fs = Lint.Raises.run cfg g in
+  let fs, _ = Lint.Raises.run cfg g in
   Alcotest.check pass_shape
     "a raise in a functor body is reached through an included instance"
     [
@@ -165,10 +175,11 @@ let test_raises_through_functor () =
 let test_handled_exns () =
   let g = graph_of [ "fx_raise" ] in
   let cfg' = { cfg with Lint.Rules.handled_exns = [ "Exit"; "Failure" ] } in
-  let fs = Lint.Raises.run cfg' g in
+  let fs, waived = Lint.Raises.run cfg' g in
   Alcotest.check pass_shape "declared-handled Failure is not a finding"
     [ (("raises", 5), [ "Fx_raise.recover"; "Fx_raise.step" ]) ]
-    (List.map rule_line_chain fs)
+    (List.map rule_line_chain fs);
+  Alcotest.(check int) "nor is its waived site tallied" 0 waived
 
 let test_unused_export () =
   let summary name ext =
@@ -268,6 +279,8 @@ let () =
       ( "interprocedural",
         [
           Alcotest.test_case "alloc pass" `Quick test_alloc_pass;
+          Alcotest.test_case "report counts site waivers" `Quick
+            test_report_counts_site_waivers;
           Alcotest.test_case "alloc through a let-module alias" `Quick
             test_alloc_through_let_module;
           Alcotest.test_case "raises pass" `Quick test_raises_pass;

@@ -676,37 +676,44 @@ let test_heap_pop_releases () =
 let lru_mem c k = Lru.fold (fun k' _ found -> found || k' = k) c false
 let lru_length c = Lru.fold (fun _ _ n -> n + 1) c 0
 
+(* inserts whose eviction, if any, the test does not look at *)
+let lru_add c k v = ignore (Lru.add c k v)
+
 let test_lru_eviction () =
   let c = Lru.create ~capacity:3 in
-  Lru.add c 1 "a";
-  Lru.add c 2 "b";
-  Lru.add c 3 "c";
+  lru_add c 1 "a";
+  lru_add c 2 "b";
+  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "room left: nothing evicted"
+    None (Lru.add c 3 "c");
   ignore (Lru.find c 1);
   (* 2 is now least recently used *)
-  Lru.add c 4 "d";
+  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "2's binding handed back"
+    (Some (2, "b")) (Lru.add c 4 "d");
   check bool "2 evicted" false (lru_mem c 2);
   check bool "1 kept" true (lru_mem c 1);
   check int "size" 3 (lru_length c)
 
 let test_lru_overwrite () =
   let c = Lru.create ~capacity:2 in
-  Lru.add c 1 "a";
-  Lru.add c 1 "b";
-  check int "no duplicate" 1 (lru_length c);
+  lru_add c 1 "a";
+  lru_add c 2 "x";
+  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "overwrite evicts nothing"
+    None (Lru.add c 1 "b");
+  check int "no duplicate" 2 (lru_length c);
   check (Alcotest.option Alcotest.string) "updated" (Some "b") (Lru.find c 1)
 
 let test_lru_remove () =
   let c = Lru.create ~capacity:2 in
-  Lru.add c 1 "a";
+  lru_add c 1 "a";
   Lru.remove c 1;
   check int "removed" 0 (lru_length c);
   Lru.remove c 99 (* removing absent key is fine *)
 
 let test_lru_fold_order () =
   let c = Lru.create ~capacity:4 in
-  Lru.add c 1 "a";
-  Lru.add c 2 "b";
-  Lru.add c 3 "c";
+  lru_add c 1 "a";
+  lru_add c 2 "b";
+  lru_add c 3 "c";
   ignore (Lru.find c 1);
   let keys = List.rev (Lru.fold (fun k _ acc -> k :: acc) c []) in
   check (Alcotest.list int) "mru first" [ 1; 3; 2 ] keys
@@ -716,7 +723,7 @@ let prop_lru_capacity =
     QCheck.(pair (int_range 1 16) (list_of_size Gen.(0 -- 200) (int_bound 50)))
     (fun (cap, keys) ->
       let c = Lru.create ~capacity:cap in
-      List.iter (fun k -> Lru.add c k k) keys;
+      List.iter (fun k -> lru_add c k k) keys;
       lru_length c <= cap)
 
 (* ---------- Bloom ---------- *)
