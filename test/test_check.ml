@@ -238,6 +238,26 @@ let test_generators_pinned () =
   check Alcotest.string "pod plans, seeds 1-20" "ee67de8e691db711b1d157d6f738d048"
     (digest (Suite.pp Ac_plan.pp_op Ac_plan.pp_fault) (fun s -> Ac_plan.generate s))
 
+(* Zero drift made a test: the execution digests of array and pod seeds
+   1-20 hash to one pinned value. A change meant to leave every run as it
+   was passes this unchanged; a change meant to move a run re-pins it on
+   purpose. *)
+let test_execution_digests_pinned () =
+  let b = Buffer.create 1024 in
+  let add suite = function
+    | Ok d -> Printf.bprintf b "%d\n" d
+    | Error _ -> Alcotest.failf "%s seed failed its audit" suite
+  in
+  for s = 1 to 20 do
+    add "array" (Runner.check_plan (Plan.generate (Int64.of_int s)))
+  done;
+  for s = 1 to 20 do
+    add "pod" (Ac_runner.check_plan (Ac_plan.generate (Int64.of_int s)))
+  done;
+  check Alcotest.string "execution digests, array and pod seeds 1-20"
+    "7c74795621b07eb086e586e1cbaa109b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- the harness catches a planted recovery bug ---------- *)
 
 let test_planted_bug_is_caught () =
@@ -364,6 +384,8 @@ let () =
           Alcotest.test_case "nondeterministic replay is caught" `Quick
             test_nondeterministic_replay_caught;
           Alcotest.test_case "generators pinned" `Quick test_generators_pinned;
+          Alcotest.test_case "execution digests pinned" `Quick
+            test_execution_digests_pinned;
           Alcotest.test_case "planted recovery bug is caught" `Quick
             test_planted_bug_is_caught;
         ] );
