@@ -83,11 +83,7 @@ let make_array ?drives ?num_aus ?read_around_write () =
   (clock, Fa.create ~config ~clock ())
 
 (* Run an async operation to completion on the clock. *)
-let await clock f =
-  let result = ref None in
-  f (fun r -> result := Some r);
-  Clock.run clock;
-  match !result with Some r -> r | None -> failwith "bench: operation never completed"
+let await clock f = Option.get (Clock.await clock f)
 
 let ok = function Ok v -> v | Error _ -> failwith "bench: unexpected error"
 

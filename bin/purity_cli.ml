@@ -20,11 +20,7 @@ module Histogram = Purity_util.Histogram
 module Registry = Purity_telemetry.Registry
 module Export = Purity_telemetry.Export
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await clock f = Option.get (Clock.await clock f)
 
 let make_array ~drives ~seed =
   let clock = Clock.create () in

@@ -13,11 +13,7 @@ module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module Rng = Purity_util.Rng
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await clock f = Option.get (Clock.await clock f)
 
 let () =
   let clock = Clock.create () in

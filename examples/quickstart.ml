@@ -8,11 +8,7 @@
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await clock f = Option.get (Clock.await clock f)
 
 let () =
   (* An array with the default laptop-scale geometry: 11 simulated flash

@@ -12,11 +12,7 @@ module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
 module Dg = Purity_workload.Datagen
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await clock f = Option.get (Clock.await clock f)
 
 let desktops = 16
 let image_blocks = 8192 (* 4 MiB gold image at simulation scale *)

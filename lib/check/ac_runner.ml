@@ -85,7 +85,7 @@ let exec_op ctx (op : Ac_plan.op) =
     (* [None]: never completed (e.g. the origin died under it) or
        refused: not acked, and the blocks may be torn on either side *)
     let acked =
-      Suite.await ctx.clock (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k)
+      Clock.await ctx.clock (fun k -> Ac.write ctx.ac ~prefer:side ~volume:view ~block data k)
       |> checked ctx op ~view ~block ~nblocks
       |> Option.is_some
     in
@@ -103,16 +103,16 @@ let exec_op ctx (op : Ac_plan.op) =
     Acm.write_racing_result ctx.model ~view ~block ~nblocks ~wid_a ~wid_b
       ~acked_a:(acked ra) ~acked_b:(acked rb) ~in_sync:(in_sync ctx)
   | Ac_plan.Read { side; view; block; nblocks } ->
-    Suite.await ctx.clock (fun k -> Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
+    Clock.await ctx.clock (fun k -> Ac.read ctx.ac ~prefer:side ~volume:view ~block ~nblocks k)
     |> checked ctx op ~view ~block ~nblocks
     |> Option.iter (fun (data, served) ->
            Suite.expect (Acm.check_read ctx.model ~side:served ~view ~block ~nblocks data))
   | Ac_plan.Settle -> (
-    match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
+    match Clock.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, Some s) -> Acm.settled ctx.model ~survivor:s
     | Some (_, _) | None -> ())
   | Ac_plan.Recover s ->
-    if Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k) = None then
+    if Clock.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k) = None then
       raise (Violation ("recovery of array " ^ Ac.side_name s ^ " never completed"))
 
 (* ---------- final audit ---------- *)
@@ -123,7 +123,7 @@ let exec_op ctx (op : Ac_plan.op) =
 let audit_array ctx side name blocks =
   let arr = Ac.array ctx.ac side in
   Suite.iter_chunks blocks (fun block nblocks ->
-      match Suite.await ctx.clock (fun k -> Fa.read arr ~volume:name ~block ~nblocks k) with
+      match Clock.await ctx.clock (fun k -> Fa.read arr ~volume:name ~block ~nblocks k) with
       | Some (Ok data) ->
         mix ctx data;
         Suite.expect (Acm.check_read ctx.model ~side ~view:name ~block ~nblocks data)
@@ -138,10 +138,10 @@ let finalize ctx =
   Ac.heal_link ctx.ac;
   Ac.restore_mediator ctx.ac;
   List.iter
-    (fun s -> ignore (Suite.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k)))
+    (fun s -> ignore (Clock.await ctx.clock (fun k -> Ac.recover_side ctx.ac s k)))
     [ Ac.A; Ac.B ];
   let rec drive attempts =
-    match Suite.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
+    match Clock.await ctx.clock (fun k -> Ac.settle ctx.ac k) with
     | Some (Ac.Sync, sv) -> (
       match sv with Some s -> Acm.settled ctx.model ~survivor:s | None -> ())
     | (Some _ | None) when attempts > 0 -> drive (attempts - 1)

@@ -134,7 +134,7 @@ let handle_offline ctx =
     | _ -> Recovery.Frontier_scan
   in
   ctx.pending_crash_mode <- None;
-  match Suite.await ctx.clock (fun k -> Fa.failover ~mode ctx.arr k) with
+  match Clock.await ctx.clock (fun k -> Fa.failover ~mode ctx.arr k) with
   | None -> raise (Violation "failover never completed")
   | Some (_ : Recovery.report) ->
     Suite.expect (Model.reconcile ctx.model (Fa.list_volumes ctx.arr))
@@ -162,7 +162,7 @@ let do_read ctx ~view ~block ~nblocks =
   ctx.reads_issued <- ctx.reads_issued + 1;
   let op = Plan.Read { view; block; nblocks } in
   let predicted = Model.predict_op ctx.model op in
-  match Suite.await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
+  match Clock.await ctx.clock (Fa.read ctx.arr ~volume:view ~block ~nblocks) with
   | None | Some (Error `Offline) -> ()  (* a crash landed mid-read; nothing was promised *)
   | Some result ->
     Suite.expect_outcome Plan.pp_op op ~predicted result;
@@ -201,7 +201,7 @@ let exec_op ctx (op : Plan.op) =
     namespace (Fa.delete_snapshot arr name) (fun () -> Model.delete m name)
   | Plan.Write { view; block; nblocks; wid } -> (
     let data = Payload.of_write ctx.payloads ~wid ~nblocks in
-    match Suite.await ctx.clock (Fa.write arr ~volume:view ~block data) with
+    match Clock.await ctx.clock (Fa.write arr ~volume:view ~block data) with
     | Some (Error `Backpressure) -> ()  (* not acked, no state change promised *)
     | None | Some (Error (`Offline | `No_space)) ->
       (* the controller died mid-write, or allocation failed partway: not
@@ -212,25 +212,25 @@ let exec_op ctx (op : Plan.op) =
       if Result.is_ok result then Model.write m ~view ~block ~wid ~nblocks ~acked:true)
   | Plan.Read { view; block; nblocks } -> do_read ctx ~view ~block ~nblocks
   | Plan.Flush -> (
-    match Suite.await ctx.clock (fun k -> Fa.flush arr (fun () -> k ())) with
+    match Clock.await ctx.clock (fun k -> Fa.flush arr (fun () -> k ())) with
     | Some () when Fa.is_online arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Checkpoint -> (
-    match Suite.await ctx.clock (fun k -> Fa.checkpoint arr k) with
+    match Clock.await ctx.clock (fun k -> Fa.checkpoint arr k) with
     | Some _ when Fa.is_online arr -> Model.stabilized ctx.model
     | _ -> ())
   | Plan.Gc ->
     ignore
-      (Suite.await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 arr k))
+      (Clock.await ctx.clock (fun k -> Fa.gc ~min_dead_ratio:0.2 ~max_victims:8 arr k))
   | Plan.Scrub -> (
-    match Suite.await ctx.clock (fun k -> Fa.scrub arr k) with
+    match Clock.await ctx.clock (fun k -> Fa.scrub arr k) with
     | Some _ when Fa.is_online arr ->
       (* scrub relocated what it found; re-derive the live corruption
          budget from the marks actually left on the drives *)
       ctx.corrupt_units <- residual_corrupt_units ctx
     | _ -> ())
   | Plan.Rebuild d -> (
-    match Suite.await ctx.clock (fun k -> Fa.rebuild_drive arr d k) with
+    match Clock.await ctx.clock (fun k -> Fa.rebuild_drive arr d k) with
     | Some (_ : int) when Fa.is_online arr ->
       ctx.unrebuilt <- List.filter (( <> ) d) ctx.unrebuilt
     | _ -> () (* interrupted: still missing shards; finalize retries *))

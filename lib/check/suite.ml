@@ -90,14 +90,6 @@ let expect_outcome pp_op op ~predicted result =
          (Format.asprintf "%a: array returned %s, model predicted %s" pp_op op got
             (outcome_name predicted)))
 
-(* Start an asynchronous call, run the clock dry, return its result
-   ([None] when the callback never fired, e.g. a crash cut it off). *)
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  !r
-
 (* [f block nblocks] over [0, blocks) in reads of at most 16 blocks. *)
 let iter_chunks blocks f =
   let rec go block =

@@ -1,4 +1,3 @@
-module Clock = Purity_sim.Clock
 module Varint = Purity_util.Varint
 module Segment = Purity_segment.Segment
 
@@ -109,33 +108,3 @@ let[@purity.lint.recovery_root] decode s =
   match body (Bytes.of_string s) with
   | c, p when p = String.length s -> Some c
   | _ | exception Invalid_argument _ -> None
-
-type t = {
-  clock : Clock.t;
-  write_us : float;
-  mutable blob : string option;
-  write_count : Purity_telemetry.Registry.counter;
-  mutable free_at : float;
-}
-
-let read_us = 250.0
-
-let create ?(write_us = 600.0) ~clock () =
-  { clock; write_us; blob = None; write_count = Purity_telemetry.Registry.cell (); free_at = 0.0 }
-
-let reserve t dur =
-  let start = Float.max (Clock.now t.clock) t.free_at in
-  let finish = start +. dur in
-  t.free_at <- finish;
-  finish
-
-let write t blob k =
-  t.blob <- Some blob;
-  Purity_telemetry.Registry.incr t.write_count;
-  Clock.schedule_at t.clock ~at:(reserve t t.write_us) k
-
-let read t k =
-  let blob = t.blob in
-  Clock.schedule_at t.clock ~at:(reserve t read_us) (fun () -> k blob)
-
-let writes t = t.write_count

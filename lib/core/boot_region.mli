@@ -5,10 +5,10 @@
     main region." It is the only piece of storage with a fixed location,
     so recovery can read it in O(1) before anything else is known.
 
-    Modelled as a small mirrored blob with page-write latencies charged
-    to the shared clock; its contents survive controller failover (they
-    live in the shelf, not the controller). This module also owns the
-    blob's format: {!encode} and {!decode} are its only codec. *)
+    The device itself is on the shelf ({!Purity_ssd.Shelf.read_boot},
+    {!Purity_ssd.Shelf.write_boot}), so its contents survive controller
+    failover. This module owns the blob's format: {!encode} and
+    {!decode} are its only codec. *)
 
 (** {1 Contents} *)
 
@@ -33,22 +33,3 @@ val decode : string -> contents option
 (** Total: [None] on a wrong version, trailing bytes, or any count or
     length the blob cannot hold. A decoded value re-encodes to the same
     bytes. *)
-
-(** {1 Device} *)
-
-type t
-
-val create : ?write_us:float -> clock:Purity_sim.Clock.t -> unit -> t
-(** Defaults: 600 us per write (a few pages mirrored to two drives);
-    250 us per read. *)
-
-val write : t -> string -> (unit -> unit) -> unit
-(** Atomically replace the blob; callback at durability. *)
-
-val read : t -> (string option -> unit) -> unit
-(** [None] before the first write (a factory-fresh array). *)
-
-val writes : t -> Purity_telemetry.Registry.counter
-(** Total boot-region writes — the "<1% of writes" bookkeeping: a cell
-    the region owns (it outlives controllers), adopted as
-    [array/boot_region_writes]. *)

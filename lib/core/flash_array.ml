@@ -58,7 +58,7 @@ let availability t =
 let register_array_telemetry t =
   let reg = t.st.tel in
   Registry.attach_counter reg "array/app_reads" t.app_reads;
-  Registry.attach_counter reg "array/boot_region_writes" (Boot_region.writes t.st.boot);
+  Registry.attach_counter reg "array/boot_region_writes" (Shelf.boot_writes t.st.shelf);
   Registry.derive_int reg "array/physical_bytes_used" (fun () -> physical_bytes_used t.st);
   Registry.derive_int reg "array/physical_capacity" (fun () ->
       Shelf.physical_bytes t.st.shelf);
@@ -330,14 +330,12 @@ let rebuild_drive t drive k =
 
 let crash t =
   t.st.online <- false;
-  State.halt_device_activity t.st;
+  Shelf.fence t.st.port;
   t.crash_time <- Some (Clock.now t.clk)
 
 let failover ?mode t k =
   if t.st.online then crash t;
-  let st' =
-    State.create_over ~config:t.config ~clock:t.clk ~shelf:t.st.shelf ~boot:t.st.boot ()
-  in
+  let st' = State.create_over ~config:t.config ~clock:t.clk ~shelf:t.st.shelf () in
   let old_st = t.st in
   Recovery.recover ?mode st' (fun report ->
       State.warm_cache ~from:old_st ~into:st';
@@ -393,7 +391,7 @@ let stats t =
     gc_dedup_blocks = Registry.value st.ws.gc_dedup_blocks;
     write_latency = st.write_lat;
     read_latency = st.read_lat;
-    boot_region_writes = Registry.value (Boot_region.writes st.boot);
+    boot_region_writes = Registry.value (Shelf.boot_writes st.shelf);
     segments_live = Hashtbl.length st.segment_metas;
     availability = availability t;
     cache_hits = Registry.value st.ws.cache_hits;

@@ -189,7 +189,7 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
         checkpoint_bytes = ckpt_bytes;
       }
   in
-  Boot_region.read t.boot (function
+  Shelf.read_boot t.shelf (function
     | None ->
       (* factory-fresh array *)
       finish ~cold:true ~headers:0 ~segments:0 ~log_records:0 ~nvram_records:0 ~ckpt_bytes:0

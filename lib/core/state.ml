@@ -1,5 +1,5 @@
 (* Shared state of one Purity array (controller-resident volatile state
-   plus handles to the shelf's persistent devices). The public facade is
+   plus the controller's port onto the shelf's persistent devices). The public facade is
    {!Array_}; the write/read/GC/recovery paths live in sibling modules
    operating over this record. *)
 
@@ -138,11 +138,11 @@ type t = {
   tel : Registry.t;
   tracer : Span.tracer;
   shelf : Shelf.t;
+  port : Shelf.port; (* this controller's only way to change the shelf *)
   layout : Layout.t;
   rs : Rs.t;
   io : Io.t;
   alloc : Allocator.t;
-  boot : Boot_region.t;
   seqno : Seqno.t;
   (* relations *)
   blocks : Block_index.t; (* (medium, block) -> Blockref; elide by medium *)
@@ -227,7 +227,7 @@ let register_derived_telemetry t =
       Registry.derive_int reg ("kernels/" ^ k.name ^ "_ns") (fun () -> k.ns))
     Purity_util.Kernel_stats.all
 
-let create_over ~config ~clock ~shelf ~boot () =
+let create_over ~config ~clock ~shelf () =
   let layout =
     Layout.make ~k:config.k ~m:config.m ~write_unit:config.write_unit
       ~au_size:config.drive_config.Drive.au_size ()
@@ -265,11 +265,11 @@ let create_over ~config ~clock ~shelf ~boot () =
     tel;
     tracer;
     shelf;
+    port = Shelf.attach shelf;
     layout;
     rs;
     io;
     alloc;
-    boot;
     seqno = Seqno.create ();
     blocks;
     mediums_pyr;
@@ -316,8 +316,7 @@ let create ?(config = default_config) ~clock () =
     Shelf.create ~drive_config:config.drive_config ~nvram_capacity:config.nvram_capacity
       ~clock ~rng ~drives:config.drives ()
   in
-  let boot = Boot_region.create ~clock () in
-  create_over ~config ~clock ~shelf ~boot ()
+  create_over ~config ~clock ~shelf ()
 
 let nvram t = Shelf.nvram t.shelf
 
@@ -347,7 +346,7 @@ let any_pyramid t : Meta_log.table -> any_pyramid = function
    stashers (the flush's commit record, GC and checkpoint bookkeeping)
    have their log copies and the next checkpoint behind them. *)
 let stash t ~seq record =
-  Nvram.commit (nvram t) ~seq ~len:(String.length record) (fun () -> record) (fun _ -> ())
+  Shelf.nvram_commit t.port ~seq ~len:(String.length record) (fun () -> record) (fun _ -> ())
 
 let online_drive t d = Drive.is_online (Shelf.drive t.shelf d)
 
@@ -361,7 +360,7 @@ exception Out_of_space
 let persist_boot t k =
   t.boot_generation_written <- Allocator.persist_generation t.alloc;
   t.medium_next_id <- max t.medium_next_id (Medium.peek_next_id t.medium_table);
-  Boot_region.write t.boot
+  Shelf.write_boot t.port
     (Boot_region.encode
        {
          frontier = Allocator.persisted_frontier t.alloc;
@@ -376,10 +375,19 @@ let persist_boot t k =
 (* Rewrite the boot region when the allocator's persisted sets changed
    (fire-and-forget; frontier refills run well before the fresh AUs are
    written, so the window between refill and durability is tiny — see
-   DESIGN.md). A dead controller must never clobber the live one's. *)
+   DESIGN.md). *)
 let maybe_persist_boot t =
-  if t.online && Allocator.persist_generation t.alloc <> t.boot_generation_written then
+  if Allocator.persist_generation t.alloc <> t.boot_generation_written then
     persist_boot t (fun () -> ())
+
+(* Erase-before-reuse: an AU can reach the pool still holding data
+   (released while its drive was offline, or torn by a crashed
+   controller's halted flush); trim it before reuse so the append-only
+   contract holds. *)
+let erase_for_reuse t (m : Segment.member) =
+  let d = Shelf.drive t.shelf m.drive in
+  if Drive.is_online d && Drive.au_fill d ~au:m.au > 0 then
+    Shelf.trim_au t.port ~drive:m.drive ~au:m.au
 
 (* Reserve a single replacement AU on a healthy drive for a segio member
    remap, erasing any stale contents before use. Once a replacement is
@@ -391,10 +399,8 @@ let allocate_replacement t ~replacing ~exclude =
         online_drive t d && not (List.mem d exclude))
   with
   | None -> None
-  | Some (m : Segment.member) ->
-    let d = Shelf.drive t.shelf m.Segment.drive in
-    if Drive.is_online d && Drive.au_fill d ~au:m.Segment.au > 0 then
-      Drive.trim_au d ~au:m.Segment.au;
+  | Some m ->
+    erase_for_reuse t m;
     Allocator.release t.alloc [| replacing |];
     Some m
 
@@ -407,17 +413,8 @@ let[@purity.lint.coldpath] open_fresh_writer t =
   | Some members ->
     let id = t.next_segment_id in
     t.next_segment_id <- id + 1;
-    (* erase-before-reuse: an AU can reach the pool still holding data
-       (released while its drive was offline, or torn by a crashed
-       controller's aborted flush); trim it now so the append-only
-       contract holds *)
-    Array.iter
-      (fun (m : Segment.member) ->
-        let d = Shelf.drive t.shelf m.Segment.drive in
-        if Drive.is_online d && Drive.au_fill d ~au:m.Segment.au > 0 then
-          Drive.trim_au d ~au:m.Segment.au)
-      members;
-    let w = Writer.create ~layout:t.layout ~shelf:t.shelf ~rs:t.rs ~members ~id in
+    Array.iter (erase_for_reuse t) members;
+    let w = Writer.create ~layout:t.layout ~port:t.port ~rs:t.rs ~members ~id in
     t.open_writer <- Some w;
     (* a refill may have changed the persisted frontier: rewrite the
        boot region before this segment accumulates log records *)
@@ -511,7 +508,7 @@ and pump_flush t =
         (* §4.3: every intent at or below [upto] is on the drives now (a
            segio sealed by the log record above queues behind this one) *)
         (match t.sealed with _ :: later -> t.sealed <- later | [] -> ());
-        Nvram.trim_upto (nvram t) upto;
+        Shelf.nvram_trim_upto t.port upto;
         t.flush_active <- false;
         pump_flush t;
         List.iter (fun f -> f ()) s.waiters)
@@ -710,21 +707,13 @@ let destroy_segments t ids =
           put_delete t Segments ~key:(Keys.segment_key id);
           Array.iter
             (fun (m : Segment.member) ->
-              let d = Shelf.drive t.shelf m.Segment.drive in
-              if Drive.is_online d then Drive.trim_au d ~au:m.Segment.au)
+              if online_drive t m.drive then Shelf.trim_au t.port ~drive:m.drive ~au:m.au)
             meta.Segment.members;
           Allocator.release t.alloc meta.Segment.members;
           Some (Array.length meta.Segment.members))
       ids
   in
   List.fold_left (fun acc n -> acc + (n * t.cfg.drive_config.Drive.au_size)) 0 destroyed
-
-(* Controller death: stop every in-flight flush and queued segio. Called
-   by Flash_array.crash after clearing [online]. [sealed] keeps its
-   segios, so the dead controller's barrier waiters never fire. *)
-let halt_device_activity t =
-  Option.iter Writer.abort t.open_writer;
-  List.iter (fun s -> Writer.abort s.w) t.sealed
 
 (* Paper 4.3: "the primary controller asynchronously warms the cache of
    the secondary". At failover the spare therefore starts with (most of)

@@ -139,7 +139,7 @@ let write t ~volume ~block data k =
           let intent_seq = Purity_pyramid.Seqno.next t.seqno in
           (* the intent is encoded only if NVRAM admits it: a refused
              attempt under backpressure copies none of the payload *)
-          Nvram.commit (nvram t) ~seq:intent_seq
+          Shelf.nvram_commit t.port ~seq:intent_seq
             ~len:(Meta_log.intent_size ~medium ~block len)
             (fun () -> Meta_log.encode_intent ~medium ~block data)
             (function

@@ -5,6 +5,7 @@ module Rs = Purity_erasure.Reed_solomon
 
 type t = {
   layout : Layout.t;
+  port : Shelf.port; (* the controller's; fenced once it crashes *)
   shelf : Shelf.t;
   rs : Rs.t;
   seg_id : int;
@@ -15,17 +16,17 @@ type t = {
   mutable seq_lo : int64;
   mutable seq_hi : int64;
   mutable sealed : bool;
-  mutable aborted : bool;
 }
 
-let create ~layout ~shelf ~rs ~members ~id =
+let create ~layout ~port ~rs ~members ~id =
   if Array.length members <> Layout.members layout then
     invalid_arg "Writer.create: member count mismatch";
   if Rs.k rs <> layout.Layout.k || Rs.m rs <> layout.Layout.m then
     invalid_arg "Writer.create: RS geometry mismatch";
   {
     layout;
-    shelf;
+    port;
+    shelf = Shelf.port_shelf port;
     rs;
     seg_id = id;
     members;
@@ -35,10 +36,7 @@ let create ~layout ~shelf ~rs ~members ~id =
     seq_lo = 0L;
     seq_hi = 0L;
     sealed = false;
-    aborted = false;
   }
-
-let abort t = t.aborted <- true
 
 let id t = t.seg_id
 let members t = t.members
@@ -221,7 +219,7 @@ let finalize t ?(remap = fun ~replacing:_ ~exclude:_ -> None) ?tracer ?parent k 
       start_member i
     | None -> member_done i
   and start_member i =
-    if t.aborted then ()
+    if Shelf.fenced t.port then ()
     else begin
       let m = t.members.(i) in
       let drive = Shelf.drive t.shelf m.Segment.drive in
@@ -241,7 +239,7 @@ let finalize t ?(remap = fun ~replacing:_ ~exclude:_ -> None) ?tracer ?parent k 
       end
     end
   and run_member i chunks =
-    if t.aborted then ()
+    if Shelf.fenced t.port then ()
     else
       match chunks with
       | [] -> member_done i
@@ -255,10 +253,10 @@ let finalize t ?(remap = fun ~replacing:_ ~exclude:_ -> None) ?tracer ?parent k 
              fresh AU, exactly as for a mid-flush drive death *)
           try_remap i
         else
-        Drive.write_chunk drive ~au:m.Segment.au ~off ~data (function
+        Shelf.write_chunk t.port ~drive:m.Segment.drive ~au:m.Segment.au ~off ~data (function
           | Ok () -> run_member i rest
           | Error _ ->
             (* the drive died mid-flush: restart this shard elsewhere *)
-            if t.aborted then () else try_remap i)
+            if Shelf.fenced t.port then () else try_remap i)
   in
   if nm = 0 then k seg else pump ()

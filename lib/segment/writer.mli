@@ -17,13 +17,14 @@ type t
 
 val create :
   layout:Layout.t ->
-  shelf:Purity_ssd.Shelf.t ->
+  port:Purity_ssd.Shelf.port ->
   rs:Purity_erasure.Reed_solomon.t ->
   members:Segment.member array ->
   id:int ->
   t
-(** [rs] must match the layout's k and m. [members] length must be
-    [k + m]. @raise Invalid_argument otherwise. *)
+(** The writer programs its members through [port]. [rs] must match the
+    layout's k and m. [members] length must be [k + m].
+    @raise Invalid_argument otherwise. *)
 
 val id : t -> int
 val members : t -> Segment.member array
@@ -80,15 +81,13 @@ val finalize :
     is skipped and parity absorbs it (up to [m]). Header copies written
     before a remap may list a stale member; the completion callback's
     description (also in the remapped member's own header) is final, so
-    the segment-table fact written from it is authoritative. *)
-
-
-val abort : t -> unit
-(** Stop issuing further chunk writes (controller crash): the flush halts
-    where it is, the completion callback never fires, and the torn
-    segment is left for recovery to ignore (its header may or may not be
-    on some members; partially written AUs are rediscovered via the
-    frontier scan and reclaimed by GC). *)
+    the segment-table fact written from it is authoritative.
+    Once [port] is fenced (controller crash) the flush issues no further
+    chunk write and no remap: it halts where it is, the completion
+    callback never fires, and the torn segment is left for recovery to
+    ignore (its header may or may not be on some members; partially
+    written AUs are rediscovered via the frontier scan and reclaimed by
+    GC). *)
 
 val peek_payload : t -> off:int -> len:int -> string option
 (** Read back payload bytes from the segio's RAM buffer (valid before and

@@ -33,6 +33,12 @@ let step t =
 
 let run t = while step t do () done
 
+let await t f =
+  let r = ref None in
+  f (fun x -> r := Some x);
+  run t;
+  !r
+
 let run_until t stop =
   let continue = ref true in
   while !continue do

@@ -24,6 +24,11 @@ val schedule_at : t -> at:float -> (unit -> unit) -> unit
 val run : t -> unit
 (** Dispatch events until the queue is empty. *)
 
+val await : t -> (('a -> unit) -> unit) -> 'a option
+(** [await t f] starts the asynchronous call [f k], runs the clock dry
+    and returns what [k] received last ([None] when it never fired, e.g.
+    a crash cut it off). *)
+
 val run_until : t -> float -> unit
 (** Dispatch events with time <= the given instant, then set the clock to
     that instant. *)

@@ -28,11 +28,13 @@ let create ?(latency_us = 15.0) ?(mb_s = 700.0) ?(capacity = 16 * 1024 * 1024) ~
 let record_overhead = 16
 let record_size r = String.length r.payload + record_overhead
 
+let fits t len = t.used + len + record_overhead <= t.cap
+
 (* Admission is decided on the declared length alone, so a refused
    commit never pays for building its payload. *)
 let commit t ~seq ~len build k =
   let size = len + record_overhead in
-  if t.used + size > t.cap then Clock.schedule t.clock ~delay:1.0 (fun () -> k (Error `Full))
+  if not (fits t len) then Clock.schedule t.clock ~delay:1.0 (fun () -> k (Error `Full))
   else begin
     let payload = build () in
     if String.length payload <> len then invalid_arg "Nvram.commit: payload length mismatch";

@@ -38,6 +38,9 @@ val commit :
     must stall (back-pressure, as in the real system).
     @raise Invalid_argument if [build] returns other than [len] bytes. *)
 
+val fits : t -> int -> bool
+(** Whether {!commit} would admit a record of this payload length now. *)
+
 val admits : t -> int list -> bool
 (** Whether {!commit} would admit records of these payload lengths,
     committed back to back from now on. *)

@@ -163,7 +163,7 @@ let pod_fixture () =
   | Error _ -> Alcotest.fail "create_stretched failed");
   (clock, ac)
 
-let await = Purity_check.Suite.await
+let await = Clock.await
 
 let wdata n = String.init (n * 512) (fun i -> Char.chr (((i / 512) + (i mod 7)) mod 256))
 

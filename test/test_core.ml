@@ -41,11 +41,7 @@ let make_array ?(config = test_config) () =
   let a = Fa.create ~config ~clock () in
   (clock, a)
 
-let await clock f =
-  let result = ref None in
-  f (fun r -> result := Some r);
-  Clock.run clock;
-  match !result with Some r -> r | None -> Alcotest.fail "operation never completed"
+let await = Testkit.await
 
 let ok = function Ok v -> v | Error _ -> Alcotest.fail "unexpected error"
 
@@ -552,8 +548,9 @@ let test_corrupt_boot_region_falls_back_to_full_scan () =
   let d2 = random_data 16 in
   write_ok clock a ~volume:"v" ~block:512 d2;
   Fa.crash a;
-  Purity_core.Boot_region.write
-    (Fa.state a).Purity_core.State.boot "not a boot blob" (fun () -> ());
+  (* the dead controller's fenced port would drop the blob: damage the
+     shelf through a port of its own *)
+  Purity_ssd.Shelf.write_boot (Purity_ssd.Shelf.attach (Fa.shelf a)) "not a boot blob" ignore;
   Clock.run clock;
   let report = await clock (fun k -> Fa.failover a k) in
   check bool "not treated as factory-fresh" true (not report.Recovery.cold);
@@ -599,7 +596,7 @@ let test_boot_region_roundtrip () =
   ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
   let st = Fa.state a in
   let blob =
-    match await clock (Boot.read st.State.boot) with
+    match await clock (Purity_ssd.Shelf.read_boot st.State.shelf) with
     | Some blob -> blob
     | None -> Alcotest.fail "no boot blob after a checkpoint"
   in
@@ -631,9 +628,9 @@ let test_failover_off_shelf_boot_region () =
   write_ok clock a ~volume:"v" ~block:0 (random_data 128);
   ignore (await clock (fun k -> Fa.checkpoint a (fun r -> k r)));
   write_ok clock a ~volume:"v" ~block:512 (random_data 16);
-  let boot = (Fa.state a).State.boot in
+  let shelf = Fa.shelf a in
   let c =
-    match Option.bind (await clock (Boot.read boot)) Boot.decode with
+    match Option.bind (await clock (Purity_ssd.Shelf.read_boot shelf)) Boot.decode with
     | Some c -> c
     | None -> Alcotest.fail "no decodable boot blob after a checkpoint"
   in
@@ -655,7 +652,9 @@ let test_failover_off_shelf_boot_region () =
     { Segment.drive = 40; au = 0 } :: { Segment.drive = 0; au = 100_000 } :: c.Boot.frontier
   in
   Fa.crash a;
-  Boot.write boot (Boot.encode { c with Boot.dir; frontier }) (fun () -> ());
+  Purity_ssd.Shelf.write_boot (Purity_ssd.Shelf.attach shelf)
+    (Boot.encode { c with Boot.dir; frontier })
+    ignore;
   Clock.run clock;
   ignore (await clock (fun k -> Fa.failover a k));
   check bool "came back" true (Fa.is_online a);
@@ -1594,6 +1593,33 @@ let test_flush_never_completes_after_crash () =
   Clock.run clock;
   check bool "the dead controller's flush never completes" false !fired
 
+(* A crash fences the dead controller's port: the segio it was flushing
+   stops where it is, so running the clock moves neither the durable-write
+   index nor any drive's writes or trims. The index is the shelf's, so it
+   keeps counting under the spare. *)
+let test_crash_fences_the_port () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 64);
+  Fa.flush a ignore;
+  check int "one segio in flight" 1 (pending_flushes a);
+  Fa.crash a;
+  let reg = Fa.telemetry a in
+  let drive_counts () =
+    List.init test_config.Fa.drives (fun i ->
+        let read name = Registry.read_int reg (Printf.sprintf "ssd/drive%d/%s" i name) in
+        (read "writes", read "trims"))
+  in
+  let index () = Registry.read_int (Fa.telemetry a) "shelf/durable_writes" in
+  let at_crash = index () and counts = drive_counts () in
+  Clock.run clock;
+  check int "index unmoved" at_crash (index ());
+  check bool "no drive writes or trims" true (drive_counts () = counts);
+  ignore (await clock (fun k -> Fa.failover a k));
+  write_ok clock a ~volume:"v" ~block:64 (random_data 64);
+  await clock (Fa.flush a);
+  check bool "the spare's writes keep counting" true (index () > at_crash)
+
 (* ---------- maintenance under load ---------- *)
 
 (* A closed loop of [writers] host writers over volume "v", each writing
@@ -1899,6 +1925,7 @@ let () =
             test_flush_waits_only_for_earlier_seals;
           Alcotest.test_case "crash strands waiters" `Quick
             test_flush_never_completes_after_crash;
+          Alcotest.test_case "crash fences the port" `Quick test_crash_fences_the_port;
           Alcotest.test_case "completes on a full array" `Quick
             test_flush_completes_on_full_array;
         ] );

@@ -117,35 +117,6 @@ let prop_blockref_roundtrip =
       let r = { Blockref.segment; off; stored_len; index } in
       blockref_decode (blockref_encode r) = Some r)
 
-(* ---------- Boot region ---------- *)
-
-let test_boot_empty_reads_none () =
-  let clock = Clock.create () in
-  let b = Boot.create ~clock () in
-  let got = ref (Some "sentinel") in
-  Boot.read b (fun r -> got := r);
-  Clock.run clock;
-  check bool "factory fresh" true (!got = None)
-
-let test_boot_write_then_read () =
-  let clock = Clock.create () in
-  let b = Boot.create ~clock () in
-  Boot.write b "blob-1" (fun () -> ());
-  Boot.write b "blob-2" (fun () -> ());
-  let got = ref None in
-  Boot.read b (fun r -> got := r);
-  Clock.run clock;
-  check (Alcotest.option Alcotest.string) "latest blob wins" (Some "blob-2") !got;
-  check int "write count" 2 (Purity_telemetry.Registry.value (Boot.writes b))
-
-let test_boot_latency_charged () =
-  let clock = Clock.create () in
-  let b = Boot.create ~write_us:600.0 ~clock () in
-  let done_at = ref 0.0 in
-  Boot.write b "x" (fun () -> done_at := Clock.now clock);
-  Clock.run clock;
-  check bool "write took simulated time" true (!done_at >= 600.0)
-
 (* ---------- Meta_log ---------- *)
 
 let long_key = String.init 130 (fun i -> Char.chr (97 + (i mod 26)))
@@ -655,9 +626,6 @@ let () =
         ] );
       ( "boot_region",
         [
-          Alcotest.test_case "empty" `Quick test_boot_empty_reads_none;
-          Alcotest.test_case "write then read" `Quick test_boot_write_then_read;
-          Alcotest.test_case "latency" `Quick test_boot_latency_charged;
           QCheck_alcotest.to_alcotest prop_boot_roundtrip;
           Alcotest.test_case "codec rejects" `Quick test_boot_rejects;
           QCheck_alcotest.to_alcotest prop_boot_mutation;

@@ -428,7 +428,7 @@ let test_no_crash_heavy_gc () =
       (match Fa.create_volume a "v" ~blocks:vol_blocks with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "create");
-      let await f = Option.get (Suite.await clock f) in
+      let await f = Testkit.await clock f in
       for round = 1 to 12 do
         for _ = 1 to 32 do
           let slot = Rng.int rng (vol_blocks / io_blocks) in

@@ -31,11 +31,7 @@ let make_pair () =
   let repl = Repl.create ~source ~target () in
   (clock, source, target, repl)
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await = Testkit.await
 
 let ok = function Ok v -> v | Error _ -> Alcotest.fail "unexpected error"
 

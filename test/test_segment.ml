@@ -44,17 +44,13 @@ let make_env ?(drives = 6) ?read_around_write () =
   let io = Io.create ~telemetry:tel ~layout ~shelf ~rs ?read_around_write () in
   { clock; shelf; rs; alloc; tel; io }
 
-let await env f =
-  let result = ref None in
-  f (fun r -> result := Some r);
-  Clock.run env.clock;
-  match !result with Some r -> r | None -> Alcotest.fail "operation never completed"
+let await env f = Testkit.await env.clock f
 
 let online env d = Drive.is_online (Shelf.drive env.shelf d)
 
 let write_segment env ~id payload logs =
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id in
+  let w = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members ~id in
   List.iter (fun s -> ignore (Writer.append_data w s)) payload;
   List.iter (fun (seq, r) -> Writer.append_log w ~seq r) logs;
   await env (Writer.finalize w)
@@ -421,7 +417,7 @@ let prop_log_region_total_on_damage =
 let test_writer_capacity_respected () =
   let env = make_env () in
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:6 in
+  let w = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members ~id:6 in
   let cap = Layout.payload_capacity layout in
   check int "fits" 0 (Writer.append_data w (String.make (cap - 100) 'x'));
   (* room is the caller's precondition: an append past it raises *)
@@ -445,7 +441,7 @@ let test_writer_capacity_respected () =
 let test_writer_append_log_allocation () =
   let env = make_env () in
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:8 in
+  let w = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members ~id:8 in
   let record = String.make 48 'r' in
   let seqs = Array.init 1001 Int64.of_int in
   Writer.append_log w ~seq:seqs.(0) record;
@@ -462,7 +458,7 @@ let test_writer_data_and_logs_meet () =
   (* data from the front, logs from the back; they share the capacity *)
   let env = make_env () in
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:7 in
+  let w = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members ~id:7 in
   let cap = Layout.payload_capacity layout in
   ignore (Writer.append_data w (String.make (cap / 2) 'd'));
   Writer.append_log w ~seq:1L (String.make ((cap / 2) - 64) 'l');
@@ -473,7 +469,7 @@ let test_finalize_remaps_failed_member () =
      and the stripe still tolerates two further failures *)
   let env = make_env () in
   let members = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members ~id:9 in
+  let w = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members ~id:9 in
   let payload = String.init 30000 (fun i -> Char.chr ((i * 11) mod 256)) in
   ignore (Writer.append_data w payload);
   let victim_member = members.(0) in
@@ -574,7 +570,7 @@ let read_beside_flush ~read_around_write =
   let seg = write_segment env ~id:1 [ payload ] [] in
   Registry.reset env.tel;
   let members2 = Option.get (Allocator.allocate env.alloc ~online:(online env)) in
-  let w2 = Writer.create ~layout ~shelf:env.shelf ~rs:env.rs ~members:members2 ~id:2 in
+  let w2 = Writer.create ~layout ~port:(Shelf.attach env.shelf) ~rs:env.rs ~members:members2 ~id:2 in
   ignore (Writer.append_data w2 (String.make 40000 'w'));
   let flush_done = ref false in
   Writer.finalize w2 (fun _ -> flush_done := true);

@@ -25,12 +25,7 @@ let make_drive ?(config = small_config) () =
   let d = Drive.create ~config ~clock ~rng ~id:0 () in
   (clock, d)
 
-(* Run the clock and return the result delivered by an async op. *)
-let await clock f =
-  let result = ref None in
-  f (fun r -> result := Some r);
-  Clock.run clock;
-  match !result with Some r -> r | None -> Alcotest.fail "operation never completed"
+let await = Testkit.await
 
 let test_drive_write_read_roundtrip () =
   let clock, d = make_drive () in
@@ -398,6 +393,113 @@ let test_shelf_distinct_drive_salts () =
         (Drive.id (Shelf.drive shelf 0) <> Drive.id (Shelf.drive shelf 1)
         && Drive.id (Shelf.drive shelf 1) <> Drive.id (Shelf.drive shelf 2)))
 
+(* ---------- Boot region and ports ---------- *)
+
+let make_shelf ?nvram_capacity () =
+  let clock = Clock.create () in
+  let shelf =
+    Shelf.create ~drive_config:small_config ?nvram_capacity ~clock ~rng:(Rng.create ~seed:8L)
+      ~drives:3 ()
+  in
+  (clock, shelf)
+
+(* Reads the shelf's durable-write index. *)
+let index_of shelf =
+  let reg = Registry.create () in
+  Shelf.register_telemetry shelf reg;
+  fun () -> Registry.read_int reg "shelf/durable_writes"
+
+let blob = Alcotest.(option string)
+
+let test_boot_empty_reads_none () =
+  let clock, shelf = make_shelf () in
+  check blob "factory fresh" None (await clock (Shelf.read_boot shelf))
+
+let test_boot_write_then_read () =
+  let clock, shelf = make_shelf () in
+  let p = Shelf.attach shelf in
+  Shelf.write_boot p "blob-1" ignore;
+  Shelf.write_boot p "blob-2" ignore;
+  check blob "latest blob wins" (Some "blob-2") (await clock (Shelf.read_boot shelf));
+  check int "write count" 2 (Registry.value (Shelf.boot_writes shelf))
+
+let test_boot_latency_charged () =
+  let clock, shelf = make_shelf () in
+  await clock (Shelf.write_boot (Shelf.attach shelf) "x");
+  check (Alcotest.float 1e-9) "a write takes 600 us" 600.0 (Clock.now clock);
+  ignore (await clock (Shelf.read_boot shelf));
+  check (Alcotest.float 1e-9) "a read 250 us more" 850.0 (Clock.now clock)
+
+let chunk c = Bytes.make 4096 c
+
+(* Nothing submitted through a fenced port lands, fires, is scheduled
+   or is numbered. *)
+let test_fenced_port_changes_nothing () =
+  let clock, shelf = make_shelf () in
+  let index = index_of shelf in
+  let live = Shelf.attach shelf in
+  ignore (await clock (Shelf.write_chunk live ~drive:0 ~au:0 ~off:0 ~data:(chunk 'a')));
+  Shelf.nvram_commit live ~seq:1L ~len:1 (fun () -> "r") ignore;
+  Shelf.write_boot live "boot" ignore;
+  Clock.run clock;
+  let before = index () and records = Nvram.records (Shelf.nvram shelf) in
+  let p = Shelf.attach shelf in
+  Shelf.fence p;
+  check bool "fenced" true (Shelf.fenced p);
+  check bool "other ports stay live" false (Shelf.fenced live);
+  let fired = ref false in
+  let fire _ = fired := true in
+  Shelf.write_chunk p ~drive:0 ~au:0 ~off:4096 ~data:(chunk 'b') fire;
+  Shelf.write_chunk p ~drive:1 ~au:0 ~off:0 ~data:(chunk 'b') fire;
+  Shelf.trim_au p ~drive:0 ~au:0;
+  Shelf.nvram_commit p ~seq:2L ~len:1 (fun () -> Alcotest.fail "payload built") fire;
+  Shelf.nvram_trim_upto p 1L;
+  Shelf.write_boot p "dead" fire;
+  check int "no clock event" 0 (Clock.pending clock);
+  check int "no index taken" before (index ());
+  check int "AU fill kept" 4096 (Drive.au_fill (Shelf.drive shelf 0) ~au:0);
+  check int "AU left blank" 0 (Drive.au_fill (Shelf.drive shelf 1) ~au:0);
+  check bool "NVRAM records kept" true (Nvram.records (Shelf.nvram shelf) = records);
+  check blob "boot blob kept" (Some "boot") (await clock (Shelf.read_boot shelf));
+  check bool "no callback" false !fired
+
+(* A freshly attached port's submissions land and take one index each;
+   attaching a second port fences nothing, and a chunk an offline drive
+   refuses takes none. *)
+let test_port_writes_take_one_index_each () =
+  let clock, shelf = make_shelf () in
+  let index = index_of shelf in
+  let p = Shelf.attach shelf in
+  let q = Shelf.attach shelf in
+  check bool "written" true
+    (await clock (Shelf.write_chunk p ~drive:0 ~au:0 ~off:0 ~data:(chunk 'a')) = Ok ());
+  check int "chunk write" 1 (index ());
+  Shelf.trim_au q ~drive:0 ~au:0;
+  check int "AU trim" 2 (index ());
+  check int "trimmed" 0 (Drive.au_fill (Shelf.drive shelf 0) ~au:0);
+  check bool "committed" true (await clock (Shelf.nvram_commit p ~seq:1L ~len:1 (fun () -> "r")) = Ok ());
+  check int "NVRAM commit" 3 (index ());
+  Shelf.nvram_trim_upto p 1L;
+  check int "NVRAM trim" 4 (index ());
+  check int "trimmed away" 0 (List.length (Nvram.records (Shelf.nvram shelf)));
+  await clock (Shelf.write_boot p "b");
+  check int "boot write" 5 (index ());
+  check blob "boot blob" (Some "b") (await clock (Shelf.read_boot shelf));
+  Shelf.pull_drive shelf 2;
+  check bool "offline" true
+    (await clock (Shelf.write_chunk p ~drive:2 ~au:0 ~off:0 ~data:(chunk 'c')) = Error `Offline);
+  check int "refused chunk" 5 (index ())
+
+let test_refused_commit_takes_no_index () =
+  let clock, shelf = make_shelf ~nvram_capacity:100 () in
+  let index = index_of shelf in
+  let p = Shelf.attach shelf in
+  Shelf.nvram_commit p ~seq:1L ~len:80 (fun () -> String.make 80 'a') ignore;
+  check int "admitted" 1 (index ());
+  check bool "refused" true
+    (await clock (Shelf.nvram_commit p ~seq:2L ~len:4 (fun () -> "abcd")) = Error `Full);
+  check int "refused commit" 1 (index ())
+
 let () =
   Alcotest.run "ssd"
     [
@@ -441,5 +543,17 @@ let () =
           Alcotest.test_case "basics" `Quick test_shelf_basics;
           Alcotest.test_case "pull and reinsert" `Quick test_shelf_pull_and_reinsert;
           Alcotest.test_case "distinct drives" `Quick test_shelf_distinct_drive_salts;
+          Alcotest.test_case "fenced port changes nothing" `Quick
+            test_fenced_port_changes_nothing;
+          Alcotest.test_case "port writes take one index each" `Quick
+            test_port_writes_take_one_index_each;
+          Alcotest.test_case "refused commit takes no index" `Quick
+            test_refused_commit_takes_no_index;
+        ] );
+      ( "boot_region",
+        [
+          Alcotest.test_case "empty" `Quick test_boot_empty_reads_none;
+          Alcotest.test_case "write then read" `Quick test_boot_write_then_read;
+          Alcotest.test_case "latency" `Quick test_boot_latency_charged;
         ] );
     ]

@@ -264,11 +264,7 @@ let test_json_encoding () =
 
 (* ---------- the instrumented array ---------- *)
 
-let await clock f =
-  let r = ref None in
-  f (fun x -> r := Some x);
-  Clock.run clock;
-  Option.get !r
+let await = Testkit.await
 
 let test_array_stats_match_registry () =
   let module Fa = Purity_core.Flash_array in

@@ -2,6 +2,12 @@
 
 module Rng = Purity_util.Rng
 
+(* {!Purity_sim.Clock.await} for a call that must complete. *)
+let await clock f =
+  match Purity_sim.Clock.await clock f with
+  | Some r -> r
+  | None -> Alcotest.fail "operation never completed"
+
 (* Run [f] with a generator seeded by [seed]. If [f] raises (a failing
    assertion, say), the seed is printed to stderr before the exception
    propagates, so a failing randomized test says how to reproduce it. *)
