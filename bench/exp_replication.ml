@@ -126,12 +126,10 @@ and run_activecluster () =
       let block = i * io_blocks mod 16384 in
       let data = Purity_workload.Datagen.compressible dg (io_blocks * 512) ~target_ratio:2.0 in
       let t0 = Clock.now clock in
-      let done_ = ref false in
-      write ~block data (fun () ->
-          Histogram.record h (Clock.now clock -. t0);
-          done_ := true);
-      Clock.run clock;
-      if not !done_ then failwith "bench: mirrored write never completed"
+      await clock (fun k ->
+          write ~block data (fun () ->
+              Histogram.record h (Clock.now clock -. t0);
+              k ()))
     done;
     h
   in

@@ -10,8 +10,6 @@
     failover. This module owns the blob's format: {!encode} and
     {!decode} are its only codec. *)
 
-(** {1 Contents} *)
-
 type dir = (string * string * (Purity_segment.Segment.t * int * int) list) list
 (** A checkpoint directory: per table, its pyramid name, its encoded
     elide ranges (empty for tombstone tables) and its patch chunks as

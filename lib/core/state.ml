@@ -1,7 +1,7 @@
 (* Shared state of one Purity array (controller-resident volatile state
-   plus the controller's port onto the shelf's persistent devices). The public facade is
-   {!Array_}; the write/read/GC/recovery paths live in sibling modules
-   operating over this record. *)
+   plus the controller's port onto the shelf's persistent devices). The
+   public facade is {!Array_}; the write/read/GC/recovery paths live in
+   sibling modules operating over this record. *)
 
 module Clock = Purity_sim.Clock
 module Stbl = Purity_util.Keytbl.Str

@@ -38,7 +38,8 @@ val step : t -> bool
 
 val pending : t -> int
 [@@purity.lint.allow
-  "unused_export: test_sim's run_until counts the events left queued"]
+  "unused_export: test_sim's run_until and test_ssd's fenced-port test \
+   count the events left queued"]
 (** Number of queued events. *)
 
 val advance : t -> float -> unit

@@ -9,9 +9,9 @@
     A controller changes the shelf only through its {!port}: chunk
     writes, AU trims, NVRAM commits and trims, and boot-region writes.
     Every submission a live port accepts takes the next durable-write
-    index ([shelf/durable_writes]); a crashed controller's port is
-    {!fence}d, and a fenced port changes nothing, schedules nothing and
-    takes no index. Reads go to the devices directly. *)
+    index ([shelf/durable_writes]). A crashed controller's port is
+    {!fence}d: a submission through it changes nothing, schedules
+    nothing and takes no index. Reads go to the devices directly. *)
 
 type t
 
@@ -44,36 +44,35 @@ val replace_drive : t -> int -> unit
 
 (** {1 Boot region}
 
-    Paper §4.3, Figure 5: "The boot region is a tiny percentage of the
-    total storage, and contains the locations of the relations and
-    allocator state for the main region." It is the only storage with a
-    fixed location, so recovery reads it in O(1) before anything else is
-    known. Modelled as one blob (a few pages mirrored to two drives): a
-    write takes 600 us, a read 250 us, one after another. Its format is
-    [Purity_core.Boot_region]'s. *)
+    The boot region's device (paper §4.3; its format is
+    [Purity_core.Boot_region]'s): one blob, a write taking 600 us and a
+    read 250 us, one after another. *)
 
 val read_boot : t -> (string option -> unit) -> unit
 (** [None] before the first write (a factory-fresh array). *)
 
 val boot_writes : t -> Purity_telemetry.Registry.counter
-(** Total boot-region writes — the "<1% of writes" bookkeeping: a cell
-    the shelf owns (it outlives controllers), adopted as
+(** Total boot-region writes: a cell the shelf owns, adopted as
     [array/boot_region_writes]. *)
 
 (** {1 Ports} *)
 
 type port
-(** One controller's attachment to the shelf. *)
+(** One controller's attachment. *)
 
 val attach : t -> port
-(** A fresh, unfenced port. Attaching fences no other port. *)
+(** A fresh, unfenced port; attaching fences no other port. *)
 
 val fence : port -> unit
-(** Cut the port off (controller crash): every later submission through
-    it is dropped. Submissions already accepted complete as scheduled. *)
+(** Cut the port off (controller crash). Submissions it accepted earlier
+    complete as scheduled. *)
 
 val fenced : port -> bool
 val port_shelf : port -> t
+
+(** The submissions: each is the device operation it names, dropped when
+    the port is fenced. A chunk write an offline drive refuses and an
+    NVRAM commit refused for space take no index. *)
 
 val write_chunk :
   port ->
@@ -83,11 +82,8 @@ val write_chunk :
   data:bytes ->
   ((unit, Drive.error) result -> unit) ->
   unit
-(** {!Drive.write_chunk} on drive [drive]; a write to an offline drive
-    takes no index. *)
 
 val trim_au : port -> drive:int -> au:int -> unit
-(** {!Drive.trim_au} on drive [drive]. *)
 
 val nvram_commit :
   port ->
@@ -96,10 +92,8 @@ val nvram_commit :
   (unit -> string) ->
   ((unit, [ `Full ]) result -> unit) ->
   unit
-(** {!Nvram.commit}; a refused commit takes no index. *)
 
 val nvram_trim_upto : port -> int64 -> unit
-(** {!Nvram.trim_upto}. *)
 
 val write_boot : port -> string -> (unit -> unit) -> unit
 (** Atomically replace the boot blob; the callback fires at durability. *)
@@ -108,5 +102,5 @@ val register_telemetry : t -> Purity_telemetry.Registry.t -> unit
 (** Register every drive's metrics ([ssd/drive<i>/...]), shelf-wide
     derived metrics ([ssd/online_drives], [ssd/pe_max]), the NVRAM fill
     ([nvram/used_bytes], [nvram/capacity]) and the durable-write index
-    ([shelf/durable_writes]), a cell the shelf owns, so it keeps counting
-    across failover. *)
+    ([shelf/durable_writes]): like the drives' cells, the index is the
+    shelf's, so it keeps counting across failover. *)

@@ -130,12 +130,7 @@ let test_audit_rejects_forgeries () =
 let test_mediator_stale_claim () =
   let clock = Clock.create () in
   let m = Mediator.create ~clock () in
-  let ask s =
-    let r = ref None in
-    Mediator.request m s (fun o -> r := Some o);
-    Clock.run clock;
-    !r
-  in
+  let ask s = Clock.await clock (Mediator.request m s) in
   check bool "A wins the empty race" true (ask A = Some `Granted);
   check bool "B is denied while A holds" true (ask B = Some `Denied);
   Mediator.set_reachable m false;

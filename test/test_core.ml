@@ -1590,20 +1590,8 @@ let test_flush_never_completes_after_crash () =
   Fa.crash a;
   let fired = ref false in
   Fa.flush a (fun () -> fired := true);
-  Clock.run clock;
-  check bool "the dead controller's flush never completes" false !fired
-
-(* A crash fences the dead controller's port: the segio it was flushing
-   stops where it is, so running the clock moves neither the durable-write
-   index nor any drive's writes or trims. The index is the shelf's, so it
-   keeps counting under the spare. *)
-let test_crash_fences_the_port () =
-  let clock, a = make_array () in
-  ok (Fa.create_volume a "v" ~blocks:256);
-  write_ok clock a ~volume:"v" ~block:0 (random_data 64);
-  Fa.flush a ignore;
-  check int "one segio in flight" 1 (pending_flushes a);
-  Fa.crash a;
+  (* the crash fenced the controller's shelf port: the flush stops where
+     it is, numbering no durable write and touching no drive *)
   let reg = Fa.telemetry a in
   let drive_counts () =
     List.init test_config.Fa.drives (fun i ->
@@ -1613,12 +1601,14 @@ let test_crash_fences_the_port () =
   let index () = Registry.read_int (Fa.telemetry a) "shelf/durable_writes" in
   let at_crash = index () and counts = drive_counts () in
   Clock.run clock;
-  check int "index unmoved" at_crash (index ());
+  check bool "the dead controller's flush never completes" false !fired;
+  check int "durable-write index unmoved" at_crash (index ());
   check bool "no drive writes or trims" true (drive_counts () = counts);
+  (* the index is the shelf's: it keeps counting under the spare *)
   ignore (await clock (fun k -> Fa.failover a k));
   write_ok clock a ~volume:"v" ~block:64 (random_data 64);
   await clock (Fa.flush a);
-  check bool "the spare's writes keep counting" true (index () > at_crash)
+  check bool "the spare's writes are numbered on" true (index () > at_crash)
 
 (* ---------- maintenance under load ---------- *)
 
@@ -1925,7 +1915,6 @@ let () =
             test_flush_waits_only_for_earlier_seals;
           Alcotest.test_case "crash strands waiters" `Quick
             test_flush_never_completes_after_crash;
-          Alcotest.test_case "crash fences the port" `Quick test_crash_fences_the_port;
           Alcotest.test_case "completes on a full array" `Quick
             test_flush_completes_on_full_array;
         ] );

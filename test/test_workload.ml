@@ -184,10 +184,7 @@ let run_workload wl_of ~ops =
   let volumes = [ ("wl0", 4096); ("wl1", 4096) ] in
   Wl.provision a ~volumes;
   let wl = wl_of volumes in
-  let result = ref None in
-  Wl.run a wl ~ops ~concurrency:8 (fun r -> result := Some r);
-  Clock.run clock;
-  (a, Option.get !result)
+  (a, Testkit.await clock (Wl.run a wl ~ops ~concurrency:8))
 
 let test_uniform_completes_all_ops () =
   seeded 1L (fun () ->
@@ -225,10 +222,7 @@ let test_vdi_dedups () =
     Wl.provision a ~volumes;
     let datagen = Dg.create ~seed:9L in
     let wl = Wl.vdi ~seed:9L ~volumes ~datagen () in
-    let result = ref None in
-    Wl.run a wl ~ops:300 ~concurrency:4 (fun r -> result := Some r);
-    Clock.run clock;
-    let r = Option.get !result in
+    let r = Testkit.await clock (Wl.run a wl ~ops:300 ~concurrency:4) in
     check int "no errors" 0 r.Wl.errors;
     check bool "vdi writes deduplicate" true ((Fa.stats a).Fa.dedup_blocks > 0))
 
