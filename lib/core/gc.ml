@@ -34,32 +34,46 @@ type report = {
   duration_us : float;
 }
 
-(* Map segment -> (cblock off -> (stored_len, [((medium, block), index)])).
-   Each ref shares its key with the index's fact. [iter_live] walks keys
-   in ascending order, once each, and each ref is prepended: a cblock's
-   refs come out in strictly descending key order, which [still_mapped]
-   relies on. *)
+(* One cblock's part of a liveness scan: its stored length and its refs,
+   the block index's own live facts that map into it. *)
+type cblock = { stored_len : int; mutable refs : Block_index.fact list }
+
+(* Map segment -> (cblock off -> cblock). [iter_live] walks keys in
+   ascending order, once each, and each ref is prepended: a cblock's refs
+   come out in strictly descending key order, which [still_mapped] relies
+   on. A run of blocks maps into one cblock, so the scan keeps the cblock
+   it last touched and looks the tables up only when a ref leaves it. *)
 let liveness t =
-  let table : (int, (int, int * ((int * int) * int) list ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Block_index.iter_live t.blocks (fun ~key ~value:r ->
-      let per_seg =
-        match Hashtbl.find_opt table r.Blockref.segment with
-        | Some h -> h
-        | None ->
-          let h = Hashtbl.create 16 in
-          Hashtbl.replace table r.Blockref.segment h;
-          h
-      in
-      (match Hashtbl.find_opt per_seg r.Blockref.off with
-      | Some (_, refs) -> refs := (key, r.Blockref.index) :: !refs
-      | None ->
-        Hashtbl.replace per_seg r.Blockref.off
-          (r.Blockref.stored_len, ref [ (key, r.Blockref.index) ])));
+  let table : (int, (int, cblock) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+  let last_seg = ref (-1) and last_off = ref (-1) in
+  let last = ref { stored_len = 0; refs = [] } in
+  Block_index.iter_live t.blocks (fun fact ->
+      match fact.Block_index.Fact.value with
+      | None -> ()
+      | Some r ->
+        if r.Blockref.segment <> !last_seg || r.Blockref.off <> !last_off then begin
+          let per_seg =
+            match Hashtbl.find_opt table r.Blockref.segment with
+            | Some h -> h
+            | None ->
+              let h = Hashtbl.create 16 in
+              Hashtbl.replace table r.Blockref.segment h;
+              h
+          in
+          (last :=
+             match Hashtbl.find_opt per_seg r.Blockref.off with
+             | Some cb -> cb
+             | None ->
+               let cb = { stored_len = r.Blockref.stored_len; refs = [] } in
+               Hashtbl.replace per_seg r.Blockref.off cb;
+               cb);
+          last_seg := r.Blockref.segment;
+          last_off := r.Blockref.off
+        end;
+        !last.refs <- fact :: !last.refs);
   table
 
-let live_bytes_of per_seg = Hashtbl.fold (fun _ (len, _) acc -> acc + len) per_seg 0
+let live_bytes_of per_seg = Hashtbl.fold (fun _ cb acc -> acc + cb.stored_len) per_seg 0
 
 (* One evacuation's running totals, and its content cache: fingerprint ->
    (home, frame) of each cblock relocated so far, so a byte-identical
@@ -72,24 +86,18 @@ type tally = {
   mutable shared : int;
 }
 
-(* The refs of the cblock at [off] of [seg_id] that still map to it, in
-   scan order: host writes acked since the liveness scan may have
-   overwritten some, and a remap from the scan would shadow them. One
-   batched index walk over the refs' key span. A block still mapped there
-   keeps the scan's index, since no write dedups onto a victim once its
-   pass has begun. [refs] are in strictly descending key order (see
-   [liveness]), so reversed they are sorted for the binary search; the
-   order is checked, since a ref missed here would be left pointing into
-   a destroyed segment. *)
-let still_mapped t ~seg_id ~off refs =
-  let sorted = Array.of_list refs in
-  let n = Array.length sorted in
-  for i = 0 to (n / 2) - 1 do
-    let r = sorted.(i) in
-    sorted.(i) <- sorted.(n - 1 - i);
-    sorted.(n - 1 - i) <- r
-  done;
-  let key_of i = fst sorted.(i) in
+(* Compact the refs of the cblock at [off] of [seg_id] that still map to
+   it into the first slots of [refs], in scan order, and return their
+   count: host writes acked since the liveness scan may have overwritten
+   some, and a remap from the scan would shadow them. One batched index
+   walk over the refs' key span. A block still mapped there keeps the
+   scan's index, since no write dedups onto a victim once its pass has
+   begun. [refs] are in strictly descending key order (see [liveness]),
+   so walk slot [i] is [refs.(n - 1 - i)]; the order is checked, since a
+   ref missed here would be left pointing into a destroyed segment. *)
+let still_mapped t ~seg_id ~off (refs : Block_index.fact array) =
+  let n = Array.length refs in
+  let key_of i = refs.(n - 1 - i).Block_index.Fact.key in
   for i = 1 to n - 1 do
     if Keys.Block.compare (key_of (i - 1)) (key_of i) >= 0 then
       invalid_arg "Gc.still_mapped: refs not in descending key order"
@@ -103,12 +111,12 @@ let still_mapped t ~seg_id ~off refs =
     if !lo < n && Keys.Block.compare (key_of !lo) key = 0 then !lo else -1
   in
   let run = Block_index.find_run t.blocks ~n ~key_of ~index in
-  (* ascending slots, prepended: the result comes out in [refs]' order *)
-  let mapped = ref [] in
-  for i = 0 to n - 1 do
-    match Block_index.resolve_fact t.blocks run.(i) with
+  let mapped = ref 0 in
+  for j = 0 to n - 1 do
+    match Block_index.resolve_fact t.blocks run.(n - 1 - j) with
     | Some (r : Blockref.t) when r.segment = seg_id && r.off = off ->
-      mapped := sorted.(i) :: !mapped
+      refs.(!mapped) <- refs.(j);
+      incr mapped
     | Some _ | None -> ()
   done;
   !mapped
@@ -125,11 +133,10 @@ let relocate_segment t ~live tally seg_id k =
   | Some meta, Some per_seg ->
     (* shared first: a cblock with more references than ~logical blocks is
        deduplicated; relocating those first clusters them together *)
-    let entries = Hashtbl.fold (fun off v acc -> (off, v) :: acc) per_seg [] in
+    let entries = Hashtbl.fold (fun off cb acc -> (off, cb) :: acc) per_seg [] in
     let shared, plain =
       List.partition
-        (fun (_, (stored_len, refs)) ->
-          List.length !refs > max 1 (stored_len / 512))
+        (fun (_, cb) -> List.length cb.refs > max 1 (cb.stored_len / 512))
         entries
     in
     tally.shared <- tally.shared + List.length shared;
@@ -137,7 +144,7 @@ let relocate_segment t ~live tally seg_id k =
     let all_ok = ref true in
     let rec go = function
       | [] -> k !all_ok
-      | (off, (stored_len, refs)) :: rest ->
+      | (off, { stored_len; refs }) :: rest ->
         Io.read t.io meta ~off ~len:stored_len (fun result ->
             (match result with
             | Error `Unrecoverable ->
@@ -148,8 +155,9 @@ let relocate_segment t ~live tally seg_id k =
               (* [store_blob]/[put] raise Out_of_space if the controller
                  died while the read was in flight (dead controllers
                  allocate nothing); the victim is then simply kept *)
-              match still_mapped t ~seg_id ~off !refs with
-              | [] -> ()
+              let refs = Array.of_list refs in
+              match still_mapped t ~seg_id ~off refs with
+              | 0 -> ()
               | mapped -> (
                 try
                   let fingerprint = Xxhash.hash frame ~pos:0 ~len:(Bytes.length frame) in
@@ -170,10 +178,12 @@ let relocate_segment t ~live tally seg_id k =
                       tally.relocated_bytes <- tally.relocated_bytes + stored_len;
                       base
                   in
-                  List.iter
-                    (fun ((medium, block), index) ->
-                      put_block t ~medium ~block { base with Blockref.index })
-                    mapped
+                  for i = 0 to mapped - 1 do
+                    match refs.(i) with
+                    | { key = medium, block; value = Some r; _ } ->
+                      put_block t ~medium ~block { base with Blockref.index = r.index }
+                    | { value = None; _ } -> ()
+                  done
                 with Out_of_space -> all_ok := false)));
             go rest)
     in

@@ -87,8 +87,10 @@ let rebuild_derived t ~frontier ~ckpt ~trusted ~medium_next_hint =
         | None -> Some seg
         | f -> Option.bind (Pyramid.resolve_fact t.segments_pyr f) Segment.decode_compact))
     (ckpt @ trusted);
-  Pyramid.iter_live t.segments_pyr (fun ~key ~value ->
-      add (Keys.segment_key_id key) (Segment.decode_compact value));
+  Pyramid.iter_live t.segments_pyr (function
+    | { Fact.key; value = Some value; _ } ->
+      add (Keys.segment_key_id key) (Segment.decode_compact value)
+    | _ -> ());
   let members (seg : Segment.t) = Array.to_list seg.Segment.members in
   Allocator.recover t.alloc ~persisted:frontier
     ~used:(Hashtbl.fold (fun _ seg acc -> members seg @ acc) t.segment_metas [])
@@ -96,12 +98,14 @@ let rebuild_derived t ~frontier ~ckpt ~trusted ~medium_next_hint =
   (* medium table *)
   let rows = ref [] in
   let max_medium = ref 0 in
-  Pyramid.iter_live t.mediums_pyr (fun ~key ~value ->
+  Pyramid.iter_live t.mediums_pyr (function
+    | { Fact.key; value = Some value; _ } -> (
       let id = Keys.medium_key_id key in
       if id > !max_medium then max_medium := id;
       match Medium.decode_extents value with
       | Some extents -> rows := (id, extents) :: !rows
-      | None -> ());
+      | None -> ())
+    | _ -> ());
   (* An elided medium id is permanently dead — its elide range outlives the
      crash — so a freshly allocated medium must never reuse one: the range
      would silently swallow the new medium's facts at the next failover.
@@ -117,10 +121,12 @@ let rebuild_derived t ~frontier ~ckpt ~trusted ~medium_next_hint =
   t.medium_next_id <- next_id;
   (* volumes *)
   Stbl.reset t.volumes;
-  Pyramid.iter_live t.volumes_pyr (fun ~key ~value ->
+  Pyramid.iter_live t.volumes_pyr (function
+    | { Fact.key; value = Some value; _ } -> (
       match decode_volume_value value with
       | Some v -> Stbl.replace t.volumes key v
-      | None -> ());
+      | None -> ())
+    | _ -> ());
   (* the sequence counter must move past everything rediscovered *)
   List.iter
     (fun table ->

@@ -564,9 +564,18 @@ let put_fact t (table : Meta_log.table) fact =
 let put t table ~key ~value = put_fact t table (Fact.make ~key ~value ~seq:(Seqno.next t.seqno))
 let put_delete t table ~key = put_fact t table (Fact.tombstone ~key ~seq:(Seqno.next t.seqno))
 
-(* Map one block to its reference: the block index's only put. *)
-let put_block t ~medium ~block (r : Blockref.t) =
-  let fact = Block_index.Fact.make ~key:(medium, block) ~value:r ~seq:(Seqno.next t.seqno) in
+(* Map one block to its reference: the block index's only put. The
+   memtable insert and the log record allocate nothing, so a put costs
+   the fact it stores. *)
+let[@purity.lint.hotpath] [@purity.lint.allow
+                            "hotalloc: the stored fact — its record, \
+                             (medium, block) key pair, boxed seq, Some \
+                             and the caller's Blockref — lives on in the \
+                             memtable; nothing else per put is allocated"] put_block
+    t ~medium ~block (r : Blockref.t) =
+  let fact =
+    { Block_index.Fact.key = (medium, block); value = Some r; seq = Seqno.next t.seqno }
+  in
   Block_index.insert_fact t.blocks fact;
   record_block t fact
 

@@ -14,11 +14,20 @@ module Make (P : Patch.S) = struct
 
   type policy = Elide of (Fact.t -> int) | Tombstones
 
+  (* The memtable is three arrays: [facts] in arrival order; [older.(i)]
+     the previous fact of fact [i]'s key (-1 at its oldest), so each key's
+     facts form a chain newest-first; and [index], an open-addressing
+     table from a key to its newest fact (-1 for an empty slot), a power
+     of two at least twice [facts]' capacity. A flush clears [index] and
+     keeps all three, so the steady-state insert allocates nothing. *)
   type t = {
     name : string;
     policy : policy;
     flush_count : int;
-    memtable : Fact.t list Tbl.t; (* key -> facts, newest first *)
+    mutable facts : Fact.t array; (* [||] until the first insert *)
+    mutable older : int array;
+    mutable index : int array;
+    mutable index_shift : int; (* Sys.int_size - log2 (length index) *)
     mutable memtable_count : int;
     mutable patches : Patch.t list; (* shallowest (newest) first *)
     mutable elide_ranges : Ranges.t; (* every elided id *)
@@ -29,12 +38,25 @@ module Make (P : Patch.S) = struct
     mutable stat_bloom_skips : int; (* rejected by bloom filter *)
   }
 
+  (* The smallest power of two at least twice [capacity], as its log2. *)
+  let index_bits capacity =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * capacity do
+      incr bits
+    done;
+    !bits
+
   let create ?(memtable_flush_count = 1024) ~policy ~name () =
+    let capacity = max 1 (min 64 memtable_flush_count) in
+    let bits = index_bits capacity in
     {
       name;
       policy;
       flush_count = memtable_flush_count;
-      memtable = Tbl.create 64;
+      facts = [||];
+      older = Array.make capacity (-1);
+      index = Array.make (1 lsl bits) (-1);
+      index_shift = Sys.int_size - bits;
       memtable_count = 0;
       patches = [];
       elide_ranges = Ranges.empty;
@@ -43,6 +65,62 @@ module Make (P : Patch.S) = struct
       stat_fence_skips = 0;
       stat_bloom_skips = 0;
     }
+
+  (* The [index] slot holding [key]'s newest fact, or the empty slot
+     where it would go. The probe starts at a multiply-shift of the key's
+     hash: keys that hash to neighbours (a medium's consecutive blocks)
+     start far apart instead of forming one long run. *)
+  let slot t key =
+    let index = t.index in
+    let mask = Array.length index - 1 in
+    let s = ref ((K.hash key * 0x1E3779B97F4A7C15) lsr t.index_shift) in
+    while
+      let i = index.(!s) in
+      i >= 0 && not (K.equal t.facts.(i).Fact.key key)
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+
+  (* The newest memtable fact of [key]; -1 when it has none. *)
+  let newest t key = t.index.(slot t key)
+
+  (* Room for one more fact ([f] fills the fresh slots): the first insert
+     sizes [facts] to [older]; later ones double all three arrays, up to
+     the flush count, and re-index the facts in arrival order so each
+     key's slot ends on its newest. *)
+  let[@purity.lint.coldpath] grow t f =
+    let n = Array.length t.facts in
+    if n = 0 then t.facts <- Array.make (Array.length t.older) f
+    else begin
+      let capacity = min (2 * n) (max 1 t.flush_count) in
+      let facts = Array.make capacity f and older = Array.make capacity (-1) in
+      Array.blit t.facts 0 facts 0 n;
+      Array.blit t.older 0 older 0 n;
+      let bits = index_bits capacity in
+      t.facts <- facts;
+      t.older <- older;
+      t.index <- Array.make (1 lsl bits) (-1);
+      t.index_shift <- Sys.int_size - bits;
+      for i = 0 to n - 1 do
+        t.index.(slot t facts.(i).Fact.key) <- i
+      done
+    end
+
+  (* [f] on each memtable fact of [key], newest first. *)
+  let iter_memtable_key t key f =
+    let i = ref (newest t key) in
+    while !i >= 0 do
+      f t.facts.(!i);
+      i := t.older.(!i)
+    done
+
+  (* The memtable's facts in arrival order, in an exact-size copy. *)
+  let memtable_facts t = Array.sub t.facts 0 t.memtable_count
+
+  let clear_memtable t =
+    Array.fill t.index 0 (Array.length t.index) (-1);
+    t.memtable_count <- 0
 
   let name t = t.name
   let policy_is_elision t = match t.policy with Elide _ -> true | Tombstones -> false
@@ -68,33 +146,37 @@ module Make (P : Patch.S) = struct
       auto_compact t
     | _ -> ()
 
-  (* The memtable's facts in an exact-size array, in no particular order
-     (each key's list holds no (key, seq) repeat). *)
-  let memtable_facts t =
-    let a = ref [||] and n = ref 0 in
-    let add f =
-      if !n = 0 then a := Array.make t.memtable_count f;
-      !a.(!n) <- f;
-      incr n
-    in
-    Tbl.iter (fun _ fs -> List.iter add fs) t.memtable;
-    !a
-
-  let flush t =
+  (* Once per flush count of inserts, so off the insert's steady state. *)
+  let[@purity.lint.coldpath] flush t =
     if t.memtable_count > 0 then begin
       t.patches <- Patch.of_array (memtable_facts t) :: t.patches;
-      Tbl.reset t.memtable;
-      t.memtable_count <- 0;
+      clear_memtable t;
       auto_compact t
     end
 
-  let insert_fact t f =
-    let prev = Option.value ~default:[] (Tbl.find_opt t.memtable f.Fact.key) in
+  let[@purity.lint.hotpath] insert_fact t (f : Fact.t) =
+    let s = slot t f.key in
+    let head = t.index.(s) in
     (* Idempotence at the earliest point: drop exact (key, seq) repeats. *)
-    if not (List.exists (fun g -> Int64.equal g.Fact.seq f.Fact.seq) prev) then begin
-      Tbl.replace t.memtable f.Fact.key (f :: prev);
-      t.memtable_count <- t.memtable_count + 1;
-      bump_seq t f.Fact.seq;
+    let i = ref head in
+    while !i >= 0 && not (Int64.equal t.facts.(!i).Fact.seq f.seq) do
+      i := t.older.(!i)
+    done;
+    if !i < 0 then begin
+      let n = t.memtable_count in
+      (* growth re-indexes, so the slot is found again *)
+      let s =
+        if n < Array.length t.facts then s
+        else begin
+          grow t f;
+          slot t f.key
+        end
+      in
+      t.facts.(n) <- f;
+      t.older.(n) <- head;
+      t.index.(s) <- n;
+      t.memtable_count <- n + 1;
+      bump_seq t f.seq;
       if t.memtable_count >= t.flush_count then flush t
     end
 
@@ -133,9 +215,7 @@ module Make (P : Patch.S) = struct
       | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
       | _ -> best := Some f
     in
-    (match Tbl.find_opt t.memtable key with
-    | Some fs -> List.iter consider fs
-    | None -> ());
+    iter_memtable_key t key consider;
     let hashes = lazy (K.hash_pair key) in
     List.iter
       (fun p ->
@@ -168,9 +248,7 @@ module Make (P : Patch.S) = struct
       | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
       | _ -> best := Some f
     in
-    (match Tbl.find_opt t.memtable key with
-    | Some fs -> List.iter consider fs
-    | None -> ());
+    iter_memtable_key t key consider;
     List.iter (fun p -> List.iter consider (Patch.find p key)) t.patches;
     !best
 
@@ -198,9 +276,11 @@ module Make (P : Patch.S) = struct
         | _ -> best.(slot) <- Some f
     in
     for i = 0 to n - 1 do
-      match Tbl.find_opt t.memtable (key_of i) with
-      | Some fs -> List.iter (consider i) fs
-      | None -> ()
+      let j = ref (newest t (key_of i)) in
+      while !j >= 0 do
+        consider i t.facts.(!j);
+        j := t.older.(!j)
+      done
     done;
     if n > 0 then begin
       let lo = key_of 0 and hi = key_of (n - 1) in
@@ -222,7 +302,7 @@ module Make (P : Patch.S) = struct
      elided ones read as absent. *)
   let iter_live t f =
     Patch.iter_newest (runs t) ~keep:(fun _ -> true) (fun fact ->
-        match live_value t fact with Some value -> f ~key:fact.Fact.key ~value | None -> ())
+        if not (Fact.is_tombstone fact || elided t fact) then f fact)
 
   (* The latest fact of each key in [lo, hi], from the whole memtable and
      only the facts inside the fence of each overlapping patch; then the
@@ -235,7 +315,9 @@ module Make (P : Patch.S) = struct
         | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
         | _ -> Tbl.replace best f.Fact.key f
     in
-    Tbl.iter (fun _ fs -> List.iter consider fs) t.memtable;
+    for i = 0 to t.memtable_count - 1 do
+      consider t.facts.(i)
+    done;
     List.iter
       (fun p -> if Patch.fence_overlaps p ~lo ~hi then Patch.iter_run p ~lo ~hi consider)
       t.patches;
@@ -256,8 +338,7 @@ module Make (P : Patch.S) = struct
   (* The memtable and every patch in one merge. *)
   let flatten t =
     let bottom = Patch.flatten (runs t) ~keep:(not_elided t) in
-    Tbl.reset t.memtable;
-    t.memtable_count <- 0;
+    clear_memtable t;
     t.patches <- (if Patch.is_empty bottom then [] else [ bottom ])
 
   let patch_count t = List.length t.patches
@@ -267,7 +348,7 @@ module Make (P : Patch.S) = struct
 
   let live_key_count t =
     let n = ref 0 in
-    iter_live t (fun ~key:_ ~value:_ -> incr n);
+    iter_live t (fun _ -> incr n);
     !n
 
   let elide_table t = t.elide_ranges

@@ -1,7 +1,10 @@
 (** Pyramids: Purity's log-structured merge trees (paper §4.8, §4.10).
 
-    A pyramid indexes one relation. Insertions go to a mutable memtable;
-    {!flush} freezes it into a {!Patch.t}; {!merge_step} combines patches
+    A pyramid indexes one relation. Insertions go to a mutable memtable
+    (an arrival-order array of facts, each key's facts chained
+    newest-first, and an open-addressing index from a key to its newest
+    fact, all kept across flushes, so a steady-state insert allocates
+    nothing); {!flush} freezes it into a {!Patch.t}; {!merge_step} combines patches
     with contiguous sequence ranges; {!flatten} compacts everything to a
     single bottom patch. Merge and flatten are idempotent and always safe,
     mirroring the paper's lock-free maintenance claim (re-running either

@@ -18,7 +18,11 @@ module type S = sig
 
   val create : ?memtable_flush_count:int -> policy:policy -> name:string -> unit -> t
   (** [memtable_flush_count] (default 1024) bounds the memtable before
-      {!insert} auto-flushes. *)
+      {!insert} auto-flushes. The memtable is an arrival-order array of
+      facts, a chain linking each key's facts newest-first, and an
+      open-addressing index from a key to its newest fact; the arrays
+      double as they fill, up to the flush count, and a flush keeps them,
+      so a steady-state insert allocates nothing. *)
 
   val name : t -> string
   val policy_is_elision : t -> bool
@@ -73,8 +77,9 @@ module type S = sig
   (** Apply tombstone/elide filtering to a looked-up fact (e.g. a
       {!find_run} slot), yielding its live value. *)
 
-  val iter_live : t -> (key:key -> value:value -> unit) -> unit
-  (** Visit each key's latest live value, in key order. *)
+  val iter_live : t -> (fact -> unit) -> unit
+  (** Visit each key's latest live fact, in key order: the stored fact
+      itself (its value is [Some _]), neither tombstoned nor elided. *)
 
   val range : t -> lo:key -> hi:key -> (key * value) list
   (** Live (key, value) pairs with [lo <= key <= hi], in key order. The

@@ -1152,30 +1152,31 @@ let test_gc_under_writes =
 (* [Gc.still_mapped] as it was before it took the refs' order from the
    liveness scan: sort the refs, binary-search each index fact's key back
    to its slot, filter [refs]. *)
-let still_mapped_by_search (st : Purity_core.State.t) ~seg_id ~off refs =
+let still_mapped_by_search (st : Purity_core.State.t) ~seg_id ~off
+    (refs : Purity_core.Block_index.fact list) =
   let module Block_index = Purity_core.Block_index in
   let compare = Purity_core.Keys.Block.compare in
   let sorted = Array.of_list refs in
-  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
+  Array.sort (fun (a : Block_index.fact) b -> compare a.key b.key) sorted;
   let n = Array.length sorted in
   let index key =
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if compare (fst sorted.(mid)) key < 0 then lo := mid + 1 else hi := mid
+      if compare sorted.(mid).key key < 0 then lo := mid + 1 else hi := mid
     done;
-    if !lo < n && compare (fst sorted.(!lo)) key = 0 then !lo else -1
+    if !lo < n && compare sorted.(!lo).key key = 0 then !lo else -1
   in
   let blocks = st.Purity_core.State.blocks in
-  let run = Block_index.find_run blocks ~n ~key_of:(fun i -> fst sorted.(i)) ~index in
+  let run = Block_index.find_run blocks ~n ~key_of:(fun i -> sorted.(i).key) ~index in
   List.filter
-    (fun (key, _) ->
-      match Block_index.resolve_fact blocks run.(index key) with
+    (fun (f : Block_index.fact) ->
+      match Block_index.resolve_fact blocks run.(index f.key) with
       | Some (r : Purity_core.Blockref.t) -> r.segment = seg_id && r.off = off
       | None -> false)
     refs
 
-(* The relocation re-check returns what the search did, in the scan's
+(* The relocation re-check keeps what the search did, in the scan's
    order, for a cblock whose refs are one run of blocks, for cblocks
    inline dedup shares between mediums and offsets, and after host
    writes overwrite some refs between the scan and the relocation; refs
@@ -1195,12 +1196,15 @@ let test_gc_still_mapped () =
   let cblocks =
     Hashtbl.fold
       (fun seg_id per_seg acc ->
-        Hashtbl.fold (fun off (_, refs) acc -> (seg_id, off, !refs) :: acc) per_seg acc)
+        Hashtbl.fold
+          (fun off (cb : Purity_core.Gc.cblock) acc -> (seg_id, off, cb.refs) :: acc)
+          per_seg acc)
       live []
   in
+  let keys refs = List.map (fun (f : Purity_core.Block_index.fact) -> f.key) refs in
   let one_run refs =
-    let blocks = List.map (fun ((_, b), _) -> b) refs in
-    List.length (List.sort_uniq Int.compare (List.map (fun ((m, _), _) -> m) refs)) = 1
+    let blocks = List.map snd (keys refs) in
+    List.length (List.sort_uniq Int.compare (List.map fst (keys refs))) = 1
     && List.fold_left max min_int blocks - List.fold_left min max_int blocks
        = List.length refs - 1
   in
@@ -1208,16 +1212,26 @@ let test_gc_still_mapped () =
     (List.exists (fun (_, _, refs) -> one_run refs) cblocks);
   check bool "a deduplicated cblock's refs are not" true
     (List.exists (fun (_, _, refs) -> not (one_run refs)) cblocks);
+  (* each ref as its key and its index within the cblock *)
+  let named refs =
+    List.map
+      (fun (f : Purity_core.Block_index.fact) ->
+        (f.key, match f.value with Some r -> r.Purity_core.Blockref.index | None -> -1))
+      refs
+  in
   let mapped () =
     List.fold_left
       (fun total (seg_id, off, refs) ->
-        let got = Purity_core.Gc.still_mapped st ~seg_id ~off refs in
+        let slots = Array.of_list refs in
+        let n = Purity_core.Gc.still_mapped st ~seg_id ~off slots in
+        let got = Array.to_list (Array.sub slots 0 n) in
+        let expected = still_mapped_by_search st ~seg_id ~off refs in
         check
           Alcotest.(list (pair (pair int int) int))
           (Printf.sprintf "seg %d off %d" seg_id off)
-          (still_mapped_by_search st ~seg_id ~off refs)
-          got;
-        total + List.length got)
+          (named expected) (named got);
+        check bool "the index's own facts" true (List.for_all2 ( == ) expected got);
+        total + n)
       0 cblocks
   in
   let before = mapped () in
@@ -1226,7 +1240,7 @@ let test_gc_still_mapped () =
   | Some (seg_id, off, refs) ->
     Alcotest.check_raises "refs out of the scan's order are refused"
       (Invalid_argument "Gc.still_mapped: refs not in descending key order") (fun () ->
-        ignore (Purity_core.Gc.still_mapped st ~seg_id ~off (List.rev refs)))
+        ignore (Purity_core.Gc.still_mapped st ~seg_id ~off (Array.of_list (List.rev refs))))
   | None -> Alcotest.fail "no cblock with two refs");
   write_ok clock a ~volume:"a" ~block:16 (random_data 8);
   write_ok clock a ~volume:"b" ~block:70 (random_data 2);
@@ -1255,6 +1269,78 @@ let test_block_record_allocation () =
   Array.iter record facts;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
   if words > 0.5 then Alcotest.failf "State.record_block allocates %.2f words per record" words
+
+(* A steady-state insert into the block index's memtable allocates
+   nothing: an earlier fill sized its arrays, the flush kept them, and
+   the facts are built before the count. *)
+let test_insert_fact_allocation () =
+  let module Block_index = Purity_core.Block_index in
+  let n = 4096 in
+  let b =
+    Block_index.create ~memtable_flush_count:(n + 1) ~policy:Purity_core.State.blocks_policy
+      ~name:"blocks" ()
+  in
+  let home = { Purity_core.Blockref.segment = 1; off = 4096; stored_len = 300; index = 0 } in
+  let facts round =
+    Array.init n (fun i ->
+        Block_index.Fact.make ~key:(1, i) ~value:home ~seq:(Int64.of_int ((round * n) + i + 1)))
+  in
+  Array.iter (Block_index.insert_fact b) (facts 0);
+  Block_index.flush b;
+  let next = facts 1 in
+  let insert = Block_index.insert_fact b in
+  let w0 = Gc.minor_words () in
+  Array.iter insert next;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check int "one flushed patch and a full memtable" (2 * n) (Block_index.fact_count b);
+  if words > 0.1 then Alcotest.failf "Block_index.insert_fact allocates %.2f words per insert" words
+
+(* [State.put_block] allocates the fact it stores and nothing more: its
+   record, key pair, boxed seq and [Some], 12 words, beside the caller's
+   five-word [Blockref] (built here before the count). *)
+let test_put_block_allocation () =
+  let module State = Purity_core.State in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:256);
+  write_ok clock a ~volume:"v" ~block:0 (random_data 1);
+  let st = Fa.state a in
+  let home = { Purity_core.Blockref.segment = 1; off = 4096; stored_len = 300; index = 0 } in
+  let n = 1000 in
+  let refs = Array.init n (fun i -> { home with index = i mod 8 }) in
+  let put () = Array.iteri (fun block r -> State.put_block st ~medium:1 ~block r) refs in
+  (* the first round grows the memtable's arrays *)
+  let words = Testkit.words_per_call 1 put /. float_of_int n in
+  if words > 17. then Alcotest.failf "State.put_block allocates %.2f words per put" words
+
+(* The liveness scan keeps the index's own facts as each cblock's refs:
+   a list cell per live ref, and a record and table entry per cblock. The
+   memtable is flushed first, so its sort is not counted. *)
+let test_liveness_allocation () =
+  let module Block_index = Purity_core.Block_index in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:4096);
+  for run = 0 to 31 do
+    write_ok clock a ~volume:"v" ~block:(run * 64) (random_data 64)
+  done;
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  let st = Fa.state a in
+  Block_index.flush st.Purity_core.State.blocks;
+  let live = ref 0 in
+  Block_index.iter_live st.Purity_core.State.blocks (fun _ -> incr live);
+  let w0 = Gc.minor_words () in
+  let table = Purity_core.Gc.liveness st in
+  let words = (Gc.minor_words () -. w0) /. float_of_int !live in
+  let refs =
+    Hashtbl.fold
+      (fun _ per_seg acc ->
+        Hashtbl.fold
+          (fun _ (cb : Purity_core.Gc.cblock) acc -> acc + List.length cb.refs)
+          per_seg acc)
+      table 0
+  in
+  check int "every live block is a ref" (32 * 64) refs;
+  check int "every ref is live" !live refs;
+  if words > 4. then Alcotest.failf "Gc.liveness allocates %.2f words per live ref" words
 
 let test_rebuild_under_writes =
   acked_writes_survive_evacuation (fun a k ->
@@ -1875,6 +1961,9 @@ let () =
           Alcotest.test_case "pass under writes" `Quick test_gc_under_writes;
           Alcotest.test_case "still-mapped re-check" `Quick test_gc_still_mapped;
           Alcotest.test_case "block record allocation" `Quick test_block_record_allocation;
+          Alcotest.test_case "insert_fact allocation" `Quick test_insert_fact_allocation;
+          Alcotest.test_case "put_block allocation" `Quick test_put_block_allocation;
+          Alcotest.test_case "liveness allocation" `Quick test_liveness_allocation;
         ] );
       ( "scrub",
         [

@@ -469,9 +469,10 @@ let run_both ops =
 
 let same_reads (b, s) ops =
   let live_b = ref [] and live_s = ref [] in
-  Block_index.iter_live b (fun ~key ~value -> live_b := (key, value) :: !live_b);
-  Spyr.iter_live s (fun ~key ~value ->
-      live_s := (block_of_string_key key, Option.get (blockref_decode value)) :: !live_s);
+  Block_index.iter_live b (fun f -> live_b := (f.key, Option.get f.value) :: !live_b);
+  Spyr.iter_live s (fun f ->
+      live_s :=
+        (block_of_string_key f.key, Option.get (blockref_decode (Option.get f.value))) :: !live_s);
   let runs_agree (medium, block) =
     let n = 4 in
     let block = if block >= 0 then min block (max_int - n) else min block (-1 - n) in

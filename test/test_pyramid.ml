@@ -357,7 +357,7 @@ let test_pyr_iter_live_ordered () =
   Pyramid.insert p ~seq:3L ~key:"b" ~value:"2";
   Pyramid.delete p ~seq:4L ~key:"b";
   let keys = ref [] in
-  Pyramid.iter_live p (fun ~key ~value:_ -> keys := key :: !keys);
+  Pyramid.iter_live p (fun f -> keys := f.key :: !keys);
   check (Alcotest.list Alcotest.string) "sorted, live only" [ "a"; "c" ] (List.rev !keys)
 
 let test_pyr_range () =
@@ -629,6 +629,227 @@ let prop_flush_equals_of_facts =
       | [ q ] -> List.equal ( = ) expected (patch_facts q)
       | _ :: _ :: _ -> false)
 
+(* ---------- The memtable against a list-of-facts model ---------- *)
+
+(* A string key whose hash is constant: every memtable key lands in one
+   probe cluster, so a lookup that stopped at the first slot of its hash,
+   or a re-index that lost a key's newest fact, would show. *)
+module Collide_key = struct
+  type t = string
+
+  let equal = String.equal
+  let size = String.length
+  let write = Buffer.add_string
+  let read buf ~pos ~len = Some (Bytes.sub_string buf pos len)
+  let pp ppf s = Fmt.pf ppf "%S" s
+  let compare = String.compare
+  let hash _ = 0
+  let hash_pair = Purity_util.Bloom.hash_pair
+end
+
+module Str_value = struct
+  include Collide_key
+
+  let retractable = true
+end
+
+module CFact = Fact.Make (Collide_key) (Str_value)
+module CPatch = Purity_pyramid.Patch.Make (CFact)
+module CPyr = Pyramid.Make (CPatch)
+
+let cpatch_facts p =
+  let acc = ref [] in
+  CPatch.iter_run p ~lo:"" ~hi:"\255" (fun f -> acc := f :: !acc);
+  List.rev !acc
+
+(* Keys of one or two letters a-e, in key order; a key's elide id is its
+   first letter. *)
+let memtable_keys =
+  let letters = List.init 5 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
+  List.sort String.compare
+    (letters @ List.concat_map (fun a -> List.map (fun b -> a ^ b) letters) letters)
+
+let memtable_key_array = Array.of_list memtable_keys
+
+(* A (key, seq) repeat is the same fact: value and tombstone follow from
+   the pair. *)
+let memtable_fact key seq =
+  let seq = Int64.of_int seq in
+  if Int64.rem seq 4L = 0L then CFact.tombstone ~key ~seq
+  else CFact.make ~key ~value:(Printf.sprintf "%s@%Ld" key seq) ~seq
+
+(* Random inserts (small seqs, so (key, seq) repeats and out-of-order
+   seqs are common) interleaved with flushes, flattens and elides. The
+   flush count is either small, so auto-flushes land anywhere, or past
+   the memtable's first capacity (64), so its arrays grow and re-index
+   between flushes. After each insert the inserted key reads as the
+   model says; after every other step (and at the end) [latest_fact],
+   [find_naive], [find_run], [range] and [iter_live] agree with the
+   model's facts for every key; and every flush, asked for or automatic,
+   leaves the patches a flush of the model's memtable facts followed by
+   size-tiered merges would. *)
+let prop_memtable_matches_model =
+  QCheck.Test.make ~name:"memtable agrees with a list-of-facts model" ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (oneof [ 1 -- 40; 65 -- 300 ])
+           (list_size (0 -- 250)
+              (frequency
+                 [
+                   ( 60,
+                     map
+                       (fun (k, s) -> `Insert (k, s))
+                       (pair (oneofl memtable_keys) (1 -- 12)) );
+                   (1, return `Flush);
+                   (1, return `Flatten);
+                   (1, map (fun c -> `Elide c) (char_range 'a' 'e'));
+                 ]))))
+    (fun (flush_count, ops) ->
+      let elided = ref [] in
+      let is_elided (f : CFact.t) = List.mem (Char.code f.key.[0]) !elided in
+      let policy = CPyr.Elide (fun f -> Char.code f.CFact.key.[0]) in
+      let p = CPyr.create ~memtable_flush_count:flush_count ~policy ~name:"m" () in
+      (* every fact the table holds, and those of its memtable *)
+      let all = ref [] and mem = ref [] in
+      let same (f : CFact.t) (g : CFact.t) = f.key = g.key && f.seq = g.seq in
+      let latest key =
+        List.fold_left
+          (fun best (f : CFact.t) ->
+            if f.key <> key then best
+            else
+              match best with
+              | Some (b : CFact.t) when Int64.compare b.seq f.seq >= 0 -> best
+              | _ -> Some f)
+          None !all
+      in
+      let live_of key =
+        match latest key with
+        | Some f when (not (is_elided f)) && not (CFact.is_tombstone f) -> Some f
+        | _ -> None
+      in
+      let rec compact = function
+        | a :: b :: rest when 2 * CPatch.count a >= CPatch.count b ->
+          compact (CPatch.merge_keep a b ~keep:(fun f -> not (is_elided f)) :: rest)
+        | ps -> ps
+      in
+      let patches_are expected =
+        List.equal (List.equal ( = )) (List.map cpatch_facts expected)
+          (List.map cpatch_facts (CPyr.patches p))
+      in
+      let flushed before =
+        let expected = compact (CPatch.of_facts !mem :: before) in
+        mem := [];
+        patches_are expected
+      in
+      let key_agrees key =
+        match latest key with
+        | Some f when is_elided f -> CPyr.find p key = None
+        | expected -> CPyr.latest_fact p key = expected
+      in
+      let reads_agree () =
+        let key_of i = memtable_key_array.(i) in
+        let n = Array.length memtable_key_array in
+        let index k =
+          let rec go i = if i >= n then -1 else if key_of i = k then i else go (i + 1) in
+          go 0
+        in
+        let run = CPyr.find_run p ~n ~key_of ~index in
+        let point_ok i key =
+          match latest key with
+          | Some f when is_elided f -> CPyr.find p key = None && CPyr.resolve_fact p run.(i) = None
+          | expected ->
+            key_agrees key && CPyr.find_naive p key = CPyr.find p key && run.(i) = expected
+        in
+        let live = List.filter_map live_of memtable_keys in
+        let visited = ref [] in
+        CPyr.iter_live p (fun f -> visited := f :: !visited);
+        let range_ok (lo, hi) =
+          CPyr.range p ~lo ~hi
+          = List.filter_map
+              (fun (f : CFact.t) ->
+                if f.key >= lo && f.key <= hi then Some (f.key, Option.get f.value) else None)
+              live
+        in
+        List.for_all Fun.id (List.mapi point_ok memtable_keys)
+        && List.rev !visited = live
+        && List.for_all range_ok [ ("", "\255"); ("b", "c"); ("bb", "dd"); ("e", "e") ]
+      in
+      List.for_all
+        (function
+          | `Insert (key, seq) ->
+            let f = memtable_fact key seq in
+            let before = CPyr.patches p in
+            CPyr.insert_fact p f;
+            if not (List.exists (same f) !all) then all := f :: !all;
+            let flush_ok =
+              List.exists (same f) !mem
+              ||
+              (mem := f :: !mem;
+               List.length !mem < flush_count || flushed before)
+            in
+            flush_ok && key_agrees key
+          | `Flush ->
+            let before = CPyr.patches p in
+            CPyr.flush p;
+            (!mem = [] || flushed before) && reads_agree ()
+          | `Flatten ->
+            CPyr.flatten p;
+            mem := [];
+            all := List.filter_map live_of memtable_keys;
+            patches_are (if !all = [] then [] else [ CPatch.of_facts !all ]) && reads_agree ()
+          | `Elide c ->
+            CPyr.elide_id p ~seq:1_000L (Char.code c);
+            elided := Char.code c :: !elided;
+            reads_agree ())
+        ops
+      && reads_agree ())
+
+(* A key of the block index that counts its comparisons: one [equal] per
+   occupied slot a memtable probe passes. *)
+module Counted_block = struct
+  include Purity_core.Keys.Block
+
+  let equals = ref 0
+
+  let equal a b =
+    incr equals;
+    equal a b
+end
+
+module Counted_index =
+  Pyramid.Make (Purity_pyramid.Patch.Make (Fact.Make (Counted_block) (Purity_core.Blockref)))
+
+(* 4,096 consecutive blocks of one medium hash to neighbouring values; the
+   probe's start is a multiply-shift of the hash, so they spread over the
+   index instead of forming one run that every miss would walk. A miss
+   visits the empty slot that ends it plus one slot per comparison. *)
+let test_memtable_probe_length () =
+  let n = 4096 in
+  let p =
+    Counted_index.create ~memtable_flush_count:(2 * n) ~policy:Counted_index.Tombstones
+      ~name:"blocks" ()
+  in
+  let home = { Purity_core.Blockref.segment = 1; off = 0; stored_len = 512; index = 0 } in
+  for b = 0 to n - 1 do
+    Counted_index.insert p ~seq:(Int64.of_int (b + 1)) ~key:(7, b) ~value:home
+  done;
+  check int "all in the memtable" n (Counted_index.fact_count p);
+  check int "no patch" 0 (Counted_index.patch_count p);
+  (* blocks of the medium past the run, spread out, and another
+     medium's run *)
+  let misses = [ List.init n (fun i -> (7, n + (i * 7919))); List.init n (fun b -> (8, b)) ] in
+  List.iter
+    (fun keys ->
+      Counted_block.equals := 0;
+      let found = List.filter (fun key -> Counted_index.latest_fact p key <> None) keys in
+      check int "every key a miss" 0 (List.length found);
+      let slots = 1. +. (float_of_int !Counted_block.equals /. float_of_int n) in
+      if slots > 8. then Alcotest.failf "a miss visits %.2f slots on average" slots)
+    misses;
+  let hits = List.filter (fun b -> Counted_index.find p (7, b) = Some home) (List.init n Fun.id) in
+  check int "every block a hit" n (List.length hits)
+
 let prop_pyramid_matches_model =
   (* Pyramid vs a naive Map model under random insert/delete/flush/merge. *)
   QCheck.Test.make ~name:"pyramid agrees with naive map model" ~count:150
@@ -666,7 +887,7 @@ let prop_pyramid_matches_model =
           | `Flatten -> Pyramid.flatten p)
         ops;
       let live = ref [] in
-      Pyramid.iter_live p (fun ~key ~value -> live := (key, value) :: !live);
+      Pyramid.iter_live p (fun f -> live := (f.key, Option.get f.value) :: !live);
       let model_live =
         List.sort compare (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v) !model)
       in
@@ -712,6 +933,8 @@ let () =
           Alcotest.test_case "iter_live ordered" `Quick test_pyr_iter_live_ordered;
           Alcotest.test_case "range" `Quick test_pyr_range;
           QCheck_alcotest.to_alcotest prop_pyramid_matches_model;
+          QCheck_alcotest.to_alcotest prop_memtable_matches_model;
+          Alcotest.test_case "memtable probe length" `Quick test_memtable_probe_length;
           Alcotest.test_case "patch fences + bloom" `Quick test_patch_bloom_fences;
           Alcotest.test_case "patch find_latest" `Quick test_patch_find_latest;
           Alcotest.test_case "probe counters + skips" `Quick test_probe_counters_and_skips;
