@@ -14,8 +14,10 @@ test:
 
 # purity.lint: typed-AST checks for determinism, unsafe-access
 # containment and hot-path hygiene, plus unused_export (every lib/
-# interface value has a caller outside test/). Fails on any unwaived
-# finding; writes _build/default/lint_report.jsonl.
+# interface value has a caller outside test/) and callers (a value
+# marked [@@purity.lint.callers "A, B"] has no caller outside A, B and
+# test/). Fails on any unwaived finding; writes
+# _build/default/lint_report.jsonl.
 lint:
 	dune build @lint
 

@@ -3,7 +3,7 @@
    already produced for every module under the given roots, runs the
    per-file rules plus the interprocedural allocation-freedom /
    exception-reachability passes over the whole-program call graph and
-   the unused-export pass, and exits non-zero on any finding not waived
+   the unused-export pass (with its callers marks), and exits non-zero on any finding not waived
    in source. *)
 
 (* The benchmark's code: its uses of exported values count, but its own

@@ -141,7 +141,7 @@ let ns_apply st = function
 let ns_op st plan =
   let saved = Medium.copy st.medium_table in
   let writes = plan () in
-  if Nvram.admits (nvram st) (List.map (fun w -> String.length (ns_stash st w)) writes) then begin
+  if Nvram.admits (Shelf.nvram st.shelf) (List.map (fun w -> String.length (ns_stash st w)) writes) then begin
     st.medium_next_id <- max st.medium_next_id (Medium.peek_next_id st.medium_table);
     List.iter (ns_apply st) writes;
     Ok ()

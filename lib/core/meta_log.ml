@@ -142,22 +142,17 @@ let[@purity.lint.recovery_root] decode_log s =
   | r -> exactly s r
   | exception Invalid_argument _ -> None
 
-let[@purity.lint.recovery_root] decode_stash s =
+let[@purity.lint.recovery_root] decode_nvram s =
   let buf = view s in
+  let stash (m, p) = (Stash m, p) in
   match
     if String.length s = 0 then None
     else
       match (s.[0], table_at s 1) with
-      | 'F', Some table -> Some (fact_body table buf 2)
-      | 'E', Some table -> Some (elide_body table buf 2)
+      | 'W', _ -> Some (intent_body buf 1)
+      | 'F', Some table -> Some (stash (fact_body table buf 2))
+      | 'E', Some table -> Some (stash (elide_body table buf 2))
       | _ -> None
   with
   | r -> exactly s r
   | exception Invalid_argument _ -> None
-
-let[@purity.lint.recovery_root] decode_nvram s =
-  if String.length s > 0 && s.[0] = 'W' then
-    match intent_body (view s) 1 with
-    | r -> exactly s (Some r)
-    | exception Invalid_argument _ -> None
-  else Option.map (fun m -> Stash m) (decode_stash s)

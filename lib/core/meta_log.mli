@@ -80,7 +80,3 @@ val encode_nvram : nvram -> string
 
 val decode_log : string -> meta option
 val decode_nvram : string -> nvram option
-
-val decode_stash : string -> meta option
-(** {!decode_nvram} restricted to stashes: [None] for a write intent too,
-    found without copying its data. *)

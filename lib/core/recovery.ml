@@ -233,9 +233,15 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
          every record it holds — reusing a dead generation's sequence
          numbers would let its stale stashes outrank this generation's new
          facts. *)
-      List.iter
-        (fun (r : Nvram.record) -> Seqno.restore_at_least t.seqno r.Nvram.seq)
-        (Nvram.records (nvram t));
+      let records = Shelf.nvram_records t.shelf in
+      List.iter (fun (r : Nvram.record) -> Seqno.restore_at_least t.seqno r.Nvram.seq) records;
+      let records = if chaos.skip_nvram_replay then [] else records in
+      let decoded =
+        List.filter_map
+          (fun { Nvram.seq; payload } ->
+            Option.map (fun d -> (seq, d)) (Meta_log.decode_nvram payload))
+          records
+      in
       (* load checkpoint patches *)
       let ckpt_bytes = ref 0 in
       let ckpt = ref [] in
@@ -320,20 +326,16 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                  fixpoint.  Failing all that, a fully-present on-disk
                  image (every online member holds header + all rows) is
                  accepted — the fallback when NVRAM contents were lost. *)
-              let records =
-                if chaos.skip_nvram_replay then [] else Nvram.records (nvram t)
-              in
               (* stashes at or below the checkpoint watermark carry no
                  information the patches don't (or were deliberately
                  compacted away): in particular a released segment's
                  stale 'S' stash must not count as commit proof *)
               let stashes =
                 List.filter_map
-                  (fun (r : Nvram.record) ->
-                    if Int64.compare r.Nvram.seq t.checkpoint_seq > 0 then
-                      Meta_log.decode_stash r.Nvram.payload
-                    else None)
-                  records
+                  (function
+                    | seq, Meta_log.Stash m when Int64.compare seq t.checkpoint_seq > 0 -> Some m
+                    | _ -> None)
+                  decoded
               in
               let nvram_commits = Hashtbl.create 16 in
               List.iter
@@ -427,17 +429,16 @@ let[@purity.lint.recovery_root] recover ?(mode = Frontier_scan) t k =
                      re-logged copy trims past it, so a second copy would
                      only pile up across repeated failovers. *)
                   List.iter
-                    (fun (r : Nvram.record) ->
-                      match Meta_log.decode_nvram r.Nvram.payload with
-                      | Some (Intent { medium; block; data }) ->
+                    (function
+                      | seq, Meta_log.Intent { medium; block; data } ->
                         (try Write_path.apply_write t ~medium ~block data
                          with Out_of_space -> ());
-                        t.last_applied_intent <- r.Nvram.seq
-                      | Some (Stash m) when Int64.compare r.Nvram.seq t.checkpoint_seq > 0 -> (
-                        try append_log_record t ~seq:r.Nvram.seq (Meta_log.encode_log m)
+                        t.last_applied_intent <- seq
+                      | seq, Stash m when Int64.compare seq t.checkpoint_seq > 0 -> (
+                        try append_log_record t ~seq (Meta_log.encode_log m)
                         with Out_of_space -> ())
-                      | Some (Stash _) | None -> ())
-                    records;
+                      | _, Stash _ -> ())
+                    decoded;
                   finish ~cold:false ~headers ~segments:(List.length trusted)
                     ~log_records:!log_records ~nvram_records:(List.length records)
                     ~ckpt_bytes:!ckpt_bytes))))

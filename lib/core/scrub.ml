@@ -28,14 +28,14 @@ let check_segment t (meta : Segment.t) k =
   let members_read = ref 0 in
   let finish () = k (!corrupt, !members_read) in
   Array.iter
-    (fun (m : Segment.member) ->
-      let d = Shelf.drive t.shelf m.Segment.drive in
+    (fun { Segment.drive; au } ->
+      let d = Shelf.drive t.shelf drive in
       if Drive.is_online d then begin
-        let fill = Drive.au_fill d ~au:m.Segment.au in
+        let fill = Drive.au_fill d ~au in
         if fill > 0 then begin
           incr pending;
           incr members_read;
-          Drive.read d ~au:m.Segment.au ~off:0 ~len:fill (fun result ->
+          Shelf.read_chunk t.shelf ~drive ~au ~off:0 ~len:fill (fun result ->
               (match result with Error (`Corrupt _) -> incr corrupt | _ -> ());
               decr pending;
               if !pending = 0 then finish ())

@@ -318,8 +318,6 @@ let create ?(config = default_config) ~clock () =
   in
   create_over ~config ~clock ~shelf ()
 
-let nvram t = Shelf.nvram t.shelf
-
 (* The string-keyed tables' pyramids. The block index is [t.blocks],
    typed apart; no caller asks for it here. *)
 let pyramid t : Meta_log.table -> Pyramid.t = function

@@ -51,9 +51,8 @@ let create ~telemetry:reg ~layout ~shelf ~rs ?(read_around_write = true) ?(p95_b
         /. float_of_int chunks);
   t
 
-let drive_of t seg column =
-  let m = (seg.Segment.members).(column) in
-  (Shelf.drive t.shelf m.Segment.drive, m.Segment.au)
+let member seg column = (seg.Segment.members).(column)
+let drive t (m : Segment.member) = Shelf.drive t.shelf m.Segment.drive
 
 (* A shard read is only meaningful if the member AU actually holds the
    range: a freshly replaced drive (or an AU torn by a crashed flush)
@@ -61,8 +60,8 @@ let drive_of t seg column =
    directly, or feeding it to Reed-Solomon as a peer, would fabricate
    wrong bytes instead of degrading to reconstruction. *)
 let shard_holds t seg column ~au_offset ~len =
-  let drive, au = drive_of t seg column in
-  Drive.au_fill drive ~au >= au_offset + len
+  let m = member seg column in
+  Drive.au_fill (drive t m) ~au:m.Segment.au >= au_offset + len
 
 (* Rebuild the chunk at (row, within, len) for data column [target] from
    sibling shards. Reed-Solomon is elementwise over byte positions, so the
@@ -76,13 +75,13 @@ let reconstruct_chunk t seg ~row ~within ~len ~target k =
     let usable =
       List.filter
         (fun c ->
-          Drive.is_online (fst (drive_of t seg c))
+          Drive.is_online (drive t (member seg c))
           &&
           let loc = Layout.row_chunk t.layout ~row ~within ~len ~column:c in
           shard_holds t seg c ~au_offset:loc.Layout.au_offset ~len)
         all
     in
-    let idle, busy = List.partition (fun c -> not (Drive.busy_writing (fst (drive_of t seg c)))) usable in
+    let idle, busy = List.partition (fun c -> not (Drive.busy_writing (drive t (member seg c)))) usable in
     idle @ busy
   in
   if List.length peers < needed then begin
@@ -105,10 +104,10 @@ let reconstruct_chunk t seg ~row ~within ~len ~target k =
        the way): fall back to an unused sibling rather than giving up —
        the row is recoverable as long as any k shards are good. *)
     let rec issue c =
-      let drive, au = drive_of t seg c in
+      let { Segment.drive = d; au } = member seg c in
       let loc = Layout.row_chunk t.layout ~row ~within ~len ~column:c in
       Registry.incr t.peer_reads;
-      Drive.read drive ~au ~off:loc.Layout.au_offset ~len (fun result ->
+      Shelf.read_chunk t.shelf ~drive:d ~au ~off:loc.Layout.au_offset ~len (fun result ->
           (match result with
           | Ok data -> shards.(c) <- Some data
           | Error _ -> (
@@ -132,7 +131,8 @@ let read_chunk t seg (loc : Layout.location) k =
   let row = (loc.Layout.au_offset - t.layout.Layout.header_size) / t.layout.Layout.write_unit in
   let within = (loc.Layout.au_offset - t.layout.Layout.header_size) mod t.layout.Layout.write_unit in
   let len = loc.Layout.length in
-  let drive, au = drive_of t seg column in
+  let ({ Segment.drive = d; au } as m) = member seg column in
+  let drive = drive t m in
   let reconstruct tag =
     (match tag with
     | `Primary -> Registry.incr t.reconstruct_reads
@@ -156,7 +156,7 @@ let read_chunk t seg (loc : Layout.location) k =
       | None ->
         if Drive.is_online drive && not missing then begin
           Registry.incr t.direct_reads;
-          Drive.read drive ~au ~off:loc.Layout.au_offset ~len (function
+          Shelf.read_chunk t.shelf ~drive:d ~au ~off:loc.Layout.au_offset ~len (function
             | Ok data -> k (Ok data)
             | Error _ -> fail ())
         end
@@ -183,7 +183,7 @@ let read_chunk t seg (loc : Layout.location) k =
               | Some data -> deliver (Ok data)
               | None -> ()))
     end;
-    Drive.read drive ~au ~off:loc.Layout.au_offset ~len (function
+    Shelf.read_chunk t.shelf ~drive:d ~au ~off:loc.Layout.au_offset ~len (function
       | Ok data -> deliver (Ok data)
       | Error _ ->
         (* Corrupted or just-pulled drive: degrade to reconstruction. *)

@@ -9,11 +9,10 @@ let scan_slots ~layout ~shelf ?claims slots k =
     k (List.length slots) (List.sort (fun a b -> Int.compare a.Segment.id b.Segment.id) segs)
   in
   let header_len = layout.Layout.header_size in
-  let launch (m : Segment.member) =
-    let drive = Shelf.drive shelf m.Segment.drive in
-    if Drive.is_online drive then begin
+  let launch { Segment.drive; au } =
+    if Drive.is_online (Shelf.drive shelf drive) then begin
       incr pending;
-      Drive.read drive ~au:m.Segment.au ~off:0 ~len:header_len (fun result ->
+      Shelf.read_chunk shelf ~drive ~au ~off:0 ~len:header_len (fun result ->
           (match result with
           | Ok page -> (
             match Segment.decode_header page with
@@ -22,7 +21,7 @@ let scan_slots ~layout ~shelf ?claims slots k =
                  be reused by a newer segment while stale siblings keep the
                  old id, so a member list alone does not prove ownership *)
               (match claims with
-              | Some c -> Purity_util.Keytbl.Ipair.replace c (m.Segment.drive, m.Segment.au) seg.Segment.id
+              | Some c -> Purity_util.Keytbl.Ipair.replace c (drive, au) seg.Segment.id
               | None -> ());
               if not (Hashtbl.mem found seg.Segment.id) then Hashtbl.replace found seg.Segment.id seg
             | None -> ())

@@ -48,13 +48,13 @@ val append_buffer : t -> Buffer.t -> int
     blit straight from the buffer into the segio, so a caller reusing one
     frame buffer appends without building a string. *)
 
-val append_log : t -> seq:int64 -> string -> unit
+val append_log : t -> seq:int64 -> string -> unit [@@purity.lint.callers "State"]
 (** Append one log record from the back. The record is length-framed so
     recovery can reparse the log region; the frame adds at most 16 bytes
     (two varints), so [String.length record + 16 <= remaining t] always
     fits. @raise Invalid_argument if it does not fit, or once sealed. *)
 
-val append_log_buffer : t -> seq:int64 -> Buffer.t -> unit
+val append_log_buffer : t -> seq:int64 -> Buffer.t -> unit [@@purity.lint.callers "State"]
 (** {!append_log} for a record framed in a [Buffer.t]: the put path
     reuses one buffer per controller, so logging a block-index fact
     builds no string. *)
@@ -95,6 +95,6 @@ val peek_payload : t -> off:int -> len:int -> string option
     reads of data that has not reached the drives yet. [None] outside the
     written data region. *)
 
-val decode_log_region : bytes -> (int64 * string) list
+val decode_log_region : bytes -> (int64 * string) list [@@purity.lint.callers "Recovery"]
 (** Parse a log region read back from a segment into (seq, record)
     pairs, oldest first. Tolerates a truncated tail (torn write). *)

@@ -73,17 +73,19 @@ val is_online : t -> bool
 (** {1 Data path} *)
 
 val write_chunk : t -> au:int -> off:int -> data:bytes -> ((unit, error) result -> unit) -> unit
+[@@purity.lint.callers "Shelf"]
 (** Append [data] inside allocation unit [au] starting at byte [off].
     [off] must equal the AU's current fill (append-only contract) and the
     write must not overflow the AU. Completion fires when every die
     involved finishes programming. *)
 
 val read : t -> au:int -> off:int -> len:int -> ((bytes, error) result -> unit) -> unit
+[@@purity.lint.callers "Shelf"]
 (** Read a byte range of an AU. Unwritten ranges read as zeros. Reads that
     land on a die that is currently programming or erasing wait for it —
     the latency-spike behaviour Purity's scheduler works around. *)
 
-val trim_au : t -> au:int -> unit
+val trim_au : t -> au:int -> unit [@@purity.lint.callers "Shelf"]
 (** Erase the AU (instantaneous accounting, erase latency charged to the
     dies' busy windows): contents dropped, fill reset, P/E count bumped. *)
 

@@ -28,7 +28,7 @@ val commit :
   len:int ->
   (unit -> string) ->
   ((unit, [ `Full ]) result -> unit) ->
-  unit
+  unit [@@purity.lint.callers "Shelf"]
 (** [commit t ~seq ~len build k] durably appends the record
     [{seq; payload = build ()}]; [k] fires at simulated completion.
     Admission is decided on [len] before the payload exists: [build] is
@@ -45,11 +45,11 @@ val admits : t -> int list -> bool
 (** Whether {!commit} would admit records of these payload lengths,
     committed back to back from now on. *)
 
-val trim_upto : t -> int64 -> unit
+val trim_upto : t -> int64 -> unit [@@purity.lint.callers "Shelf"]
 (** Drop records with [seq] <= the given sequence number: they are now
     persisted in segments. *)
 
-val records : t -> record list
+val records : t -> record list [@@purity.lint.callers "Shelf"]
 (** Surviving records in append order — what recovery replays. *)
 
 val lose : t -> unit

@@ -66,6 +66,11 @@ let read_boot t k =
 
 let boot_writes t = t.boot_writes
 
+(* ---------- reads: no port, no index, never fenced ---------- *)
+
+let read_chunk t ~drive ~au ~off ~len k = Drive.read t.drives.(drive) ~au ~off ~len k
+let nvram_records t = Nvram.records t.nvram
+
 (* ---------- ports: a controller's one way to change the shelf ---------- *)
 
 let attach shelf = { shelf; fenced = false }

@@ -4,14 +4,7 @@
     Paper §4.1: shelves contain 11–24 MLC drives with SAS interposers
     connecting each drive to both controllers, plus the NVRAM devices.
     Because the shelf (not the controller) owns all persistent state, the
-    controllers are stateless and failover is a pure software event.
-
-    A controller changes the shelf only through its {!port}: chunk
-    writes, AU trims, NVRAM commits and trims, and boot-region writes.
-    Every submission a live port accepts takes the next durable-write
-    index ([shelf/durable_writes]). A crashed controller's port is
-    {!fence}d: a submission through it changes nothing, schedules
-    nothing and takes no index. Reads go to the devices directly. *)
+    controllers are stateless and failover is a pure software event. *)
 
 type t
 
@@ -55,6 +48,17 @@ val boot_writes : t -> Purity_telemetry.Registry.counter
 (** Total boot-region writes: a cell the shelf owns, adopted as
     [array/boot_region_writes]. *)
 
+(** {1 Reads}
+
+    Not through a {!port}: a read takes no index and is never fenced. *)
+
+val read_chunk :
+  t -> drive:int -> au:int -> off:int -> len:int -> ((bytes, Drive.error) result -> unit) -> unit
+(** {!Drive.read} on drive [drive]. *)
+
+val nvram_records : t -> Nvram.record list
+(** {!Nvram.records}: what recovery replays. *)
+
 (** {1 Ports} *)
 
 type port
@@ -71,8 +75,10 @@ val fenced : port -> bool
 val port_shelf : port -> t
 
 (** The submissions: each is the device operation it names, dropped when
-    the port is fenced. A chunk write an offline drive refuses and an
-    NVRAM commit refused for space take no index. *)
+    the port is fenced; each one a live port accepts takes the next
+    durable-write index ([shelf/durable_writes]). A chunk write an
+    offline drive refuses and an NVRAM commit refused for space take no
+    index. *)
 
 val write_chunk :
   port ->

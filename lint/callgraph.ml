@@ -55,6 +55,8 @@ type export = {
   e_decl : decl;  (* where its [val] is written *)
   e_waiver : (string * Location.t) option;
       (* reason and place of an [unused_export] waiver on the [val] *)
+  e_callers : string list;
+      (* the units its [@@purity.lint.callers] mark admits; [] = any *)
 }
 
 type file_summary = {

@@ -39,6 +39,7 @@ let attr_name = "purity.lint.allow"
 let attr_hot = "purity.lint.hotpath"
 let attr_recovery = "purity.lint.recovery_root"
 let attr_cold = "purity.lint.coldpath"
+let attr_callers = "purity.lint.callers"
 
 let payload_string (p : Parsetree.payload) =
   match p with
@@ -711,7 +712,8 @@ let check_structure (cfg : Rules.config) ~source_file (str : Typedtree.structure
    under the module's name, and the values an [include S] or a [module M :
    S] brings in, each placed at its [val] in the signature that declares
    it. The only waiver a [val] takes is [unused_export]; the pass decides
-   whether it is used or stale. *)
+   whether it is used or stale. A [@@purity.lint.callers "A, B"] mark on
+   a [val] names the only units that may reference it. *)
 
 let check_signature ~source_file (sg : Typedtree.signature) : result =
   let bad = ref [] in
@@ -740,12 +742,31 @@ let check_signature ~source_file (sg : Typedtree.signature) : result =
           | None -> refuse "waiver payload must be a string literal")
       None vd.val_attributes
   in
+  let callers_of (vd : Types.value_description) =
+    List.concat_map
+      (fun (a : Parsetree.attribute) ->
+        if a.attr_name.txt <> attr_callers then []
+        else
+          let units s =
+            List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
+          in
+          match Option.map units (payload_string a.attr_payload) with
+          | Some (_ :: _ as us) -> us
+          | Some [] | None ->
+            bad :=
+              Finding.of_loc ~rule:Callers ~file:a.attr_loc.loc_start.pos_fname a.attr_loc
+                "a callers mark takes a string literal naming units, e.g. \"Shelf, State\""
+              :: !bad;
+            [])
+      vd.val_attributes
+  in
   let export prefix id (vd : Types.value_description) =
     let p = vd.val_loc.loc_start in
     {
       Callgraph.e_name = prefix ^ "." ^ Ident.name id;
       e_decl = (p.pos_fname, p.pos_lnum, p.pos_cnum - p.pos_bol);
       e_waiver = waiver_of vd;
+      e_callers = callers_of vd;
     }
   in
   let rec exports prefix (sg : Types.signature) =

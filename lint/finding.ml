@@ -14,6 +14,7 @@ type rule =
   | Partial  (* exception-raising partial functions in failover code *)
   | Raises  (* raise / partial match reachable from a recovery root *)
   | Unused_export  (* a lib/ interface value no unit outside test/ uses *)
+  | Callers  (* a unit a [val]'s [@@purity.lint.callers] list omits uses it *)
   | Waiver  (* stale, malformed or floating [@purity.lint.allow] *)
 
 let rule_name = function
@@ -24,10 +25,11 @@ let rule_name = function
   | Partial -> "partial"
   | Raises -> "raises"
   | Unused_export -> "unused_export"
+  | Callers -> "callers"
   | Waiver -> "waiver"
 
-(* [Waiver] is deliberately absent: waiver errors cannot themselves be
-   waived. *)
+(* [Callers] and [Waiver] are deliberately absent: a caller list is
+   widened on its [val], and waiver errors cannot themselves be waived. *)
 let rule_of_name = function
   | "determinism" -> Some Determinism
   | "unsafe" -> Some Unsafe
@@ -46,7 +48,7 @@ type severity = Error | Warning
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 let severity_of_rule = function
-  | Determinism | Unsafe | Waiver -> Error
+  | Determinism | Unsafe | Callers | Waiver -> Error
   | Hotpath | Hotalloc | Partial | Raises | Unused_export -> Warning
 
 type t = {

@@ -10,7 +10,11 @@
    A unit passed whole to a functor references the values the functor's
    parameter takes from it. An [unused_export] waiver on the [val] accepts
    the finding; a waived value that is referenced after all is a stale
-   waiver. *)
+   waiver.
+
+   The same references check a [@@purity.lint.callers "A, B"] mark: a
+   marked value referenced by a unit other than A or B (and outside test/)
+   is a [callers] error, once per referencing file. *)
 
 let lib_root = "lib/"
 let test_root = "test/"
@@ -18,11 +22,12 @@ let test_root = "test/"
 let run ?(exporting = Rules.starts_with ~prefix:lib_root)
     ?(counting = fun f -> not (Rules.starts_with ~prefix:test_root f))
     (summaries : Callgraph.file_summary list) : Finding.t list * int =
+  (* declaration -> each counted file that references it *)
   let used = Hashtbl.create 4096 in
   List.iter
     (fun (fs : Callgraph.file_summary) ->
       if counting fs.fs_file then
-        List.iter (fun d -> Hashtbl.replace used d ()) fs.fs_uses)
+        List.iter (fun d -> Hashtbl.add used d fs.fs_file) fs.fs_uses)
     summaries;
   (* one [val] may be exported under several names ([include S] in two
      interfaces, [module Ipair : S]): report it once *)
@@ -45,6 +50,21 @@ let run ?(exporting = Rules.starts_with ~prefix:lib_root)
           String.concat "/"
             (List.sort_uniq String.compare
                (List.map (fun (e : Callgraph.export) -> e.e_name) es))
+        in
+        let allowed = (List.hd es).e_callers in
+        let acc =
+          if allowed = [] then acc
+          else
+            List.fold_left
+              (fun acc user ->
+                if List.mem (Engine.module_name_of_source user) allowed then acc
+                else
+                  Finding.v ~rule:Callers ~file ~line ~col
+                    (Printf.sprintf "%s may be referenced only from %s, but %s references it"
+                       names (String.concat ", " allowed) user)
+                  :: acc)
+              acc
+              (List.sort_uniq String.compare (Hashtbl.find_all used decl))
         in
         match (Hashtbl.mem used decl, (List.hd es).e_waiver) with
         | true, None -> acc

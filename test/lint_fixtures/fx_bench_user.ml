@@ -6,4 +6,5 @@ let aliased x =
 
 module I = Fx_functor.Make (Fx_exports)
 
-let direct x = Fx_exports.via_bench x + Fx_exports.stale x
+let direct x = Fx_exports.via_bench x + Fx_exports.stale x + Fx_exports.guarded x
+  + Fx_exports.misnamed x

@@ -4,3 +4,6 @@ include Fx_functor.Make (struct
 end)
 
 let recover x = check x [@@purity.lint.recovery_root]
+
+(* outside [Fx_exports.guarded]'s callers list *)
+let guarded x = Fx_exports.guarded x

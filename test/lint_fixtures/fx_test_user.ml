@@ -1,2 +1,2 @@
 (* A test-style user: its reference does not count. *)
-let t x = Fx_exports.via_test x
+let t x = Fx_exports.via_test x + Fx_exports.guarded x

@@ -570,7 +570,7 @@ let test_repeated_failover_converges () =
     write_ok clock a ~volume:"v" ~block:(i * 64) (random_data 64)
   done;
   await clock (fun k -> Fa.flush a (fun () -> k ()));
-  let used () = Purity_ssd.Nvram.used_bytes (Purity_core.State.nvram (Fa.state a)) in
+  let used () = Purity_ssd.Nvram.used_bytes (Purity_ssd.Shelf.nvram (Fa.shelf a)) in
   let before = used () in
   let cycle () =
     Fa.crash a;

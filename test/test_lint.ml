@@ -181,13 +181,16 @@ let test_handled_exns () =
     (List.map rule_line_chain fs);
   Alcotest.(check int) "nor is its waived site tallied" 0 waived
 
-let test_unused_export () =
-  let summary name ext =
-    match Lint.Engine.check_cmt cfg (cmt_for ~ext name) with
-    | Ok (Some (_, r)) -> r.Lint.Engine.summary
-    | Ok None -> Alcotest.failf "%s%s: nothing to check" name ext
-    | Error e -> Alcotest.fail e
-  in
+let checked name ext =
+  match Lint.Engine.check_cmt cfg (cmt_for ~ext name) with
+  | Ok (Some (_, r)) -> r
+  | Ok None -> Alcotest.failf "%s%s: nothing to check" name ext
+  | Error e -> Alcotest.fail e
+
+(* The unused_export pass over fx_exports.mli and its users; fx_test_user
+   is the test-style unit whose references do not count. *)
+let export_findings () =
+  let summary name ext = (checked name ext).Lint.Engine.summary in
   let base f = Filename.basename f in
   let fs, waived =
     Lint.Unused_export.run
@@ -199,8 +202,16 @@ let test_unused_export () =
         summary "fx_bench_user" ".cmt";
         summary "fx_test_user" ".cmt";
         summary "fx_functor" ".cmt";
+        summary "fx_instance" ".cmt";
       ]
   in
+  let callers, others =
+    List.partition (fun (f : Lint.Finding.t) -> f.rule = Lint.Finding.Callers) fs
+  in
+  (callers, others, waived)
+
+let test_unused_export () =
+  let _, fs, waived = export_findings () in
   Alcotest.check rules_at
     "the unreferenced and the test-only value fire, the stale waiver \
      errors; the let-module alias, the functor argument and the \
@@ -208,6 +219,22 @@ let test_unused_export () =
     [ ("unused_export", 3); ("unused_export", 7); ("waiver", 9) ]
     (List.map (fun (f : Lint.Finding.t) -> (Lint.Finding.rule_name f.rule, f.line)) fs);
   Alcotest.(check int) "the waived value is accepted" 1 waived
+
+let test_callers () =
+  Alcotest.check rules_at "a mark naming no unit is refused" [ ("callers", 11) ]
+    (fired (checked "fx_exports" ".cmti"));
+  match export_findings () with
+  | [ f ], _, _ ->
+    Alcotest.(check (pair int string))
+      "an error at the marked val" (10, "error")
+      (f.line, Lint.Finding.severity_name f.severity);
+    let user = "fx_instance.ml references it" in
+    let m = String.length f.message and n = String.length user in
+    Alcotest.(check string)
+      "the one finding names the unlisted user: the listed and the \
+       test-style users are not reported" user
+      (String.sub f.message (max 0 (m - n)) (min m n))
+  | fs, _, _ -> Alcotest.failf "expected one callers finding, got %d" (List.length fs)
 
 (* ---- call-graph determinism ---- *)
 
@@ -287,6 +314,7 @@ let () =
           Alcotest.test_case "raises through a functor" `Quick test_raises_through_functor;
           Alcotest.test_case "handled exns" `Quick test_handled_exns;
           Alcotest.test_case "unused exports" `Quick test_unused_export;
+          Alcotest.test_case "callers marks" `Quick test_callers;
           test_edges_stable;
         ] );
       ( "waivers",

@@ -487,6 +487,44 @@ let test_port_writes_take_one_index_each () =
     (await clock (Shelf.write_chunk p ~drive:2 ~au:0 ~off:0 ~data:(chunk 'c')) = Error `Offline);
   step "refused chunk" 5
 
+(* Reads take the shelf, not a port: with every port fenced, a chunk read
+   returns what Drive.read returns on a twin shelf at the same simulated
+   instant, a read that stalls behind a program included, and takes no
+   index. *)
+let test_reads_outside_the_port () =
+  let reads read =
+    let clock, shelf = make_shelf () in
+    let reg = Registry.create () in
+    Shelf.register_telemetry shelf reg;
+    let count name = Registry.read_int reg name in
+    let p = Shelf.attach shelf in
+    let data = Bytes.cat (chunk 'a') (chunk 'b') in
+    ignore (await clock (Shelf.write_chunk p ~drive:0 ~au:0 ~off:0 ~data));
+    (* AU 1's page 0 programs on die 1, where AU 0's page 1 lives *)
+    Shelf.write_chunk p ~drive:0 ~au:1 ~off:0 ~data:(chunk 'c') ignore;
+    Shelf.fence p;
+    let before = count "shelf/durable_writes" in
+    let got = ref [] in
+    List.iter
+      (fun off -> read shelf ~off (fun r -> got := (off, Clock.now clock, r) :: !got))
+      [ 0; 4096 ];
+    Clock.run clock;
+    ( List.sort compare !got,
+      count "ssd/drive0/program_stalls",
+      count "shelf/durable_writes" - before )
+  in
+  let via_shelf, stalls, taken =
+    reads (fun shelf ~off k -> Shelf.read_chunk shelf ~drive:0 ~au:0 ~off ~len:4096 k)
+  in
+  let direct, _, _ =
+    reads (fun shelf ~off k -> Drive.read (Shelf.drive shelf 0) ~au:0 ~off ~len:4096 k)
+  in
+  check bool "the written bytes" true
+    (List.map (fun (_, _, r) -> r) via_shelf = [ Ok (chunk 'a'); Ok (chunk 'b') ]);
+  check bool "what Drive.read returns, when it returns it" true (via_shelf = direct);
+  check int "one read stalled behind the program" 1 stalls;
+  check int "no index taken" 0 taken
+
 let () =
   Alcotest.run "ssd"
     [
@@ -532,6 +570,7 @@ let () =
           Alcotest.test_case "distinct drives" `Quick test_shelf_distinct_drive_salts;
           Alcotest.test_case "fenced port changes nothing" `Quick
             test_fenced_port_changes_nothing;
+          Alcotest.test_case "reads are outside the port" `Quick test_reads_outside_the_port;
           Alcotest.test_case "port writes take one index each" `Quick
             test_port_writes_take_one_index_each;
         ] );
