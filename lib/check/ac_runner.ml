@@ -169,6 +169,9 @@ let finalize ctx =
     ( v c.Ac.mirror_writes, v c.Ac.mirror_acked, v c.Ac.mirror_timeouts,
       v c.Ac.mediation_requests, v c.Ac.mediation_grants, v c.Ac.mediation_denials,
       v c.Ac.solo_writes, v c.Ac.resync_blocks );
+  mix ctx
+    ( v c.Ac.mediation_unreachable, v c.Ac.mirror_stale_drops, v c.Ac.redirects,
+      v c.Ac.fences, v c.Ac.resyncs );
   let l = Ac.link ctx.ac in
   mix ctx (v l.Link.sent, v l.Link.delivered, v l.Link.dropped_loss, v l.Link.dropped_cut);
   mix ctx (List.length (Mediator.events (Ac.mediator ctx.ac)));
