@@ -217,14 +217,15 @@ module Make (S : SUITE) = struct
           original_events = List.length plan.events;
         }
 
-  (* A generated plan must pass, and replay to the same digest. *)
+  (* A generated plan must pass, and replay to the same digest; [Ok] carries
+     that digest. *)
   let check_seed ?steps ?shrink_budget seed =
     let plan = S.generate ?steps seed in
     match check_plan ?shrink_budget plan with
     | Error r -> Error r
     | Ok d1 -> (
       match check_plan ?shrink_budget plan with
-      | Ok d2 when d2 = d1 -> Ok ()
+      | Ok d2 when d2 = d1 -> Ok d1
       | Ok _ ->
         let n = List.length plan.events in
         Error
@@ -242,7 +243,7 @@ module Make (S : SUITE) = struct
       if i >= count then None
       else
         match check_seed ?steps ?shrink_budget (Int64.add base (Int64.of_int i)) with
-        | Ok () -> go (i + 1)
+        | Ok (_ : int) -> go (i + 1)
         | Error report -> Some report
     in
     go 0

@@ -290,7 +290,7 @@ let test_create_refused_by_b () =
 
 let run_ac_seed seed () =
   match Ac_runner.check_seed seed with
-  | Ok () -> ()
+  | Ok (_ : int) -> ()
   | Error report -> Alcotest.fail (Ac_runner.report_to_string report)
 
 (* a small in-gate sweep; the full 1..200 range runs under @torture-ac *)

@@ -31,7 +31,7 @@ let expect_clean plan =
 
 let run_seed ?steps seed () =
   match Runner.check_seed ?steps seed with
-  | Ok () -> ()
+  | Ok (_ : int) -> ()
   | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
 (* ---------- directed multi-fault orderings ---------- *)

@@ -11,7 +11,9 @@
      audited by the two-view pod model (Ac_runner/Ac_plan). `dune build
      @torture-ac` runs seeds 1..200 and 1000..1999, as CI does.
    Both run through the same harness, which replays every passing seed
-   and compares execution digests. *)
+   and compares execution digests. Each sweep's closing line prints one
+   digest over all its seeds' execution digests: comparing that line
+   between two trees checks a range for drift. *)
 
 module Runner = Purity_check.Runner
 module Ac_runner = Purity_check.Ac_runner
@@ -33,48 +35,54 @@ let () =
   in
   Arg.parse spec (fun _ -> ()) "torture [-suite array|ac|all] [-base N] [-count N] [-steps N]";
   let steps = if !steps = 0 then None else Some !steps in
-  (* each suite's harness sweep over [base, base+count), reports rendered *)
+  (* each suite's seed check: the seed's execution digest, or its shrunk
+     report rendered *)
   let suites =
     [
       ( "array",
-        fun ~base ~count ->
-          Runner.sweep ?steps ~base ~count () |> Option.map Runner.report_to_string );
+        fun seed -> Runner.check_seed ?steps seed |> Result.map_error Runner.report_to_string
+      );
       ( "ac",
-        fun ~base ~count ->
-          Ac_runner.sweep ?steps ~base ~count () |> Option.map Ac_runner.report_to_string );
+        fun seed ->
+          Ac_runner.check_seed ?steps seed |> Result.map_error Ac_runner.report_to_string );
     ]
   in
-  (* one harness sweep per 100 seeds, so progress prints between them;
-     the closing line adds the harness's own cost per seed (host ms and
-     minor-heap words, replay included), for information *)
+  (* progress prints every 100 seeds; the closing line adds the harness's
+     own cost per seed (host ms and minor-heap words, replay included),
+     for information, and one digest over every seed's execution digest
+     in seed order, so two trees that run the range alike print the same
+     digest *)
   let[@purity.lint.allow
        "determinism: progress/ETA reporting in the test harness, outside the \
-        simulation"] sweep (name, run) =
+        simulation"] sweep (name, check) =
     let t0 = Unix.gettimeofday () in
     let w0 = Gc.minor_words () in
-    let rec go done_ =
-      if done_ >= !count then begin
+    let digests = Buffer.create 16384 in
+    let rec go i =
+      if i >= !count then begin
         let secs = Unix.gettimeofday () -. t0 in
         let per_seed = float_of_int (max 1 !count) in
         Format.printf
-          "torture[%s]: %d scenarios clean in %.1fs (per seed: %.1f host ms, %.0f minor words)@."
+          "torture[%s]: %d scenarios clean in %.1fs (per seed: %.1f host ms, %.0f minor \
+           words), digest %s@."
           name !count secs
           (secs *. 1000. /. per_seed)
-          ((Gc.minor_words () -. w0) /. per_seed);
+          ((Gc.minor_words () -. w0) /. per_seed)
+          (Digest.to_hex (Digest.string (Buffer.contents digests)));
         true
       end
       else
-        let n = min 100 (!count - done_) in
-        match run ~base:(Int64.add !base (Int64.of_int done_)) ~count:n with
-        | Some report ->
+        match check (Int64.add !base (Int64.of_int i)) with
+        | Error report ->
           print_string report;
           print_newline ();
           false
-        | None ->
-          if n = 100 then
-            Format.printf "%s: %d/%d scenarios clean (%.1fs)@." name (done_ + n) !count
+        | Ok digest ->
+          Printf.bprintf digests "%d\n" digest;
+          if (i + 1) mod 100 = 0 then
+            Format.printf "%s: %d/%d scenarios clean (%.1fs)@." name (i + 1) !count
               (Unix.gettimeofday () -. t0);
-          go (done_ + n)
+          go (i + 1)
     in
     go 0
   in
