@@ -114,7 +114,7 @@ and run_activecluster () =
   let cfg = bench_config () in
   let a = Fa.create ~config:cfg ~clock () in
   let b = Fa.create ~config:{ cfg with Fa.seed = 4242L } ~clock () in
-  let ac = Ac.create ~a ~b ~pod:"pod0" () in
+  let ac = Ac.create ~a ~b () in
   (match Ac.create_stretched ac "lun0" ~blocks:16384 with
   | Ok () -> ()
   | Error _ -> failwith "bench: create_stretched failed");

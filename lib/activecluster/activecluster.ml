@@ -19,22 +19,23 @@
    serialization can be observed but divergence cannot. The purity.check
    two-array model (Ac_model) encodes exactly that contract.
 
-   Fencing generations. Every role change (solo, freeze, failback) bumps
-   [gen]; mirror messages and acks carry the generation they were sent
-   under and are dropped on arrival if stale. This is what makes a
-   delayed mirror from before a failover harmless after the failback
-   resync has already reconciled the block.
+   Fencing generations. Every role change (solo, freeze, down,
+   failback) goes through [enter], the only writer of [status] and
+   [gen], and bumps [gen]; mirror messages and acks carry the generation
+   they were sent under and are dropped on arrival if stale. This is
+   what makes a delayed mirror from before a failover harmless after the
+   failback resync has already reconciled the block.
 
-   Convergence bookkeeping. Three block sets force eventual agreement:
-   - a solo winner marks every block it acks [dirty];
-   - write footprints whose outcome the host never learned (mediation,
-     freeze, local error) are [tainted];
-   - a double crash sets [full_resync].
-   Failback copies their union from the surviving side over the
-   rejoining side before lifting the fence. In the real system the loser
-   ships its own divergent-LBA log during the failback handshake; here
-   both sides' books live in one harness structure, which carries the
-   same information without the wire format. *)
+   Convergence bookkeeping. One pod-level [dirty] book of write
+   footprints forces eventual agreement: a solo winner's writes, and
+   every footprint whose outcome the host never learned (in flight at a
+   role change, failed locally, caught by a failback) go in it; a double
+   crash also sets [full_resync]. Failback copies the book's blocks
+   (and, after a double crash, every live block) from the surviving side
+   over the rejoining side before lifting the fence. In the real system
+   the loser ships its own divergent-LBA log during the failback
+   handshake; here one harness structure carries the same information
+   without the wire format. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -98,16 +99,13 @@ type counters = {
 }
 
 type node = {
-  ns : side;
   arr : Fa.t;
   mutable counter : int;  (* Lamport counter; monotone for the pod's life *)
   stamps : (string, int array) Hashtbl.t;  (* volume -> per-block LWW stamp *)
-  dirty : (string, bool array) Hashtbl.t;  (* blocks acked while serving solo *)
 }
 
 type t = {
   clock : Clock.t;
-  pod : string;
   a : node;
   b : node;
   link : Link.t;
@@ -116,7 +114,7 @@ type t = {
   mutable gen : int;
   mutable vols : (string * int) list;  (* stretched volumes, name-sorted *)
   mutable inflight : (string * int * int) list;  (* un-acked write footprints *)
-  mutable tainted : (string * int * int) list;  (* outcome never reported *)
+  mutable dirty : (string * int * int) list;  (* footprints failback must copy *)
   mutable full_resync : bool;
   mutable mediating : bool;
   mutable med_waiters : (unit -> unit) list;
@@ -169,26 +167,23 @@ let register_telemetry t =
   on (Fa.telemetry t.a.arr);
   on (Fa.telemetry t.b.arr)
 
-let create ~a ~b ~pod () =
+let create ~a ~b () =
   if Fa.clock a != Fa.clock b then
     invalid_arg "Activecluster.create: arrays must share one clock";
   let clock = Fa.clock a in
-  let mknode ns arr =
-    { ns; arr; counter = 0; stamps = Hashtbl.create 8; dirty = Hashtbl.create 8 }
-  in
+  let mknode arr = { arr; counter = 0; stamps = Hashtbl.create 8 } in
   let t =
     {
       clock;
-      pod;
-      a = mknode A a;
-      b = mknode B b;
+      a = mknode a;
+      b = mknode b;
       link = Link.create ~clock ();
       med = Mediator.create ~clock ();
       status = Sync;
       gen = 0;
       vols = [];
       inflight = [];
-      tainted = [];
+      dirty = [];
       full_resync = false;
       mediating = false;
       med_waiters = [];
@@ -203,7 +198,6 @@ let link t = t.link
 let mediator t = t.med
 let status t = t.status
 let counters t = t.c
-let pod t = t.pod
 let stretched t = t.vols
 
 let respond t r k = Clock.schedule t.clock ~delay:0.0 (fun () -> k r)
@@ -226,23 +220,12 @@ let create_stretched t name ~blocks : (unit, [ Fa.vol_error | `Out_of_range ]) r
         e
       | Ok () ->
         t.vols <- List.sort compare ((name, blocks) :: t.vols);
-        List.iter
-          (fun n ->
-            Hashtbl.replace n.stamps name (Array.make blocks 0);
-            Hashtbl.replace n.dirty name (Array.make blocks false))
-          [ t.a; t.b ];
+        List.iter (fun n -> Hashtbl.replace n.stamps name (Array.make blocks 0)) [ t.a; t.b ];
         Ok ())
 
 (* ---------- convergence bookkeeping ---------- *)
 
-let mark_dirty n volume block nblocks =
-  match Hashtbl.find_opt n.dirty volume with
-  | None -> ()
-  | Some d ->
-    let hi = min (Array.length d) (block + nblocks) in
-    for b = max 0 block to hi - 1 do
-      d.(b) <- true
-    done
+let mark_dirty t entry = t.dirty <- entry :: t.dirty
 
 let set_stamps n volume block nblocks stamp =
   match Hashtbl.find_opt n.stamps volume with
@@ -260,15 +243,10 @@ let remove_one_inflight t entry =
   in
   t.inflight <- go t.inflight
 
-let taint t entry = t.tainted <- entry :: t.tainted
-
-(* Fold every footprint whose outcome the host never learned into the
-   winner's dirty book, so failback forces those blocks to agree. *)
-let absorb_uncertain t winner =
-  let n = node t winner in
-  List.iter (fun (v, b, l) -> mark_dirty n v b l) t.inflight;
-  List.iter (fun (v, b, l) -> mark_dirty n v b l) t.tainted;
-  t.tainted <- []
+(* An array that can take front-door I/O. *)
+let serves t s =
+  let n = node t s in
+  Fa.is_online n.arr && not (Fa.is_fenced n.arr)
 
 (* ---------- role transitions ---------- *)
 
@@ -279,18 +257,38 @@ let fence_side t s =
     Registry.incr t.c.fences
   end
 
-let go_solo t winner =
-  t.status <- Solo winner;
+(* The only writer of [status] and [gen]. Every role change bumps the
+   generation, stranding mirrors and acks sent under the old role. A
+   solo winner fences the loser; a double crash forces a full resync.
+   Leaving [Sync] makes every in-flight footprint dirty: its outcome
+   may never reach the host, so failback must make both sides agree on
+   it. *)
+let enter t status =
+  t.status <- status;
   t.gen <- t.gen + 1;
-  fence_side t (other winner);
-  absorb_uncertain t winner
+  (match status with
+  | Solo winner -> fence_side t (other winner)
+  | Down -> t.full_resync <- true
+  | Sync | Frozen -> ());
+  if status <> Sync then List.iter (mark_dirty t) t.inflight
 
-let go_frozen t =
-  (* nobody serves and nobody wins: keep every uncertain footprint for
-     the eventual failback *)
-  t.status <- Frozen;
-  t.gen <- t.gen + 1;
-  List.iter (fun e -> taint t e) t.inflight
+(* Act on a mediation verdict for [side]'s request. [may_act] says
+   whether the pod's role, when the verdict arrives, still lets a grant
+   or denial decide it; a denial means the peer holds the pod (it raced
+   first, or holds a stale claim from an earlier partition), and serving
+   against it could lose its solo-era writes. An unreachable mediator
+   freezes only a pod still in sync. *)
+let verdict t side ~may_act outcome =
+  match outcome with
+  | `Granted ->
+    Registry.incr t.c.mediation_grants;
+    if may_act t.status then enter t (Solo side)
+  | `Denied ->
+    Registry.incr t.c.mediation_denials;
+    if may_act t.status then enter t (Solo (other side))
+  | `Unreachable ->
+    Registry.incr t.c.mediation_unreachable;
+    if t.status = Sync then enter t Frozen
 
 (* One mediation race at a time; callers park a continuation that runs
    once the race resolves (or immediately if the role already changed —
@@ -304,23 +302,7 @@ let mediate t origin waiter =
       Registry.incr t.c.mediation_requests;
       Mediator.request t.med origin (fun outcome ->
           t.mediating <- false;
-          (match outcome with
-          | `Granted ->
-            Registry.incr t.c.mediation_grants;
-            if t.status = Sync then go_solo t origin
-          | `Denied ->
-            (* the peer already holds the pod (it raced first, or holds
-               a stale claim from an earlier partition): we lose *)
-            Registry.incr t.c.mediation_denials;
-            if t.status = Sync then begin
-              t.status <- Solo (other origin);
-              t.gen <- t.gen + 1;
-              fence_side t origin;
-              absorb_uncertain t (other origin)
-            end
-          | `Unreachable ->
-            Registry.incr t.c.mediation_unreachable;
-            if t.status = Sync then go_frozen t);
+          verdict t origin ~may_act:(fun st -> st = Sync) outcome;
           let ws = t.med_waiters in
           t.med_waiters <- [];
           List.iter (fun w -> w ()) ws)
@@ -338,7 +320,7 @@ let mediate t origin waiter =
 let deliver_mirror t dst ~gen ~stamp ~volume ~block ~data ~ack =
   let n = node t dst in
   if gen <> t.gen then Registry.incr t.c.mirror_stale_drops
-  else if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then ()
+  else if not (serves t dst) then ()
   else begin
     n.counter <- max n.counter (stamp lsr 1);
     let bs = Fa.block_size in
@@ -382,15 +364,22 @@ let map_write_error (e : Fa.write_error) : io_error =
   | `Backpressure -> `Backpressure
   | `Read_only | `Offline | `Fenced -> `Unavailable
 
-let solo_write t s ~volume ~block data k =
-  let n = node t s in
-  if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then respond t (Error `Unavailable) k
+(* The side a [Sync] pod serves [prefer]'s I/O on: [prefer] itself
+   unless it cannot serve. *)
+let sync_side t prefer =
+  if serves t prefer then prefer
   else begin
-    let nblocks = String.length data / Fa.block_size in
+    Registry.incr t.c.redirects;
+    other prefer
+  end
+
+let solo_write t s ~volume ~block data k =
+  if not (serves t s) then respond t (Error `Unavailable) k
+  else begin
     Registry.incr t.c.solo_writes;
     (* dirty before issue: even an un-acked outcome must converge later *)
-    mark_dirty n volume block nblocks;
-    Fa.write n.arr ~volume ~block data (function
+    mark_dirty t (volume, block, String.length data / Fa.block_size);
+    Fa.write (node t s).arr ~volume ~block data (function
       | Ok () -> k (Ok ())
       | Error e -> k (Error (map_write_error e)))
   end
@@ -401,20 +390,11 @@ let rec write t ?(prefer = A) ~volume ~block data k =
   | Solo s ->
     if s <> prefer then Registry.incr t.c.redirects;
     solo_write t s ~volume ~block data k
-  | Sync ->
-    let p = node t prefer in
-    let origin =
-      if Fa.is_online p.arr && not (Fa.is_fenced p.arr) then prefer
-      else begin
-        Registry.incr t.c.redirects;
-        other prefer
-      end
-    in
-    sync_write t origin ~volume ~block data k
+  | Sync -> sync_write t (sync_side t prefer) ~volume ~block data k
 
 and sync_write t origin ~volume ~block data k =
   let n = node t origin in
-  if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then respond t (Error `Unavailable) k
+  if not (serves t origin) then respond t (Error `Unavailable) k
   else begin
     let nblocks = String.length data / Fa.block_size in
     let gen = t.gen in
@@ -429,9 +409,7 @@ and sync_write t origin ~volume ~block data k =
     let finish_ok () =
       finished := true;
       remove_one_inflight t entry;
-      (match t.status with
-      | Solo s when s = origin -> mark_dirty (node t s) volume block nblocks
-      | _ -> ());
+      (match t.status with Solo s when s = origin -> mark_dirty t entry | _ -> ());
       k (Ok ())
     in
     let finish_err e =
@@ -439,7 +417,7 @@ and sync_write t origin ~volume ~block data k =
       remove_one_inflight t entry;
       (* the local copy (or the mirror) may or may not have applied —
          never ack, and force later convergence *)
-      taint t entry;
+      mark_dirty t entry;
       k (Error e)
     in
     let maybe_complete () =
@@ -463,7 +441,7 @@ and sync_write t origin ~volume ~block data k =
       if not !finished then
         match t.status with
         | Solo s when s = origin ->
-          mark_dirty n volume block nblocks;
+          mark_dirty t entry;
           maybe_complete ()
         | Solo s ->
           (* we lost and are fenced: re-drive the same write on the
@@ -522,38 +500,26 @@ let map_read_error (e : Fa.read_error) : io_error =
    true attribution when a preferred-side read was transparently
    redirected. *)
 let read t ?(prefer = A) ~volume ~block ~nblocks k =
+  let from s k' =
+    Fa.read (node t s).arr ~volume ~block ~nblocks (function
+      | Ok data -> k (Ok (data, s))
+      | Error e -> k' e)
+  in
+  let fail e = k (Error (map_read_error e)) in
   match t.status with
   | Down | Frozen -> respond t (Error `Unavailable) k
   | Solo s ->
     if s <> prefer then Registry.incr t.c.redirects;
-    let n = node t s in
-    if (not (Fa.is_online n.arr)) || Fa.is_fenced n.arr then respond t (Error `Unavailable) k
-    else
-      Fa.read n.arr ~volume ~block ~nblocks (function
-        | Ok data -> k (Ok (data, s))
-        | Error e -> k (Error (map_read_error e)))
+    if not (serves t s) then respond t (Error `Unavailable) k else from s fail
   | Sync ->
-    let first =
-      let p = node t prefer in
-      if Fa.is_online p.arr && not (Fa.is_fenced p.arr) then prefer
-      else begin
-        Registry.incr t.c.redirects;
-        other prefer
-      end
-    in
-    let n = node t first in
-    Fa.read n.arr ~volume ~block ~nblocks (function
-      | Ok data -> k (Ok (data, first))
-      | Error (`Offline | `Fenced) ->
+    let first = sync_side t prefer in
+    from first (function
+      | `Offline | `Fenced ->
         (* transparent failover mid-read: one retry on the other side *)
         Registry.incr t.c.redirects;
-        let n' = node t (other first) in
-        if (not (Fa.is_online n'.arr)) || Fa.is_fenced n'.arr then k (Error `Unavailable)
-        else
-          Fa.read n'.arr ~volume ~block ~nblocks (function
-            | Ok data -> k (Ok (data, other first))
-            | Error e -> k (Error (map_read_error e)))
-      | Error e -> k (Error (map_read_error e)))
+        if not (serves t (other first)) then k (Error `Unavailable)
+        else from (other first) fail
+      | e -> fail e)
 
 (* ---------- fault and control surface ---------- *)
 
@@ -565,12 +531,7 @@ let restore_mediator t = Mediator.set_reachable t.med true
 let crash_side t s =
   let n = node t s in
   if Fa.is_online n.arr then Fa.crash n.arr;
-  if (not (Fa.is_online t.a.arr)) && not (Fa.is_online t.b.arr) then begin
-    t.status <- Down;
-    t.gen <- t.gen + 1;
-    t.full_resync <- true;
-    List.iter (fun e -> taint t e) t.inflight
-  end
+  if (not (Fa.is_online t.a.arr)) && not (Fa.is_online t.b.arr) then enter t Down
 
 let recover_side ?mode t s k =
   let n = node t s in
@@ -591,26 +552,18 @@ let survivor_side t =
   | Some s -> s
   | None -> ( match t.status with Solo s -> s | _ -> A)
 
-(* Blocks to copy during failback: the union of both sides' dirty books,
-   every tainted footprint, and — after a double crash — everything the
-   surviving side holds. *)
+(* Blocks to copy during failback: every dirty footprint and — after a
+   double crash — everything the surviving side holds. *)
 let resync_blocks_for t ~from name blocks =
   let module IS = Set.Make (Int) in
   let set = ref IS.empty in
-  let add_dirty n =
-    match Hashtbl.find_opt n.dirty name with
-    | None -> ()
-    | Some d -> Array.iteri (fun b v -> if v then set := IS.add b !set) d
-  in
-  add_dirty t.a;
-  add_dirty t.b;
   List.iter
     (fun (v, b, l) ->
       if String.equal v name then
         for j = max 0 b to min blocks (b + l) - 1 do
           set := IS.add j !set
         done)
-    t.tainted;
+    t.dirty;
   if t.full_resync then begin
     let st = Fa.state (node t from).arr in
     match State.Stbl.find_opt st.State.volumes name with
@@ -652,12 +605,12 @@ let rec resync_volumes t ~from ~into vols k =
         if ok then resync_volumes t ~from ~into rest k else k false)
 
 (* Reconcile and return to symmetric service: copy the divergent blocks
-   from [survivor] over the other side, clear the books, lift both
-   fences, release the pod claim and bump the generation (stranding any
-   mirror still in flight from the old era). *)
+   from [survivor] over the other side, clear the book, lift both
+   fences, release the pod claim and enter [Sync] (stranding any mirror
+   still in flight from the old era). *)
 let reconcile t ~survivor k =
   let loser = other survivor in
-  List.iter (fun e -> taint t e) t.inflight;
+  List.iter (mark_dirty t) t.inflight;
   t.inflight <- [];
   (* the loser's front door stays shut (pod status still routes around
      it), but resync writes must land: lift its array fence for the
@@ -667,22 +620,19 @@ let reconcile t ~survivor k =
   let finish ok =
     if ok then begin
       List.iter
-        (fun n ->
-          Hashtbl.iter (fun _ st -> Array.fill st 0 (Array.length st) 0) n.stamps;
-          Hashtbl.iter (fun _ d -> Array.fill d 0 (Array.length d) false) n.dirty)
+        (fun n -> Hashtbl.iter (fun _ st -> Array.fill st 0 (Array.length st) 0) n.stamps)
         [ t.a; t.b ];
       let c = max t.a.counter t.b.counter in
       t.a.counter <- c;
       t.b.counter <- c;
-      t.tainted <- [];
+      t.dirty <- [];
       t.full_resync <- false;
       Fa.unfence t.a.arr;
       Fa.unfence t.b.arr;
       (match Mediator.holder t.med with
       | Some h -> Mediator.release t.med h
       | None -> ());
-      t.gen <- t.gen + 1;
-      t.status <- Sync;
+      enter t Sync;
       Registry.incr t.c.resyncs;
       k (Sync, Some survivor)
     end
@@ -703,61 +653,29 @@ let try_solo t s k =
   | _ ->
     Registry.incr t.c.mediation_requests;
     Mediator.request t.med s (fun outcome ->
-        (match outcome with
-        | `Granted ->
-          Registry.incr t.c.mediation_grants;
-          (match t.status with
-          | Sync | Frozen | Down -> go_solo t s
-          | Solo _ -> ())
-        | `Denied ->
-          Registry.incr t.c.mediation_denials;
-          (* the peer holds a (possibly stale) claim; serving against it
-             could lose its solo-era writes, so we must not *)
-          (match t.status with
-          | Sync | Frozen | Down ->
-            t.status <- Solo (other s);
-            t.gen <- t.gen + 1;
-            fence_side t s;
-            absorb_uncertain t (other s)
-          | Solo _ -> ())
-        | `Unreachable ->
-          Registry.incr t.c.mediation_unreachable;
-          (match t.status with Sync -> go_frozen t | Solo _ | Frozen | Down -> ()));
+        verdict t s ~may_act:(function Solo _ -> false | _ -> true) outcome;
         k (t.status, match t.status with Solo h -> Some h | _ -> None))
 
 (* Drive the pod toward the best status the current fault set allows:
-   full failback when both sides and the link are healthy, mediated solo
-   service when only one side lives, no change when nothing can improve.
-   The callback reports the resulting status and, when content was (or
-   would be) reconciled, whose bytes are authoritative. *)
+   full failback when both sides and the link are healthy (after a
+   double crash, whatever the link), mediated solo service when only one
+   side lives, no change when nothing can improve. The callback reports
+   the resulting status and, when content was (or would be) reconciled,
+   whose bytes are authoritative. A solo pod whose owner is down waits
+   for the owner: the peer is stale and must not take over. *)
 let settle t k =
   register_telemetry t;
   let a_on = Fa.is_online t.a.arr and b_on = Fa.is_online t.b.arr in
+  let both = a_on && b_on in
+  let healthy = both && Link.up t.link in
   match t.status with
-  | Down ->
-    if a_on && b_on then reconcile t ~survivor:(survivor_side t) k
-    else if a_on then try_solo t A k
-    else if b_on then try_solo t B k
-    else respond t (Down, None) k
-  | Solo s ->
-    if not (Fa.is_online (node t s).arr) then
-      (* the solo owner is down: the peer is stale and must not take
-         over; the pod waits for the owner *)
-      respond t (Solo s, Some s) k
-    else if Fa.is_online (node t (other s)).arr && Link.up t.link then
-      reconcile t ~survivor:s k
-    else respond t (Solo s, Some s) k
-  | Frozen ->
-    if a_on && b_on && Link.up t.link then reconcile t ~survivor:(survivor_side t) k
-    else if a_on && not b_on then try_solo t A k
+  | Solo s when healthy -> reconcile t ~survivor:s k
+  | Solo s -> respond t (Solo s, Some s) k
+  | Down when both -> reconcile t ~survivor:(survivor_side t) k
+  | Frozen when healthy -> reconcile t ~survivor:(survivor_side t) k
+  | Sync when healthy && (t.dirty <> [] || t.inflight <> [] || t.full_resync) ->
+    reconcile t ~survivor:(survivor_side t) k
+  | (Down | Frozen | Sync) as st ->
+    if a_on && not b_on then try_solo t A k
     else if b_on && not a_on then try_solo t B k
-    else respond t (Frozen, None) k
-  | Sync ->
-    if a_on && b_on && Link.up t.link then begin
-      if t.tainted <> [] || t.inflight <> [] || t.full_resync then
-        reconcile t ~survivor:(survivor_side t) k
-      else respond t (Sync, None) k
-    end
-    else if a_on && not b_on then try_solo t A k
-    else if b_on && not a_on then try_solo t B k
-    else respond t (Sync, None) k
+    else respond t (st, None) k

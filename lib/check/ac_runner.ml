@@ -183,7 +183,7 @@ let finalize ctx =
 let start clock seed =
   let a = Fa.create ~config:Suite.config ~clock () in
   let b = Fa.create ~config:Suite.config ~clock () in
-  let ac = Ac.create ~a ~b ~pod:"pod0" () in
+  let ac = Ac.create ~a ~b () in
   let payloads = Payload.create ~seed ~block_size:Fa.block_size in
   { clock; ac; payloads; model = Model.create payloads; digest = 0 }
 

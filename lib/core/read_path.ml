@@ -129,11 +129,7 @@ let read t ~volume ~block ~nblocks k =
                       settle ()))
               | None -> (
                 let cache_key = (f.ref_.Blockref.segment, f.ref_.Blockref.off) in
-                match
-                  if t.cfg.read_cache_entries > 0 then
-                    Lru.Ipair.find t.read_cache cache_key
-                  else None
-                with
+                match Lru.Ipair.find t.read_cache cache_key with
                 | Some data ->
                   (* controller-DRAM hit: the cblock is cached decoded *)
                   Registry.incr t.ws.cache_hits;
@@ -153,8 +149,7 @@ let read t ~volume ~block ~nblocks k =
                         | Error `Unrecoverable -> failed := true
                         | Ok frame -> (
                           match decode_slices frame out failed f.slices with
-                          | Some data when t.cfg.read_cache_entries > 0 ->
-                            ignore (Lru.Ipair.add t.read_cache cache_key data)
+                          | Some data -> ignore (Lru.Ipair.add t.read_cache cache_key data)
                           | _ -> ()));
                         settle ()))))
             fetches

@@ -290,7 +290,7 @@ let create_over ~config ~clock ~shelf () =
     boot_generation_written = 0;
     dedup = Dedup.create ();
     arena = Arena.create ();
-    read_cache = Lru.Ipair.create ~capacity:(max 1 config.read_cache_entries);
+    read_cache = Lru.Ipair.create ~capacity:config.read_cache_entries;
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
     ws =

@@ -6,9 +6,8 @@ type t = {
   aus_per_drive : int;
   free : int Queue.t array; (* per-drive free AU indices *)
   used : unit Ptbl.t; (* (drive, au) holding live segments *)
-  mutable frontier : Segment.member list list;
-      (* available allocation slots, grouped per refill batch; flattened view
-         is the allocatable pool *)
+  mutable frontier : Segment.member list;
+      (* available allocation slots, oldest refill batch first *)
   mutable persisted : Segment.member list; (* snapshot as of last persist *)
   mutable speculative : Segment.member list; (* pre-approved next batch *)
   mutable generation : int;
@@ -62,38 +61,28 @@ let refill t =
   let next_spec = take_batch t in
   let non_empty = function [] -> false | _ :: _ -> true in
   if non_empty promoted || non_empty next_spec then begin
-    t.frontier <- t.frontier @ [ promoted ];
+    t.frontier <- t.frontier @ promoted;
     t.speculative <- next_spec;
-    t.persisted <- t.allocated_since_mark @ List.concat t.frontier @ t.speculative;
+    t.persisted <- t.allocated_since_mark @ t.frontier @ t.speculative;
     t.generation <- t.generation + 1
   end
 
-let frontier_pool t = List.concat t.frontier
-
 let pop_member t ~drive =
-  (* Remove one frontier slot on [drive]; returns it. *)
-  let found = ref None in
-  let strip group =
-    if Option.is_some !found then group
-    else begin
-      let rec go acc = function
-        | [] -> List.rev acc
-        | (m : Segment.member) :: rest when m.Segment.drive = drive && Option.is_none !found ->
-          found := Some m;
-          List.rev_append acc rest
-        | m :: rest -> go (m :: acc) rest
-      in
-      go [] group
-    end
+  (* Remove the first frontier slot on [drive]; returns it. *)
+  let rec go acc = function
+    | [] -> None
+    | (m : Segment.member) :: rest when m.Segment.drive = drive ->
+      t.frontier <- List.rev_append acc rest;
+      Some m
+    | m :: rest -> go (m :: acc) rest
   in
-  t.frontier <- List.map strip t.frontier;
-  !found
+  go [] t.frontier
 
 let drives_with_frontier t ~online =
   let counts = Array.make t.drives 0 in
   List.iter
     (fun (m : Segment.member) -> counts.(m.Segment.drive) <- counts.(m.Segment.drive) + 1)
-    (frontier_pool t);
+    t.frontier;
   let available = ref [] in
   for i = t.drives - 1 downto 0 do
     let d = (i + t.rotation) mod t.drives in
@@ -171,7 +160,7 @@ let recover t ~persisted ~used ~rescan =
   Ptbl.reset t.used;
   List.iter (mark t.used) (List.filter inside used);
   t.persisted <- Segment.distinct_members (List.filter inside persisted);
-  t.frontier <- [ List.filter (fun m -> not (is_used t m)) t.persisted ];
+  t.frontier <- List.filter (fun m -> not (is_used t m)) t.persisted;
   t.speculative <- [];
   let taken = Ptbl.copy t.used in
   List.iter (mark taken) t.persisted;
@@ -197,5 +186,5 @@ let checkpoint_mark t ~keep ~extra =
      allocations: deduplicate, or the persisted list would hand the same
      AU out twice after a recovery restores it as allocatable *)
   t.allocated_since_mark <- Segment.distinct_members (extra @ kept);
-  t.persisted <- t.allocated_since_mark @ List.concat t.frontier @ t.speculative;
+  t.persisted <- t.allocated_since_mark @ t.frontier @ t.speculative;
   t.generation <- t.generation + 1

@@ -31,7 +31,7 @@ module Make (H : Hashtbl.HashedType) = struct
   }
 
   let create ~capacity =
-    assert (capacity > 0);
+    assert (capacity >= 0);
     { capacity; table = Tbl.create (min capacity 4096); head = None; tail = None }
 
   let unlink t node =
@@ -72,6 +72,7 @@ module Make (H : Hashtbl.HashedType) = struct
       unlink t node;
       push_front t node;
       None
+    | None when t.capacity = 0 -> Some (k, v)
     | None -> (
       let node = { key = k; value = v; prev = None; next = None } in
       Tbl.replace t.table k node;

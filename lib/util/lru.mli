@@ -11,7 +11,8 @@ module type S = sig
   type 'v t
 
   val create : capacity:int -> 'v t
-  (** [capacity] must be positive. *)
+  (** [capacity] must not be negative; 0 gives a cache that holds
+      nothing. *)
 
   val find : 'v t -> key -> 'v option
   (** Lookup; promotes the entry to most-recently-used on hit. *)
@@ -19,7 +20,8 @@ module type S = sig
   val add : 'v t -> key -> 'v -> (key * 'v) option
   (** Insert or overwrite. Inserting a new key into a full cache evicts
       the least-recently-used entry and hands back its binding, so its
-      owner can release what the entry held; otherwise [None]. *)
+      owner can release what the entry held; otherwise [None]. A
+      capacity-0 cache hands every new binding straight back. *)
 
   val remove : 'v t -> key -> unit
 

@@ -19,6 +19,7 @@ module Fa = Purity_core.Flash_array
 module Ac = Purity_activecluster.Activecluster
 module Link = Purity_activecluster.Link
 module Mediator = Purity_activecluster.Mediator
+module Registry = Purity_telemetry.Registry
 module Ac_plan = Purity_check.Ac_plan
 module Ac_runner = Purity_check.Ac_runner
 module Acm = Purity_check.Ac_model
@@ -152,7 +153,7 @@ let pod_fixture () =
   let config = Purity_check.Suite.config in
   let a = Fa.create ~config ~clock () in
   let b = Fa.create ~config ~clock () in
-  let ac = Ac.create ~a ~b ~pod:"pod0" () in
+  let ac = Ac.create ~a ~b () in
   (match Ac.create_stretched ac "vol" ~blocks:128 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "create_stretched failed");
@@ -193,7 +194,7 @@ let test_mirrored_write_on_both () =
         [ 0; 32 ])
     [ Ac.A; Ac.B ];
   check bool "pod stayed in sync" true (Ac.status ac = Ac.Sync);
-  check bool "mirrors were acked" true (Ac.Registry.value (Ac.counters ac).Ac.mirror_acked >= 2)
+  check bool "mirrors were acked" true (Registry.value (Ac.counters ac).Ac.mirror_acked >= 2)
 
 let test_partition_solo_and_failback () =
   let clock, ac = pod_fixture () in
@@ -226,7 +227,7 @@ let test_partition_solo_and_failback () =
         check bool (Printf.sprintf "B resynced block %d" blk) true (got = d1)
       | _ -> Alcotest.fail "direct read failed")
     [ 8; 16 ];
-  check bool "resync copied blocks" true (Ac.Registry.value (Ac.counters ac).Ac.resync_blocks > 0);
+  check bool "resync copied blocks" true (Registry.value (Ac.counters ac).Ac.resync_blocks > 0);
   match Mediator.audit (Ac.mediator ac) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "mediation history: %s" msg
@@ -272,6 +273,33 @@ let test_double_crash_full_resync () =
   check bool "acked write survived double crash" true (got = d);
   let got, _ = read_ok clock ac ~prefer:B ~block:64 ~nblocks:8 in
   check bool "acked write survived double crash (B)" true (got = d)
+
+(* The generation fence: a mirror sent before a role change is dropped
+   on arrival. Both sides crash while A's mirror is still on the link
+   (one way takes at least the link's 200 us latency), so the pod goes
+   Down and bumps the generation before the mirror lands. *)
+let test_stale_mirror_dropped () =
+  let clock, ac = pod_fixture () in
+  let d = wdata 4 in
+  let result = ref None in
+  Ac.write ac ~prefer:A ~volume:"vol" ~block:0 d (fun r -> result := Some r);
+  Ac.crash_side ac A;
+  Ac.crash_side ac B;
+  Clock.run clock;
+  check Alcotest.int "one stale mirror dropped" 1
+    (Registry.value (Ac.counters ac).Ac.mirror_stale_drops);
+  check bool "write refused, not acked" true (!result = Some (Error `Unavailable));
+  ignore (await clock (fun k -> Ac.recover_side ac A (fun () -> k ())));
+  ignore (await clock (fun k -> Ac.recover_side ac B (fun () -> k ())));
+  (match await clock (fun k -> Ac.settle ac k) with
+  | Some (Ac.Sync, _) -> ()
+  | _ -> Alcotest.fail "pod did not return to sync");
+  let direct side =
+    match await clock (fun k -> Fa.read (Ac.array ac side) ~volume:"vol" ~block:0 ~nblocks:4 k) with
+    | Some (Ok got) -> got
+    | _ -> Alcotest.failf "direct read on %s failed" (Ac.side_name side)
+  in
+  check bool "both arrays hold the same bytes" true (direct A = direct B)
 
 (* A stretched create that B refuses leaves nothing behind on A. *)
 let test_create_refused_by_b () =
@@ -347,6 +375,8 @@ let () =
             test_mediator_loss_freezes;
           Alcotest.test_case "double crash, full resync" `Quick
             test_double_crash_full_resync;
+          Alcotest.test_case "stale mirror dropped by the generation fence" `Quick
+            test_stale_mirror_dropped;
           Alcotest.test_case "create refused by B undone on A" `Quick
             test_create_refused_by_b;
         ] );

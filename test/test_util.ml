@@ -709,6 +709,13 @@ let test_lru_remove () =
   check int "removed" 0 (lru_length c);
   Lru.remove c 99 (* removing absent key is fine *)
 
+let test_lru_capacity_zero () =
+  let c = Lru.create ~capacity:0 in
+  check (Alcotest.option (Alcotest.pair int Alcotest.string)) "binding handed straight back"
+    (Some (1, "a")) (Lru.add c 1 "a");
+  check (Alcotest.option Alcotest.string) "nothing found" None (Lru.find c 1);
+  check int "holds nothing" 0 (lru_length c)
+
 let test_lru_fold_order () =
   let c = Lru.create ~capacity:4 in
   lru_add c 1 "a";
@@ -876,6 +883,7 @@ let () =
           Alcotest.test_case "eviction" `Quick test_lru_eviction;
           Alcotest.test_case "overwrite" `Quick test_lru_overwrite;
           Alcotest.test_case "remove" `Quick test_lru_remove;
+          Alcotest.test_case "capacity 0 holds nothing" `Quick test_lru_capacity_zero;
           Alcotest.test_case "fold order" `Quick test_lru_fold_order;
           QCheck_alcotest.to_alcotest prop_lru_capacity;
         ] );

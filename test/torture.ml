@@ -11,9 +11,9 @@
      audited by the two-view pod model (Ac_runner/Ac_plan). `dune build
      @torture-ac` runs seeds 1..200 and 1000..1999, as CI does.
    Both run through the same harness, which replays every passing seed
-   and compares execution digests. Each sweep's closing line prints one
-   digest over all its seeds' execution digests: comparing that line
-   between two trees checks a range for drift. *)
+   and compares execution digests. Each sweep's closing line ends with
+   the MD5 of its seeds' execution digests in seed order: equal lines on
+   two trees mean the range ran without drift. *)
 
 module Runner = Purity_check.Runner
 module Ac_runner = Purity_check.Ac_runner
@@ -40,8 +40,8 @@ let () =
   let suites =
     [
       ( "array",
-        fun seed -> Runner.check_seed ?steps seed |> Result.map_error Runner.report_to_string
-      );
+        fun seed ->
+          Runner.check_seed ?steps seed |> Result.map_error Runner.report_to_string );
       ( "ac",
         fun seed ->
           Ac_runner.check_seed ?steps seed |> Result.map_error Ac_runner.report_to_string );
@@ -49,9 +49,7 @@ let () =
   in
   (* progress prints every 100 seeds; the closing line adds the harness's
      own cost per seed (host ms and minor-heap words, replay included),
-     for information, and one digest over every seed's execution digest
-     in seed order, so two trees that run the range alike print the same
-     digest *)
+     for information, and the range's digest *)
   let[@purity.lint.allow
        "determinism: progress/ETA reporting in the test harness, outside the \
         simulation"] sweep (name, check) =
