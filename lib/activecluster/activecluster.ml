@@ -26,16 +26,17 @@
    what makes a delayed mirror from before a failover harmless after the
    failback resync has already reconciled the block.
 
-   Convergence bookkeeping. One pod-level [dirty] book of write
-   footprints forces eventual agreement: a solo winner's writes, and
-   every footprint whose outcome the host never learned (in flight at a
-   role change, failed locally, caught by a failback) go in it; a double
-   crash also sets [full_resync]. Failback copies the book's blocks
-   (and, after a double crash, every live block) from the surviving side
-   over the rejoining side before lifting the fence. In the real system
-   the loser ships its own divergent-LBA log during the failback
-   handshake; here one harness structure carries the same information
-   without the wire format. *)
+   Convergence bookkeeping. One pod-level [dirty] book, a set of write
+   footprints (a rewritten footprint is held once, so the book is bounded
+   by what was written, not how often), forces eventual agreement: a
+   solo winner's writes, and every footprint whose outcome the host
+   never learned (in flight at a role change, failed locally, caught by
+   a failback) go in it; a double crash also sets [full_resync].
+   Failback copies the book's blocks (and, after a double crash, every
+   live block) from the surviving side over the rejoining side before
+   lifting the fence. In the real system the loser ships its own
+   divergent-LBA log during the failback handshake; here one harness
+   structure carries the same information without the wire format. *)
 
 module Clock = Purity_sim.Clock
 module Fa = Purity_core.Flash_array
@@ -114,7 +115,7 @@ type t = {
   mutable gen : int;
   mutable vols : (string * int) list;  (* stretched volumes, name-sorted *)
   mutable inflight : (string * int * int) list;  (* un-acked write footprints *)
-  mutable dirty : (string * int * int) list;  (* footprints failback must copy *)
+  dirty : (string * int * int, unit) Hashtbl.t;  (* footprints failback must copy *)
   mutable full_resync : bool;
   mutable mediating : bool;
   mutable med_waiters : (unit -> unit) list;
@@ -183,7 +184,7 @@ let create ~a ~b () =
       gen = 0;
       vols = [];
       inflight = [];
-      dirty = [];
+      dirty = Hashtbl.create 16;
       full_resync = false;
       mediating = false;
       med_waiters = [];
@@ -225,7 +226,7 @@ let create_stretched t name ~blocks : (unit, [ Fa.vol_error | `Out_of_range ]) r
 
 (* ---------- convergence bookkeeping ---------- *)
 
-let mark_dirty t entry = t.dirty <- entry :: t.dirty
+let mark_dirty t entry = Hashtbl.replace t.dirty entry ()
 
 let set_stamps n volume block nblocks stamp =
   match Hashtbl.find_opt n.stamps volume with
@@ -557,8 +558,8 @@ let survivor_side t =
 let resync_blocks_for t ~from name blocks =
   let module IS = Set.Make (Int) in
   let set = ref IS.empty in
-  List.iter
-    (fun (v, b, l) ->
+  Hashtbl.iter
+    (fun (v, b, l) () ->
       if String.equal v name then
         for j = max 0 b to min blocks (b + l) - 1 do
           set := IS.add j !set
@@ -625,7 +626,7 @@ let reconcile t ~survivor k =
       let c = max t.a.counter t.b.counter in
       t.a.counter <- c;
       t.b.counter <- c;
-      t.dirty <- [];
+      Hashtbl.reset t.dirty;
       t.full_resync <- false;
       Fa.unfence t.a.arr;
       Fa.unfence t.b.arr;
@@ -673,7 +674,7 @@ let settle t k =
   | Solo s -> respond t (Solo s, Some s) k
   | Down when both -> reconcile t ~survivor:(survivor_side t) k
   | Frozen when healthy -> reconcile t ~survivor:(survivor_side t) k
-  | Sync when healthy && (t.dirty <> [] || t.inflight <> [] || t.full_resync) ->
+  | Sync when healthy && (Hashtbl.length t.dirty > 0 || t.inflight <> [] || t.full_resync) ->
     reconcile t ~survivor:(survivor_side t) k
   | (Down | Frozen | Sync) as st ->
     if a_on && not b_on then try_solo t A k

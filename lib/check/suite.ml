@@ -237,14 +237,15 @@ module Make (S : SUITE) = struct
           }
       | Error r -> Error r)
 
-  (* Run seeds [base, base+count); return the first failure, shrunk. *)
+  (* Run seeds [base, base+count): their execution digests in seed order,
+     or the first failure, shrunk. *)
   let sweep ?steps ?shrink_budget ~base ~count () =
-    let rec go i =
-      if i >= count then None
+    let rec go i acc =
+      if i >= count then Ok (List.rev acc)
       else
         match check_seed ?steps ?shrink_budget (Int64.add base (Int64.of_int i)) with
-        | Ok (_ : int) -> go (i + 1)
-        | Error report -> Some report
+        | Ok digest -> go (i + 1) (digest :: acc)
+        | Error report -> Error report
     in
-    go 0
+    go 0 []
 end

@@ -324,8 +324,8 @@ let run_ac_seed seed () =
 (* a small in-gate sweep; the full 1..200 range runs under @torture-ac *)
 let test_smoke_sweep () =
   match Ac_runner.sweep ~base:1L ~count:8 () with
-  | None -> ()
-  | Some report -> Alcotest.fail (Ac_runner.report_to_string report)
+  | Ok _ -> ()
+  | Error report -> Alcotest.fail (Ac_runner.report_to_string report)
 
 (* Planted bug #1: failback that skips the resync copy. The sweep must
    catch the divergence / lost solo writes within a few seeds. *)
@@ -335,13 +335,13 @@ let test_planted_skip_resync_caught () =
     ~finally:(fun () -> Ac.chaos.Ac.skip_resync <- false)
     (fun () ->
       match Ac_runner.sweep ~shrink_budget:20 ~base:1L ~count:12 () with
-      | Some report ->
+      | Error report ->
         check bool
           (Printf.sprintf "report names expected bytes (%s)" report.Ac_runner.violation)
           true
           (contains report.Ac_runner.violation "expected"
           || contains report.Ac_runner.violation "sync")
-      | None -> Alcotest.fail "skipped failback resync went undetected")
+      | Ok _ -> Alcotest.fail "skipped failback resync went undetected")
 
 (* Planted bug #2: acking the host before the mirror lands. A partition
    right after the ack strands the write on the losing side — a lost
@@ -352,8 +352,8 @@ let test_planted_early_ack_caught () =
     ~finally:(fun () -> Ac.chaos.Ac.ack_without_peer <- false)
     (fun () ->
       match Ac_runner.sweep ~shrink_budget:20 ~base:1L ~count:12 () with
-      | Some (_ : Ac_runner.report) -> ()
-      | None -> Alcotest.fail "ack-before-mirror went undetected")
+      | Error (_ : Ac_runner.report) -> ()
+      | Ok _ -> Alcotest.fail "ack-before-mirror went undetected")
 
 let () =
   Alcotest.run "activecluster"

@@ -269,8 +269,8 @@ let test_planted_bug_is_caught () =
     ~finally:(fun () -> Recovery.(chaos.skip_nvram_replay <- false))
     (fun () ->
       match Runner.sweep ~shrink_budget:80 ~base:1L ~count:12 () with
-      | None -> Alcotest.fail "planted NVRAM-replay bug escaped the smoke sweep"
-      | Some r ->
+      | Ok _ -> Alcotest.fail "planted NVRAM-replay bug escaped the smoke sweep"
+      | Error r ->
         let { Suite.seed; events } = r.Runner.plan in
         check bool "trace shrunk below the original plan" true
           (List.length events < r.Runner.original_events);
@@ -361,8 +361,8 @@ let test_smoke_sweep () =
   (* ~50 random scenarios on every `dune runtest`; the extended sweep
      lives behind `make torture` *)
   match Runner.sweep ~base:101L ~count:50 () with
-  | None -> ()
-  | Some r -> Alcotest.failf "%s" (Runner.report_to_string r)
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "%s" (Runner.report_to_string r)
 
 let () =
   Alcotest.run "check"
