@@ -92,16 +92,13 @@ let run_in_section () =
     (Array.append present absent);
   let run_n = 64 in
   let run_base = band_base.(epochs - 1) in
-  let run =
-    Pyramid.find_run p ~n:run_n
-      ~key_of:(fun i -> (medium, run_base + i))
-      ~index:(fun (_, block) -> block - run_base)
-  in
+  let run_start = [| (medium, run_base) |] in
+  let run = Array.make run_n Pyramid.Fact.absent in
+  let find_run span = Pyramid.find_run p ~keys:run_start ~span ~into:run in
+  find_run run_n;
   for i = 0 to run_n - 1 do
-    if
-      Pyramid.resolve_fact p run.(i)
-      <> Pyramid.find p (medium, run_base + i)
-    then failwith "metadata hot path: find_run diverges from point lookups"
+    if Pyramid.live_value p run.(i) <> Pyramid.find p (medium, run_base + i) then
+      failwith "metadata hot path: find_run diverges from point lookups"
   done;
   let cursor = ref 0 in
   let next keys =
@@ -118,13 +115,7 @@ let run_in_section () =
           ignore (Pyramid.find p (medium, run_base + i))
         done)
   in
-  let run_batched =
-    time_ops (fun () ->
-        ignore
-          (Pyramid.find_run p ~n:run_n
-             ~key_of:(fun i -> (medium, run_base + i))
-             ~index:(fun (_, block) -> block - run_base)))
-  in
+  let run_batched = time_ops (fun () -> find_run run_n) in
   (* a representative metadata op mix: resolve one small run (the read
      path) plus a present and an absent point probe (overwrite
      accounting, thin/dedup checks) *)
@@ -142,11 +133,7 @@ let run_in_section () =
   in
   let mixed_fast =
     time_ops
-      (mix Pyramid.find (fun () ->
-           ignore
-             (Pyramid.find_run p ~n:8
-                ~key_of:(fun i -> (medium, run_base + i))
-                ~index:(fun (_, block) -> block - run_base))))
+      (mix Pyramid.find (fun () -> find_run 8))
   in
   Printf.printf "\n  Metadata hot path (%d-patch block index, %d mapped blocks):\n" epochs
     (total_blocks / 2);

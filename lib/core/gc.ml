@@ -90,30 +90,24 @@ type tally = {
    it into the first slots of [refs], in scan order, and return their
    count: host writes acked since the liveness scan may have overwritten
    some, and a remap from the scan would shadow them. One batched index
-   walk over the refs' key span. A block still mapped there keeps the
-   scan's index, since no write dedups onto a victim once its pass has
-   begun. [refs] are in strictly descending key order (see [liveness]),
-   so walk slot [i] is [refs.(n - 1 - i)]; the order is checked, since a
-   ref missed here would be left pointing into a destroyed segment. *)
+   walk over the refs' keys, each a run of one. A block still mapped
+   there keeps the scan's index, since no write dedups onto a victim
+   once its pass has begun. [refs] are in strictly descending key order
+   (see [liveness]), so walk slot [i] is [refs.(n - 1 - i)]; the order is
+   checked, since a ref missed here would be left pointing into a
+   destroyed segment. *)
 let still_mapped t ~seg_id ~off (refs : Block_index.fact array) =
   let n = Array.length refs in
-  let key_of i = refs.(n - 1 - i).Block_index.Fact.key in
+  let keys = Array.init n (fun i -> refs.(n - 1 - i).Block_index.Fact.key) in
   for i = 1 to n - 1 do
-    if Keys.Block.compare (key_of (i - 1)) (key_of i) >= 0 then
+    if Keys.Block.compare keys.(i - 1) keys.(i) >= 0 then
       invalid_arg "Gc.still_mapped: refs not in descending key order"
   done;
-  let index key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Keys.Block.compare (key_of mid) key < 0 then lo := mid + 1 else hi := mid
-    done;
-    if !lo < n && Keys.Block.compare (key_of !lo) key = 0 then !lo else -1
-  in
-  let run = Block_index.find_run t.blocks ~n ~key_of ~index in
+  let slots = run_slots t n in
+  Block_index.find_run t.blocks ~keys ~span:1 ~into:slots;
   let mapped = ref 0 in
   for j = 0 to n - 1 do
-    match Block_index.resolve_fact t.blocks run.(n - 1 - j) with
+    match Block_index.live_value t.blocks slots.(n - 1 - j) with
     | Some (r : Blockref.t) when r.segment = seg_id && r.off = off ->
       refs.(!mapped) <- refs.(j);
       incr mapped

@@ -23,6 +23,14 @@ module Block = struct
     if c <> 0 then c else ucompare b1 b2
 
   let hash ((m, b) : t) = (m * 0x9E3779B1) lxor b
+
+  (* The next key after (m, b) is (m, b + 1); a run never wraps past the
+     unsigned top of a medium's blocks. *)
+  let offset ((m1, b1) : t) ((m2, b2) : t) =
+    if m1 = m2 && b2 lxor min_int >= b1 lxor min_int then b2 - b1 else -1
+
+  let hash_at ((m, b) : t) o = (m * 0x9E3779B1) lxor (b + o)
+  let least = (0, 0)
   let size _ = 16
 
   let write buf (m, b) =

@@ -13,47 +13,62 @@ open State
 
 type error = [ `No_such_volume | `Out_of_range | `Offline | `Media_failure ]
 
-(* One physical cblock fetch serving several requested blocks. *)
-type fetch = {
-  ref_ : Blockref.t; (* index field unused here: whole-cblock fetch *)
-  mutable slices : (int * int) list; (* (output block position, cblock index) *)
-}
-
-let plan t ~medium ~block ~nblocks =
-  (* Resolve the whole range in one batched pass (each medium level does
-     one lower_bound + walk per patch instead of a binary search per
-     block), then group consecutive blocks that live in the same cblock
-     into one fetch. *)
-  let refs = resolve_range t ~medium ~block ~nblocks in
-  let fetches : fetch list ref = ref [] in
-  for i = 0 to nblocks - 1 do
+(* The blocks of [refs] that start a cblock fetch, written into [starts]
+   while it has room; returns how many there are. A mapped block starts
+   one unless the mapped block before it lives in the same cblock. *)
+let fetch_starts (refs : Blockref.t option array) starts =
+  let count = ref 0 and prev = ref None in
+  for i = 0 to Array.length refs - 1 do
     match refs.(i) with
-    | None -> () (* unwritten: the output buffer already holds zeros *)
-    | Some r -> (
-      match !fetches with
-      | f :: _ when Blockref.same_cblock f.ref_ r ->
-        f.slices <- (i, r.Blockref.index) :: f.slices
-      | _ -> fetches := { ref_ = r; slices = [ (i, r.Blockref.index) ] } :: !fetches)
+    | None -> () (* unwritten: read as zeros *)
+    | Some r as cur ->
+      let same = match !prev with Some p -> Blockref.same_cblock p r | None -> false in
+      if not same then begin
+        if !count < Array.length starts then starts.(!count) <- i;
+        incr count;
+        prev := cur
+      end
   done;
-  List.rev !fetches
+  !count
 
-(* Copy the requested 512 B slices out of one decoded cblock. *)
-let rec blit_slices data out failed = function
-  | [] -> ()
-  | (out_block, cb_index) :: rest ->
-    let src = cb_index * block_size in
-    if src + block_size <= String.length data then
-      Bytes.blit_string data src out (out_block * block_size) block_size
-    else failed := true;
-    blit_slices data out failed rest
+(* The cblock fetches of a resolved range, as one flat int array of the
+   blocks that start them: fetch [f] reads the cblock of
+   [refs.(starts.(f))] and serves every mapped block before the next
+   start, so a read that resolved to one cblock is one fetch. *)
+let[@purity.lint.hotpath] plan refs =
+  let starts =
+    (Array.make (fetch_starts refs [||]) 0
+    [@purity.lint.allow "hotalloc: the returned array, one int per fetch"])
+  in
+  ignore (fetch_starts refs starts);
+  starts
+
+(* Zeros into the output blocks no fetch serves: the unwritten ones. *)
+let zero_unmapped refs out =
+  for i = 0 to Array.length refs - 1 do
+    if Option.is_none refs.(i) then Bytes.fill out (i * block_size) block_size '\000'
+  done
+
+(* Copy the mapped output blocks of [first .. last] out of their decoded
+   cblock. *)
+let blit_slices data out failed refs ~first ~last =
+  for i = first to last do
+    match refs.(i) with
+    | None -> ()
+    | Some (r : Blockref.t) ->
+      let src = r.index * block_size in
+      if src + block_size <= String.length data then
+        Bytes.blit_string data src out (i * block_size) block_size
+      else failed := true
+  done
 
 (* Verify and decode a fetched frame once and copy its slices out. The
    decoded cblock is returned for the read cache; a frame that does not
    decode fails the read and yields nothing to cache. *)
-let decode_slices frame out failed slices =
+let decode_slices frame out failed refs ~first ~last =
   match Cblock.decode frame ~pos:0 with
   | Some (_, data, _) ->
-    blit_slices data out failed slices;
+    blit_slices data out failed refs ~first ~last;
     Some data
   | None ->
     failed := true;
@@ -69,19 +84,23 @@ let read t ~volume ~block ~nblocks k =
     | Some v ->
       if nblocks <= 0 || block < 0 || block + nblocks > v.blocks then fail `Out_of_range
       else begin
-        let out = Bytes.make (nblocks * block_size) '\000' in
-        let fetches = plan t ~medium:v.medium ~block ~nblocks in
+        let refs = resolve_range t ~medium:v.medium ~block ~nblocks in
+        let fetches = plan refs in
+        let nfetches = Array.length fetches in
+        (* every success path writes each mapped block *)
+        let out = Bytes.create (nblocks * block_size) in
+        zero_unmapped refs out;
         let rspan =
           Span.start t.tracer
             ~tags:
               [
                 ("volume", volume);
                 ("blocks", string_of_int nblocks);
-                ("fetches", string_of_int (List.length fetches));
+                ("fetches", string_of_int nfetches);
               ]
             "read"
         in
-        let pending = ref (List.length fetches) in
+        let pending = ref nfetches in
         let failed = ref false in
         let finish () =
           if !failed then begin
@@ -102,55 +121,56 @@ let read t ~volume ~block ~nblocks k =
           decr pending;
           if !pending = 0 then finish ()
         in
-        match fetches with
-        | [] ->
+        if nfetches = 0 then
           (* all-zero read: charge a trivial metadata-only latency *)
           Clock.schedule t.clock ~delay:1.0 finish
-        | _ :: _ ->
-          List.iter
-            (fun f ->
-              match unflushed_writer t f.ref_.Blockref.segment with
-              | Some w -> (
-                (* data still in the segio's RAM buffer: DRAM-speed read *)
-                match
-                  Writer.peek_payload w ~off:f.ref_.Blockref.off
-                    ~len:f.ref_.Blockref.stored_len
-                with
+        else
+          for f = 0 to nfetches - 1 do
+            let first = fetches.(f) in
+            let last = if f + 1 < nfetches then fetches.(f + 1) - 1 else nblocks - 1 in
+            let ref_ =
+              match refs.(first) with
+              | Some (r : Blockref.t) -> r
+              | None -> assert false (* a fetch starts on a mapped block *)
+            in
+            match unflushed_writer t ref_.segment with
+            | Some w -> (
+              (* data still in the segio's RAM buffer: DRAM-speed read *)
+              match Writer.peek_payload w ~off:ref_.off ~len:ref_.stored_len with
+              | None ->
+                failed := true;
+                settle ()
+              | Some frame ->
+                Clock.schedule t.clock ~delay:2.0 (fun () ->
+                    ignore
+                      (decode_slices
+                         (Bytes.unsafe_of_string frame
+                         [@purity.lint.allow "unsafe: frame decode view"])
+                         out failed refs ~first ~last);
+                    settle ()))
+            | None -> (
+              let cache_key = (ref_.segment, ref_.off) in
+              match Lru.Ipair.find t.read_cache cache_key with
+              | Some data ->
+                (* controller-DRAM hit: the cblock is cached decoded *)
+                Registry.incr t.ws.cache_hits;
+                Clock.schedule t.clock ~delay:2.0 (fun () ->
+                    blit_slices data out failed refs ~first ~last;
+                    settle ())
+              | None -> (
+                Registry.incr t.ws.cache_misses;
+                match find_segment t ref_.segment with
                 | None ->
                   failed := true;
                   settle ()
-                | Some frame ->
-                  Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      ignore
-                        (decode_slices
-                           (Bytes.unsafe_of_string frame
-                           [@purity.lint.allow "unsafe: frame decode view"])
-                           out failed f.slices);
-                      settle ()))
-              | None -> (
-                let cache_key = (f.ref_.Blockref.segment, f.ref_.Blockref.off) in
-                match Lru.Ipair.find t.read_cache cache_key with
-                | Some data ->
-                  (* controller-DRAM hit: the cblock is cached decoded *)
-                  Registry.incr t.ws.cache_hits;
-                  Clock.schedule t.clock ~delay:2.0 (fun () ->
-                      blit_slices data out failed f.slices;
-                      settle ())
-                | None -> (
-                  Registry.incr t.ws.cache_misses;
-                  match find_segment t f.ref_.Blockref.segment with
-                  | None ->
-                    failed := true;
-                    settle ()
-                  | Some seg ->
-                    Io.read t.io seg ~off:f.ref_.Blockref.off
-                      ~len:f.ref_.Blockref.stored_len (fun result ->
-                        (match result with
-                        | Error `Unrecoverable -> failed := true
-                        | Ok frame -> (
-                          match decode_slices frame out failed f.slices with
-                          | Some data -> ignore (Lru.Ipair.add t.read_cache cache_key data)
-                          | _ -> ()));
-                        settle ()))))
-            fetches
+                | Some seg ->
+                  Io.read t.io seg ~off:ref_.off ~len:ref_.stored_len (fun result ->
+                      (match result with
+                      | Error `Unrecoverable -> failed := true
+                      | Ok frame -> (
+                        match decode_slices frame out failed refs ~first ~last with
+                        | Some data -> ignore (Lru.Ipair.add t.read_cache cache_key data)
+                        | _ -> ()));
+                      settle ())))
+          done
       end

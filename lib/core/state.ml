@@ -180,6 +180,9 @@ type t = {
   arena : Arena.t; (* compress/frame scratch for the fill loop *)
   read_cache : string Lru.Ipair.t;
       (* (segment, off) -> the cblock's verified, decompressed bytes *)
+  run_slots : Block_index.fact array;
+      (* Block_index.find_run's slots for up to 64 keys (a host read's
+         longest run), reused; nothing holds them across calls *)
   (* accounting *)
   write_lat : Histogram.t;
   read_lat : Histogram.t;
@@ -291,6 +294,7 @@ let create_over ~config ~clock ~shelf () =
     dedup = Dedup.create ();
     arena = Arena.create ();
     read_cache = Lru.Ipair.create ~capacity:config.read_cache_entries;
+    run_slots = Array.make 64 Block_index.Fact.absent;
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
     ws =
@@ -614,64 +618,92 @@ let[@purity.lint.recovery_root] decode_volume_value s =
 
 let persist_volume t name v = put t Volumes ~key:name ~value:(encode_volume_value v)
 
+(* Slots for a longer run than the scratch holds: a whole-volume
+   resolution (replication's delta, the resolution audit) or a GC
+   victim's refs. Not kept, so the scratch never outgrows a host read. *)
+let[@purity.lint.coldpath] fresh_run_slots n = Array.make n Block_index.Fact.absent
+
+(* [Block_index.find_run]'s slots for [n] keys, valid until the next
+   call: the controller's scratch when it is big enough. *)
+let run_slots t n = if n <= Array.length t.run_slots then t.run_slots else fresh_run_slots n
+
+(* One level of one extent piece: slots [off, off + len) of [out], blocks
+   [block, block + len) of [medium], every one still unresolved; one
+   batched pyramid run. *)
+let lookup_level t out ~medium ~block ~len ~off =
+  let keys =
+    ([| (medium, block) |]
+    [@purity.lint.allow "hotalloc: the run's first key, one per level of a read"])
+  in
+  let slots = run_slots t len in
+  Block_index.find_run t.blocks ~keys ~span:len ~into:slots;
+  for i = 0 to len - 1 do
+    match Block_index.live_value t.blocks slots.(i) with
+    | Some _ as r -> out.(off + i) <- r
+    | None -> () (* this level holds nothing; deeper levels may serve *)
+  done
+
+(* Resolve slots [off, off + n) of [out], blocks [block, block + n) of
+   [medium]: each piece an extent of [medium] covers is looked up at this
+   level unless [skip_local], then each run of its still-unresolved slots
+   at the level under it. Blocks no extent covers end their chain. *)
+let rec resolve_level t out ~limit ~medium ~block ~n ~off ~depth =
+  if n > 0 && depth <= limit then
+    resolve_pieces t out ~limit ~medium ~block ~n ~off ~depth
+      (Medium.extents t.medium_table medium)
+
+(* The pieces of [block, block + n) the extents [es] (sorted by start,
+   disjoint) cover, in block order. *)
+and resolve_pieces t out ~limit ~medium ~block ~n ~off ~depth = function
+  | [] -> ()
+  | (e : Medium.extent) :: es ->
+    if e.start_block < block + n then begin
+      let lo = max block e.start_block and hi = min (block + n) (e.end_block + 1) in
+      if lo < hi then begin
+        let len = hi - lo and off_lo = off + lo - block in
+        if not e.skip_local then lookup_level t out ~medium ~block:lo ~len ~off:off_lo;
+        match e.target with
+        | Medium.Base -> ()
+        | Medium.Underlying { medium = under; offset } ->
+          resolve_under t out ~limit ~medium:under
+            ~block:(lo - e.start_block + offset)
+            ~len ~off:off_lo ~depth:(depth + 1)
+      end;
+      resolve_pieces t out ~limit ~medium ~block ~n ~off ~depth es
+    end
+
+(* Each maximal run of still-unresolved slots of [off, off + len), at
+   the level [medium], whose block [block] is slot [off]'s. *)
+and resolve_under t out ~limit ~medium ~block ~len ~off ~depth =
+  let i = ref 0 in
+  while !i < len do
+    if Option.is_some out.(off + !i) then incr i
+    else begin
+      let j = ref (!i + 1) in
+      while !j < len && Option.is_none out.(off + !j) do
+        incr j
+      done;
+      resolve_level t out ~limit ~medium ~block:(block + !i) ~n:(!j - !i) ~off:(off + !i) ~depth;
+      i := !j
+    end
+  done
+
 (* Batched resolution for [nblocks] consecutive logical blocks:
    equivalent to probing the block index at each level of each block's
    chain ([Medium.resolve]) in turn, but each medium level consulted
-   does one lower_bound + sequential walk per patch (Pyramid.find_run)
-   for all its unresolved blocks instead of per-block binary searches. Sub-ranges are split along extent boundaries and
-   recursed level by level, respecting [skip_local] exactly as
-   Medium.resolve does. *)
-let resolve_range t ~medium ~block ~nblocks =
-  let out = Array.make nblocks None in
-  let resolved = Array.make nblocks false in
-  (* one level of one extent piece [off .. off+len-1]: one batched
-     pyramid run. Every slot of a piece is still unresolved, since [go]
-     only descends into runs of unresolved slots. *)
-  let lookup_level ~medium ~block ~len ~off =
-    let run =
-      Block_index.find_run t.blocks ~n:len
-        ~key_of:(fun i -> (medium, block + i))
-        ~index:(fun (m, b) -> if m = medium then b - block else -1)
-    in
-    for i = 0 to len - 1 do
-      match Block_index.resolve_fact t.blocks run.(i) with
-      | Some _ as r ->
-        out.(off + i) <- r;
-        resolved.(off + i) <- true
-      | None -> () (* this level holds nothing; deeper levels may serve *)
-    done
+   does one lower_bound + sequential walk per patch (Block_index.find_run)
+   for all its unresolved blocks instead of per-block binary searches.
+   Sub-ranges are split along extent boundaries and recursed level by
+   level, respecting [skip_local] exactly as Medium.resolve does. A
+   fresh array each call; nothing else is allocated but the first key
+   of each level's run. *)
+let[@purity.lint.hotpath] resolve_range t ~medium ~block ~nblocks =
+  let out =
+    (Array.make nblocks None
+    [@purity.lint.allow "hotalloc: the returned array, one slot per block"])
   in
-  let limit = Medium.count t.medium_table + 1 in
-  let rec go ~medium ~block ~n ~off depth =
-    if n > 0 && depth <= limit then
-      match Medium.extent_of t.medium_table medium ~block with
-      | None ->
-        (* out of range at this level: the chain for this block ends *)
-        go ~medium ~block:(block + 1) ~n:(n - 1) ~off:(off + 1) depth
-      | Some e ->
-        let len = min n (e.Medium.end_block - block + 1) in
-        if not e.Medium.skip_local then lookup_level ~medium ~block ~len ~off;
-        (match e.Medium.target with
-        | Medium.Base -> ()
-        | Medium.Underlying { medium = under; offset } ->
-          (* recurse for each contiguous run of still-unresolved slots *)
-          let i = ref 0 in
-          while !i < len do
-            if resolved.(off + !i) then incr i
-            else begin
-              let j = ref !i in
-              while !j < len && not resolved.(off + !j) do
-                incr j
-              done;
-              go ~medium:under
-                ~block:(block - e.Medium.start_block + offset + !i)
-                ~n:(!j - !i) ~off:(off + !i) (depth + 1);
-              i := !j
-            end
-          done);
-        go ~medium ~block:(block + len) ~n:(n - len) ~off:(off + len) depth
-  in
-  go ~medium ~block ~n:nblocks ~off:0 0;
+  resolve_level t out ~limit:(Medium.count t.medium_table + 1) ~medium ~block ~n:nblocks ~off:0
+    ~depth:0;
   out
 
 let find_segment t id = Hashtbl.find_opt t.segment_metas id

@@ -23,7 +23,8 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let extents t m = Option.value ~default:[] (Hashtbl.find_opt t.table m)
+(* No option is built: batched resolution reads this once per level. *)
+let extents t m = match Hashtbl.find t.table m with es -> es | exception Not_found -> []
 let exists t m = Hashtbl.mem t.table m
 
 let set_extents t m es =

@@ -77,11 +77,6 @@ val count : t -> int
 val referenced_by : t -> int -> int list
 (** Mediums with an extent targeting the given one. *)
 
-val extent_of : t -> int -> block:int -> extent option
-(** The extent of a medium covering [block], if any — lets batched
-    resolution split a block range along extent boundaries and walk the
-    chain one level at a time. *)
-
 val resolve : t -> int -> block:int -> (int * int) list
 (** Lookup chain for (medium, block): the (medium, block) pairs that may
     hold the data, nearest patch first, ending at the base layer. Skips

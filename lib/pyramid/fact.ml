@@ -13,6 +13,7 @@ module Make (K : KEY) (V : VALUE) = struct
   let make ~key ~value ~seq = { key; value = Some value; seq }
   let tombstone ~key ~seq = { key; value = None; seq }
   let is_tombstone t = Option.is_none t.value
+  let absent = tombstone ~key:K.least ~seq:Int64.min_int
 
   let compare_key_seq a b =
     let c = K.compare a.key b.key in
@@ -63,6 +64,17 @@ module Str = struct
   let pp ppf s = Fmt.pf ppf "%S" s
   let compare = String.compare
   let hash = String.hash
+
+  (* The next key after [s] is [s ^ "\000"], so the steps from [lo] are
+     [lo] padded with zero bytes. *)
+  let offset lo k =
+    let n = String.length lo in
+    let o = String.length k - n in
+    let rec zeros i = i >= String.length k || (k.[i] = '\000' && zeros (i + 1)) in
+    if o >= 0 && String.starts_with ~prefix:lo k && zeros n then o else -1
+
+  let hash_at lo o = String.hash (if o = 0 then lo else lo ^ String.make o '\000')
+  let least = ""
   let hash_pair = Purity_util.Bloom.hash_pair
   let retractable = true
 end

@@ -30,6 +30,20 @@ module type KEY = sig
   val hash : t -> int
   (** For the memtable's hash table. *)
 
+  val offset : t -> t -> int
+  (** [offset lo k] is [o >= 0] when [k] is the key [o] steps after [lo]
+      in key order (no key sorts strictly between a key and its next
+      step), and a negative number otherwise. The batched lookup names
+      a run of consecutive keys by its first key and a length with it,
+      so it never builds the run's keys. *)
+
+  val hash_at : t -> int -> int
+  (** [hash_at lo o] is [hash] of the key [o] steps after [lo]; so
+      [hash_at k 0 = hash k]. *)
+
+  val least : t
+  (** The first key in key order. *)
+
   val hash_pair : t -> int * int
   (** {!Purity_util.Bloom.hash_pair} of the key's encoding, so a table's
       bloom filters set the same bits whatever its in-memory key type. *)
@@ -54,6 +68,11 @@ module type S = sig
   val make : key:key -> value:value -> seq:int64 -> t
   val tombstone : key:key -> seq:int64 -> t
   val is_tombstone : t -> bool
+
+  val absent : t
+  (** A tombstone of {!KEY.least}, older than every fact: the batched
+      lookup's mark for a key the table holds no fact of, which callers
+      test with [==]. *)
 
   val compare_key_seq : t -> t -> int
   (** Order by key ascending, then sequence number descending — the patch

@@ -135,8 +135,8 @@ module Make (F : Fact.S) = struct
     else None
 
 
-  (* One lower_bound, then a sequential walk: the batched-resolution
-     primitive. [f] sees every fact with lo <= key <= hi in order. *)
+  (* One lower_bound, then a sequential walk: [f] sees every fact with
+     lo <= key <= hi in order. *)
   let iter_run t ~lo ~hi f =
     let a = t.facts in
     let n = Array.length a in
@@ -144,6 +144,40 @@ module Make (F : Fact.S) = struct
     while !i < n && K.compare (a.(!i)).F.key hi <= 0 do
       f a.(!i);
       incr i
+    done
+
+  (* Could a key of the runs [find_run] names fall inside this patch's
+     key range? [fence_overlaps] over the runs' first and last keys,
+     without building the last. *)
+  let run_overlaps t ~keys ~span =
+    let a = t.facts in
+    let n = Array.length a in
+    let last = keys.(Array.length keys - 1) in
+    n > 0
+    && K.compare keys.(0) (a.(n - 1)).F.key <= 0
+    && (K.compare (a.(0)).F.key last <= 0
+       ||
+       let o = K.offset last (a.(0)).F.key in
+       o >= 0 && o < span)
+
+  (* One lower_bound, then one walk that merges the patch's facts with
+     the ascending runs: the cursor [r] moves to the next run once a
+     fact sorts past run [r]'s keys. *)
+  let find_run t ~keys ~span ~into =
+    let a = t.facts in
+    let n = Array.length a and runs = Array.length keys in
+    let i = ref (lower_bound t keys.(0)) and r = ref 0 in
+    while !i < n && !r < runs do
+      let f = a.(!i) in
+      let o = K.offset keys.(!r) f.F.key in
+      if o >= 0 && o < span then begin
+        let s = (!r * span) + o in
+        let cur = into.(s) in
+        if cur == F.absent || Int64.compare cur.F.seq f.F.seq < 0 then into.(s) <- f;
+        incr i
+      end
+      else if K.compare f.F.key keys.(!r) < 0 then incr i
+      else incr r
     done
 
   (* Linear merge of two sorted runs into one array, dropping (key, seq)

@@ -53,8 +53,21 @@ module type S = sig
 
   val iter_run : t -> lo:Fact.key -> hi:Fact.key -> (Fact.t -> unit) -> unit
   (** Visit facts with [lo <= key <= hi] in patch order: one lower_bound
-      then a sequential walk, allocating nothing. The batched-resolution
-      primitive behind {!Pyramid.S.find_run}. *)
+      then a sequential walk, allocating nothing beyond what [f] does. *)
+
+  val run_overlaps : t -> keys:Fact.key array -> span:int -> bool
+  (** {!fence_overlaps} for the runs {!find_run} reads: could a key
+      [span] steps or fewer after some [keys.(r)] fall inside this
+      patch's key range? *)
+
+  val find_run : t -> keys:Fact.key array -> span:int -> into:Fact.t array -> unit
+  (** For runs of [span] consecutive keys starting at each of [keys]
+      (ascending, the runs disjoint): slot [r * span + o] of [into] is
+      the key [o] steps after [keys.(r)], and becomes this patch's newest
+      fact of that key when the slot holds {!Fact.S.absent} or a fact of
+      lower seq. One
+      lower_bound, then one sequential walk, allocating nothing. The
+      per-patch step of {!Pyramid.S.find_run}. *)
 
   val merge : t -> t -> t
   (** Combine two patches (the pyramid's merge operation). Commutative,

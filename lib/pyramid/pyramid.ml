@@ -66,21 +66,24 @@ module Make (P : Patch.S) = struct
       stat_bloom_skips = 0;
     }
 
-  (* The [index] slot holding [key]'s newest fact, or the empty slot
-     where it would go. The probe starts at a multiply-shift of the key's
-     hash: keys that hash to neighbours (a medium's consecutive blocks)
-     start far apart instead of forming one long run. *)
-  let slot t key =
+  (* The [index] slot holding the newest fact of the key [o] steps after
+     [lo] (see [K.offset]), or the empty slot where it would go; the key
+     itself is never built. The probe starts at a multiply-shift of the
+     key's hash: keys that hash to neighbours (a medium's consecutive
+     blocks) start far apart instead of forming one long run. *)
+  let slot_at t lo o =
     let index = t.index in
     let mask = Array.length index - 1 in
-    let s = ref ((K.hash key * 0x1E3779B97F4A7C15) lsr t.index_shift) in
+    let s = ref ((K.hash_at lo o * 0x1E3779B97F4A7C15) lsr t.index_shift) in
     while
       let i = index.(!s) in
-      i >= 0 && not (K.equal t.facts.(i).Fact.key key)
+      i >= 0 && K.offset lo t.facts.(i).Fact.key <> o
     do
       s := (!s + 1) land mask
     done;
     !s
+
+  let slot t key = slot_at t key 0
 
   (* The newest memtable fact of [key]; -1 when it has none. *)
   let newest t key = t.index.(slot t key)
@@ -128,9 +131,11 @@ module Make (P : Patch.S) = struct
   let bump_seq t seq = if Int64.compare seq t.max_seq > 0 then t.max_seq <- seq
 
   (* Elide ids are never reused, so filtering against the whole table is
-     always safe. *)
+     always safe. An empty table elides nothing, whatever the rule says. *)
   let elided t f =
-    match t.policy with Tombstones -> false | Elide rule -> Ranges.mem t.elide_ranges (rule f)
+    match t.policy with
+    | Tombstones -> false
+    | Elide rule -> Ranges.range_count t.elide_ranges > 0 && Ranges.mem t.elide_ranges (rule f)
 
   let not_elided t f = not (elided t f)
 
@@ -260,39 +265,38 @@ module Make (P : Patch.S) = struct
   let find t key = resolve_fact t (latest_fact t key)
   let find_naive t key = resolve_fact t (latest_fact_naive t key)
 
-  (* Batched lookup for [n] consecutive keys: one lower_bound then a
-     sequential walk per patch, instead of n independent binary searches.
-     [key_of i] names slot i's key (keys must be ascending in i); [index]
-     inverts it, mapping a stored key back to its slot (return anything
-     out of [0, n) for keys that belong to no slot). Returns the latest
-     fact per slot; retractions are NOT applied — feed each slot through
-     [resolve_fact]. *)
-  let find_run t ~n ~key_of ~index =
-    let best = Array.make n None in
-    let consider slot f =
-      if slot >= 0 && slot < n then
-        match best.(slot) with
-        | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
-        | _ -> best.(slot) <- Some f
-    in
-    for i = 0 to n - 1 do
-      let j = ref (newest t (key_of i)) in
-      while !j >= 0 do
-        consider i t.facts.(!j);
-        j := t.older.(!j)
+  (* The patch half of [find_run], shallowest patch first: a recursive
+     walk, so no closure is built per call. *)
+  let rec find_run_patches t ~keys ~span ~into = function
+    | [] -> ()
+    | p :: deeper ->
+      t.stat_probes <- t.stat_probes + 1;
+      if not (Patch.run_overlaps p ~keys ~span) then
+        t.stat_fence_skips <- t.stat_fence_skips + 1
+      else Patch.find_run p ~keys ~span ~into;
+      find_run_patches t ~keys ~span ~into deeper
+
+  (* Batched lookup for runs of [span] consecutive keys: each memtable
+     key probed in place, then one lower_bound and one sequential walk
+     per patch, instead of a search per key. Slot [r * span + o] of
+     [into] is the key [o] steps after [keys.(r)]; it ends holding that
+     key's latest fact, or [Fact.absent] when the table holds none.
+     Retractions are NOT applied: read each slot through [live_value]. *)
+  let[@purity.lint.hotpath] find_run t ~keys ~span ~into =
+    let runs = Array.length keys in
+    Array.fill into 0 (runs * span) Fact.absent;
+    for r = 0 to runs - 1 do
+      for o = 0 to span - 1 do
+        let s = (r * span) + o in
+        let j = ref t.index.(slot_at t keys.(r) o) in
+        while !j >= 0 do
+          let f = t.facts.(!j) and cur = into.(s) in
+          if cur == Fact.absent || Int64.compare cur.Fact.seq f.Fact.seq < 0 then into.(s) <- f;
+          j := t.older.(!j)
+        done
       done
     done;
-    if n > 0 then begin
-      let lo = key_of 0 and hi = key_of (n - 1) in
-      List.iter
-        (fun p ->
-          t.stat_probes <- t.stat_probes + 1;
-          if not (Patch.fence_overlaps p ~lo ~hi) then
-            t.stat_fence_skips <- t.stat_fence_skips + 1
-          else Patch.iter_run p ~lo ~hi (fun f -> consider (index f.Fact.key) f))
-        t.patches
-    end;
-    best
+    if runs > 0 && span > 0 then find_run_patches t ~keys ~span ~into t.patches
 
   (* The memtable (when it holds anything) above every patch. *)
   let runs t =

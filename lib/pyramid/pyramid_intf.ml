@@ -64,18 +64,24 @@ module type S = sig
       micro-benchmark can compare the fenced fast path against it; results
       are always identical. *)
 
-  val find_run : t -> n:int -> key_of:(int -> key) -> index:(key -> int) -> fact option array
-  (** Batched lookup for [n] consecutive keys: one lower_bound then a
-      sequential walk per patch instead of [n] independent searches.
-      [key_of i] is slot [i]'s key (ascending in [i]); [index] maps a
-      stored key back to its slot (anything outside [0, n) is ignored).
-      Returns the latest fact per slot with retractions NOT
-      applied — pass each slot through {!resolve_fact} if liveness
-      matters. *)
+  val find_run : t -> keys:key array -> span:int -> into:fact array -> unit
+  (** Batched lookup for runs of [span] consecutive keys (see
+      {!Fact_intf.KEY.offset}), one run from each of [keys] (ascending,
+      the runs disjoint): each memtable key is probed in place, then one
+      lower_bound and one sequential walk per patch instead of a search
+      per key. Slot [r * span + o] of [into] (which needs at least
+      [Array.length keys * span] slots) is the key [o] steps after
+      [keys.(r)]; it ends holding that key's latest fact, or
+      {!Fact_intf.S.absent} (physically) when the table holds none.
+      Retractions are NOT applied — read each slot through {!live_value}
+      if liveness matters. Allocates nothing. *)
+
+  val live_value : t -> fact -> value option
+  (** A fact's value, or [None] when it is a tombstone or elided: the
+      fact's own option, so nothing is allocated. *)
 
   val resolve_fact : t -> fact option -> value option
-  (** Apply tombstone/elide filtering to a looked-up fact (e.g. a
-      {!find_run} slot), yielding its live value. *)
+  (** {!live_value} of a looked-up fact, [None] for no fact. *)
 
   val iter_live : t -> (fact -> unit) -> unit
   (** Visit each key's latest live fact, in key order: the stored fact

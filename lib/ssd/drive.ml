@@ -323,9 +323,11 @@ let[@purity.lint.allow
 let trim_au t ~au =
   if au < 0 || au >= t.cfg.num_aus then invalid_arg "Drive.trim_au: bad au";
   Hashtbl.remove t.contents au;
-  Hashtbl.iter
-    (fun ((a, _) as key) () -> if a = au then Hashtbl.remove t.injected key)
-    (Hashtbl.copy t.injected);
+  (* the walk needs a copy of the marks: skip both when none exists *)
+  if Hashtbl.length t.injected > 0 then
+    Hashtbl.iter
+      (fun ((a, _) as key) () -> if a = au then Hashtbl.remove t.injected key)
+      (Hashtbl.copy t.injected);
   t.fill.(au) <- 0;
   t.pe.(au) <- t.pe.(au) + 1;
   Registry.incr t.trims;

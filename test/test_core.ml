@@ -1168,10 +1168,12 @@ let still_mapped_by_search (st : Purity_core.State.t) ~seg_id ~off
     if !lo < n && compare sorted.(!lo).key key = 0 then !lo else -1
   in
   let blocks = st.Purity_core.State.blocks in
-  let run = Block_index.find_run blocks ~n ~key_of:(fun i -> sorted.(i).key) ~index in
+  let run = Array.make n Block_index.Fact.absent in
+  Block_index.find_run blocks ~keys:(Array.map (fun (f : Block_index.fact) -> f.key) sorted)
+    ~span:1 ~into:run;
   List.filter
     (fun (f : Block_index.fact) ->
-      match Block_index.resolve_fact blocks run.(index f.key) with
+      match Block_index.live_value blocks run.(index f.key) with
       | Some (r : Purity_core.Blockref.t) -> r.segment = seg_id && r.off = off
       | None -> false)
     refs
@@ -1342,6 +1344,109 @@ let test_liveness_allocation () =
   check int "every ref is live" !live refs;
   if words > 4. then Alcotest.failf "Gc.liveness allocates %.2f words per live ref" words
 
+(* A clone two levels down from its golden image, with each level's own
+   writes in separate block-index patches and the newest in the memtable:
+   (clock, array, the clone's medium). Blocks 0-7 are the clone's, 8-15
+   the middle clone's, 16-63 the image's. *)
+let clone_chain () =
+  let module State = Purity_core.State in
+  let module Block_index = Purity_core.Block_index in
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "gold" ~blocks:256);
+  for run = 0 to 7 do
+    write_ok clock a ~volume:"gold" ~block:(run * 8) (random_data 8)
+  done;
+  let st = Fa.state a in
+  Block_index.flush st.State.blocks;
+  ok (Fa.snapshot a ~volume:"gold" ~snap:"gold@1");
+  ok (Fa.clone a ~snapshot:"gold@1" ~volume:"mid");
+  write_ok clock a ~volume:"mid" ~block:8 (random_data 4);
+  write_ok clock a ~volume:"mid" ~block:12 (random_data 4);
+  Block_index.flush st.State.blocks;
+  ok (Fa.snapshot a ~volume:"mid" ~snap:"mid@1");
+  ok (Fa.clone a ~snapshot:"mid@1" ~volume:"vm");
+  write_ok clock a ~volume:"vm" ~block:0 (random_data 2);
+  Block_index.flush st.State.blocks;
+  write_ok clock a ~volume:"vm" ~block:2 (random_data 6);
+  check bool "three patches or more" true (Block_index.patch_count st.State.blocks >= 3);
+  let in_patches =
+    List.fold_left
+      (fun acc p -> acc + Block_index.Patch.count p)
+      0 (Block_index.patches st.State.blocks)
+  in
+  check bool "a memtable" true (Block_index.fact_count st.State.blocks > in_patches);
+  (clock, a, (State.Stbl.find st.State.volumes "vm").State.medium)
+
+(* Resolving a range down a clone chain allocates its result array and
+   5 words for each level's run (its first key, in a one-key array),
+   nothing per block or per fact: the patch walks and the memtable probes
+   fill the controller's scratch slots. The chain's 64 blocks take one
+   run at each of its 3 levels. *)
+let test_resolve_range_allocation () =
+  let module State = Purity_core.State in
+  let _, a, medium = clone_chain () in
+  let st = Fa.state a in
+  let nblocks = 64 in
+  let refs = State.resolve_range st ~medium ~block:0 ~nblocks in
+  Array.iteri
+    (fun i r ->
+      if r <> Purity_check.Runner.chain_lookup st ~medium ~block:i then
+        Alcotest.failf "block %d resolves otherwise than its chain" i)
+    refs;
+  check int "every block maps" nblocks
+    (Array.fold_left (fun n r -> if Option.is_some r then n + 1 else n) 0 refs);
+  let words =
+    Testkit.words_per_call 100 (fun () -> ignore (State.resolve_range st ~medium ~block:0 ~nblocks))
+  in
+  if words > float_of_int (nblocks + 1 + (5 * 3)) then
+    Alcotest.failf "State.resolve_range allocates %.1f words for %d blocks" words nblocks
+
+(* A read's plan is its resolved references plus one flat array of an
+   int per cblock fetch: at most 2 words per block and a constant per
+   fetch. *)
+let test_read_plan_allocation () =
+  let module State = Purity_core.State in
+  let module Read_path = Purity_core.Read_path in
+  let _, a, medium = clone_chain () in
+  let st = Fa.state a in
+  let nblocks = 64 in
+  let plan () = Read_path.plan (State.resolve_range st ~medium ~block:0 ~nblocks) in
+  let fetches = Array.length (plan ()) in
+  (* the image's eight 8-block cblocks, less the clone's and the middle
+     clone's, which cover the first two; then the clone's 2 + 6 and the
+     middle clone's 4 + 4 *)
+  check int "fetches" 10 fetches;
+  let words = Testkit.words_per_call 100 (fun () -> ignore (plan ())) in
+  if words > float_of_int ((2 * nblocks) + (4 * fetches) + 16) then
+    Alcotest.failf "a read plan allocates %.1f words for %d blocks in %d fetches" words nblocks
+      fetches
+
+(* One read across written, never-written and dedup-shared blocks returns
+   the written bytes and zeros elsewhere, whether its cblocks are still in
+   the open segio, on the drives, or in the read cache; a read small
+   enough for the minor heap too. *)
+let test_read_mixed_blocks () =
+  let clock, a = make_array () in
+  ok (Fa.create_volume a "v" ~blocks:128);
+  let image = random_data 8 and tail = random_data 4 in
+  write_ok clock a ~volume:"v" ~block:0 image;
+  write_ok clock a ~volume:"v" ~block:16 image;
+  write_ok clock a ~volume:"v" ~block:24 tail;
+  check bool "the second image dedups" true ((Fa.stats a).dedup_blocks >= 8);
+  let zeros n = String.make (n * bs) '\000' in
+  let model = String.concat "" [ image; zeros 8; image; tail; zeros 4 ] in
+  let reads_model label =
+    check bool (label ^ ": 32 blocks") true (read_ok clock a ~volume:"v" ~block:0 ~nblocks:32 = model);
+    check bool (label ^ ": 3 blocks") true
+      (read_ok clock a ~volume:"v" ~block:7 ~nblocks:3 = String.sub model (7 * bs) (3 * bs));
+    check bool (label ^ ": unwritten") true
+      (read_ok clock a ~volume:"v" ~block:40 ~nblocks:2 = zeros 2)
+  in
+  reads_model "open segio";
+  ignore (await clock (fun k -> Fa.flush a (fun () -> k (Ok ()))));
+  reads_model "on the drives";
+  reads_model "cached"
+
 let test_rebuild_under_writes =
   acked_writes_survive_evacuation (fun a k ->
       Fa.replace_drive a 1;
@@ -1464,23 +1569,28 @@ let prop_resolve_range_matches_per_block =
       in
       let pick l = List.nth l (Rng.int rng (List.length l)) in
       let views kind = List.filter (fun (_, k, _) -> k = kind) (Fa.list_volumes a) in
-      let sub_range_agrees st ~medium ~blocks =
+      let sub_range st ~medium ~blocks =
         let block = Rng.int rng blocks in
         let nblocks = 1 + Rng.int rng (blocks - block) in
-        let batched = State.resolve_range st ~medium ~block ~nblocks in
+        (medium, block, State.resolve_range st ~medium ~block ~nblocks)
+      in
+      let agrees_per_block st (medium, block, batched) =
         Array.for_all Fun.id
           (Array.mapi
              (fun i r -> r = Purity_check.Runner.chain_lookup st ~medium ~block:(block + i))
              batched)
       in
-      (* three random sub-ranges of every view *)
+      (* three random sub-ranges of every view, all resolved before any is
+         checked: a result that shared the resolver's scratch with a later
+         call would show *)
       let agrees () =
         let st = Fa.state a in
-        List.for_all
+        List.concat_map
           (fun (name, _, blocks) ->
             let medium = (State.Stbl.find st.State.volumes name).State.medium in
-            List.for_all (fun _ -> sub_range_agrees st ~medium ~blocks) [ 1; 2; 3 ])
+            List.map (fun _ -> sub_range st ~medium ~blocks) [ 1; 2; 3 ])
           (Fa.list_volumes a)
+        |> List.for_all (agrees_per_block st)
       in
       let okay = ref true in
       for _ = 1 to 40 do
@@ -1964,6 +2074,12 @@ let () =
           Alcotest.test_case "insert_fact allocation" `Quick test_insert_fact_allocation;
           Alcotest.test_case "put_block allocation" `Quick test_put_block_allocation;
           Alcotest.test_case "liveness allocation" `Quick test_liveness_allocation;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "mixed blocks" `Quick test_read_mixed_blocks;
+          Alcotest.test_case "resolve_range allocation" `Quick test_resolve_range_allocation;
+          Alcotest.test_case "read plan allocation" `Quick test_read_plan_allocation;
         ] );
       ( "scrub",
         [

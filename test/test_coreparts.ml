@@ -476,20 +476,18 @@ let same_reads (b, s) ops =
   let runs_agree (medium, block) =
     let n = 4 in
     let block = if block >= 0 then min block (max_int - n) else min block (-1 - n) in
-    let run_b =
-      Block_index.find_run b ~n ~key_of:(fun i -> (medium, block + i)) ~index:(fun (m, k) ->
-          if m = medium then k - block else -1)
-    in
-    let run_s =
-      Spyr.find_run s ~n
-        ~key_of:(fun i -> block_key ~medium ~block:(block + i))
-        ~index:(fun k ->
-          match parse_block_key k with Some (m, k) when m = medium -> k - block | _ -> -1)
-    in
+    (* one run of [n] on the typed index; [n] runs of one on the string
+       index, whose next key after a block key is no block key *)
+    let run_b = Array.make n Block_index.Fact.absent in
+    Block_index.find_run b ~keys:[| (medium, block) |] ~span:n ~into:run_b;
+    let run_s = Array.make n Purity_pyramid.Fact.absent in
+    Spyr.find_run s
+      ~keys:(Array.init n (fun i -> block_key ~medium ~block:(block + i)))
+      ~span:1 ~into:run_s;
     List.for_all
       (fun i ->
-        Block_index.resolve_fact b run_b.(i)
-        = Option.map (fun v -> Option.get (blockref_decode v)) (Spyr.resolve_fact s run_s.(i))
+        Block_index.live_value b run_b.(i)
+        = Option.map (fun v -> Option.get (blockref_decode v)) (Spyr.live_value s run_s.(i))
         && Block_index.find b (medium, block + i)
            = Option.map
                (fun v -> Option.get (blockref_decode v))

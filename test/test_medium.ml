@@ -237,7 +237,11 @@ let binary_shortcut ?only t ~has_blocks =
     if status t medium <> Some Medium.RO then stop
     else if has_blocks ~medium ~lo:offset ~hi:(offset + len - 1) then split ()
     else
-      match Medium.extent_of t medium ~block:offset with
+      match
+        List.find_opt
+          (fun (e : Medium.extent) -> offset >= e.start_block && offset <= e.end_block)
+          (Medium.extents t medium)
+      with
       | Some ({ Medium.target = Medium.Underlying { medium = next; offset = noff }; _ } as inner)
         when offset >= inner.Medium.start_block && offset + len - 1 <= inner.Medium.end_block ->
         chase next (offset - inner.Medium.start_block + noff) len

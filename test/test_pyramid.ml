@@ -498,17 +498,25 @@ let prop_find_run_equals_point =
           | `Merge -> ignore (Pyramid.merge_step p))
         ops;
       let n = 12 in
+      let run = Array.make n Fact.absent in
       List.for_all
         (fun base ->
-          let run =
-            Pyramid.find_run p ~n
-              ~key_of:(fun i -> key_of_block (base + i))
-              ~index:(fun key -> int_of_string key - base)
-          in
+          (* each block's key its own run of one: the next string key
+             after "0007" is "0007\000", not "0008" *)
+          Pyramid.find_run p
+            ~keys:(Array.init n (fun i -> key_of_block (base + i)))
+            ~span:1 ~into:run;
           List.for_all
-            (fun i ->
-              Pyramid.resolve_fact p run.(i) = Pyramid.find p (key_of_block (base + i)))
-            (List.init n Fun.id))
+            (fun i -> Pyramid.live_value p run.(i) = Pyramid.find p (key_of_block (base + i)))
+            (List.init n Fun.id)
+          &&
+          (* one run of three from a block's key: the key, then the two
+             keys after it *)
+          let key = key_of_block base in
+          Pyramid.find_run p ~keys:[| key |] ~span:3 ~into:run;
+          List.for_all
+            (fun o -> Pyramid.live_value p run.(o) = Pyramid.find p (key ^ String.make o '\000'))
+            [ 0; 1; 2 ])
         [ 0; 7; 25 ])
 
 (* The reference bottom: merge every run, drop the facts [keep] rejects,
@@ -644,6 +652,11 @@ module Collide_key = struct
   let pp ppf s = Fmt.pf ppf "%S" s
   let compare = String.compare
   let hash _ = 0
+
+  (* runs of one key only: no key is another's next step here *)
+  let offset lo k = if String.equal lo k then 0 else -1
+  let hash_at _ _ = 0
+  let least = ""
   let hash_pair = Purity_util.Bloom.hash_pair
 end
 
@@ -748,18 +761,14 @@ let prop_memtable_matches_model =
         | expected -> CPyr.latest_fact p key = expected
       in
       let reads_agree () =
-        let key_of i = memtable_key_array.(i) in
-        let n = Array.length memtable_key_array in
-        let index k =
-          let rec go i = if i >= n then -1 else if key_of i = k then i else go (i + 1) in
-          go 0
-        in
-        let run = CPyr.find_run p ~n ~key_of ~index in
+        let run = Array.make (Array.length memtable_key_array) CFact.absent in
+        CPyr.find_run p ~keys:memtable_key_array ~span:1 ~into:run;
         let point_ok i key =
+          let found = if run.(i) == CFact.absent then None else Some run.(i) in
           match latest key with
-          | Some f when is_elided f -> CPyr.find p key = None && CPyr.resolve_fact p run.(i) = None
+          | Some f when is_elided f -> CPyr.find p key = None && CPyr.live_value p run.(i) = None
           | expected ->
-            key_agrees key && CPyr.find_naive p key = CPyr.find p key && run.(i) = expected
+            key_agrees key && CPyr.find_naive p key = CPyr.find p key && found = expected
         in
         let live = List.filter_map live_of memtable_keys in
         let visited = ref [] in
@@ -810,11 +819,12 @@ let prop_memtable_matches_model =
 module Counted_block = struct
   include Purity_core.Keys.Block
 
-  let equals = ref 0
+  (* the memtable probe compares keys with [offset] *)
+  let compares = ref 0
 
-  let equal a b =
-    incr equals;
-    equal a b
+  let offset lo k =
+    incr compares;
+    offset lo k
 end
 
 module Counted_index =
@@ -841,10 +851,10 @@ let test_memtable_probe_length () =
   let misses = [ List.init n (fun i -> (7, n + (i * 7919))); List.init n (fun b -> (8, b)) ] in
   List.iter
     (fun keys ->
-      Counted_block.equals := 0;
+      Counted_block.compares := 0;
       let found = List.filter (fun key -> Counted_index.latest_fact p key <> None) keys in
       check int "every key a miss" 0 (List.length found);
-      let slots = 1. +. (float_of_int !Counted_block.equals /. float_of_int n) in
+      let slots = 1. +. (float_of_int !Counted_block.compares /. float_of_int n) in
       if slots > 8. then Alcotest.failf "a miss visits %.2f slots on average" slots)
     misses;
   let hits = List.filter (fun b -> Counted_index.find p (7, b) = Some home) (List.init n Fun.id) in
