@@ -355,9 +355,9 @@ let run_scaling () =
       ("fill_par_4d_modeled_speedup", Json.Float m4);
     ];
   Printf.printf "  scaling: modeled critical path %.2fx @2 lanes, %.2fx @4 lanes\n" m2 m4;
-  shape "parallel fill >= 1.8x @2 domains (modeled critical path), bytes identical"
+  shape "parallel fill >= 1.8x @2 lanes (modeled critical path), bytes identical"
     (m2 >= 1.8);
-  shape "parallel fill >= 3.0x @4 domains (modeled critical path), bytes identical"
+  shape "parallel fill >= 3.0x @4 lanes (modeled critical path), bytes identical"
     (m4 >= 3.0)
 
 let run_in_section () =

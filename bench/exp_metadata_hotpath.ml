@@ -1,15 +1,15 @@
-(* Metadata hot path (wall clock): the bloom-fenced point probe and the
-   batched run resolver against the naive per-patch scan they replaced.
-   Runs inside the Micro section so its rows land in BENCH_Micro.json
-   next to the other host-CPU numbers.
+(* Metadata hot path (wall clock): the fenced lookup [find_run], as a
+   point probe (a run of one) and as a batched run resolver, against the
+   naive per-patch scan it replaced. Runs inside the Micro section so
+   its rows land in BENCH_Micro.json next to the other host-CPU numbers.
 
    The pyramid is the array's block index itself (Block_index, with the
    production elide-by-medium policy), shaped as after a sequence of
    checkpoint epochs: each epoch flushed one patch over its own block
    band (so fences are selective), within a band only even blocks were
-   written (so blooms see absent-but-in-range keys), and patch sizes
-   grow with age just under the tiering threshold so the stack stays
-   deep instead of collapsing into one patch. *)
+   written (so absent keys fall inside a fence and cost a search), and
+   patch sizes grow with age just under the tiering threshold so the
+   stack stays deep instead of collapsing into one patch. *)
 
 module Pyramid = Purity_core.Block_index
 module Rng = Purity_util.Rng
@@ -97,7 +97,7 @@ let run_in_section () =
   let find_run span = Pyramid.find_run p ~keys:run_start ~span ~into:run in
   find_run run_n;
   for i = 0 to run_n - 1 do
-    if Pyramid.live_value p run.(i) <> Pyramid.find p (medium, run_base + i) then
+    if Pyramid.live_value p run.(i) <> Pyramid.find_naive p (medium, run_base + i) then
       failwith "metadata hot path: find_run diverges from point lookups"
   done;
   let cursor = ref 0 in
@@ -149,7 +149,7 @@ let run_in_section () =
   let speedup_absent = fst fast_absent /. fst naive_absent in
   let speedup_run = fst run_batched /. fst run_point in
   let speedup_mixed = fst mixed_fast /. fst mixed_naive in
-  let probes, fence_skips, bloom_skips = Pyramid.probe_stats p in
+  let probes, fence_skips = Pyramid.probe_stats p in
   Bench_util.emit_row ~kind:"bench_metadata_hotpath"
     [
       ("present_speedup", Json.Float speedup_present);
@@ -158,16 +158,12 @@ let run_in_section () =
       ("mixed_speedup", Json.Float speedup_mixed);
       ("probes", Json.Int probes);
       ("fence_skips", Json.Int fence_skips);
-      ("bloom_skips", Json.Int bloom_skips);
     ];
   Printf.printf
     "  speedups: present %.1fx, absent %.1fx, 64-block resolve %.1fx, mixed op %.1fx\n\
-    \  probes %d, fence skips %d, bloom skips %d (%.0f%% of probes shed)\n"
+    \  probes %d, fence skips %d (%.0f%% of probes shed)\n"
     speedup_present speedup_absent speedup_run speedup_mixed probes fence_skips
-    bloom_skips
-    (100.0
-    *. float_of_int (fence_skips + bloom_skips)
-    /. float_of_int (max 1 probes));
+    (100.0 *. float_of_int fence_skips /. float_of_int (max 1 probes));
   Printf.printf
     "  Shape check (mixed metadata op >= 2x naive, results identical): %s\n"
     (if speedup_mixed >= 2.0 then "HOLDS" else "DIVERGES")

@@ -252,12 +252,13 @@ let audit_data ctx =
       Suite.iter_chunks blocks (fun block nblocks -> do_read ctx ~view ~block ~nblocks))
     (Model.listing ctx.model)
 
-(* Nearest level of the medium chain holding this block, one pyramid
-   probe per level: the per-block reference [State.resolve_range] is
-   checked against. *)
+(* Nearest level of the medium chain holding this block, one per-patch
+   scan per level: the per-block reference [State.resolve_range] is
+   checked against. Not [Block_index.find]: that is a [find_run] of one
+   key, the path under audit. *)
 let chain_lookup (st : State.t) ~medium ~block =
   let chain = Purity_medium.Medium.resolve st.State.medium_table medium ~block in
-  List.find_map (Purity_core.Block_index.find st.State.blocks) chain
+  List.find_map (Purity_core.Block_index.find_naive st.State.blocks) chain
 
 (* Batched range resolution is a pure performance artifact: for every
    block of every view it must agree exactly with the per-block chain

@@ -49,16 +49,6 @@ module Block = struct
       match (int_at buf pos, int_at buf (pos + 8)) with
       | Some m, Some b -> Some (m, b)
       | _ -> None
-
-  let[@purity.lint.allow
-       "unsafe: key codec: freshly built bytes published as a string, never \
-        mutated after"] to_string (medium, block) =
-    let b = Bytes.create 16 in
-    Bytes.set_int64_be b 0 (Int64.of_int medium);
-    Bytes.set_int64_be b 8 (Int64.of_int block);
-    Bytes.unsafe_to_string b
-
-  let hash_pair k = Purity_util.Bloom.hash_pair (to_string k)
   let pp ppf (m, b) = Fmt.pf ppf "(%d, %d)" m b
 end
 

@@ -1,6 +1,6 @@
 (* Shared state of one Purity array (controller-resident volatile state
    plus the controller's port onto the shelf's persistent devices). The
-   public facade is {!Array_}; the write/read/GC/recovery paths live in
+   public facade is {!Flash_array}; the write/read/GC/recovery paths live in
    sibling modules operating over this record. *)
 
 module Clock = Purity_sim.Clock
@@ -208,14 +208,9 @@ let register_derived_telemetry t =
   Registry.derive_int reg "pyramid/blocks_facts" (fun () -> Block_index.fact_count t.blocks);
   Registry.derive_int reg "pyramid/blocks_patches" (fun () -> Block_index.patch_count t.blocks);
   Registry.derive_int reg "pyramid/blocks_probes" (fun () ->
-      let p, _, _ = Block_index.probe_stats t.blocks in
-      p);
+      fst (Block_index.probe_stats t.blocks));
   Registry.derive_int reg "pyramid/blocks_fence_skips" (fun () ->
-      let _, f, _ = Block_index.probe_stats t.blocks in
-      f);
-  Registry.derive_int reg "pyramid/blocks_bloom_skips" (fun () ->
-      let _, _, b = Block_index.probe_stats t.blocks in
-      b);
+      snd (Block_index.probe_stats t.blocks));
   Registry.attach_counter reg "trace/dropped_spans" (Span.dropped t.tracer);
   (* the dedup index's own lookup, hit and verification counts, beside
      the write path's dedup/inline_blocks and dedup/gc_blocks *)

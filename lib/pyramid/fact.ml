@@ -75,7 +75,6 @@ module Str = struct
 
   let hash_at lo o = String.hash (if o = 0 then lo else lo ^ String.make o '\000')
   let least = ""
-  let hash_pair = Purity_util.Bloom.hash_pair
   let retractable = true
 end
 

@@ -43,10 +43,6 @@ module type KEY = sig
 
   val least : t
   (** The first key in key order. *)
-
-  val hash_pair : t -> int * int
-  (** {!Purity_util.Bloom.hash_pair} of the key's encoding, so a table's
-      bloom filters set the same bits whatever its in-memory key type. *)
 end
 
 module type VALUE = sig

@@ -1,29 +1,17 @@
 module Varint = Purity_util.Varint
 module Crc32c = Purity_util.Crc32c
-module Bloom = Purity_util.Bloom
 
 include Patch_intf
-
-(* Below this many facts a binary search is already a handful of
-   comparisons; the filter would cost more to build than it saves. *)
-let bloom_threshold = 16
 
 module Make (F : Fact.S) = struct
   module Fact = F
   module K = F.Key
 
-  (* A patch is an immutable sorted run of facts plus lookup fences: the
-     key range comes free from the sorted array's ends, and patches big
-     enough to matter carry a bloom filter over their distinct keys so the
-     point-lookup path can skip whole patches without binary-searching
-     them (paper §4.9: consulting metadata pages must stay cheap as the
-     pyramid deepens). The filter is built on the first probe that needs
-     it: flushes and merges make patches that the range walks of the block
-     index's I/O path read without one. *)
+  (* A patch is an immutable sorted run of facts with its key range and
+     sequence range (paper §4.8); the key range comes free from the sorted
+     array's ends and fences whole patches off the lookup path. *)
   type t = {
     facts : F.t array; (* sorted by (key asc, seq desc), no (key,seq) dups *)
-    mutable bloom : Bloom.t option;
-        (* key filter once built; stays None below [bloom_threshold] *)
     seq_lo : int64; (* min seq over facts; max_int when empty *)
     seq_hi : int64; (* max seq over facts; min_int when empty *)
   }
@@ -38,28 +26,11 @@ module Make (F : Fact.S) = struct
         if Int64.compare f.seq !seq_lo < 0 then seq_lo := f.seq;
         if Int64.compare f.seq !seq_hi > 0 then seq_hi := f.seq)
       facts;
-    { facts; bloom = None; seq_lo = !seq_lo; seq_hi = !seq_hi }
+    { facts; seq_lo = !seq_lo; seq_hi = !seq_hi }
 
-  let empty = { facts = [||]; bloom = None; seq_lo = Int64.max_int; seq_hi = Int64.min_int }
+  let empty = { facts = [||]; seq_lo = Int64.max_int; seq_hi = Int64.min_int }
   let count t = Array.length t.facts
   let is_empty t = Array.length t.facts = 0
-  let has_bloom t = Array.length t.facts >= bloom_threshold
-
-  (* The filter over the distinct keys, sized for the fact count: built
-     once per patch, on its first point probe. Only patches with
-     [has_bloom] get one. *)
-  let[@purity.lint.coldpath] build_filter t =
-    let facts = t.facts in
-    let b = Bloom.create ~expected:(Array.length facts) () in
-    Array.iteri
-      (fun i (f : F.t) ->
-        if i = 0 || not (K.equal f.key facts.(i - 1).key) then
-          Bloom.add_hashed b (K.hash_pair f.key))
-      facts;
-    t.bloom <- Some b;
-    b
-
-  let filter_of t = match t.bloom with Some b -> b | None -> build_filter t
 
   (* The first [n] slots of [a] as the patch's run, copying only when
      something was dropped. *)
@@ -86,7 +57,6 @@ module Make (F : Fact.S) = struct
   let of_facts facts = of_array (Array.of_list facts)
 
   let seq_range t = if is_empty t then None else Some (t.seq_lo, t.seq_hi)
-  let max_seq t = t.seq_hi
 
   (* Index of the first fact with key >= [key]. *)
   let lower_bound t key =
@@ -98,22 +68,11 @@ module Make (F : Fact.S) = struct
     done;
     !lo
 
-  (* Fence checks: cheap rejections before any binary search. *)
-  let fence_admits t key =
-    let a = t.facts in
-    let n = Array.length a in
-    n > 0 && K.compare (a.(0)).F.key key <= 0 && K.compare key (a.(n - 1)).F.key <= 0
-
+  (* Fence check: a cheap rejection before any binary search. *)
   let fence_overlaps t ~lo ~hi =
     let a = t.facts in
     let n = Array.length a in
     n > 0 && K.compare (a.(0)).F.key hi <= 0 && K.compare lo (a.(n - 1)).F.key <= 0
-
-
-  (* One key is tested against every patch on the lookup path: hash once,
-     probe each filter with the digests. *)
-  let bloom_admits_hashed t hashes =
-    (not (has_bloom t)) || Bloom.mem_hashed (filter_of t) (Lazy.force hashes)
 
   let find t key =
     let a = t.facts in
@@ -124,16 +83,6 @@ module Make (F : Fact.S) = struct
       incr i
     done;
     List.rev !acc
-
-  (* A key's facts sit newest-first, so the first one is the latest;
-     nothing is allocated on the miss path. *)
-  let[@purity.lint.allow
-       "hotalloc: [Some fact] is the lookup's result; the miss path \
-        allocates nothing"] find_latest t key =
-    let i = lower_bound t key in
-    if i < Array.length t.facts && K.equal (t.facts.(i)).F.key key then Some t.facts.(i)
-    else None
-
 
   (* One lower_bound, then a sequential walk: [f] sees every fact with
      lo <= key <= hi in order. *)

@@ -20,36 +20,16 @@ module type S = sig
   val seq_range : t -> (int64 * int64) option
   (** Smallest and largest sequence number, [None] when empty. *)
 
-  val max_seq : t -> int64
-  (** Highest seq in the patch; [Int64.min_int] when empty. Cached at
-      construction: the lookup path seq-fences whole patches with it. *)
-
   val find : t -> Fact.key -> Fact.t list
   (** All facts for a key, newest (highest seq) first. *)
-
-  val find_latest : t -> Fact.key -> Fact.t option
-  (** The key's newest fact; allocation-free on the miss path (no
-      intermediate list). *)
 
   (** {2 Lookup fences}
 
       Cheap rejections consulted before any binary search: the key range
-      comes from the sorted run's ends, and patches of at least 16 facts
-      carry a bloom filter over their distinct keys. The filter is built
-      on the first point probe that consults it — range walks never do, so
-      a patch only they read never pays for one. *)
-
-  val fence_admits : t -> Fact.key -> bool
-  (** Could [key] fall inside this patch's key range? *)
+      comes from the sorted run's ends. *)
 
   val fence_overlaps : t -> lo:Fact.key -> hi:Fact.key -> bool
   (** Could any key in [lo, hi] fall inside this patch's key range? *)
-
-  val bloom_admits_hashed : t -> (int * int) lazy_t -> bool
-  (** Given the key's [Fact.Key.hash_pair], computed at most once across a
-      whole patch stack (forced only if some patch has a filter): [false]
-      proves the key is absent; [true] means "probe the patch" (always
-      [true] for small patches, which carry no filter). *)
 
   val iter_run : t -> lo:Fact.key -> hi:Fact.key -> (Fact.t -> unit) -> unit
   (** Visit facts with [lo <= key <= hi] in patch order: one lower_bound

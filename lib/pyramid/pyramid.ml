@@ -35,7 +35,6 @@ module Make (P : Patch.S) = struct
     (* fast-path accounting, read back through the telemetry registry *)
     mutable stat_probes : int; (* patch consults attempted *)
     mutable stat_fence_skips : int; (* rejected by key-range fence *)
-    mutable stat_bloom_skips : int; (* rejected by bloom filter *)
   }
 
   (* The smallest power of two at least twice [capacity], as its log2. *)
@@ -63,7 +62,6 @@ module Make (P : Patch.S) = struct
       max_seq = 0L;
       stat_probes = 0;
       stat_fence_skips = 0;
-      stat_bloom_skips = 0;
     }
 
   (* The [index] slot holding the newest fact of the key [o] steps after
@@ -202,50 +200,11 @@ module Make (P : Patch.S) = struct
 
   let elide_id t ~seq id = elide_range t ~seq ~lo:id ~hi:id
 
-  (* Latest fact for a key across memtable and every patch. Patches may
-     overlap in sequence ranges after recovery, so all sources are
-     consulted and the global maximum wins. Patches whose key fence or
-     bloom filter excludes the key are skipped without a search, and the
-     per-patch probe allocates nothing. *)
-  let[@purity.lint.hotpath] [@purity.lint.allow
-                              "hotalloc: a lookup allocates a bounded \
-                               handful of words — the memoised bloom \
-                               hash (lazy cell), the fold closure, and \
-                               the result option — per query, not per \
-                               fact scanned; the patch probes themselves \
-                               are allocation-free"] latest_fact t key =
-    let best = ref None in
-    let consider f =
-      match !best with
-      | Some b when Int64.compare b.Fact.seq f.Fact.seq >= 0 -> ()
-      | _ -> best := Some f
-    in
-    iter_memtable_key t key consider;
-    let hashes = lazy (K.hash_pair key) in
-    List.iter
-      (fun p ->
-        t.stat_probes <- t.stat_probes + 1;
-        (* seq fence first (one int64 compare): a patch whose newest fact
-           is already dominated by the best so far cannot contribute *)
-        let dominated =
-          match !best with
-          | Some b -> Int64.compare b.Fact.seq (Patch.max_seq p) >= 0
-          | None -> false
-        in
-        if dominated || not (Patch.fence_admits p key) then
-          t.stat_fence_skips <- t.stat_fence_skips + 1
-        else if not (Patch.bloom_admits_hashed p hashes) then
-          t.stat_bloom_skips <- t.stat_bloom_skips + 1
-        else
-          match Patch.find_latest p key with
-          | Some f -> consider f
-          | None -> ())
-      t.patches;
-    !best
-
-  (* The pre-filter lookup, kept as the reference implementation: the
-     equivalence properties in test_pyramid.ml and the before/after rows
-     of bench/exp_metadata_hotpath.ml compare against it. *)
+  (* The per-patch scan, kept as the reference implementation: the
+     equivalence properties in test_pyramid.ml, the resolution audit and
+     the before/after rows of bench/exp_metadata_hotpath.ml compare
+     against it. Every source is consulted and the highest seq wins:
+     patches may overlap in sequence ranges after recovery. *)
   let latest_fact_naive t key =
     let best = ref None in
     let consider f =
@@ -262,7 +221,6 @@ module Make (P : Patch.S) = struct
 
   let resolve_fact t = function None -> None | Some f -> live_value t f
 
-  let find t key = resolve_fact t (latest_fact t key)
   let find_naive t key = resolve_fact t (latest_fact_naive t key)
 
   (* The patch half of [find_run], shallowest patch first: a recursive
@@ -297,6 +255,14 @@ module Make (P : Patch.S) = struct
       done
     done;
     if runs > 0 && span > 0 then find_run_patches t ~keys ~span ~into t.patches
+
+  (* A point lookup is a run of one. *)
+  let latest_fact t key =
+    let into = [| Fact.absent |] in
+    find_run t ~keys:[| key |] ~span:1 ~into;
+    if into.(0) == Fact.absent then None else Some into.(0)
+
+  let find t key = resolve_fact t (latest_fact t key)
 
   (* The memtable (when it holds anything) above every patch. *)
   let runs t =
@@ -360,8 +326,8 @@ module Make (P : Patch.S) = struct
   let max_seq t = t.max_seq
   let patches t = t.patches
 
-  (* (probes attempted, skipped by fence, skipped by bloom) since creation. *)
-  let probe_stats t = (t.stat_probes, t.stat_fence_skips, t.stat_bloom_skips)
+  (* (probes attempted, skipped by fence) since creation. *)
+  let probe_stats t = (t.stat_probes, t.stat_fence_skips)
 
   let replace_patches t ps =
     t.patches <- ps;

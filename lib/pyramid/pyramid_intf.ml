@@ -48,21 +48,20 @@ module type S = sig
 
   val find : t -> key -> value option
   (** Latest live value for a key: tombstoned and elided facts read as
-      absent. Patches whose key fence or bloom filter excludes the key are
-      skipped without a search. *)
+      absent. {!resolve_fact} of {!latest_fact}. *)
 
   val latest_fact : t -> key -> fact option
   (** The newest fact for a key, tombstones and elided facts included:
       [None] only when the table holds no fact about the key at all. Its
       value is the paper's relaxed consistency read, which "simply ignores
       retractions, allowing [readers] to observe tuples that no longer
-      exist". *)
+      exist". A run of one: {!find_run} over [[| key |]] with [~span:1]. *)
 
   val find_naive : t -> key -> value option
   (** Reference implementation of {!find} that probes every patch with the
-      list-building [Patch.find]. Exists so tests and the metadata
-      micro-benchmark can compare the fenced fast path against it; results
-      are always identical. *)
+      list-building [Patch.find]. Exists so tests, the resolution audit
+      and the metadata micro-benchmark can compare {!find_run} against a
+      path it does not share; results are always identical. *)
 
   val find_run : t -> keys:key array -> span:int -> into:fact array -> unit
   (** Batched lookup for runs of [span] consecutive keys (see
@@ -123,10 +122,9 @@ module type S = sig
   val patches : t -> Patch.t list
   (** Shallowest first; for the segment writer to persist. *)
 
-  val probe_stats : t -> int * int * int
-  (** [(probes, fence_skips, bloom_skips)] since creation: patch consults
-      attempted by the lookup paths, and how many were rejected by the key
-      fence or the bloom filter without a search. *)
+  val probe_stats : t -> int * int
+  (** [(probes, fence_skips)] since creation: patch consults attempted by
+      {!find_run}, and how many its key fence rejected without a search. *)
 
   val replace_patches : t -> Patch.t list -> unit
   (** Install persisted patches at recovery (shallowest first). *)

@@ -1,9 +1,9 @@
 (** Non-cryptographic hashes: xxHash64 and a native-int fingerprint.
 
     {!hash} is xxHash64 proper (from-scratch, spec digests): GC's
-    relocation content cache fingerprints frames with it, bloom filters
-    derive their two probe hashes from it, and simulated drives draw
-    page-corruption events from it, so its digests are pinned by tests.
+    relocation content cache fingerprints frames with it and simulated
+    drives draw page-corruption events from it, so its digests are
+    pinned by tests.
     {!hash63} is the dedup fingerprint. Purity records hashes "no larger
     than 64 bits" for dedup candidates and relies on a byte-level
     comparison to confirm matches, so collisions affect only

@@ -31,7 +31,7 @@ let default =
         "lib/activecluster/link.ml";
       ];
     audited_unsafe =
-      [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "lz_ref.ml"; "bloom.ml" ];
+      [ "word.ml"; "crc32c.ml"; "xxhash.ml"; "gf256.ml"; "lz.ml"; "lz_ref.ml" ];
     exclude = [ "lint_fixtures" ];
     handled_exns = [ "Exit" ];
   }

@@ -488,7 +488,7 @@ let same_reads (b, s) ops =
       (fun i ->
         Block_index.live_value b run_b.(i)
         = Option.map (fun v -> Option.get (blockref_decode v)) (Spyr.live_value s run_s.(i))
-        && Block_index.find b (medium, block + i)
+        && Block_index.find_naive b (medium, block + i)
            = Option.map
                (fun v -> Option.get (blockref_decode v))
                (Spyr.find s (block_key ~medium ~block:(block + i))))

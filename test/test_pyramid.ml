@@ -10,9 +10,6 @@ let patch_facts p =
   Patch.iter_run p ~lo:"" ~hi:(String.make 64 '\255') (fun f -> acc := f :: !acc);
   List.rev !acc
 
-(* Does the patch's bloom filter (if it has one) admit the key? *)
-let bloom_admits p key = Patch.bloom_admits_hashed p (lazy (Purity_util.Bloom.hash_pair key))
-
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -80,9 +77,9 @@ let test_patch_sorted_dedup () =
 
 let test_patch_find () =
   let p = Patch.of_facts [ mk "k" "v1" 1L; mk "k" "v2" 2L; mk "z" "zz" 3L ] in
-  (match Patch.find_latest p "k" with
-  | Some f -> check Alcotest.string "latest wins" "v2" (Option.get f.Fact.value)
-  | None -> Alcotest.fail "missing");
+  (match Patch.find p "k" with
+  | f :: _ -> check Alcotest.string "latest wins" "v2" (Option.get f.Fact.value)
+  | [] -> Alcotest.fail "missing");
   check int "all versions" 2 (List.length (Patch.find p "k"));
   check int "absent" 0 (List.length (Patch.find p "nope"))
 
@@ -370,34 +367,31 @@ let test_pyr_range () =
     [ ("banana", "banana"); ("cherry", "cherry") ]
     r
 
-(* ---------- metadata fast path: fences, blooms, batched runs ---------- *)
+(* ---------- metadata fast path: fences, batched runs ---------- *)
 
-let test_patch_bloom_fences () =
+let test_patch_fences () =
   let p =
     Patch.of_facts (List.init 100 (fun i -> mk (Printf.sprintf "k%03d" i) "v" (Int64.of_int (i + 1))))
   in
-  check bool "large patch carries a bloom" true
-    (List.exists (fun i -> not (bloom_admits p (Printf.sprintf "k%03d+" i))) (List.init 100 Fun.id));
-  check bool "fence admits interior key" true (Patch.fence_admits p "k050");
-  check bool "fence rejects below" false (Patch.fence_admits p "a");
-  check bool "fence rejects above" false (Patch.fence_admits p "z");
-  check bool "bloom admits member" true (bloom_admits p "k042");
+  (* a point lookup is a run of one: its fence is [run_overlaps] with
+     [~span:1], and must agree with [fence_overlaps] over [key, key] *)
+  let admits key =
+    let by_run = Patch.run_overlaps p ~keys:[| key |] ~span:1 in
+    check bool ("run and range fences agree on " ^ key) by_run
+      (Patch.fence_overlaps p ~lo:key ~hi:key);
+    by_run
+  in
+  check bool "fence admits interior key" true (admits "k050");
+  check bool "fence admits absent interior key" true (admits "k050+");
+  check bool "fence rejects below" false (admits "a");
+  check bool "fence rejects above" false (admits "z");
   check bool "fence overlap" true (Patch.fence_overlaps p ~lo:"k090" ~hi:"zzz");
-  check bool "fence no overlap" false (Patch.fence_overlaps p ~lo:"l" ~hi:"m");
-  (* a tiny patch has no bloom and must admit everything *)
-  let small = Patch.of_facts [ mk "a" "1" 1L ] in
-  check bool "small patch admits any key" true (bloom_admits small "whatever")
-
-let test_patch_find_latest () =
-  let p = Patch.of_facts [ mk "k" "v1" 1L; mk "k" "v2" 5L; mk "k" "v3" 9L; mk "z" "w" 3L ] in
-  check str_opt "latest" (Some "v3")
-    (Option.map (fun f -> Option.get f.Fact.value) (Patch.find_latest p "k"));
-  check bool "absent key" true (Patch.find_latest p "nope" = None)
+  check bool "fence no overlap" false (Patch.fence_overlaps p ~lo:"l" ~hi:"m")
 
 let test_probe_counters_and_skips () =
   let p = Pyramid.create ~memtable_flush_count:1_000_000 ~policy:Pyramid.Tombstones ~name:"t" () in
   let seq = ref 0L in
-  (* two disjoint-key patches, big enough for blooms *)
+  (* two disjoint-key patches *)
   for i = 0 to 63 do
     seq := Int64.add !seq 1L;
     Pyramid.insert p ~seq:!seq ~key:(Printf.sprintf "a%04d" i) ~value:"x"
@@ -410,22 +404,38 @@ let test_probe_counters_and_skips () =
   Pyramid.flush p;
   (* auto-compaction may have tiered the two flushes into one patch, so
      only assert patch-count-independent lower bounds *)
-  let p0, f0, _ = Pyramid.probe_stats p in
+  let p0, f0 = Pyramid.probe_stats p in
   ignore (Pyramid.find p "a0007");
   ignore (Pyramid.find p "zzzz");
   (* "zzzz" is above every fence -> at least one fence skip *)
-  let p1, f1, b1 = Pyramid.probe_stats p in
+  let p1, f1 = Pyramid.probe_stats p in
   check bool "probes counted" true (p1 - p0 >= 2);
   check bool "fence skips counted" true (f1 - f0 >= 1);
-  (* a key inside a fence but absent: the bloom rejects it (with ~1%
-     false-positive slack, so probe several) *)
-  for i = 0 to 49 do
-    ignore (Pyramid.find p (Printf.sprintf "a%04d-absent" i))
-  done;
-  let _, _, b2 = Pyramid.probe_stats p in
-  check bool "bloom skips counted" true (b2 - b1 >= 40);
   check bool "results unaffected" true
     (Pyramid.find p "a0007" = Some "x" && Pyramid.find p "zzzz" = None)
+
+(* Recovery installs persisted patches whose sequence ranges overlap, so a
+   key's newer fact can sit in a deeper patch than an older one: every
+   lookup takes the highest seq over all patches, not the first patch
+   that holds the key. *)
+let test_overlapping_seq_ranges () =
+  let p = Pyramid.create ~policy:Pyramid.Tombstones ~name:"t" () in
+  let shallow = Patch.of_facts [ mk "a" "old" 3L; mk "b" "b" 9L; mk "d" "live" 2L ] in
+  let deep = Patch.of_facts [ mk "a" "new" 7L; mk "c" "c" 1L; Fact.tombstone ~key:"d" ~seq:8L ] in
+  Pyramid.replace_patches p [ shallow; deep ];
+  let value f = Option.bind f (fun f -> f.Fact.value) in
+  check str_opt "find" (Some "new") (Pyramid.find p "a");
+  check str_opt "latest_fact" (Some "new") (value (Pyramid.latest_fact p "a"));
+  check str_opt "find_naive" (Some "new") (Pyramid.find_naive p "a");
+  check str_opt "deeper tombstone deletes" None (Pyramid.find p "d");
+  check bool "deeper tombstone is the latest fact" true
+    (Option.map (fun f -> f.Fact.seq) (Pyramid.latest_fact p "d") = Some 8L);
+  let keys = [| "a"; "b"; "c"; "d" |] in
+  let run = Array.make (Array.length keys) Fact.absent in
+  Pyramid.find_run p ~keys ~span:1 ~into:run;
+  check (Alcotest.list str_opt) "find_run"
+    [ Some "new"; Some "b"; Some "c"; None ]
+    (Array.to_list (Array.map (Pyramid.live_value p) run))
 
 let pyramid_ops_gen =
   QCheck.Gen.(
@@ -457,8 +467,8 @@ let apply_ops p ops =
     ops
 
 let prop_fast_find_equals_naive =
-  (* the bloom-fenced lookup must be bit-identical to the per-patch scan,
-     for present and absent keys *)
+  (* the fenced lookup (a run of one) must be bit-identical to the
+     per-patch scan, for present and absent keys *)
   QCheck.Test.make ~name:"fenced find = naive find (present + absent keys)" ~count:150
     (QCheck.make pyramid_ops_gen)
     (fun ops ->
@@ -470,7 +480,8 @@ let prop_fast_find_equals_naive =
       |> List.for_all (fun key -> Pyramid.find p key = Pyramid.find_naive p key))
 
 let prop_find_run_equals_point =
-  (* batched range lookup = per-key point lookup over a sliding window *)
+  (* batched range lookup = the per-patch scan of each key over a sliding
+     window; [find] is itself a run of one, so it is no reference *)
   QCheck.Test.make ~name:"find_run = per-key find" ~count:150
     (QCheck.make
        QCheck.Gen.(
@@ -507,7 +518,8 @@ let prop_find_run_equals_point =
             ~keys:(Array.init n (fun i -> key_of_block (base + i)))
             ~span:1 ~into:run;
           List.for_all
-            (fun i -> Pyramid.live_value p run.(i) = Pyramid.find p (key_of_block (base + i)))
+            (fun i ->
+              Pyramid.live_value p run.(i) = Pyramid.find_naive p (key_of_block (base + i)))
             (List.init n Fun.id)
           &&
           (* one run of three from a block's key: the key, then the two
@@ -515,7 +527,8 @@ let prop_find_run_equals_point =
           let key = key_of_block base in
           Pyramid.find_run p ~keys:[| key |] ~span:3 ~into:run;
           List.for_all
-            (fun o -> Pyramid.live_value p run.(o) = Pyramid.find p (key ^ String.make o '\000'))
+            (fun o ->
+              Pyramid.live_value p run.(o) = Pyramid.find_naive p (key ^ String.make o '\000'))
             [ 0; 1; 2 ])
         [ 0; 7; 25 ])
 
@@ -657,7 +670,6 @@ module Collide_key = struct
   let offset lo k = if String.equal lo k then 0 else -1
   let hash_at _ _ = 0
   let least = ""
-  let hash_pair = Purity_util.Bloom.hash_pair
 end
 
 module Str_value = struct
@@ -945,9 +957,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_pyramid_matches_model;
           QCheck_alcotest.to_alcotest prop_memtable_matches_model;
           Alcotest.test_case "memtable probe length" `Quick test_memtable_probe_length;
-          Alcotest.test_case "patch fences + bloom" `Quick test_patch_bloom_fences;
-          Alcotest.test_case "patch find_latest" `Quick test_patch_find_latest;
+          Alcotest.test_case "patch fences + bloom" `Quick test_patch_fences;
           Alcotest.test_case "probe counters + skips" `Quick test_probe_counters_and_skips;
+          Alcotest.test_case "overlapping seq ranges" `Quick test_overlapping_seq_ranges;
           QCheck_alcotest.to_alcotest prop_fast_find_equals_naive;
           QCheck_alcotest.to_alcotest prop_find_run_equals_point;
           QCheck_alcotest.to_alcotest prop_flatten_equals_reference;

@@ -345,7 +345,7 @@ let test_dedup_index_counters () =
 let test_metadata_hotpath_counters () =
   (* smoke: after a mixed write/read workload with flushed patches, the
      metadata fast-path counters must all have moved — probes attempted
-     and fences/blooms actually skipping work *)
+     and fences actually skipping work *)
   let module Fa = Purity_core.Flash_array in
   let clock = Clock.create () in
   let cfg = { Fa.default_config with Fa.memtable_flush = 64 } in
@@ -368,8 +368,7 @@ let test_metadata_hotpath_counters () =
     | _ -> Alcotest.failf "missing int metric %s" key
   in
   check bool "patch probes attempted" true (reg_int "pyramid/blocks_probes" > 0);
-  check bool "fences/blooms skipped work" true
-    (reg_int "pyramid/blocks_fence_skips" + reg_int "pyramid/blocks_bloom_skips" > 0)
+  check bool "fences skipped work" true (reg_int "pyramid/blocks_fence_skips" > 0)
 
 let test_kernel_counters () =
   (* smoke: a mixed write/read workload must move the data-plane kernel

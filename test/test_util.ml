@@ -219,7 +219,7 @@ let test_xxhash_known_vectors () =
   check Alcotest.int64 "abc" 0x44BC2CF5AD770999L (h "abc");
   (* Pinned digests over inputs long enough to run the 32-byte stripe
      loop, the 8/4/1-byte tails and many stripes. Page-corruption draws
-     and bloom filters hash with [hash], so these must never move. *)
+     hash with [hash], so these must never move. *)
   let input n = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
   List.iter
     (fun (n, seed, want) ->
@@ -733,74 +733,6 @@ let prop_lru_capacity =
       List.iter (fun k -> lru_add c k k) keys;
       lru_length c <= cap)
 
-(* ---------- Bloom ---------- *)
-
-(* keys go through the hashed calls the pyramid's patches use *)
-module Bloom = struct
-  include Bloom
-
-  let add b k = add_hashed b (hash_pair k)
-  let mem b k = mem_hashed b (hash_pair k)
-end
-
-let test_bloom_no_false_negatives () =
-  let b = Bloom.create ~expected:1000 () in
-  for i = 0 to 999 do
-    Bloom.add b (Printf.sprintf "key-%06d" i)
-  done;
-  for i = 0 to 999 do
-    check bool "added key is member" true (Bloom.mem b (Printf.sprintf "key-%06d" i))
-  done
-
-let test_bloom_empty () =
-  let b = Bloom.create ~expected:100 () in
-  check bool "empty filter rejects" false (Bloom.mem b "anything")
-
-let test_bloom_fp_rate_bounded () =
-  (* 1% target; allow 5x slack so the test is seed-robust *)
-  let b = Bloom.create ~expected:2000 () in
-  for i = 0 to 1999 do
-    Bloom.add b (Printf.sprintf "present-%06d" i)
-  done;
-  let fps = ref 0 in
-  let probes = 20_000 in
-  for i = 0 to probes - 1 do
-    if Bloom.mem b (Printf.sprintf "absent-%06d" i) then incr fps
-  done;
-  let rate = float_of_int !fps /. float_of_int probes in
-  check bool
-    (Printf.sprintf "false-positive rate %.4f below 0.05" rate)
-    true (rate < 0.05)
-
-let test_bloom_binary_keys () =
-  (* the block pyramid's keys are 16-byte be64^be64 strings with long
-     shared prefixes and embedded NULs — the filter must not care *)
-  let be64 v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_be b 0 (Int64.of_int v);
-    Bytes.to_string b
-  in
-  let b = Bloom.create ~expected:512 () in
-  for blk = 0 to 511 do
-    Bloom.add b (be64 3 ^ be64 blk)
-  done;
-  for blk = 0 to 511 do
-    check bool "binary key member" true (Bloom.mem b (be64 3 ^ be64 blk))
-  done;
-  let fps = ref 0 in
-  for blk = 0 to 4095 do
-    if Bloom.mem b (be64 4 ^ be64 blk) then incr fps
-  done;
-  check bool "other-medium keys mostly rejected" true (!fps < 205)
-
-let prop_bloom_members =
-  QCheck.Test.make ~name:"bloom has no false negatives" ~count:50
-    QCheck.(list_of_size Gen.(1 -- 300) (string_gen_of_size Gen.(0 -- 24) Gen.printable))
-    (fun keys ->
-      let b = Bloom.create ~expected:(List.length keys) () in
-      List.iter (Bloom.add b) keys;
-      List.for_all (Bloom.mem b) keys)
-
 let () =
   Alcotest.run "util"
     [
@@ -886,13 +818,5 @@ let () =
           Alcotest.test_case "capacity 0 holds nothing" `Quick test_lru_capacity_zero;
           Alcotest.test_case "fold order" `Quick test_lru_fold_order;
           QCheck_alcotest.to_alcotest prop_lru_capacity;
-        ] );
-      ( "bloom",
-        [
-          Alcotest.test_case "no false negatives" `Quick test_bloom_no_false_negatives;
-          Alcotest.test_case "empty" `Quick test_bloom_empty;
-          Alcotest.test_case "fp rate bounded" `Quick test_bloom_fp_rate_bounded;
-          Alcotest.test_case "binary keys" `Quick test_bloom_binary_keys;
-          QCheck_alcotest.to_alcotest prop_bloom_members;
         ] );
     ]
