@@ -49,40 +49,124 @@ let zero_unmapped refs out =
     if Option.is_none refs.(i) then Bytes.fill out (i * block_size) block_size '\000'
   done
 
+(* One host read in flight: what its fetch events share, in place of
+   closures over each piece. *)
+type read = {
+  st : State.t;
+  refs : Blockref.t option array;
+  out : Bytes.t;
+  start : float;
+  span : Span.t;
+  k : (string, error) result -> unit;
+  mutable pending : int; (* fetches not yet settled *)
+  mutable failed : bool;
+}
+
+(* A cblock's read-cache key: its segment and offset packed into one
+   int. *)
+let cache_key (r : Blockref.t) =
+  if r.off lsr 32 <> 0 || r.segment lsr 30 <> 0 then
+    invalid_arg "Read_path.cache_key: segment or offset out of range";
+  (r.segment lsl 32) lor r.off
+
 (* Copy the mapped output blocks of [first .. last] out of their decoded
    cblock. *)
-let blit_slices data out failed refs ~first ~last =
+let blit_slices data r ~first ~last =
   for i = first to last do
-    match refs.(i) with
+    match r.refs.(i) with
     | None -> ()
-    | Some (r : Blockref.t) ->
-      let src = r.index * block_size in
+    | Some (ref_ : Blockref.t) ->
+      let src = ref_.index * block_size in
       if src + block_size <= String.length data then
-        Bytes.blit_string data src out (i * block_size) block_size
-      else failed := true
+        Bytes.blit_string data src r.out (i * block_size) block_size
+      else r.failed <- true
   done
 
 (* Verify and decode a fetched frame once and copy its slices out. The
    decoded cblock is returned for the read cache; a frame that does not
    decode fails the read and yields nothing to cache. *)
-let decode_slices frame out failed refs ~first ~last =
+let decode_slices frame r ~first ~last =
   match Cblock.decode frame ~pos:0 with
   | Some (_, data, _) ->
-    blit_slices data out failed refs ~first ~last;
+    blit_slices data r ~first ~last;
     Some data
   | None ->
-    failed := true;
+    r.failed <- true;
     None
+
+let finish r =
+  if r.failed then begin
+    Span.finish ~tags:[ ("error", "media_failure") ] r.span;
+    r.k (Error `Media_failure)
+  end
+  else begin
+    Span.finish r.span;
+    Histogram.record r.st.read_lat (Clock.now r.st.clock -. r.start);
+    r.k
+      (Ok
+         (Bytes.unsafe_to_string r.out
+         [@purity.lint.allow "unsafe: result buffer published as string after last write"]))
+  end
+
+let settle r =
+  r.pending <- r.pending - 1;
+  if r.pending = 0 then finish r
+
+(* Start the fetch of the cblock of output blocks [first .. last]. *)
+let fetch r ~first ~last =
+  let t = r.st in
+  let ref_ =
+    match r.refs.(first) with
+    | Some (ref_ : Blockref.t) -> ref_
+    | None -> assert false (* a fetch starts on a mapped block *)
+  in
+  match unflushed_writer t ref_.segment with
+  | Some w -> (
+    (* data still in the segio's RAM buffer: DRAM-speed read *)
+    match Writer.peek_payload w ~off:ref_.off ~len:ref_.stored_len with
+    | None ->
+      r.failed <- true;
+      settle r
+    | Some frame ->
+      Clock.schedule t.clock ~delay:2.0 (fun () ->
+          ignore
+            (decode_slices
+               (Bytes.unsafe_of_string frame [@purity.lint.allow "unsafe: frame decode view"])
+               r ~first ~last);
+          settle r))
+  | None -> (
+    let key = cache_key ref_ in
+    match Lru.find t.read_cache key with
+    | Some data ->
+      (* controller-DRAM hit: the cblock is cached decoded *)
+      Registry.incr t.ws.cache_hits;
+      Clock.schedule t.clock ~delay:2.0 (fun () ->
+          blit_slices data r ~first ~last;
+          settle r)
+    | None -> (
+      Registry.incr t.ws.cache_misses;
+      match find_segment t ref_.segment with
+      | None ->
+        r.failed <- true;
+        settle r
+      | Some seg ->
+        Io.read t.io seg ~off:ref_.off ~len:ref_.stored_len (fun result ->
+            (match result with
+            | Error `Unrecoverable -> r.failed <- true
+            | Ok frame -> (
+              match decode_slices frame r ~first ~last with
+              | Some data -> ignore (Lru.add t.read_cache key data)
+              | None -> ()));
+            settle r)))
 
 let read t ~volume ~block ~nblocks k =
   let start = Clock.now t.clock in
-  let fail e = Clock.schedule t.clock ~delay:0.0 (fun () -> k (Error e)) in
-  if not t.online then fail `Offline
+  if not t.online then fail t k `Offline
   else
     match Stbl.find_opt t.volumes volume with
-    | None -> fail `No_such_volume
+    | None -> fail t k `No_such_volume
     | Some v ->
-      if nblocks <= 0 || block < 0 || block + nblocks > v.blocks then fail `Out_of_range
+      if nblocks <= 0 || block < 0 || block + nblocks > v.blocks then fail t k `Out_of_range
       else begin
         let refs = resolve_range t ~medium:v.medium ~block ~nblocks in
         let fetches = plan refs in
@@ -90,7 +174,7 @@ let read t ~volume ~block ~nblocks k =
         (* every success path writes each mapped block *)
         let out = Bytes.create (nblocks * block_size) in
         zero_unmapped refs out;
-        let rspan =
+        let span =
           Span.start t.tracer
             ~tags:
               [
@@ -100,77 +184,13 @@ let read t ~volume ~block ~nblocks k =
               ]
             "read"
         in
-        let pending = ref nfetches in
-        let failed = ref false in
-        let finish () =
-          if !failed then begin
-            Span.finish ~tags:[ ("error", "media_failure") ] rspan;
-            k (Error `Media_failure)
-          end
-          else begin
-            Span.finish rspan;
-            Histogram.record t.read_lat (Clock.now t.clock -. start);
-            k
-              (Ok
-                 (Bytes.unsafe_to_string out
-                 [@purity.lint.allow
-                   "unsafe: result buffer published as string after last write"]))
-          end
-        in
-        let settle () =
-          decr pending;
-          if !pending = 0 then finish ()
-        in
+        let r = { st = t; refs; out; start; span; k; pending = nfetches; failed = false } in
         if nfetches = 0 then
           (* all-zero read: charge a trivial metadata-only latency *)
-          Clock.schedule t.clock ~delay:1.0 finish
+          Clock.schedule t.clock ~delay:1.0 (fun () -> finish r)
         else
           for f = 0 to nfetches - 1 do
-            let first = fetches.(f) in
             let last = if f + 1 < nfetches then fetches.(f + 1) - 1 else nblocks - 1 in
-            let ref_ =
-              match refs.(first) with
-              | Some (r : Blockref.t) -> r
-              | None -> assert false (* a fetch starts on a mapped block *)
-            in
-            match unflushed_writer t ref_.segment with
-            | Some w -> (
-              (* data still in the segio's RAM buffer: DRAM-speed read *)
-              match Writer.peek_payload w ~off:ref_.off ~len:ref_.stored_len with
-              | None ->
-                failed := true;
-                settle ()
-              | Some frame ->
-                Clock.schedule t.clock ~delay:2.0 (fun () ->
-                    ignore
-                      (decode_slices
-                         (Bytes.unsafe_of_string frame
-                         [@purity.lint.allow "unsafe: frame decode view"])
-                         out failed refs ~first ~last);
-                    settle ()))
-            | None -> (
-              let cache_key = (ref_.segment, ref_.off) in
-              match Lru.Ipair.find t.read_cache cache_key with
-              | Some data ->
-                (* controller-DRAM hit: the cblock is cached decoded *)
-                Registry.incr t.ws.cache_hits;
-                Clock.schedule t.clock ~delay:2.0 (fun () ->
-                    blit_slices data out failed refs ~first ~last;
-                    settle ())
-              | None -> (
-                Registry.incr t.ws.cache_misses;
-                match find_segment t ref_.segment with
-                | None ->
-                  failed := true;
-                  settle ()
-                | Some seg ->
-                  Io.read t.io seg ~off:ref_.off ~len:ref_.stored_len (fun result ->
-                      (match result with
-                      | Error `Unrecoverable -> failed := true
-                      | Ok frame -> (
-                        match decode_slices frame out failed refs ~first ~last with
-                        | Some data -> ignore (Lru.Ipair.add t.read_cache cache_key data)
-                        | _ -> ()));
-                      settle ())))
+            fetch r ~first:fetches.(f) ~last
           done
       end

@@ -91,10 +91,13 @@ type volume = {
 
 let fresh_observer () = { size_counts = Array.make 7 0; observed = 0 }
 
+(* The size bucket of a write of [nblocks], by power of two: 1, 2, 4,
+   8, 16, 32, 64 blocks (512 B - 32 KiB) are buckets 0-6. *)
+let rec size_bucket nblocks i cap =
+  if nblocks <= cap || i = 6 then i else size_bucket nblocks (i + 1) (cap * 2)
+
 let observe_write obs ~nblocks =
-  (* bucket by power of two: 1,2,4,8,16,32,64 blocks (512 B - 32 KiB) *)
-  let rec bucket i cap = if nblocks <= cap || i = 6 then i else bucket (i + 1) (cap * 2) in
-  let b = bucket 0 1 in
+  let b = size_bucket nblocks 0 1 in
   obs.size_counts.(b) <- obs.size_counts.(b) + 1;
   obs.observed <- obs.observed + 1
 
@@ -178,8 +181,8 @@ type t = {
   mutable boot_generation_written : int;
   dedup : Blockref.t Dedup.t; (* recent writes, each with its cblock home *)
   arena : Arena.t; (* compress/frame scratch for the fill loop *)
-  read_cache : string Lru.Ipair.t;
-      (* (segment, off) -> the cblock's verified, decompressed bytes *)
+  read_cache : string Lru.t;
+      (* [cache_key] -> the cblock's verified, decompressed bytes *)
   run_slots : Block_index.fact array;
       (* Block_index.find_run's slots for up to 64 keys (a host read's
          longest run), reused; nothing holds them across calls *)
@@ -288,7 +291,7 @@ let create_over ~config ~clock ~shelf () =
     boot_generation_written = 0;
     dedup = Dedup.create ();
     arena = Arena.create ();
-    read_cache = Lru.Ipair.create ~capacity:config.read_cache_entries;
+    read_cache = Lru.create ~capacity:config.read_cache_entries;
     run_slots = Array.make 64 Block_index.Fact.absent;
     write_lat = Registry.histogram tel "write_path/latency_us";
     read_lat = Registry.histogram tel "read_path/latency_us";
@@ -714,6 +717,9 @@ let unflushed_writer t id =
   | Some w when Writer.id w = id -> t.open_writer
   | Some _ | None -> sealed_writer id t.sealed
 
+(* Report a host operation's error [e] to [k] on the next clock step. *)
+let fail t k e = Clock.schedule t.clock ~delay:0.0 (fun () -> k (Error e))
+
 (* Seal the open segio, then run [k] once every segio sealed so far has
    flushed. Flushes complete in seal order, so [k] waits on the newest
    one; segios sealed after the call do not hold it up. *)
@@ -756,5 +762,5 @@ let destroy_segments t ids =
 let warm_cache ~from ~into =
   if into.cfg.secondary_warming then
     (* least recently used first, so the spare's order matches the primary's *)
-    Lru.Ipair.fold (fun key data acc -> (key, data) :: acc) from.read_cache []
-    |> List.iter (fun (key, data) -> ignore (Lru.Ipair.add into.read_cache key data))
+    Lru.fold (fun key data acc -> (key, data) :: acc) from.read_cache []
+    |> List.iter (fun (key, data) -> ignore (Lru.add into.read_cache key data))

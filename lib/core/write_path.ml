@@ -104,25 +104,34 @@ let apply_write ?(io_blocks = Cblock.max_logical / block_size) t ~medium ~block 
     off := !off + n
   done
 
+(* NVRAM refused the intent for space: close the write's spans and
+   report backpressure. *)
+let refused t ~commit_span ~wspan k =
+  Span.finish ~tags:[ ("error", "backpressure") ] commit_span;
+  Span.finish wspan;
+  (* NVRAM drains when segios flush; push the current one out if nothing
+     is already flushing, then report backpressure *)
+  if List.is_empty t.sealed then (try seal_current t with Out_of_space -> ());
+  k (Error `Backpressure)
+
 (* Public entry: write [data] (a multiple of 512 B) at [block] of [volume].
    The callback fires when the write is durable (NVRAM commit complete). *)
 let write t ~volume ~block data k =
   let start = Clock.now t.clock in
-  let fail e = Clock.schedule t.clock ~delay:0.0 (fun () -> k (Error e)) in
-  if not t.online then fail `Offline
+  if not t.online then fail t k `Offline
   else
     match Stbl.find_opt t.volumes volume with
-    | None -> fail `No_such_volume
-    | Some { kind = Snapshot; _ } -> fail `Read_only
+    | None -> fail t k `No_such_volume
+    | Some { kind = Snapshot; _ } -> fail t k `Read_only
     | Some v ->
       let len = String.length data in
-      if len = 0 || len mod block_size <> 0 then fail `Unaligned
-      else if block < 0 || block + (len / block_size) > v.blocks then fail `Out_of_range
+      if len = 0 || len mod block_size <> 0 then fail t k `Unaligned
+      else if block < 0 || block + (len / block_size) > v.blocks then fail t k `Out_of_range
       else begin
         observe_write v.observer ~nblocks:(len / block_size);
         match Medium.write_target t.medium_table v.medium ~block with
-        | Error `Read_only -> fail `Read_only
-        | Error (`Out_of_range | `No_such_medium) -> fail `Out_of_range
+        | Error `Read_only -> fail t k `Read_only
+        | Error (`Out_of_range | `No_such_medium) -> fail t k `Out_of_range
         | Ok medium ->
           (* trace the multi-hop write: the NVRAM commit and memtable apply
              are children of one [write] span (segio flush/program spans
@@ -137,42 +146,40 @@ let write t ~volume ~block data k =
              commit callbacks fire in seq order, so the applied watermark
              is monotone *)
           let intent_seq = Purity_pyramid.Seqno.next t.seqno in
-          (* the intent is encoded only if NVRAM admits it: a refused
-             attempt under backpressure copies none of the payload *)
-          Shelf.nvram_commit t.port ~seq:intent_seq
-            ~len:(Meta_log.intent_size ~medium ~block len)
-            (fun () -> Meta_log.encode_intent ~medium ~block data)
-            (function
-            | Error `Full ->
-              Span.finish ~tags:[ ("error", "backpressure") ] commit_span;
-              Span.finish wspan;
-              (* NVRAM drains when segios flush; push the current one out
-                 if nothing is already flushing, then report backpressure *)
-              if List.is_empty t.sealed then (try seal_current t with Out_of_space -> ());
-              k (Error `Backpressure)
-            | Ok () when not t.online ->
-              Span.finish ~tags:[ ("error", "offline") ] commit_span;
-              Span.finish wspan;
-              (* the controller died between commit and apply: the intent
-                 is in NVRAM and will replay at failover *)
-              k (Error `Offline)
-            | Ok () -> (
-              Histogram.record t.ws.nvram_commit_us (Clock.now t.clock -. start);
-              Span.finish commit_span;
-              let apply_span = Span.start t.tracer ~parent:wspan "apply" in
-              match
-                apply_write ~io_blocks:(inferred_io_blocks v.observer) t ~medium ~block data
-              with
-              | () ->
-                Span.finish apply_span;
+          let intent_len = Meta_log.intent_size ~medium ~block len in
+          if Shelf.nvram_refuses t.port intent_len then
+            (* refused for space, as NVRAM would report it 1 us on: the
+               attempt builds neither the intent nor the admitted path *)
+            Clock.schedule t.clock ~delay:1.0 (fun () -> refused t ~commit_span ~wspan k)
+          else
+            (* the intent is encoded only if NVRAM admits it *)
+            Shelf.nvram_commit t.port ~seq:intent_seq ~len:intent_len
+              (fun () -> Meta_log.encode_intent ~medium ~block data)
+              (function
+              | Error `Full -> refused t ~commit_span ~wspan k
+              | Ok () when not t.online ->
+                Span.finish ~tags:[ ("error", "offline") ] commit_span;
                 Span.finish wspan;
-                t.last_applied_intent <- intent_seq;
-                Registry.incr t.ws.app_writes;
-                Registry.add t.ws.logical_bytes len;
-                Histogram.record t.write_lat (Clock.now t.clock -. start);
-                k (Ok ())
-              | exception Out_of_space ->
-                Span.finish ~tags:[ ("error", "no_space") ] apply_span;
-                Span.finish wspan;
-                k (Error `No_space)))
+                (* the controller died between commit and apply: the intent
+                   is in NVRAM and will replay at failover *)
+                k (Error `Offline)
+              | Ok () -> (
+                Histogram.record t.ws.nvram_commit_us (Clock.now t.clock -. start);
+                Span.finish commit_span;
+                let apply_span = Span.start t.tracer ~parent:wspan "apply" in
+                match
+                  apply_write ~io_blocks:(inferred_io_blocks v.observer) t ~medium ~block data
+                with
+                | () ->
+                  Span.finish apply_span;
+                  Span.finish wspan;
+                  t.last_applied_intent <- intent_seq;
+                  Registry.incr t.ws.app_writes;
+                  Registry.add t.ws.logical_bytes len;
+                  Histogram.record t.write_lat (Clock.now t.clock -. start);
+                  k (Ok ())
+                | exception Out_of_space ->
+                  Span.finish ~tags:[ ("error", "no_space") ] apply_span;
+                  Span.finish wspan;
+                  k (Error `No_space)))
       end

@@ -6,7 +6,18 @@
     [Clock.t]; experiments read percentiles of simulated microseconds.
 
     Time is a float in microseconds. Events scheduled for the same instant
-    fire in insertion order, so models behave deterministically. *)
+    fire in insertion order, so models behave deterministically.
+
+    The pending events are a binary min-heap over three parallel arrays —
+    times (a flat [float array]), insertion sequence numbers and actions
+    — ordered by (time, seq). Scheduling and dispatching an event
+    allocate nothing in the queue (the arrays double when full), and
+    the clock's time is stored anew only when it advances. A dispatched
+    action's slot is overwritten at once, so the queue never keeps a
+    popped closure (or what it captures) alive.
+
+    Every time a caller passes in must be finite: a NaN or infinite
+    [at], [delay], [d] or [stop] raises [Invalid_argument]. *)
 
 type t
 

@@ -100,6 +100,8 @@ let nvram_commit p ~seq ~len build k =
     Nvram.commit p.shelf.nvram ~seq ~len build k
   end
 
+let nvram_refuses p len = (not p.fenced) && not (Nvram.fits p.shelf.nvram len)
+
 let nvram_trim_upto p seq =
   if not p.fenced then begin
     take_index p;

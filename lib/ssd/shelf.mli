@@ -99,6 +99,12 @@ val nvram_commit :
   ((unit, [ `Full ]) result -> unit) ->
   unit
 
+val nvram_refuses : port -> int -> bool
+(** Whether {!nvram_commit} on this port would refuse a record of this
+    payload length for space now: the port is live and the NVRAM does
+    not fit it. A caller may then report the refusal itself, as
+    {!nvram_commit} does, 1 us later, without an index. *)
+
 val nvram_trim_upto : port -> int64 -> unit
 
 val write_boot : port -> string -> (unit -> unit) -> unit

@@ -8,14 +8,17 @@
     Finished spans land in the tracer's bounded ring buffer (oldest
     evicted first) and, when one is installed, are handed to a pluggable
     sink — the hook the phone-home exporter uses to stream spans out as
-    JSONL. Start/finish are cheap enough for hot paths: a record
-    allocation and two clock reads. *)
+    JSONL. Start/finish are cheap enough for hot paths: starting
+    allocates the span's record (its parent held as an id, its start tags
+    kept as given), finishing allocates nothing unless it adds tags, and
+    each reads the clock once. *)
 
 type tracer
 type t
 
 val create_tracer : ?capacity:int -> clock:Purity_sim.Clock.t -> unit -> tracer
-(** [capacity] (default 1024, min 1) bounds the finished-span ring. *)
+(** [capacity] (default 1024, min 1) bounds the finished-span ring, a
+    preallocated array of that many slots. *)
 
 val start : tracer -> ?parent:t -> ?tags:(string * string) list -> string -> t
 (** Open a span named [name] starting now (simulated time). *)
@@ -25,7 +28,7 @@ val finish : ?tags:(string * string) list -> t -> unit
     buffer and feed the sink. Finishing twice is a no-op. *)
 
 val tag : t -> string -> string -> unit
-(** Attach a tag to a live or finished span. *)
+(** Attach a tag to a live or finished span, after its earlier tags. *)
 
 (** {1 Accessors} *)
 
@@ -38,6 +41,7 @@ val end_us : t -> float option
 
 val duration_us : t -> float option
 val tags : t -> (string * string) list
+(** In the order they were attached: the start tags first. *)
 
 (** {1 The ring buffer} *)
 

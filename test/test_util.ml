@@ -565,111 +565,6 @@ let test_varint_size () =
       check int (Printf.sprintf "size %d" v) (Buffer.length b) (Varint.size v))
     [ 0; 127; 128; 16383; 16384; 1 lsl 40 ]
 
-(* ---------- Heap ---------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some v -> drain (v :: acc)
-  in
-  check (Alcotest.list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  check int "empty" 0 (Heap.length h);
-  check bool "pop none" true (Heap.pop h = None);
-  check bool "peek none" true (Heap.peek h = None)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some v -> drain (v :: acc)
-      in
-      drain [] = List.sort compare l)
-
-(* Clock's event queue totally orders events by (time, seq): equal-time
-   events must pop in schedule order. The heap itself is not stable, so
-   this property holds only because the comparator breaks ties — pin it
-   with the exact (time, seq) shape Clock uses, interleaving pushes and
-   pops the way the sim does. *)
-let prop_heap_seq_tiebreak =
-  QCheck.Test.make ~name:"heap pops equal-time events in seq order" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 100) (pair (int_bound 8) bool))
-    (fun ops ->
-      let cmp (t1, s1) (t2, s2) =
-        let c = Int.compare t1 t2 in
-        if c <> 0 then c else Int.compare s1 s2
-      in
-      let h = Heap.create ~cmp in
-      let seq = ref 0 in
-      let pushed = ref [] and popped = ref [] in
-      List.iter
-        (fun (time, do_pop) ->
-          if do_pop then (
-            match Heap.pop h with
-            | Some e -> popped := e :: !popped
-            | None -> ())
-          else begin
-            let e = (time, !seq) in
-            incr seq;
-            pushed := e :: !pushed;
-            Heap.push h e
-          end)
-        ops;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some v -> drain (v :: acc)
-      in
-      let final = drain [] in
-      (* the tail drained at the end is totally ordered... *)
-      List.sort cmp final = final
-      (* ...and nothing was lost or duplicated across the interleaving *)
-      && List.sort cmp (!popped @ final) = List.sort cmp !pushed)
-
-(* Regression for the pop retained-memory leak: slots [data.(size..cap))]
-   used to keep popped elements reachable until a later push happened to
-   overwrite them, so the sim's event queue pinned dead events (and their
-   closures) up to the heap's high-water mark. After the fix, retention is
-   bounded by the live set (vacated slots hold dups of live elements and
-   the backing array shrinks at quarter occupancy), and a fully drained
-   heap retains nothing at all. *)
-let test_heap_pop_releases () =
-  let high_water = 512 and live = 32 in
-  let h = Heap.create ~cmp:(fun a b -> Int.compare !a !b) in
-  for i = 1 to high_water do
-    Heap.push h (ref i)
-  done;
-  let n_popped = high_water - live in
-  let weaks = Weak.create n_popped in
-  for i = 0 to n_popped - 1 do
-    match Heap.pop h with
-    | Some r -> Weak.set weaks i (Some r)
-    | None -> Alcotest.fail "heap drained early"
-  done;
-  Gc.full_major ();
-  let pinned () =
-    let n = ref 0 in
-    for i = 0 to n_popped - 1 do
-      if Weak.check weaks i then incr n
-    done;
-    !n
-  in
-  check int "live elements remain" live (Heap.length h);
-  (* the unfixed heap pins ~all 480 popped refs here (cap never shrinks
-     below the high-water mark); the fixed one at most cap - size < 3x
-     the live set *)
-  check bool "retention bounded by live set, not high-water mark" true
-    (pinned () <= 3 * live);
-  let rec drain () = match Heap.pop h with Some _ -> drain () | None -> () in
-  drain ();
-  Gc.full_major ();
-  check int "empty heap" 0 (Heap.length h);
-  check int "a drained heap pins nothing" 0 (pinned ())
-
 (* ---------- Lru ---------- *)
 
 (* membership and size through the one traversal the cache exports *)
@@ -724,6 +619,60 @@ let test_lru_fold_order () =
   ignore (Lru.find c 1);
   let keys = List.rev (Lru.fold (fun k _ acc -> k :: acc) c []) in
   check (Alcotest.list int) "mru first" [ 1; 3; 2 ] keys
+
+(* A hit rewrites the slab's int links and returns the option its slot
+   already holds: nothing is allocated (measured: 0.0 words per find). *)
+let test_lru_hit_allocation () =
+  let cap = 256 in
+  let c = Lru.create ~capacity:cap in
+  for k = 0 to cap - 1 do
+    lru_add c (k * 4099) k
+  done;
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> i * 7 mod cap * 4099) in
+  let find k = ignore (Sys.opaque_identity (Lru.find c k)) in
+  let w0 = Gc.minor_words () in
+  Array.iter find keys;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check (Alcotest.option int) "a hit" (Some 7) (Lru.find c (7 * 4099));
+  if words > 0.1 then Alcotest.failf "an Lru hit allocates %.2f words" words
+
+(* Random finds, adds and removes against a most-recent-first list:
+   every answer, every eviction and the final order agree. Keys collide
+   in the slab's hash buckets, so chains are unlinked from every place. *)
+let prop_lru_matches_list =
+  QCheck.Test.make ~name:"lru matches a recency list" ~count:200
+    QCheck.(
+      pair (int_range 0 8)
+        (list_of_size Gen.(0 -- 200) (pair (int_bound 2) (int_bound 24))))
+    (fun (cap, ops) ->
+      let c = Lru.create ~capacity:cap in
+      let model = ref [] in
+      let touch k v = model := (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun (op, k) ->
+          match op with
+          | 0 ->
+            let want = List.assoc_opt k !model in
+            Option.iter (touch k) want;
+            Lru.find c k = want
+          | 1 ->
+            let evicted =
+              if List.mem_assoc k !model || cap = 0 || List.length !model < cap then None
+              else Some (List.nth !model (cap - 1))
+            in
+            if cap > 0 then begin
+              touch k (k * 10);
+              model := List.filteri (fun i _ -> i < cap) !model
+            end;
+            let got = Lru.add c k (k * 10) in
+            got = (if cap = 0 then Some (k, k * 10) else evicted)
+          | _ ->
+            Lru.remove c k;
+            model := List.remove_assoc k !model;
+            true)
+        ops
+      && Lru.fold (fun k v acc -> (k, v) :: acc) c [] = List.rev !model)
 
 let prop_lru_capacity =
   QCheck.Test.make ~name:"lru never exceeds capacity" ~count:100
@@ -802,14 +751,6 @@ let () =
           Alcotest.test_case "shortest encoding only" `Quick test_varint_shortest_only;
           Alcotest.test_case "size" `Quick test_varint_size;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "pop releases elements" `Quick test_heap_pop_releases;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
-          QCheck_alcotest.to_alcotest prop_heap_seq_tiebreak;
-        ] );
       ( "lru",
         [
           Alcotest.test_case "eviction" `Quick test_lru_eviction;
@@ -817,6 +758,8 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "capacity 0 holds nothing" `Quick test_lru_capacity_zero;
           Alcotest.test_case "fold order" `Quick test_lru_fold_order;
+          Alcotest.test_case "hit allocation" `Quick test_lru_hit_allocation;
           QCheck_alcotest.to_alcotest prop_lru_capacity;
+          QCheck_alcotest.to_alcotest prop_lru_matches_list;
         ] );
     ]
